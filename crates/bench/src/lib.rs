@@ -1,10 +1,11 @@
 //! Criterion glue: benchmarks one figure's representative points on a
 //! persistent cluster rig.
 //!
-//! `cargo bench -p kera-bench --bench figNN` reports nanoseconds per
-//! *acknowledged record* (Criterion throughput = elements/s); the full
-//! paper-shaped sweeps live in the `kera-harness` binaries
-//! (`cargo run --release -p kera-harness --bin figNN`).
+//! `cargo bench -p kera-bench --bench figures -- figNN` reports
+//! nanoseconds per *acknowledged record* (Criterion throughput =
+//! elements/s); the full paper-shaped sweeps live in the `kera-harness`
+//! `figure` binary (`cargo run --release -p kera-harness --bin figure --
+//! figNN`).
 
 use std::time::Duration;
 
@@ -13,7 +14,7 @@ use kera_harness::figures::{figure, quick};
 use kera_harness::rig::BenchRig;
 
 /// Number of figure points benchmarked per figure (keeps `cargo bench
-/// --workspace` tractable; the harness binaries run the full sweeps).
+/// --workspace` tractable; the harness binary runs the full sweeps).
 pub const POINTS_PER_FIGURE: usize = 3;
 
 /// Benchmarks a subset of `id`'s points: time to ingest records

@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use kera_common::checksum::Crc32c;
-use kera_common::copymode::copy_data_plane;
 use kera_common::ids::{NodeId, VirtualLogId, VirtualSegmentId};
 use kera_common::metrics::Counter;
 use kera_common::{KeraError, Result};
@@ -195,18 +194,10 @@ impl BackupService {
             seg.checksum.update_u32(k);
         }
         if !req.chunks.is_empty() {
-            let batch = if copy_data_plane() {
-                // lint: allow(no-hot-copy) — the seed's buffer append,
-                // kept reachable behind KERA_COPY_DATA_PLANE=1 for the
-                // bench trajectory.
-                Bytes::copy_from_slice(&req.chunks)
-            } else {
-                // The batch is a slice of the receive buffer.
-                // lint: allow(no-hot-copy) — refcount clone, not a copy
-                req.chunks.clone()
-            };
-            seg.len += batch.len();
-            seg.batches.push(batch);
+            // The retained batch is a slice of the receive buffer.
+            seg.len += req.chunks.len();
+            // lint: allow(no-hot-copy) — refcount clone, not a copy
+            seg.batches.push(req.chunks.clone());
         }
         self.writes.inc();
         self.chunks_received.add(u64::from(count));
@@ -373,6 +364,36 @@ mod tests {
         assert_eq!(resp.durable_offset as usize, c.len());
         assert_eq!(b.segment_count(), 1);
         assert_eq!(b.bytes_held(), c.len());
+    }
+
+    /// Through `Service::handle`, the batch a backup retains is a window
+    /// of the request payload it was handed — the synchronous replication
+    /// path never copies the chunk train.
+    #[test]
+    fn retained_batch_is_a_slice_of_the_request_payload() {
+        let b = BackupService::new(NodeId(100), None);
+        let (c, _) = chunk_bytes(2);
+        let payload = write_req(0, backup_flags::OPEN, 0, std::slice::from_ref(&c)).encode();
+        let ctx = RequestContext {
+            from: NodeId(1),
+            opcode: OpCode::BackupWrite,
+            request_id: 1,
+            deadline: None,
+            trace: kera_obs::TraceContext::NONE,
+        };
+        b.handle(&ctx, payload.clone()).unwrap();
+
+        let key = (NodeId(1), VirtualLogId(0), VirtualSegmentId(0));
+        let seg = b.segments.read().get(&key).cloned().unwrap();
+        let seg = seg.lock();
+        let [batch] = seg.batches.as_slice() else {
+            panic!("expected one retained batch, got {}", seg.batches.len());
+        };
+        assert_eq!(&batch[..], &c[..]);
+        assert!(std::ptr::eq(
+            batch.as_ref().as_ptr(),
+            payload[payload.len() - c.len()..].as_ptr()
+        ));
     }
 
     #[test]

@@ -571,7 +571,7 @@ mod tests {
                 max_bytes: 1 << 20,
             }],
         };
-        let fresp = FetchResponse::decode(
+        let fresp = FetchResponse::decode_bytes(
             &client.call(broker, OpCode::Fetch, freq.encode(), T).unwrap(),
         )
         .unwrap();
@@ -626,7 +626,7 @@ mod tests {
                 max_bytes: 1 << 20,
             }],
         };
-        let fresp = FetchResponse::decode(
+        let fresp = FetchResponse::decode_bytes(
             &client.call(broker, OpCode::Fetch, freq.encode(), T).unwrap(),
         )
         .unwrap();
@@ -746,7 +746,7 @@ mod tests {
                 max_bytes: 1 << 20,
             }],
         };
-        let fresp = FetchResponse::decode(
+        let fresp = FetchResponse::decode_bytes(
             &client.call(broker, OpCode::Fetch, freq.encode(), T).unwrap(),
         )
         .unwrap();

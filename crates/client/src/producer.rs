@@ -15,7 +15,6 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{self, Receiver, Sender};
-use kera_common::copymode::copy_data_plane;
 use kera_common::ids::{NodeId, ProducerId, StreamId};
 use kera_common::metrics::{Counter, LatencyHistogram, ThroughputMeter};
 use kera_common::{KeraError, Result};
@@ -578,25 +577,7 @@ fn requests_loop(shared: Arc<Shared>, ready_rx: Receiver<SealedChunk>) {
         let sent_any = !per_broker.is_empty();
         let pipeline_one = pipeline == 1;
         for (broker, (chunks, chunk_bytes, chunk_count, records)) in per_broker {
-            let payload = if copy_data_plane() {
-                // lint: allow(no-hot-copy) — the seed's double pack
-                // (gather body, then struct encode copies it again),
-                // kept reachable behind KERA_COPY_DATA_PLANE=1 for
-                // the bench trajectory.
-                let mut body = Vec::with_capacity(chunk_bytes);
-                for c in &chunks {
-                    body.extend_from_slice(c);
-                }
-                ProduceRequest {
-                    producer: shared.cfg.id,
-                    recovery: false,
-                    chunk_count,
-                    chunks: Bytes::from(body),
-                }
-                .encode()
-            } else {
-                ProduceRequest::encode_chunks(shared.cfg.id, false, &chunks)
-            };
+            let payload = ProduceRequest::encode_chunks(shared.cfg.id, false, &chunks);
             // The sealed chunk buffers have been packed into the request
             // body; hand them back to the pool for the builders to reuse.
             for c in chunks {

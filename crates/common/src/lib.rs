@@ -19,7 +19,6 @@
 
 pub mod checksum;
 pub mod config;
-pub mod copymode;
 pub mod error;
 pub mod ids;
 pub mod metrics;

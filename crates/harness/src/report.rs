@@ -158,7 +158,7 @@ pub fn results_dir(warmup: std::time::Duration, measure: std::time::Duration) ->
     }
 }
 
-/// Standard entry point for the per-figure binaries: runs the figure and
+/// Entry point of the `figure` binary: runs the figure `id` and
 /// stores `<dir>/<id>.tsv` plus `<dir>/<id>-metrics.json`, where `<dir>`
 /// is chosen by [`results_dir`] from the run's measurement window.
 pub fn figure_main(id: &str) {

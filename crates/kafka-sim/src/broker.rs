@@ -285,7 +285,7 @@ impl Service for KafkaBrokerService {
                 Ok(Bytes::new())
             }
             OpCode::Produce => {
-                let req = ProduceRequest::decode(&payload)?;
+                let req = ProduceRequest::decode_bytes(&payload)?;
                 Ok(self.handle_produce(req)?.encode())
             }
             OpCode::Fetch => {

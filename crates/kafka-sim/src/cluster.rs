@@ -355,7 +355,7 @@ mod tests {
         assert_eq!(follower_bytes, 2 * chunk_bytes);
 
         // Consumer fetch sees exactly the acknowledged data.
-        let fr = FetchResponse::decode(
+        let fr = FetchResponse::decode_bytes(
             &client
                 .call(
                     leader,
@@ -487,7 +487,7 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, kera_common::KeraError::Protocol(_)), "got {err}");
-        let fr = FetchResponse::decode(
+        let fr = FetchResponse::decode_bytes(
             &client
                 .call(
                     leader,

@@ -109,7 +109,7 @@ impl FetcherRunner {
             );
             match resp {
                 Ok(payload) => {
-                    let Ok(resp) = FollowerFetchResponse::decode(&payload) else { continue };
+                    let Ok(resp) = FollowerFetchResponse::decode_bytes(&payload) else { continue };
                     for r in resp.results {
                         if let Some(log) = logs
                             .iter()

@@ -27,7 +27,6 @@ use std::time::Duration;
 use bytes::BytesMut;
 use crossbeam::channel::{self, Receiver, Sender};
 use kera_common::config::DEFAULT_MAX_FRAME_BYTES;
-use kera_common::copymode::copy_data_plane;
 use kera_common::ids::NodeId;
 use kera_common::{KeraError, Result};
 use kera_wire::frames::Envelope;
@@ -179,11 +178,6 @@ fn reader_loop(
     max_frame: usize,
 ) {
     let mut len_buf = [0u8; 4];
-    // Copy mode reuses one scratch buffer and copies every payload out
-    // (the seed's behavior, kept for the bench trajectory); zero-copy
-    // mode reads each frame into its own allocation that the decoded
-    // envelope then slices, so the payload is never copied again.
-    let mut scratch = Vec::new();
     loop {
         if closed.load(Ordering::SeqCst) {
             return;
@@ -197,21 +191,14 @@ fn reader_loop(
             let _ = stream.shutdown(Shutdown::Both);
             return;
         }
-        let decoded = if copy_data_plane() {
-            scratch.resize(len, 0);
-            if stream.read_exact(&mut scratch).is_err() {
-                return;
-            }
-            Envelope::decode(&scratch)
-        } else {
-            let mut body = BytesMut::with_capacity(len);
-            body.resize(len, 0);
-            if stream.read_exact(&mut body).is_err() {
-                return;
-            }
-            Envelope::decode_bytes(&body.freeze())
-        };
-        match decoded {
+        // Each frame is read into its own allocation, which the decoded
+        // envelope then slices: the payload is never copied again.
+        let mut body = BytesMut::with_capacity(len);
+        body.resize(len, 0);
+        if stream.read_exact(&mut body).is_err() {
+            return;
+        }
+        match Envelope::decode_bytes(&body.freeze()) {
             Ok(env) => {
                 if inbox.send(env).is_err() {
                     return;
@@ -285,22 +272,12 @@ impl Transport for TcpTransport {
         let prefix = kera_wire::codec::checked_len("tcp frame", frame_len)?;
         let conn = self.connection(to)?;
         let mut guard = conn.lock();
-        let res = if copy_data_plane() {
-            // lint: allow(no-hot-copy) — the seed's contiguous-frame
-            // copy, kept reachable behind KERA_COPY_DATA_PLANE=1 for
-            // the before/after bench trajectory.
-            let frame = env.encode();
-            guard
-                .write_all(&prefix.to_le_bytes())
-                .and_then(|_| guard.write_all(&frame))
-        } else {
-            // Prefix and header share one small stack buffer; the
-            // payload is written straight from its shared allocation.
-            let mut head = [0u8; 4 + Envelope::HEADER_LEN];
-            head[..4].copy_from_slice(&prefix.to_le_bytes());
-            head[4..].copy_from_slice(&env.encode_header());
-            guard.write_all(&head).and_then(|_| guard.write_all(&env.payload))
-        };
+        // Prefix and header share one small stack buffer; the payload is
+        // written straight from its shared allocation.
+        let mut head = [0u8; 4 + Envelope::HEADER_LEN];
+        head[..4].copy_from_slice(&prefix.to_le_bytes());
+        head[4..].copy_from_slice(&env.encode_header());
+        let res = guard.write_all(&head).and_then(|_| guard.write_all(&env.payload));
         if res.is_err() {
             // Connection broke: forget it so the next send redials.
             drop(guard);

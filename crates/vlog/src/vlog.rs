@@ -28,13 +28,11 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::BytesMut;
-use kera_common::copymode::copy_data_plane;
 use kera_common::ids::{NodeId, VirtualLogId, VirtualSegmentId};
 use kera_common::metrics::Counter;
 use kera_common::{KeraError, Result};
 use kera_obs::{NodeObs, Stage, TraceContext};
-use kera_wire::messages::{backup_flags, BackupWriteRequest, EncodedBackupWrite};
+use kera_wire::messages::{backup_flags, EncodedBackupWrite};
 use parking_lot::{Condvar, Mutex};
 
 use crate::channel::BackupChannel;
@@ -448,38 +446,17 @@ impl VirtualLog {
             if w.close {
                 flags |= backup_flags::CLOSE;
             }
-            let req = if copy_data_plane() {
-                // lint: allow(no-hot-copy) — the seed's double copy
-                // (gather buffer, then struct encode), kept reachable
-                // behind KERA_COPY_DATA_PLANE=1 for the bench
-                // trajectory.
-                let mut buf = BytesMut::with_capacity(total);
-                for r in &w.refs {
-                    buf.extend_from_slice(r.bytes());
-                }
-                EncodedBackupWrite::from_request(&BackupWriteRequest {
-                    source_broker: self.owner,
-                    vlog: self.id,
-                    vseg: w.vseg_id,
-                    vseg_offset: w.vseg_offset,
-                    flags,
-                    vseg_checksum: w.checksum,
-                    chunk_count: w.refs.len() as u32,
-                    chunks: buf.freeze(),
-                })
-            } else {
-                EncodedBackupWrite::pack(
-                    self.owner,
-                    self.id,
-                    w.vseg_id,
-                    w.vseg_offset,
-                    flags,
-                    w.checksum,
-                    w.refs.len() as u32,
-                    total,
-                    w.refs.iter().map(|r| r.bytes()),
-                )
-            };
+            let req = EncodedBackupWrite::pack(
+                self.owner,
+                self.id,
+                w.vseg_id,
+                w.vseg_offset,
+                flags,
+                w.checksum,
+                w.refs.len() as u32,
+                total,
+                w.refs.iter().map(|r| r.bytes()),
+            );
             channel.replicate(&w.backups, &req)?;
             self.batches_sent.inc();
             self.chunks_replicated.add(w.refs.len() as u64);

@@ -35,7 +35,6 @@ use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 use kera_common::checksum::crc32c;
-use kera_common::copymode::copy_data_plane;
 use kera_common::ids::{GroupId, ProducerId, SegmentId, StreamId, StreamletId};
 use kera_common::{KeraError, Result};
 use parking_lot::Mutex;
@@ -400,9 +399,7 @@ impl ChunkBuilder {
     /// The sealed [`Bytes`] *is* the builder's accumulation buffer —
     /// the records were serialized directly into it by `append`, and
     /// every later hop (request pack, broker append, replication) takes
-    /// slices of or copies from this one allocation. Under
-    /// `KERA_COPY_DATA_PLANE=1` the seed's copy-out is restored for
-    /// before/after benchmarking.
+    /// slices of or copies from this one allocation.
     pub fn seal(&mut self) -> Bytes {
         let chunk_len = self.buf.len() as u32;
         self.buf[field::CHUNK_LEN..field::CHUNK_LEN + 4]
@@ -410,14 +407,7 @@ impl ChunkBuilder {
         self.buf[40..44].copy_from_slice(&self.record_count.to_le_bytes());
         let crc = crc32c(&self.buf[CHUNK_HEADER..]);
         self.buf[8..12].copy_from_slice(&crc.to_le_bytes());
-        let sealed = if copy_data_plane() {
-            // lint: allow(no-hot-copy) — the seed's copy-out, kept
-            // reachable behind KERA_COPY_DATA_PLANE=1 for the
-            // before/after bench trajectory.
-            Bytes::copy_from_slice(&self.buf)
-        } else {
-            self.buf.split().freeze()
-        };
+        let sealed = self.buf.split().freeze();
         self.reset_header();
         sealed
     }

@@ -331,8 +331,11 @@ impl Envelope {
         w.finish()
     }
 
-    /// Parses the header fields of `buf`, leaving the payload empty.
-    fn decode_header(buf: &[u8]) -> Result<Envelope> {
+    /// Parses an envelope (header + payload, exact) from a shared receive
+    /// buffer: the payload is a zero-copy slice of `buf`'s allocation, so
+    /// a request body flows from the socket read straight to the broker
+    /// without another memcpy.
+    pub fn decode_bytes(buf: &Bytes) -> Result<Envelope> {
         let mut r = Reader::new(buf);
         let kind = match r.u8()? {
             0 => FrameKind::Request,
@@ -357,30 +360,8 @@ impl Envelope {
             deadline_micros,
             trace_id,
             span_id,
-            payload: Bytes::new(),
+            payload: buf.slice(Self::HEADER_LEN..),
         })
-    }
-
-    /// Parses an envelope from `buf` (header + payload, exact), copying
-    /// the payload out of the slice.
-    pub fn decode(buf: &[u8]) -> Result<Envelope> {
-        let mut env = Self::decode_header(buf)?;
-        env.payload = Bytes::copy_from_slice(&buf[Self::HEADER_LEN..]);
-        Ok(env)
-    }
-
-    /// Parses an envelope from a shared receive buffer: the payload is a
-    /// zero-copy slice of `buf`'s allocation, so a request body flows
-    /// from the socket read straight to the broker without another
-    /// memcpy. Under `KERA_COPY_DATA_PLANE=1` the payload is copied out
-    /// (the seed's behavior) for before/after benchmarking.
-    pub fn decode_bytes(buf: &Bytes) -> Result<Envelope> {
-        if kera_common::copymode::copy_data_plane() {
-            return Self::decode(buf);
-        }
-        let mut env = Self::decode_header(buf)?;
-        env.payload = buf.slice(Self::HEADER_LEN..);
-        Ok(env)
     }
 
     /// Extracts the error from a response envelope, or `Ok(())` if the
@@ -439,7 +420,7 @@ mod tests {
         let env = Envelope::request(OpCode::Produce, 42, NodeId(7), Bytes::from_static(b"body"));
         let encoded = env.encode();
         assert_eq!(encoded.len(), env.wire_len());
-        let back = Envelope::decode(&encoded).unwrap();
+        let back = Envelope::decode_bytes(&encoded).unwrap();
         assert_eq!(back.kind, FrameKind::Request);
         assert_eq!(back.opcode, OpCode::Produce);
         assert_eq!(back.status, StatusCode::Ok);
@@ -454,7 +435,7 @@ mod tests {
     fn envelope_trace_context_roundtrips() {
         let env = Envelope::request(OpCode::Produce, 1, NodeId(3), Bytes::new())
             .with_trace(0xAABB_CCDD_EEFF_0011, 0x1122_3344_5566_7788);
-        let back = Envelope::decode(&env.encode()).unwrap();
+        let back = Envelope::decode_bytes(&env.encode()).unwrap();
         assert_eq!(back.trace_id, 0xAABB_CCDD_EEFF_0011);
         assert_eq!(back.span_id, 0x1122_3344_5566_7788);
     }
@@ -584,7 +565,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(Envelope::decode(&[]).is_err());
-        assert!(Envelope::decode(&[9, 0, 0, 0]).is_err());
+        assert!(Envelope::decode_bytes(&Bytes::new()).is_err());
+        assert!(Envelope::decode_bytes(&Bytes::from_static(&[9, 0, 0, 0])).is_err());
     }
 }

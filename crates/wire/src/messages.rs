@@ -1,18 +1,21 @@
 //! Typed request/response bodies for every opcode.
 //!
-//! Each message implements `encode() -> Bytes` and `decode(&[u8]) ->
-//! Result<Self>`; bulk chunk data is carried as packed chunk bytes (see
-//! [`crate::chunk`]) so the same buffer travels producer → broker →
-//! backup → disk without re-serialization.
+//! Each message implements `encode() -> Bytes` and exactly one decoder:
+//! control messages `decode(&[u8]) -> Result<Self>`, the five
+//! payload-carrying messages `decode_bytes(&Bytes) -> Result<Self>`,
+//! whose bulk fields are zero-copy slices of the buffer they decoded.
+//! Bulk chunk data is carried as packed chunk bytes (see [`crate::chunk`])
+//! so the same buffer travels producer → broker → backup → disk without
+//! re-serialization.
 
 use bytes::Bytes;
 use kera_common::config::{ReplicationConfig, StreamConfig, VirtualLogPolicy};
-use kera_common::copymode::copy_data_plane;
 use kera_common::ids::{
     ConsumerId, NodeId, ProducerId, StreamId, StreamletId, VirtualLogId, VirtualSegmentId,
 };
 use kera_common::{KeraError, Result};
 
+use crate::chunk::CHUNK_HEADER;
 use crate::codec::{Reader, Writer};
 use crate::cursor::SlotCursor;
 
@@ -270,26 +273,16 @@ impl ProduceRequest {
         w.finish()
     }
 
-    pub fn decode(buf: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(buf);
-        let producer = ProducerId(r.u32()?);
-        let recovery = r.u8()? != 0;
-        let chunk_count = r.u32()?;
-        let chunks = Bytes::copy_from_slice(r.bytes(r.remaining())?);
-        Ok(Self { producer, recovery, chunk_count, chunks })
-    }
-
-    /// Like [`ProduceRequest::decode`], but `chunks` is a zero-copy slice
-    /// of the request payload — the broker appends from the same
-    /// allocation the transport received into.
+    /// `chunks` is a zero-copy slice of the request payload — the broker
+    /// appends from the same allocation the transport received into.
+    /// `chunk_count` comes from the sender: it is bounded here by what the
+    /// remaining bytes could hold, before any caller sizes an allocation
+    /// from it.
     pub fn decode_bytes(buf: &Bytes) -> Result<Self> {
-        if copy_data_plane() {
-            return Self::decode(buf);
-        }
         let mut r = Reader::new(buf);
         let producer = ProducerId(r.u32()?);
         let recovery = r.u8()? != 0;
-        let chunk_count = r.u32()?;
+        let chunk_count = r.collection_len(CHUNK_HEADER)? as u32;
         let chunks = buf.slice(r.position()..);
         Ok(Self { producer, recovery, chunk_count, chunks })
     }
@@ -428,28 +421,9 @@ impl FetchResponse {
         Ok(w.finish())
     }
 
-    pub fn decode(buf: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(buf);
-        let n = r.collection_len(28)?;
-        let mut results = Vec::with_capacity(n);
-        for _ in 0..n {
-            let stream = StreamId(r.u32()?);
-            let streamlet = StreamletId(r.u32()?);
-            let slot = r.u32()?;
-            let cursor = SlotCursor::decode(&mut r)?;
-            let data = Bytes::copy_from_slice(r.len_prefixed()?);
-            results.push(FetchResult { stream, streamlet, slot, cursor, data });
-        }
-        Ok(Self { results })
-    }
-
-    /// Like [`FetchResponse::decode`], but each result's `data` is a
-    /// zero-copy slice of the response payload (the consumer iterates the
-    /// chunks in place).
+    /// Each result's `data` is a zero-copy slice of the response payload
+    /// (the consumer iterates the chunks in place).
     pub fn decode_bytes(buf: &Bytes) -> Result<Self> {
-        if copy_data_plane() {
-            return Self::decode(buf);
-        }
         let mut r = Reader::new(buf);
         let n = r.collection_len(28)?;
         let mut results = Vec::with_capacity(n);
@@ -515,26 +489,10 @@ impl BackupWriteRequest {
         w.finish()
     }
 
-    pub fn decode(buf: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(buf);
-        let source_broker = NodeId(r.u32()?);
-        let vlog = VirtualLogId(r.u32()?);
-        let vseg = VirtualSegmentId(r.u64()?);
-        let vseg_offset = r.u32()?;
-        let flags = r.u8()?;
-        let vseg_checksum = r.u32()?;
-        let chunk_count = r.u32()?;
-        let chunks = Bytes::copy_from_slice(r.bytes(r.remaining())?);
-        Ok(Self { source_broker, vlog, vseg, vseg_offset, flags, vseg_checksum, chunk_count, chunks })
-    }
-
-    /// Like [`BackupWriteRequest::decode`], but `chunks` is a zero-copy
-    /// slice of the request payload — the backup retains the slice
-    /// instead of copying the batch out of the frame.
+    /// `chunks` is a zero-copy slice of the request payload — the backup
+    /// retains the slice instead of copying the batch out of the frame.
+    /// `chunk_count` is bounded as in [`ProduceRequest::decode_bytes`].
     pub fn decode_bytes(buf: &Bytes) -> Result<Self> {
-        if copy_data_plane() {
-            return Self::decode(buf);
-        }
         let mut r = Reader::new(buf);
         let source_broker = NodeId(r.u32()?);
         let vlog = VirtualLogId(r.u32()?);
@@ -542,7 +500,7 @@ impl BackupWriteRequest {
         let vseg_offset = r.u32()?;
         let flags = r.u8()?;
         let vseg_checksum = r.u32()?;
-        let chunk_count = r.u32()?;
+        let chunk_count = r.collection_len(CHUNK_HEADER)? as u32;
         let chunks = buf.slice(r.position()..);
         Ok(Self { source_broker, vlog, vseg, vseg_offset, flags, vseg_checksum, chunk_count, chunks })
     }
@@ -705,26 +663,8 @@ impl FollowerFetchResponse {
         Ok(w.finish())
     }
 
-    pub fn decode(buf: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(buf);
-        let n = r.collection_len(20)?;
-        let mut results = Vec::with_capacity(n);
-        for _ in 0..n {
-            let stream = StreamId(r.u32()?);
-            let partition = StreamletId(r.u32()?);
-            let high_watermark = r.u64()?;
-            let data = Bytes::copy_from_slice(r.len_prefixed()?);
-            results.push(FollowerFetchResult { stream, partition, high_watermark, data });
-        }
-        Ok(Self { results })
-    }
-
-    /// Like [`FollowerFetchResponse::decode`], but each result's `data`
-    /// is a zero-copy slice of the response payload.
+    /// Each result's `data` is a zero-copy slice of the response payload.
     pub fn decode_bytes(buf: &Bytes) -> Result<Self> {
-        if copy_data_plane() {
-            return Self::decode(buf);
-        }
         let mut r = Reader::new(buf);
         let n = r.collection_len(20)?;
         let mut results = Vec::with_capacity(n);
@@ -1290,9 +1230,9 @@ mod tests {
             producer: ProducerId(8),
             recovery: true,
             chunk_count: 2,
-            chunks: Bytes::from_static(b"fake-chunk-bytes"),
+            chunks: Bytes::from_static(&[0xc4; 2 * CHUNK_HEADER]),
         };
-        let back = ProduceRequest::decode(&req.encode()).unwrap();
+        let back = ProduceRequest::decode_bytes(&req.encode()).unwrap();
         assert_eq!(back.producer, req.producer);
         assert!(back.recovery);
         assert_eq!(back.chunk_count, 2);
@@ -1301,8 +1241,8 @@ mod tests {
 
     #[test]
     fn produce_single_pack_matches_struct_encode() {
-        let a = Bytes::from_static(b"chunk-a");
-        let b = Bytes::from_static(b"chunk-bb");
+        let a = Bytes::from_static(&[b'a'; CHUNK_HEADER]);
+        let b = Bytes::from_static(&[b'b'; CHUNK_HEADER + 1]);
         let packed = ProduceRequest::encode_chunks(ProducerId(8), false, &[a.clone(), b.clone()]);
         let mut joined = Vec::new();
         joined.extend_from_slice(&a);
@@ -1320,15 +1260,62 @@ mod tests {
         let payload = packed.clone();
         let req = ProduceRequest::decode_bytes(&payload).unwrap();
         assert_eq!(req.chunk_count, 2);
-        assert_eq!(&req.chunks[..], b"chunk-achunk-bb");
+        assert_eq!(&req.chunks[..CHUNK_HEADER], &a[..]);
+        assert_eq!(&req.chunks[CHUNK_HEADER..], &b[..]);
         let base = payload.as_ref().as_ptr() as usize;
         let ptr = req.chunks.as_ref().as_ptr() as usize;
         assert_eq!(ptr, base + ProduceRequest::HEADER_LEN);
     }
 
+    /// The whole receive chain — frame bytes → envelope → produce request
+    /// → chunk views → record values — is views of the one buffer the
+    /// transport read the frame into.
+    #[test]
+    fn receive_chain_never_leaves_the_receive_buffer() {
+        use crate::chunk::{ChunkBuilder, ChunkIter};
+        use crate::frames::{Envelope, OpCode};
+        use crate::record::Record;
+
+        let mut b = ChunkBuilder::new(4096, ProducerId(8), StreamId(1), StreamletId(0));
+        let sealed: Vec<Bytes> = (0..3u8)
+            .map(|k| {
+                assert!(b.append(&Record::value_only(&[k; 100])));
+                b.seal()
+            })
+            .collect();
+        let body = ProduceRequest::encode_chunks(ProducerId(8), false, &sealed);
+        let frame = Envelope::request(OpCode::Produce, 1, NodeId(9), body).encode();
+        let buffer = frame.as_ref().as_ptr_range();
+        let inside = |view: &[u8]| {
+            let v = view.as_ptr_range();
+            buffer.start <= v.start && v.end <= buffer.end
+        };
+
+        let env = Envelope::decode_bytes(&frame).unwrap();
+        assert!(std::ptr::eq(env.payload.as_ref().as_ptr(), frame[Envelope::HEADER_LEN..].as_ptr()));
+        let req = ProduceRequest::decode_bytes(&env.payload).unwrap();
+        assert!(std::ptr::eq(
+            req.chunks.as_ref().as_ptr(),
+            frame[Envelope::HEADER_LEN + ProduceRequest::HEADER_LEN..].as_ptr()
+        ));
+        assert_eq!(req.chunk_count, 3);
+        let mut at = Envelope::HEADER_LEN + ProduceRequest::HEADER_LEN;
+        for (chunk, sent) in ChunkIter::new(&req.chunks).zip(&sealed) {
+            let chunk = chunk.unwrap();
+            chunk.verify().unwrap();
+            assert!(std::ptr::eq(chunk.bytes().as_ptr(), frame[at..].as_ptr()));
+            assert_eq!(chunk.bytes(), &sent[..]);
+            for record in chunk.records() {
+                assert!(inside(record.unwrap().value()));
+            }
+            at += chunk.len();
+        }
+        assert_eq!(at, frame.len());
+    }
+
     #[test]
     fn encoded_backup_write_packs_once_and_decodes_back() {
-        let chunks: [&[u8]; 2] = [b"first-chunk", b"second"];
+        let chunks: [&[u8]; 2] = [&[b'1'; CHUNK_HEADER + 5], &[b'2'; CHUNK_HEADER]];
         let total = chunks.iter().map(|c| c.len()).sum();
         let enc = EncodedBackupWrite::pack(
             NodeId(1),
@@ -1348,7 +1335,10 @@ mod tests {
         assert_eq!(req.vseg_offset, 4096);
         assert_eq!(req.flags, backup_flags::OPEN);
         assert_eq!(req.chunk_count, 2);
-        assert_eq!(&req.chunks[..], b"first-chunksecond");
+        assert_eq!(req.chunks[..], chunks.concat()[..]);
+        // The decoded batch is a window of the packed body, not a copy.
+        let base = enc.body().as_ref().as_ptr() as usize;
+        assert_eq!(req.chunks.as_ref().as_ptr() as usize, base + enc.body().len() - total);
         // Byte-identical to the struct encoder's output.
         assert_eq!(enc.body(), &req.encode());
         // from_request round-trips too.
@@ -1397,17 +1387,13 @@ mod tests {
             }],
         };
         let encoded = resp.encode().unwrap();
-        let back = FetchResponse::decode(&encoded).unwrap();
+        let back = FetchResponse::decode_bytes(&encoded).unwrap();
         assert_eq!(back.results.len(), 1);
         assert_eq!(back.results[0].cursor.offset, 99);
         assert_eq!(&back.results[0].data[..], b"packed");
-
-        // The sliced decoder agrees and its data is a window into the
-        // response buffer, not a copy.
-        let sliced = FetchResponse::decode_bytes(&encoded).unwrap();
-        assert_eq!(&sliced.results[0].data[..], b"packed");
+        // The data is a window into the response buffer, not a copy.
         let base = encoded.as_ref().as_ptr() as usize;
-        let data_ptr = sliced.results[0].data.as_ref().as_ptr() as usize;
+        let data_ptr = back.results[0].data.as_ref().as_ptr() as usize;
         assert!((base..base + encoded.len()).contains(&data_ptr));
     }
 
@@ -1421,9 +1407,9 @@ mod tests {
             flags: backup_flags::OPEN | backup_flags::CLOSE,
             vseg_checksum: 0xdead_beef,
             chunk_count: 5,
-            chunks: Bytes::from_static(b"chunks"),
+            chunks: Bytes::from_static(&[0xc4; 5 * CHUNK_HEADER]),
         };
-        let back = BackupWriteRequest::decode(&req.encode()).unwrap();
+        let back = BackupWriteRequest::decode_bytes(&req.encode()).unwrap();
         assert_eq!(back.source_broker, req.source_broker);
         assert_eq!(back.vlog, req.vlog);
         assert_eq!(back.vseg, req.vseg);
@@ -1461,11 +1447,12 @@ mod tests {
             }],
         };
         let encoded = resp.encode().unwrap();
-        let back = FollowerFetchResponse::decode(&encoded).unwrap();
+        let back = FollowerFetchResponse::decode_bytes(&encoded).unwrap();
         assert_eq!(back.results[0].high_watermark, 700);
         assert_eq!(&back.results[0].data[..], b"log-bytes");
-        let sliced = FollowerFetchResponse::decode_bytes(&encoded).unwrap();
-        assert_eq!(&sliced.results[0].data[..], b"log-bytes");
+        let base = encoded.as_ref().as_ptr() as usize;
+        let data_ptr = back.results[0].data.as_ref().as_ptr() as usize;
+        assert_eq!(data_ptr, base + encoded.len() - b"log-bytes".len());
     }
 
     #[test]

@@ -65,10 +65,10 @@ cargo run -q --release -p kera-inspect -- health --brokers 3 --replicas 3
 # with tracing off. KERA_OBS_TOLERANCE_PCT overrides the budget.
 KERA_WARMUP_MS=300 KERA_MEASURE_MS=1200 cargo run -q --release -p kera-harness --bin obs_overhead
 
-# Perf-trajectory bench smoke: re-measures the copy data plane
-# (KERA_COPY_DATA_PLANE=1) against the zero-copy data plane in child
-# processes and fails if any speedup falls below its gate (append
-# >= 1.20x, replication >= 1.05x, e2e >= 0.85x). Smoke runs write to
-# results/tmp/ — the pinned repo-root BENCH_*.json files are only
-# rewritten by an explicit `perf_trajectory --pin`.
-cargo run -q --release -p kera-bench --bin perf_trajectory
+# Repo-benchmark smoke: a 2-second pass over every workload of
+# BENCHMARK.json (untraced and traced) with its read-back checks (chunk
+# CRCs, sequence continuity, consumed == acked), the result-schema test
+# and the benchmark crate's unit tests. Smoke numbers are never compared
+# with anything; a hot-path regression is judged by `benchmark/run.sh
+# repeat` + `compare` against the parent commit.
+bash benchmark/ci-smoke.sh

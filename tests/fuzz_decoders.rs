@@ -1,18 +1,122 @@
 //! Decoder robustness: arbitrary bytes fed to every wire decoder must
 //! produce `Err`, never a panic — brokers parse untrusted client input.
 
-use kera::wire::chunk::{ChunkIter, ChunkView};
+use bytes::Bytes;
+use kera::wire::chunk::{ChunkIter, ChunkView, CHUNK_HEADER};
 use kera::wire::frames::Envelope;
 use kera::wire::messages::*;
 use kera::wire::record::{RecordIter, RecordView};
 use proptest::prelude::*;
+
+/// Where `inner` sits in `outer`, when it is a window of `outer`'s
+/// allocation (what a slicing decoder must return) rather than a copy.
+/// An empty window has no bytes to locate; it passes as the empty range
+/// at `at`.
+fn window_of(outer: &Bytes, inner: &Bytes, at: usize) -> Option<std::ops::Range<usize>> {
+    if inner.is_empty() {
+        return (at <= outer.len()).then_some(at..at);
+    }
+    let base = outer.as_ref().as_ptr() as usize;
+    let start = (inner.as_ref().as_ptr() as usize).checked_sub(base)?;
+    (start + inner.len() <= outer.len()).then_some(start..start + inner.len())
+}
+
+/// Serialized `BackupWriteRequest` header size (everything before the
+/// chunk train).
+const BACKUP_HEADER_LEN: usize = 29;
+
+/// True when each fetch result's `data` is a window of `frame` at the
+/// offset its length prefix puts it: results start after the `u32`
+/// count, each `fixed` header bytes and a `u32` length before its data.
+fn fetch_data_in_place<'a>(frame: &Bytes, datas: impl Iterator<Item = &'a Bytes>, fixed: usize) -> bool {
+    let mut at = 4;
+    for data in datas {
+        at += fixed + 4;
+        if window_of(frame, data, at) != Some(at..at + data.len()) {
+            return false;
+        }
+        at += data.len();
+    }
+    true
+}
+
+/// A train of two sealed chunks of `nrec` 64-byte records each.
+fn chunk_train(nrec: usize) -> Vec<Bytes> {
+    use kera::common::ids::{ProducerId, StreamId, StreamletId};
+    use kera::wire::chunk::ChunkBuilder;
+    use kera::wire::record::Record;
+
+    let mut b = ChunkBuilder::new(8192, ProducerId(3), StreamId(1), StreamletId(0));
+    (0..2)
+        .map(|_| {
+            for _ in 0..nrec {
+                assert!(b.append(&Record::value_only(&[0xabu8; 64])));
+            }
+            b.seal()
+        })
+        .collect()
+}
+
+/// Truncates `encoded` at `cut_num` (mod its length + 1) and flips one
+/// bit of it: the two manglings every payload-carrying decoder must
+/// survive.
+fn mangle(encoded: &Bytes, cut_num: usize, flip_byte: usize, flip_bit: u8) -> [Bytes; 2] {
+    let truncated = encoded.slice(0..cut_num % (encoded.len() + 1));
+    let mut mutant = encoded.to_vec();
+    let i = flip_byte % mutant.len();
+    mutant[i] ^= 1 << flip_bit;
+    [truncated, Bytes::from(mutant)]
+}
+
+/// A hostile `chunk_count` must die in the decoder, before a handler
+/// sizes an allocation from it: driven through `Service::handle`, both
+/// brokers answer a 9-byte Produce claiming `u32::MAX` chunks with
+/// `Err(Protocol)` instead of reserving ~137 GB of acks.
+#[test]
+fn hostile_chunk_count_is_a_protocol_error_on_both_brokers() {
+    use kera::broker::broker::BrokerService;
+    use kera::common::ids::{NodeId, ProducerId};
+    use kera::common::KeraError;
+    use kera::kafka_sim::broker::{KafkaBrokerService, KafkaTuning, TopicStore};
+    use kera::rpc::{RequestContext, Service};
+    use kera::wire::frames::OpCode;
+
+    let hostile = ProduceRequest {
+        producer: ProducerId(1),
+        recovery: false,
+        chunk_count: u32::MAX,
+        chunks: Bytes::new(),
+    }
+    .encode();
+    assert_eq!(hostile.len(), ProduceRequest::HEADER_LEN);
+    let ctx = RequestContext {
+        from: NodeId(2001),
+        opcode: OpCode::Produce,
+        request_id: 1,
+        deadline: None,
+        trace: Default::default(), // untraced
+    };
+
+    let kera_broker = BrokerService::new(NodeId(1), NodeId(1001), vec![NodeId(1001)]);
+    let kafka_broker = KafkaBrokerService::new(
+        TopicStore::new(NodeId(1), KafkaTuning::default()),
+        std::collections::HashMap::new(),
+    );
+    let services: [(&str, &dyn Service); 2] = [("kera", &*kera_broker), ("kafka-sim", &*kafka_broker)];
+    for (name, svc) in services {
+        match svc.handle(&ctx, hostile.clone()) {
+            Err(KeraError::Protocol(_)) => {}
+            other => panic!("{name} broker answered a hostile chunk_count with {other:?}"),
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
     fn envelope_decode_never_panics(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Envelope::decode(&data);
+        let _ = Envelope::decode_bytes(&Bytes::from(data));
     }
 
     #[test]
@@ -45,14 +149,10 @@ proptest! {
         let _ = StreamMetadata::decode(&data);
         let _ = GetMetadataRequest::decode(&data);
         let _ = HostStreamRequest::decode(&data);
-        let _ = ProduceRequest::decode(&data);
         let _ = ProduceResponse::decode(&data);
         let _ = FetchRequest::decode(&data);
-        let _ = FetchResponse::decode(&data);
-        let _ = BackupWriteRequest::decode(&data);
         let _ = BackupWriteResponse::decode(&data);
         let _ = FollowerFetchRequest::decode(&data);
-        let _ = FollowerFetchResponse::decode(&data);
         let _ = RecoveryEnumerateRequest::decode(&data);
         let _ = RecoveryEnumerateResponse::decode(&data);
         let _ = RecoveryReadRequest::decode(&data);
@@ -62,6 +162,13 @@ proptest! {
         let _ = QuotaStateResponse::decode(&data);
         let _ = IntrospectRequest::decode(&data);
         let _ = IntrospectResponse::decode(&data);
+        // The payload-carrying messages decode from the shared receive
+        // buffer they slice.
+        let data = Bytes::from(data);
+        let _ = ProduceRequest::decode_bytes(&data);
+        let _ = FetchResponse::decode_bytes(&data);
+        let _ = BackupWriteRequest::decode_bytes(&data);
+        let _ = FollowerFetchResponse::decode_bytes(&data);
     }
 
     /// The introspection wire surface: a real `IntrospectResponse` (JSON
@@ -127,21 +234,17 @@ proptest! {
             window_hint: window,
         };
         let env = Envelope::error_response(OpCode::Produce, 99, NodeId(1), &err);
-        let encoded = env.encode().to_vec();
+        let [truncated, mutant] = mangle(&env.encode(), cut, flip_byte, flip_bit);
 
         // Truncation anywhere: decode errors or yields an envelope whose
         // check_status still produces a structured error, never a panic.
-        let cut = cut % (encoded.len() + 1);
-        if let Ok(truncated) = Envelope::decode(&encoded[..cut]) {
+        if let Ok(truncated) = Envelope::decode_bytes(&truncated) {
             let _ = truncated.check_status();
         }
 
         // A single bit flip: same contract, and if the status byte still
         // says Throttled the error must come back as Throttled.
-        let mut mutant = encoded.clone();
-        let i = flip_byte % mutant.len();
-        mutant[i] ^= 1 << flip_bit;
-        if let Ok(decoded) = Envelope::decode(&mutant) {
+        if let Ok(decoded) = Envelope::decode_bytes(&mutant) {
             let status = decoded.status;
             match decoded.check_status() {
                 Err(KeraError::Throttled { .. }) => prop_assert_eq!(status, StatusCode::Throttled),
@@ -173,13 +276,18 @@ proptest! {
         .with_deadline(Duration::from_millis(250));
         let encoded = env.encode();
         let cut = cut % (encoded.len() + 1);
-        match Envelope::decode(&encoded[..cut]) {
+        let truncated = encoded.slice(0..cut);
+        match Envelope::decode_bytes(&truncated) {
             Ok(decoded) => {
                 prop_assert!(cut >= Envelope::HEADER_LEN);
                 prop_assert_eq!(decoded.request_id, env.request_id);
                 prop_assert_eq!(decoded.from, env.from);
                 prop_assert_eq!(decoded.deadline_micros, env.deadline_micros);
-                prop_assert_eq!(decoded.payload.len(), cut - Envelope::HEADER_LEN);
+                // The payload is the rest of the frame, in place.
+                prop_assert_eq!(
+                    window_of(&truncated, &decoded.payload, Envelope::HEADER_LEN),
+                    Some(Envelope::HEADER_LEN..cut)
+                );
             }
             Err(_) => prop_assert!(cut < Envelope::HEADER_LEN),
         }
@@ -203,16 +311,14 @@ proptest! {
             NodeId(3),
             bytes::Bytes::from(payload),
         );
-        let mut encoded = env.encode().to_vec();
-        let i = flip_byte % encoded.len();
-        encoded[i] ^= 1 << flip_bit;
-        if let Ok(decoded) = Envelope::decode(&encoded) {
+        let [_, encoded] = mangle(&env.encode(), 0, flip_byte, flip_bit);
+        if let Ok(decoded) = Envelope::decode_bytes(&encoded) {
             // Whatever decoded must round-trip through encode without
             // panicking, and the re-encoding reproduces the mutant frame
             // (modulo the reserved byte, which decode ignores and encode
             // always writes as zero).
             let reencoded = decoded.encode();
-            let mut expected = encoded.clone();
+            let mut expected = encoded.to_vec();
             expected[3] = 0;
             prop_assert_eq!(&reencoded[..], &expected[..]);
         }
@@ -302,90 +408,115 @@ proptest! {
         prop_assert!(MetaAppendRequest::decode(&encoded[..cut]).is_err(), "cut at {} decoded", cut);
     }
 
-    /// The zero-copy sliced decoders (`decode_bytes`) parse untrusted
-    /// input too: arbitrary bytes must produce `Err`, never a panic, and
-    /// the verdict must match the seed's copying decoder byte for byte.
+    /// Arbitrary bytes through the slicing decoders: `Err` or a message
+    /// whose bulk field is the rest of the input (or, for the fetch
+    /// responses, windows of it), in place — never a panic, never a copy.
     #[test]
-    fn sliced_decoders_never_panic_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let b = bytes::Bytes::from(data);
-        prop_assert_eq!(Envelope::decode_bytes(&b).is_ok(), Envelope::decode(&b).is_ok());
-        prop_assert_eq!(ProduceRequest::decode_bytes(&b).is_ok(), ProduceRequest::decode(&b).is_ok());
-        prop_assert_eq!(FetchResponse::decode_bytes(&b).is_ok(), FetchResponse::decode(&b).is_ok());
-        prop_assert_eq!(
-            BackupWriteRequest::decode_bytes(&b).is_ok(),
-            BackupWriteRequest::decode(&b).is_ok()
-        );
-        prop_assert_eq!(
-            FollowerFetchResponse::decode_bytes(&b).is_ok(),
-            FollowerFetchResponse::decode(&b).is_ok()
-        );
+    fn sliced_decoders_window_garbage_or_reject_it(data in proptest::collection::vec(any::<u8>(), 0..256)) {
+        let b = Bytes::from(data);
+        if let Ok(env) = Envelope::decode_bytes(&b) {
+            prop_assert_eq!(window_of(&b, &env.payload, Envelope::HEADER_LEN), Some(Envelope::HEADER_LEN..b.len()));
+        }
+        if let Ok(req) = ProduceRequest::decode_bytes(&b) {
+            prop_assert_eq!(
+                window_of(&b, &req.chunks, ProduceRequest::HEADER_LEN),
+                Some(ProduceRequest::HEADER_LEN..b.len())
+            );
+            prop_assert!(req.chunk_count as usize * CHUNK_HEADER <= req.chunks.len());
+        }
+        if let Ok(req) = BackupWriteRequest::decode_bytes(&b) {
+            prop_assert_eq!(window_of(&b, &req.chunks, BACKUP_HEADER_LEN), Some(BACKUP_HEADER_LEN..b.len()));
+            prop_assert!(req.chunk_count as usize * CHUNK_HEADER <= req.chunks.len());
+        }
+        if let Ok(resp) = FetchResponse::decode_bytes(&b) {
+            prop_assert!(fetch_data_in_place(&b, resp.results.iter().map(|r| &r.data), 24));
+        }
+        if let Ok(resp) = FollowerFetchResponse::decode_bytes(&b) {
+            prop_assert!(fetch_data_in_place(&b, resp.results.iter().map(|r| &r.data), 16));
+        }
+    }
+
+    /// `chunk_count` is the sender's claim. Both chunk-train decoders
+    /// accept it only when the bytes that follow could hold that many
+    /// chunk headers, so no handler can be made to reserve memory the
+    /// request did not pay for in bytes.
+    #[test]
+    fn chunk_count_is_bounded_by_the_bytes_that_follow(
+        chunk_count in any::<u32>(),
+        small_count in 0u32..8,
+        body_len in 0usize..(8 * CHUNK_HEADER),
+    ) {
+        use kera::common::ids::{NodeId, ProducerId, VirtualLogId, VirtualSegmentId};
+
+        for count in [chunk_count, small_count] {
+            let fits = u64::from(count) * CHUNK_HEADER as u64 <= body_len as u64;
+            let chunks = Bytes::from(vec![0u8; body_len]);
+            let produce = ProduceRequest { producer: ProducerId(1), recovery: false, chunk_count: count, chunks: chunks.clone() };
+            prop_assert_eq!(ProduceRequest::decode_bytes(&produce.encode()).is_ok(), fits);
+            let backup = BackupWriteRequest {
+                source_broker: NodeId(1),
+                vlog: VirtualLogId(0),
+                vseg: VirtualSegmentId(0),
+                vseg_offset: 0,
+                flags: backup_flags::OPEN,
+                vseg_checksum: 0,
+                chunk_count: count,
+                chunks,
+            };
+            prop_assert_eq!(BackupWriteRequest::decode_bytes(&backup.encode()).is_ok(), fits);
+        }
     }
 
     /// A real produce request — a packed chunk train — truncated or
-    /// bit-flipped anywhere: the sliced decoder and the copying decoder
-    /// agree on accept/reject, and whenever both accept, they produce
-    /// identical structures (the slice views the same bytes the copy
-    /// owns).
+    /// bit-flipped anywhere never panics the decoder or the chunk walk
+    /// the broker then does, and whenever the mangled frame is accepted
+    /// its `chunks` is everything after the header, in place.
     #[test]
-    fn mangled_produce_request_sliced_decode_matches_copy(
+    fn mangled_produce_request_decodes_in_place_or_errors(
         nrec in 1usize..16,
         cut_num in 0usize..10_000,
         flip_byte in 0usize..10_000,
         flip_bit in 0u8..8,
     ) {
-        use kera::common::ids::{ProducerId, StreamId, StreamletId};
-        use kera::wire::chunk::ChunkBuilder;
-        use kera::wire::record::Record;
+        use kera::common::ids::ProducerId;
 
-        let mut b = ChunkBuilder::new(8192, ProducerId(3), StreamId(1), StreamletId(0));
-        let payload = [0xabu8; 64];
-        let chunks: Vec<bytes::Bytes> = (0..2)
-            .map(|_| {
-                for _ in 0..nrec {
-                    assert!(b.append(&Record::value_only(&payload)));
+        let encoded = ProduceRequest::encode_chunks(ProducerId(3), false, &chunk_train(nrec));
+        let intact = ProduceRequest::decode_bytes(&encoded).unwrap();
+        prop_assert_eq!((intact.producer, intact.recovery, intact.chunk_count), (ProducerId(3), false, 2));
+        prop_assert_eq!(ChunkIter::new(&intact.chunks).filter(|c| c.is_ok()).count(), 2);
+
+        for frame in mangle(&encoded, cut_num, flip_byte, flip_bit) {
+            // A cut inside the header, or one that leaves fewer bytes
+            // than the two chunk headers it claims, must be refused.
+            let must_fail = frame.len() < ProduceRequest::HEADER_LEN + 2 * CHUNK_HEADER;
+            match ProduceRequest::decode_bytes(&frame) {
+                Ok(req) => {
+                    prop_assert!(!must_fail, "accepted a {}-byte prefix", frame.len());
+                    prop_assert_eq!(
+                        window_of(&frame, &req.chunks, ProduceRequest::HEADER_LEN),
+                        Some(ProduceRequest::HEADER_LEN..frame.len())
+                    );
+                    let _ = ChunkIter::new(&req.chunks).count();
                 }
-                b.seal()
-            })
-            .collect();
-        let encoded = ProduceRequest::encode_chunks(ProducerId(3), false, &chunks);
-
-        // Truncation anywhere.
-        let cut = cut_num % (encoded.len() + 1);
-        let truncated = encoded.slice(0..cut);
-        match (ProduceRequest::decode(&truncated), ProduceRequest::decode_bytes(&truncated)) {
-            (Ok(a), Ok(c)) => {
-                prop_assert_eq!(a.producer, c.producer);
-                prop_assert_eq!(a.recovery, c.recovery);
-                prop_assert_eq!(a.chunk_count, c.chunk_count);
-                prop_assert_eq!(&a.chunks[..], &c.chunks[..]);
+                Err(_) => prop_assert!(frame != encoded, "intact frame refused"),
             }
-            (Err(_), Err(_)) => {}
-            (a, c) => prop_assert!(false, "decoders disagree at cut {}: {:?} vs {:?}", cut, a.is_ok(), c.is_ok()),
-        }
-
-        // A single bit flip.
-        let mut mutant = encoded.to_vec();
-        let i = flip_byte % mutant.len();
-        mutant[i] ^= 1 << flip_bit;
-        let mutant = bytes::Bytes::from(mutant);
-        match (ProduceRequest::decode(&mutant), ProduceRequest::decode_bytes(&mutant)) {
-            (Ok(a), Ok(c)) => prop_assert_eq!(&a.chunks[..], &c.chunks[..]),
-            (Err(_), Err(_)) => {}
-            (a, c) => prop_assert!(false, "decoders disagree on flip: {:?} vs {:?}", a.is_ok(), c.is_ok()),
         }
     }
 
     /// Same contract for the replication path: an `EncodedBackupWrite`
-    /// body truncated anywhere decodes identically through the sliced
-    /// and copying decoders — the backup must never accept a batch the
-    /// seed would have rejected (or vice versa).
+    /// body truncated or bit-flipped anywhere is refused or decodes with
+    /// `chunks` viewing everything after the header, in place — the
+    /// batch a backup retains is never a private copy.
     #[test]
-    fn truncated_backup_write_sliced_decode_matches_copy(
-        body in proptest::collection::vec(any::<u8>(), 0..128),
+    fn mangled_backup_write_decodes_in_place_or_errors(
+        nrec in 1usize..16,
         cut_num in 0usize..10_000,
+        flip_byte in 0usize..10_000,
+        flip_bit in 0u8..8,
     ) {
         use kera::common::ids::{NodeId, VirtualLogId, VirtualSegmentId};
 
+        let train = chunk_train(nrec);
         let req = EncodedBackupWrite::pack(
             NodeId(2),
             VirtualLogId(7),
@@ -393,25 +524,87 @@ proptest! {
             640,
             backup_flags::OPEN,
             0,
-            1,
-            body.len(),
-            std::iter::once(&body[..]),
+            2,
+            train.iter().map(|c| c.len()).sum(),
+            train.iter().map(|c| &c[..]),
         );
         let encoded = req.body();
-        let cut = cut_num % (encoded.len() + 1);
-        let truncated = encoded.slice(0..cut);
-        match (BackupWriteRequest::decode(&truncated), BackupWriteRequest::decode_bytes(&truncated)) {
-            (Ok(a), Ok(c)) => {
-                prop_assert_eq!(a.source_broker, c.source_broker);
-                prop_assert_eq!(a.vlog, c.vlog);
-                prop_assert_eq!(a.vseg, c.vseg);
-                prop_assert_eq!(a.vseg_offset, c.vseg_offset);
-                prop_assert_eq!(a.flags, c.flags);
-                prop_assert_eq!(a.chunk_count, c.chunk_count);
-                prop_assert_eq!(&a.chunks[..], &c.chunks[..]);
+        let intact = req.request().unwrap();
+        prop_assert_eq!(
+            (intact.source_broker, intact.vlog, intact.vseg, intact.vseg_offset, intact.flags, intact.chunk_count),
+            (NodeId(2), VirtualLogId(7), VirtualSegmentId(11), 640, backup_flags::OPEN, 2)
+        );
+
+        for frame in mangle(encoded, cut_num, flip_byte, flip_bit) {
+            let must_fail = frame.len() < BACKUP_HEADER_LEN + 2 * CHUNK_HEADER;
+            match BackupWriteRequest::decode_bytes(&frame) {
+                Ok(req) => {
+                    prop_assert!(!must_fail, "accepted a {}-byte prefix", frame.len());
+                    prop_assert_eq!(
+                        window_of(&frame, &req.chunks, BACKUP_HEADER_LEN),
+                        Some(BACKUP_HEADER_LEN..frame.len())
+                    );
+                    let _ = ChunkIter::new(&req.chunks).count();
+                }
+                Err(_) => prop_assert!(&frame != encoded, "intact frame refused"),
             }
-            (Err(_), Err(_)) => {}
-            (a, c) => prop_assert!(false, "decoders disagree at cut {}: {:?} vs {:?}", cut, a.is_ok(), c.is_ok()),
+        }
+    }
+
+    /// The read side: consumer and follower fetch responses carrying
+    /// chunk trains, truncated or bit-flipped anywhere, are refused or
+    /// decode with every `data` a window of the response buffer sitting
+    /// exactly where its length prefix says.
+    #[test]
+    fn mangled_fetch_responses_decode_in_place_or_error(
+        nrec in 1usize..8,
+        cut_num in 0usize..10_000,
+        flip_byte in 0usize..10_000,
+        flip_bit in 0u8..8,
+    ) {
+        use kera::common::ids::{StreamId, StreamletId};
+        use kera::wire::cursor::SlotCursor;
+
+        let train = chunk_train(nrec);
+        let fetch = FetchResponse {
+            results: train
+                .iter()
+                .map(|c| FetchResult {
+                    stream: StreamId(1),
+                    streamlet: StreamletId(0),
+                    slot: 0,
+                    cursor: SlotCursor::START,
+                    data: c.clone(),
+                })
+                .collect(),
+        }
+        .encode()
+        .unwrap();
+        prop_assert!(FetchResponse::decode_bytes(&fetch).unwrap().results.iter().map(|r| &r.data).eq(train.iter()));
+        for frame in mangle(&fetch, cut_num, flip_byte, flip_bit) {
+            if let Ok(resp) = FetchResponse::decode_bytes(&frame) {
+                prop_assert!(fetch_data_in_place(&frame, resp.results.iter().map(|r| &r.data), 24));
+            }
+        }
+
+        let follower = FollowerFetchResponse {
+            results: train
+                .iter()
+                .map(|c| FollowerFetchResult {
+                    stream: StreamId(1),
+                    partition: StreamletId(0),
+                    high_watermark: 7,
+                    data: c.clone(),
+                })
+                .collect(),
+        }
+        .encode()
+        .unwrap();
+        prop_assert!(FollowerFetchResponse::decode_bytes(&follower).unwrap().results.iter().map(|r| &r.data).eq(train.iter()));
+        for frame in mangle(&follower, cut_num, flip_byte, flip_bit) {
+            if let Ok(resp) = FollowerFetchResponse::decode_bytes(&frame) {
+                prop_assert!(fetch_data_in_place(&frame, resp.results.iter().map(|r| &r.data), 16));
+            }
         }
     }
 

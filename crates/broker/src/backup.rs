@@ -23,8 +23,8 @@ use kera_storage::flush::DiskFlusher;
 use kera_wire::chunk::ChunkIter;
 use kera_wire::frames::OpCode;
 use kera_wire::messages::{
-    backup_flags, BackupWriteRequest, BackupWriteResponse, RecoveryEnumerateRequest,
-    RecoveryEnumerateResponse, RecoveryReadRequest, ReplicatedSegmentInfo,
+    backup_flags, BackupFreeRequest, BackupWriteRequest, BackupWriteResponse,
+    RecoveryEnumerateRequest, RecoveryEnumerateResponse, RecoveryReadRequest, ReplicatedSegmentInfo,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -280,11 +280,8 @@ impl Service for BackupService {
                 Ok(self.handle_write(req)?.encode())
             }
             OpCode::BackupFree => {
-                // Payload: source broker u32, vlog u32.
-                let mut r = kera_wire::codec::Reader::new(&payload);
-                let source = NodeId(r.u32()?);
-                let vlog = VirtualLogId(r.u32()?);
-                self.handle_free(source, vlog)?;
+                let req = BackupFreeRequest::decode(&payload)?;
+                self.handle_free(req.source, req.vlog)?;
                 Ok(Bytes::new())
             }
             OpCode::RecoveryEnumerate => {
@@ -301,7 +298,7 @@ impl Service for BackupService {
                     &self.obs,
                     &payload,
                     crate::introspect::HealthFields {
-                        role: kera_wire::messages::introspect_role::BACKUP,
+                        role: kera_wire::messages::NodeRole::Backup,
                         segments: self.segment_count() as u32,
                         // Everything a backup holds is durable by
                         // definition; it IS the durable copy.

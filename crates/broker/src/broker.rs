@@ -35,8 +35,8 @@ use kera_wire::chunk::ChunkIter;
 use kera_wire::cursor::SlotCursor;
 use kera_wire::frames::OpCode;
 use kera_wire::messages::{
-    introspect_role, FetchRequest, FetchResponse, FetchResult, HostStreamRequest,
-    ProduceRequest, ProduceResponse, QuotaStateRequest, ReplicaRole, SeekRequest,
+    BackupFreeRequest, DeleteStreamRequest, FetchRequest, FetchResponse, FetchResult,
+    HostStreamRequest, NodeRole, ProduceRequest, ProduceResponse, ReplicaRole, SeekRequest,
     SeekResponse,
 };
 
@@ -395,9 +395,7 @@ impl BrokerService {
         // backups are skipped; fire-and-forget).
         if let Some(rpc) = self.rpc.get() {
             for vlog in dropped {
-                let mut w = kera_wire::codec::Writer::new();
-                w.u32(self.node.raw()).u32(vlog.id().raw());
-                let payload = w.finish();
+                let payload = BackupFreeRequest { source: self.node, vlog: vlog.id() }.encode();
                 for &backup in self.vlogs.cluster_backups() {
                     // lint: allow(no-hot-copy) — refcount clone of a tiny control frame
                     let _ = rpc.call_async(backup, OpCode::BackupFree, payload.clone());
@@ -451,7 +449,7 @@ impl BrokerService {
             &self.obs,
             payload,
             HealthFields {
-                role: introspect_role::BROKER,
+                role: NodeRole::Broker,
                 is_leader: false,
                 term: 0,
                 vlogs: self.vlogs.log_count() as u32,
@@ -514,12 +512,6 @@ impl Service for BrokerService {
                 self.admission.charge_fetch(ctx.from, served);
                 resp.encode()
             }
-            OpCode::QuotaState => {
-                let req = QuotaStateRequest::decode(&payload)?;
-                let tenant =
-                    if req.tenant == u32::MAX { ctx.from.raw() } else { req.tenant };
-                Ok(self.admission.snapshot(tenant).encode())
-            }
             OpCode::Introspect => self.handle_introspect(ctx, &payload),
             OpCode::Seek => {
                 let req = SeekRequest::decode(&payload)?;
@@ -534,9 +526,7 @@ impl Service for BrokerService {
                 Ok(resp.encode())
             }
             OpCode::DeleteStream => {
-                let stream =
-                    StreamId(kera_wire::codec::Reader::new(&payload).u32()?);
-                self.handle_delete(stream)?;
+                self.handle_delete(DeleteStreamRequest::decode(&payload)?.stream)?;
                 Ok(Bytes::new())
             }
             other => Err(KeraError::Protocol(format!("broker cannot serve {other:?}"))),

@@ -34,12 +34,11 @@ use kera_common::{KeraError, Result};
 use kera_obs::trace::Stage;
 use kera_obs::NodeObs;
 use kera_rpc::{PendingCall, RequestContext, RpcClient, Service};
-use kera_wire::codec::{Reader, Writer};
 use kera_wire::frames::OpCode;
 use kera_wire::messages::{
-    CrashReassignmentResponse, CreateStreamRequest, GetMetadataRequest, HostAssignment,
-    HostStreamRequest, Reassignment, ReplicaRole, ReportCrashRequest, StreamMetadata,
-    StreamletPlacement,
+    CrashReassignmentResponse, CreateStreamRequest, DeleteStreamRequest, GetMetadataRequest,
+    HostAssignment, HostStreamRequest, Reassignment, ReplicaRole, ReportCrashRequest,
+    StreamMetadata, StreamletPlacement,
 };
 use kera_wire::meta::{
     GetLeaderResponse, MetaAppendRequest, MetaAppendResponse, MetaOp, VoteRequest, VoteResponse,
@@ -275,7 +274,7 @@ impl CoordinatorService {
             (st.election.is_leader(), st.election.term(), st.state.streams.len())
         };
         let fields = crate::introspect::HealthFields {
-            role: kera_wire::messages::introspect_role::COORDINATOR,
+            role: kera_wire::messages::NodeRole::Coordinator,
             is_leader,
             term,
             // Committed streams stand in for the segment count on the
@@ -866,9 +865,7 @@ impl CoordinatorService {
         };
         self.replicate_to_commit(index, self.op_deadline(ctx))?;
         let client = self.client()?;
-        let mut payload_w = Writer::new();
-        payload_w.u32(stream.raw());
-        let payload = payload_w.finish();
+        let payload = DeleteStreamRequest { stream }.encode();
         let calls: Vec<_> = metadata
             .brokers()
             .into_iter()
@@ -972,8 +969,7 @@ impl Service for CoordinatorService {
                 Ok(self.handle_crash(ctx, req)?.encode())
             }
             OpCode::DeleteStream => {
-                let stream = StreamId(Reader::new(&payload).u32()?);
-                self.handle_delete(ctx, stream)?;
+                self.handle_delete(ctx, DeleteStreamRequest::decode(&payload)?.stream)?;
                 Ok(Bytes::new())
             }
             other => Err(KeraError::Protocol(format!("coordinator cannot serve {other:?}"))),

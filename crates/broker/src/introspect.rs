@@ -10,14 +10,14 @@
 use bytes::Bytes;
 use kera_common::Result;
 use kera_obs::NodeObs;
-use kera_wire::messages::{introspect_sections, IntrospectRequest, IntrospectResponse};
+use kera_wire::messages::{introspect_sections, IntrospectRequest, IntrospectResponse, NodeRole};
 
 /// Role-owned health fields of an introspection response. The obs-derived
 /// fields (in-flight window, progress heartbeat, watchdog arming, the
 /// metrics and traces sections) are filled in by [`serve`].
 #[derive(Default)]
 pub struct HealthFields {
-    pub role: u8,
+    pub role: NodeRole,
     pub is_leader: bool,
     pub term: u64,
     pub vlogs: u32,
@@ -79,14 +79,14 @@ pub fn serve(obs: &NodeObs, payload: &[u8], h: HealthFields) -> Result<Bytes> {
 mod tests {
     use super::*;
     use kera_obs::Stage;
-    use kera_wire::messages::introspect_role;
+    use kera_wire::messages::NodeRole;
 
     #[test]
     fn sections_bitmask_gates_the_json_payloads() {
         let obs = NodeObs::new(77, true);
         obs.root_span(Stage::Append).finish();
         let fields = || HealthFields {
-            role: introspect_role::BROKER,
+            role: NodeRole::Broker,
             appended_bytes: 123,
             ..Default::default()
         };

@@ -39,7 +39,6 @@ use kera_common::metrics::Counter;
 use kera_common::{KeraError, Result};
 use kera_obs::{Gauge, NodeObs, Stage};
 use kera_wire::frames::OpCode;
-use kera_wire::messages::QuotaStateResponse;
 use parking_lot::Mutex;
 
 /// Floor on computed retry hints so clients never busy-spin on a
@@ -73,6 +72,29 @@ struct QuotaState {
     cfg: QuotaConfig,
     tenants: HashMap<u32, TenantState>,
     last_sweep: Instant,
+}
+
+/// One tenant's quota accounting plus the broker-wide admission-queue
+/// gauges, as [`AdmissionControl::snapshot`] reads them. Broker-local
+/// (in-process drills and the `Introspect` health block); a tenant the
+/// broker has no session for reports `known == false` and zeroes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct QuotaSnapshot {
+    /// The broker holds session state for the asked-about tenant.
+    pub known: bool,
+    /// Tenant's admitted-but-unacknowledged bytes.
+    pub inflight_bytes: u64,
+    /// Broker-wide admitted-but-unacknowledged bytes right now.
+    pub queue_bytes: u64,
+    /// High-water mark of `queue_bytes` since the broker started — the
+    /// bounded-memory gate reads this.
+    pub queue_hwm_bytes: u64,
+    /// Total throttle responses issued (all tenants, produce + fetch).
+    pub throttles: u64,
+    /// Total rejections issued (all tenants).
+    pub rejections: u64,
+    /// Total session evictions (ladder + zombie sweep).
+    pub evictions: u64,
 }
 
 /// The broker's admission gate. One per [`crate::broker::BrokerService`].
@@ -320,19 +342,14 @@ impl AdmissionControl {
         t.fetch_debt += bytes as f64;
     }
 
-    /// Diagnostic snapshot for the `QuotaState` RPC. `tenant` is the raw
-    /// node id to report on; unknown tenants report zeroed accounting.
-    pub fn snapshot(&self, tenant: u32) -> QuotaStateResponse {
+    /// Diagnostic snapshot. `tenant` is the raw node id to report on;
+    /// unknown tenants report zeroed accounting.
+    pub fn snapshot(&self, tenant: u32) -> QuotaSnapshot {
         let s = self.state.lock();
-        let (known, tokens, inflight) = match s.tenants.get(&tenant) {
-            Some(t) => (true, t.tokens.max(0.0) as u64, t.inflight),
-            None => (false, 0, 0),
-        };
-        QuotaStateResponse {
-            enabled: self.is_enabled(),
-            known,
-            tokens,
-            inflight_bytes: inflight,
+        let tenant = s.tenants.get(&tenant);
+        QuotaSnapshot {
+            known: tenant.is_some(),
+            inflight_bytes: tenant.map_or(0, |t| t.inflight),
             queue_bytes: self.queue_bytes.load(Ordering::Relaxed),
             queue_hwm_bytes: self.queue_hwm.load(Ordering::Relaxed),
             throttles: self.throttles_total.load(Ordering::Relaxed),

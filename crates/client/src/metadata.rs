@@ -15,7 +15,9 @@ use kera_common::ids::{NodeId, StreamId};
 use kera_common::Result;
 use kera_rpc::RpcClient;
 use kera_wire::frames::OpCode;
-use kera_wire::messages::{CreateStreamRequest, GetMetadataRequest, StreamMetadata};
+use kera_wire::messages::{
+    CreateStreamRequest, DeleteStreamRequest, GetMetadataRequest, StreamMetadata,
+};
 use parking_lot::{Mutex, RwLock};
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -92,9 +94,7 @@ impl MetadataClient {
     /// replicated backup segments are freed; see the broker's
     /// `handle_delete` for the shared-pool caveat).
     pub fn delete_stream(&self, stream: StreamId) -> Result<()> {
-        let mut w = kera_wire::codec::Writer::new();
-        w.u32(stream.raw());
-        self.call_coordinator(OpCode::DeleteStream, w.finish())?;
+        self.call_coordinator(OpCode::DeleteStream, DeleteStreamRequest { stream }.encode())?;
         self.cache.write().remove(&stream);
         Ok(())
     }

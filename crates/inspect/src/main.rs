@@ -32,7 +32,7 @@ use kera_rpc::RpcClient;
 use kera_wire::chunk::ChunkBuilder;
 use kera_wire::frames::OpCode;
 use kera_wire::messages::{
-    introspect_sections, CreateStreamRequest, IntrospectRequest, IntrospectResponse,
+    introspect_sections, CreateStreamRequest, IntrospectRequest, IntrospectResponse, NodeRole,
     ProduceRequest, StreamMetadata,
 };
 use kera_wire::record::Record;
@@ -145,17 +145,17 @@ fn health_line(r: &IntrospectResponse) -> String {
     let mut line = format!(
         "node {:>4}  {:<11}",
         r.node,
-        r.role_name(),
+        r.role.name(),
     );
-    match r.role_name() {
-        "coordinator" => {
+    match r.role {
+        NodeRole::Coordinator => {
             line.push_str(&format!(
                 "  term={} leader={}",
                 r.term,
                 if r.is_leader { "yes" } else { "no" }
             ));
         }
-        "broker" => {
+        NodeRole::Broker => {
             line.push_str(&format!(
                 "  vlogs={} repl_lag={}B consumer_lag={}B quota={} queue={}B/{}B hwm \
                  throttles={} rejects={}",
@@ -169,7 +169,7 @@ fn health_line(r: &IntrospectResponse) -> String {
                 r.quota_rejections,
             ));
         }
-        _ => {
+        NodeRole::Backup => {
             line.push_str(&format!("  segments={} held={}B", r.segments, r.durable_bytes));
         }
     }
@@ -208,7 +208,7 @@ fn cmd_sections(cluster: &KeraCluster, client: &RpcClient, sections: u32) -> Exi
                 } else {
                     &r.traces_json
                 };
-                println!("=== node {} ({}) ===", r.node, r.role_name());
+                println!("=== node {} ({}) ===", r.node, r.role.name());
                 println!("{body}");
             }
             Err(e) => {

@@ -269,7 +269,7 @@ impl Transport for TcpTransport {
                 self.max_frame_bytes
             )));
         }
-        let prefix = kera_wire::codec::checked_len("tcp frame", frame_len)?;
+        let prefix = kera_wire::checked_len("tcp frame", frame_len)?;
         let conn = self.connection(to)?;
         let mut guard = conn.lock();
         // Prefix and header share one small stack buffer; the payload is

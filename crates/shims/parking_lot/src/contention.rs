@@ -206,8 +206,18 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    /// The timing switch is process-global and these tests flip it: one
+    /// test disarming it mid-way through another's blocked acquisition
+    /// loses that test's sample. They take turns.
+    static SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn own_the_switch() -> std::sync::MutexGuard<'static, ()> {
+        SWITCH.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn contended_lock_records_wait_when_armed() {
+        let _turn = own_the_switch();
         set_contention_timing(true);
         let m = Arc::new(crate::Mutex::named("lockdep-test.contention", 0u32));
         let m2 = Arc::clone(&m);
@@ -236,6 +246,7 @@ mod tests {
 
     #[test]
     fn uncontended_and_disarmed_locks_record_nothing() {
+        let _turn = own_the_switch();
         // Disarmed: even a contended acquisition stays untimed.
         set_contention_timing(false);
         let m = crate::Mutex::named("lockdep-test.quiet", ());
@@ -254,6 +265,7 @@ mod tests {
 
     #[test]
     fn same_class_name_shares_one_slot() {
+        let _turn = own_the_switch();
         set_contention_timing(true);
         let cache_a = AtomicU32::new(UNRESOLVED);
         let cache_b = AtomicU32::new(UNRESOLVED);

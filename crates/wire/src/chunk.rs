@@ -401,7 +401,8 @@ impl ChunkBuilder {
     /// every later hop (request pack, broker append, replication) takes
     /// slices of or copies from this one allocation.
     pub fn seal(&mut self) -> Bytes {
-        let chunk_len = self.buf.len() as u32;
+        // Past 4 GiB (`fits` forbids it) saturate, so the chunk fails to parse.
+        let chunk_len = u32::try_from(self.buf.len()).unwrap_or(u32::MAX);
         self.buf[field::CHUNK_LEN..field::CHUNK_LEN + 4]
             .copy_from_slice(&chunk_len.to_le_bytes());
         self.buf[40..44].copy_from_slice(&self.record_count.to_le_bytes());

@@ -12,19 +12,20 @@
 
 use kera_common::ids::GroupId;
 
-use crate::codec::{Reader, Writer};
-use kera_common::Result;
+use crate::codec::wire_struct;
 
-/// Position of a consumer within one slot (active-group chain) of a
-/// streamlet.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub struct SlotCursor {
-    /// Index into the slot's chain of groups (0 = first group of the slot).
-    pub chain: u32,
-    /// Segment index within the group.
-    pub segment: u32,
-    /// Byte offset within the segment (always a chunk boundary).
-    pub offset: u32,
+wire_struct! {
+    /// Position of a consumer within one slot (active-group chain) of a
+    /// streamlet.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+    pub struct SlotCursor {
+        /// Index into the slot's chain of groups (0 = first group of the slot).
+        pub chain: u32,
+        /// Segment index within the group.
+        pub segment: u32,
+        /// Byte offset within the segment (always a chunk boundary).
+        pub offset: u32,
+    }
 }
 
 impl SlotCursor {
@@ -47,14 +48,6 @@ impl SlotCursor {
     #[inline]
     pub fn next_group(self) -> SlotCursor {
         SlotCursor { chain: self.chain + 1, segment: 0, offset: 0 }
-    }
-
-    pub fn encode(&self, w: &mut Writer) {
-        w.u32(self.chain).u32(self.segment).u32(self.offset);
-    }
-
-    pub fn decode(r: &mut Reader<'_>) -> Result<SlotCursor> {
-        Ok(SlotCursor { chain: r.u32()?, segment: r.u32()?, offset: r.u32()? })
     }
 }
 
@@ -89,16 +82,6 @@ mod tests {
         assert_eq!(s, SlotCursor { chain: 2, segment: 4, offset: 0 });
         let g = c.next_group();
         assert_eq!(g, SlotCursor { chain: 3, segment: 0, offset: 0 });
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let c = SlotCursor { chain: 9, segment: 8, offset: 1024 };
-        let mut w = Writer::new();
-        c.encode(&mut w);
-        let buf = w.finish();
-        let mut r = Reader::new(&buf);
-        assert_eq!(SlotCursor::decode(&mut r).unwrap(), c);
     }
 
     #[test]

@@ -2,147 +2,122 @@
 //!
 //! The in-memory transport passes [`Envelope`] values through channels
 //! directly (the payload `Bytes` is already serialized, so nothing is
-//! re-encoded); the TCP transport uses [`Envelope::encode`] /
-//! [`Envelope::decode`] with a `u32` length prefix.
+//! re-encoded); the TCP transport uses [`Envelope::encode_header`] /
+//! [`Envelope::decode_bytes`] with a `u32` length prefix. The one-byte
+//! enums are `wire_enum!` declarations; [`OpCode`]'s also names the body
+//! each opcode carries and emits [`OpCode::TABLE`].
 
 use bytes::Bytes;
 use kera_common::ids::NodeId;
 use kera_common::{KeraError, Result};
 
-use crate::codec::{Reader, Writer};
+use crate::codec::{self, wire_enum, Reader, Rest, Sentinel, Wire, Writer};
+use crate::messages::*;
+use crate::meta::{GetLeaderResponse, MetaAppendRequest, MetaAppendResponse, VoteRequest, VoteResponse};
 
-/// Every RPC the cluster speaks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum OpCode {
-    /// Liveness probe.
-    Ping = 0,
-    /// Coordinator: create a stream and place its streamlets.
-    CreateStream = 1,
-    /// Coordinator: fetch stream metadata (streamlet→broker map, Q).
-    GetMetadata = 2,
-    /// Broker: append a set of chunks (the producer request, Fig. 3).
-    Produce = 3,
-    /// Broker: pull chunks for a set of streamlet cursors (consumer).
-    Fetch = 4,
-    /// Backup: replicate a batch of chunks of one virtual segment.
-    BackupWrite = 5,
-    /// Backup: drop replicated segments of a vlog (after stream deletion).
-    BackupFree = 6,
-    /// Kafka baseline: follower pull request (passive replication).
-    FollowerFetch = 7,
-    /// Backup: list replicated virtual segments held for a crashed broker.
-    RecoveryEnumerate = 8,
-    /// Backup: read one replicated virtual segment's chunks.
-    RecoveryRead = 9,
-    /// Broker: re-ingest recovered chunks (handled like a produce).
-    RecoveryIngest = 10,
-    /// Coordinator: report a node crash / trigger recovery.
-    ReportCrash = 11,
-    /// Orderly shutdown.
-    Shutdown = 12,
-    /// Coordinator → broker: host streamlets of a stream (leader or, in
-    /// the Kafka baseline, follower replicas).
-    HostStream = 13,
-    /// Client → coordinator (and coordinator → broker): delete a stream.
-    DeleteStream = 14,
-    /// Broker: translate a logical record offset into a slot cursor
-    /// (lightweight offset index lookup).
-    Seek = 15,
-    /// Coordinator replica → replica: solicit a vote for a new term.
-    RequestVote = 16,
-    /// Coordinator leader → follower: replicate a slice of the metadata
-    /// log (doubles as the leader heartbeat when the slice is empty).
-    MetaAppend = 17,
-    /// Any node → coordinator replica: who is the leader right now?
-    GetLeader = 18,
-    /// Broker: report a tenant's admission-control accounting (token
-    /// balance, in-flight bytes, queue high-water mark) — tooling and
-    /// chaos drills, not the data path.
-    QuotaState = 19,
-    /// Any node: introspection scrape — health summary, metrics
-    /// snapshot and sampled slow traces (`kera-inspect`, not the data
-    /// path).
-    Introspect = 20,
+/// One wire body, type-erased for the suites that must visit every one
+/// of them (`tests/fuzz_decoders.rs`, `tests/wire_golden.rs`).
+pub struct Body {
+    /// The body's type name; `"empty"` and `"raw"` for the untyped shapes.
+    pub name: &'static str,
+    /// Decodes `buf` with the body's one decoder and re-encodes what it
+    /// read: `Err` on anything malformed, the same bytes back for a
+    /// canonical encoding.
+    pub probe: fn(&Bytes) -> Result<Bytes>,
 }
 
-impl OpCode {
-    pub fn from_u8(v: u8) -> Result<OpCode> {
-        use OpCode::*;
-        Ok(match v {
-            0 => Ping,
-            1 => CreateStream,
-            2 => GetMetadata,
-            3 => Produce,
-            4 => Fetch,
-            5 => BackupWrite,
-            6 => BackupFree,
-            7 => FollowerFetch,
-            8 => RecoveryEnumerate,
-            9 => RecoveryRead,
-            10 => RecoveryIngest,
-            11 => ReportCrash,
-            12 => Shutdown,
-            13 => HostStream,
-            14 => DeleteStream,
-            15 => Seek,
-            16 => RequestVote,
-            17 => MetaAppend,
-            18 => GetLeader,
-            19 => QuotaState,
-            20 => Introspect,
-            _ => return Err(KeraError::Protocol(format!("unknown opcode {v}"))),
-        })
+impl Body {
+    /// No body: the payload is ignored on receipt and empty on send.
+    pub const EMPTY: Body = Body { name: "empty", probe: |_| Ok(Bytes::new()) };
+    /// The payload is the data itself (packed chunks, ping filler), bounded
+    /// by the envelope's framing alone.
+    pub const RAW: Body = Body { name: "raw", probe: |buf| Ok(buf.slice(..)) };
+
+    pub(crate) const fn of<T: Wire>(name: &'static str) -> Body {
+        Body { name, probe: |buf| codec::encode(&T::get(&mut Reader::from(buf))?) }
     }
 }
 
-/// Response status. Mirrors the variants of [`KeraError`] that can cross
-/// the wire; `Ok` for successful responses and all requests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum StatusCode {
-    Ok = 0,
-    UnknownStream = 1,
-    UnknownStreamlet = 2,
-    UnknownGroup = 3,
-    StreamExists = 4,
-    Corruption = 5,
-    ChunkTooLarge = 6,
-    NoCapacity = 7,
-    ShuttingDown = 8,
-    Protocol = 9,
-    Recovery = 10,
-    Internal = 11,
-    NotLeader = 12,
-    Throttled = 13,
-    Rejected = 14,
+wire_enum! {
+    /// Every RPC the cluster speaks, with the request and response body
+    /// each one carries.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    pub enum OpCode("opcode") {
+        /// Liveness probe.
+        Ping = 0 (raw => empty),
+        /// Coordinator: create a stream and place its streamlets.
+        CreateStream = 1 (CreateStreamRequest => StreamMetadata),
+        /// Coordinator: fetch stream metadata (streamlet→broker map, Q).
+        GetMetadata = 2 (GetMetadataRequest => StreamMetadata),
+        /// Broker: append a set of chunks (the producer request, Fig. 3).
+        Produce = 3 (ProduceRequest => ProduceResponse),
+        /// Broker: pull chunks for a set of streamlet cursors (consumer).
+        Fetch = 4 (FetchRequest => FetchResponse),
+        /// Backup: replicate a batch of chunks of one virtual segment.
+        BackupWrite = 5 (BackupWriteRequest => BackupWriteResponse),
+        /// Backup: drop replicated segments of a vlog (after stream deletion).
+        BackupFree = 6 (BackupFreeRequest => empty),
+        /// Kafka baseline: follower pull request (passive replication).
+        FollowerFetch = 7 (FollowerFetchRequest => FollowerFetchResponse),
+        /// Backup: list replicated virtual segments held for a crashed broker.
+        RecoveryEnumerate = 8 (RecoveryEnumerateRequest => RecoveryEnumerateResponse),
+        /// Backup: read one replicated virtual segment's chunks.
+        RecoveryRead = 9 (RecoveryReadRequest => raw),
+        /// Broker: re-ingest recovered chunks (handled like a produce).
+        RecoveryIngest = 10 (ProduceRequest => ProduceResponse),
+        /// Coordinator: report a node crash / trigger recovery.
+        ReportCrash = 11 (ReportCrashRequest => CrashReassignmentResponse),
+        /// Orderly shutdown.
+        Shutdown = 12 (empty => empty),
+        /// Coordinator → broker: host streamlets of a stream (leader or, in
+        /// the Kafka baseline, follower replicas).
+        HostStream = 13 (HostStreamRequest => empty),
+        /// Client → coordinator (and coordinator → broker): delete a stream.
+        DeleteStream = 14 (DeleteStreamRequest => empty),
+        /// Broker: translate a logical record offset into a slot cursor
+        /// (lightweight offset index lookup).
+        Seek = 15 (SeekRequest => SeekResponse),
+        /// Coordinator replica → replica: solicit a vote for a new term.
+        RequestVote = 16 (VoteRequest => VoteResponse),
+        /// Coordinator leader → follower: replicate a slice of the metadata
+        /// log (doubles as the leader heartbeat when the slice is empty).
+        MetaAppend = 17 (MetaAppendRequest => MetaAppendResponse),
+        /// Any node → coordinator replica: who is the leader right now?
+        GetLeader = 18 (empty => GetLeaderResponse),
+        // 19 was `QuotaState`; its report is `Introspect`'s health block.
+        // The number stays unassigned.
+        /// Any node: introspection scrape — health summary, metrics
+        /// snapshot and sampled slow traces (`kera-inspect`, not the data
+        /// path).
+        Introspect = 20 (IntrospectRequest => IntrospectResponse),
+    }
 }
 
-impl StatusCode {
-    pub fn from_u8(v: u8) -> Result<StatusCode> {
-        Ok(match v {
-            0 => StatusCode::Ok,
-            1 => StatusCode::UnknownStream,
-            2 => StatusCode::UnknownStreamlet,
-            3 => StatusCode::UnknownGroup,
-            4 => StatusCode::StreamExists,
-            5 => StatusCode::Corruption,
-            6 => StatusCode::ChunkTooLarge,
-            7 => StatusCode::NoCapacity,
-            8 => StatusCode::ShuttingDown,
-            9 => StatusCode::Protocol,
-            10 => StatusCode::Recovery,
-            11 => StatusCode::Internal,
-            12 => StatusCode::NotLeader,
-            13 => StatusCode::Throttled,
-            14 => StatusCode::Rejected,
-            _ => return Err(KeraError::Protocol(format!("unknown status {v}"))),
-        })
+wire_enum! {
+    /// Response status. Mirrors the variants of [`KeraError`] that can cross
+    /// the wire; `Ok` for successful responses and all requests.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum StatusCode("status") {
+        Ok = 0,
+        UnknownStream = 1,
+        UnknownStreamlet = 2,
+        UnknownGroup = 3,
+        StreamExists = 4,
+        Corruption = 5,
+        ChunkTooLarge = 6,
+        NoCapacity = 7,
+        ShuttingDown = 8,
+        Protocol = 9,
+        Recovery = 10,
+        Internal = 11,
+        NotLeader = 12,
+        Throttled = 13,
+        Rejected = 14,
     }
 }
 
 /// Maps a server-side error to the status carried on the wire.
-pub fn status_for_error(e: &KeraError) -> StatusCode {
+fn status_for_error(e: &KeraError) -> StatusCode {
     match e {
         KeraError::UnknownStream(_) => StatusCode::UnknownStream,
         KeraError::UnknownStreamlet(_, _) => StatusCode::UnknownStreamlet,
@@ -161,37 +136,13 @@ pub fn status_for_error(e: &KeraError) -> StatusCode {
     }
 }
 
-/// Reconstructs a client-side error from a non-Ok status and the error
-/// message the server put in the payload.
-pub fn error_for_status(status: StatusCode, message: &str) -> KeraError {
-    match status {
-        StatusCode::Ok => KeraError::Protocol("error_for_status called with Ok".into()),
-        StatusCode::ShuttingDown => KeraError::ShuttingDown,
-        StatusCode::NoCapacity => KeraError::NoCapacity(message.to_string()),
-        StatusCode::Recovery => KeraError::Recovery(message.to_string()),
-        StatusCode::Corruption => {
-            KeraError::Corruption { what: "remote", expected: 0, actual: 0 }
-        }
-        // The structured hint/term ride after the message in the payload;
-        // callers that only have the message fall back to "unknown".
-        StatusCode::NotLeader => KeraError::NotLeader { hint: None, term: 0 },
-        // Structured retry_after/window_hint likewise ride after the
-        // message; without them, "retry immediately, no hint".
-        StatusCode::Throttled => KeraError::Throttled {
-            retry_after: std::time::Duration::ZERO,
-            window_hint: 0,
-        },
-        StatusCode::Rejected => KeraError::Rejected { reason: message.to_string() },
-        _ => KeraError::Protocol(format!("{status:?}: {message}")),
+wire_enum! {
+    /// Request vs response.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum FrameKind("frame kind") {
+        Request = 0,
+        Response = 1,
     }
-}
-
-/// Request vs response.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum FrameKind {
-    Request = 0,
-    Response = 1,
 }
 
 /// One message on the wire (or in a channel).
@@ -258,17 +209,7 @@ impl Envelope {
         status: StatusCode,
         payload: Bytes,
     ) -> Self {
-        Self {
-            kind: FrameKind::Response,
-            opcode,
-            status,
-            request_id,
-            from,
-            deadline_micros: 0,
-            trace_id: 0,
-            span_id: 0,
-            payload,
-        }
+        Self { kind: FrameKind::Response, status, ..Self::request(opcode, request_id, from, payload) }
     }
 
     /// An error response carrying the error's message as payload.
@@ -277,15 +218,16 @@ impl Envelope {
     /// re-resolve without string parsing; `Throttled` likewise carries
     /// its structured retry_after (microseconds) and window hint.
     pub fn error_response(opcode: OpCode, request_id: u64, from: NodeId, e: &KeraError) -> Self {
-        let mut w = Writer::new();
+        let mut w = Writer::default();
         // An error message can never exceed the u32 length field; if it
         // somehow did, the failed write leaves the buffer untouched and
         // the response degrades to a message-less frame (check_status
         // falls back to an empty message).
-        let _ = w.string(&e.to_string());
+        let _ = w.put(&e.to_string());
         match e {
             KeraError::NotLeader { hint, term } => {
-                w.u32(hint.map_or(u32::MAX, NodeId::raw)).u64(*term);
+                let _ = Sentinel::put(hint, &mut w);
+                w.u64(*term);
             }
             KeraError::Throttled { retry_after, window_hint } => {
                 w.u64(u64::try_from(retry_after.as_micros()).unwrap_or(u64::MAX))
@@ -336,60 +278,50 @@ impl Envelope {
     /// a request body flows from the socket read straight to the broker
     /// without another memcpy.
     pub fn decode_bytes(buf: &Bytes) -> Result<Envelope> {
-        let mut r = Reader::new(buf);
-        let kind = match r.u8()? {
-            0 => FrameKind::Request,
-            1 => FrameKind::Response,
-            k => return Err(KeraError::Protocol(format!("unknown frame kind {k}"))),
-        };
-        let opcode = OpCode::from_u8(r.u8()?)?;
-        let status = StatusCode::from_u8(r.u8()?)?;
-        let _reserved = r.u8()?;
-        let request_id = r.u64()?;
-        let from = NodeId(r.u32()?);
-        let deadline_micros = r.u64()?;
-        let trace_id = r.u64()?;
-        let span_id = r.u64()?;
-        debug_assert_eq!(r.position(), Self::HEADER_LEN);
+        let mut r = Reader::from(buf);
+        let (kind, opcode, status) = (r.get()?, r.get()?, r.get()?);
+        let _reserved: u8 = r.get()?;
         Ok(Envelope {
             kind,
             opcode,
             status,
-            request_id,
-            from,
-            deadline_micros,
-            trace_id,
-            span_id,
-            payload: buf.slice(Self::HEADER_LEN..),
+            request_id: r.get()?,
+            from: r.get()?,
+            deadline_micros: r.get()?,
+            trace_id: r.get()?,
+            span_id: r.get()?,
+            payload: Rest::get(&mut r)?,
         })
     }
 
     /// Extracts the error from a response envelope, or `Ok(())` if the
-    /// status is Ok.
+    /// status is Ok: the message, then for `NotLeader` and `Throttled` the
+    /// structured fields [`Envelope::error_response`] put behind it. A
+    /// malformed or legacy payload degrades to "leader unknown" / "retry
+    /// now, no hint" rather than a decode error — the caller re-resolves
+    /// or retries anyway.
     pub fn check_status(&self) -> Result<()> {
         if self.status == StatusCode::Ok {
             return Ok(());
         }
-        let mut r = Reader::new(&self.payload);
-        let msg = r.string().unwrap_or_default();
-        if self.status == StatusCode::NotLeader {
-            // A malformed/legacy payload degrades to "leader unknown"
-            // rather than a decode error — the caller re-resolves anyway.
-            let hint = match r.u32() {
-                Ok(u32::MAX) | Err(_) => None,
-                Ok(raw) => Some(NodeId(raw)),
-            };
-            let term = r.u64().unwrap_or(0);
-            return Err(KeraError::NotLeader { hint, term });
-        }
-        if self.status == StatusCode::Throttled {
-            // A malformed/legacy payload degrades to "retry now, no
-            // hint" rather than a decode error.
-            let retry_after = std::time::Duration::from_micros(r.u64().unwrap_or(0));
-            let window_hint = r.u64().unwrap_or(0);
-            return Err(KeraError::Throttled { retry_after, window_hint });
-        }
-        Err(error_for_status(self.status, &msg))
+        let mut r = Reader::from(&self.payload[..]);
+        let message: String = r.get().unwrap_or_default();
+        Err(match self.status {
+            StatusCode::ShuttingDown => KeraError::ShuttingDown,
+            StatusCode::NoCapacity => KeraError::NoCapacity(message),
+            StatusCode::Recovery => KeraError::Recovery(message),
+            StatusCode::Corruption => KeraError::Corruption { what: "remote", expected: 0, actual: 0 },
+            StatusCode::NotLeader => KeraError::NotLeader {
+                hint: Sentinel::get(&mut r).unwrap_or(None),
+                term: r.get().unwrap_or(0),
+            },
+            StatusCode::Throttled => KeraError::Throttled {
+                retry_after: std::time::Duration::from_micros(r.get().unwrap_or(0)),
+                window_hint: r.get().unwrap_or(0),
+            },
+            StatusCode::Rejected => KeraError::Rejected { reason: message },
+            status => KeraError::Protocol(format!("{status:?}: {message}")),
+        })
     }
 }
 
@@ -399,11 +331,24 @@ mod tests {
 
     #[test]
     fn opcode_roundtrip() {
-        for v in 0..=20u8 {
+        for v in (0..=20u8).filter(|&v| v != 19) {
             let op = OpCode::from_u8(v).unwrap();
             assert_eq!(op as u8, v);
         }
+        // 19 (the retired `QuotaState`) stays unassigned.
+        assert!(matches!(OpCode::from_u8(19), Err(KeraError::Protocol(_))));
         assert!(OpCode::from_u8(200).is_err());
+    }
+
+    /// The table is emitted by the enum's own declaration, so it lists
+    /// every opcode exactly once, in discriminant order.
+    #[test]
+    fn table_covers_every_opcode() {
+        let listed: Vec<u8> = OpCode::TABLE.iter().map(|(op, _, _)| *op as u8).collect();
+        let known: Vec<u8> = (0..=u8::MAX).filter(|&v| OpCode::from_u8(v).is_ok()).collect();
+        assert_eq!(listed, known);
+        let (_, req, resp) = &OpCode::TABLE[OpCode::Produce as usize];
+        assert_eq!((req.name, resp.name), ("ProduceRequest", "ProduceResponse"));
     }
 
     #[test]
@@ -494,8 +439,8 @@ mod tests {
         }
 
         // A legacy payload (message only, no extras) degrades gracefully.
-        let mut w = crate::codec::Writer::new();
-        w.string("throttled").unwrap();
+        let mut w = Writer::default();
+        w.put(&String::from("throttled")).unwrap();
         let env = Envelope::response(OpCode::Produce, 4, NodeId(1), StatusCode::Throttled, w.finish());
         match env.check_status().unwrap_err() {
             KeraError::Throttled { retry_after, window_hint } => {

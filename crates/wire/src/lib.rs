@@ -3,7 +3,9 @@
 //!
 //! Layout of the crate:
 //!
-//! - [`codec`] — little-endian read/write primitives over `bytes` buffers;
+//! - `codec` (crate-private) — the `Wire` trait and the two declaration
+//!   macros every byte layout below is derived from; no other crate can
+//!   write a message body by hand;
 //! - [`record`] — the multi-key-value record entry format (RAMCloud/SLIK
 //!   style: a checksummed entry header, optional version and timestamp,
 //!   zero or more keys, and a value);
@@ -13,8 +15,8 @@
 //!   codes, and their TCP serialization;
 //! - [`cursor`] — consumer cursors addressing a position inside a
 //!   streamlet's chain of groups and segments;
-//! - [`messages`] — typed encode/decode for every RPC body (produce,
-//!   fetch, metadata, backup writes, follower fetch, recovery);
+//! - [`messages`] — the field list of every RPC body (produce, fetch,
+//!   metadata, backup writes, follower fetch, recovery);
 //! - [`meta`] — the coordinator's metadata-log records, snapshots and
 //!   the election/log-replication bodies (DESIGN.md §10).
 //!
@@ -24,9 +26,11 @@
 //! data format" (§II-A).
 
 pub mod chunk;
-pub mod codec;
+pub(crate) mod codec;
 pub mod cursor;
 pub mod frames;
 pub mod messages;
 pub mod meta;
 pub mod record;
+
+pub use codec::checked_len;

@@ -12,13 +12,14 @@
 //! Record framing mirrors the record/chunk discipline of this crate: a
 //! CRC32C over everything after the checksum field, so truncation and
 //! bit flips are always detected (fuzzed in `tests/fuzz_decoders.rs`).
+//! The frame is the `crc(..)` form of `wire_struct!`; like every body in
+//! [`crate::messages`], each layout below is its field list.
 
 use bytes::Bytes;
-use kera_common::checksum::crc32c;
 use kera_common::ids::{NodeId, StreamId};
 use kera_common::{KeraError, Result};
 
-use crate::codec::{Reader, Writer};
+use crate::codec::{wire_struct, Reader, Sentinel, Wire, Writer};
 use crate::messages::{Reassignment, StreamMetadata};
 
 // ---------------------------------------------------------------------------
@@ -39,356 +40,160 @@ pub enum MetaOp {
     MarkDead { node: NodeId, reassignments: Vec<Reassignment> },
 }
 
-impl MetaOp {
-    pub fn encode_into(&self, w: &mut Writer) {
+/// A tagged union: one tag byte, then the variant's fields. Written by
+/// hand (the struct macro has no payload-enum form); the fields go
+/// through [`Wire`] like any others.
+impl Wire for MetaOp {
+    /// The tag and the smallest variant.
+    const MIN_LEN: usize = u8::MIN_LEN + NodeId::MIN_LEN;
+
+    fn put(&self, w: &mut Writer) -> Result<()> {
         match self {
-            MetaOp::RegisterBroker { node } => {
-                w.u8(0).u32(node.raw());
-            }
-            MetaOp::CreateStream { metadata } => {
-                w.u8(1);
-                metadata.encode_into(w);
-            }
-            MetaOp::DeleteStream { stream } => {
-                w.u8(2).u32(stream.raw());
-            }
+            MetaOp::RegisterBroker { node } => w.u8(0).put(node),
+            MetaOp::CreateStream { metadata } => w.u8(1).put(metadata),
+            MetaOp::DeleteStream { stream } => w.u8(2).put(stream),
             MetaOp::MarkDead { node, reassignments } => {
-                w.u8(3).u32(node.raw()).u32(reassignments.len() as u32);
-                for r in reassignments {
-                    w.u32(r.stream.raw()).u32(r.streamlet.raw()).u32(r.new_broker.raw());
-                }
+                w.u8(3).put(node)?;
+                w.put(reassignments)
             }
         }
     }
 
-    pub fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(match r.u8()? {
-            0 => MetaOp::RegisterBroker { node: NodeId(r.u32()?) },
-            1 => MetaOp::CreateStream { metadata: StreamMetadata::decode_from(r)? },
-            2 => MetaOp::DeleteStream { stream: StreamId(r.u32()?) },
-            3 => {
-                let node = NodeId(r.u32()?);
-                let n = r.collection_len(12)?;
-                let mut reassignments = Vec::with_capacity(n);
-                for _ in 0..n {
-                    reassignments.push(Reassignment {
-                        stream: StreamId(r.u32()?),
-                        streamlet: kera_common::ids::StreamletId(r.u32()?),
-                        new_broker: NodeId(r.u32()?),
-                    });
-                }
-                MetaOp::MarkDead { node, reassignments }
-            }
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(match r.get::<u8>()? {
+            0 => MetaOp::RegisterBroker { node: r.get()? },
+            1 => MetaOp::CreateStream { metadata: r.get()? },
+            2 => MetaOp::DeleteStream { stream: r.get()? },
+            3 => MetaOp::MarkDead { node: r.get()?, reassignments: r.get()? },
             t => return Err(KeraError::Protocol(format!("unknown meta op tag {t}"))),
         })
     }
 }
 
 // ---------------------------------------------------------------------------
-// MetaRecord: one checksummed entry of the metadata log
+// MetaRecord / MetaSnapshot: the checksummed frames of the metadata log
 // ---------------------------------------------------------------------------
 
-/// One entry of the replicated metadata log.
-///
-/// Wire layout (little-endian):
-///
-/// ```text
-/// +0   checksum  u32   CRC32C over bytes [8 .. 8 + body_len)
-/// +4   body_len  u32   length of everything after this field
-/// +8   index     u64   log position (1-based; 0 = "before the log")
-/// +16  term      u64   leader term that appended the record
-/// +24  op        ...   MetaOp encoding, body_len - 16 bytes
-/// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct MetaRecord {
-    pub index: u64,
-    pub term: u64,
-    pub op: MetaOp,
+wire_struct! {
+    crc("meta record")
+    /// One entry of the replicated metadata log.
+    ///
+    /// Wire layout (little-endian):
+    ///
+    /// ```text
+    /// +0   checksum  u32   CRC32C over bytes [8 .. 8 + body_len)
+    /// +4   body_len  u32   length of everything after this field
+    /// +8   index     u64   log position (1-based; 0 = "before the log")
+    /// +16  term      u64   leader term that appended the record
+    /// +24  op        ...   MetaOp encoding, body_len - 16 bytes
+    /// ```
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct MetaRecord {
+        pub index: u64,
+        pub term: u64,
+        pub op: MetaOp,
+    }
+    encode -> Result<Bytes>; decode(&[u8]);
 }
 
-impl MetaRecord {
-    pub fn encode(&self) -> Result<Bytes> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w)?;
-        Ok(w.finish())
+wire_struct! {
+    crc("meta snapshot")
+    /// A point-in-time image of the coordinator state machine, equivalent to
+    /// folding the log through `last_index`. Carried to lagging followers
+    /// and used to truncate the local log past `snapshot_threshold`.
+    /// Framed like a [`MetaRecord`].
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct MetaSnapshot {
+        /// Log index this snapshot covers (replay resumes at `last_index+1`).
+        pub last_index: u64,
+        /// Term of the record at `last_index`.
+        pub last_term: u64,
+        /// Registered brokers, in registration order.
+        pub brokers: Vec<NodeId>,
+        /// Brokers marked dead.
+        pub dead: Vec<NodeId>,
+        /// All live streams with their placements.
+        pub streams: Vec<StreamMetadata>,
     }
-
-    pub fn encode_into(&self, w: &mut Writer) -> Result<()> {
-        let mut body = Writer::new();
-        body.u64(self.index).u64(self.term);
-        self.op.encode_into(&mut body);
-        let body = body.finish();
-        w.u32(crc32c(&body)).len_prefixed(&body)?;
-        Ok(())
-    }
-
-    pub fn decode(buf: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(buf);
-        Self::decode_from(&mut r)
-    }
-
-    pub fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        let expected = r.u32()?;
-        let body = r.len_prefixed()?;
-        let actual = crc32c(body);
-        if actual != expected {
-            return Err(KeraError::Corruption { what: "meta record", expected, actual });
-        }
-        let mut br = Reader::new(body);
-        let index = br.u64()?;
-        let term = br.u64()?;
-        let op = MetaOp::decode_from(&mut br)?;
-        if !br.is_empty() {
-            return Err(KeraError::Protocol("trailing bytes in meta record body".into()));
-        }
-        Ok(Self { index, term, op })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MetaSnapshot: the folded state machine at a log position
-// ---------------------------------------------------------------------------
-
-/// A point-in-time image of the coordinator state machine, equivalent to
-/// folding the log through `last_index`. Carried to lagging followers
-/// and used to truncate the local log past `snapshot_threshold`.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetaSnapshot {
-    /// Log index this snapshot covers (replay resumes at `last_index+1`).
-    pub last_index: u64,
-    /// Term of the record at `last_index`.
-    pub last_term: u64,
-    /// Registered brokers, in registration order.
-    pub brokers: Vec<NodeId>,
-    /// Brokers marked dead.
-    pub dead: Vec<NodeId>,
-    /// All live streams with their placements.
-    pub streams: Vec<StreamMetadata>,
-}
-
-impl MetaSnapshot {
-    pub fn encode(&self) -> Result<Bytes> {
-        let mut body = Writer::new();
-        body.u64(self.last_index).u64(self.last_term);
-        body.u32(self.brokers.len() as u32);
-        for b in &self.brokers {
-            body.u32(b.raw());
-        }
-        body.u32(self.dead.len() as u32);
-        for d in &self.dead {
-            body.u32(d.raw());
-        }
-        body.u32(self.streams.len() as u32);
-        for s in &self.streams {
-            s.encode_into(&mut body);
-        }
-        let body = body.finish();
-        let mut w = Writer::with_capacity(8 + body.len());
-        w.u32(crc32c(&body)).len_prefixed(&body)?;
-        Ok(w.finish())
-    }
-
-    pub fn decode(buf: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(buf);
-        Self::decode_from(&mut r)
-    }
-
-    pub fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        let expected = r.u32()?;
-        let body = r.len_prefixed()?;
-        let actual = crc32c(body);
-        if actual != expected {
-            return Err(KeraError::Corruption { what: "meta snapshot", expected, actual });
-        }
-        let mut br = Reader::new(body);
-        let last_index = br.u64()?;
-        let last_term = br.u64()?;
-        let n = br.collection_len(4)?;
-        let mut brokers = Vec::with_capacity(n);
-        for _ in 0..n {
-            brokers.push(NodeId(br.u32()?));
-        }
-        let n = br.collection_len(4)?;
-        let mut dead = Vec::with_capacity(n);
-        for _ in 0..n {
-            dead.push(NodeId(br.u32()?));
-        }
-        let n = br.collection_len(8)?;
-        let mut streams = Vec::with_capacity(n);
-        for _ in 0..n {
-            streams.push(StreamMetadata::decode_from(&mut br)?);
-        }
-        Ok(Self { last_index, last_term, brokers, dead, streams })
-    }
+    encode -> Result<Bytes>; decode(&[u8]);
 }
 
 // ---------------------------------------------------------------------------
 // Election and log-replication RPC bodies
 // ---------------------------------------------------------------------------
 
-/// Candidate → replica: solicit a vote for `term`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct VoteRequest {
-    pub term: u64,
-    pub candidate: NodeId,
-    /// Candidate's log tail; a voter refuses candidates whose log is
-    /// behind its own (committed records must survive elections).
-    pub last_log_index: u64,
-    pub last_log_term: u64,
+wire_struct! {
+    /// Candidate → replica: solicit a vote for `term`.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct VoteRequest {
+        pub term: u64,
+        pub candidate: NodeId,
+        /// Candidate's log tail; a voter refuses candidates whose log is
+        /// behind its own (committed records must survive elections).
+        pub last_log_index: u64,
+        pub last_log_term: u64,
+    }
+    encode -> Bytes; decode(&[u8]);
 }
 
-impl VoteRequest {
-    pub fn encode(&self) -> Bytes {
-        let mut w = Writer::with_capacity(28);
-        w.u64(self.term).u32(self.candidate.raw()).u64(self.last_log_index).u64(self.last_log_term);
-        w.finish()
+wire_struct! {
+    /// Replica → candidate: the vote.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct VoteResponse {
+        /// Voter's term after processing (a candidate seeing a higher term
+        /// steps down).
+        pub term: u64,
+        pub granted: bool,
     }
-
-    pub fn decode(buf: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(buf);
-        Ok(Self {
-            term: r.u64()?,
-            candidate: NodeId(r.u32()?),
-            last_log_index: r.u64()?,
-            last_log_term: r.u64()?,
-        })
-    }
+    encode -> Bytes; decode(&[u8]);
 }
 
-/// Replica → candidate: the vote.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct VoteResponse {
-    /// Voter's term after processing (a candidate seeing a higher term
-    /// steps down).
-    pub term: u64,
-    pub granted: bool,
+wire_struct! {
+    /// Leader → follower: replicate log entries (empty = heartbeat). When a
+    /// follower is behind the leader's snapshot horizon, `snapshot` carries
+    /// the full image and `entries` resume after it.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct MetaAppendRequest {
+        pub term: u64,
+        pub leader: NodeId,
+        /// Index/term of the record immediately before `entries` (the Raft
+        /// consistency check); 0/0 at the very start of the log.
+        pub prev_index: u64,
+        pub prev_term: u64,
+        /// Highest index the leader knows is replicated on a quorum.
+        pub commit_index: u64,
+        pub snapshot: Option<MetaSnapshot>,
+        pub entries: Vec<MetaRecord>,
+    }
+    encode -> Result<Bytes>; decode(&[u8]);
 }
 
-impl VoteResponse {
-    pub fn encode(&self) -> Bytes {
-        let mut w = Writer::with_capacity(9);
-        w.u64(self.term).u8(u8::from(self.granted));
-        w.finish()
+wire_struct! {
+    /// Follower → leader: append outcome.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct MetaAppendResponse {
+        pub term: u64,
+        /// False when the consistency check failed (the leader backs up and
+        /// resends earlier entries or a snapshot).
+        pub success: bool,
+        /// Highest log index the follower now holds matching the leader.
+        pub match_index: u64,
     }
-
-    pub fn decode(buf: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(buf);
-        Ok(Self { term: r.u64()?, granted: r.u8()? != 0 })
-    }
+    encode -> Bytes; decode(&[u8]);
 }
 
-/// Leader → follower: replicate log entries (empty = heartbeat). When a
-/// follower is behind the leader's snapshot horizon, `snapshot` carries
-/// the full image and `entries` resume after it.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MetaAppendRequest {
-    pub term: u64,
-    pub leader: NodeId,
-    /// Index/term of the record immediately before `entries` (the Raft
-    /// consistency check); 0/0 at the very start of the log.
-    pub prev_index: u64,
-    pub prev_term: u64,
-    /// Highest index the leader knows is replicated on a quorum.
-    pub commit_index: u64,
-    pub snapshot: Option<MetaSnapshot>,
-    pub entries: Vec<MetaRecord>,
-}
-
-impl MetaAppendRequest {
-    pub fn encode(&self) -> Result<Bytes> {
-        let mut w = Writer::new();
-        w.u64(self.term)
-            .u32(self.leader.raw())
-            .u64(self.prev_index)
-            .u64(self.prev_term)
-            .u64(self.commit_index);
-        match &self.snapshot {
-            Some(s) => {
-                w.u8(1).bytes(&s.encode()?);
-            }
-            None => {
-                w.u8(0);
-            }
-        }
-        w.u32(self.entries.len() as u32);
-        for e in &self.entries {
-            e.encode_into(&mut w)?;
-        }
-        Ok(w.finish())
+wire_struct! {
+    /// Replica → anyone: current leadership view (`GetLeader` response; the
+    /// request has an empty body).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct GetLeaderResponse {
+        /// The leader this replica believes in, if it has heard from one.
+        pub leader: Option<NodeId> [Sentinel],
+        pub term: u64,
+        /// True when the responding replica is itself the leader.
+        pub is_leader: bool,
     }
-
-    pub fn decode(buf: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(buf);
-        let term = r.u64()?;
-        let leader = NodeId(r.u32()?);
-        let prev_index = r.u64()?;
-        let prev_term = r.u64()?;
-        let commit_index = r.u64()?;
-        let snapshot = match r.u8()? {
-            0 => None,
-            1 => Some(MetaSnapshot::decode_from(&mut r)?),
-            f => return Err(KeraError::Protocol(format!("unknown snapshot flag {f}"))),
-        };
-        let n = r.collection_len(8)?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            entries.push(MetaRecord::decode_from(&mut r)?);
-        }
-        Ok(Self { term, leader, prev_index, prev_term, commit_index, snapshot, entries })
-    }
-}
-
-/// Follower → leader: append outcome.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MetaAppendResponse {
-    pub term: u64,
-    /// False when the consistency check failed (the leader backs up and
-    /// resends earlier entries or a snapshot).
-    pub success: bool,
-    /// Highest log index the follower now holds matching the leader.
-    pub match_index: u64,
-}
-
-impl MetaAppendResponse {
-    pub fn encode(&self) -> Bytes {
-        let mut w = Writer::with_capacity(17);
-        w.u64(self.term).u8(u8::from(self.success)).u64(self.match_index);
-        w.finish()
-    }
-
-    pub fn decode(buf: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(buf);
-        Ok(Self { term: r.u64()?, success: r.u8()? != 0, match_index: r.u64()? })
-    }
-}
-
-/// Replica → anyone: current leadership view (`GetLeader` response; the
-/// request has an empty body).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GetLeaderResponse {
-    /// The leader this replica believes in, if it has heard from one.
-    pub leader: Option<NodeId>,
-    pub term: u64,
-    /// True when the responding replica is itself the leader.
-    pub is_leader: bool,
-}
-
-impl GetLeaderResponse {
-    pub fn encode(&self) -> Bytes {
-        let mut w = Writer::with_capacity(13);
-        w.u32(self.leader.map_or(u32::MAX, NodeId::raw)).u64(self.term).u8(u8::from(self.is_leader));
-        w.finish()
-    }
-
-    pub fn decode(buf: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(buf);
-        let raw = r.u32()?;
-        Ok(Self {
-            leader: (raw != u32::MAX).then_some(NodeId(raw)),
-            term: r.u64()?,
-            is_leader: r.u8()? != 0,
-        })
-    }
+    encode -> Bytes; decode(&[u8]);
 }
 
 #[cfg(test)]

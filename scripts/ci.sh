@@ -10,6 +10,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Concurrency/robustness analyzer: non-zero exit on any finding.
 cargo run -q -p kera-lint
 
+# Non-test lines per crate (no gate): the table "lines removed" figures
+# in CHANGES.md are quoted from.
+scripts/loc.sh
+
 # Dynamic lock-order checking: the shim's own lockdep suite, then the
 # chaos + invariants suites with every lock acquisition instrumented.
 # The chaos run arms the flight recorder: a panic or chaos failure dumps

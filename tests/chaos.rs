@@ -20,7 +20,7 @@ use kera::common::config::{
 };
 use kera::common::ids::{ConsumerId, ProducerId, StreamId, StreamletId};
 use kera::wire::frames::OpCode;
-use kera::wire::messages::{ProduceRequest, QuotaStateRequest, QuotaStateResponse};
+use kera::wire::messages::{introspect_sections, IntrospectRequest, IntrospectResponse, ProduceRequest};
 
 /// Serializes the drills: each one spins up a full multi-node cluster
 /// (worker pools, chaos threads, in the overload storm ten full-speed
@@ -788,21 +788,24 @@ fn overload_polite_tenants_keep_throughput_floor() {
     assert!(rejections > 0, "abusers never escalated to rejection");
     assert!(evictions > 0, "abusers never reached eviction");
 
-    // The QuotaState RPC reports the same story over the wire.
+    // Introspect's health block reports the same story over the wire.
     let probe_rt = cluster.client(11);
     let payload_bytes = probe_rt
         .client()
         .call(
             broker_node(0),
-            OpCode::QuotaState,
-            QuotaStateRequest { tenant: client_node(1).raw() }.encode(),
+            OpCode::Introspect,
+            IntrospectRequest { sections: introspect_sections::HEALTH }.encode(),
             Duration::from_secs(5),
         )
         .unwrap();
-    let snap = QuotaStateResponse::decode(&payload_bytes).unwrap();
-    assert!(snap.enabled, "QuotaState must report quotas on");
-    assert!(snap.known, "abusive tenant unknown to broker 0");
-    assert!(snap.throttles > 0);
+    let health = IntrospectResponse::decode(&payload_bytes).unwrap();
+    let local = cluster.broker_svcs[0].admission().snapshot(client_node(1).raw());
+    assert!(health.quota_enabled, "Introspect must report quotas on");
+    assert!(local.known, "abusive tenant unknown to broker 0");
+    // Both are monotonic and `local` was read second.
+    assert!((1..=local.throttles).contains(&health.quota_throttles));
+    assert!((1..=local.queue_hwm_bytes).contains(&health.quota_queue_hwm_bytes));
 
     // Every acked polite record arrives exactly once, in per-slot order.
     let cons_rt = cluster.client(12);
@@ -1122,14 +1125,11 @@ fn frozen_broker_mid_ingest_triggers_watchdog_dump() {
         .call(
             broker,
             OpCode::Introspect,
-            kera::wire::messages::IntrospectRequest {
-                sections: kera::wire::messages::introspect_sections::HEALTH,
-            }
-            .encode(),
+            IntrospectRequest { sections: introspect_sections::HEALTH }.encode(),
             Duration::from_secs(2),
         )
         .unwrap();
-    let intro = kera::wire::messages::IntrospectResponse::decode(&intro).unwrap();
+    let intro = IntrospectResponse::decode(&intro).unwrap();
     assert!(intro.inflight >= 1, "frozen broker must report its stuck produce in flight");
     assert_eq!(intro.watchdog_ms, 150);
 

@@ -2,11 +2,51 @@
 //! produce `Err`, never a panic — brokers parse untrusted client input.
 
 use bytes::Bytes;
+use kera::common::KeraError;
 use kera::wire::chunk::{ChunkIter, ChunkView, CHUNK_HEADER};
-use kera::wire::frames::Envelope;
+use kera::wire::frames::{Body, Envelope, OpCode};
 use kera::wire::messages::*;
 use kera::wire::record::{RecordIter, RecordView};
 use proptest::prelude::*;
+
+/// The golden vectors double as the valid frames the mangling loop
+/// starts from: one or more per body of the opcode table.
+#[path = "wire_golden.rs"]
+mod wire_golden;
+use wire_golden::{golden, GOLDEN};
+
+/// Every body of [`OpCode::TABLE`] — the table the `OpCode` declaration
+/// itself emits, so a message cannot be added without landing here —
+/// plus the two checksummed frames that only ever travel nested.
+fn bodies() -> impl Iterator<Item = &'static Body> {
+    static NESTED: [Body; 2] = [
+        Body { name: "MetaRecord", probe: |b| kera::wire::meta::MetaRecord::decode(b)?.encode() },
+        Body { name: "MetaSnapshot", probe: |b| kera::wire::meta::MetaSnapshot::decode(b)?.encode() },
+    ];
+    OpCode::TABLE.iter().flat_map(|(_, request, response)| [request, response]).chain(&NESTED)
+}
+
+/// The golden frames of one body.
+fn vectors(body: &Body) -> impl Iterator<Item = (&'static str, Bytes)> + '_ {
+    GOLDEN
+        .iter()
+        .filter(|(name, _)| name.split('/').next() == Some(body.name))
+        .map(|(name, _)| (*name, golden(name)))
+}
+
+/// Where each golden frame keeps a `bool`: overwritten with `2`, the
+/// frame must be a `Protocol` error (at d7e7526 the first six decoded).
+const BOOL_BYTES: &[(&str, usize)] = &[
+    ("SeekResponse", 0),
+    ("VoteResponse", 8),
+    ("MetaAppendResponse", 8),
+    ("GetLeaderResponse/known", 12),
+    ("RecoveryEnumerateResponse", 20),
+    ("ProduceRequest", 4),
+    ("IntrospectResponse", 5),
+    ("IntrospectResponse", 6),
+    ("MetaAppendRequest/heartbeat", 36),
+];
 
 /// Where `inner` sits in `outer`, when it is a window of `outer`'s
 /// allocation (what a slicing decoder must return) rather than a copy.
@@ -143,32 +183,34 @@ proptest! {
         let _ = ChunkIter::new(&data).count();
     }
 
+    /// Every body of every opcode, through its one decoder: garbage, and
+    /// a valid frame truncated anywhere or with one bit flipped, is `Err`
+    /// or a value that re-encodes — never a panic (a probe decodes and
+    /// re-encodes).
     #[test]
-    fn message_decoders_never_panic(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = CreateStreamRequest::decode(&data);
-        let _ = StreamMetadata::decode(&data);
-        let _ = GetMetadataRequest::decode(&data);
-        let _ = HostStreamRequest::decode(&data);
-        let _ = ProduceResponse::decode(&data);
-        let _ = FetchRequest::decode(&data);
-        let _ = BackupWriteResponse::decode(&data);
-        let _ = FollowerFetchRequest::decode(&data);
-        let _ = RecoveryEnumerateRequest::decode(&data);
-        let _ = RecoveryEnumerateResponse::decode(&data);
-        let _ = RecoveryReadRequest::decode(&data);
-        let _ = ReportCrashRequest::decode(&data);
-        let _ = CrashReassignmentResponse::decode(&data);
-        let _ = QuotaStateRequest::decode(&data);
-        let _ = QuotaStateResponse::decode(&data);
-        let _ = IntrospectRequest::decode(&data);
-        let _ = IntrospectResponse::decode(&data);
-        // The payload-carrying messages decode from the shared receive
-        // buffer they slice.
+    fn message_decoders_never_panic(
+        data in proptest::collection::vec(any::<u8>(), 0..256),
+        cut_num in 0usize..10_000,
+        flip_byte in 0usize..10_000,
+        flip_bit in 0u8..8,
+    ) {
         let data = Bytes::from(data);
-        let _ = ProduceRequest::decode_bytes(&data);
-        let _ = FetchResponse::decode_bytes(&data);
-        let _ = BackupWriteRequest::decode_bytes(&data);
-        let _ = FollowerFetchResponse::decode_bytes(&data);
+        for body in bodies() {
+            let _ = (body.probe)(&data);
+            for (name, frame) in vectors(body) {
+                prop_assert_eq!((body.probe)(&frame).unwrap(), frame.clone(), "{}", name);
+                for mangled in mangle(&frame, cut_num, flip_byte, flip_bit) {
+                    let _ = (body.probe)(&mangled);
+                }
+                // One rule for every bool on the wire: 0 or 1.
+                for (_, at) in BOOL_BYTES.iter().filter(|(n, _)| *n == name) {
+                    let mut hostile = frame.to_vec();
+                    hostile[*at] = 2 + (flip_byte % 254) as u8;
+                    let refused = (body.probe)(&Bytes::from(hostile));
+                    prop_assert!(matches!(refused, Err(KeraError::Protocol(_))), "{} byte {}: {:?}", name, at, refused);
+                }
+            }
+        }
     }
 
     /// The introspection wire surface: a real `IntrospectResponse` (JSON
@@ -184,10 +226,11 @@ proptest! {
         flip_byte in 0usize..10_000,
         flip_bit in 0u8..8,
     ) {
+        let role = NodeRole::from_u8(role).unwrap();
         let resp = IntrospectResponse {
             node,
             role,
-            is_leader: role == introspect_role::COORDINATOR,
+            is_leader: role == NodeRole::Coordinator,
             term: 3,
             appended_bytes: lag * 2,
             durable_bytes: lag,
@@ -327,16 +370,44 @@ proptest! {
     /// The replicated-coordinator wire surface (DESIGN.md §10): brokers
     /// and coordinator replicas parse these off the network, so arbitrary
     /// bytes must produce `Err`, never a panic.
+    ///
+    /// A count is the sender's claim: a snapshot claiming more streams, or
+    /// an append claiming more entries, than the bytes behind the count
+    /// could hold at the element's minimum size (45-byte `StreamMetadata`,
+    /// 29-byte `MetaRecord`; d7e7526 bounded both by 8) is refused at the
+    /// count, before a `Vec` is sized from it.
     #[test]
-    fn meta_plane_decoders_never_panic(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-        use kera::wire::meta::*;
-        let _ = MetaRecord::decode(&data);
-        let _ = MetaSnapshot::decode(&data);
-        let _ = VoteRequest::decode(&data);
-        let _ = VoteResponse::decode(&data);
-        let _ = MetaAppendRequest::decode(&data);
-        let _ = MetaAppendResponse::decode(&data);
-        let _ = GetLeaderResponse::decode(&data);
+    fn meta_plane_decoders_never_panic(
+        data in proptest::collection::vec(any::<u8>(), 0..512),
+        behind in 0usize..512,
+    ) {
+        use kera::common::checksum::crc32c;
+        use kera::wire::meta::{MetaAppendRequest, MetaSnapshot};
+
+        let data = Bytes::from(data);
+        for body in bodies() {
+            let _ = (body.probe)(&data);
+        }
+
+        let refused_at_the_count = |r: kera::common::Result<()>| match r {
+            Err(KeraError::Protocol(msg)) => msg.contains("cannot fit"),
+            _ => false,
+        };
+        // A well-framed snapshot: no brokers, none dead, then the claim.
+        let claim = (behind / 45 + 1) as u32;
+        let mut snapshot = vec![0u8; 24];
+        snapshot.extend_from_slice(&claim.to_le_bytes());
+        snapshot.resize(snapshot.len() + behind, 0);
+        let mut framed = crc32c(&snapshot).to_le_bytes().to_vec();
+        framed.extend_from_slice(&(snapshot.len() as u32).to_le_bytes());
+        framed.extend_from_slice(&snapshot);
+        prop_assert!(refused_at_the_count(MetaSnapshot::decode(&framed).map(drop)));
+        // A heartbeat header, no snapshot, then the claim.
+        let mut append = golden("MetaAppendRequest/heartbeat").to_vec();
+        append.truncate(37);
+        append.extend_from_slice(&((behind / 29 + 1) as u32).to_le_bytes());
+        append.resize(append.len() + behind, 0);
+        prop_assert!(refused_at_the_count(MetaAppendRequest::decode(&append).map(drop)));
     }
 
     /// A metadata-log record survives the log only if its CRC32C holds:

@@ -57,8 +57,6 @@ pub struct BrokerService {
     driver: OnceLock<Arc<ReplicationDriver>>,
     /// Raw RPC handle (stream deletion's backup frees).
     rpc: OnceLock<RpcClient>,
-    /// How many shipping threads the driver runs.
-    replication_threads: usize,
     /// Observability handle; the counters below live in its registry.
     obs: Arc<NodeObs>,
     /// Multi-tenant admission gate on the produce/fetch paths (inert
@@ -99,54 +97,24 @@ impl BrokerService {
     /// `cluster_backups`: every backup node in the cluster (virtual logs
     /// pick per-virtual-segment subsets from it).
     pub fn new(node: NodeId, colocated_backup: NodeId, cluster_backups: Vec<NodeId>) -> Arc<Self> {
-        Self::with_replication_threads(node, colocated_backup, cluster_backups, 2)
-    }
-
-    /// Like [`BrokerService::new`] with an explicit replication-driver
-    /// thread count.
-    pub fn with_replication_threads(
-        node: NodeId,
-        colocated_backup: NodeId,
-        cluster_backups: Vec<NodeId>,
-        replication_threads: usize,
-    ) -> Arc<Self> {
-        Self::with_obs(
-            node,
-            colocated_backup,
-            cluster_backups,
-            replication_threads,
-            NodeObs::disabled(node.raw()),
-        )
-    }
-
-    /// Full constructor: binds the broker (and its virtual logs) to a
-    /// node's observability handle. Ingestion counters register as
-    /// `kera.broker.*`; produce requests emit `append` and `replicate`
-    /// spans under the serving RPC's trace.
-    pub fn with_obs(
-        node: NodeId,
-        colocated_backup: NodeId,
-        cluster_backups: Vec<NodeId>,
-        replication_threads: usize,
-        obs: Arc<NodeObs>,
-    ) -> Arc<Self> {
         Self::with_quotas(
             node,
             colocated_backup,
             cluster_backups,
-            replication_threads,
-            obs,
+            NodeObs::disabled(node.raw()),
             QuotaConfig::default(),
         )
     }
 
-    /// Full constructor: [`BrokerService::with_obs`] plus the tenant
-    /// quota configuration (the default is disabled — no admission gate).
+    /// Full constructor: binds the broker (and its virtual logs) to a
+    /// node's observability handle — ingestion counters register as
+    /// `kera.broker.*`; produce requests emit `append` and `replicate`
+    /// spans under the serving RPC's trace — and takes the tenant quota
+    /// configuration (the default is disabled — no admission gate).
     pub fn with_quotas(
         node: NodeId,
         colocated_backup: NodeId,
         cluster_backups: Vec<NodeId>,
-        replication_threads: usize,
         obs: Arc<NodeObs>,
         quotas: QuotaConfig,
     ) -> Arc<Self> {
@@ -163,7 +131,6 @@ impl BrokerService {
             ),
             driver: OnceLock::new(),
             rpc: OnceLock::new(),
-            replication_threads,
             chunks_in: reg.counter("kera.broker.chunks_in", &[]),
             records_in: reg.counter("kera.broker.records_in", &[]),
             bytes_in: reg.counter("kera.broker.bytes_in", &[]),
@@ -190,9 +157,7 @@ impl BrokerService {
     pub fn attach_client(&self, client: RpcClient) {
         let channel = Arc::new(RpcBackupChannel::new(client.clone(), REPLICATION_TIMEOUT));
         let _ = self.rpc.set(client);
-        let _ = self
-            .driver
-            .set(ReplicationDriver::start(channel, self.replication_threads));
+        let _ = self.driver.set(ReplicationDriver::start(channel));
     }
 
     fn driver(&self) -> Result<&Arc<ReplicationDriver>> {

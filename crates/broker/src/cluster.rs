@@ -151,7 +151,6 @@ impl KeraCluster {
                 broker_node(i),
                 backup_node(i),
                 backup_ids.clone(),
-                2,
                 Arc::clone(&obs),
                 config.quotas,
             );

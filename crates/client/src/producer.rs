@@ -17,6 +17,7 @@ use bytes::Bytes;
 use crossbeam::channel::{self, Receiver, Sender};
 use kera_common::ids::{NodeId, ProducerId, StreamId};
 use kera_common::metrics::{Counter, LatencyHistogram, ThroughputMeter};
+use kera_common::rng::SplitMix64;
 use kera_common::{KeraError, Result};
 use kera_rpc::RpcClient;
 use kera_wire::chunk::{BufferPool, ChunkBuilder};
@@ -95,17 +96,13 @@ struct WindowState {
     /// Brokers to leave alone until the given instant (throttle pauses).
     throttle_until: HashMap<NodeId, Instant>,
     /// SplitMix64 state for backoff jitter (deterministic per producer).
-    rng: u64,
+    rng: SplitMix64,
 }
 
 impl WindowState {
     /// Next jitter draw in `[0, bound)` (`ZERO` if `bound` is zero).
     fn jitter(&mut self, bound: Duration) -> Duration {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = self.rng.next_u64();
         let nanos = bound.as_nanos() as u64;
         if nanos == 0 {
             return Duration::ZERO;
@@ -230,7 +227,7 @@ impl Producer {
             inflight_requests: 0,
             hint_bytes: 0,
             throttle_until: HashMap::new(),
-            rng: 0x5EED_0000 ^ u64::from(cfg.id.raw()),
+            rng: SplitMix64::new(0x5EED_0000 ^ u64::from(cfg.id.raw())),
         });
         let shared = Arc::new(Shared {
             cfg,

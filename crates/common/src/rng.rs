@@ -5,6 +5,16 @@
 //! a single multiply-xorshift pipeline with excellent statistical quality
 //! for these purposes and no dependencies.
 
+/// The SplitMix64 finalizer: a stateless, bijective 64-bit mix.
+/// [`SplitMix64`] applies it to a running counter; hashing callers apply
+/// it to a key directly.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// SplitMix64 state.
 #[derive(Clone, Debug)]
 pub struct SplitMix64 {
@@ -17,29 +27,10 @@ impl SplitMix64 {
         Self { state: seed }
     }
 
-    /// Seeds from the current time — convenient for non-reproducible use.
-    pub fn from_entropy() -> Self {
-        let now = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0x9e37_79b9_7f4a_7c15);
-        // Mix in the thread id so concurrently-seeded generators diverge.
-        let tid = {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            std::thread::current().id().hash(&mut h);
-            h.finish()
-        };
-        Self::new(now ^ tid.rotate_left(32))
-    }
-
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        mix64(self.state)
     }
 
     #[inline]

@@ -5,7 +5,6 @@
 //! `DESIGN.md` §4 is the authoritative index; the configurations here
 //! follow the figure captions.
 
-use std::time::Duration;
 
 use kera_common::config::VirtualLogPolicy;
 
@@ -321,47 +320,6 @@ pub fn all_figures() -> Vec<Figure> {
         .collect()
 }
 
-/// Scales a figure down (shorter windows, fewer points) for smoke tests
-/// and Criterion runs.
-pub fn quick(mut fig: Figure, max_points: usize, measure: Duration) -> Figure {
-    if fig.points.len() > max_points {
-        // Round-robin across series (so a subset never drops a whole
-        // system/replication-factor), spreading within each series.
-        let mut order: Vec<String> = Vec::new();
-        let mut by_series: std::collections::HashMap<String, Vec<Point>> =
-            std::collections::HashMap::new();
-        for p in fig.points.drain(..) {
-            if !order.contains(&p.series) {
-                order.push(p.series.clone());
-            }
-            by_series.entry(p.series.clone()).or_default().push(p);
-        }
-        // Spread each series' kept points evenly over its own sweep.
-        let per_series = (max_points / order.len().max(1)).max(1);
-        let mut kept = Vec::with_capacity(max_points);
-        for name in &order {
-            let pts = &by_series[name];
-            let step = (pts.len() as f64 / per_series as f64).max(1.0);
-            let mut next = 0.0;
-            for (i, p) in pts.iter().enumerate() {
-                if kept.len() >= max_points {
-                    break;
-                }
-                if i as f64 >= next {
-                    kept.push(p.clone());
-                    next += step;
-                }
-            }
-        }
-        fig.points = kept;
-    }
-    for p in &mut fig.points {
-        p.cfg.warmup = measure / 2;
-        p.cfg.measure = measure;
-    }
-    fig
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,12 +364,5 @@ mod tests {
                 assert_eq!(p.cfg.streamlets_per_stream, 32);
             }
         }
-    }
-
-    #[test]
-    fn quick_subsets_evenly() {
-        let f = quick(fig08(), 5, Duration::from_millis(100));
-        assert!(f.points.len() <= 6);
-        assert!(f.points.iter().all(|p| p.cfg.measure == Duration::from_millis(100)));
     }
 }

@@ -21,7 +21,6 @@
 pub mod experiment;
 pub mod figures;
 pub mod report;
-pub mod rig;
 pub mod workload;
 
 pub use experiment::{ExperimentConfig, Measurement, StageSummary, SystemKind};

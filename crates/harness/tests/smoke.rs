@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use kera_harness::figures::{quick, Figure, Point};
+use kera_harness::figures::{Figure, Point};
 use kera_harness::report::{run_figure, write_tsv};
 use kera_harness::{ExperimentConfig, SystemKind};
 
@@ -42,14 +42,4 @@ fn mini_figure_runs_and_writes_tsv() {
     let text = std::fs::read_to_string(&path).unwrap();
     assert_eq!(text.lines().count(), 3); // header + 2 rows
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn quick_scaling_preserves_series_coverage() {
-    let fig = quick(kera_harness::figures::fig08(), 6, Duration::from_millis(100));
-    // Subsetting must keep points from both systems.
-    let has_kafka = fig.points.iter().any(|p| p.series.starts_with("Kafka"));
-    let has_kera = fig.points.iter().any(|p| p.series.starts_with("KerA"));
-    assert!(has_kafka && has_kera, "subset lost a system: {:?}",
-        fig.points.iter().map(|p| p.series.clone()).collect::<Vec<_>>());
 }

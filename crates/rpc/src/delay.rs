@@ -1,0 +1,163 @@
+//! The delay line: envelopes held until a due time, then handed to a sink.
+//!
+//! One timing heap on one thread, shared by the two places that hold
+//! messages back — [`crate::inmem`]'s latency model and
+//! [`crate::faults`]' delay fault. Release order is `(due, arrival)`:
+//! earliest due time first, FIFO among equal due times, so a constant
+//! delay preserves per-link order. Dropping the line closes it: whatever
+//! is still held is released at once, in the same order, and the thread
+//! is joined.
+
+use std::collections::BinaryHeap;
+use std::time::Instant;
+
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+use kera_common::ids::NodeId;
+use kera_wire::frames::Envelope;
+
+struct Held {
+    due: Instant,
+    /// Arrival number at the line's thread (the tie-break).
+    seq: u64,
+    to: NodeId,
+    env: Envelope,
+}
+
+impl PartialEq for Held {
+    fn eq(&self, other: &Self) -> bool {
+        self.due == other.due && self.seq == other.seq
+    }
+}
+impl Eq for Held {}
+impl PartialOrd for Held {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Held {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // `BinaryHeap` is a max-heap; reverse for earliest-first.
+        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
+    }
+}
+
+pub(crate) struct DelayLine {
+    tx: Option<Sender<(Instant, NodeId, Envelope)>>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl DelayLine {
+    /// Starts the line's thread; `sink` receives each envelope once its
+    /// due time has passed (or the line closes).
+    pub(crate) fn spawn(
+        name: String,
+        sink: impl FnMut(NodeId, Envelope) + Send + 'static,
+    ) -> DelayLine {
+        let (tx, rx) = channel::unbounded();
+        let thread = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || run(rx, sink))
+            // lint: allow(no-panic) — spawn failure while assembling a test
+            // fabric (latency model / fault injector) is fatal by design.
+            .expect("spawn delay line");
+        DelayLine { tx: Some(tx), thread: Some(thread) }
+    }
+
+    /// Holds `env` until `due`. False when the line's thread is gone.
+    pub(crate) fn hold(&self, due: Instant, to: NodeId, env: Envelope) -> bool {
+        self.tx.as_ref().is_some_and(|tx| tx.send((due, to, env)).is_ok())
+    }
+}
+
+impl Drop for DelayLine {
+    fn drop(&mut self) {
+        drop(self.tx.take());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+fn run(rx: Receiver<(Instant, NodeId, Envelope)>, mut sink: impl FnMut(NodeId, Envelope)) {
+    let mut heap: BinaryHeap<Held> = BinaryHeap::new();
+    let mut seq = 0u64;
+    loop {
+        // Wait for the next due envelope or the next arrival, whichever
+        // comes first.
+        let next = match heap.peek() {
+            Some(head) => {
+                let wait = head.due.saturating_duration_since(Instant::now());
+                if wait.is_zero() {
+                    if let Some(h) = heap.pop() {
+                        sink(h.to, h.env);
+                    }
+                    continue;
+                }
+                rx.recv_timeout(wait)
+            }
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match next {
+            Ok((due, to, env)) => {
+                heap.push(Held { due, seq, to, env });
+                seq += 1;
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => {
+                while let Some(h) = heap.pop() {
+                    sink(h.to, h.env);
+                }
+                return;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+    use kera_wire::frames::OpCode;
+    use std::time::Duration;
+
+    fn env(id: u64) -> Envelope {
+        Envelope::request(OpCode::Ping, id, NodeId(1), Bytes::new())
+    }
+
+    fn line() -> (DelayLine, Receiver<u64>) {
+        let (out_tx, out_rx) = channel::unbounded();
+        let line = DelayLine::spawn("delay-test".into(), move |_to, env: Envelope| {
+            let _ = out_tx.send(env.request_id);
+        });
+        (line, out_rx)
+    }
+
+    #[test]
+    fn releases_in_due_order_fifo_on_ties() {
+        let (line, out) = line();
+        let t0 = Instant::now();
+        let late = t0 + Duration::from_millis(30);
+        let soon = t0 + Duration::from_millis(10);
+        assert!(line.hold(late, NodeId(2), env(1)));
+        for id in 2..=5 {
+            assert!(line.hold(soon, NodeId(2), env(id)));
+        }
+        let got: Vec<u64> =
+            (0..5).map(|_| out.recv_timeout(Duration::from_secs(2)).unwrap()).collect();
+        assert_eq!(got, [2, 3, 4, 5, 1]);
+        assert!(t0.elapsed() >= Duration::from_millis(30), "released before due");
+    }
+
+    #[test]
+    fn close_drains_what_is_held_in_order() {
+        let (line, out) = line();
+        let t0 = Instant::now();
+        assert!(line.hold(t0 + Duration::from_secs(60), NodeId(2), env(1)));
+        assert!(line.hold(t0 + Duration::from_secs(30), NodeId(2), env(2)));
+        assert!(line.hold(t0 + Duration::from_secs(30), NodeId(2), env(3)));
+        drop(line); // joins the thread: everything held has been released
+        let got: Vec<u64> = std::iter::from_fn(|| out.try_recv().ok()).collect();
+        assert_eq!(got, [2, 3, 1]);
+        assert!(t0.elapsed() < Duration::from_secs(10), "close waited for due times");
+    }
+}

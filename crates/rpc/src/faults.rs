@@ -12,12 +12,10 @@
 //! the same fault pattern for the same per-node send sequence — failing
 //! chaos tests reproduce.
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use kera_common::config::FaultProfile;
 use kera_common::ids::NodeId;
 use kera_common::metrics::Counter;
@@ -26,6 +24,7 @@ use kera_common::Result;
 use kera_wire::frames::Envelope;
 use parking_lot::Mutex;
 
+use crate::delay::DelayLine;
 use crate::transport::Transport;
 
 /// Shared fault state for a cluster: the rate profile, the set of
@@ -147,32 +146,6 @@ impl FaultPlan {
     }
 }
 
-/// A delayed message waiting in the injector's timing heap.
-struct Held {
-    due: Instant,
-    seq: u64,
-    to: NodeId,
-    env: Envelope,
-}
-
-impl PartialEq for Held {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for Held {}
-impl PartialOrd for Held {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Held {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by (due, seq): earliest release first, FIFO on ties.
-        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
-    }
-}
-
 /// A [`Transport`] wrapper that injects the faults described by a
 /// [`FaultPlan`] into every send. Receives pass through untouched —
 /// faults are modeled at the sender, which suffices because each
@@ -181,27 +154,21 @@ pub struct FaultInjector {
     inner: Arc<dyn Transport>,
     plan: FaultPlan,
     rng: Mutex<SplitMix64>,
-    /// Lane to the delay thread (spawned only when `delay_rate > 0`).
-    delay_tx: Mutex<Option<Sender<Held>>>,
-    seq: AtomicU64,
+    /// The delay fault's line (spawned only when `delay_rate > 0`;
+    /// taken on close).
+    delay_tx: Mutex<Option<DelayLine>>,
 }
 
 impl FaultInjector {
     pub fn new(inner: Arc<dyn Transport>, plan: FaultPlan) -> FaultInjector {
         let profile = plan.profile();
-        let delay_tx = if profile.delay_rate > 0.0 && !profile.max_delay.is_zero() {
-            let (tx, rx) = channel::unbounded::<Held>();
+        let delay_tx = (profile.delay_rate > 0.0 && !profile.max_delay.is_zero()).then(|| {
             let out = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name(format!("faults-delay-{}", inner.local().raw()))
-                .spawn(move || delay_loop(out, rx))
-                // lint: allow(no-panic) — spawn failure while wiring the fault
-                // injector is fatal by design (test harness startup).
-                .expect("spawn fault delay thread");
-            Some(tx)
-        } else {
-            None
-        };
+            DelayLine::spawn(format!("faults-delay-{}", inner.local().raw()), move |to, env| {
+                // Peer may have died while the message was held.
+                let _ = out.send(to, env);
+            })
+        });
         // Distinct stream per node so decisions don't depend on how the
         // scheduler interleaves different nodes' sends.
         let rng = SplitMix64::new(profile.seed ^ (u64::from(inner.local().raw()) << 20));
@@ -210,7 +177,6 @@ impl FaultInjector {
             plan,
             rng: Mutex::named("faults.rng", rng),
             delay_tx: Mutex::named("faults.delay_tx", delay_tx),
-            seq: AtomicU64::new(0),
         }
     }
 
@@ -255,20 +221,14 @@ impl Transport for FaultInjector {
             let delay_micros = profile.max_delay.as_micros().min(u128::from(u64::MAX)) as u64;
             let held = Duration::from_micros(self.rng.lock().next_below(delay_micros.max(1)));
             let due = Instant::now() + held;
-            if let Some(tx) = self.delay_tx.lock().as_ref() {
-                let item = Held {
-                    due,
-                    seq: self.seq.fetch_add(1, Ordering::Relaxed),
-                    to,
-                    env,
+            if let Some(line) = self.delay_tx.lock().as_ref() {
+                // A line whose thread is gone ate the message: a drop.
+                let outcome = if line.hold(due, to, env) {
+                    &self.plan.inner.delayed
+                } else {
+                    &self.plan.inner.dropped
                 };
-                if tx.send(item).is_ok() {
-                    self.plan.inner.delayed.inc();
-                    return Ok(());
-                }
-                // Delay thread gone (close raced); fall through by
-                // reconstructing is impossible — treat as dropped.
-                self.plan.inner.dropped.inc();
+                outcome.inc();
                 return Ok(());
             }
         }
@@ -284,45 +244,11 @@ impl Transport for FaultInjector {
     }
 
     fn close(&self) {
-        // Dropping the sender lets the delay thread drain and exit.
-        self.delay_tx.lock().take();
+        // Dropping the line releases what it holds; the guard is gone
+        // before the line's thread is joined.
+        let line = self.delay_tx.lock().take();
+        drop(line);
         self.inner.close();
-    }
-}
-
-fn delay_loop(out: Arc<dyn Transport>, rx: Receiver<Held>) {
-    let mut heap: BinaryHeap<Held> = BinaryHeap::new();
-    loop {
-        let next = match heap.peek() {
-            Some(h) => {
-                let now = Instant::now();
-                if h.due <= now {
-                    if let Some(h) = heap.pop() {
-                        // Peer may have died while the message was held.
-                        let _ = out.send(h.to, h.env);
-                    }
-                    continue;
-                }
-                rx.recv_timeout(h.due - now)
-            }
-            None => rx.recv_timeout(Duration::from_millis(50)),
-        };
-        match next {
-            Ok(h) => heap.push(h),
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => {
-                // Transport closing: release anything still held, then
-                // exit. Sends to closed peers fail harmlessly.
-                while let Some(h) = heap.pop() {
-                    let now = Instant::now();
-                    if h.due > now {
-                        std::thread::sleep(h.due - now);
-                    }
-                    let _ = out.send(h.to, h.env);
-                }
-                return;
-            }
-        }
     }
 }
 

@@ -7,8 +7,8 @@
 //! - **bandwidth**: the sender busy-waits for the wire-serialization time
 //!   of the message on its own link before the message is handed over,
 //!   modelling NIC occupancy;
-//! - **latency**: messages detour through a delivery thread that holds
-//!   them in a timing heap until their arrival deadline.
+//! - **latency**: messages detour through a [`DelayLine`] that holds them
+//!   until their arrival deadline.
 //!
 //! With both at zero (the default) the fabric adds only the real cost of a
 //! channel hop, and all measured RPC overhead is genuine CPU work.
@@ -17,7 +17,7 @@
 //! atomically unregisters a node; subsequent sends to it fail with
 //! [`KeraError::Disconnected`] and its runtime observes a closed inbox.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,8 +27,9 @@ use kera_common::ids::NodeId;
 use kera_common::timing::spin_for_ns;
 use kera_common::{KeraError, Result};
 use kera_wire::frames::Envelope;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
+use crate::delay::DelayLine;
 use crate::transport::Transport;
 
 struct NodeEntry {
@@ -39,38 +40,15 @@ struct NodeEntry {
     closed: Arc<std::sync::atomic::AtomicBool>,
 }
 
-struct Delayed {
-    due: Instant,
-    seq: u64,
-    to: NodeId,
-    env: Envelope,
-}
-
-impl PartialEq for Delayed {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for Delayed {}
-impl PartialOrd for Delayed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Delayed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by (due, seq): earliest deadline first, FIFO on ties so
-        // per-link ordering is preserved.
-        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
-    }
-}
+type Nodes = RwLock<HashMap<NodeId, NodeEntry>>;
 
 struct NetInner {
-    nodes: RwLock<HashMap<NodeId, NodeEntry>>,
+    /// Shared with the delay line's sink, which must not keep the whole
+    /// network (and so itself) alive.
+    nodes: Arc<Nodes>,
     model: NetworkModel,
-    /// Lane to the delivery thread (present iff latency_ns > 0).
-    delay_tx: Mutex<Option<Sender<Delayed>>>,
-    seq: std::sync::atomic::AtomicU64,
+    /// The latency model's delay line (present iff latency_ns > 0).
+    delay: Option<DelayLine>,
 }
 
 /// A fabric connecting in-process nodes.
@@ -81,24 +59,12 @@ pub struct InMemNetwork {
 
 impl InMemNetwork {
     pub fn new(model: NetworkModel) -> Self {
-        let inner = Arc::new(NetInner {
-            nodes: RwLock::named("net.nodes", HashMap::new()),
-            model,
-            delay_tx: Mutex::named("faults.delay_tx", None),
-            seq: std::sync::atomic::AtomicU64::new(0),
+        let nodes: Arc<Nodes> = Arc::new(RwLock::named("net.nodes", HashMap::new()));
+        let delay = (model.latency_ns > 0).then(|| {
+            let nodes = Arc::clone(&nodes);
+            DelayLine::spawn("inmem-delay".into(), move |to, env| deliver(&nodes, to, env))
         });
-        if model.latency_ns > 0 {
-            let (tx, rx) = channel::unbounded::<Delayed>();
-            *inner.delay_tx.lock() = Some(tx);
-            let net = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("inmem-delay".into())
-                .spawn(move || delivery_loop(net, rx))
-                // lint: allow(no-panic) — spawn failure while assembling the
-                // in-memory fabric is fatal by design (test harness startup).
-                .expect("spawn delivery thread");
-        }
-        Self { inner }
+        Self { inner: Arc::new(NetInner { nodes, model, delay }) }
     }
 
     /// Registers `id` and returns its transport endpoint. Panics if the id
@@ -134,42 +100,10 @@ impl InMemNetwork {
     }
 }
 
-fn delivery_loop(net: Arc<NetInner>, rx: Receiver<Delayed>) {
-    let mut heap: BinaryHeap<Delayed> = BinaryHeap::new();
-    loop {
-        // Wait for the next due message or the next arrival, whichever
-        // comes first.
-        let next = match heap.peek() {
-            Some(d) => {
-                let now = Instant::now();
-                if d.due <= now {
-                    if let Some(d) = heap.pop() {
-                        deliver(&net, d.to, d.env);
-                    }
-                    continue;
-                }
-                rx.recv_timeout(d.due - now)
-            }
-            None => rx.recv().map_err(|_| channel::RecvTimeoutError::Disconnected),
-        };
-        match next {
-            Ok(d) => heap.push(d),
-            Err(channel::RecvTimeoutError::Timeout) => continue,
-            Err(channel::RecvTimeoutError::Disconnected) => {
-                // Network dropped: flush what remains, then exit.
-                while let Some(d) = heap.pop() {
-                    deliver(&net, d.to, d.env);
-                }
-                return;
-            }
-        }
-    }
-}
-
-fn deliver(net: &NetInner, to: NodeId, env: Envelope) {
+fn deliver(nodes: &Nodes, to: NodeId, env: Envelope) {
     // A crashed destination silently swallows the message — exactly what a
     // dead NIC does; the sender's RPC times out instead.
-    if let Some(entry) = net.nodes.read().get(&to) {
+    if let Some(entry) = nodes.read().get(&to) {
         let _ = entry.tx.send(env);
     }
 }
@@ -200,16 +134,15 @@ impl Transport for InMemTransport {
         if !self.net.nodes.read().contains_key(&to) {
             return Err(KeraError::Disconnected(to));
         }
-        if model.latency_ns > 0 {
-            let due = Instant::now() + Duration::from_nanos(model.latency_ns);
-            let seq = self.net.seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let guard = self.net.delay_tx.lock();
-            if let Some(tx) = guard.as_ref() {
-                tx.send(Delayed { due, seq, to, env }).map_err(|_| KeraError::ShuttingDown)?;
-                return Ok(());
+        match &self.net.delay {
+            Some(line) => {
+                let due = Instant::now() + Duration::from_nanos(model.latency_ns);
+                if !line.hold(due, to, env) {
+                    return Err(KeraError::ShuttingDown);
+                }
             }
+            None => deliver(&self.net.nodes, to, env),
         }
-        deliver(&self.net, to, env);
         Ok(())
     }
 

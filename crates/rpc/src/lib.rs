@@ -16,13 +16,14 @@
 //!   and partitions below the RPC layer, for chaos testing;
 //! - [`node`] — the node runtime: one dispatch thread polls the transport
 //!   and routes responses to pending calls and requests to a worker pool;
-//!   [`node::RpcClient`] issues synchronous calls with bounded retries
-//!   (at-most-once via a server-side response cache) and asynchronous
-//!   single-shot calls.
+//!   [`node::RpcClient`] issues calls that retransmit under a bounded
+//!   retry policy (at-most-once via a server-side response cache),
+//!   waited on at once (`call`) or later (`call_async`).
 //!
 //! Every node of the simulated cluster — coordinator, brokers, backups and
 //! clients — is one [`node::NodeRuntime`].
 
+mod delay;
 pub mod faults;
 pub mod inmem;
 pub mod network;

@@ -8,15 +8,16 @@
 //! broker waiting for backup acks) can always be completed — the dispatch
 //! thread never executes handlers and therefore never blocks on workers.
 //!
-//! Synchronous calls ([`RpcClient::call`]) retry transient failures with
-//! exponential backoff under one overall deadline. Every attempt of a
-//! logical call reuses the **same request id**, and the server keeps a
-//! bounded cache of completed responses keyed by `(caller, request_id)`
-//! (RAMCloud's RIFL discipline): a retry whose original executed but
-//! whose response was lost is answered from the cache instead of being
-//! re-executed, making retried RPCs at-most-once even for non-idempotent
-//! handlers. Requests also carry their remaining time budget so servers
-//! can drop queued work whose caller has already given up.
+//! Every call is a [`PendingCall`] that retransmits while waited on; a
+//! synchronous [`RpcClient::call`] is `issue(..).wait(..)` with an overall
+//! budget. Every transmission of a logical call reuses the **same
+//! request id**, and the server keeps a bounded cache of completed
+//! responses keyed by `(caller, request_id)` (RAMCloud's RIFL
+//! discipline): a retransmit whose original executed but whose response
+//! was lost is answered from the cache instead of being re-executed,
+//! making retried RPCs at-most-once even for non-idempotent handlers.
+//! Calls with a budget carry their remaining time so servers can drop
+//! queued work whose caller has already given up.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -180,7 +181,7 @@ struct NodeInner {
     pub requests_served: Arc<Counter>,
     /// RPCs issued from this node — `kera.rpc.calls_issued`.
     pub calls_issued: Arc<Counter>,
-    /// Retransmissions performed by this node's synchronous calls —
+    /// Retransmissions performed by this node's calls —
     /// `kera.rpc.retries_sent`.
     pub retries_sent: Arc<Counter>,
     /// Duplicate requests suppressed by the at-most-once cache —
@@ -209,8 +210,7 @@ impl NodeRuntime {
         Self::start_with_policy(transport, service, workers, RetryPolicy::default())
     }
 
-    /// Starts a node with an explicit retry/backoff policy for its
-    /// synchronous calls.
+    /// Starts a node with an explicit retry/backoff policy for its calls.
     pub fn start_with_policy(
         transport: Arc<dyn Transport>,
         service: Arc<dyn Service>,
@@ -308,13 +308,8 @@ impl NodeRuntime {
         self.inner.requests_expired.get()
     }
 
-    /// Initiates shutdown and joins all threads.
-    pub fn shutdown(mut self) {
-        self.begin_shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
+    /// Shuts the node down and joins all threads (what dropping it does).
+    pub fn shutdown(self) {}
 
     fn begin_shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
@@ -348,41 +343,30 @@ fn dispatch_loop(inner: Arc<NodeInner>, work_tx: Sender<WorkItem>) {
         }
         match inner.transport.recv(POLL_INTERVAL) {
             Ok(Some(env)) => match env.kind {
-                FrameKind::Request => {
-                    match inner.dedup.admit((env.from, env.request_id)) {
-                        Admit::Completed(reply) => {
-                            // Retry of an already-executed request whose
-                            // response was lost: replay the cached reply.
-                            inner.requests_deduped.inc();
-                            inner.obs.event(
-                                Stage::RpcDedupHit,
-                                TraceContext { trace_id: env.trace_id, span_id: env.span_id },
-                                env.opcode as u8,
-                                env.request_id,
-                            );
-                            let _ = inner.transport.send(env.from, reply);
-                        }
-                        Admit::Inflight => {
-                            // The original execution will answer; its
-                            // response resolves this id's pending slot.
-                            inner.requests_deduped.inc();
-                            inner.obs.event(
-                                Stage::RpcDedupHit,
-                                TraceContext { trace_id: env.trace_id, span_id: env.span_id },
-                                env.opcode as u8,
-                                env.request_id,
-                            );
-                        }
-                        Admit::New => {
-                            let expires = (env.deadline_micros > 0).then(|| {
-                                Instant::now() + Duration::from_micros(env.deadline_micros)
-                            });
-                            if work_tx.send(WorkItem { env, expires }).is_err() {
-                                break; // workers gone
-                            }
+                FrameKind::Request => match inner.dedup.admit((env.from, env.request_id)) {
+                    Admit::New => {
+                        let expires = (env.deadline_micros > 0)
+                            .then(|| Instant::now() + Duration::from_micros(env.deadline_micros));
+                        if work_tx.send(WorkItem { env, expires }).is_err() {
+                            break; // workers gone
                         }
                     }
-                }
+                    duplicate => {
+                        inner.requests_deduped.inc();
+                        inner.obs.event(
+                            Stage::RpcDedupHit,
+                            TraceContext { trace_id: env.trace_id, span_id: env.span_id },
+                            env.opcode as u8,
+                            env.request_id,
+                        );
+                        // Already executed and the response was lost:
+                        // replay the cached reply. Still executing: its
+                        // response will resolve this id's pending slot.
+                        if let Admit::Completed(reply) = duplicate {
+                            let _ = inner.transport.send(env.from, reply);
+                        }
+                    }
+                },
                 FrameKind::Response => {
                     let waiter = inner.pending.lock().remove(&env.request_id);
                     if let Some(tx) = waiter {
@@ -474,68 +458,60 @@ impl RpcClient {
         &self.inner.obs
     }
 
-    /// Issues a request without waiting; the returned [`PendingCall`]
-    /// resolves on response, timeout or disconnection. While the caller
-    /// waits, the call retransmits the *same* request id every
-    /// `attempt_timeout` (up to `max_attempts` sends), so a dropped
-    /// request or reply heals without re-executing the handler — the
-    /// server's at-most-once cache suppresses duplicate executions and
-    /// replays the cached response.
+    /// Issues a request without waiting; see [`PendingCall`] for how it
+    /// resolves and retransmits. The envelope carries no deadline (the
+    /// caller picks its budget at wait time): the server must not drop
+    /// work a pipelined caller is still waiting on.
     pub fn call_async(&self, to: NodeId, opcode: OpCode, payload: Bytes) -> PendingCall {
-        self.issue(to, opcode, payload, true)
+        self.issue(to, opcode, payload, self.inner.retry.max_attempts, None)
     }
 
-    fn issue(&self, to: NodeId, opcode: OpCode, payload: Bytes, retransmit: bool) -> PendingCall {
+    /// Registers the call's pending slot and makes its first
+    /// transmission. `budget` is the overall time the caller will wait,
+    /// propagated to the server as the request's deadline.
+    fn issue(
+        &self,
+        to: NodeId,
+        opcode: OpCode,
+        payload: Bytes,
+        max_attempts: u32,
+        budget: Option<Duration>,
+    ) -> PendingCall {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = channel::bounded(1);
         self.inner.pending.lock().insert(id, tx);
         self.inner.calls_issued.inc();
-        // Child of the issuing thread's current context (e.g. the serve
-        // span of the request this call is nested under), or a fresh
-        // root trace for standalone callers.
+        // One span covers the whole logical call, so a retried produce
+        // stays one causal tree on the server side. It is a child of the
+        // issuing thread's current context (e.g. the serve span of the
+        // request this call is nested under), or a fresh root trace.
         let mut span = self.inner.obs.span_or_root(Stage::RpcCall);
         span.set_opcode(opcode as u8);
         let trace = span.context();
-        // Async calls have no overall budget yet (the caller picks one at
-        // wait time), so the envelope carries no deadline: the server
-        // must not drop work a pipelined caller is still waiting on.
         let env = Envelope::request(opcode, id, self.inner.id, payload)
             .with_trace(trace.trace_id, trace.span_id);
-        if let Err(e) = self.inner.transport.send(to, env.clone()) {
-            self.inner.pending.lock().remove(&id);
-            return PendingCall {
-                id,
-                rx,
-                failed: Some(e),
-                inner: Arc::clone(&self.inner),
-                to,
-                env,
-                attempts: 1,
-                retransmit: false,
-                next_retransmit: Instant::now(),
-                span,
-            };
-        }
-        let next_retransmit = Instant::now() + self.inner.retry.attempt_timeout;
-        PendingCall {
-            id,
+        let now = Instant::now();
+        let mut call = PendingCall {
             rx,
             failed: None,
             inner: Arc::clone(&self.inner),
             to,
             env,
-            attempts: 1,
-            retransmit,
-            next_retransmit,
+            attempts: 0,
+            max_attempts,
+            deadline: budget.map(|b| now + b),
+            next_retransmit: None,
+            // Deterministic jitter: seeded by (node, call), independent
+            // of thread interleavings.
+            jitter: SplitMix64::new(u64::from(self.inner.id.raw()) << 32 ^ id),
             span,
-        }
+        };
+        call.transmit(now);
+        call
     }
 
-    /// Synchronous call with retries: *delivery* failures (send errors,
-    /// response timeouts) are retried with exponential backoff and
-    /// jitter until the overall `timeout` budget runs out. Every attempt
-    /// reuses the same request id, so the server's at-most-once cache
-    /// guarantees the handler runs at most once even across retries.
+    /// Synchronous call: a [`PendingCall`] waited on for `timeout`, which
+    /// is also the budget its transmissions carry to the server.
     ///
     /// An error **status** in a response is returned immediately, even
     /// for transient error kinds: it proves the handler executed, and a
@@ -548,84 +524,11 @@ impl RpcClient {
         payload: Bytes,
         timeout: Duration,
     ) -> Result<Bytes> {
-        let policy = self.inner.retry;
-        let deadline = Instant::now() + timeout;
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        // One span covers the whole logical call: every attempt reuses
-        // the same request id and the same trace context, so a retried
-        // produce stays one causal tree on the server side.
-        let mut span = self.inner.obs.span_or_root(Stage::RpcCall);
-        span.set_opcode(opcode as u8);
-        let trace = span.context();
-        // Deterministic jitter: seeded by (node, call), independent of
-        // thread interleavings.
-        let mut rng = SplitMix64::new(u64::from(self.inner.id.raw()) << 32 ^ id);
-        let mut last_err: Option<KeraError> = None;
-
-        for attempt in 0..policy.max_attempts {
-            if attempt > 0 {
-                // Back off between attempts, jittered to [50%, 100%] of
-                // the exponential step; never sleep past the deadline.
-                let base = policy.backoff_for(attempt);
-                let jittered = base.mul_f64(0.5 + 0.5 * (rng.next_u32() as f64 / u32::MAX as f64));
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if jittered >= remaining {
-                    break;
-                }
-                std::thread::sleep(jittered);
-                self.inner.retries_sent.inc();
-                self.inner.obs.event(Stage::RpcRetry, trace, opcode as u8, u64::from(attempt));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            span.set_aux(u64::from(attempt + 1));
-            let remaining = deadline - now;
-            let attempt_timeout = remaining.min(policy.attempt_timeout);
-
-            let (tx, rx) = channel::bounded(1);
-            self.inner.pending.lock().insert(id, tx);
-            self.inner.calls_issued.inc();
-            // Propagate the *overall* remaining budget, not the attempt
-            // timeout: a per-attempt timeout only triggers a retransmit
-            // of the same id — the caller hasn't abandoned the call, and
-            // the server must not drop the original execution early.
-            // lint: allow(no-hot-copy) — refcount clone kept for retransmits
-            let env = Envelope::request(opcode, id, self.inner.id, payload.clone())
-                .with_deadline(remaining)
-                .with_trace(trace.trace_id, trace.span_id);
-            if let Err(e) = self.inner.transport.send(to, env) {
-                self.inner.pending.lock().remove(&id);
-                if e.is_retriable() {
-                    last_err = Some(e);
-                    continue;
-                }
-                return Err(e);
-            }
-            match rx.recv_timeout(attempt_timeout) {
-                Ok(env) => match env.check_status() {
-                    Ok(()) => return Ok(env.payload),
-                    // A response proves execution: return its outcome.
-                    Err(e) => return Err(e),
-                },
-                Err(channel::RecvTimeoutError::Timeout) => {
-                    self.inner.pending.lock().remove(&id);
-                    last_err = Some(KeraError::Timeout { op: "rpc" });
-                    continue;
-                }
-                Err(channel::RecvTimeoutError::Disconnected) => {
-                    // Our own node is shutting down; no point retrying.
-                    return Err(KeraError::Disconnected(self.inner.id));
-                }
-            }
-        }
-        Err(last_err.unwrap_or(KeraError::Timeout { op: "rpc" }))
+        self.issue(to, opcode, payload, self.inner.retry.max_attempts, Some(timeout)).wait(timeout)
     }
 
-    /// Single-shot synchronous call (the pre-retry behaviour): one
-    /// send, no retransmission, no backoff. For callers that orchestrate
-    /// their own failure handling.
+    /// Single-shot synchronous call: one send, no retransmission, no
+    /// backoff. For callers that orchestrate their own failure handling.
     pub fn call_once(
         &self,
         to: NodeId,
@@ -633,7 +536,7 @@ impl RpcClient {
         payload: Bytes,
         timeout: Duration,
     ) -> Result<Bytes> {
-        self.issue(to, opcode, payload, false).wait(timeout)
+        self.issue(to, opcode, payload, 1, None).wait(timeout)
     }
 
     /// Calls whichever of `replicas` currently leads the replicated
@@ -709,35 +612,47 @@ impl RpcClient {
         }
     }
 
-    /// The retry policy this client applies in [`RpcClient::call`].
+    /// The retry policy this client's calls retransmit under.
     pub fn retry_policy(&self) -> RetryPolicy {
         self.inner.retry
     }
 
-    /// Retries and retransmissions sent so far (synchronous retries and
-    /// async same-id retransmits combined).
+    /// Retransmissions sent so far (sends of a call after its first).
     pub fn retries_sent(&self) -> u64 {
         self.inner.retries_sent.get()
     }
+
+    /// Calls issued here that have neither resolved nor been dropped.
+    pub fn pending_calls(&self) -> usize {
+        self.inner.pending.lock().len()
+    }
 }
 
-/// An in-flight RPC. While waited on, it retransmits the same request
-/// id on a fixed `attempt_timeout` timer (bounded by the retry policy's
-/// `max_attempts`), so transient loss heals transparently; the server's
-/// at-most-once cache keeps retransmits from re-executing the handler.
+/// An in-flight RPC; resolves on response, send failure or node
+/// shutdown. While waited on, it retransmits the same request id — one
+/// attempt timeout plus a jittered exponential backoff step after the
+/// previous send, within the policy's `max_attempts` and the call's
+/// budget — so transient loss heals transparently. Its pending slot stays
+/// registered until the call resolves or is dropped, so a reply is
+/// accepted whenever it lands.
 pub struct PendingCall {
-    id: u64,
     rx: Receiver<Envelope>,
+    /// A send error that resolved the call; surfaced by the next poll.
     failed: Option<KeraError>,
     inner: Arc<NodeInner>,
     to: NodeId,
-    /// The original request envelope, resent verbatim on retransmit.
+    /// The request as issued (no deadline); each transmission is a copy
+    /// stamped with the budget left at that moment.
     env: Envelope,
     /// Sends so far (first transmission included).
     attempts: u32,
-    /// Whether this call retransmits at all (`call_once` does not).
-    retransmit: bool,
-    next_retransmit: Instant,
+    /// Sends allowed in all (`call_once`: 1).
+    max_attempts: u32,
+    /// End of the caller's overall budget, when it stated one.
+    deadline: Option<Instant>,
+    /// When to send again; `None` once no further send will happen.
+    next_retransmit: Option<Instant>,
+    jitter: SplitMix64,
     /// The client-side span of this call; finished when the call
     /// resolves (or when an abandoned call is dropped).
     span: Span,
@@ -757,57 +672,88 @@ impl PendingCall {
     /// block on the oldest in-flight request. Retransmits the request
     /// whenever its retransmission timer fires during the wait.
     pub fn poll_wait(&mut self, timeout: Duration) -> Option<Result<Bytes>> {
-        if let Some(e) = self.failed.take() {
-            self.finish_span();
-            return Some(Err(e));
-        }
         let poll_deadline = Instant::now() + timeout;
         loop {
-            let now = Instant::now();
-            let until_deadline = poll_deadline.saturating_duration_since(now);
-            let can_retransmit =
-                self.retransmit && self.attempts < self.inner.retry.max_attempts;
-            let wait = if can_retransmit {
-                self.next_retransmit
-                    .saturating_duration_since(now)
-                    .min(until_deadline)
-            } else {
-                until_deadline
-            };
-            match self.rx.recv_timeout(wait) {
+            if let Some(e) = self.failed.take() {
+                self.finish_span();
+                return Some(Err(e));
+            }
+            let wake = self.next_retransmit.map_or(poll_deadline, |at| at.min(poll_deadline));
+            match self.rx.recv_timeout(wake.saturating_duration_since(Instant::now())) {
                 Ok(env) => {
                     self.finish_span();
-                    return Some(match env.check_status() {
-                        Ok(()) => Ok(env.payload),
-                        Err(e) => Err(e),
-                    });
+                    return Some(env.check_status().map(|()| env.payload));
                 }
                 Err(channel::RecvTimeoutError::Timeout) => {
                     let now = Instant::now();
-                    if can_retransmit && now >= self.next_retransmit {
-                        self.attempts += 1;
-                        self.inner.retries_sent.inc();
-                        self.inner.obs.event(
-                            Stage::RpcRetry,
-                            self.span.context(),
-                            self.env.opcode as u8,
-                            u64::from(self.attempts),
-                        );
-                        // A failed retransmit is just more loss; the next
-                        // timer tick (or the caller's timeout) handles it.
-                        let _ = self.inner.transport.send(self.to, self.env.clone());
-                        self.next_retransmit = now + self.inner.retry.attempt_timeout;
-                    }
-                    if now >= poll_deadline {
+                    if self.next_retransmit.is_some_and(|at| now >= at) {
+                        self.transmit(now);
+                    } else if now >= poll_deadline {
                         return None;
                     }
                 }
                 Err(channel::RecvTimeoutError::Disconnected) => {
+                    // Our own node is shutting down.
                     self.finish_span();
                     return Some(Err(KeraError::Disconnected(self.inner.id)));
                 }
             }
         }
+    }
+
+    /// Every send of the request, first or repeated: stamps the budget
+    /// *remaining* now and schedules the next retransmission. A send
+    /// error resolves the call at once unless it is retriable and
+    /// another send is scheduled (it then just consumed an attempt).
+    fn transmit(&mut self, now: Instant) {
+        let remaining = self.deadline.map(|d| d.saturating_duration_since(now));
+        if remaining.is_some_and(|r| r.is_zero()) {
+            // Budget already spent (a zero timeout, or a late wake-up):
+            // a zero deadline on the wire would read as "no deadline".
+            self.next_retransmit = None;
+            return;
+        }
+        if self.attempts > 0 {
+            self.inner.retries_sent.inc();
+            self.inner.obs.event(
+                Stage::RpcRetry,
+                self.span.context(),
+                self.env.opcode as u8,
+                u64::from(self.attempts),
+            );
+        }
+        self.attempts += 1;
+        // lint: allow(no-hot-copy) — refcount clone kept for retransmits
+        let mut env = self.env.clone();
+        if let Some(remaining) = remaining {
+            // The *overall* budget, not the attempt timeout: a timed-out
+            // attempt only retransmits — the caller hasn't abandoned the
+            // call, and the server must not drop the execution early.
+            env = env.with_deadline(remaining);
+        }
+        let sent = self.inner.transport.send(self.to, env);
+        self.next_retransmit = self.retransmit_after(now, sent.is_ok());
+        if let Err(e) = sent {
+            if !e.is_retriable() || self.next_retransmit.is_none() {
+                self.failed = Some(e);
+            }
+        }
+    }
+
+    /// When to retransmit after a transmission at `now`: the attempt
+    /// timeout (skipped if the send itself failed) plus the backoff step
+    /// jittered to [50%, 100%]. `None` when the attempts are used up or
+    /// that instant falls outside the call's budget.
+    fn retransmit_after(&mut self, now: Instant, sent: bool) -> Option<Instant> {
+        if self.attempts >= self.max_attempts {
+            return None;
+        }
+        let policy = &self.inner.retry;
+        let unit = self.jitter.next_u32() as f64 / u32::MAX as f64;
+        let backoff = policy.backoff_for(self.attempts).mul_f64(0.5 + 0.5 * unit);
+        let wait = if sent { policy.attempt_timeout + backoff } else { backoff };
+        let at = now + wait;
+        self.deadline.is_none_or(|d| at < d).then_some(at)
     }
 
     /// Records the call span now (resolution time), replacing it with an
@@ -822,13 +768,15 @@ impl PendingCall {
     /// response payload; error statuses are converted back to
     /// [`KeraError`].
     pub fn wait(mut self, timeout: Duration) -> Result<Bytes> {
-        match self.poll_wait(timeout) {
-            Some(result) => result,
-            None => {
-                self.inner.pending.lock().remove(&self.id);
-                Err(KeraError::Timeout { op: "rpc" })
-            }
-        }
+        self.poll_wait(timeout).unwrap_or(Err(KeraError::Timeout { op: "rpc" }))
+    }
+}
+
+impl Drop for PendingCall {
+    /// Unregisters the pending slot: a call abandoned unresolved must
+    /// not leave its sender behind for a reply that may never come.
+    fn drop(&mut self) {
+        self.inner.pending.lock().remove(&self.env.request_id);
     }
 }
 
@@ -1225,6 +1173,94 @@ mod tests {
             .client()
             .call(NodeId(1), OpCode::Ping, Bytes::new(), Duration::from_secs(3))
             .unwrap();
+    }
+
+    #[test]
+    fn reply_between_attempt_timeout_and_retransmit_resolves_the_call() {
+        // The handler (200 ms) outlives the attempt timeout (30 ms) but
+        // answers well inside the backoff that follows it (≥ 500 ms).
+        let net = InMemNetwork::new(NetworkModel::default());
+        let _server =
+            NodeRuntime::start(Arc::new(net.register(NodeId(1))), Arc::new(EchoService), 1);
+        let client = NodeRuntime::start_with_policy(
+            Arc::new(net.register(NodeId(2))),
+            Arc::new(NullService),
+            1,
+            RetryPolicy {
+                max_attempts: 3,
+                attempt_timeout: Duration::from_millis(30),
+                initial_backoff: Duration::from_secs(1),
+                max_backoff: Duration::from_secs(1),
+            },
+        );
+        let c = client.client();
+        let got = c
+            .call(NodeId(1), OpCode::Fetch, Bytes::from_static(b"slow"), Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(&got[..], b"slow");
+        assert_eq!(c.retries_sent(), 0, "the first transmission's reply must resolve the call");
+    }
+
+    #[test]
+    fn retransmission_carries_the_smaller_remaining_budget() {
+        let net = InMemNetwork::new(NetworkModel::default());
+        // A peer that reads its inbox by hand: it sees every transmission.
+        let peer = net.register(NodeId(1));
+        let client = NodeRuntime::start_with_policy(
+            Arc::new(net.register(NodeId(2))),
+            Arc::new(NullService),
+            1,
+            RetryPolicy {
+                max_attempts: 3,
+                attempt_timeout: Duration::from_millis(20),
+                initial_backoff: Duration::from_millis(1),
+                max_backoff: Duration::from_millis(1),
+            },
+        );
+        let c = client.client();
+        let caller = std::thread::spawn(move || {
+            c.call(NodeId(1), OpCode::Ping, Bytes::from_static(b"x"), Duration::from_secs(2))
+        });
+        let first = peer.recv(Duration::from_secs(1)).unwrap().expect("first transmission");
+        let second = peer.recv(Duration::from_secs(1)).unwrap().expect("retransmission");
+        assert_eq!(second.request_id, first.request_id);
+        assert!(first.deadline_micros > 0 && first.deadline_micros <= 2_000_000);
+        assert!(
+            second.deadline_micros + 20_000 <= first.deadline_micros,
+            "retransmit stamped {} us after a first send of {} us",
+            second.deadline_micros,
+            first.deadline_micros
+        );
+        let reply = Envelope::response(
+            OpCode::Ping,
+            first.request_id,
+            NodeId(1),
+            kera_wire::frames::StatusCode::Ok,
+            Bytes::from_static(b"y"),
+        );
+        peer.send(NodeId(2), reply).unwrap();
+        assert_eq!(&caller.join().unwrap().unwrap()[..], b"y");
+    }
+
+    #[test]
+    fn dropped_calls_release_their_pending_slots() {
+        let net = InMemNetwork::new(NetworkModel::default());
+        // A black hole: registered (sends succeed) but never answers.
+        let _peer = net.register(NodeId(1));
+        let client =
+            NodeRuntime::start(Arc::new(net.register(NodeId(2))), Arc::new(NullService), 1);
+        let c = client.client();
+        let mut calls: Vec<_> =
+            (0..32).map(|_| c.call_async(NodeId(1), OpCode::Ping, Bytes::new())).collect();
+        assert_eq!(c.pending_calls(), 32);
+        // Polled-and-timed-out, waited-and-timed-out and never-polled
+        // calls all let go of their slot.
+        assert!(calls[0].poll_wait(Duration::from_millis(1)).is_none());
+        assert_eq!(c.pending_calls(), 32);
+        assert!(calls.pop().unwrap().wait(Duration::from_millis(1)).is_err());
+        assert_eq!(c.pending_calls(), 31);
+        drop(calls);
+        assert_eq!(c.pending_calls(), 0);
     }
 
     #[test]

@@ -18,6 +18,9 @@ use crossbeam::channel::{self, Receiver, Sender};
 use crate::channel::BackupChannel;
 use crate::vlog::VirtualLog;
 
+/// Shipping threads per driver (one driver per broker).
+const REPLICATION_THREADS: usize = 2;
+
 /// Backoff after a transient replication failure before retrying a log.
 const RETRY_BACKOFF: Duration = Duration::from_millis(10);
 
@@ -30,17 +33,17 @@ pub struct ReplicationDriver {
 }
 
 impl ReplicationDriver {
-    /// Starts `threads` shipping threads over `channel`.
+    /// Starts the shipping threads over `channel`.
     ///
     /// The shipping threads deliberately do NOT hold an `Arc` to the
     /// driver (that would be a self-referential cycle keeping the driver
     /// — and everything its queue pins — alive forever); they share only
     /// the queue endpoints and the shutdown flag.
-    pub fn start(channel: Arc<dyn BackupChannel>, threads: usize) -> Arc<ReplicationDriver> {
+    pub fn start(channel: Arc<dyn BackupChannel>) -> Arc<ReplicationDriver> {
         let (tx, rx) = channel::unbounded::<Arc<VirtualLog>>();
         let shutdown = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::with_capacity(threads.max(1));
-        for i in 0..threads.max(1) {
+        let mut handles = Vec::with_capacity(REPLICATION_THREADS);
+        for i in 0..REPLICATION_THREADS {
             let rx = rx.clone();
             let tx = tx.clone();
             let channel = Arc::clone(&channel);
@@ -163,7 +166,7 @@ mod tests {
     #[test]
     fn driver_ships_and_wakes_waiters() {
         let channel = Arc::new(MockChannel::new());
-        let driver = ReplicationDriver::start(channel.clone(), 2);
+        let driver = ReplicationDriver::start(channel.clone());
         let vlog = make_vlog(2);
         let seg = segment();
         let ticket = append_one(&vlog, &seg);
@@ -178,7 +181,7 @@ mod tests {
     #[test]
     fn many_logs_make_progress_concurrently() {
         let channel = Arc::new(MockChannel::new());
-        let driver = ReplicationDriver::start(channel.clone(), 2);
+        let driver = ReplicationDriver::start(channel.clone());
         let logs: Vec<_> = (0..16).map(|_| make_vlog(1)).collect();
         let seg = segment();
         let tickets: Vec<u64> = logs
@@ -213,7 +216,7 @@ mod tests {
     #[test]
     fn enqueue_is_deduplicated() {
         let channel = Arc::new(MockChannel::new());
-        let driver = ReplicationDriver::start(channel.clone(), 1);
+        let driver = ReplicationDriver::start(channel.clone());
         let vlog = make_vlog(1);
         // Many enqueues of an idle (empty) log: harmless, no batches.
         for _ in 0..100 {
@@ -228,7 +231,7 @@ mod tests {
     fn transient_failures_retry_until_success() {
         let channel = Arc::new(MockChannel::new());
         channel.fail.store(true, Ordering::Relaxed);
-        let driver = ReplicationDriver::start(channel.clone(), 1);
+        let driver = ReplicationDriver::start(channel.clone());
         let vlog = make_vlog(1);
         let seg = segment();
         let ticket = append_one(&vlog, &seg);

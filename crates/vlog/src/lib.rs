@@ -12,8 +12,9 @@
 //!
 //! - [`vseg`] — virtual segments: chunk references, the header /
 //!   durable-header pair, the checksum-of-checksums, per-vseg backup sets;
-//! - [`vlog`] — the virtual log: one open virtual segment, rolling,
-//!   replication batching and the sync protocol producers wait on;
+//! - [`vlog`] — the virtual log: one open virtual segment, rolling, the
+//!   group-commit shipping round and the durability wait of producers;
+//! - [`driver`] — the background threads that run those rounds;
 //! - [`set`] — [`set::VirtualLogSet`]: maps streamlets (or sub-partitions)
 //!   onto virtual logs according to the configured
 //!   [`kera_common::config::VirtualLogPolicy`] — the *replication

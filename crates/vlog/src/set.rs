@@ -19,6 +19,7 @@ use std::sync::Arc;
 
 use kera_common::config::{StreamConfig, VirtualLogPolicy};
 use kera_common::ids::{NodeId, StreamId, StreamletId, VirtualLogId};
+use kera_common::rng::mix64;
 use kera_common::Result;
 use kera_obs::NodeObs;
 use parking_lot::RwLock;
@@ -131,13 +132,11 @@ impl VirtualLogSet {
         Ok(log)
     }
 
-    /// Streamlet-to-pool hash (SplitMix64 finalizer; stable across runs).
+    /// Streamlet-to-pool hash (stable across runs and commits: it decides
+    /// which shared log a streamlet lands on).
     fn mix(stream: StreamId, streamlet: StreamletId) -> u64 {
         let x = (u64::from(stream.raw()) << 32) | u64::from(streamlet.raw());
-        let mut z = x.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        mix64(x.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 
     /// Every backup node in the cluster (for freeing replicated
@@ -208,6 +207,22 @@ mod tests {
             segments_per_group: 4,
             segment_size: 1 << 16,
             replication: ReplicationConfig { factor: 3, policy, vseg_size: 1 << 16 },
+        }
+    }
+
+    #[test]
+    fn streamlet_to_pool_hash_is_pinned() {
+        // Expected values printed by commit 4999a2a's hand-written mixer.
+        for (stream, streamlet, want) in [
+            (0u32, 0u32, 0x0000000000000000u64),
+            (1, 0, 0xbeeb67eaf1fc5e61),
+            (1, 1, 0x46093cf9861ec2e4),
+            (2, 7, 0xd25491ffd49ddc58),
+            (7, 2, 0x28df70bb9f4836ea),
+            (1000, 31, 0x17f326e6bdd40b8e),
+            (u32::MAX, u32::MAX, 0x336503c6b835bec0),
+        ] {
+            assert_eq!(VirtualLogSet::mix(StreamId(stream), StreamletId(streamlet)), want);
         }
     }
 

@@ -5,16 +5,17 @@
 //!
 //! Producers' worker threads call [`VirtualLog::append`] (under the slot
 //! lock of the physical append — see
-//! `kera_storage::streamlet::Streamlet::append_chunk_tracked`) and then
-//! [`VirtualLog::sync`] with the returned ticket. `sync` implements group
-//! commit: exactly one thread at a time becomes the *replicator*, ships
+//! `kera_storage::streamlet::Streamlet::append_chunk_tracked`), hand the
+//! log to the [`crate::driver::ReplicationDriver`] and block in
+//! [`VirtualLog::wait_durable`] on the returned ticket. The driver's
+//! threads call [`VirtualLog::ship_once`], the one group-commit state
+//! machine: at most one round per log is in flight, and a round ships
 //! **every** pending chunk reference — across all waiting producers and
 //! all the partitions sharing this log — as one `BackupWrite` RPC per
-//! (virtual segment, backup), and acknowledges everyone whose ticket the
-//! batch covered. Threads that arrive while a batch is in flight wait;
-//! their chunks ride the next batch, which is exactly how the virtual log
-//! "consolidates multiple replication RPCs by replacing small I/Os with
-//! larger ones on backups".
+//! (virtual segment, backup), then acknowledges everyone whose ticket
+//! the batch covered. Chunks appended while a round is in flight ride the
+//! next one, which is exactly how the virtual log "consolidates multiple
+//! replication RPCs by replacing small I/Os with larger ones on backups".
 //!
 //! ## Failure handling
 //!
@@ -22,7 +23,9 @@
 //! re-replicated from offset zero onto a freshly selected backup set
 //! (RAMCloud-style re-replication); producers keep waiting and succeed
 //! once the new set acknowledges. Only when no replacement backups exist
-//! does the log poison itself and fail its producers.
+//! does the log poison itself and fail its producers. Any other failure
+//! of a round is transient: it fails the producers waiting at that
+//! moment (their clients retry) and the driver ships again.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -188,7 +191,7 @@ impl VirtualLog {
         self.state.lock().segs.len()
     }
 
-    /// Appends a chunk reference; returns the sync *ticket* (the log's
+    /// Appends a chunk reference; returns the durability *ticket* (the log's
     /// header after this chunk). Rolls to a fresh virtual segment — with a
     /// freshly selected backup set — when the open one is (virtually)
     /// full.
@@ -240,67 +243,16 @@ impl VirtualLog {
         Ok(ticket)
     }
 
-    /// Blocks until every byte up to `ticket` is durable on all backups
-    /// (group commit: one replicator ships everyone's chunks at once).
-    ///
-    /// With `copies == 0` (replication factor 1) this is a no-op; callers
-    /// should instead mark physical segments durable directly.
-    pub fn sync(&self, channel: &dyn BackupChannel, ticket: u64) -> Result<()> {
-        if self.copies == 0 {
-            return Ok(());
-        }
-        let mut st = self.state.lock();
-        loop {
-            if st.durable >= ticket {
-                return Ok(());
-            }
-            if st.poisoned {
-                return Err(KeraError::NoCapacity(format!(
-                    "virtual log {} is poisoned",
-                    self.id
-                )));
-            }
-            if st.replicating {
-                self.cv.wait(&mut st);
-                continue;
-            }
-            // Become the replicator.
-            st.replicating = true;
-            let work = Self::gather(&mut st);
-            drop(st);
-
-            let outcome = self.traced_execute(channel, &work);
-
-            st = self.state.lock();
-            st.replicating = false;
-            match outcome {
-                Ok(()) => {
-                    self.apply_acks(&mut st, &work);
-                    Self::recompute_durable(&mut st);
-                    self.cv.notify_all();
-                }
-                Err(KeraError::Disconnected(dead)) => {
-                    // Backup crash: reselect and re-replicate affected
-                    // virtual segments from scratch.
-                    self.handle_backup_failure(&mut st, dead);
-                    self.cv.notify_all();
-                    // loop: retry (or observe poison)
-                }
-                Err(e) => {
-                    // Transient failure (e.g. timeout): surface to this
-                    // caller; waiters retry with their own rounds.
-                    self.cv.notify_all();
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// One asynchronous replication round (driver path): if no round is
-    /// in flight, gathers and ships everything pending. Returns
-    /// `Ok(true)` when more work remains (or another round is in
-    /// flight), `Ok(false)` when the log is fully durable.
+    /// One replication round: if none is in flight, gathers and ships
+    /// everything pending, applies the acknowledgements and wakes the
+    /// waiters. Returns `Ok(true)` when more work remains, `Ok(false)`
+    /// when there is nothing (more) for this caller to ship — the log is
+    /// durable, another round is in flight, or `copies == 0`
+    /// (replication factor 1: nothing ever ships).
     pub fn ship_once(&self, channel: &dyn BackupChannel) -> Result<bool> {
+        if self.copies == 0 {
+            return Ok(false);
+        }
         let mut st = self.state.lock();
         if st.poisoned {
             return Err(KeraError::NoCapacity(format!("virtual log {} is poisoned", self.id)));
@@ -350,9 +302,11 @@ impl VirtualLog {
         }
     }
 
-    /// Driver path: blocks until `ticket` is durable, a transient
-    /// replication failure occurs, the log is poisoned, or `timeout`
-    /// elapses. Shipping itself is done by the replication driver.
+    /// Blocks until every byte up to `ticket` is durable on all backups,
+    /// a transient replication failure occurs, the log is poisoned, or
+    /// `timeout` elapses. Shipping is done by whoever calls
+    /// [`Self::ship_once`] (the replication driver). With `copies == 0`
+    /// this is a no-op; callers mark physical segments durable directly.
     pub fn wait_durable(&self, ticket: u64, timeout: std::time::Duration) -> Result<()> {
         if self.copies == 0 {
             return Ok(());
@@ -404,20 +358,14 @@ impl VirtualLog {
         work
     }
 
-    /// [`Self::execute`] under a `vlog_ship` span. The span parents to
-    /// the calling thread's context when one exists (the `sync` path:
-    /// the replicator is a producer's own worker thread), else to the
-    /// latest rider (the driver path), and is installed as the thread's
-    /// current context so the replicate RPCs nest under it.
+    /// [`Self::execute`] under a `vlog_ship` span. The shipping thread
+    /// has no trace of its own, so the span parents to the latest rider
+    /// and is installed as the thread's current context so the replicate
+    /// RPCs nest under it.
     fn traced_execute(&self, channel: &dyn BackupChannel, work: &[BatchWork]) -> Result<()> {
-        let cur = kera_obs::current();
-        let parent = if cur.is_some() {
-            cur
-        } else {
-            TraceContext {
-                trace_id: self.rider_trace.load(Ordering::Relaxed),
-                span_id: self.rider_span.load(Ordering::Relaxed),
-            }
+        let parent = TraceContext {
+            trace_id: self.rider_trace.load(Ordering::Relaxed),
+            span_id: self.rider_span.load(Ordering::Relaxed),
         };
         let mut span = self.obs.span(Stage::VlogShip, parent);
         span.set_aux(work.iter().map(|w| w.refs.len() as u64).sum());
@@ -587,8 +535,16 @@ mod tests {
         }
     }
 
+    /// Drives the shipping surface on the caller's thread the way the
+    /// [`crate::driver::ReplicationDriver`] does from its own: rounds
+    /// until nothing is left to ship, then the producer-side wait.
+    fn ship_until_durable(vlog: &VirtualLog, ch: &dyn BackupChannel, ticket: u64) -> Result<()> {
+        while vlog.ship_once(ch)? {}
+        vlog.wait_durable(ticket, std::time::Duration::ZERO)
+    }
+
     #[test]
-    fn append_sync_makes_chunks_durable() {
+    fn append_ship_makes_chunks_durable() {
         let vlog =
             VirtualLog::new(VirtualLogId(0), NodeId(0), 1 << 20, 2, selector(0, 4)).unwrap();
         let ch = MockChannel::new();
@@ -598,7 +554,7 @@ mod tests {
         let ticket = vlog.append(r).unwrap();
         assert_eq!(ticket, len);
         assert_eq!(vlog.durable(), 0);
-        vlog.sync(&ch, ticket).unwrap();
+        ship_until_durable(&vlog, &ch, ticket).unwrap();
         assert_eq!(vlog.durable(), len);
         // Physical durable head advanced.
         assert_eq!(phys.seg.durable_head(), len as usize);
@@ -622,7 +578,7 @@ mod tests {
         for _ in 0..10 {
             last = vlog.append(phys.chunk(50)).unwrap();
         }
-        vlog.sync(&ch, last).unwrap();
+        ship_until_durable(&vlog, &ch, last).unwrap();
         // All ten chunks left in a single consolidated batch.
         assert_eq!(ch.batch_count(), 1);
         assert_eq!(ch.batches.lock()[0].1.chunk_count, 10);
@@ -630,13 +586,13 @@ mod tests {
     }
 
     #[test]
-    fn sync_with_factor_one_is_noop() {
+    fn shipping_with_factor_one_is_noop() {
         let vlog =
             VirtualLog::new(VirtualLogId(0), NodeId(0), 1 << 20, 0, selector(0, 1)).unwrap();
         let ch = MockChannel::new();
         let mut phys = Phys::new();
         let t = vlog.append(phys.chunk(10)).unwrap();
-        vlog.sync(&ch, t).unwrap();
+        ship_until_durable(&vlog, &ch, t).unwrap();
         assert_eq!(ch.batch_count(), 0);
     }
 
@@ -659,7 +615,7 @@ mod tests {
         for _ in 0..5 {
             last = vlog.append(phys.chunk(100)).unwrap();
         }
-        vlog.sync(&ch, last).unwrap();
+        ship_until_durable(&vlog, &ch, last).unwrap();
         // 6 chunks / 2 per vseg = 3 vsegs = 3 batches.
         assert_eq!(ch.batch_count(), 3);
         let batches = ch.batches.lock();
@@ -701,20 +657,22 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_syncs_group_commit() {
-        let vlog = Arc::new(
-            VirtualLog::new(VirtualLogId(0), NodeId(0), 1 << 20, 2, selector(0, 4)).unwrap(),
-        );
+    fn concurrent_waiters_group_commit() {
+        let vlog =
+            VirtualLog::new(VirtualLogId(0), NodeId(0), 1 << 20, 2, selector(0, 4)).unwrap();
         let ch = Arc::new(SlowChannel(MockChannel::new()));
+        let driver =
+            crate::driver::ReplicationDriver::start(Arc::clone(&ch) as Arc<dyn BackupChannel>);
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let vlog = Arc::clone(&vlog);
-                let ch = Arc::clone(&ch);
+                let driver = Arc::clone(&driver);
                 std::thread::spawn(move || {
                     let mut phys = Phys::new();
                     for _ in 0..50 {
                         let t = vlog.append(phys.chunk(40)).unwrap();
-                        vlog.sync(&*ch, t).unwrap();
+                        driver.enqueue(&vlog);
+                        vlog.wait_durable(t, std::time::Duration::from_secs(10)).unwrap();
                     }
                     // Every byte this thread appended is durable.
                     assert!(phys.seg.durable_head() == phys.seg.head());
@@ -724,6 +682,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
+        driver.stop();
         assert_eq!(vlog.chunks_replicated.get(), 400);
         // Group commit must have consolidated: 400 chunks in strictly
         // fewer than 400 RPCs (overwhelmingly fewer in practice).
@@ -743,11 +702,11 @@ mod tests {
         let mut phys = Phys::new();
         let t = vlog.append(phys.chunk(10)).unwrap();
         ch.fail.store(true, std::sync::atomic::Ordering::Relaxed);
-        assert!(vlog.sync(&ch, t).is_err());
+        assert!(ship_until_durable(&vlog, &ch, t).is_err());
         assert_eq!(vlog.durable(), 0);
-        // The failure is transient: once the channel heals, sync succeeds.
+        // The failure is transient: once the channel heals, shipping succeeds.
         ch.fail.store(false, std::sync::atomic::Ordering::Relaxed);
-        vlog.sync(&ch, t).unwrap();
+        ship_until_durable(&vlog, &ch, t).unwrap();
         assert_eq!(vlog.durable(), vlog.appended());
     }
 
@@ -781,8 +740,8 @@ mod tests {
         let ch = FlakyChannel { dead: Mutex::new(Some(NodeId(1))), inner: MockChannel::new() };
         let mut phys = Phys::new();
         let t = vlog.append(phys.chunk(25)).unwrap();
-        // sync must succeed by reselecting {2, 3}.
-        vlog.sync(&ch, t).unwrap();
+        // Shipping must succeed by reselecting {2, 3}.
+        ship_until_durable(&vlog, &ch, t).unwrap();
         assert_eq!(vlog.durable(), vlog.appended());
         let batches = ch.inner.batches.lock();
         assert_eq!(batches.len(), 1);
@@ -799,7 +758,7 @@ mod tests {
         let ch = FlakyChannel { dead: Mutex::new(Some(NodeId(1))), inner: MockChannel::new() };
         let mut phys = Phys::new();
         let t = vlog.append(phys.chunk(25)).unwrap();
-        let err = vlog.sync(&ch, t).unwrap_err();
+        let err = ship_until_durable(&vlog, &ch, t).unwrap_err();
         assert!(matches!(err, KeraError::NoCapacity(_)));
         // Subsequent appends fail fast.
         assert!(vlog.append(phys.chunk(25)).is_err());

@@ -174,11 +174,11 @@ proptest! {
         }
     }
 
-    /// Invariants 1 & 3 on the virtual log: after any append/sync
+    /// Invariants 1 & 3 on the virtual log: after any append/ship
     /// sequence, durable == appended, every physical byte below a chunk
     /// end, and replication batches carry whole chunks.
     #[test]
-    fn vlog_sync_covers_all_appends(lens in proptest::collection::vec(10usize..200, 1..40),
+    fn vlog_shipping_covers_all_appends(lens in proptest::collection::vec(10usize..200, 1..40),
                                     vseg_capacity in 300usize..2000) {
         let nodes: Vec<NodeId> = (0..4).map(NodeId).collect();
         let selector = BackupSelector::new(NodeId(0), &nodes, SelectionPolicy::RoundRobin, 1);
@@ -201,7 +201,8 @@ proptest! {
                 gref,
             }).unwrap();
         }
-        vlog.sync(&channel, last_ticket).unwrap();
+        while vlog.ship_once(&channel).unwrap() {}
+        vlog.wait_durable(last_ticket, std::time::Duration::ZERO).unwrap();
         prop_assert_eq!(vlog.durable(), vlog.appended());
         prop_assert_eq!(seg.durable_head(), seg.head());
         // Every replicated batch parses into whole, valid chunks.

@@ -84,16 +84,7 @@ pub struct BackupService {
 
 impl BackupService {
     pub fn new(node: NodeId, flusher: Option<DiskFlusher>) -> Arc<Self> {
-        Self::with_io_cost(node, flusher, 0)
-    }
-
-    /// Like [`BackupService::new`] with an explicit per-write IO cost.
-    pub fn with_io_cost(
-        node: NodeId,
-        flusher: Option<DiskFlusher>,
-        io_cost_ns: u64,
-    ) -> Arc<Self> {
-        Self::with_obs(node, flusher, io_cost_ns, NodeObs::disabled(node.raw()))
+        Self::with_obs(node, flusher, 0, NodeObs::disabled(node.raw()))
     }
 
     /// Full constructor: binds the backup to a node's observability

@@ -211,11 +211,6 @@ impl BrokerService {
         self.bytes_in.get().saturating_sub(self.bytes_fetched.get())
     }
 
-    /// Slots with at least one recorded consumer fetch position.
-    pub fn tracked_fetch_slots(&self) -> usize {
-        self.fetch_pos.lock().len()
-    }
-
     fn handle_host(&self, req: HostStreamRequest) -> Result<()> {
         let leaders: Vec<_> = req
             .assignments
@@ -256,64 +251,52 @@ impl BrokerService {
                 .streamlet(h.streamlet)
                 .ok_or(KeraError::UnknownStreamlet(h.stream, h.streamlet))?;
 
-            let seq = h.sequence_tag();
-            if config.replication.factor > 1 {
-                let slot = streamlet.slot_of(h.producer);
-                let vlog = self.vlogs.log_for(&config, h.streamlet, slot)?;
-                let checksum = h.checksum;
-                let outcome = streamlet.append_chunk_tracked(
-                    h.producer,
-                    chunk.bytes(),
-                    h.record_count,
-                    seq,
-                    |a| {
-                        vlog.append(ChunkRef {
+            // R > 1: the chunk's reference joins its slot's virtual log and
+            // the ticket gates the response; R = 1: durable as appended.
+            let vlog = if config.replication.factor > 1 {
+                Some(self.vlogs.log_for(&config, h.streamlet, streamlet.slot_of(h.producer))?)
+            } else {
+                None
+            };
+            let checksum = h.checksum;
+            let outcome = streamlet.append_chunk_tracked(
+                h.producer,
+                chunk.bytes(),
+                h.record_count,
+                h.sequence_tag(),
+                |a| match &vlog {
+                    Some(vlog) => vlog
+                        .append(ChunkRef {
                             segment: Arc::clone(&a.segment),
                             offset: a.offset_in_segment,
                             len: a.len,
                             checksum,
                             gref: a.gref,
                         })
-                        .map(Some)
-                    },
-                )?;
-                let (ack, ticket, fresh) = match outcome {
-                    SlotAppend::Fresh { append, token } => (append.to_ack(), token, true),
-                    SlotAppend::Replay { ack, token } => (ack, token, false),
-                };
-                // A replayed chunk still gates the response on the
-                // durability of its *original* append: wait on the
-                // ticket recorded back then.
-                if let Some(ticket) = ticket {
-                    match pending.iter_mut().find(|(l, _)| Arc::ptr_eq(l, &vlog)) {
-                        Some((_, t)) => *t = (*t).max(ticket),
-                        None => pending.push((Arc::clone(&vlog), ticket)),
-                    }
-                }
-                acks.push(ack);
-                if !fresh {
-                    self.chunks_replayed.inc();
-                    continue;
-                }
-            } else {
-                let outcome = streamlet.append_chunk_tracked(
-                    h.producer,
-                    chunk.bytes(),
-                    h.record_count,
-                    seq,
-                    |a| {
+                        .map(Some),
+                    None => {
                         a.segment.make_all_durable();
                         Ok(None)
-                    },
-                )?;
-                match outcome {
-                    SlotAppend::Fresh { append, .. } => acks.push(append.to_ack()),
-                    SlotAppend::Replay { ack, .. } => {
-                        acks.push(ack);
-                        self.chunks_replayed.inc();
-                        continue;
                     }
+                },
+            )?;
+            let (ack, ticket, fresh) = match outcome {
+                SlotAppend::Fresh { append, token } => (append.to_ack(), token, true),
+                SlotAppend::Replay { ack, token } => (ack, token, false),
+            };
+            // A replayed chunk still gates the response on the
+            // durability of its *original* append: wait on the ticket
+            // recorded back then.
+            if let (Some(vlog), Some(ticket)) = (vlog, ticket) {
+                match pending.iter_mut().find(|(l, _)| Arc::ptr_eq(l, &vlog)) {
+                    Some((_, t)) => *t = (*t).max(ticket),
+                    None => pending.push((vlog, ticket)),
                 }
+            }
+            acks.push(ack);
+            if !fresh {
+                self.chunks_replayed.inc();
+                continue;
             }
             self.chunks_in.inc();
             self.records_in.add(u64::from(h.record_count));

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use kera_common::config::{ClusterConfig, TransportChoice};
 use kera_common::ids::NodeId;
+use kera_common::knobs;
 use kera_common::Result;
 use kera_obs::{NodeObs, RegistrySnapshot, Watchdog};
 use kera_rpc::network::TransportKind;
@@ -70,12 +71,6 @@ pub struct KeraCluster {
     watchdogs: Vec<Watchdog>,
 }
 
-/// True when `KERA_FLIGHTREC` asks for crash dumps of the per-node event
-/// rings (any non-empty value but `0`).
-fn flightrec_requested() -> bool {
-    std::env::var("KERA_FLIGHTREC").map(|v| !v.is_empty() && v != "0").unwrap_or(false)
-}
-
 impl KeraCluster {
     /// Boots coordinator, brokers and backups.
     pub fn start(config: ClusterConfig) -> Result<KeraCluster> {
@@ -103,7 +98,7 @@ impl KeraCluster {
         };
 
         let mut node_obs: Vec<Arc<NodeObs>> = Vec::new();
-        let flightrec = flightrec_requested();
+        let flightrec = knobs::FLIGHTREC.is_on();
         let mut make_obs = |id: NodeId| -> Arc<NodeObs> {
             let obs = NodeObs::new(id.raw(), config.observability);
             if flightrec {
@@ -206,8 +201,8 @@ impl KeraCluster {
         // the configured window; the watchdog then auto-dumps that node's
         // flight-recorder ring and slow-trace store under results/tmp/.
         let mut watchdogs = Vec::new();
-        if let Some(ms) = kera_obs::watchdog_ms_from_env() {
-            let threshold = std::time::Duration::from_millis(ms);
+        if knobs::WATCHDOG_MS.is_on() {
+            let threshold = std::time::Duration::from_millis(knobs::WATCHDOG_MS.get());
             let base = std::path::Path::new("results");
             for obs in &node_obs {
                 watchdogs.push(Watchdog::arm(obs, threshold, base));
@@ -320,10 +315,6 @@ impl KeraCluster {
         }
     }
 
-    pub fn broker_count(&self) -> u32 {
-        self.config.brokers
-    }
-
     pub fn brokers(&self) -> Vec<NodeId> {
         (0..self.config.brokers).map(broker_node).collect()
     }
@@ -351,7 +342,7 @@ impl KeraCluster {
             None => transport,
         };
         let obs = NodeObs::new(client_node(i).raw(), self.config.observability);
-        if flightrec_requested() {
+        if knobs::FLIGHTREC.is_on() {
             kera_obs::register_for_dump(obs.recorder());
         }
         self.client_obs.lock().push(Arc::clone(&obs));
@@ -376,33 +367,6 @@ impl KeraCluster {
             snap.merge(&obs.registry().snapshot());
         }
         snap
-    }
-
-    /// Dumps every node's flight-recorder ring under a fresh
-    /// run-discriminated directory below `base/tmp/flightrec/` (chaos-
-    /// failure path; the panic hook does the same on its own). Routing
-    /// through [`kera_obs::dump_run_dir`] keeps concurrent test runs from
-    /// clobbering each other's dumps.
-    pub fn dump_flight_recorders(&self, base: &std::path::Path, reason: &str) -> Vec<std::path::PathBuf> {
-        let dir = kera_obs::dump_run_dir(base, reason);
-        let mut paths = Vec::new();
-        for obs in self.node_obs.iter().chain(self.client_obs.lock().iter()) {
-            if obs.recorder().recorded() > 0 {
-                if let Ok(p) = obs.recorder().dump_to_dir(&dir) {
-                    paths.push(p);
-                }
-            }
-        }
-        if !paths.is_empty() {
-            // lint: allow(no-println-hot-path) — operator-facing notice on
-            // the failure path; must reach stderr even when tracing is torn.
-            eprintln!(
-                "flight recorder dumped ({reason}): {} file(s) under {}",
-                paths.len(),
-                dir.display()
-            );
-        }
-        paths
     }
 
     /// Kills server `i`: both its broker and its co-located backup vanish

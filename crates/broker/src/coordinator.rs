@@ -73,9 +73,8 @@ struct Replica {
 }
 
 /// The coordinator service: one replica of the replicated coordinator.
-/// `CoordinatorService::new` builds the single-replica configuration,
-/// which commits locally and never elects — the pre-replication
-/// behaviour, still the cluster default.
+/// A replica set of one commits locally and never elects — the
+/// pre-replication behaviour, still the cluster default.
 pub struct CoordinatorService {
     node: NodeId,
     /// The full replica set (identical order on every replica).
@@ -93,6 +92,9 @@ pub struct CoordinatorService {
     ticker: Mutex<Option<JoinHandle<()>>>,
 }
 
+/// Applied metadata-log records that trigger a snapshot + log truncation.
+const SNAPSHOT_THRESHOLD: u64 = 256;
+
 fn draw_timeout(cfg: &CoordinatorConfig, rng: &mut SplitMix64) -> Duration {
     let min = cfg.election_timeout_min.as_millis() as u64;
     let max = cfg.election_timeout_max.as_millis() as u64;
@@ -100,11 +102,6 @@ fn draw_timeout(cfg: &CoordinatorConfig, rng: &mut SplitMix64) -> Duration {
 }
 
 impl CoordinatorService {
-    /// Single-replica coordinator (the pre-replication configuration).
-    pub fn new(node: NodeId, brokers: Vec<NodeId>) -> Arc<Self> {
-        Self::replicated(node, vec![node], brokers, CoordinatorConfig::default())
-    }
-
     /// One replica of a replicated coordinator. `replicas` must list the
     /// full set (including `node`) in the same order on every replica.
     pub fn replicated(
@@ -166,10 +163,6 @@ impl CoordinatorService {
 
     pub fn is_leader(&self) -> bool {
         self.replica.lock().election.is_leader()
-    }
-
-    pub fn current_term(&self) -> u64 {
-        self.replica.lock().election.term()
     }
 
     /// Every term this replica ever won — the chaos suite aggregates
@@ -329,9 +322,7 @@ impl CoordinatorService {
     }
 
     fn maybe_compact(&self, st: &mut Replica) {
-        if st.applied_index.saturating_sub(st.log.base_index())
-            >= self.cfg.snapshot_threshold as u64
-        {
+        if st.applied_index.saturating_sub(st.log.base_index()) >= SNAPSHOT_THRESHOLD {
             if let Some(term) = st.log.term_at(st.applied_index) {
                 st.log.compact_to(st.applied_index, term);
             }

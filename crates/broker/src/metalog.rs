@@ -11,7 +11,7 @@
 //!
 //! [`MetaState::snapshot`] emits a canonical (sorted) image of the fold
 //! at an index, used both to compact the local log past
-//! `CoordinatorConfig::snapshot_threshold` and to catch up followers
+//! `coordinator::SNAPSHOT_THRESHOLD` and to catch up followers
 //! whose tail predates the leader's compaction horizon.
 
 use std::collections::{HashMap, HashSet};

@@ -39,10 +39,13 @@ pub struct ConsumerConfig {
     pub fetch_max_bytes: u32,
     /// Bound of the chunk cache between the two threads.
     pub cache_capacity: usize,
-    pub call_timeout: Duration,
-    /// Pause when a full round returned nothing (consumer caught up).
-    pub idle_backoff: Duration,
 }
+
+/// How long a fetch or seek call may stay unanswered.
+const CALL_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Pause when a full round returned nothing (consumer caught up).
+const IDLE_BACKOFF: Duration = Duration::from_micros(200);
 
 impl Default for ConsumerConfig {
     fn default() -> Self {
@@ -50,8 +53,6 @@ impl Default for ConsumerConfig {
             id: ConsumerId(0),
             fetch_max_bytes: 16 * 1024,
             cache_capacity: 1000,
-            call_timeout: Duration::from_secs(10),
-            idle_backoff: Duration::from_micros(200),
         }
     }
 }
@@ -104,12 +105,7 @@ impl Subscription {
                     slot,
                     record_offset,
                 };
-                let payload = meta.rpc().call(
-                    broker,
-                    OpCode::Seek,
-                    req.encode(),
-                    Duration::from_secs(10),
-                )?;
+                let payload = meta.rpc().call(broker, OpCode::Seek, req.encode(), CALL_TIMEOUT)?;
                 let resp = kera_wire::messages::SeekResponse::decode(&payload)?;
                 if resp.found {
                     start.push(CursorPosition { stream, streamlet, slot, cursor: resp.cursor });
@@ -346,7 +342,7 @@ fn requests_loop(shared: Arc<Shared>, states: SharedStates, cache_tx: Sender<Fet
             .collect();
         let mut throttled_pause: Option<Duration> = None;
         for (_broker, idxs, call) in calls {
-            let payload = match call.wait(shared.cfg.call_timeout) {
+            let payload = match call.wait(CALL_TIMEOUT) {
                 Ok(p) => p,
                 // Fetch-side admission control: the broker meters reads
                 // per tenant and answers `Throttled` when this consumer
@@ -387,7 +383,7 @@ fn requests_loop(shared: Arc<Shared>, states: SharedStates, cache_tx: Sender<Fet
         if let Some(pause) = throttled_pause {
             std::thread::sleep(pause);
         } else if !got_data {
-            std::thread::sleep(shared.cfg.idle_backoff);
+            std::thread::sleep(IDLE_BACKOFF);
         }
     }
 }

@@ -4,11 +4,27 @@
 //! memory": the *Source* thread (the caller of [`Producer::send`])
 //! appends records to per-streamlet chunk buffers; the *Requests* thread
 //! gathers filled chunks — or chunks older than the linger timeout — into
-//! one request per broker and pushes them over parallel synchronous RPCs.
-//! Sealed chunks flow through a bounded queue, so a fast source is
-//! back-pressured by the cluster exactly like a fixed chunk pool would.
+//! one request per broker and keeps up to `pipeline` of them in flight.
+//!
+//! Between sealing and acknowledgement a chunk is in exactly one place:
+//! the bounded `ready` channel, then its broker's [`Lane`] — a FIFO the
+//! requests thread owns — then a request. The invariants follow from
+//! that shape rather than from bookkeeping:
+//!
+//! - **FIFO per broker.** Chunks enter a lane in seal order (seal +
+//!   enqueue is atomic under the slot lock, and the linger scan drains
+//!   the channel under that lock before it seals) and leave it only from
+//!   the front; a failed request is re-sent before anything newer from
+//!   its lane. A slot has one broker, so per-slot order is lane order.
+//! - **Bound.** The thread stops taking from the channel while its lanes
+//!   hold `queue_capacity` chunks, so at most channel + lanes + in-flight
+//!   requests are sealed and unacknowledged; beyond that `send` blocks.
+//! - **Isolation.** A throttle or retry pause is a lane's `not_before`;
+//!   the thread never sleeps on behalf of one broker.
+//! - **Progress.** With nothing in flight a lane may always send one
+//!   request, whatever byte window a broker hinted.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -19,6 +35,7 @@ use kera_common::ids::{NodeId, ProducerId, StreamId};
 use kera_common::metrics::{Counter, LatencyHistogram, ThroughputMeter};
 use kera_common::rng::SplitMix64;
 use kera_common::{KeraError, Result};
+use kera_rpc::node::PendingCall;
 use kera_rpc::RpcClient;
 use kera_wire::chunk::{BufferPool, ChunkBuilder};
 use kera_wire::frames::OpCode;
@@ -39,27 +56,14 @@ pub struct ProducerConfig {
     pub request_max_bytes: usize,
     /// `linger.ms`: how long a non-full chunk may wait before being sent.
     pub linger: Duration,
-    pub call_timeout: Duration,
     pub partitioner: Partitioner,
-    /// Bound of the sealed-chunk queue (backpressure depth).
+    /// Bound of the sealed-chunk channel, and of the lanes behind it
+    /// (backpressure depth).
     pub queue_capacity: usize,
-    /// Produce retries before giving up on a request.
-    pub max_retries: u32,
     /// Outstanding requests per broker ("the number of parallel producer
     /// requests", paper §II-B). 1 = one synchronous request per broker,
     /// the paper's evaluation setting.
     pub pipeline: usize,
-    /// Cap on bytes in flight across all brokers (`0` = unbounded, the
-    /// pre-quota behaviour). A broker `window_hint` tightens this
-    /// further at runtime.
-    pub window_bytes: usize,
-    /// Cap on requests in flight across all brokers (`0` = unbounded).
-    pub window_requests: usize,
-    /// Honor broker `Throttled { retry_after, .. }` hints with jittered
-    /// backoff (polite mode, the default). `false` treats throttles
-    /// like any other error — immediate retries, no pacing — which is
-    /// exactly what an abusive client does; chaos drills flip this.
-    pub honor_throttle: bool,
 }
 
 impl Default for ProducerConfig {
@@ -69,47 +73,24 @@ impl Default for ProducerConfig {
             chunk_size: 16 * 1024,
             request_max_bytes: 1 << 20,
             linger: Duration::from_millis(1),
-            call_timeout: Duration::from_secs(10),
             partitioner: Partitioner::RoundRobin,
             queue_capacity: 1000,
-            max_retries: 3,
             pipeline: 1,
-            window_bytes: 0,
-            window_requests: 0,
-            honor_throttle: true,
         }
     }
 }
 
-/// In-flight window accounting plus broker throttle state, shared by
-/// the requests thread (grouping/sending) and `complete` (release and
-/// throttle bookkeeping). Guarded by the `client.window` lock class;
-/// never held across an RPC.
-struct WindowState {
-    /// Bytes of requests on the wire (request bodies).
-    inflight_bytes: u64,
-    /// Requests on the wire.
-    inflight_requests: u32,
-    /// Latest broker-suggested window (`0` = no suggestion yet); the
-    /// effective byte window is the tighter of this and `window_bytes`.
-    hint_bytes: u64,
-    /// Brokers to leave alone until the given instant (throttle pauses).
-    throttle_until: HashMap<NodeId, Instant>,
-    /// SplitMix64 state for backoff jitter (deterministic per producer).
-    rng: SplitMix64,
-}
+/// An unanswered produce call counts as failed after this long.
+const CALL_TIMEOUT: Duration = Duration::from_secs(10);
 
-impl WindowState {
-    /// Next jitter draw in `[0, bound)` (`ZERO` if `bound` is zero).
-    fn jitter(&mut self, bound: Duration) -> Duration {
-        let z = self.rng.next_u64();
-        let nanos = bound.as_nanos() as u64;
-        if nanos == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_nanos(z % nanos)
-    }
-}
+/// Blind re-sends of a request after an error that is neither `Throttled`
+/// nor `Rejected`.
+const MAX_RETRIES: u32 = 3;
+
+/// Upper bound on honored throttle retries per request: at the broker's
+/// maximum retry hint this is tens of seconds of cooperation before the
+/// request is declared failed.
+const MAX_THROTTLE_RETRIES: u32 = 64;
 
 struct PendingChunk {
     builder: ChunkBuilder,
@@ -155,8 +136,6 @@ struct Shared {
     /// Broker throttle responses honored
     /// (`kera.client.throttles{producer=<id>}`).
     pub throttled: Arc<Counter>,
-    /// In-flight window + throttle pacing (lock class `client.window`).
-    window: Mutex<WindowState>,
     /// Chunk buffers cycle through here: builders draw fresh buffers,
     /// the requests thread returns them once a chunk has been packed
     /// into a request body.
@@ -222,13 +201,6 @@ impl Producer {
             rpc.obs().registry().gauge("kera.client.pool_misses", &[("producer", &pid)]);
         let pool_outstanding =
             rpc.obs().registry().gauge("kera.client.pool_outstanding", &[("producer", &pid)]);
-        let window = Mutex::named("client.window", WindowState {
-            inflight_bytes: 0,
-            inflight_requests: 0,
-            hint_bytes: 0,
-            throttle_until: HashMap::new(),
-            rng: SplitMix64::new(0x5EED_0000 ^ u64::from(cfg.id.raw())),
-        });
         let shared = Arc::new(Shared {
             cfg,
             rpc,
@@ -247,7 +219,6 @@ impl Producer {
             request_latency,
             failed_requests,
             throttled,
-            window,
             pool,
             pool_hits,
             pool_misses,
@@ -445,351 +416,367 @@ fn seal_pending(
     Ok(SealedChunk { broker, records, bytes })
 }
 
-/// The Requests thread: drains sealed chunks, enforces the linger
-/// timeout, groups chunks into one request per broker and keeps up to
-/// `pipeline` requests in flight per broker.
-fn requests_loop(shared: Arc<Shared>, ready_rx: Receiver<SealedChunk>) {
-    // Chunks carried over because their broker was at its pipeline limit
-    // or its request was full.
-    let mut backlog: Vec<SealedChunk> = Vec::new();
-    // FIFO of in-flight requests per broker.
-    let mut inflight: HashMap<NodeId, std::collections::VecDeque<InFlight>> = HashMap::new();
-    // The linger scan walks every pending slot; rate-limit it.
-    let mut last_linger_scan = Instant::now();
-    loop {
-        // Reap whatever completed without blocking.
-        reap(&shared, &mut inflight, false);
-        shared.export_pool_stats();
-
-        if shared.shutdown.load(Ordering::SeqCst) {
-            if shared.discard.load(Ordering::SeqCst) {
-                // Fast teardown: wait out what is already on the wire,
-                // drop everything still queued.
-                reap(&shared, &mut inflight, true);
-                let mut dropped = backlog.len() as u64;
-                while ready_rx.try_recv().is_ok() {
-                    dropped += 1;
-                }
-                shared.outstanding.fetch_sub(dropped, Ordering::AcqRel);
-                return;
-            }
-            if backlog.is_empty()
-                && ready_rx.is_empty()
-                && inflight.values().all(|q| q.is_empty())
-                && shared.outstanding.load(Ordering::Acquire) == 0
-            {
-                return;
-            }
-        }
-
-        let mut batch = std::mem::take(&mut backlog);
-        while let Ok(c) = ready_rx.try_recv() {
-            batch.push(c);
-        }
-        // Enforce linger on idle chunks (at most every linger/2: the
-        // scan walks every pending slot of every stream).
-        let scan_interval = shared.cfg.linger.max(Duration::from_micros(200)) / 2;
-        if last_linger_scan.elapsed() >= scan_interval {
-            scan_linger(&shared, &ready_rx, &mut batch);
-            last_linger_scan = Instant::now();
-        }
-
-        // Window snapshot for this round: how many bytes/requests may
-        // still go on the wire, and which brokers asked to be left
-        // alone. The lock is released before any RPC work.
-        let now = Instant::now();
-        let (mut byte_budget, mut req_budget, paused) = {
-            let mut w = shared.window.lock();
-            w.throttle_until.retain(|_, until| *until > now);
-            let paused: Vec<NodeId> = w.throttle_until.keys().copied().collect();
-            let cfg_window = shared.cfg.window_bytes as u64;
-            let eff = match (cfg_window, w.hint_bytes) {
-                (0, 0) => None,
-                (0, h) => Some(h),
-                (b, 0) => Some(b),
-                (b, h) => Some(b.min(h)),
-            };
-            let byte_budget = eff.map(|e| e.saturating_sub(w.inflight_bytes));
-            let req_budget = match shared.cfg.window_requests as u32 {
-                0 => None,
-                r => Some(r.saturating_sub(w.inflight_requests)),
-            };
-            (byte_budget, req_budget, paused)
-        };
-
-        // Group into one request per broker, respecting request_max_bytes,
-        // the pipeline bound and the in-flight window; overflow returns
-        // to the backlog. Chunks are collected as shared slices — the
-        // single copy into a contiguous request body happens at encode.
-        let mut per_broker: HashMap<NodeId, (Vec<Bytes>, usize, u32, u32)> = HashMap::new();
-        // Brokers with a chunk already sent back to the backlog this
-        // round. Once one chunk for a broker is held back, every later
-        // chunk for it must be held back too: a smaller (linger-sealed)
-        // successor slipping into the request ahead of a full chunk of
-        // the same slot would invert the slot's record order on the
-        // broker.
-        let mut held: Vec<NodeId> = Vec::new();
-        let pipeline = shared.cfg.pipeline.max(1);
-        for c in batch {
-            if paused.contains(&c.broker) || held.contains(&c.broker) {
-                backlog.push(c);
-                continue;
-            }
-            if inflight.get(&c.broker).map(|q| q.len()).unwrap_or(0) >= pipeline
-                && !per_broker.contains_key(&c.broker)
-            {
-                held.push(c.broker);
-                backlog.push(c);
-                continue;
-            }
-            if byte_budget.is_some_and(|b| (c.bytes.len() as u64) > b)
-                || (!per_broker.contains_key(&c.broker) && req_budget == Some(0))
-            {
-                held.push(c.broker);
-                backlog.push(c);
-                continue;
-            }
-            let fresh_entry = !per_broker.contains_key(&c.broker);
-            let entry =
-                per_broker.entry(c.broker).or_insert_with(|| (Vec::new(), 0, 0, 0));
-            if entry.2 > 0 && entry.1 + c.bytes.len() > shared.cfg.request_max_bytes {
-                held.push(c.broker);
-                backlog.push(c);
-                continue;
-            }
-            if let Some(b) = byte_budget.as_mut() {
-                *b -= c.bytes.len() as u64;
-            }
-            if fresh_entry {
-                if let Some(r) = req_budget.as_mut() {
-                    *r -= 1;
-                }
-            }
-            entry.1 += c.bytes.len();
-            entry.0.push(c.bytes);
-            entry.2 += 1;
-            entry.3 += c.records;
-        }
-
-        let sent_any = !per_broker.is_empty();
-        let pipeline_one = pipeline == 1;
-        for (broker, (chunks, chunk_bytes, chunk_count, records)) in per_broker {
-            let payload = ProduceRequest::encode_chunks(shared.cfg.id, false, &chunks);
-            // The sealed chunk buffers have been packed into the request
-            // body; hand them back to the pool for the builders to reuse.
-            for c in chunks {
-                shared.pool.release(c);
-            }
-            {
-                let mut w = shared.window.lock();
-                w.inflight_bytes += chunk_bytes as u64;
-                w.inflight_requests += 1;
-            }
-            // lint: allow(no-hot-copy) — refcount clone; retry keeps the other handle
-            let call = shared.rpc.call_async(broker, OpCode::Produce, payload.clone());
-            inflight.entry(broker).or_default().push_back(InFlight {
-                call,
-                payload,
-                chunk_bytes: chunk_bytes as u64,
-                broker,
-                chunks: chunk_count,
-                records,
-                started: Instant::now(),
-            });
-        }
-
-        if sent_any && pipeline_one {
-            // The paper's mode: one synchronous request per broker —
-            // block until every in-flight request resolves (group
-            // commit on the broker consolidates whatever queues up
-            // meanwhile). This keeps the requests thread cold between
-            // rounds instead of polling.
-            reap(&shared, &mut inflight, true);
-        } else if !sent_any {
-            let window = shared.cfg.linger.max(Duration::from_micros(200)) / 2;
-            // Nothing new could be shipped. If requests are in flight,
-            // block on the *oldest* one — its completion is what unblocks
-            // the next send (pipeline = 1 is the paper's mode, so this is
-            // the common path under load). Otherwise wait for new chunks.
-            let oldest = inflight
-                .iter()
-                .filter(|(_, q)| !q.is_empty())
-                .min_by_key(|(_, q)| q.front().unwrap().started)
-                .map(|(&b, _)| b);
-            match oldest {
-                Some(broker) => {
-                    let q = inflight.get_mut(&broker).unwrap();
-                    let front = q.front_mut().unwrap();
-                    if let Some(result) = front.call.poll_wait(window) {
-                        let inf = q.pop_front().unwrap();
-                        complete(&shared, inf, result);
-                    }
-                }
-                None => match ready_rx.recv_timeout(window) {
-                    Ok(c) => backlog.push(c), // processed on the next round
-                    Err(channel::RecvTimeoutError::Timeout) => {}
-                    Err(channel::RecvTimeoutError::Disconnected) => return,
-                },
-            }
-        }
-    }
-}
-
-/// One produce request on the wire.
-struct InFlight {
-    call: kera_rpc::node::PendingCall,
-    /// The encoded request body, retained verbatim for retries (dedup
-    /// tags make re-sends exactly-once on the broker).
+/// One encoded produce request and what its resolution settles.
+struct Request {
+    /// The encoded body, re-sent verbatim: the chunks' sequence tags make
+    /// a re-send exactly-once on the broker.
     payload: Bytes,
-    /// Chunk bytes inside the request (window accounting).
+    /// Chunk bytes inside (byte window, goodput).
     chunk_bytes: u64,
-    broker: NodeId,
     chunks: u32,
     records: u32,
+    /// First send; request latency runs from here to the ack.
     started: Instant,
+    retries: u32,
+    throttle_retries: u32,
 }
 
-/// Completes finished requests (front-of-queue order per broker). With
-/// `block`, waits for every in-flight request to resolve.
-fn reap(shared: &Shared, inflight: &mut HashMap<NodeId, std::collections::VecDeque<InFlight>>, block: bool) {
-    for queue in inflight.values_mut() {
-        while let Some(front) = queue.front() {
-            if !block && !front.call.is_ready() {
-                break;
-            }
-            let mut inf = queue.pop_front().unwrap();
-            let result = inf
-                .call
-                .poll_wait(shared.cfg.call_timeout)
-                .unwrap_or(Err(KeraError::Timeout { op: "produce" }));
-            complete(shared, inf, result);
+/// A request on the wire.
+struct InFlight {
+    req: Request,
+    call: PendingCall,
+    sent: Instant,
+}
+
+impl InFlight {
+    /// Waits up to `wait` for the response; a call unanswered for
+    /// `CALL_TIMEOUT` resolves as a timeout.
+    fn resolve(&mut self, wait: Duration) -> Option<Result<Bytes>> {
+        let left = CALL_TIMEOUT.saturating_sub(self.sent.elapsed());
+        match self.call.poll_wait(wait.min(left)) {
+            None if left <= wait => Some(Err(KeraError::Timeout { op: "produce" })),
+            resolved => resolved,
         }
     }
 }
 
-/// Upper bound on honored throttle retries per request: at the broker's
-/// maximum retry hint this is tens of seconds of cooperation before the
-/// request is declared failed.
-const MAX_THROTTLE_RETRIES: u32 = 64;
+/// Everything the requests thread holds for one broker — the only place
+/// a sealed chunk waits once it has left the channel.
+struct Lane {
+    /// Sealed chunks not yet in a request, in seal order.
+    waiting: VecDeque<SealedChunk>,
+    /// A request that resolved `Throttled` or with an error and goes out
+    /// again before anything from `waiting`.
+    resend: Option<Request>,
+    /// At most `pipeline` requests, in send order.
+    inflight: VecDeque<InFlight>,
+    /// Nothing is sent before this instant (throttle pause).
+    not_before: Instant,
+}
 
-/// Applies one resolved request: retries on failure (honoring broker
-/// throttle hints with jittered backoff in polite mode), records
-/// metrics, releases the window and the flush barrier.
-fn complete(shared: &Shared, inf: InFlight, mut result: Result<Bytes>) {
-    let mut attempts = 0;
-    let mut throttle_retries = 0;
+/// What the lanes share; plain state of the requests thread.
+struct Flow {
+    /// Chunk bytes on the wire, all brokers.
+    inflight_bytes: u64,
+    /// Latest broker-suggested bound on `inflight_bytes` (0 = none yet).
+    window_hint: u64,
+    /// Backoff jitter, deterministic per producer.
+    rng: SplitMix64,
+}
+
+struct RequestsThread {
+    shared: Arc<Shared>,
+    ready_rx: Receiver<SealedChunk>,
+    lanes: HashMap<NodeId, Lane>,
+    /// Chunks in all `waiting` queues together, at most `queue_capacity`.
+    in_lanes: usize,
+    flow: Flow,
+}
+
+/// The Requests thread. Each round settles what resolved, takes sealed
+/// chunks into their lanes, enforces linger and ships one request per
+/// lane that may send. With `pipeline` 1 (the paper's mode) it then
+/// blocks until the round's requests resolve — group commit on the broker
+/// consolidates whatever queues up meanwhile, and the thread stays cold
+/// between rounds; otherwise it blocks only when nothing could be shipped.
+fn requests_loop(shared: Arc<Shared>, ready_rx: Receiver<SealedChunk>) {
+    // Linger-scan cadence (the scan walks every slot of every stream)
+    // and the longest idle wait.
+    let tick = shared.cfg.linger.max(Duration::from_micros(200)) / 2;
+    let pipeline_one = shared.cfg.pipeline <= 1;
+    let flow = Flow {
+        inflight_bytes: 0,
+        window_hint: 0,
+        rng: SplitMix64::new(0x5EED_0000 ^ u64::from(shared.cfg.id.raw())),
+    };
+    let mut t = RequestsThread { shared, ready_rx, lanes: HashMap::new(), in_lanes: 0, flow };
+    let mut last_linger_scan = Instant::now();
     loop {
+        t.reap(Duration::ZERO);
+        t.shared.export_pool_stats();
+        if t.shared.shutdown.load(Ordering::SeqCst) {
+            if t.shared.discard.load(Ordering::SeqCst) {
+                return t.abort();
+            }
+            if t.shared.outstanding.load(Ordering::Acquire) == 0 {
+                return;
+            }
+        }
+        t.take_ready();
+        if last_linger_scan.elapsed() >= tick {
+            t.scan_linger();
+            last_linger_scan = Instant::now();
+        }
+        if !t.ship() {
+            t.idle(tick);
+        } else if pipeline_one {
+            t.reap(CALL_TIMEOUT);
+        }
+    }
+}
+
+impl RequestsThread {
+    fn capacity(&self) -> usize {
+        self.shared.cfg.queue_capacity.max(1)
+    }
+
+    fn enlane(&mut self, c: SealedChunk) {
+        let lane = self.lanes.entry(c.broker).or_insert_with(|| Lane {
+            waiting: VecDeque::new(),
+            resend: None,
+            inflight: VecDeque::new(),
+            not_before: Instant::now(),
+        });
+        lane.waiting.push_back(c);
+        self.in_lanes += 1;
+    }
+
+    /// Moves sealed chunks from the channel into their lanes, up to the
+    /// bound; what stays in the channel is what back-pressures `send`.
+    fn take_ready(&mut self) {
+        while self.in_lanes < self.capacity() {
+            let Ok(c) = self.ready_rx.try_recv() else { break };
+            self.enlane(c);
+        }
+    }
+
+    /// Seals chunks whose linger expired, straight into their lanes.
+    fn scan_linger(&mut self) {
+        let shared = Arc::clone(&self.shared);
+        let routes: Vec<Arc<StreamRoute>> = shared.routes.read().values().cloned().collect();
+        for route in routes {
+            for sl in 0..route.metadata.config.streamlets {
+                // try_lock: a held lock is a source thread inside its
+                // seal+enqueue critical section (possibly parked on a full
+                // channel that only this thread drains) — skip the slot
+                // and catch it on the next scan instead of deadlocking.
+                let Some(mut p) = route.pending[sl as usize].try_lock() else { continue };
+                let expired = p.since.is_some_and(|s| s.elapsed() >= shared.cfg.linger);
+                if !expired || p.builder.is_empty() {
+                    continue;
+                }
+                // Under the slot lock every earlier chunk of the slot is
+                // in its lane or in the channel; take the channel first.
+                self.take_ready();
+                if self.in_lanes >= self.capacity() {
+                    return;
+                }
+                if let Ok(sealed) = seal_pending(&shared, &route, sl, &mut p) {
+                    shared.outstanding.fetch_add(1, Ordering::AcqRel);
+                    self.enlane(sealed);
+                }
+            }
+        }
+    }
+
+    /// Puts on the wire what each lane may send now — its `resend`, else
+    /// a new request if fewer than `pipeline` are in flight. Returns
+    /// whether anything was sent.
+    fn ship(&mut self) -> bool {
+        let Self { shared, lanes, in_lanes, flow, .. } = self;
+        let now = Instant::now();
+        let mut shipped = false;
+        for (&broker, lane) in lanes.iter_mut() {
+            if now < lane.not_before {
+                continue;
+            }
+            let req = match lane.resend.take() {
+                Some(req) => req,
+                None if lane.inflight.len() >= shared.cfg.pipeline.max(1) => continue,
+                None => match flow.pack(shared, &mut lane.waiting, now) {
+                    Some(req) => {
+                        *in_lanes -= req.chunks as usize;
+                        req
+                    }
+                    None => continue,
+                },
+            };
+            flow.inflight_bytes += req.chunk_bytes;
+            // lint: allow(no-hot-copy) — refcount clone; a re-send keeps the other handle
+            let call = shared.rpc.call_async(broker, OpCode::Produce, req.payload.clone());
+            lane.inflight.push_back(InFlight { req, call, sent: now });
+            shipped = true;
+        }
+        shipped
+    }
+
+    /// Settles resolved requests lane by lane, waiting up to `wait` for
+    /// the oldest request of each.
+    fn reap(&mut self, wait: Duration) {
+        for lane in self.lanes.values_mut() {
+            self.flow.reap_lane(&self.shared, lane, wait);
+        }
+    }
+
+    /// Nothing could be shipped: waits for what can change that — the
+    /// oldest call on the wire, else a new chunk — until the linger scan
+    /// is due or the first paused lane may send again.
+    fn idle(&mut self, tick: Duration) {
+        let now = Instant::now();
+        let wait = self
+            .lanes
+            .values()
+            .filter(|l| l.resend.is_some() || !l.waiting.is_empty())
+            .map(|l| l.not_before.saturating_duration_since(now))
+            .filter(|pause| !pause.is_zero())
+            .fold(tick, Duration::min);
+        let room = self.in_lanes < self.capacity();
+        let oldest = self
+            .lanes
+            .values_mut()
+            .filter(|l| l.resend.is_none() && !l.inflight.is_empty())
+            .min_by_key(|l| l.inflight[0].sent);
+        match oldest {
+            Some(lane) => self.flow.reap_lane(&self.shared, lane, wait),
+            None if room => {
+                if let Ok(c) = self.ready_rx.recv_timeout(wait) {
+                    self.enlane(c);
+                }
+            }
+            // Lanes at their bound, nothing on the wire and nothing
+            // shippable: every lane that holds chunks is paused, so the
+            // end of a pause is the only event left to wait for.
+            None => std::thread::park_timeout(wait),
+        }
+    }
+
+    /// Fast teardown: waits out what is on the wire and drops the rest.
+    fn abort(&mut self) {
+        let mut dropped = 0;
+        for lane in self.lanes.values_mut() {
+            dropped += lane.waiting.len() as u64
+                + lane.resend.take().map_or(0, |req| u64::from(req.chunks));
+            while !lane.inflight.is_empty() {
+                self.flow.reap_lane(&self.shared, lane, CALL_TIMEOUT);
+            }
+        }
+        while self.ready_rx.try_recv().is_ok() {
+            dropped += 1;
+        }
+        self.shared.outstanding.fetch_sub(dropped, Ordering::AcqRel);
+    }
+}
+
+impl Flow {
+    /// Packs the longest prefix of `waiting` that fits `request_max_bytes`
+    /// and the hinted byte window into one request. With nothing on the
+    /// wire the first chunk always fits: a hint smaller than a chunk
+    /// must slow the producer down, not wedge it.
+    fn pack(
+        &self,
+        shared: &Shared,
+        waiting: &mut VecDeque<SealedChunk>,
+        now: Instant,
+    ) -> Option<Request> {
+        let mut chunks: Vec<Bytes> = Vec::new();
+        let (mut bytes, mut records) = (0usize, 0u32);
+        while let Some(c) = waiting.front() {
+            let total = bytes + c.bytes.len();
+            let on_wire = self.inflight_bytes + total as u64;
+            let first_of_all = self.inflight_bytes == 0 && chunks.is_empty();
+            if (!chunks.is_empty() && total > shared.cfg.request_max_bytes)
+                || (self.window_hint > 0 && on_wire > self.window_hint && !first_of_all)
+            {
+                break;
+            }
+            bytes = total;
+            records += c.records;
+            chunks.extend(waiting.pop_front().map(|c| c.bytes));
+        }
+        if chunks.is_empty() {
+            return None;
+        }
+        // Chunks are collected as shared slices — the single copy into a
+        // contiguous request body happens here; the buffers then return
+        // to the pool for the builders to reuse.
+        let payload = ProduceRequest::encode_chunks(shared.cfg.id, false, &chunks);
+        let count = chunks.len() as u32;
+        for c in chunks {
+            shared.pool.release(c);
+        }
+        Some(Request {
+            payload,
+            chunk_bytes: bytes as u64,
+            chunks: count,
+            records,
+            started: now,
+            retries: 0,
+            throttle_retries: 0,
+        })
+    }
+
+    /// Settles the lane's resolved requests in send order. Waits up to
+    /// `wait` for the first of them only; the rest are taken if ready.
+    fn reap_lane(&mut self, shared: &Shared, lane: &mut Lane, mut wait: Duration) {
+        while lane.resend.is_none() {
+            let Some(mut front) = lane.inflight.pop_front() else { break };
+            match front.resolve(std::mem::take(&mut wait)) {
+                Some(result) => self.settle(shared, lane, front.req, result),
+                None => {
+                    lane.inflight.push_front(front);
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Applies one resolved request: acknowledged, failed for good, or —
+    /// after `Throttled` or an error — the lane's next send.
+    fn settle(&mut self, shared: &Shared, lane: &mut Lane, mut req: Request, result: Result<Bytes>) {
+        self.inflight_bytes -= req.chunk_bytes;
         let aborting =
             shared.shutdown.load(Ordering::SeqCst) && shared.discard.load(Ordering::SeqCst);
         let again = match &result {
             Ok(_) => false,
             // A hard refusal: the broker is out of admission memory or
-            // has evicted this session. Hammering it with immediate
-            // retries is exactly what admission control punishes.
+            // has evicted this session. Hammering it with retries is
+            // exactly what admission control punishes.
             Err(KeraError::Rejected { .. }) => false,
-            Err(KeraError::Throttled { retry_after, window_hint })
-                if shared.cfg.honor_throttle =>
-            {
-                if aborting || throttle_retries >= MAX_THROTTLE_RETRIES {
-                    false
-                } else {
-                    throttle_retries += 1;
+            Err(KeraError::Throttled { retry_after, window_hint }) => {
+                let again = !aborting && req.throttle_retries < MAX_THROTTLE_RETRIES;
+                if again {
+                    req.throttle_retries += 1;
                     shared.throttled.inc();
-                    // Record the hint, pause this broker for new sends,
-                    // and sleep retry_after plus jitter before the
-                    // retry (dedup tags make it exactly-once).
-                    let pause = {
-                        let mut w = shared.window.lock();
-                        if *window_hint > 0 {
-                            w.hint_bytes = *window_hint;
-                        }
-                        let jitter = w.jitter(*retry_after / 2 + Duration::from_micros(100));
-                        let pause = *retry_after + jitter;
-                        w.throttle_until.insert(inf.broker, Instant::now() + pause);
-                        pause
-                    };
-                    std::thread::sleep(pause);
-                    true
+                    if *window_hint > 0 {
+                        self.window_hint = *window_hint;
+                    }
+                    // Pause the lane for retry_after plus jitter.
+                    let bound = (*retry_after / 2 + Duration::from_micros(100)).as_nanos() as u64;
+                    let jitter = Duration::from_nanos(self.rng.next_u64() % bound);
+                    lane.not_before = Instant::now() + *retry_after + jitter;
                 }
+                again
             }
+            // Anything else: blind re-send, at once.
             Err(_) => {
-                // Blind same-payload retry (throttles land here too for
-                // abusive `honor_throttle = false` clients).
-                if aborting || attempts >= shared.cfg.max_retries {
-                    false
-                } else {
-                    attempts += 1;
-                    true
-                }
+                let again = !aborting && req.retries < MAX_RETRIES;
+                req.retries += u32::from(again);
+                again
             }
         };
-        if !again {
-            break;
+        if again {
+            lane.resend = Some(req);
+            return;
         }
-        // Chunk sequence tags make retries exactly-once on the broker
-        // side (per-slot replay caches); re-send verbatim.
-        result = shared.rpc.call(
-            inf.broker,
-            OpCode::Produce,
-            // lint: allow(no-hot-copy) — refcount clone for the retransmit
-            inf.payload.clone(),
-            shared.cfg.call_timeout,
-        );
-    }
-    match result {
-        Ok(payload) => {
-            if let Ok(resp) = ProduceResponse::decode(&payload) {
-                debug_assert_eq!(resp.acks.len() as u32, inf.chunks);
+        match result {
+            Ok(payload) => {
+                debug_assert!(ProduceResponse::decode(&payload)
+                    .map_or(true, |resp| resp.acks.len() as u32 == req.chunks));
+                shared.acked.record(u64::from(req.records), req.chunk_bytes);
+                shared.request_latency.record(req.started.elapsed());
             }
-            shared.acked.record(u64::from(inf.records), inf.chunk_bytes);
-            shared.request_latency.record(inf.started.elapsed());
+            Err(_) => shared.failed_requests.inc(),
         }
-        Err(_) => {
-            shared.failed_requests.inc();
-        }
-    }
-    {
-        let mut w = shared.window.lock();
-        w.inflight_bytes = w.inflight_bytes.saturating_sub(inf.chunk_bytes);
-        w.inflight_requests = w.inflight_requests.saturating_sub(1);
-    }
-    shared.outstanding.fetch_sub(u64::from(inf.chunks), Ordering::AcqRel);
-}
-
-/// Seals chunks whose linger expired (requests thread only).
-///
-/// Linger-sealed chunks bypass the ready queue and enter `batch`
-/// directly, so ordering needs care: a slot's earlier chunks may still
-/// be in the queue (enqueued after this round's drain). Holding the slot
-/// lock while draining the queue *before* sealing restores the
-/// invariant — seal+enqueue is atomic under the slot lock on the source
-/// side, so once the lock is held, every earlier chunk of the slot is
-/// either already in `batch` or picked up by the drain below, and the
-/// linger chunk lands strictly after all of them.
-fn scan_linger(shared: &Shared, ready_rx: &Receiver<SealedChunk>, batch: &mut Vec<SealedChunk>) {
-    let routes: Vec<Arc<StreamRoute>> = shared.routes.read().values().cloned().collect();
-    for route in routes {
-        for sl in 0..route.metadata.config.streamlets {
-            // try_lock: a held lock is a source thread inside its
-            // seal+enqueue critical section (possibly parked on a full
-            // queue that only this thread drains) — skip the slot and
-            // catch it on the next scan instead of risking a deadlock.
-            let Some(mut p) = route.pending[sl as usize].try_lock() else {
-                continue;
-            };
-            let expired = p
-                .since
-                .map(|s| s.elapsed() >= shared.cfg.linger)
-                .unwrap_or(false);
-            if expired && !p.builder.is_empty() {
-                while let Ok(c) = ready_rx.try_recv() {
-                    batch.push(c);
-                }
-                if let Ok(sealed) = seal_pending(shared, &route, sl, &mut p) {
-                    shared.outstanding.fetch_add(1, Ordering::AcqRel);
-                    batch.push(sealed);
-                }
-            }
-        }
+        shared.outstanding.fetch_sub(u64::from(req.chunks), Ordering::AcqRel);
     }
 }

@@ -1,0 +1,393 @@
+//! The producer against a scripted broker: a `Service` that applies
+//! produce requests like a broker would (dedup by chunk sequence tag),
+//! logs what arrived in what order, and can be told per broker to delay,
+//! throttle, fail retriably or hold every answer back. Each test pins one
+//! invariant of the producer's per-broker lanes (see `producer.rs`).
+
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use bytes::Bytes;
+use kera_client::producer::{Producer, ProducerConfig};
+use kera_client::MetadataClient;
+use kera_common::config::{NetworkModel, StreamConfig};
+use kera_common::ids::{NodeId, ProducerId, StreamId, StreamletId};
+use kera_common::{KeraError, Result};
+use kera_rpc::inmem::InMemNetwork;
+use kera_rpc::node::{NodeRuntime, NullService, RequestContext, Service};
+use kera_wire::chunk::ChunkIter;
+use kera_wire::frames::OpCode;
+use kera_wire::messages::{
+    ChunkAck, GetMetadataRequest, ProduceRequest, ProduceResponse, StreamMetadata,
+    StreamletPlacement,
+};
+use parking_lot::Mutex;
+
+const COORDINATOR: NodeId = NodeId(1);
+const BROKER_A: NodeId = NodeId(10);
+const BROKER_B: NodeId = NodeId(11);
+const STREAM: StreamId = StreamId(1);
+
+/// What a broker does with the next produce request it receives (then
+/// the step is used up; with no step left it applies and acknowledges).
+enum Step {
+    /// Apply and acknowledge after a pause.
+    Delay(Duration),
+    /// Refuse with `Throttled`, nothing applied.
+    Throttle { retry_after: Duration, window_hint: u64 },
+    /// Apply, then lose the answer: the client sees a retriable error.
+    Fail,
+}
+
+#[derive(Default)]
+struct Log {
+    /// Every produce body as received, per broker, in arrival order.
+    requests: Vec<(NodeId, Bytes)>,
+    /// Record numbers applied per slot, in the order they were applied.
+    applied: HashMap<StreamletId, Vec<u64>>,
+    /// When each record number was applied.
+    applied_at: HashMap<u64, Instant>,
+    seen_tags: HashSet<(StreamletId, u64)>,
+    /// Chunks that arrived again after having been applied.
+    replays: u64,
+}
+
+#[derive(Default)]
+struct Script {
+    plan: Mutex<HashMap<NodeId, VecDeque<Step>>>,
+    /// Brokers that answer nothing until taken out of this set.
+    held: Mutex<HashSet<NodeId>>,
+    log: Mutex<Log>,
+}
+
+impl Script {
+    fn plan(&self, broker: NodeId, steps: impl IntoIterator<Item = Step>) {
+        self.plan.lock().entry(broker).or_default().extend(steps);
+    }
+
+    fn hold(&self, broker: NodeId) {
+        self.held.lock().insert(broker);
+    }
+
+    fn release(&self, broker: NodeId) {
+        self.held.lock().remove(&broker);
+    }
+
+    fn requests_at(&self, broker: NodeId) -> Vec<Bytes> {
+        let log = self.log.lock();
+        log.requests.iter().filter(|(b, _)| *b == broker).map(|(_, r)| r.clone()).collect()
+    }
+
+    fn applied_records(&self) -> usize {
+        self.log.lock().applied.values().map(Vec::len).sum()
+    }
+
+    /// Applies every chunk not seen before, like a broker's replay cache.
+    fn apply(&self, req: &ProduceRequest) -> Result<Bytes> {
+        let mut log = self.log.lock();
+        let mut acks = Vec::new();
+        for chunk in ChunkIter::new(&req.chunks) {
+            let chunk = chunk?;
+            let h = *chunk.header();
+            let tag = h.sequence_tag().expect("producer chunks carry a tag");
+            if log.seen_tags.insert((h.streamlet, tag)) {
+                for rec in chunk.records() {
+                    let n = u64::from_le_bytes(rec?.value()[..8].try_into().unwrap());
+                    log.applied.entry(h.streamlet).or_default().push(n);
+                    log.applied_at.insert(n, Instant::now());
+                }
+            } else {
+                log.replays += 1;
+            }
+            acks.push(ChunkAck {
+                stream: h.stream,
+                streamlet: h.streamlet,
+                group: 0,
+                segment: 0,
+                base_offset: 0,
+                records: h.record_count,
+            });
+        }
+        Ok(ProduceResponse { acks }.encode())
+    }
+}
+
+/// One scripted node: the coordinator answers `GetMetadata`, brokers
+/// answer `Produce`.
+struct Scripted {
+    id: NodeId,
+    script: Arc<Script>,
+    metadata: StreamMetadata,
+}
+
+impl Service for Scripted {
+    fn handle(&self, ctx: &RequestContext, payload: Bytes) -> Result<Bytes> {
+        match ctx.opcode {
+            OpCode::GetMetadata => {
+                assert_eq!(GetMetadataRequest::decode(&payload)?.stream, STREAM);
+                Ok(self.metadata.encode())
+            }
+            OpCode::Produce => {
+                self.script.log.lock().requests.push((self.id, payload.clone()));
+                while self.script.held.lock().contains(&self.id) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                let req = ProduceRequest::decode_bytes(&payload)?;
+                let step = self.script.plan.lock().get_mut(&self.id).and_then(VecDeque::pop_front);
+                match step {
+                    None => self.script.apply(&req),
+                    Some(Step::Delay(pause)) => {
+                        std::thread::sleep(pause);
+                        self.script.apply(&req)
+                    }
+                    Some(Step::Throttle { retry_after, window_hint }) => {
+                        Err(KeraError::Throttled { retry_after, window_hint })
+                    }
+                    Some(Step::Fail) => {
+                        self.script.apply(&req)?;
+                        Err(KeraError::ShuttingDown)
+                    }
+                }
+            }
+            other => Err(KeraError::Protocol(format!("unscripted opcode {other:?}"))),
+        }
+    }
+}
+
+/// A coordinator, brokers A and B and one client node on an in-memory
+/// fabric; streamlet `i` of the one stream lives on `placement[i]`.
+struct Rig {
+    script: Arc<Script>,
+    meta: MetadataClient,
+    _nodes: Vec<NodeRuntime>,
+}
+
+fn rig(placement: &[NodeId]) -> Rig {
+    let net = InMemNetwork::new(NetworkModel::default());
+    let script = Arc::new(Script::default());
+    let metadata = StreamMetadata {
+        config: StreamConfig::kafka_like(STREAM, placement.len() as u32),
+        placements: placement
+            .iter()
+            .enumerate()
+            .map(|(i, &broker)| StreamletPlacement { streamlet: StreamletId(i as u32), broker })
+            .collect(),
+    };
+    let mut nodes: Vec<NodeRuntime> = [COORDINATOR, BROKER_A, BROKER_B]
+        .into_iter()
+        .map(|id| {
+            let svc = Scripted { id, script: Arc::clone(&script), metadata: metadata.clone() };
+            // One worker: requests are applied in arrival order, so what
+            // the log shows is the order the producer sent them in.
+            NodeRuntime::start(Arc::new(net.register(id)), Arc::new(svc), 1)
+        })
+        .collect();
+    let client = NodeRuntime::start(Arc::new(net.register(NodeId(100))), Arc::new(NullService), 1);
+    let meta = MetadataClient::new(client.client(), COORDINATOR);
+    nodes.push(client);
+    Rig { script, meta, _nodes: nodes }
+}
+
+fn producer(rig: &Rig, cfg: ProducerConfig) -> Producer {
+    Producer::new(&rig.meta, &[STREAM], ProducerConfig { id: ProducerId(7), ..cfg }).unwrap()
+}
+
+/// A 64-byte record value carrying its number.
+fn record(n: u64) -> [u8; 64] {
+    let mut value = [0u8; 64];
+    value[..8].copy_from_slice(&n.to_le_bytes());
+    value
+}
+
+/// Polls `cond` until it holds; panics after `limit`.
+fn wait_for(what: &str, limit: Duration, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + limit;
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
+/// Runs `flush` on a helper thread so a wedged producer fails the test
+/// instead of hanging it.
+fn flush_within(producer: &Arc<Producer>, limit: Duration) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let p = Arc::clone(producer);
+    std::thread::spawn(move || tx.send(p.flush()));
+    rx.recv_timeout(limit).expect("flush did not return").expect("flush failed");
+}
+
+/// Every record 0..n applied exactly once, and in send order per slot
+/// (round-robin partitioning: a slot's record numbers only grow).
+fn assert_applied_once_in_order(script: &Script, n: u64) {
+    let log = script.log.lock();
+    let mut all: Vec<u64> = Vec::new();
+    for (slot, records) in &log.applied {
+        assert!(
+            records.windows(2).all(|w| w[0] < w[1]),
+            "slot {slot:?} applied out of order: {records:?}"
+        );
+        all.extend(records);
+    }
+    all.sort_unstable();
+    assert_eq!(all, (0..n).collect::<Vec<_>>(), "records lost or applied twice");
+}
+
+/// (a) The PR 4 and PR 7 bugs as cases: broker A answers slowly, so its
+/// lane backs up behind a request that holds two chunks at most, while
+/// the source keeps producing full chunks and — between bursts —
+/// linger-sealed short ones for the same slot. A short later chunk that
+/// would still fit the request must not overtake a full earlier one.
+#[test]
+fn per_slot_order_holds_while_a_lane_is_backed_up() {
+    let rig = rig(&[BROKER_A, BROKER_B]);
+    rig.script.plan(BROKER_A, (0..40).map(|_| Step::Delay(Duration::from_millis(3))));
+    let producer = producer(&rig, ProducerConfig {
+        chunk_size: 512,
+        request_max_bytes: 1024,
+        linger: Duration::from_millis(1),
+        ..ProducerConfig::default()
+    });
+    let mut n = 0;
+    for burst in 0..60 {
+        // 5..=34 records: some bursts end on a full chunk, most leave a
+        // partial one for the linger scan.
+        for _ in 0..5 + burst % 30 {
+            producer.send(STREAM, &record(n)).unwrap();
+            n += 1;
+        }
+        std::thread::sleep(Duration::from_micros(1500));
+    }
+    producer.flush().unwrap();
+    assert_applied_once_in_order(&rig.script, n);
+    assert_eq!(producer.metrics().items(), n);
+    let sizes: HashSet<usize> = rig.script.requests_at(BROKER_A).iter().map(Bytes::len).collect();
+    assert!(sizes.len() > 2, "expected full and linger-sealed chunks mixed: {sizes:?}");
+}
+
+/// (b) A broker that never answers: sealed-but-unacknowledged chunks
+/// stop at channel + lanes + the requests on the wire, and `send` blocks.
+/// (`pipeline` 2 so that the requests thread keeps running its rounds
+/// with the lane stuck, instead of blocking on its one request.)
+#[test]
+fn send_blocks_once_channel_and_lanes_are_full() {
+    const CAPACITY: usize = 8;
+    const RECORDS_PER_CHUNK: u64 = 4; // 48-byte header + 4 × 76-byte records ≤ 400
+    const ATTEMPTED: u64 = 100 * CAPACITY as u64 * RECORDS_PER_CHUNK;
+    let rig = rig(&[BROKER_A]);
+    rig.script.hold(BROKER_A);
+    let producer = Arc::new(producer(&rig, ProducerConfig {
+        chunk_size: 400,
+        request_max_bytes: 800,
+        queue_capacity: CAPACITY,
+        pipeline: 2,
+        ..ProducerConfig::default()
+    }));
+    let sent = Arc::new(AtomicU64::new(0));
+    let source = {
+        let (producer, sent) = (Arc::clone(&producer), Arc::clone(&sent));
+        std::thread::spawn(move || {
+            for n in 0..ATTEMPTED {
+                producer.send(STREAM, &record(n)).unwrap();
+                sent.store(n + 1, Ordering::SeqCst);
+            }
+        })
+    };
+    // The source is blocked once the count stands still.
+    let mut last = (u64::MAX, Instant::now());
+    wait_for("the source to block or finish", Duration::from_secs(20), || {
+        let now = sent.load(Ordering::SeqCst);
+        if now != last.0 {
+            last = (now, Instant::now());
+        }
+        now == ATTEMPTED || last.1.elapsed() > Duration::from_millis(300)
+    });
+    let accepted = sent.load(Ordering::SeqCst);
+    // Channel + lanes, two requests of two chunks on the wire, the
+    // chunk being filled and the one whose `send` is blocked.
+    let bound = (2 * CAPACITY as u64 + 4 + 2) * RECORDS_PER_CHUNK;
+    assert!(accepted <= bound, "{accepted} records accepted with nothing acknowledged (bound {bound})");
+    assert_eq!(producer.metrics().items(), 0);
+
+    rig.script.release(BROKER_A);
+    source.join().unwrap();
+    flush_within(&producer, Duration::from_secs(20));
+    assert_applied_once_in_order(&rig.script, ATTEMPTED);
+}
+
+/// (c) Broker A throttles for 200 ms; broker B is healthy and must not
+/// notice: what is sent to B during A's pause is acknowledged at once.
+#[test]
+fn a_throttled_broker_does_not_stall_the_others() {
+    let rig = rig(&[BROKER_A, BROKER_B]);
+    let pause = Duration::from_millis(200);
+    rig.script.plan(BROKER_A, [Step::Throttle { retry_after: pause, window_hint: 0 }]);
+    let producer = producer(&rig, ProducerConfig { chunk_size: 1024, ..ProducerConfig::default() });
+    // Records 0 and 1: one per broker; A refuses its request.
+    producer.send(STREAM, &record(0)).unwrap();
+    producer.send(STREAM, &record(1)).unwrap();
+    wait_for("A's throttle", Duration::from_secs(5), || producer.throttles() == 1);
+    let throttled_at = Instant::now();
+    // Records 2 (A, paused) and 3 (B).
+    producer.send(STREAM, &record(2)).unwrap();
+    producer.send(STREAM, &record(3)).unwrap();
+    wait_for("B's record", Duration::from_secs(5), || rig.script.log.lock().applied_at.contains_key(&3));
+    let waited = rig.script.log.lock().applied_at[&3] - throttled_at;
+    assert!(waited < pause / 4, "B's record waited {waited:?} behind A's {pause:?} pause");
+    assert_eq!(rig.script.applied_records(), 2, "A is still paused");
+
+    producer.flush().unwrap();
+    assert!(throttled_at.elapsed() >= pause, "A's pause was honored");
+    assert_applied_once_in_order(&rig.script, 4);
+    assert_eq!((producer.throttles(), producer.failed_requests()), (1, 0));
+}
+
+/// (d) A request whose answer is lost is re-sent verbatim — same bytes,
+/// same dedup tags — and its records are acknowledged exactly once.
+#[test]
+fn a_failed_request_is_resent_verbatim_and_acked_once() {
+    let rig = rig(&[BROKER_A]);
+    rig.script.plan(BROKER_A, [Step::Fail]);
+    let producer = producer(&rig, ProducerConfig { chunk_size: 1024, ..ProducerConfig::default() });
+    for n in 0..10 {
+        producer.send(STREAM, &record(n)).unwrap();
+    }
+    producer.flush().unwrap();
+    let requests = rig.script.requests_at(BROKER_A);
+    assert_eq!(requests.len(), 2, "one send, one re-send");
+    assert_eq!(requests[0], requests[1], "the re-send is the same bytes");
+    assert_eq!(rig.script.log.lock().replays, 1, "the broker saw the chunk twice and applied it once");
+    assert_applied_once_in_order(&rig.script, 10);
+    assert_eq!((producer.metrics().items(), producer.failed_requests()), (10, 0));
+}
+
+/// A byte hint smaller than one chunk (it arrives over the wire, so it
+/// can be anything) slows the producer to one chunk at a time; it must
+/// not wedge it.
+#[test]
+fn a_window_hint_smaller_than_a_chunk_does_not_wedge_the_producer() {
+    let rig = rig(&[BROKER_A]);
+    rig.script.plan(
+        BROKER_A,
+        [Step::Throttle { retry_after: Duration::from_millis(1), window_hint: 1 }],
+    );
+    let producer = Arc::new(producer(&rig, ProducerConfig {
+        chunk_size: 512,
+        ..ProducerConfig::default()
+    }));
+    for n in 0..200 {
+        producer.send(STREAM, &record(n)).unwrap();
+    }
+    flush_within(&producer, Duration::from_secs(20));
+    assert_applied_once_in_order(&rig.script, 200);
+    assert_eq!((producer.metrics().items(), producer.failed_requests()), (200, 0));
+    // The throttled request goes out again as it was; after that a
+    // 1-byte window admits one chunk per request.
+    let requests = rig.script.requests_at(BROKER_A);
+    assert_eq!(requests[0], requests[1]);
+    for body in &requests[2..] {
+        assert_eq!(ProduceRequest::decode_bytes(body).unwrap().chunk_count, 1);
+    }
+}

@@ -211,11 +211,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that restores the old single-shot behaviour.
-    pub fn no_retries() -> Self {
-        Self { max_attempts: 1, ..Self::default() }
-    }
-
     /// The pre-jitter backoff before attempt `attempt` (0-based; attempt
     /// 0 has no backoff).
     pub fn backoff_for(&self, attempt: u32) -> std::time::Duration {
@@ -398,8 +393,6 @@ pub struct CoordinatorConfig {
     /// Upper bound of the randomized election timeout; the spread breaks
     /// split-vote ties.
     pub election_timeout_max: std::time::Duration,
-    /// Metadata-log length that triggers a snapshot + log truncation.
-    pub snapshot_threshold: usize,
     /// Seed for each replica's election-jitter RNG (mixed with its node
     /// id, so replicas draw distinct but reproducible timeouts).
     pub seed: u64,
@@ -412,7 +405,6 @@ impl Default for CoordinatorConfig {
             heartbeat_interval: std::time::Duration::from_millis(25),
             election_timeout_min: std::time::Duration::from_millis(150),
             election_timeout_max: std::time::Duration::from_millis(300),
-            snapshot_threshold: 256,
             seed: 0xC0D1_0E1E,
         }
     }
@@ -441,9 +433,6 @@ impl CoordinatorConfig {
             return Err(KeraError::InvalidConfig(
                 "election timeout max must be >= election timeout min".into(),
             ));
-        }
-        if self.snapshot_threshold == 0 {
-            return Err(KeraError::InvalidConfig("snapshot threshold must be > 0".into()));
         }
         Ok(())
     }
@@ -651,7 +640,6 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(CoordinatorConfig { snapshot_threshold: 0, ..c }.validate().is_err());
 
         let cluster = ClusterConfig {
             coordinator: CoordinatorConfig { replicas: 0, ..CoordinatorConfig::default() },

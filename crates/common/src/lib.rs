@@ -10,6 +10,8 @@
 //!   in-memory structure that carries integrity information;
 //! - [`config`] — cluster, stream and replication configuration mirroring
 //!   the knobs the paper sweeps in its evaluation;
+//! - [`knobs`] — the table of `KERA_*` environment variables, each read
+//!   once;
 //! - [`metrics`] — low-overhead counters, throughput meters and latency
 //!   histograms used by brokers, clients and the benchmark harness;
 //! - [`rng`] — a tiny deterministic SplitMix64 generator for hot paths that
@@ -21,6 +23,7 @@ pub mod checksum;
 pub mod config;
 pub mod error;
 pub mod ids;
+pub mod knobs;
 pub mod metrics;
 pub mod rng;
 pub mod timing;

@@ -166,12 +166,7 @@ impl LatencyHistogram {
     }
 
     pub fn mean_ns(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum_ns.load(Ordering::Relaxed) as f64 / n as f64
-        }
+        self.snapshot().mean_ns()
     }
 
     pub fn max_ns(&self) -> u64 {
@@ -180,19 +175,7 @@ impl LatencyHistogram {
 
     /// Upper bound (in ns) of the bucket containing quantile `q` (0..=1).
     pub fn quantile_ns(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
-            if seen >= target {
-                return if i >= 63 { u64::MAX } else { (2u64 << i) - 1 };
-            }
-        }
-        self.max_ns()
+        self.snapshot().quantile_ns(q)
     }
 
     /// Human-readable one-line summary.
@@ -297,8 +280,7 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Upper bound (in ns) of the bucket containing quantile `q` (0..=1);
-    /// same semantics as [`LatencyHistogram::quantile_ns`].
+    /// Upper bound (in ns) of the bucket containing quantile `q` (0..=1).
     pub fn quantile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;

@@ -14,6 +14,7 @@ use kera_common::config::{
     VirtualLogPolicy,
 };
 use kera_common::ids::{ConsumerId, NodeId, ProducerId, StreamId, StreamletId};
+use kera_common::knobs;
 use kera_common::Result;
 use kera_kafka_sim::broker::KafkaTuning;
 use kera_kafka_sim::KafkaCluster;
@@ -39,28 +40,11 @@ impl std::fmt::Display for SystemKind {
     }
 }
 
-fn env_ms(name: &str, default: u64) -> Duration {
-    Duration::from_millis(
-        std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default),
-    )
-}
+/// Record value size of every figure's workload, bytes.
+const RECORD_SIZE: usize = 100;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn env_flag(name: &str, default: bool) -> bool {
-    std::env::var(name).map(|v| !v.is_empty() && v != "0").unwrap_or(default)
-}
-
-/// Canonical full measurement window. Figure TSVs under `results/` are
-/// only comparable when measured with exactly this window; any override
-/// (`KERA_WARMUP_MS` / `KERA_MEASURE_MS`) marks the run as a smoke run,
-/// which [`crate::report::figure_main`] routes to `results/tmp/` so it
-/// can never clobber the committed reference results.
-pub const FULL_WARMUP: Duration = Duration::from_millis(750);
-/// See [`FULL_WARMUP`].
-pub const FULL_MEASURE: Duration = Duration::from_millis(2000);
+/// `replica.fetch.wait.max.ms` of the Kafka baseline.
+const KAFKA_FETCH_WAIT: Duration = Duration::from_millis(500);
 
 /// Full description of one experiment point.
 #[derive(Clone, Debug)]
@@ -77,19 +61,18 @@ pub struct ExperimentConfig {
     pub chunk_size: usize,
     pub request_max_bytes: usize,
     pub linger: Duration,
-    pub record_size: usize,
     pub replication_factor: u32,
     /// Virtual-log association policy (KerA only).
     pub vlog_policy: VirtualLogPolicy,
     pub segment_size: usize,
     pub vseg_size: usize,
+    /// The measurement window. Figure TSVs under `results/` are only
+    /// comparable when measured with the default one; any override
+    /// (`KERA_WARMUP_MS` / `KERA_MEASURE_MS`) marks the run as a smoke run,
+    /// which [`crate::report::figure_main`] routes to `results/tmp/` so it
+    /// can never clobber the committed reference results.
     pub warmup: Duration,
     pub measure: Duration,
-    /// `replica.fetch.wait.max.ms` for the Kafka baseline.
-    pub kafka_fetch_wait: Duration,
-    /// Outstanding produce requests per broker (paper: "multiple
-    /// parallel producer requests"; its evaluation uses 1).
-    pub producer_pipeline: usize,
     /// Per-storage-write fixed cost on the replication path (see
     /// `ClusterConfig::io_cost_ns`). The figure sweeps default to 30 µs —
     /// the order of one small log-file append + offset-index update on
@@ -108,27 +91,9 @@ pub struct ExperimentConfig {
     pub coordinator_replicas: u32,
     /// Per-tenant admission control (DESIGN.md §11). Off by default so
     /// every figure reproduces the unthrottled paper numbers;
-    /// `KERA_QUOTA=1` turns it on for any figure run, with
-    /// `KERA_QUOTA_BPS` / `KERA_QUOTA_BURST` / `KERA_QUOTA_FETCH_BPS` /
-    /// `KERA_QUOTA_INFLIGHT` / `KERA_QUOTA_QUEUE` tuning the limits.
+    /// `KERA_QUOTA=1` turns it on, at the `QuotaConfig` defaults, for any
+    /// figure run.
     pub quotas: QuotaConfig,
-}
-
-fn env_quotas() -> QuotaConfig {
-    let d = QuotaConfig::default();
-    QuotaConfig {
-        enabled: env_flag("KERA_QUOTA", false),
-        produce_bytes_per_sec: env_usize("KERA_QUOTA_BPS", d.produce_bytes_per_sec as usize)
-            as u64,
-        burst_bytes: env_usize("KERA_QUOTA_BURST", d.burst_bytes as usize) as u64,
-        fetch_bytes_per_sec: env_usize("KERA_QUOTA_FETCH_BPS", d.fetch_bytes_per_sec as usize)
-            as u64,
-        max_inflight_bytes: env_usize("KERA_QUOTA_INFLIGHT", d.max_inflight_bytes as usize)
-            as u64,
-        admission_queue_bytes: env_usize("KERA_QUOTA_QUEUE", d.admission_queue_bytes as usize)
-            as u64,
-        ..d
-    }
 }
 
 impl Default for ExperimentConfig {
@@ -136,7 +101,7 @@ impl Default for ExperimentConfig {
         Self {
             system: SystemKind::Kera,
             brokers: 4,
-            worker_threads: env_usize("KERA_BROKER_WORKERS", 3),
+            worker_threads: 3,
             producers: 4,
             consumers: 0,
             streams: 1,
@@ -145,19 +110,16 @@ impl Default for ExperimentConfig {
             chunk_size: 16 * 1024,
             request_max_bytes: 1 << 20,
             linger: Duration::from_millis(1),
-            record_size: 100,
             replication_factor: 3,
             vlog_policy: VirtualLogPolicy::SharedPerBroker(4),
             segment_size: 1 << 20,
             vseg_size: 1 << 20,
-            warmup: env_ms("KERA_WARMUP_MS", FULL_WARMUP.as_millis() as u64),
-            measure: env_ms("KERA_MEASURE_MS", FULL_MEASURE.as_millis() as u64),
-            kafka_fetch_wait: Duration::from_millis(500),
-            producer_pipeline: 1,
-            io_cost_ns: env_usize("KERA_IO_COST_NS", 30_000) as u64,
-            observability: env_flag("KERA_OBS", true),
-            coordinator_replicas: env_usize("KERA_COORD_REPLICAS", 1) as u32,
-            quotas: env_quotas(),
+            warmup: Duration::from_millis(knobs::WARMUP_MS.get()),
+            measure: Duration::from_millis(knobs::MEASURE_MS.get()),
+            io_cost_ns: knobs::IO_COST_NS.get(),
+            observability: knobs::OBS.is_on(),
+            coordinator_replicas: knobs::COORD_REPLICAS.get() as u32,
+            quotas: QuotaConfig { enabled: knobs::QUOTA.is_on(), ..QuotaConfig::default() },
         }
     }
 }
@@ -182,12 +144,6 @@ impl ExperimentConfig {
                 vseg_size: self.vseg_size,
             },
         }
-    }
-
-    /// Total client nodes this experiment registers (producers,
-    /// consumers, plus the admin client).
-    pub fn client_nodes(&self) -> u32 {
-        self.producers + self.consumers + 1
     }
 }
 
@@ -326,7 +282,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> Result<Measurement> {
         SystemKind::Kafka => Cluster::Kafka(KafkaCluster::start(
             cluster_cfg,
             KafkaTuning {
-                fetch_wait: cfg.kafka_fetch_wait,
+                fetch_wait: KAFKA_FETCH_WAIT,
                 fetch_max_bytes_per_partition: 1 << 20,
                 ack_timeout: Duration::from_secs(10),
                 io_cost_ns: cfg.io_cost_ns,
@@ -365,7 +321,6 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> Result<Measurement> {
                 // slow configuration cannot balloon memory or stretch
                 // teardown.
                 queue_capacity: ((4 << 20) / cfg.chunk_size).clamp(8, 1000),
-                pipeline: cfg.producer_pipeline,
                 ..ProducerConfig::default()
             },
         )?);
@@ -379,11 +334,10 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> Result<Measurement> {
             let producer = Arc::clone(producer);
             let stop = Arc::clone(&stop);
             let streams = stream_ids.clone();
-            let record_size = cfg.record_size;
             std::thread::Builder::new()
                 .name(format!("source-{p}"))
                 .spawn(move || {
-                    let mut pool = RecordPool::new(64, record_size, 0x5eed + p as u64);
+                    let mut pool = RecordPool::new(64, RECORD_SIZE, 0x5eed + p as u64);
                     let mut i = 0usize;
                     while !stop.load(Ordering::Relaxed) {
                         let stream = streams[i % streams.len()];
@@ -431,7 +385,6 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> Result<Measurement> {
                     id: ConsumerId(c),
                     fetch_max_bytes: cfg.chunk_size as u32,
                     cache_capacity: 1000,
-                    ..ConsumerConfig::default()
                 },
             )?);
             consumers.push(consumer);
@@ -674,7 +627,6 @@ mod tests {
             consumers: 2,
             replication_factor: 2,
             chunk_size: 1024,
-            kafka_fetch_wait: Duration::from_millis(50),
             ..ExperimentConfig::default()
         };
         quick(&mut cfg);

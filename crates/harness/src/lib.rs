@@ -12,9 +12,8 @@
 //!   mapping onto [`experiment::ExperimentConfig`]s;
 //! - [`report`] — table/TSV output.
 //!
-//! Scale knobs (environment):
-//! `KERA_MEASURE_MS` (default 2000), `KERA_WARMUP_MS` (default 750),
-//! `KERA_BROKER_WORKERS` (default 3). Absolute numbers depend on the host
+//! Environment: the `figure harness` rows of `kera_common::knobs::TABLE`
+//! (`KERA_MEASURE_MS`, `KERA_WARMUP_MS`, …). Absolute numbers depend on the host
 //! (this is a single-process simulation, not Grid5000); the *shapes* are
 //! what `EXPERIMENTS.md` tracks.
 

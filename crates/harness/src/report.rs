@@ -3,6 +3,7 @@
 use std::io::Write;
 use std::path::Path;
 
+use kera_common::knobs;
 use kera_common::Result;
 
 use crate::experiment::{run_experiment, Measurement};
@@ -140,6 +141,12 @@ pub fn write_metrics_json(path: &Path, rows: &[Row]) -> Result<()> {
     Ok(())
 }
 
+/// The canonical full measurement window (warm-up, measure): the
+/// defaults of `KERA_WARMUP_MS` / `KERA_MEASURE_MS`.
+fn full_window() -> [std::time::Duration; 2] {
+    [&knobs::WARMUP_MS, &knobs::MEASURE_MS].map(|k| std::time::Duration::from_millis(k.default))
+}
+
 /// Output directory for a figure run measured with the given window.
 ///
 /// Only the canonical full window may write the committed reference
@@ -150,8 +157,8 @@ pub fn write_metrics_json(path: &Path, rows: &[Row]) -> Result<()> {
 /// the truncated numbers got committed as if they were a reference
 /// measurement.
 pub fn results_dir(warmup: std::time::Duration, measure: std::time::Duration) -> &'static Path {
-    use crate::experiment::{FULL_MEASURE, FULL_WARMUP};
-    if warmup == FULL_WARMUP && measure == FULL_MEASURE {
+    let [full_warmup, full_measure] = full_window();
+    if warmup == full_warmup && measure == full_measure {
         Path::new("results")
     } else {
         Path::new("results/tmp")
@@ -258,21 +265,21 @@ mod tests {
 
     #[test]
     fn smoke_windows_route_to_tmp() {
-        use crate::experiment::{FULL_MEASURE, FULL_WARMUP};
         use std::time::Duration;
+        let [full_warmup, full_measure] = full_window();
         // Only the exact canonical window writes the reference files.
-        assert_eq!(results_dir(FULL_WARMUP, FULL_MEASURE), Path::new("results"));
+        assert_eq!(results_dir(full_warmup, full_measure), Path::new("results"));
         // Shorter, longer, or partially-overridden windows are smoke runs.
         assert_eq!(
             results_dir(Duration::from_millis(300), Duration::from_millis(1200)),
             Path::new("results/tmp")
         );
         assert_eq!(
-            results_dir(FULL_WARMUP, Duration::from_millis(200)),
+            results_dir(full_warmup, Duration::from_millis(200)),
             Path::new("results/tmp")
         );
         assert_eq!(
-            results_dir(Duration::from_secs(5), FULL_MEASURE),
+            results_dir(Duration::from_secs(5), full_measure),
             Path::new("results/tmp")
         );
     }

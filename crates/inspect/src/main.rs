@@ -17,7 +17,7 @@
 //!
 //! Knobs: `--brokers N` (default 3), `--replicas N` (default 3).
 //! `KERA_WATCHDOG_MS` arms the per-node stall watchdog in the booted
-//! cluster; `KERA_SLOW_TRACES` sizes the per-stage slow-trace store.
+//! cluster.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};

@@ -130,10 +130,6 @@ impl TopicStore {
         )
     }
 
-    pub fn replica_count(&self) -> usize {
-        self.replicas.read().len()
-    }
-
     fn notify_appends(&self) {
         let _g = self.data_lock.lock();
         self.data_cv.notify_all();

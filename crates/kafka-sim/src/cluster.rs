@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use kera_common::config::ClusterConfig;
 use kera_common::ids::NodeId;
+use kera_common::knobs;
 use kera_common::Result;
 use kera_obs::{NodeObs, RegistrySnapshot};
 use kera_rpc::{InMemNetwork, NodeRuntime, NullService};
@@ -48,12 +49,6 @@ pub struct KafkaCluster {
     client_obs: Mutex<Vec<Arc<NodeObs>>>,
 }
 
-/// Same gate as `kera_broker::cluster`: flight-recorder dumps are opt-in
-/// via `KERA_FLIGHTREC` so ordinary unit tests never install a panic hook.
-fn flightrec_requested() -> bool {
-    std::env::var("KERA_FLIGHTREC").map(|v| !v.is_empty() && v != "0").unwrap_or(false)
-}
-
 impl KafkaCluster {
     pub fn start(config: ClusterConfig, mut tuning: KafkaTuning) -> Result<KafkaCluster> {
         config.validate()?;
@@ -75,7 +70,7 @@ impl KafkaCluster {
         let mut fetchers = Vec::with_capacity(b as usize);
 
         let mut node_obs: Vec<Arc<NodeObs>> = Vec::new();
-        let flightrec = flightrec_requested();
+        let flightrec = knobs::FLIGHTREC.is_on();
         let make_obs = |id: NodeId| -> Arc<NodeObs> {
             let obs = NodeObs::new(id.raw(), config.observability);
             if flightrec {
@@ -185,7 +180,7 @@ impl KafkaCluster {
     /// Registers a pure client node.
     pub fn client(&self, i: u32) -> NodeRuntime {
         let obs = NodeObs::new(client_node(i).raw(), self.config.observability);
-        if flightrec_requested() {
+        if knobs::FLIGHTREC.is_on() {
             kera_obs::register_for_dump(obs.recorder());
         }
         self.client_obs.lock().push(Arc::clone(&obs));

@@ -34,7 +34,7 @@ pub use flightrec::{
 pub use registry::{Gauge, MetricKey, MetricsRegistry, RegistrySnapshot};
 pub use slowtrace::{SlowSpan, SlowTraceStore};
 pub use trace::{current, enter, ContextGuard, Stage, TraceContext, STAGE_COUNT};
-pub use watchdog::{watchdog_ms_from_env, Watchdog};
+pub use watchdog::Watchdog;
 
 /// One node's observability handle.
 pub struct NodeObs {
@@ -78,7 +78,7 @@ impl NodeObs {
             recorder: FlightRecorder::new(node, flightrec::DEFAULT_CAPACITY),
             stages,
             next_id: AtomicU64::new(1),
-            slow: SlowTraceStore::new(slowtrace::capacity_from_env()),
+            slow: SlowTraceStore::new(slowtrace::PER_STAGE),
             progress: AtomicU64::new(0),
             inflight: AtomicI64::new(0),
             watchdog_ms: AtomicU32::new(0),

@@ -16,18 +16,8 @@ use parking_lot::Mutex;
 use crate::flightrec::{EventRecord, FlightRecorder};
 use crate::trace::{Stage, STAGE_COUNT};
 
-/// Default retained spans per stage.
-pub const DEFAULT_PER_STAGE: usize = 4;
-
-/// Per-stage capacity from `KERA_SLOW_TRACES` (clamped to 1..=64),
-/// defaulting to [`DEFAULT_PER_STAGE`].
-pub fn capacity_from_env() -> usize {
-    std::env::var("KERA_SLOW_TRACES")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.clamp(1, 64))
-        .unwrap_or(DEFAULT_PER_STAGE)
-}
+/// Spans each node retains per stage.
+pub const PER_STAGE: usize = 4;
 
 /// One sampled span: the flight-recorder event plus the error verdict.
 #[derive(Clone, Copy, Debug)]
@@ -62,10 +52,6 @@ impl SlowTraceStore {
             thresholds: std::array::from_fn(|_| AtomicU64::new(0)),
             capacity: capacity.max(1),
         }
-    }
-
-    pub fn capacity_per_stage(&self) -> usize {
-        self.capacity
     }
 
     /// Offers a finished span. The common case (fast, no error) returns

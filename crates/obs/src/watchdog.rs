@@ -10,7 +10,7 @@
 //! ring and slow-trace store to a discriminated directory under the
 //! results tree, then re-arms for the next stall.
 //!
-//! Armed via `KERA_WATCHDOG_MS` (see [`watchdog_ms_from_env`]); with
+//! Armed by the cluster when `KERA_WATCHDOG_MS` is set; with
 //! observability disabled the signals never move, so the watchdog stays
 //! silent by construction.
 
@@ -23,15 +23,6 @@ use std::time::{Duration, Instant};
 
 use crate::flightrec::dump_run_dir;
 use crate::NodeObs;
-
-/// Watchdog threshold from `KERA_WATCHDOG_MS` (unset, unparsable or 0 =
-/// no watchdog).
-pub fn watchdog_ms_from_env() -> Option<u64> {
-    std::env::var("KERA_WATCHDOG_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-}
 
 /// A running stall watchdog for one node. Dropping it stops and joins
 /// the monitor thread.

@@ -9,7 +9,9 @@ use kera_broker::cluster::{broker_node, KeraCluster};
 use kera_client::consumer::{Consumer, ConsumerConfig, Subscription};
 use kera_client::producer::{Producer, ProducerConfig};
 use kera_client::MetadataClient;
-use kera_common::config::{ClusterConfig, ReplicationConfig, StreamConfig, VirtualLogPolicy};
+use kera_common::config::{
+    ClusterConfig, CoordinatorConfig, ReplicationConfig, StreamConfig, VirtualLogPolicy,
+};
 use kera_common::ids::{ConsumerId, ProducerId, StreamId, StreamletId};
 use kera_recovery::{RecoveryConfig, RecoveryManager};
 
@@ -25,16 +27,18 @@ fn stream_config(streamlets: u32, q: u32, policy: VirtualLogPolicy) -> StreamCon
 }
 
 /// Produce `n` sequence-tagged records, crash server 0, recover, and
-/// validate the full record set from a fresh consumer.
-fn run_crash_recovery(streamlets: u32, q: u32, policy: VirtualLogPolicy, n: u64) {
+/// validate the full record set from a fresh consumer; the cluster runs
+/// `coordinators` coordinator replicas.
+fn run_crash_recovery(coordinators: u32, streamlets: u32, q: u32, policy: VirtualLogPolicy, n: u64) {
     let mut cluster = KeraCluster::start(ClusterConfig {
         brokers: 4,
         worker_threads: 4,
+        coordinator: CoordinatorConfig { replicas: coordinators, ..CoordinatorConfig::default() },
         ..ClusterConfig::default()
     })
     .unwrap();
     let prod_rt = cluster.client(0);
-    let meta_p = MetadataClient::new(prod_rt.client(), cluster.coordinator());
+    let meta_p = MetadataClient::with_replicas(prod_rt.client(), cluster.coordinators());
     meta_p.create_stream(stream_config(streamlets, q, policy)).unwrap();
 
     let producer = Producer::new(
@@ -60,9 +64,9 @@ fn run_crash_recovery(streamlets: u32, q: u32, policy: VirtualLogPolicy, n: u64)
 
     // Drive recovery from a dedicated client node.
     let rec_rt = cluster.client(1);
-    let manager = RecoveryManager::new(
+    let manager = RecoveryManager::with_coordinators(
         rec_rt.client(),
-        cluster.coordinator(),
+        cluster.coordinators(),
         cluster.backups(),
         RecoveryConfig::default(),
     );
@@ -74,7 +78,7 @@ fn run_crash_recovery(streamlets: u32, q: u32, policy: VirtualLogPolicy, n: u64)
     // A fresh consumer (fresh metadata!) must see every record exactly
     // once, in per-(streamlet, slot) order.
     let cons_rt = cluster.client(2);
-    let meta_c = MetadataClient::new(cons_rt.client(), cluster.coordinator());
+    let meta_c = MetadataClient::with_replicas(cons_rt.client(), cluster.coordinators());
     let consumer = Consumer::new(
         &meta_c,
         &[Subscription::whole_stream(StreamId(1))],
@@ -119,17 +123,24 @@ fn run_crash_recovery(streamlets: u32, q: u32, policy: VirtualLogPolicy, n: u64)
 
 #[test]
 fn recovery_shared_vlogs_q1() {
-    run_crash_recovery(8, 1, VirtualLogPolicy::SharedPerBroker(2), 4_000);
+    run_crash_recovery(1, 8, 1, VirtualLogPolicy::SharedPerBroker(2), 4_000);
 }
 
 #[test]
 fn recovery_per_streamlet_vlogs() {
-    run_crash_recovery(4, 1, VirtualLogPolicy::PerStreamlet, 3_000);
+    run_crash_recovery(1, 4, 1, VirtualLogPolicy::PerStreamlet, 3_000);
 }
 
 #[test]
 fn recovery_per_subpartition_q4() {
-    run_crash_recovery(4, 4, VirtualLogPolicy::PerSubPartition, 3_000);
+    run_crash_recovery(1, 4, 4, VirtualLogPolicy::PerSubPartition, 3_000);
+}
+
+/// Crash reports and the metadata lookups of the replay follow the
+/// leader of a 3-replica coordinator.
+#[test]
+fn recovery_against_a_replicated_coordinator() {
+    run_crash_recovery(3, 4, 1, VirtualLogPolicy::SharedPerBroker(2), 3000);
 }
 
 #[test]

@@ -78,15 +78,6 @@ impl AnyNetwork {
             AnyNetwork::Tcp(_) => None,
         }
     }
-
-    /// The TCP fabric, if that is what this is (`kera-inspect` uses it
-    /// to print socket addresses and seed cross-process peers).
-    pub fn as_tcp(&self) -> Option<&TcpNetwork> {
-        match self {
-            AnyNetwork::InMem(_) => None,
-            AnyNetwork::Tcp(net) => Some(net),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -612,11 +612,6 @@ impl RpcClient {
         }
     }
 
-    /// The retry policy this client's calls retransmit under.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.inner.retry
-    }
-
     /// Retransmissions sent so far (sends of a call after its first).
     pub fn retries_sent(&self) -> u64 {
         self.inner.retries_sent.get()

@@ -275,11 +275,6 @@ impl Streamlet {
         guard.index.seek(record_offset).map(|e| e.cursor())
     }
 
-    /// Bytes of offset-index metadata held by this streamlet.
-    pub fn index_memory_bytes(&self) -> usize {
-        self.slots.iter().map(|s| s.lock().index.memory_bytes()).sum()
-    }
-
     /// Closes every group (stream deletion): concurrent and future
     /// appends fail, readers can still drain what is already there.
     pub fn close_all_groups(&self) {

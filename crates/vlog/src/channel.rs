@@ -39,11 +39,6 @@ impl MockChannel {
     pub fn batch_count(&self) -> usize {
         self.batches.lock().len()
     }
-
-    /// Total chunk bytes shipped.
-    pub fn bytes_shipped(&self) -> usize {
-        self.batches.lock().iter().map(|(_, r)| r.chunks.len()).sum()
-    }
 }
 
 impl BackupChannel for MockChannel {

@@ -100,7 +100,7 @@ wire_struct! {
     crc("meta snapshot")
     /// A point-in-time image of the coordinator state machine, equivalent to
     /// folding the log through `last_index`. Carried to lagging followers
-    /// and used to truncate the local log past `snapshot_threshold`.
+    /// and used to truncate the local log past the coordinator's snapshot threshold.
     /// Framed like a [`MetaRecord`].
     #[derive(Clone, Debug, Default, PartialEq)]
     pub struct MetaSnapshot {

@@ -10,6 +10,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Concurrency/robustness analyzer: non-zero exit on any finding.
 cargo run -q -p kera-lint
 
+# One table of KERA_* variables: crates/common/src/knobs.rs is the only
+# file under crates/ that reads the environment for one (the workspace
+# pass above ran common/tests/knobs_documented.rs, which holds README.md and the
+# other docs to the same table).
+if grep -rnE 'env::var(_os)?\("KERA_|env::vars(_os)?\(' crates --include='*.rs' \
+    | grep -v '^crates/common/src/knobs.rs:'; then
+  echo "KERA_* variables are read through kera_common::knobs only" >&2
+  exit 1
+fi
+
 # Non-test lines per crate (no gate): the table "lines removed" figures
 # in CHANGES.md are quoted from.
 scripts/loc.sh

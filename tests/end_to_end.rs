@@ -280,7 +280,6 @@ fn slow_consumer_is_backpressured_not_overrun() {
             id: ConsumerId(0),
             cache_capacity: 8,
             fetch_max_bytes: 512,
-            ..ConsumerConfig::default()
         },
     )
     .unwrap();

@@ -378,8 +378,8 @@ impl KeraCluster {
             "crash_server requires TransportChoice::InMemory"
         );
         self.net.crash(backup_node(i));
-        // Join the dead runtimes (their dispatch loops observe the closed
-        // inboxes and exit).
+        // Join the dead runtimes (the crash already told them: their
+        // workers are stopping and their calls have failed).
         if let Some(rt) = self.broker_rts.get_mut(i as usize).and_then(Option::take) {
             rt.shutdown();
         }

@@ -72,7 +72,11 @@ impl DelayLine {
 impl Drop for DelayLine {
     fn drop(&mut self) {
         drop(self.tx.take());
-        if let Some(thread) = self.thread.take() {
+        // A sink can drop its own line: the last reference to a node, and
+        // through it to the network that owns the line, can die inside a
+        // delivery. That drop runs on the line's thread — nothing to join.
+        let me = std::thread::current().id();
+        if let Some(thread) = self.thread.take().filter(|t| t.thread().id() != me) {
             let _ = thread.join();
         }
     }
@@ -118,6 +122,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use kera_wire::frames::OpCode;
+    use std::sync::Arc;
     use std::time::Duration;
 
     fn env(id: u64) -> Envelope {
@@ -146,6 +151,24 @@ mod tests {
             (0..5).map(|_| out.recv_timeout(Duration::from_secs(2)).unwrap()).collect();
         assert_eq!(got, [2, 3, 4, 5, 1]);
         assert!(t0.elapsed() >= Duration::from_millis(30), "released before due");
+    }
+
+    #[test]
+    fn a_sink_may_drop_its_own_line() {
+        // What the in-memory fabric's line does when a delivery holds the
+        // last reference to a node and, through it, to the network.
+        let slot = Arc::new(parking_lot::Mutex::new(None::<DelayLine>));
+        let (done_tx, done_rx) = channel::unbounded();
+        let owner = Arc::clone(&slot);
+        let line = DelayLine::spawn("delay-self".into(), move |_to, _env| {
+            drop(owner.lock().take());
+            let _ = done_tx.send(());
+        });
+        let mut guard = slot.lock();
+        assert!(line.hold(Instant::now(), NodeId(2), env(1)));
+        *guard = Some(line);
+        drop(guard);
+        done_rx.recv_timeout(Duration::from_secs(2)).expect("the line's thread died joining itself");
     }
 
     #[test]

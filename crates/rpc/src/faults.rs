@@ -13,7 +13,7 @@
 //! chaos tests reproduce.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use kera_common::config::FaultProfile;
@@ -25,7 +25,7 @@ use kera_wire::frames::Envelope;
 use parking_lot::Mutex;
 
 use crate::delay::DelayLine;
-use crate::transport::Transport;
+use crate::transport::{Deliver, Transport};
 
 /// Shared fault state for a cluster: the rate profile, the set of
 /// active partitions, and counters for what was actually injected.
@@ -147,9 +147,9 @@ impl FaultPlan {
 }
 
 /// A [`Transport`] wrapper that injects the faults described by a
-/// [`FaultPlan`] into every send. Receives pass through untouched —
-/// faults are modeled at the sender, which suffices because each
-/// message crosses exactly one injector.
+/// [`FaultPlan`] into every send. Arriving frames bypass it — faults
+/// are modeled at the sender, which suffices because each message
+/// crosses exactly one injector.
 pub struct FaultInjector {
     inner: Arc<dyn Transport>,
     plan: FaultPlan,
@@ -239,8 +239,8 @@ impl Transport for FaultInjector {
         self.inner.send(to, env)
     }
 
-    fn recv(&self, timeout: Duration) -> Result<Option<Envelope>> {
-        self.inner.recv(timeout)
+    fn bind(&self, target: Weak<dyn Deliver>) {
+        self.inner.bind(target)
     }
 
     fn close(&self) {
@@ -267,11 +267,12 @@ mod tests {
         let net = InMemNetwork::new(NetworkModel::default());
         let sender = net.register(NodeId(1));
         let receiver = net.register(NodeId(2));
+        let inbox = crate::testkit::Collector::bind(&receiver);
         let plan = FaultPlan::new(profile);
         let injector = FaultInjector::new(Arc::new(sender), plan.clone());
         let drain = move || {
             let mut n = 0;
-            while let Ok(Some(_)) = receiver.recv(Duration::from_millis(20)) {
+            while let Ok(Some(_)) = inbox.recv(Duration::from_millis(20)) {
                 n += 1;
             }
             n

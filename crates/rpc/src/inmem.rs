@@ -1,27 +1,29 @@
 //! The in-memory transport: the fabric of the in-process cluster.
 //!
-//! Each registered node gets an unbounded MPSC inbox; `send` pushes the
-//! envelope into the destination's inbox. Two optional cost knobs
+//! The fabric is a registry of bound nodes: `send` looks the destination
+//! up once, clones its [`Deliver`] target out, and calls it on the
+//! sender's own thread — no inbox, no thread in between, and the registry
+//! lock is never held across a delivery. An id registered but not yet
+//! bound is as unreachable as an unknown one. Two optional cost knobs
 //! approximate a physical network (see `DESIGN.md` §1):
 //!
 //! - **bandwidth**: the sender busy-waits for the wire-serialization time
 //!   of the message on its own link before the message is handed over,
 //!   modelling NIC occupancy;
-//! - **latency**: messages detour through a [`DelayLine`] that holds them
-//!   until their arrival deadline.
+//! - **latency**: messages detour through a [`DelayLine`], whose thread
+//!   delivers them once their arrival deadline has passed.
 //!
-//! With both at zero (the default) the fabric adds only the real cost of a
-//! channel hop, and all measured RPC overhead is genuine CPU work.
+//! With both at zero (the default) the fabric adds only the real cost of
+//! the delivery, and all measured RPC overhead is genuine CPU work.
 //!
 //! The network also supports *fault injection*: [`InMemNetwork::crash`]
 //! atomically unregisters a node; subsequent sends to it fail with
-//! [`KeraError::Disconnected`] and its runtime observes a closed inbox.
+//! [`KeraError::Disconnected`] and its runtime is told it is closed.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, Sender};
 use kera_common::config::NetworkModel;
 use kera_common::ids::NodeId;
 use kera_common::timing::spin_for_ns;
@@ -30,17 +32,11 @@ use kera_wire::frames::Envelope;
 use parking_lot::RwLock;
 
 use crate::delay::DelayLine;
-use crate::transport::Transport;
+use crate::transport::{Deliver, Transport};
 
-struct NodeEntry {
-    tx: Sender<Envelope>,
-    /// Shared with the node's transport; set on crash/close so a dead
-    /// node also stops *transmitting* (its in-flight calls fail fast
-    /// instead of timing out).
-    closed: Arc<std::sync::atomic::AtomicBool>,
-}
-
-type Nodes = RwLock<HashMap<NodeId, NodeEntry>>;
+/// Each registered id with its node's runtime, once bound; until then
+/// the id is unreachable.
+type Nodes = RwLock<HashMap<NodeId, Option<Weak<dyn Deliver>>>>;
 
 struct NetInner {
     /// Shared with the delay line's sink, which must not keep the whole
@@ -62,7 +58,14 @@ impl InMemNetwork {
         let nodes: Arc<Nodes> = Arc::new(RwLock::named("net.nodes", HashMap::new()));
         let delay = (model.latency_ns > 0).then(|| {
             let nodes = Arc::clone(&nodes);
-            DelayLine::spawn("inmem-delay".into(), move |to, env| deliver(&nodes, to, env))
+            // A destination that crashed while the message was in flight
+            // silently swallows it — exactly what a dead NIC does; the
+            // sender's RPC times out instead.
+            DelayLine::spawn("inmem-delay".into(), move |to, env| {
+                if let Some(node) = bound(&nodes, to) {
+                    node.deliver(env);
+                }
+            })
         });
         Self { inner: Arc::new(NetInner { nodes, model, delay }) }
     }
@@ -70,22 +73,19 @@ impl InMemNetwork {
     /// Registers `id` and returns its transport endpoint. Panics if the id
     /// is already registered (cluster assembly bug).
     pub fn register(&self, id: NodeId) -> InMemTransport {
-        let (tx, rx) = channel::unbounded();
-        let closed = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let prev = self
-            .inner
-            .nodes
-            .write()
-            .insert(id, NodeEntry { tx, closed: Arc::clone(&closed) });
+        let prev = self.inner.nodes.write().insert(id, None);
         assert!(prev.is_none(), "node {id} registered twice");
-        InMemTransport { id, net: Arc::clone(&self.inner), inbox: rx, closed }
+        InMemTransport { id, net: Arc::clone(&self.inner) }
     }
 
-    /// Crashes `id`: unregisters it so in-flight and future sends fail and
-    /// its inbox closes (waking its dispatch thread with an error).
+    /// Crashes `id`: unregisters it so in-flight and future sends to it
+    /// fail, and tells its runtime, which stops transmitting and fails its
+    /// outstanding calls at once.
     pub fn crash(&self, id: NodeId) {
-        if let Some(entry) = self.inner.nodes.write().remove(&id) {
-            entry.closed.store(true, std::sync::atomic::Ordering::SeqCst);
+        // The registry guard is gone before the node is called.
+        let target = self.inner.nodes.write().remove(&id).flatten();
+        if let Some(node) = target.and_then(|t| t.upgrade()) {
+            node.closed();
         }
     }
 
@@ -100,20 +100,16 @@ impl InMemNetwork {
     }
 }
 
-fn deliver(nodes: &Nodes, to: NodeId, env: Envelope) {
-    // A crashed destination silently swallows the message — exactly what a
-    // dead NIC does; the sender's RPC times out instead.
-    if let Some(entry) = nodes.read().get(&to) {
-        let _ = entry.tx.send(env);
-    }
+/// The node bound at `to`, cloned out so that `net.nodes` is released
+/// before the caller delivers to it.
+fn bound(nodes: &Nodes, to: NodeId) -> Option<Arc<dyn Deliver>> {
+    nodes.read().get(&to)?.as_ref()?.upgrade()
 }
 
 /// One node's endpoint on an [`InMemNetwork`].
 pub struct InMemTransport {
     id: NodeId,
     net: Arc<NetInner>,
-    inbox: Receiver<Envelope>,
-    closed: Arc<std::sync::atomic::AtomicBool>,
 }
 
 impl Transport for InMemTransport {
@@ -122,18 +118,12 @@ impl Transport for InMemTransport {
     }
 
     fn send(&self, to: NodeId, env: Envelope) -> Result<()> {
-        // A closed (shut down / crashed) node no longer transmits.
-        if self.closed.load(std::sync::atomic::Ordering::SeqCst) {
-            return Err(KeraError::ShuttingDown);
-        }
         let model = &self.net.model;
         if model.bandwidth_bytes_per_sec > 0 {
             // Sender-side NIC occupancy: the calling thread owns this link.
             spin_for_ns(model.serialize_ns(env.wire_len()));
         }
-        if !self.net.nodes.read().contains_key(&to) {
-            return Err(KeraError::Disconnected(to));
-        }
+        let node = bound(&self.net.nodes, to).ok_or(KeraError::Disconnected(to))?;
         match &self.net.delay {
             Some(line) => {
                 let due = Instant::now() + Duration::from_nanos(model.latency_ns);
@@ -141,21 +131,19 @@ impl Transport for InMemTransport {
                     return Err(KeraError::ShuttingDown);
                 }
             }
-            None => deliver(&self.net.nodes, to, env),
+            None => node.deliver(env),
         }
         Ok(())
     }
 
-    fn recv(&self, timeout: Duration) -> Result<Option<Envelope>> {
-        match self.inbox.recv_timeout(timeout) {
-            Ok(env) => Ok(Some(env)),
-            Err(channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(channel::RecvTimeoutError::Disconnected) => Err(KeraError::Disconnected(self.id)),
+    fn bind(&self, target: Weak<dyn Deliver>) {
+        // A node crashed before it started stays unreachable.
+        if let Some(entry) = self.net.nodes.write().get_mut(&self.id) {
+            *entry = Some(target);
         }
     }
 
     fn close(&self) {
-        self.closed.store(true, std::sync::atomic::Ordering::SeqCst);
         self.net.nodes.write().remove(&self.id);
     }
 }
@@ -163,6 +151,7 @@ impl Transport for InMemTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{endpoint, Collector};
     use bytes::Bytes;
     use kera_wire::frames::OpCode;
 
@@ -174,9 +163,9 @@ mod tests {
     fn send_and_receive() {
         let net = InMemNetwork::new(NetworkModel::default());
         let a = net.register(NodeId(1));
-        let b = net.register(NodeId(2));
+        let (_b, b_in) = endpoint(net.register(NodeId(2)));
         a.send(NodeId(2), env(1, 7)).unwrap();
-        let got = b.recv(Duration::from_secs(1)).unwrap().unwrap();
+        let got = b_in.recv(Duration::from_secs(1)).unwrap().unwrap();
         assert_eq!(got.request_id, 7);
         assert_eq!(got.from, NodeId(1));
     }
@@ -184,22 +173,55 @@ mod tests {
     #[test]
     fn recv_timeout_returns_none() {
         let net = InMemNetwork::new(NetworkModel::default());
-        let a = net.register(NodeId(1));
-        assert!(a.recv(Duration::from_millis(10)).unwrap().is_none());
+        let (_a, a_in) = endpoint(net.register(NodeId(1)));
+        assert!(a_in.recv(Duration::from_millis(10)).unwrap().is_none());
     }
 
     #[test]
     fn per_link_fifo_order() {
         let net = InMemNetwork::new(NetworkModel::default());
         let a = net.register(NodeId(1));
-        let b = net.register(NodeId(2));
+        let (_b, b_in) = endpoint(net.register(NodeId(2)));
         for i in 0..100 {
             a.send(NodeId(2), env(1, i)).unwrap();
         }
         for i in 0..100 {
-            let got = b.recv(Duration::from_secs(1)).unwrap().unwrap();
+            let got = b_in.recv(Duration::from_secs(1)).unwrap().unwrap();
             assert_eq!(got.request_id, i);
         }
+    }
+
+    #[test]
+    fn concurrent_senders_keep_per_link_fifo() {
+        // Eight threads deliver through one endpoint on their own stacks:
+        // nothing is lost or doubled, and each thread's frames arrive in
+        // the order it sent them.
+        let net = InMemNetwork::new(NetworkModel::default());
+        let a = Arc::new(net.register(NodeId(1)));
+        let (_b, b_in) = endpoint(net.register(NodeId(2)));
+        let start = Arc::new(std::sync::Barrier::new(8));
+        let handles: Vec<_> = (0..8u64)
+            .map(|t| {
+                let (a, start) = (Arc::clone(&a), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..50u64 {
+                        a.send(NodeId(2), env(1, t * 1000 + i)).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let mut next = [0u64; 8];
+        for _ in 0..400 {
+            let id = b_in.recv(Duration::from_secs(2)).unwrap().expect("frame lost").request_id;
+            let (t, i) = ((id / 1000) as usize, id % 1000);
+            assert_eq!(i, next[t], "thread {t}'s frames reordered or duplicated");
+            next[t] += 1;
+        }
+        assert!(b_in.recv(Duration::from_millis(10)).unwrap().is_none());
     }
 
     #[test]
@@ -211,16 +233,30 @@ mod tests {
     }
 
     #[test]
-    fn crash_makes_sends_fail_and_inbox_close() {
+    fn send_to_registered_but_unbound_node_fails() {
+        // No holding queue: until its runtime binds, an id is as
+        // unreachable as an unknown one, and becomes reachable at bind.
         let net = InMemNetwork::new(NetworkModel::default());
         let a = net.register(NodeId(1));
         let b = net.register(NodeId(2));
+        let err = a.send(NodeId(2), env(1, 0)).unwrap_err();
+        assert!(matches!(err, KeraError::Disconnected(NodeId(2))));
+        let b_in = Collector::bind(&b);
+        a.send(NodeId(2), env(1, 1)).unwrap();
+        assert_eq!(b_in.recv(Duration::from_secs(1)).unwrap().unwrap().request_id, 1);
+    }
+
+    #[test]
+    fn crash_makes_sends_fail_and_inbox_close() {
+        let net = InMemNetwork::new(NetworkModel::default());
+        let a = net.register(NodeId(1));
+        let (_b, b_in) = endpoint(net.register(NodeId(2)));
         assert!(net.is_alive(NodeId(2)));
         net.crash(NodeId(2));
         assert!(!net.is_alive(NodeId(2)));
         assert!(a.send(NodeId(2), env(1, 0)).is_err());
-        // The crashed node's own recv observes disconnection.
-        assert!(b.recv(Duration::from_millis(10)).is_err());
+        // The crashed node's own target observes the close.
+        assert!(b_in.recv(Duration::from_millis(10)).is_err());
     }
 
     #[test]
@@ -240,13 +276,13 @@ mod tests {
             bandwidth_bytes_per_sec: 0,
         });
         let a = net.register(NodeId(1));
-        let b = net.register(NodeId(2));
+        let (_b, b_in) = endpoint(net.register(NodeId(2)));
         let t0 = Instant::now();
         for i in 0..10 {
             a.send(NodeId(2), env(1, i)).unwrap();
         }
         for i in 0..10 {
-            let got = b.recv(Duration::from_secs(1)).unwrap().unwrap();
+            let got = b_in.recv(Duration::from_secs(1)).unwrap().unwrap();
             assert_eq!(got.request_id, i);
         }
         assert!(t0.elapsed() >= Duration::from_millis(5));
@@ -259,7 +295,7 @@ mod tests {
             bandwidth_bytes_per_sec: 1_000_000, // 1 MB/s
         });
         let a = net.register(NodeId(1));
-        let _b = net.register(NodeId(2));
+        let (_b, _b_in) = endpoint(net.register(NodeId(2)));
         let payload = Bytes::from(vec![0u8; 10_000]); // ~10 ms at 1 MB/s
         let t0 = Instant::now();
         a.send(NodeId(2), Envelope::request(OpCode::Ping, 0, NodeId(1), payload)).unwrap();

@@ -1,12 +1,14 @@
-//! The node runtime: polling dispatch + worker pool (RAMCloud's threading
-//! model, which KerA borrows — paper §IV, §V-E).
+//! The node runtime: delivery on arrival + worker pool (RAMCloud's worker
+//! half, which KerA borrows — paper §IV, §V-E — without its NIC poller).
 //!
-//! One *dispatch* thread polls the transport. Incoming **requests** are
-//! handed to a pool of *worker* threads that invoke the node's
-//! [`Service`]; incoming **responses** complete pending calls directly on
-//! the dispatch thread, so a worker blocked inside a handler (e.g. a
-//! broker waiting for backup acks) can always be completed — the dispatch
-//! thread never executes handlers and therefore never blocks on workers.
+//! A node has no receiving thread: its transport hands every arriving
+//! frame to [`Deliver::deliver`] on the thread that already holds it.
+//! **Requests** are admitted against the at-most-once state and queued for
+//! a pool of *worker* threads that invoke the node's [`Service`];
+//! **responses** complete pending calls right there. The one rule:
+//! delivery never runs a handler, never blocks, and holds no lock across a
+//! send — so a worker blocked inside a handler (e.g. a broker waiting for
+//! backup acks) can always be completed.
 //!
 //! Every call is a [`PendingCall`] that retransmits while waited on; a
 //! synchronous [`RpcClient::call`] is `issue(..).wait(..)` with an overall
@@ -21,7 +23,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -35,11 +37,7 @@ use kera_obs::{NodeObs, Span, Stage, TraceContext};
 use kera_wire::frames::{Envelope, FrameKind, OpCode};
 use parking_lot::Mutex;
 
-use crate::transport::Transport;
-
-/// How long the dispatch thread waits per poll before re-checking the
-/// shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
+use crate::transport::{Deliver, Transport};
 
 /// A request being handled.
 #[derive(Clone, Copy, Debug)]
@@ -170,6 +168,9 @@ struct NodeInner {
     id: NodeId,
     transport: Arc<dyn Transport>,
     pending: Mutex<HashMap<u64, Sender<Envelope>>>,
+    /// The worker pool's queue; `None` is the stop marker, which each
+    /// worker passes on to the next as it exits.
+    work_tx: Sender<Option<WorkItem>>,
     next_id: AtomicU64,
     shutdown: AtomicBool,
     retry: RetryPolicy,
@@ -192,8 +193,8 @@ struct NodeInner {
     pub requests_expired: Arc<Counter>,
 }
 
-/// A running node: dispatch thread + workers. Dropping the runtime shuts
-/// the node down and joins its threads.
+/// A running node: its workers, fed by whatever thread delivers a frame.
+/// Dropping the runtime shuts the node down and joins its threads.
 pub struct NodeRuntime {
     inner: Arc<NodeInner>,
     threads: Vec<std::thread::JoinHandle<()>>,
@@ -207,23 +208,14 @@ impl NodeRuntime {
         service: Arc<dyn Service>,
         workers: usize,
     ) -> NodeRuntime {
-        Self::start_with_policy(transport, service, workers, RetryPolicy::default())
-    }
-
-    /// Starts a node with an explicit retry/backoff policy for its calls.
-    pub fn start_with_policy(
-        transport: Arc<dyn Transport>,
-        service: Arc<dyn Service>,
-        workers: usize,
-        retry: RetryPolicy,
-    ) -> NodeRuntime {
         let obs = NodeObs::disabled(transport.local().raw());
-        Self::start_with_obs(transport, service, workers, retry, obs)
+        Self::start_with_obs(transport, service, workers, RetryPolicy::default(), obs)
     }
 
-    /// Starts a node with an explicit observability handle; its RPC
-    /// counters register in the handle's metrics registry, and (when the
-    /// handle is enabled) every served request records a span.
+    /// Starts a node with an explicit retry/backoff policy for its calls
+    /// and an explicit observability handle; its RPC counters register in
+    /// the handle's metrics registry, and (when the handle is enabled)
+    /// every served request records a span.
     pub fn start_with_obs(
         transport: Arc<dyn Transport>,
         service: Arc<dyn Service>,
@@ -236,10 +228,12 @@ impl NodeRuntime {
         // a malformed retry policy must fail fast at node startup.
         retry.validate().expect("invalid retry policy");
         let reg = obs.registry();
+        let (work_tx, work_rx) = channel::unbounded();
         let inner = Arc::new(NodeInner {
             id: transport.local(),
             transport,
             pending: Mutex::named("rpc.pending", HashMap::new()),
+            work_tx,
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             retry,
@@ -252,24 +246,11 @@ impl NodeRuntime {
             obs,
         });
 
-        let (work_tx, work_rx) = channel::unbounded::<WorkItem>();
-        let mut threads = Vec::with_capacity(workers + 1);
-
-        {
-            let inner = Arc::clone(&inner);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("dispatch-{}", inner.id.raw()))
-                    .spawn(move || dispatch_loop(inner, work_tx))
-                    // lint: allow(no-panic) — spawn failure at node startup is
-                    // fatal by design; the node never existed.
-                    .expect("spawn dispatch"),
-            );
-        }
+        let mut threads = Vec::with_capacity(workers);
         for w in 0..workers {
             let inner = Arc::clone(&inner);
             let service = Arc::clone(&service);
-            let work_rx: Receiver<WorkItem> = work_rx.clone();
+            let work_rx = work_rx.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("worker-{}-{}", inner.id.raw(), w))
@@ -279,11 +260,9 @@ impl NodeRuntime {
                     .expect("spawn worker"),
             );
         }
+        // Last: from here on peers reach the node, and frames flow.
+        inner.transport.bind(Arc::downgrade(&inner) as Weak<dyn Deliver>);
         NodeRuntime { inner, threads }
-    }
-
-    pub fn node_id(&self) -> NodeId {
-        self.inner.id
     }
 
     /// A cheap cloneable handle for issuing RPCs from any thread.
@@ -311,17 +290,12 @@ impl NodeRuntime {
     /// Shuts the node down and joins all threads (what dropping it does).
     pub fn shutdown(self) {}
 
-    fn begin_shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.transport.close();
-        // Fail anything still waiting.
-        self.inner.fail_all_pending();
-    }
 }
 
 impl Drop for NodeRuntime {
     fn drop(&mut self) {
-        self.begin_shutdown();
+        self.inner.closed();
+        self.inner.transport.close();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -329,64 +303,72 @@ impl Drop for NodeRuntime {
 }
 
 impl NodeInner {
-    fn fail_all_pending(&self) {
-        // Dropping the senders closes the per-call channels; waiters see
-        // Disconnected.
+    /// A closed (shut down / crashed) node no longer transmits.
+    fn send(&self, to: NodeId, env: Envelope) -> Result<()> {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return Err(KeraError::ShuttingDown);
+        }
+        self.transport.send(to, env)
+    }
+}
+
+impl Deliver for NodeInner {
+    /// `rpc.pending` / `rpc.dedup` are released before anything is sent:
+    /// the replay below runs the *peer's* delivery on this stack.
+    fn deliver(&self, env: Envelope) {
+        if self.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match env.kind {
+            FrameKind::Request => match self.dedup.admit((env.from, env.request_id)) {
+                Admit::New => {
+                    let expires = (env.deadline_micros > 0)
+                        .then(|| Instant::now() + Duration::from_micros(env.deadline_micros));
+                    let _ = self.work_tx.send(Some(WorkItem { env, expires }));
+                }
+                duplicate => {
+                    self.requests_deduped.inc();
+                    self.obs.event(
+                        Stage::RpcDedupHit,
+                        TraceContext { trace_id: env.trace_id, span_id: env.span_id },
+                        env.opcode as u8,
+                        env.request_id,
+                    );
+                    // Already executed and the response was lost: replay
+                    // the cached reply. Still executing: its response
+                    // will resolve this id's pending slot.
+                    if let Admit::Completed(reply) = duplicate {
+                        let _ = self.send(env.from, reply);
+                    }
+                }
+            },
+            FrameKind::Response => {
+                let waiter = self.pending.lock().remove(&env.request_id);
+                if let Some(tx) = waiter {
+                    let _ = tx.send(env);
+                }
+                // else: the call timed out and gave up — drop the stale
+                // response.
+            }
+        }
+    }
+
+    /// Shutdown and crash end here: later deliveries are dropped, the
+    /// workers find the stop marker behind the queued work, and every
+    /// pending call fails (its dropped sender reads as Disconnected).
+    fn closed(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = self.work_tx.send(None);
         self.pending.lock().clear();
     }
 }
 
-fn dispatch_loop(inner: Arc<NodeInner>, work_tx: Sender<WorkItem>) {
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match inner.transport.recv(POLL_INTERVAL) {
-            Ok(Some(env)) => match env.kind {
-                FrameKind::Request => match inner.dedup.admit((env.from, env.request_id)) {
-                    Admit::New => {
-                        let expires = (env.deadline_micros > 0)
-                            .then(|| Instant::now() + Duration::from_micros(env.deadline_micros));
-                        if work_tx.send(WorkItem { env, expires }).is_err() {
-                            break; // workers gone
-                        }
-                    }
-                    duplicate => {
-                        inner.requests_deduped.inc();
-                        inner.obs.event(
-                            Stage::RpcDedupHit,
-                            TraceContext { trace_id: env.trace_id, span_id: env.span_id },
-                            env.opcode as u8,
-                            env.request_id,
-                        );
-                        // Already executed and the response was lost:
-                        // replay the cached reply. Still executing: its
-                        // response will resolve this id's pending slot.
-                        if let Admit::Completed(reply) = duplicate {
-                            let _ = inner.transport.send(env.from, reply);
-                        }
-                    }
-                },
-                FrameKind::Response => {
-                    let waiter = inner.pending.lock().remove(&env.request_id);
-                    if let Some(tx) = waiter {
-                        let _ = tx.send(env);
-                    }
-                    // else: the call timed out and gave up — drop the
-                    // stale response.
-                }
-            },
-            Ok(None) => continue,
-            Err(_) => break, // transport closed (shutdown or crash)
-        }
-    }
-    // Closing the work channel stops the workers; pending calls fail.
-    drop(work_tx);
-    inner.fail_all_pending();
-}
-
-fn worker_loop(inner: Arc<NodeInner>, service: Arc<dyn Service>, work_rx: Receiver<WorkItem>) {
-    while let Ok(item) = work_rx.recv() {
+fn worker_loop(
+    inner: Arc<NodeInner>,
+    service: Arc<dyn Service>,
+    work_rx: Receiver<Option<WorkItem>>,
+) {
+    while let Ok(Some(item)) = work_rx.recv() {
         let env = item.env;
         let key = (env.from, env.request_id);
         let sender_ctx = TraceContext { trace_id: env.trace_id, span_id: env.span_id };
@@ -438,8 +420,9 @@ fn worker_loop(inner: Arc<NodeInner>, service: Arc<dyn Service>, work_rx: Receiv
         inner.dedup.complete(key, reply.clone());
         inner.requests_served.inc();
         // The requester may be gone; that's its problem.
-        let _ = inner.transport.send(ctx.from, reply);
+        let _ = inner.send(ctx.from, reply);
     }
+    let _ = inner.work_tx.send(None);
 }
 
 /// Handle for issuing RPCs from a node.
@@ -449,10 +432,6 @@ pub struct RpcClient {
 }
 
 impl RpcClient {
-    pub fn node_id(&self) -> NodeId {
-        self.inner.id
-    }
-
     /// This node's observability handle.
     pub fn obs(&self) -> &Arc<NodeObs> {
         &self.inner.obs
@@ -654,13 +633,6 @@ pub struct PendingCall {
 }
 
 impl PendingCall {
-    /// True when the call has resolved (response arrived, send failed,
-    /// or the channel closed). Lets pipelined callers reap completions
-    /// opportunistically.
-    pub fn is_ready(&self) -> bool {
-        self.failed.is_some() || !self.rx.is_empty()
-    }
-
     /// Waits up to `timeout` without consuming the call: returns
     /// `Some(result)` once resolved, `None` on timeout (the call stays
     /// pending and may be polled again). Used by pipelined callers that
@@ -726,7 +698,7 @@ impl PendingCall {
             // call, and the server must not drop the execution early.
             env = env.with_deadline(remaining);
         }
-        let sent = self.inner.transport.send(self.to, env);
+        let sent = self.inner.send(self.to, env);
         self.next_retransmit = self.retransmit_after(now, sent.is_ok());
         if let Err(e) = sent {
             if !e.is_retriable() || self.next_retransmit.is_none() {
@@ -779,6 +751,7 @@ impl Drop for PendingCall {
 mod tests {
     use super::*;
     use crate::inmem::InMemNetwork;
+    use crate::testkit::Collector;
     use kera_common::config::NetworkModel;
 
     /// Echoes the payload; `Shutdown` opcode returns an error; `Fetch`
@@ -896,8 +869,9 @@ mod tests {
     #[test]
     fn nested_calls_do_not_deadlock() {
         // A service whose handler itself issues an RPC to another node —
-        // the broker→backup pattern. With dispatch separated from workers
-        // this must complete even with a single worker.
+        // the broker→backup pattern. Responses are completed by whichever
+        // thread delivers them, never by a worker, so this must complete
+        // even with a single worker.
         struct Proxy {
             next: NodeId,
             client: Mutex<Option<RpcClient>>,
@@ -956,6 +930,51 @@ mod tests {
     }
 
     #[test]
+    fn crash_fails_the_crashed_nodes_own_calls_at_once() {
+        let net = InMemNetwork::new(NetworkModel::default());
+        let _peer = Collector::bind(&net.register(NodeId(1))); // never answers
+        let client =
+            NodeRuntime::start(Arc::new(net.register(NodeId(2))), Arc::new(NullService), 1);
+        let mut call = client.client().call_async(NodeId(1), OpCode::Ping, Bytes::new());
+        assert!(call.poll_wait(Duration::ZERO).is_none());
+        // The crash itself tells the node: by the time it returns the call
+        // has failed, with no thread left to notice a closed inbox first.
+        net.crash(NodeId(2));
+        let res = call.poll_wait(Duration::ZERO).expect("still pending after the crash");
+        assert!(matches!(res, Err(KeraError::Disconnected(NodeId(2)))));
+    }
+
+    #[test]
+    fn dropping_a_runtime_frees_its_node() {
+        // The fabric holds the node weakly: registry -> target -> node ->
+        // transport -> registry must not be a cycle that outlives the
+        // runtime, on either fabric.
+        use crate::network::{AnyNetwork, TransportKind};
+        for kind in [TransportKind::InMemory, TransportKind::Tcp] {
+            let net = AnyNetwork::new(kind, NetworkModel::default());
+            let server =
+                NodeRuntime::start(net.register(NodeId(1)).unwrap(), Arc::new(EchoService), 1);
+            let client =
+                NodeRuntime::start(net.register(NodeId(2)).unwrap(), Arc::new(NullService), 1);
+            // Traffic both ways, so TCP has live reader threads on each side.
+            client
+                .client()
+                .call(NodeId(1), OpCode::Ping, Bytes::new(), Duration::from_secs(2))
+                .unwrap();
+            let nodes = [Arc::downgrade(&server.inner), Arc::downgrade(&client.inner)];
+            drop(client);
+            drop(server);
+            // A reader thread may still be letting go of the frame it just
+            // delivered; nothing holds a node for longer than that.
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while nodes.iter().any(|n| n.upgrade().is_some()) {
+                assert!(Instant::now() < deadline, "{kind:?} leaked a node");
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    #[test]
     fn stale_response_after_timeout_is_dropped() {
         let (_net, _server, client) = pair();
         let c = client.client();
@@ -999,7 +1018,7 @@ mod tests {
             ..FaultProfile::default()
         });
         let lossy = Arc::new(FaultInjector::new(Arc::new(net.register(NodeId(2))), plan.clone()));
-        let client = NodeRuntime::start_with_policy(
+        let client = NodeRuntime::start_with_obs(
             lossy,
             Arc::new(NullService),
             1,
@@ -1009,6 +1028,7 @@ mod tests {
                 initial_backoff: Duration::from_millis(1),
                 max_backoff: Duration::from_millis(10),
             },
+            NodeObs::disabled(2),
         );
         let c = client.client();
         for i in 0..40u64 {
@@ -1050,7 +1070,7 @@ mod tests {
             ..FaultProfile::default()
         });
         let lossy = Arc::new(FaultInjector::new(Arc::new(net.register(NodeId(2))), plan.clone()));
-        let client = NodeRuntime::start_with_policy(
+        let client = NodeRuntime::start_with_obs(
             lossy,
             Arc::new(NullService),
             1,
@@ -1060,6 +1080,7 @@ mod tests {
                 initial_backoff: Duration::from_millis(1),
                 max_backoff: Duration::from_millis(10),
             },
+            NodeObs::disabled(2),
         );
         let c = client.client();
         const CALLS: u64 = 30;
@@ -1102,13 +1123,14 @@ mod tests {
         // Raw transport standing in for a client whose retry re-sends the
         // same request id after the response was lost.
         let raw = net.register(NodeId(9));
+        let raw_in = Collector::bind(&raw);
         let req = Envelope::request(OpCode::Ping, 77, NodeId(9), Bytes::from_static(b"once"));
         raw.send(NodeId(1), req.clone()).unwrap();
-        let first = raw.recv(Duration::from_secs(1)).unwrap().expect("first response");
+        let first = raw_in.recv(Duration::from_secs(1)).unwrap().expect("first response");
         assert_eq!(&first.payload[..], b"once");
 
         raw.send(NodeId(1), req).unwrap();
-        let second = raw.recv(Duration::from_secs(1)).unwrap().expect("cached response");
+        let second = raw_in.recv(Duration::from_secs(1)).unwrap().expect("cached response");
         assert_eq!(&second.payload[..], b"once");
         assert_eq!(second.request_id, 77);
 
@@ -1123,6 +1145,7 @@ mod tests {
         let server =
             NodeRuntime::start(Arc::new(net.register(NodeId(1))), Arc::new(EchoService), 1);
         let raw = net.register(NodeId(9));
+        let raw_in = Collector::bind(&raw);
 
         // Occupy the worker for ~200ms.
         raw.send(NodeId(1), Envelope::request(OpCode::Fetch, 1, NodeId(9), Bytes::new()))
@@ -1133,10 +1156,10 @@ mod tests {
             .with_deadline(Duration::from_millis(5));
         raw.send(NodeId(1), doomed).unwrap();
 
-        let fetch_resp = raw.recv(Duration::from_secs(1)).unwrap().expect("fetch response");
+        let fetch_resp = raw_in.recv(Duration::from_secs(1)).unwrap().expect("fetch response");
         assert_eq!(fetch_resp.request_id, 1);
         // The expired request must produce no response...
-        assert!(raw.recv(Duration::from_millis(100)).unwrap().is_none());
+        assert!(raw_in.recv(Duration::from_millis(100)).unwrap().is_none());
         assert_eq!(server.requests_expired(), 1);
 
         // ...but a retry of the same id (fresh budget) executes normally:
@@ -1144,7 +1167,7 @@ mod tests {
         let retry = Envelope::request(OpCode::Ping, 2, NodeId(9), Bytes::from_static(b"late"))
             .with_deadline(Duration::from_secs(1));
         raw.send(NodeId(1), retry).unwrap();
-        let resp = raw.recv(Duration::from_secs(1)).unwrap().expect("retry response");
+        let resp = raw_in.recv(Duration::from_secs(1)).unwrap().expect("retry response");
         assert_eq!(resp.request_id, 2);
         assert_eq!(&resp.payload[..], b"late");
     }
@@ -1177,7 +1200,7 @@ mod tests {
         let net = InMemNetwork::new(NetworkModel::default());
         let _server =
             NodeRuntime::start(Arc::new(net.register(NodeId(1))), Arc::new(EchoService), 1);
-        let client = NodeRuntime::start_with_policy(
+        let client = NodeRuntime::start_with_obs(
             Arc::new(net.register(NodeId(2))),
             Arc::new(NullService),
             1,
@@ -1187,6 +1210,7 @@ mod tests {
                 initial_backoff: Duration::from_secs(1),
                 max_backoff: Duration::from_secs(1),
             },
+            NodeObs::disabled(2),
         );
         let c = client.client();
         let got = c
@@ -1199,9 +1223,11 @@ mod tests {
     #[test]
     fn retransmission_carries_the_smaller_remaining_budget() {
         let net = InMemNetwork::new(NetworkModel::default());
-        // A peer that reads its inbox by hand: it sees every transmission.
+        // A peer that collects its frames by hand: it sees every
+        // transmission.
         let peer = net.register(NodeId(1));
-        let client = NodeRuntime::start_with_policy(
+        let peer_in = Collector::bind(&peer);
+        let client = NodeRuntime::start_with_obs(
             Arc::new(net.register(NodeId(2))),
             Arc::new(NullService),
             1,
@@ -1211,13 +1237,14 @@ mod tests {
                 initial_backoff: Duration::from_millis(1),
                 max_backoff: Duration::from_millis(1),
             },
+            NodeObs::disabled(2),
         );
         let c = client.client();
         let caller = std::thread::spawn(move || {
             c.call(NodeId(1), OpCode::Ping, Bytes::from_static(b"x"), Duration::from_secs(2))
         });
-        let first = peer.recv(Duration::from_secs(1)).unwrap().expect("first transmission");
-        let second = peer.recv(Duration::from_secs(1)).unwrap().expect("retransmission");
+        let first = peer_in.recv(Duration::from_secs(1)).unwrap().expect("first transmission");
+        let second = peer_in.recv(Duration::from_secs(1)).unwrap().expect("retransmission");
         assert_eq!(second.request_id, first.request_id);
         assert!(first.deadline_micros > 0 && first.deadline_micros <= 2_000_000);
         assert!(
@@ -1240,8 +1267,8 @@ mod tests {
     #[test]
     fn dropped_calls_release_their_pending_slots() {
         let net = InMemNetwork::new(NetworkModel::default());
-        // A black hole: registered (sends succeed) but never answers.
-        let _peer = net.register(NodeId(1));
+        // A black hole: bound (sends succeed) but never answers.
+        let _peer = Collector::bind(&net.register(NodeId(1)));
         let client =
             NodeRuntime::start(Arc::new(net.register(NodeId(2))), Arc::new(NullService), 1);
         let c = client.client();

@@ -9,7 +9,9 @@
 //! A [`TcpNetwork`] is a directory mapping [`NodeId`]s to socket
 //! addresses. Each registered node binds an ephemeral listener; outbound
 //! connections are created lazily, one per (source, destination) pair, and
-//! writes are serialized per destination.
+//! writes are serialized per destination. Accepting starts when the node
+//! binds its [`Deliver`] target (earlier connections wait in the listen
+//! backlog); each inbound connection's reader thread delivers to it.
 //!
 //! The length prefix is untrusted input: frames larger than the network's
 //! `max_frame_bytes` cause the receiver to drop the connection *before*
@@ -21,18 +23,22 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use bytes::BytesMut;
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel::{self, Sender};
 use kera_common::config::DEFAULT_MAX_FRAME_BYTES;
 use kera_common::ids::NodeId;
 use kera_common::{KeraError, Result};
 use kera_wire::frames::Envelope;
 use parking_lot::{Mutex, RwLock};
 
-use crate::transport::Transport;
+use crate::transport::{Deliver, Transport};
+
+/// Clones of the live inbound streams, kept so close() can shut them down
+/// and unblock their readers; each reader removes its own when it exits.
+type Accepted = Arc<Mutex<HashMap<u64, TcpStream>>>;
 
 struct Directory {
     addrs: RwLock<HashMap<NodeId, SocketAddr>>,
@@ -80,18 +86,22 @@ impl TcpNetwork {
             }
             addrs.insert(id, addr);
         }
-        let (inbox_tx, inbox_rx) = channel::unbounded();
+        let (bound_tx, bound_rx) = channel::unbounded::<Weak<dyn Deliver>>();
         let closed = Arc::new(AtomicBool::new(false));
-        let accepted: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let accepted = Accepted::default();
 
         {
-            let inbox_tx = inbox_tx.clone();
             let closed = Arc::clone(&closed);
             let accepted = Arc::clone(&accepted);
             let max_frame = self.max_frame_bytes;
-            let spawned = std::thread::Builder::new()
-                .name(format!("tcp-accept-{}", id.raw()))
-                .spawn(move || accept_loop(listener, inbox_tx, closed, accepted, max_frame));
+            // Accepting starts once the node is bound; an endpoint dropped
+            // unbound ends the thread.
+            let spawned =
+                std::thread::Builder::new().name(format!("tcp-accept-{}", id.raw())).spawn(move || {
+                    if let Ok(target) = bound_rx.recv() {
+                        accept_loop(listener, target, closed, accepted, max_frame)
+                    }
+                });
             if let Err(e) = spawned {
                 // No accept loop means no reachable node: undo the
                 // directory entry so a retry can rebind, and report.
@@ -103,7 +113,7 @@ impl TcpNetwork {
         Ok(TcpTransport {
             id,
             dir: Arc::clone(&self.dir),
-            inbox_rx,
+            bound_tx,
             conns: Mutex::named("transport.conns", HashMap::new()),
             addr,
             closed,
@@ -133,30 +143,30 @@ impl TcpNetwork {
 
 fn accept_loop(
     listener: TcpListener,
-    inbox: Sender<Envelope>,
+    target: Weak<dyn Deliver>,
     closed: Arc<AtomicBool>,
-    accepted: Arc<Mutex<Vec<TcpStream>>>,
+    accepted: Accepted,
     max_frame: usize,
 ) {
-    loop {
+    for key in 0u64.. {
         match listener.accept() {
             Ok((stream, _)) => {
                 if closed.load(Ordering::SeqCst) {
                     return;
                 }
-                // Keep a handle so close() can shut the stream down and
-                // unblock the reader's read_exact.
                 if let Ok(handle) = stream.try_clone() {
-                    accepted.lock().push(handle);
+                    accepted.lock().insert(key, handle);
                 }
-                let inbox = inbox.clone();
-                let closed = Arc::clone(&closed);
-                // A failed spawn (thread exhaustion) drops `stream`,
-                // closing the connection — the peer redials later. The
-                // accept loop itself must survive.
-                let _ = std::thread::Builder::new()
+                let (target, handles) = (Weak::clone(&target), Arc::clone(&accepted));
+                // A failed spawn (thread exhaustion) drops `stream` and
+                // the handle, closing the connection — the peer redials
+                // later. The accept loop itself must survive.
+                let spawned = std::thread::Builder::new()
                     .name("tcp-reader".into())
-                    .spawn(move || reader_loop(stream, inbox, closed, max_frame));
+                    .spawn(move || reader_loop(stream, key, target, handles, max_frame));
+                if spawned.is_err() {
+                    accepted.lock().remove(&key);
+                }
             }
             Err(_) => {
                 // Transient accept failures (EMFILE, ECONNABORTED, ...)
@@ -171,57 +181,55 @@ fn accept_loop(
     }
 }
 
+/// One inbound connection's thread. However reading ends (peer gone,
+/// close(), an oversized or undecodable frame) the connection ends with
+/// it: the peer sees EOF, and the handle kept for close() is released.
 fn reader_loop(
     mut stream: TcpStream,
-    inbox: Sender<Envelope>,
-    closed: Arc<AtomicBool>,
+    key: u64,
+    target: Weak<dyn Deliver>,
+    accepted: Accepted,
     max_frame: usize,
 ) {
     let mut len_buf = [0u8; 4];
     loop {
-        if closed.load(Ordering::SeqCst) {
-            return;
-        }
         if stream.read_exact(&mut len_buf).is_err() {
-            return; // peer closed (or close() shut us down)
+            break; // peer closed (or close() shut us down)
         }
         let len = u32::from_le_bytes(len_buf) as usize;
         if len > max_frame {
-            // Untrusted prefix: drop the connection without allocating.
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
+            break; // untrusted prefix: drop the connection without allocating
         }
         // Each frame is read into its own allocation, which the decoded
         // envelope then slices: the payload is never copied again.
         let mut body = BytesMut::with_capacity(len);
         body.resize(len, 0);
         if stream.read_exact(&mut body).is_err() {
-            return;
+            break;
         }
-        match Envelope::decode_bytes(&body.freeze()) {
-            Ok(env) => {
-                if inbox.send(env).is_err() {
-                    return;
-                }
-            }
-            Err(_) => return, // corrupt stream: drop the connection
+        // A corrupt stream drops the connection; so does a node that is
+        // gone (one shutting down drops the frame itself).
+        match (Envelope::decode_bytes(&body.freeze()), target.upgrade()) {
+            (Ok(env), Some(node)) => node.deliver(env),
+            _ => break,
         }
     }
+    let _ = stream.shutdown(Shutdown::Both);
+    accepted.lock().remove(&key);
 }
 
 /// One node's endpoint on a [`TcpNetwork`].
 pub struct TcpTransport {
     id: NodeId,
     dir: Arc<Directory>,
-    inbox_rx: Receiver<Envelope>,
+    /// Hands the bound target to the accept thread, which waits for it.
+    bound_tx: Sender<Weak<dyn Deliver>>,
     /// One outbound connection per destination; writes serialized per
     /// destination so frames never interleave.
     conns: Mutex<HashMap<NodeId, Arc<Mutex<TcpStream>>>>,
     addr: SocketAddr,
     closed: Arc<AtomicBool>,
-    /// Clones of accepted (inbound) streams, kept so close() can shut
-    /// them down and unblock their reader threads.
-    accepted: Arc<Mutex<Vec<TcpStream>>>,
+    accepted: Accepted,
     max_frame_bytes: usize,
 }
 
@@ -287,15 +295,8 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
-    fn recv(&self, timeout: Duration) -> Result<Option<Envelope>> {
-        if self.closed.load(Ordering::SeqCst) {
-            return Err(KeraError::Disconnected(self.id));
-        }
-        match self.inbox_rx.recv_timeout(timeout) {
-            Ok(env) => Ok(Some(env)),
-            Err(channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(channel::RecvTimeoutError::Disconnected) => Err(KeraError::Disconnected(self.id)),
-        }
+    fn bind(&self, target: Weak<dyn Deliver>) {
+        let _ = self.bound_tx.send(target);
     }
 
     fn close(&self) {
@@ -304,7 +305,7 @@ impl Transport for TcpTransport {
         // Wake the accept loop so it observes the flag and exits.
         let _ = TcpStream::connect(self.addr);
         // Unblock reader threads stuck in read_exact on inbound streams.
-        for stream in self.accepted.lock().drain(..) {
+        for (_, stream) in self.accepted.lock().drain() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         // Shut outbound connections so the peers' readers see EOF too.
@@ -318,17 +319,20 @@ impl Transport for TcpTransport {
 mod tests {
     use super::*;
     use crate::node::{NodeRuntime, NullService, RequestContext, Service};
+    use crate::testkit::endpoint;
+    use crate::thread_count_named;
     use bytes::Bytes;
     use kera_wire::frames::OpCode;
+
 
     #[test]
     fn tcp_roundtrip() {
         let net = TcpNetwork::new();
         let a = net.register(NodeId(1)).unwrap();
-        let b = net.register(NodeId(2)).unwrap();
+        let (_b, b_in) = endpoint(net.register(NodeId(2)).unwrap());
         a.send(NodeId(2), Envelope::request(OpCode::Ping, 5, NodeId(1), Bytes::from_static(b"yo")))
             .unwrap();
-        let got = b.recv(Duration::from_secs(2)).unwrap().unwrap();
+        let got = b_in.recv(Duration::from_secs(2)).unwrap().unwrap();
         assert_eq!(got.request_id, 5);
         assert_eq!(&got.payload[..], b"yo");
     }
@@ -337,10 +341,10 @@ mod tests {
     fn tcp_large_payload() {
         let net = TcpNetwork::new();
         let a = net.register(NodeId(1)).unwrap();
-        let b = net.register(NodeId(2)).unwrap();
+        let (_b, b_in) = endpoint(net.register(NodeId(2)).unwrap());
         let big = Bytes::from(vec![0xabu8; 4 * 1024 * 1024]);
         a.send(NodeId(2), Envelope::request(OpCode::Produce, 1, NodeId(1), big.clone())).unwrap();
-        let got = b.recv(Duration::from_secs(5)).unwrap().unwrap();
+        let got = b_in.recv(Duration::from_secs(5)).unwrap().unwrap();
         assert_eq!(got.payload.len(), big.len());
         assert_eq!(got.payload, big);
     }
@@ -388,13 +392,13 @@ mod tests {
     fn many_frames_stay_ordered() {
         let net = TcpNetwork::new();
         let a = net.register(NodeId(1)).unwrap();
-        let b = net.register(NodeId(2)).unwrap();
+        let (_b, b_in) = endpoint(net.register(NodeId(2)).unwrap());
         for i in 0..500u64 {
             a.send(NodeId(2), Envelope::request(OpCode::Ping, i, NodeId(1), Bytes::new()))
                 .unwrap();
         }
         for i in 0..500u64 {
-            let got = b.recv(Duration::from_secs(2)).unwrap().unwrap();
+            let got = b_in.recv(Duration::from_secs(2)).unwrap().unwrap();
             assert_eq!(got.request_id, i);
         }
     }
@@ -402,7 +406,7 @@ mod tests {
     #[test]
     fn oversized_length_prefix_drops_connection_without_allocating() {
         let net = TcpNetwork::with_max_frame(4096);
-        let b = net.register(NodeId(2)).unwrap();
+        let (_b, b_in) = endpoint(net.register(NodeId(2)).unwrap());
         let addr = net.addr_of(NodeId(2)).unwrap();
 
         // Hand-rolled hostile peer: a ~4 GiB length prefix. A receiver
@@ -421,11 +425,51 @@ mod tests {
         }
         // Nothing was delivered, and the transport still works for
         // well-formed peers afterwards.
-        assert!(b.recv(Duration::from_millis(50)).unwrap().is_none());
+        assert!(b_in.recv(Duration::from_millis(50)).unwrap().is_none());
         let a = net.register(NodeId(1)).unwrap();
         a.send(NodeId(2), Envelope::request(OpCode::Ping, 1, NodeId(1), Bytes::from_static(b"ok")))
             .unwrap();
-        assert_eq!(&b.recv(Duration::from_secs(2)).unwrap().unwrap().payload[..], b"ok");
+        assert_eq!(&b_in.recv(Duration::from_secs(2)).unwrap().unwrap().payload[..], b"ok");
+    }
+
+    #[test]
+    fn undecodable_frame_drops_connection() {
+        let net = TcpNetwork::new();
+        let (_b, b_in) = endpoint(net.register(NodeId(2)).unwrap());
+        let mut evil = TcpStream::connect(net.addr_of(NodeId(2)).unwrap()).unwrap();
+        // A well-formed length prefix in front of 64 bytes that are no
+        // envelope (0xff is no frame kind).
+        evil.write_all(&64u32.to_le_bytes()).unwrap();
+        evil.write_all(&[0xff; 64]).unwrap();
+
+        // The reader gave up on the stream, so the connection must go
+        // with it: EOF, not a live socket nobody reads.
+        evil.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut probe = [0u8; 1];
+        match evil.read(&mut probe) {
+            Ok(0) => {}
+            Ok(n) => panic!("unexpected {n} bytes from receiver"),
+            Err(e) => panic!("expected EOF, got {e}"),
+        }
+        assert!(b_in.recv(Duration::from_millis(50)).unwrap().is_none());
+    }
+
+    #[test]
+    fn accepted_handles_do_not_accumulate() {
+        let net = TcpNetwork::new();
+        let (b, _b_in) = endpoint(net.register(NodeId(2)).unwrap());
+        let addr = net.addr_of(NodeId(2)).unwrap();
+        for _ in 0..20 {
+            drop(TcpStream::connect(addr).unwrap());
+        }
+        // Each reader sees its peer's EOF and releases its own handle.
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while !b.accepted.lock().is_empty() {
+            if std::time::Instant::now() > deadline {
+                panic!("{} handles of closed connections kept", b.accepted.lock().len());
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
     }
 
     #[test]
@@ -444,7 +488,7 @@ mod tests {
     fn concurrent_first_sends_share_one_connection() {
         let net = TcpNetwork::new();
         let a = Arc::new(net.register(NodeId(1)).unwrap());
-        let b = net.register(NodeId(2)).unwrap();
+        let (_b, b_in) = endpoint(net.register(NodeId(2)).unwrap());
         // Race many threads through the first dial to the same peer; the
         // double-checked insert must leave exactly one connection and no
         // interleaved frames.
@@ -468,7 +512,7 @@ mod tests {
         }
         let mut seen = std::collections::HashSet::new();
         for _ in 0..400 {
-            let env = b.recv(Duration::from_secs(2)).unwrap().expect("frame lost");
+            let env = b_in.recv(Duration::from_secs(2)).unwrap().expect("frame lost");
             assert!(seen.insert(env.request_id), "duplicate {}", env.request_id);
             assert_eq!(env.payload.len(), 256);
         }
@@ -480,7 +524,7 @@ mod tests {
         // Two directories standing in for two processes: the server
         // registers on net_a; net_b only learns of it via add_peer.
         let net_a = TcpNetwork::new();
-        let server = net_a.register(NodeId(7)).unwrap();
+        let (_server, server_in) = endpoint(net_a.register(NodeId(7)).unwrap());
         let addr = net_a.addr_of(NodeId(7)).unwrap();
 
         let net_b = TcpNetwork::new();
@@ -489,7 +533,7 @@ mod tests {
         client
             .send(NodeId(7), Envelope::request(OpCode::Ping, 9, NodeId(2001), Bytes::from_static(b"x")))
             .unwrap();
-        let got = server.recv(Duration::from_secs(2)).unwrap().unwrap();
+        let got = server_in.recv(Duration::from_secs(2)).unwrap().unwrap();
         assert_eq!(got.request_id, 9);
 
         // A locally registered id cannot be redirected by a seed.
@@ -501,11 +545,11 @@ mod tests {
     fn close_unblocks_inbound_readers() {
         let net = TcpNetwork::new();
         let a = net.register(NodeId(1)).unwrap();
-        let b = net.register(NodeId(2)).unwrap();
+        let (b, b_in) = endpoint(net.register(NodeId(2)).unwrap());
         // Establish an inbound connection to b whose reader then blocks
         // in read_exact waiting for the next frame.
         a.send(NodeId(2), Envelope::request(OpCode::Ping, 1, NodeId(1), Bytes::new())).unwrap();
-        assert!(b.recv(Duration::from_secs(2)).unwrap().is_some());
+        assert!(b_in.recv(Duration::from_secs(2)).unwrap().is_some());
 
         let reader_count_before = thread_count_named("tcp-reader");
         assert!(reader_count_before >= 1);
@@ -519,21 +563,5 @@ mod tests {
             }
             std::thread::sleep(Duration::from_millis(10));
         }
-    }
-
-    /// Counts live threads whose name starts with `prefix` (Linux proc).
-    fn thread_count_named(prefix: &str) -> usize {
-        let mut n = 0;
-        if let Ok(entries) = std::fs::read_dir("/proc/self/task") {
-            for entry in entries.flatten() {
-                let comm = entry.path().join("comm");
-                if let Ok(name) = std::fs::read_to_string(comm) {
-                    if name.trim_end().starts_with(prefix) {
-                        n += 1;
-                    }
-                }
-            }
-        }
-        n
     }
 }

@@ -20,6 +20,13 @@ if grep -rnE 'env::var(_os)?\("KERA_|env::vars(_os)?\(' crates --include='*.rs' 
   exit 1
 fi
 
+# Frames are delivered on arrival: no transport grows a receive call
+# back, and no thread is named for moving frames between queues.
+if grep -rnE '^ *fn recv\(|"dispatch-' crates/rpc/src; then
+  echo "kera-rpc: Transport has no recv and nodes have no dispatch thread" >&2
+  exit 1
+fi
+
 # Non-test lines per crate (no gate): the table "lines removed" figures
 # in CHANGES.md are quoted from.
 scripts/loc.sh

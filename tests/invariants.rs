@@ -250,3 +250,58 @@ proptest! {
         prop_assert_eq!(seen.len() as u32, q * chains);
     }
 }
+
+/// Delivery on arrival (DESIGN.md §7, §8): a duplicate of a completed
+/// request is answered from the at-most-once cache *inside* the sender's
+/// own `send` — the server's delivery runs on this stack and replays the
+/// reply into this endpoint's target before `send` returns — without
+/// re-running the handler. Under `--features deadlock-detect` every lock
+/// on that path (`rpc.dedup`, `net.nodes`) is order-checked: none may
+/// still be held when the replay goes out.
+#[test]
+fn duplicate_of_a_completed_request_is_replayed_inside_the_delivery() {
+    use bytes::Bytes;
+    use kera::common::config::NetworkModel;
+    use kera::rpc::transport::{Deliver, Transport};
+    use kera::rpc::{InMemNetwork, NodeRuntime, RequestContext, Service};
+    use kera::wire::frames::{Envelope, OpCode};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    struct Counting(AtomicU64);
+    impl Service for Counting {
+        fn handle(&self, _ctx: &RequestContext, payload: Bytes) -> kera::common::Result<Bytes> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Ok(payload)
+        }
+    }
+    #[derive(Default)]
+    struct Replies(parking_lot::Mutex<Vec<Envelope>>);
+    impl Deliver for Replies {
+        fn deliver(&self, env: Envelope) {
+            self.0.lock().push(env);
+        }
+        fn closed(&self) {}
+    }
+
+    let net = InMemNetwork::new(NetworkModel::default());
+    let service = Arc::new(Counting(AtomicU64::new(0)));
+    let server = NodeRuntime::start(Arc::new(net.register(NodeId(1))), Arc::clone(&service) as _, 1);
+    let raw = net.register(NodeId(9));
+    let replies = Arc::new(Replies::default());
+    raw.bind(Arc::downgrade(&replies) as _);
+
+    let req = Envelope::request(OpCode::Ping, 77, NodeId(9), Bytes::from_static(b"once"));
+    raw.send(NodeId(1), req.clone()).unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    while replies.0.lock().is_empty() {
+        assert!(std::time::Instant::now() < deadline, "first reply never came");
+        std::thread::yield_now();
+    }
+
+    raw.send(NodeId(1), req).unwrap();
+    let got = replies.0.lock();
+    assert_eq!(got.len(), 2, "the cached reply must be here by the time send returns");
+    assert!(got.iter().all(|r| r.request_id == 77 && &r.payload[..] == b"once"));
+    assert_eq!(service.0.load(Ordering::SeqCst), 1, "handler must run exactly once");
+    assert_eq!(server.requests_deduped(), 1);
+}

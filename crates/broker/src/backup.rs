@@ -152,50 +152,60 @@ impl BackupService {
 
         let mut seg = entry.lock();
         let offset = req.vseg_offset as usize;
-        if offset < seg.len {
-            // Duplicate (retried) batch: idempotent ack.
-            return Ok(BackupWriteResponse { durable_offset: seg.len as u32 });
-        }
         if offset > seg.len {
             return Err(KeraError::Protocol(format!(
                 "backup write at offset {offset} but segment holds {} bytes (hole)",
                 seg.len
             )));
         }
-        if seg.closed && !req.chunks.is_empty() {
+        // What this backup already holds of the batch: all of it (a
+        // duplicate: idempotent ack) or a prefix — a round that failed
+        // elsewhere is re-sent from the same offset with what was appended
+        // since. The held chunks are skipped, the rest is appended.
+        let held = (seg.len - offset).min(req.chunks.len());
+        let fresh = req.chunks.slice(held..);
+        let closes = req.flags & backup_flags::CLOSE != 0 && !seg.closed;
+        if seg.closed && !fresh.is_empty() {
             return Err(KeraError::Protocol("write to a closed replicated segment".into()));
         }
 
-        // Verify every chunk *before* mutating any state, so a corrupt
-        // batch leaves the replicated segment untouched.
+        // Verify every new chunk *before* mutating any state, so a
+        // corrupt batch leaves the replicated segment untouched.
         let mut checksums = Vec::new();
+        let (mut end, mut count) = (0usize, 0u32);
         for chunk in ChunkIter::new(&req.chunks) {
             let chunk = chunk?;
+            count += 1;
+            end += chunk.len();
+            if end <= held {
+                continue;
+            }
+            if end - chunk.len() < held {
+                return Err(KeraError::Protocol("re-sent backup write splits a held chunk".into()));
+            }
             chunk.verify()?; // payload integrity on the wire
             checksums.push(chunk.header().checksum);
         }
-        let count = checksums.len() as u32;
         if count != req.chunk_count {
             return Err(KeraError::Protocol(format!(
                 "chunk count mismatch: header says {}, body has {count}",
                 req.chunk_count
             )));
         }
+        self.writes.inc();
+        self.chunks_received.add(checksums.len() as u64);
+        self.bytes_received.add(fresh.len() as u64);
         for k in checksums {
             seg.checksum.update_u32(k);
         }
-        if !req.chunks.is_empty() {
+        if !fresh.is_empty() {
             // The retained batch is a slice of the receive buffer.
-            seg.len += req.chunks.len();
-            // lint: allow(no-hot-copy) — refcount clone, not a copy
-            seg.batches.push(req.chunks.clone());
+            seg.len += fresh.len();
+            seg.batches.push(fresh);
         }
-        self.writes.inc();
-        self.chunks_received.add(u64::from(count));
-        self.bytes_received.add(req.chunks.len() as u64);
         self.obs.bump_progress();
 
-        if req.flags & backup_flags::CLOSE != 0 {
+        if closes {
             let actual = seg.checksum.finish();
             if actual != req.vseg_checksum {
                 return Err(KeraError::Corruption {
@@ -393,6 +403,33 @@ mod tests {
         let resp = b.handle_write(write_req(0, 0, 0, std::slice::from_ref(&c))).unwrap();
         assert_eq!(resp.durable_offset as usize, c.len());
         assert_eq!(b.bytes_held(), c.len(), "duplicate must not double-append");
+    }
+
+    /// A round that reached this backup but failed on another is re-sent
+    /// from the same offset with whatever was appended since: the held
+    /// prefix is skipped, the rest stored — not acked away as a duplicate.
+    #[test]
+    fn resent_batch_that_grew_appends_only_what_is_new() {
+        let b = BackupService::new(NodeId(100), None);
+        let (c1, k1) = chunk_bytes(1);
+        let (c2, k2) = chunk_bytes(2);
+        b.handle_write(write_req(0, backup_flags::OPEN, 0, std::slice::from_ref(&c1))).unwrap();
+        // A re-send that does not line up with what is held is refused.
+        let err = b.handle_write(write_req(8, 0, 0, std::slice::from_ref(&c2))).unwrap_err();
+        assert!(matches!(err, KeraError::Protocol(_)), "got {err}");
+        let mut crc = Crc32c::new();
+        crc.update_u32(k1);
+        crc.update_u32(k2);
+        let both = [c1.clone(), c2.clone()];
+        let resp = b
+            .handle_write(write_req(0, backup_flags::OPEN | backup_flags::CLOSE, crc.finish(), &both))
+            .unwrap();
+        assert_eq!(resp.durable_offset as usize, c1.len() + c2.len());
+        assert_eq!(b.bytes_held(), c1.len() + c2.len());
+        assert_eq!(b.chunks_received.get(), 2, "the held chunk was taken twice");
+        // A late copy of either write is a duplicate.
+        b.handle_write(write_req(0, backup_flags::OPEN, 0, &[c1])).unwrap();
+        assert_eq!(b.bytes_held(), both[0].len() + both[1].len());
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! segment (physical append, header fields assigned in place); append a
 //! chunk *reference* to the streamlet's virtual log — atomically with the
 //! physical append, under the slot lock. Once all chunks of the request
-//! are appended, the touched virtual logs are synchronized on the backups
-//! and the producer is acknowledged. Integrity note: payload checksums are
+//! are appended, the worker that appended them synchronizes the touched
+//! virtual logs on the backups itself (`kera_vlog::sync`: one round per
+//! log, all begun before any is finished) and acknowledges the producer.
+//! A failed round fails the request and strands its chunks, invisible,
+//! until the re-send's replay ships them. Integrity note: payload checksums are
 //! producer-computed and verified on the *backups* (and at recovery); the
 //! broker append path stays copy-and-patch only, preserving the paper's
 //! zero-copy claim.
@@ -30,7 +33,7 @@ use kera_storage::store::StreamStore;
 use kera_storage::streamlet::SlotAppend;
 use kera_vlog::selector::SelectionPolicy;
 use kera_vlog::vseg::ChunkRef;
-use kera_vlog::{ReplicationDriver, VirtualLog, VirtualLogSet};
+use kera_vlog::{VirtualLog, VirtualLogSet};
 use kera_wire::chunk::ChunkIter;
 use kera_wire::cursor::SlotCursor;
 use kera_wire::frames::OpCode;
@@ -52,11 +55,10 @@ pub struct BrokerService {
     node: NodeId,
     store: StreamStore,
     vlogs: VirtualLogSet,
-    /// Background replication executor (RAMCloud's ReplicaManager role);
-    /// created when the broker is attached to its runtime.
-    driver: OnceLock<Arc<ReplicationDriver>>,
-    /// Raw RPC handle (stream deletion's backup frees).
-    rpc: OnceLock<RpcClient>,
+    /// The replication channel produce workers ship over (and the RPC
+    /// handle inside it: stream deletion's backup frees); created when
+    /// the broker is attached to its runtime.
+    channel: OnceLock<RpcBackupChannel>,
     /// Observability handle; the counters below live in its registry.
     obs: Arc<NodeObs>,
     /// Multi-tenant admission gate on the produce/fetch paths (inert
@@ -129,8 +131,7 @@ impl BrokerService {
                 SelectionPolicy::RoundRobin,
                 Arc::clone(&obs),
             ),
-            driver: OnceLock::new(),
-            rpc: OnceLock::new(),
+            channel: OnceLock::new(),
             chunks_in: reg.counter("kera.broker.chunks_in", &[]),
             records_in: reg.counter("kera.broker.records_in", &[]),
             bytes_in: reg.counter("kera.broker.bytes_in", &[]),
@@ -151,19 +152,10 @@ impl BrokerService {
         &self.admission
     }
 
-    /// Wires the service to its node runtime's RPC client and starts the
-    /// replication driver (must be called once, right after
-    /// `NodeRuntime::start`).
+    /// Wires the service to its node runtime's RPC client (must be called
+    /// once, right after `NodeRuntime::start`).
     pub fn attach_client(&self, client: RpcClient) {
-        let channel = Arc::new(RpcBackupChannel::new(client.clone(), REPLICATION_TIMEOUT));
-        let _ = self.rpc.set(client);
-        let _ = self.driver.set(ReplicationDriver::start(channel));
-    }
-
-    fn driver(&self) -> Result<&Arc<ReplicationDriver>> {
-        self.driver
-            .get()
-            .ok_or_else(|| KeraError::Protocol("broker not attached to its runtime".into()))
+        let _ = self.channel.set(RpcBackupChannel::new(client, REPLICATION_TIMEOUT));
     }
 
     pub fn node(&self) -> NodeId {
@@ -232,12 +224,9 @@ impl BrokerService {
         let mut pending: Vec<(Arc<VirtualLog>, u64)> = Vec::new();
 
         // The append stage, parented to the serving RPC's span (the
-        // worker thread's current context). Entered so the virtual logs
-        // see this span as the rider context of every appended chunk.
+        // worker thread's current context).
         let mut append_span = self.obs.span(Stage::Append, kera_obs::current());
         append_span.set_aux(u64::from(req.chunk_count));
-        let append_guard =
-            append_span.is_recording().then(|| kera_obs::enter(append_span.context()));
 
         for chunk in ChunkIter::new(&req.chunks) {
             let chunk = chunk?;
@@ -303,27 +292,22 @@ impl BrokerService {
             self.bytes_in.add(chunk.len() as u64);
         }
 
-        drop(append_guard);
         append_span.finish();
 
-        // Hand every touched virtual log to the replication driver, then
-        // wait for the tickets. The driver ships consolidated batches for
-        // all logs concurrently; this worker only blocks on durability —
-        // "once all chunks of a request are appended, the corresponding
-        // replicated virtual logs are synchronized on backups" (§IV-B).
+        // "Once all chunks of a request are appended, the corresponding
+        // replicated virtual logs are synchronized on backups" (§IV-B),
+        // by this worker.
         if !pending.is_empty() {
-            // The replicate stage: how long this request waited for its
-            // chunks to become durable on the backups.
+            // The replicate stage: how long this request took to make its
+            // chunks durable. Entered: its `vlog_ship` rounds nest under it.
             let mut rep_span = self.obs.span(Stage::Replicate, kera_obs::current());
             rep_span.set_aux(pending.len() as u64);
-            let driver = self.driver()?;
-            for (vlog, _) in &pending {
-                driver.enqueue(vlog);
-            }
-            for (vlog, ticket) in &pending {
-                vlog.wait_durable(*ticket, durability_timeout)?;
-            }
-            rep_span.finish();
+            let _in_span = rep_span.is_recording().then(|| kera_obs::enter(rep_span.context()));
+            let channel = self
+                .channel
+                .get()
+                .ok_or_else(|| KeraError::Protocol("broker not attached to its runtime".into()))?;
+            kera_vlog::sync(&pending, channel, durability_timeout)?;
         }
         self.obs.bump_progress();
         Ok(ProduceResponse { acks })
@@ -341,12 +325,12 @@ impl BrokerService {
         }
         // Free replicated segments on every backup (idempotent; dead
         // backups are skipped; fire-and-forget).
-        if let Some(rpc) = self.rpc.get() {
+        if let Some(channel) = self.channel.get() {
             for vlog in dropped {
                 let payload = BackupFreeRequest { source: self.node, vlog: vlog.id() }.encode();
                 for &backup in self.vlogs.cluster_backups() {
                     // lint: allow(no-hot-copy) — refcount clone of a tiny control frame
-                    let _ = rpc.call_async(backup, OpCode::BackupFree, payload.clone());
+                    let _ = channel.client.call_async(backup, OpCode::BackupFree, payload.clone());
                 }
             }
         }

@@ -228,7 +228,9 @@ impl CoordinatorService {
         while self.frozen.load(Ordering::SeqCst) && !self.shutdown.load(Ordering::SeqCst) {
             if let Some(d) = ctx.deadline {
                 if Instant::now() >= d {
-                    return Err(KeraError::Timeout { op: "frozen coordinator" });
+                    // Should this beat the caller's own timer it must read
+                    // "try another replica": a `Timeout` travels as `Internal`.
+                    return Err(KeraError::NotLeader { hint: None, term: 0 });
                 }
             }
             std::thread::sleep(Duration::from_millis(5));
@@ -791,6 +793,10 @@ impl CoordinatorService {
                 return Err(KeraError::StreamExists(req.config.id));
             }
             let alive = view.alive_brokers();
+            if view.brokers.is_empty() && !self.brokers_cfg.is_empty() {
+                // Term won, `ensure_brokers_registered` not yet run: ask again.
+                return Err(KeraError::NotLeader { hint: None, term: st.election.term() });
+            }
             if alive.is_empty() {
                 return Err(KeraError::NoCapacity("no alive brokers".into()));
             }
@@ -971,5 +977,47 @@ impl Service for CoordinatorService {
 impl Drop for CoordinatorService {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kera_common::config::StreamConfig;
+
+    /// The new-leader window: a replica that has won its term but not yet
+    /// run its post-win steps (`ensure_brokers_registered`) previews an
+    /// empty broker set. That must read "ask again" — which
+    /// `call_leader` does — not the non-retriable "no capacity".
+    #[test]
+    fn a_leader_without_its_registrations_refuses_create_stream_retriably() {
+        let brokers = vec![NodeId(1), NodeId(2)];
+        let svc = CoordinatorService::replicated(
+            NodeId(0),
+            vec![NodeId(0)],
+            brokers,
+            CoordinatorConfig::default(),
+        );
+        // Win the term the way `start_ticker` does, and stop there.
+        svc.replica.lock().election.start_election(0, 0);
+        assert!(svc.is_leader());
+
+        let ctx = RequestContext {
+            from: NodeId(9),
+            opcode: OpCode::CreateStream,
+            request_id: 1,
+            deadline: None,
+            trace: kera_obs::TraceContext::NONE,
+        };
+        let req = CreateStreamRequest { config: StreamConfig::kafka_like(StreamId(1), 2) };
+        let err = svc.handle(&ctx, req.encode()).unwrap_err();
+        assert!(matches!(err, KeraError::NotLeader { .. }), "got {err}");
+
+        // Once the registrations are in the log the same request passes
+        // validation (and then needs a runtime to push the hosting).
+        svc.ensure_brokers_registered().unwrap();
+        let err = svc.handle(&ctx, req.encode()).unwrap_err();
+        assert!(matches!(err, KeraError::Protocol(_)), "got {err}");
+        assert_eq!(svc.committed_streams(), 1);
     }
 }

@@ -9,7 +9,8 @@
 //!   (physical append + virtual-log append + consolidated replication)
 //!   and the fetch path (durable reads);
 //! - [`channel`] — [`channel::RpcBackupChannel`]: fans one replication
-//!   batch out to all of a virtual segment's backups in parallel;
+//!   batch out to all of a virtual segment's backups in parallel,
+//!   without waiting for them;
 //! - [`coordinator`] — stream creation, streamlet placement, metadata
 //!   service and crash-time reassignment, replicated over a quorum of
 //!   coordinator replicas via the metadata log;

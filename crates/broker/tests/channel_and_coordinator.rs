@@ -61,7 +61,7 @@ fn channel_fans_out_to_every_backup() {
 
     let c = chunk_bytes();
     let targets: Vec<NodeId> = (0..3).map(|i| NodeId(100 + i)).collect();
-    let resp = channel.replicate(&targets, &write_req(c.clone(), 1)).unwrap();
+    let resp = channel.start(&targets, &write_req(c.clone(), 1))().unwrap();
     assert_eq!(resp.durable_offset as usize, c.len());
     for b in &backups {
         assert_eq!(b.bytes_held(), c.len(), "every backup must hold the batch");
@@ -83,9 +83,8 @@ fn channel_normalizes_dead_backup_to_disconnected() {
 
     // NodeId(999) was never registered: the send fails fast and must be
     // reported as Disconnected(999) so the virtual log re-replicates.
-    let err = channel
-        .replicate(&[NodeId(100), NodeId(999)], &write_req(chunk_bytes(), 1))
-        .unwrap_err();
+    let err =
+        channel.start(&[NodeId(100), NodeId(999)], &write_req(chunk_bytes(), 1))().unwrap_err();
     match err {
         KeraError::Disconnected(n) => assert_eq!(n, NodeId(999)),
         other => panic!("expected Disconnected, got {other}"),
@@ -107,9 +106,7 @@ fn corrupt_batch_is_rejected_by_real_backup_over_rpc() {
     let mut bad = chunk_bytes().to_vec();
     let last = bad.len() - 1;
     bad[last] ^= 0xff;
-    let err = channel
-        .replicate(&[NodeId(100)], &write_req(Bytes::from(bad), 1))
-        .unwrap_err();
+    let err = channel.start(&[NodeId(100)], &write_req(Bytes::from(bad), 1))().unwrap_err();
     assert!(matches!(err, KeraError::Corruption { .. }), "got {err}");
     assert_eq!(backup.bytes_held(), 0);
 }

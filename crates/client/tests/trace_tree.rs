@@ -5,11 +5,11 @@
 //! RpcCall(Produce, client)
 //!   └─ RpcServe(broker)
 //!        ├─ Append(broker)
-//!        │    └─ VlogShip(broker replication path)
-//!        │         └─ RpcCall(BackupWrite, broker)
-//!        │              └─ RpcServe(backup)
-//!        │                   └─ BackupWrite(backup)
-//!        └─ Replicate(broker, durability wait)
+//!        └─ Replicate(broker, the worker's overlapped rounds)
+//!             └─ VlogShip(one log's round, begin to finish)
+//!                  └─ RpcCall(BackupWrite, broker)
+//!                       └─ RpcServe(backup)
+//!                            └─ BackupWrite(backup)
 //! ```
 //!
 //! All events are pulled from the per-node flight recorders; the tree is
@@ -121,11 +121,11 @@ fn produce_reconstructs_as_one_span_tree() {
     assert_eq!(ship.stage(), Some(Stage::VlogShip));
     assert_eq!(ship.node, ship_call.node, "replication call issued by the shipping broker");
 
-    let append = parent_of(&by_span, trace, ship.parent_span_id);
-    assert_eq!(append.stage(), Some(Stage::Append));
-    assert_eq!(append.node, ship.node);
+    let replicate = parent_of(&by_span, trace, ship.parent_span_id);
+    assert_eq!(replicate.stage(), Some(Stage::Replicate));
+    assert_eq!(replicate.node, ship.node);
 
-    let serve = parent_of(&by_span, trace, append.parent_span_id);
+    let serve = parent_of(&by_span, trace, replicate.parent_span_id);
     assert_eq!(serve.stage(), Some(Stage::RpcServe));
     assert_eq!(serve.opcode, OpCode::Produce as u8);
 
@@ -134,12 +134,12 @@ fn produce_reconstructs_as_one_span_tree() {
     assert_eq!(call.opcode, OpCode::Produce as u8);
     assert_eq!(call.parent_span_id, 0, "the client call is the trace root");
 
-    // The durability wait is a sibling of the append, under the serve.
+    // The append is a sibling of the replication, under the serve.
     assert!(
-        events.iter().any(|e| e.stage() == Some(Stage::Replicate)
+        events.iter().any(|e| e.stage() == Some(Stage::Append)
             && e.trace_id == trace
             && e.parent_span_id == serve.span_id),
-        "Replicate span parented to the produce serve: {events:?}"
+        "Append span parented to the produce serve: {events:?}"
     );
 
     // Stage latency histograms saw the same pipeline.

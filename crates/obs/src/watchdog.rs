@@ -64,7 +64,7 @@ impl Watchdog {
 
     /// How many stalls have been dumped so far.
     pub fn fired(&self) -> u64 {
-        self.fired.load(Ordering::Relaxed)
+        self.fired.load(Ordering::Acquire)
     }
 
     /// Path of the most recent stall dump, if any.
@@ -103,12 +103,12 @@ fn monitor(
             let since = *stall_started.get_or_insert_with(Instant::now);
             if !fired_this_stall && since.elapsed() >= threshold {
                 fired_this_stall = true;
-                fired.fetch_add(1, Ordering::Relaxed);
                 if let Some(path) = dump_stall(&obs, threshold, base) {
                     if let Ok(mut g) = last_dump.lock() {
                         *g = Some(path);
                     }
                 }
+                fired.fetch_add(1, Ordering::Release); // last: seen with its dump
             }
         } else {
             stall_started = None;

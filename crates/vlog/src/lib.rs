@@ -13,8 +13,10 @@
 //! - [`vseg`] — virtual segments: chunk references, the header /
 //!   durable-header pair, the checksum-of-checksums, per-vseg backup sets;
 //! - [`vlog`] — the virtual log: one open virtual segment, rolling, the
-//!   group-commit shipping round and the durability wait of producers;
-//! - [`driver`] — the background threads that run those rounds;
+//!   group-commit replication round in its two halves (begin: send
+//!   everything pending; finish: collect the acknowledgements) and
+//!   [`sync`], the one call a produce worker makes to run an overlapped
+//!   round on every log its request touched — no thread of its own;
 //! - [`set`] — [`set::VirtualLogSet`]: maps streamlets (or sub-partitions)
 //!   onto virtual logs according to the configured
 //!   [`kera_common::config::VirtualLogPolicy`] — the *replication
@@ -27,14 +29,12 @@
 //!   `kera-broker`, mocked in tests).
 
 pub mod channel;
-pub mod driver;
 pub mod selector;
 pub mod set;
 pub mod vlog;
 pub mod vseg;
 
 pub use channel::BackupChannel;
-pub use driver::ReplicationDriver;
 pub use set::VirtualLogSet;
-pub use vlog::VirtualLog;
+pub use vlog::{sync, VirtualLog};
 pub use vseg::{ChunkRef, VirtualSegment};

@@ -3,17 +3,25 @@
 //!
 //! ## Replication protocol
 //!
-//! Producers' worker threads call [`VirtualLog::append`] (under the slot
-//! lock of the physical append — see
-//! `kera_storage::streamlet::Streamlet::append_chunk_tracked`), hand the
-//! log to the [`crate::driver::ReplicationDriver`] and block in
-//! [`VirtualLog::wait_durable`] on the returned ticket. The driver's
-//! threads call [`VirtualLog::ship_once`], the one group-commit state
-//! machine: at most one round per log is in flight, and a round ships
-//! **every** pending chunk reference — across all waiting producers and
-//! all the partitions sharing this log — as one `BackupWrite` RPC per
-//! (virtual segment, backup), then acknowledges everyone whose ticket
-//! the batch covered. Chunks appended while a round is in flight ride the
+//! A produce worker calls [`VirtualLog::append`] for every chunk of its
+//! request (under the slot lock of the physical append — see
+//! `kera_storage::streamlet::Streamlet::append_chunk_tracked`) and then
+//! synchronizes the logs it touched itself, with one call to [`sync`]:
+//! "once all chunks of a request are appended, the corresponding
+//! replicated virtual logs are synchronized on backups" (§IV-B). A round
+//! has two halves. [`VirtualLog::begin_round`] gathers **every** pending
+//! chunk reference — across all waiting producers and all the partitions
+//! sharing the log — packs one `BackupWrite` body per virtual segment and
+//! hands each to the channel, which sends without waiting;
+//! [`Round::finish`] collects the acknowledgements, advances the durable
+//! mark and wakes the log's waiters. [`sync`] begins a round on every
+//! listed log before it finishes any, so a request touching several logs
+//! pays one backup round trip, not one per log.
+//!
+//! At most one round per log is in flight. A worker that finds another
+//! worker's round in flight waits for it to land and, if its ticket is
+//! still not durable, ships the follow-up round itself (leader/follower
+//! group commit): chunks appended while a round is in flight ride the
 //! next one, which is exactly how the virtual log "consolidates multiple
 //! replication RPCs by replacing small I/Os with larger ones on backups".
 //!
@@ -21,24 +29,28 @@
 //!
 //! If a backup dies mid-replication, the affected virtual segments are
 //! re-replicated from offset zero onto a freshly selected backup set
-//! (RAMCloud-style re-replication); producers keep waiting and succeed
-//! once the new set acknowledges. Only when no replacement backups exist
-//! does the log poison itself and fail its producers. Any other failure
-//! of a round is transient: it fails the producers waiting at that
-//! moment (their clients retry) and the driver ships again.
+//! (RAMCloud-style re-replication) by the next round; producers keep
+//! waiting and succeed once the new set acknowledges. Only when no
+//! replacement backups exist does the log poison itself and fail its
+//! producers. Any other failure of a round — and a round dropped without
+//! being finished — is transient: it fails the producers waiting at that
+//! moment (their clients retry) and leaves the round's references
+//! pending. Nothing retries in the background: the **next** round on the
+//! log ships them, and until then they stay unacknowledged and invisible
+//! to consumers (durable-before-visible).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use kera_common::ids::{NodeId, VirtualLogId, VirtualSegmentId};
 use kera_common::metrics::Counter;
 use kera_common::{KeraError, Result};
-use kera_obs::{NodeObs, Stage, TraceContext};
+use kera_obs::{NodeObs, Span, Stage};
 use kera_wire::messages::{backup_flags, EncodedBackupWrite};
 use parking_lot::{Condvar, Mutex};
 
-use crate::channel::BackupChannel;
+use crate::channel::{BackupChannel, PendingAcks};
 use crate::selector::BackupSelector;
 use crate::vseg::{ChunkRef, VirtualSegment};
 
@@ -58,12 +70,12 @@ struct LogState {
     appended: u64,
     /// Total bytes durable in log order (the global durable header).
     durable: u64,
-    /// A replication batch is in flight.
+    /// A replication round is in flight.
     replicating: bool,
     /// Unrecoverable: not enough backups remain.
     poisoned: bool,
-    /// Bumped on every transient replication failure so waiters can give
-    /// up instead of sleeping forever.
+    /// Bumped by every failed or abandoned round so waiters can give up
+    /// instead of sleeping forever.
     error_epoch: u64,
 }
 
@@ -86,18 +98,9 @@ pub struct VirtualLog {
     copies: usize,
     state: Mutex<LogState>,
     cv: Condvar,
-    /// Set while the log sits in a [`crate::driver::ReplicationDriver`]
-    /// queue (deduplicates enqueues).
-    pub(crate) queued: AtomicBool,
     /// Observability handle (inert when the owning node runs without
     /// tracing); counters below live in its registry as `kera.vlog.*`.
     obs: Arc<NodeObs>,
-    /// Trace context of the most recent traced rider: the producer whose
-    /// `append` last touched this log. Driver-path batches — shipped on a
-    /// thread with no trace of its own — adopt this context, so the span
-    /// tree shows the batch a given produce rode out on.
-    rider_trace: AtomicU64,
-    rider_span: AtomicU64,
     /// Replication batches shipped (per backup set, not per backup).
     pub batches_sent: Arc<Counter>,
     /// Chunks replicated (before fan-out to backups).
@@ -155,10 +158,7 @@ impl VirtualLog {
             copies,
             state: Mutex::named("vlog.state", state),
             cv: Condvar::new(),
-            queued: AtomicBool::new(false),
             obs,
-            rider_trace: AtomicU64::new(0),
-            rider_span: AtomicU64::new(0),
             batches_sent,
             chunks_replicated,
             bytes_replicated,
@@ -229,116 +229,76 @@ impl VirtualLog {
         };
         entry.vseg.append(r);
         st.appended += len as u64;
-        let ticket = st.appended;
-        drop(st);
-        if self.obs.enabled() {
-            // Batches adopt the context of the latest traced rider (see
-            // the `rider_trace` field).
-            let ctx = kera_obs::current();
-            if ctx.is_some() {
-                self.rider_trace.store(ctx.trace_id, Ordering::Relaxed);
-                self.rider_span.store(ctx.span_id, Ordering::Relaxed);
-            }
-        }
-        Ok(ticket)
+        Ok(st.appended)
     }
 
-    /// One replication round: if none is in flight, gathers and ships
-    /// everything pending, applies the acknowledgements and wakes the
-    /// waiters. Returns `Ok(true)` when more work remains, `Ok(false)`
-    /// when there is nothing (more) for this caller to ship — the log is
-    /// durable, another round is in flight, or `copies == 0`
-    /// (replication factor 1: nothing ever ships).
+    /// One replication round on this log alone, begun and finished:
+    /// `Ok(true)` when more work remains, `Ok(false)` when there is
+    /// nothing (more) for this caller to ship — the log is durable,
+    /// another round is in flight, or `copies == 0` (replication factor 1:
+    /// nothing ever ships).
     pub fn ship_once(&self, channel: &dyn BackupChannel) -> Result<bool> {
-        if self.copies == 0 {
-            return Ok(false);
-        }
-        let mut st = self.state.lock();
-        if st.poisoned {
-            return Err(KeraError::NoCapacity(format!("virtual log {} is poisoned", self.id)));
-        }
-        if st.replicating {
-            // Someone else is shipping: nothing for this caller to do.
-            // No wakeup is lost — the in-flight shipper re-enqueues when
-            // work remains, and every new append enqueues the log.
-            return Ok(false);
-        }
-        let work = Self::gather(&mut st);
-        if work.is_empty() {
-            return Ok(false);
-        }
-        st.replicating = true;
-        drop(st);
-
-        let outcome = self.traced_execute(channel, &work);
-
-        let mut st = self.state.lock();
-        st.replicating = false;
-        match outcome {
-            Ok(()) => {
-                self.apply_acks(&mut st, &work);
-                Self::recompute_durable(&mut st);
-                self.cv.notify_all();
-                Ok(st.durable < st.appended
-                    || st.segs.iter().any(|e| e.vseg.needs_replication()))
-            }
-            Err(KeraError::Disconnected(dead)) => {
-                self.handle_backup_failure(&mut st, dead);
-                self.cv.notify_all();
-                if st.poisoned {
-                    Err(KeraError::NoCapacity(format!(
-                        "virtual log {} is poisoned",
-                        self.id
-                    )))
-                } else {
-                    Ok(true) // re-replicate onto the new backup set
-                }
-            }
-            Err(e) => {
-                st.error_epoch += 1;
-                self.cv.notify_all();
-                Err(e)
-            }
-        }
+        self.begin_round(channel, u64::MAX, None)?.map_or(Ok(false), Round::finish)
     }
 
-    /// Blocks until every byte up to `ticket` is durable on all backups,
-    /// a transient replication failure occurs, the log is poisoned, or
-    /// `timeout` elapses. Shipping is done by whoever calls
-    /// [`Self::ship_once`] (the replication driver). With `copies == 0`
-    /// this is a no-op; callers mark physical segments durable directly.
-    pub fn wait_durable(&self, ticket: u64, timeout: std::time::Duration) -> Result<()> {
+    /// Starts a replication round, unless `ticket` is already durable or
+    /// nothing is pending: under `vlog.state` gathers everything pending
+    /// and marks the round in flight; then, with the lock released, packs
+    /// each virtual segment's body once and hands it to the channel, which
+    /// sends without waiting. While another caller's round is in flight
+    /// this returns `None` at once or — given `wait_until` — waits for
+    /// that round to land first and, if `ticket` is still not durable,
+    /// begins the follow-up round. A failed or abandoned round fails the
+    /// callers waiting here (their clients retry).
+    pub fn begin_round<'a>(
+        &'a self,
+        channel: &'a dyn BackupChannel,
+        ticket: u64,
+        wait_until: Option<Instant>,
+    ) -> Result<Option<Round<'a>>> {
         if self.copies == 0 {
-            return Ok(());
+            return Ok(None);
         }
-        let deadline = std::time::Instant::now() + timeout;
         let mut st = self.state.lock();
         let epoch = st.error_epoch;
-        loop {
-            if st.durable >= ticket {
-                return Ok(());
-            }
-            if st.poisoned {
-                return Err(KeraError::NoCapacity(format!(
-                    "virtual log {} is poisoned",
-                    self.id
-                )));
-            }
-            if st.error_epoch != epoch {
-                return Err(KeraError::Timeout { op: "replication (transient failure)" });
-            }
+        while !st.poisoned && st.durable < ticket && st.replicating {
+            let Some(deadline) = wait_until else { return Ok(None) };
             // lint: allow(no-time-under-lock) — condvar timed wait must re-read
             // the clock after every wakeup while still holding the state lock
-            let now = std::time::Instant::now();
+            let now = Instant::now();
             if now >= deadline {
                 return Err(KeraError::Timeout { op: "replication wait" });
             }
             self.cv.wait_for(&mut st, deadline - now);
+            if st.error_epoch != epoch {
+                return Err(KeraError::Timeout { op: "replication (transient failure)" });
+            }
         }
+        if st.poisoned {
+            return Err(KeraError::NoCapacity(format!("virtual log {} is poisoned", self.id)));
+        }
+        if st.durable >= ticket {
+            return Ok(None);
+        }
+        let work = Self::gather(&st);
+        if work.is_empty() {
+            return Ok(None);
+        }
+        st.replicating = true;
+        drop(st);
+
+        // The shipping thread is the produce worker: the span parents to
+        // its current context and is entered so the writes nest under it.
+        let mut span = self.obs.span(Stage::VlogShip, kera_obs::current());
+        span.set_aux(work.iter().map(|w| w.refs.len() as u64).sum());
+        let in_span = span.is_recording().then(|| kera_obs::enter(span.context()));
+        let acks = work.iter().map(|w| self.send(channel, w)).collect();
+        drop(in_span);
+        Ok(Some(Round { log: self, work, acks, _span: span }))
     }
 
     /// Collects, in log order, every unreplicated chunk reference.
-    fn gather(st: &mut LogState) -> Vec<BatchWork> {
+    fn gather(st: &LogState) -> Vec<BatchWork> {
         let mut work = Vec::new();
         for entry in st.segs.iter() {
             if !entry.vseg.needs_replication() {
@@ -358,59 +318,34 @@ impl VirtualLog {
         work
     }
 
-    /// [`Self::execute`] under a `vlog_ship` span. The shipping thread
-    /// has no trace of its own, so the span parents to the latest rider
-    /// and is installed as the thread's current context so the replicate
-    /// RPCs nest under it.
-    fn traced_execute(&self, channel: &dyn BackupChannel, work: &[BatchWork]) -> Result<()> {
-        let parent = TraceContext {
-            trace_id: self.rider_trace.load(Ordering::Relaxed),
-            span_id: self.rider_span.load(Ordering::Relaxed),
-        };
-        let mut span = self.obs.span(Stage::VlogShip, parent);
-        span.set_aux(work.iter().map(|w| w.refs.len() as u64).sum());
-        let guard = if span.is_recording() {
-            Some(kera_obs::enter(span.context()))
-        } else {
-            None
-        };
-        let outcome = self.execute(channel, work);
-        drop(guard);
-        span.finish();
-        outcome
-    }
-
-    /// Ships the captured batches. Chunk bytes are copied out of the
+    /// Sends one captured batch. Chunk bytes are copied out of the
     /// physical segments exactly once, straight into the wire-format
-    /// request body for each virtual segment, then fanned out to that
-    /// segment's backups (the channel shares the one body).
-    fn execute(&self, channel: &dyn BackupChannel, work: &[BatchWork]) -> Result<()> {
-        for w in work {
-            let total: usize = w.refs.iter().map(|r| r.len as usize).sum();
-            let mut flags = 0u8;
-            if w.vseg_offset == 0 {
-                flags |= backup_flags::OPEN;
-            }
-            if w.close {
-                flags |= backup_flags::CLOSE;
-            }
-            let req = EncodedBackupWrite::pack(
-                self.owner,
-                self.id,
-                w.vseg_id,
-                w.vseg_offset,
-                flags,
-                w.checksum,
-                w.refs.len() as u32,
-                total,
-                w.refs.iter().map(|r| r.bytes()),
-            );
-            channel.replicate(&w.backups, &req)?;
-            self.batches_sent.inc();
-            self.chunks_replicated.add(w.refs.len() as u64);
-            self.bytes_replicated.add(total as u64);
+    /// request body, then fanned out to the virtual segment's backups
+    /// (the channel shares the one body).
+    fn send<'a>(&self, channel: &'a dyn BackupChannel, w: &BatchWork) -> PendingAcks<'a> {
+        let total: usize = w.refs.iter().map(|r| r.len as usize).sum();
+        let mut flags = 0u8;
+        if w.vseg_offset == 0 {
+            flags |= backup_flags::OPEN;
         }
-        Ok(())
+        if w.close {
+            flags |= backup_flags::CLOSE;
+        }
+        let req = EncodedBackupWrite::pack(
+            self.owner,
+            self.id,
+            w.vseg_id,
+            w.vseg_offset,
+            flags,
+            w.checksum,
+            w.refs.len() as u32,
+            total,
+            w.refs.iter().map(|r| r.bytes()),
+        );
+        self.batches_sent.inc();
+        self.chunks_replicated.add(w.refs.len() as u64);
+        self.bytes_replicated.add(total as u64);
+        channel.start(&w.backups, &req)
     }
 
     /// Marks the shipped references durable and advances the physical
@@ -475,6 +410,96 @@ impl VirtualLog {
     }
 }
 
+/// A replication round in flight on one log: the captured batches and
+/// the acknowledgements still owed for them. Dropped without
+/// [`Round::finish`], it counts as failed — the log is released and its
+/// waiters fail fast instead of sleeping out their timeout.
+pub struct Round<'a> {
+    log: &'a VirtualLog,
+    /// Taken by a `finish` that settles the round.
+    work: Vec<BatchWork>,
+    acks: Vec<PendingAcks<'a>>,
+    /// The `vlog_ship` span: begin to finish.
+    _span: Span,
+}
+
+impl Round<'_> {
+    /// Collects the acknowledgements — all of them, so that no write of
+    /// a failed round is still in flight when the next one is sent —
+    /// applies them and wakes the log's waiters. `Ok(true)` when more
+    /// work remains on the log.
+    pub fn finish(mut self) -> Result<bool> {
+        let mut outcome = Ok(());
+        for acks in self.acks.drain(..) {
+            outcome = outcome.and(acks().map(drop));
+        }
+        let dead = match outcome {
+            Ok(()) => None,
+            Err(KeraError::Disconnected(dead)) => Some(dead),
+            // Transient: dropping the round releases the log and fails its waiters.
+            Err(e) => return Err(e),
+        };
+        let work = std::mem::take(&mut self.work);
+        let log = self.log;
+        let mut st = log.state.lock();
+        st.replicating = false;
+        match dead {
+            None => {
+                log.apply_acks(&mut st, &work);
+                VirtualLog::recompute_durable(&mut st);
+            }
+            // Re-replicate onto the new backup set.
+            Some(dead) => log.handle_backup_failure(&mut st, dead),
+        }
+        log.cv.notify_all();
+        if st.poisoned {
+            return Err(KeraError::NoCapacity(format!("virtual log {} is poisoned", log.id)));
+        }
+        Ok(st.durable < st.appended || st.segs.iter().any(|e| e.vseg.needs_replication()))
+    }
+}
+
+impl Drop for Round<'_> {
+    fn drop(&mut self) {
+        if self.work.is_empty() {
+            return; // settled by `finish`
+        }
+        let mut st = self.log.state.lock();
+        st.replicating = false;
+        st.error_epoch += 1;
+        self.log.cv.notify_all();
+    }
+}
+
+/// Synchronizes the virtual logs one produce request touched, each up to
+/// its ticket, on the calling thread: begins a round on every log that
+/// still owes its ticket and has no round in flight — every send is
+/// issued before any acknowledgement is awaited — and finishes them all;
+/// then, where another worker's round was in flight, waits for it and
+/// ships the follow-up round. Fails with the first error, a poisoned
+/// log's included, or when `timeout` elapses waiting on another worker.
+pub fn sync(
+    logs: &[(Arc<VirtualLog>, u64)],
+    channel: &dyn BackupChannel,
+    timeout: Duration,
+) -> Result<()> {
+    let deadline = Instant::now() + timeout;
+    let begun: Vec<_> =
+        logs.iter().map(|(log, ticket)| log.begin_round(channel, *ticket, None)).collect();
+    let mut outcome = Ok(());
+    for round in begun {
+        let finished = round.and_then(|r| r.map_or(Ok(false), Round::finish));
+        outcome = outcome.and(finished.map(drop));
+    }
+    outcome?;
+    for (log, ticket) in logs {
+        while let Some(round) = log.begin_round(channel, *ticket, Some(deadline))? {
+            round.finish()?;
+        }
+    }
+    Ok(())
+}
+
 impl std::fmt::Debug for VirtualLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let st = self.state.lock();
@@ -494,6 +519,7 @@ mod tests {
     use super::*;
     use crate::channel::MockChannel;
     use crate::selector::{BackupSelector, SelectionPolicy};
+    use std::sync::atomic::Ordering::Relaxed;
     use kera_common::ids::{GroupId, GroupRef, ProducerId, SegmentId, StreamId, StreamletId};
     use kera_storage::segment::Segment;
     use kera_wire::chunk::{ChunkBuilder, ChunkIter, ChunkView};
@@ -535,12 +561,29 @@ mod tests {
         }
     }
 
-    /// Drives the shipping surface on the caller's thread the way the
-    /// [`crate::driver::ReplicationDriver`] does from its own: rounds
-    /// until nothing is left to ship, then the producer-side wait.
-    fn ship_until_durable(vlog: &VirtualLog, ch: &dyn BackupChannel, ticket: u64) -> Result<()> {
+    /// Single-log rounds until nothing is left to ship, then the
+    /// produce worker's call, which finds the ticket durable.
+    fn ship_until_durable(
+        vlog: &Arc<VirtualLog>,
+        ch: &dyn BackupChannel,
+        ticket: u64,
+    ) -> Result<()> {
         while vlog.ship_once(ch)? {}
-        vlog.wait_durable(ticket, std::time::Duration::ZERO)
+        sync(&[(Arc::clone(vlog), ticket)], ch, Duration::ZERO)
+    }
+
+    /// `n` logs with one chunk appended to each, as a produce request
+    /// touching them all would leave them.
+    fn touched_logs(n: u32, phys: &mut Phys) -> Vec<(Arc<VirtualLog>, u64)> {
+        (0..n)
+            .map(|i| {
+                let vlog =
+                    VirtualLog::new(VirtualLogId(i), NodeId(0), 1 << 20, 1, selector(0, 4))
+                        .unwrap();
+                let ticket = vlog.append(phys.chunk(40)).unwrap();
+                (vlog, ticket)
+            })
+            .collect()
     }
 
     #[test]
@@ -646,13 +689,12 @@ mod tests {
     struct SlowChannel(MockChannel);
 
     impl BackupChannel for SlowChannel {
-        fn replicate(
-            &self,
-            backups: &[NodeId],
-            req: &EncodedBackupWrite,
-        ) -> Result<kera_wire::messages::BackupWriteResponse> {
-            std::thread::sleep(std::time::Duration::from_micros(300));
-            self.0.replicate(backups, req)
+        fn start<'a>(&'a self, backups: &[NodeId], req: &EncodedBackupWrite) -> PendingAcks<'a> {
+            let acks = self.0.start(backups, req);
+            Box::new(move || {
+                std::thread::sleep(Duration::from_micros(300));
+                acks()
+            })
         }
     }
 
@@ -661,18 +703,15 @@ mod tests {
         let vlog =
             VirtualLog::new(VirtualLogId(0), NodeId(0), 1 << 20, 2, selector(0, 4)).unwrap();
         let ch = Arc::new(SlowChannel(MockChannel::new()));
-        let driver =
-            crate::driver::ReplicationDriver::start(Arc::clone(&ch) as Arc<dyn BackupChannel>);
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let vlog = Arc::clone(&vlog);
-                let driver = Arc::clone(&driver);
+                let ch = Arc::clone(&ch);
                 std::thread::spawn(move || {
                     let mut phys = Phys::new();
                     for _ in 0..50 {
                         let t = vlog.append(phys.chunk(40)).unwrap();
-                        driver.enqueue(&vlog);
-                        vlog.wait_durable(t, std::time::Duration::from_secs(10)).unwrap();
+                        sync(&[(Arc::clone(&vlog), t)], &*ch, Duration::from_secs(10)).unwrap();
                     }
                     // Every byte this thread appended is durable.
                     assert!(phys.seg.durable_head() == phys.seg.head());
@@ -682,7 +721,6 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        driver.stop();
         assert_eq!(vlog.chunks_replicated.get(), 400);
         // Group commit must have consolidated: 400 chunks in strictly
         // fewer than 400 RPCs (overwhelmingly fewer in practice).
@@ -692,6 +730,110 @@ mod tests {
             ch.0.batch_count()
         );
         assert_eq!(vlog.durable(), vlog.appended());
+    }
+
+    /// A produce-shaped call starts a round on every log it touched
+    /// before it collects any: the request pays one backup round trip,
+    /// not one per log.
+    #[test]
+    fn sync_overlaps_the_rounds_of_every_touched_log() {
+        let ch = MockChannel::new();
+        let logs = touched_logs(4, &mut Phys::new());
+        sync(&logs, &ch, Duration::from_secs(10)).unwrap();
+        assert_eq!(ch.peak_outstanding.load(Relaxed), 4, "rounds ran one after another");
+        assert_eq!(ch.outstanding.load(Relaxed), 0);
+        assert_eq!(ch.batch_count(), 4);
+        for (vlog, _) in &logs {
+            assert_eq!(vlog.durable(), vlog.appended());
+        }
+    }
+
+    /// A round that spans a virtual-segment roll has both segments'
+    /// writes outstanding together.
+    #[test]
+    fn a_round_spanning_a_roll_overlaps_both_segments() {
+        let mut phys = Phys::new();
+        let probe = phys.chunk(100);
+        let vlog =
+            VirtualLog::new(VirtualLogId(0), NodeId(0), probe.len as usize * 2, 1, selector(0, 4))
+                .unwrap();
+        let ch = MockChannel::new();
+        vlog.append(probe).unwrap();
+        vlog.append(phys.chunk(100)).unwrap();
+        let ticket = vlog.append(phys.chunk(100)).unwrap();
+        sync(&[(Arc::clone(&vlog), ticket)], &ch, Duration::from_secs(10)).unwrap();
+        assert_eq!(ch.batch_count(), 2, "one write per virtual segment");
+        assert_eq!(ch.peak_outstanding.load(Relaxed), 2, "segments shipped one after another");
+        assert_eq!(vlog.durable(), vlog.appended());
+    }
+
+    /// A begun round that is never finished (its worker returned early)
+    /// releases the log: the next round ships what it left pending.
+    #[test]
+    fn an_abandoned_round_does_not_wedge_its_log() {
+        let ch = MockChannel::new();
+        let logs = touched_logs(2, &mut Phys::new());
+        let (first, ticket) = &logs[0];
+        let round = first.begin_round(&ch, *ticket, None).unwrap().unwrap();
+        // While it is in flight nobody else ships this log...
+        assert!(!first.ship_once(&ch).unwrap());
+        drop(round);
+        assert_eq!(first.durable(), 0);
+        // ...and afterwards anybody can.
+        assert!(!first.ship_once(&ch).unwrap());
+        assert_eq!(first.durable(), first.appended());
+        sync(&logs, &ch, Duration::ZERO).unwrap();
+    }
+
+    #[test]
+    fn many_logs_make_progress_concurrently() {
+        let ch = Arc::new(SlowChannel(MockChannel::new()));
+        let mut phys = Phys::new();
+        let logs = touched_logs(16, &mut phys);
+        // Two workers whose requests touch the same sixteen logs.
+        let again: Vec<_> = logs
+            .iter()
+            .map(|(vlog, _)| (Arc::clone(vlog), vlog.append(phys.chunk(40)).unwrap()))
+            .collect();
+        let worker = {
+            let ch = Arc::clone(&ch);
+            std::thread::spawn(move || sync(&again, &*ch, Duration::from_secs(10)))
+        };
+        sync(&logs, &*ch, Duration::from_secs(10)).unwrap();
+        worker.join().unwrap().unwrap();
+        for (vlog, _) in &logs {
+            assert_eq!(vlog.durable(), vlog.appended());
+        }
+    }
+
+    #[test]
+    fn sync_with_factor_one_is_noop() {
+        let vlog =
+            VirtualLog::new(VirtualLogId(0), NodeId(0), 1 << 20, 0, selector(0, 1)).unwrap();
+        let ch = MockChannel::new();
+        sync(&[(vlog, 123)], &ch, Duration::ZERO).unwrap();
+        assert_eq!(ch.batch_count(), 0);
+    }
+
+    /// A failed round fails the request that rode it and leaves its
+    /// references pending; nothing retries them in the background — the
+    /// next round on the log (here: the re-sent request's) lands them.
+    #[test]
+    fn transient_failure_surfaces_then_the_next_round_lands_it() {
+        let ch = MockChannel::new();
+        let logs = touched_logs(2, &mut Phys::new());
+        ch.fail.store(true, Relaxed);
+        let err = sync(&logs, &ch, Duration::from_secs(10)).unwrap_err();
+        assert!(matches!(err, KeraError::Timeout { .. }));
+        assert_eq!(ch.outstanding.load(Relaxed), 0, "a write of the failed set is still owed");
+        ch.fail.store(false, Relaxed);
+        for (vlog, _) in &logs {
+            assert_eq!(vlog.durable(), 0);
+        }
+        sync(&logs, &ch, Duration::from_secs(10)).unwrap();
+        for (vlog, _) in &logs {
+            assert_eq!(vlog.durable(), vlog.appended());
+        }
     }
 
     #[test]
@@ -717,17 +859,13 @@ mod tests {
     }
 
     impl BackupChannel for FlakyChannel {
-        fn replicate(
-            &self,
-            backups: &[NodeId],
-            req: &EncodedBackupWrite,
-        ) -> Result<kera_wire::messages::BackupWriteResponse> {
+        fn start<'a>(&'a self, backups: &[NodeId], req: &EncodedBackupWrite) -> PendingAcks<'a> {
             if let Some(dead) = *self.dead.lock() {
                 if backups.contains(&dead) {
-                    return Err(KeraError::Disconnected(dead));
+                    return Box::new(move || Err(KeraError::Disconnected(dead)));
                 }
             }
-            self.inner.replicate(backups, req)
+            self.inner.start(backups, req)
         }
     }
 

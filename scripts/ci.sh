@@ -27,16 +27,26 @@ if grep -rnE '^ *fn recv\(|"dispatch-' crates/rpc/src; then
   exit 1
 fi
 
+# The worker that appended ships: no thread class stands between a
+# produce worker and the backups, and nothing brings one back.
+if grep -rnE '"repl-driver|ReplicationDriver' crates/*/src; then
+  echo "kera-vlog: replication rounds run on the produce worker, not a driver thread" >&2
+  exit 1
+fi
+
 # Non-test lines per crate (no gate): the table "lines removed" figures
 # in CHANGES.md are quoted from.
 scripts/loc.sh
 
 # Dynamic lock-order checking: the shim's own lockdep suite, then the
-# chaos + invariants suites with every lock acquisition instrumented.
+# chaos + invariants suites and the replication-round tests (kera-vlog's
+# unit tests, the broker's produce-failure drill) with every lock
+# acquisition instrumented.
 # The chaos run arms the flight recorder: a panic or chaos failure dumps
 # each node's recent-event ring under results/tmp/flightrec/<run>/.
 (cd crates/shims/parking_lot && cargo test -q --features deadlock-detect)
-if ! KERA_FLIGHTREC=1 cargo test -q --features deadlock-detect --test chaos --test invariants; then
+if ! KERA_FLIGHTREC=1 cargo test -q -p kera -p kera-vlog -p kera-broker \
+    --features kera/deadlock-detect --test chaos --test invariants --test produce_failure --lib; then
   echo "chaos/invariants failed — flight recorder dumps:" >&2
   ls results/tmp/flightrec/*/flightrec-*.json >&2 2>/dev/null || echo "  (none recorded)" >&2
   exit 1

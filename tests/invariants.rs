@@ -202,7 +202,8 @@ proptest! {
             }).unwrap();
         }
         while vlog.ship_once(&channel).unwrap() {}
-        vlog.wait_durable(last_ticket, std::time::Duration::ZERO).unwrap();
+        kera::vlog::sync(&[(Arc::clone(&vlog), last_ticket)], &channel, std::time::Duration::ZERO)
+            .unwrap();
         prop_assert_eq!(vlog.durable(), vlog.appended());
         prop_assert_eq!(seg.durable_head(), seg.head());
         // Every replicated batch parses into whole, valid chunks.

@@ -886,6 +886,10 @@ impl CoordinatorService {
     /// in the committed record, so every replica applies the identical
     /// decision. Returns the reassignments; the caller (recovery
     /// manager) replays the data from backups afterwards.
+    ///
+    /// A repeat (`call_leader` re-probes under a fresh request id when an
+    /// answer is lost or late) appends nothing: it answers what the node's
+    /// `MarkDead` record decided, once that has committed.
     fn handle_crash(
         &self,
         ctx: &RequestContext,
@@ -895,40 +899,53 @@ impl CoordinatorService {
             let mut st = self.replica.lock();
             self.require_leader(&st)?;
             let mut view = Self::preview(&st);
-            view.dead.insert(req.node);
-            let alive = view.alive_brokers();
-            if alive.is_empty() {
-                return Err(KeraError::NoCapacity("no alive brokers left".into()));
-            }
-            // Deterministic order (sorted stream ids, placement order
-            // within a stream) so the decided record is reproducible.
-            let mut ids: Vec<StreamId> = view.streams.keys().copied().collect();
-            ids.sort_unstable();
-            let mut reassignments = Vec::new();
-            let mut rr = 0usize;
-            for id in &ids {
-                for p in &view.streams[id].placements {
-                    if p.broker == req.node {
-                        reassignments.push(Reassignment {
-                            stream: *id,
-                            streamlet: p.streamlet,
-                            new_broker: alive[rr % alive.len()],
-                        });
-                        rr += 1;
+            let (index, reassignments) = if view.dead.contains(&req.node) {
+                // (The record is gone once compacted into a snapshot —
+                // long after a caller could still be repeating itself.)
+                st.log
+                    .entries_after(st.log.base_index())
+                    .find_map(|rec| match &rec.op {
+                        MetaOp::MarkDead { node, reassignments } if *node == req.node => {
+                            Some((rec.index, reassignments.clone()))
+                        }
+                        _ => None,
+                    })
+                    .unwrap_or_default()
+            } else {
+                view.dead.insert(req.node);
+                let alive = view.alive_brokers();
+                if alive.is_empty() {
+                    return Err(KeraError::NoCapacity("no alive brokers left".into()));
+                }
+                // Deterministic order (sorted stream ids, placement order
+                // within a stream) so the decided record is reproducible.
+                let mut ids: Vec<StreamId> = view.streams.keys().copied().collect();
+                ids.sort_unstable();
+                let mut reassignments = Vec::new();
+                let mut rr = 0usize;
+                for id in &ids {
+                    for p in &view.streams[id].placements {
+                        if p.broker == req.node {
+                            reassignments.push(Reassignment {
+                                stream: *id,
+                                streamlet: p.streamlet,
+                                new_broker: alive[rr % alive.len()],
+                            });
+                            rr += 1;
+                        }
                     }
                 }
-            }
-            let op = MetaOp::MarkDead { node: req.node, reassignments: reassignments.clone() };
-            view.apply(&op);
-            let mut touched: Vec<StreamId> =
-                reassignments.iter().map(|r| r.stream).collect();
+                let op = MetaOp::MarkDead { node: req.node, reassignments: reassignments.clone() };
+                view.apply(&op);
+                let term = st.election.term();
+                (st.log.append(term, op).index, reassignments)
+            };
+            let mut touched: Vec<StreamId> = reassignments.iter().map(|r| r.stream).collect();
             touched.sort_unstable();
             touched.dedup();
             let metas: Vec<StreamMetadata> =
-                touched.iter().map(|id| view.streams[id].clone()).collect();
-            let term = st.election.term();
-            let rec = st.log.append(term, op);
-            (rec.index, reassignments, metas)
+                touched.iter().filter_map(|id| view.streams.get(id).cloned()).collect();
+            (index, reassignments, metas)
         };
         self.replicate_to_commit(index, self.op_deadline(ctx))?;
         // Tell the new owners to host their inherited streamlets.
@@ -1019,5 +1036,64 @@ mod tests {
         let err = svc.handle(&ctx, req.encode()).unwrap_err();
         assert!(matches!(err, KeraError::Protocol(_)), "got {err}");
         assert_eq!(svc.committed_streams(), 1);
+    }
+    /// `call_leader` repeats a `ReportCrash` whose answer was lost under a
+    /// fresh request id. The repeat must answer what the first run
+    /// decided — the recovery manager re-ingests onto exactly those
+    /// owners — and decide nothing itself.
+    #[test]
+    fn a_repeated_crash_report_answers_the_first_decision_and_appends_nothing() {
+        use kera_common::config::NetworkModel;
+        use kera_rpc::inmem::InMemNetwork;
+        use kera_rpc::node::NodeRuntime;
+
+        /// A broker as the coordinator sees it: accepts `HostStream`.
+        struct Hosts;
+        impl Service for Hosts {
+            fn handle(&self, _ctx: &RequestContext, _payload: Bytes) -> Result<Bytes> {
+                Ok(Bytes::new())
+            }
+        }
+        let net = InMemNetwork::new(NetworkModel::default());
+        let brokers = vec![NodeId(1), NodeId(2)];
+        let _brokers: Vec<NodeRuntime> = brokers
+            .iter()
+            .map(|&b| NodeRuntime::start(Arc::new(net.register(b)), Arc::new(Hosts), 1))
+            .collect();
+        let svc = CoordinatorService::replicated(
+            NodeId(0),
+            vec![NodeId(0)],
+            brokers,
+            CoordinatorConfig::default(),
+        );
+        let rt = NodeRuntime::start(
+            Arc::new(net.register(NodeId(0))),
+            Arc::clone(&svc) as Arc<dyn Service>,
+            1,
+        );
+        svc.attach_client(rt.client());
+        svc.replica.lock().election.start_election(0, 0);
+        svc.ensure_brokers_registered().unwrap();
+
+        let ctx = |opcode, request_id| RequestContext {
+            from: NodeId(9),
+            opcode,
+            request_id,
+            deadline: None,
+            trace: kera_obs::TraceContext::NONE,
+        };
+        let create = CreateStreamRequest { config: StreamConfig::kafka_like(StreamId(1), 4) };
+        svc.handle(&ctx(OpCode::CreateStream, 1), create.encode()).unwrap();
+
+        let records_before = svc.replica.lock().log.last_index();
+        let report = |request_id| {
+            let req = ReportCrashRequest { node: NodeId(1) };
+            let reply = svc.handle(&ctx(OpCode::ReportCrash, request_id), req.encode()).unwrap();
+            CrashReassignmentResponse::decode(&reply).unwrap().reassignments
+        };
+        let (first, repeat) = (report(2), report(3));
+        assert!(!first.is_empty() && first.iter().all(|r| r.new_broker == NodeId(2)), "{first:?}");
+        assert_eq!(repeat, first);
+        assert_eq!(svc.replica.lock().log.last_index(), records_before + 1);
     }
 }

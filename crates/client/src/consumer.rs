@@ -174,7 +174,8 @@ type SharedStates = Arc<parking_lot::Mutex<Vec<FetchState>>>;
 
 /// A consumer client.
 pub struct Consumer {
-    cache_rx: Receiver<FetchedBatch>,
+    /// The chunk cache's reading end; gone once the consumer is stopped.
+    cache_rx: Option<Receiver<FetchedBatch>>,
     shared: Arc<Shared>,
     states: SharedStates,
     requests_thread: Option<std::thread::JoinHandle<()>>,
@@ -238,7 +239,7 @@ impl Consumer {
                 .expect("spawn consumer requests thread")
         };
         Ok(Consumer {
-            cache_rx,
+            cache_rx: Some(cache_rx),
             shared,
             states,
             requests_thread: Some(requests_thread),
@@ -248,7 +249,7 @@ impl Consumer {
 
     /// Pops the next fetched batch from the cache (Source-thread side).
     pub fn next_batch(&self, timeout: Duration) -> Option<FetchedBatch> {
-        self.cache_rx.recv_timeout(timeout).ok()
+        self.cache_rx.as_ref()?.recv_timeout(timeout).ok()
     }
 
     /// Pops a batch, iterates its records (creating record views exactly
@@ -290,13 +291,10 @@ impl Consumer {
 
     fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        // With the cache's receiver gone a requests thread blocked on a
+        // full cache, now or later in its round, fails its push and exits.
+        self.cache_rx = None;
         if let Some(t) = self.requests_thread.take() {
-            // Keep draining the cache until the thread exits — it may be
-            // parked on a full cache repeatedly while finishing its round.
-            while !t.is_finished() {
-                while self.cache_rx.try_recv().is_ok() {}
-                std::thread::sleep(Duration::from_micros(500));
-            }
             let _ = t.join();
         }
     }

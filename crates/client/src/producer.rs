@@ -19,10 +19,16 @@
 //! - **Bound.** The thread stops taking from the channel while its lanes
 //!   hold `queue_capacity` chunks, so at most channel + lanes + in-flight
 //!   requests are sealed and unacknowledged; beyond that `send` blocks.
-//! - **Isolation.** A throttle or retry pause is a lane's `not_before`;
-//!   the thread never sleeps on behalf of one broker.
+//! - **Isolation.** A throttle or retry pause is a lane's `not_before`,
+//!   and a lane sends again as soon as *its* request resolves: the thread
+//!   never sleeps, nor waits for an answer, on behalf of one broker.
 //! - **Progress.** With nothing in flight a lane may always send one
 //!   request, whatever byte window a broker hinted.
+//!
+//! The requests thread blocks in one place, the `park_timeout` that ends
+//! its loop. A reply unparks it (it issues every produce call, so it is
+//! each call's waiter), as do `close`/`abort` and — while some lane is
+//! below its in-flight bound — a sealed chunk.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,7 +47,7 @@ use kera_wire::chunk::{BufferPool, ChunkBuilder};
 use kera_wire::frames::OpCode;
 use kera_wire::messages::{ProduceRequest, ProduceResponse, StreamMetadata};
 use kera_wire::record::Record;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::metadata::MetadataClient;
 use crate::partitioner::Partitioner;
@@ -61,8 +67,8 @@ pub struct ProducerConfig {
     /// (backpressure depth).
     pub queue_capacity: usize,
     /// Outstanding requests per broker ("the number of parallel producer
-    /// requests", paper §II-B). 1 = one synchronous request per broker,
-    /// the paper's evaluation setting.
+    /// requests", paper §II-B); 1 is the paper's evaluation setting, and
+    /// the only one that keeps a slot's chunks in order across a re-send.
     pub pipeline: usize,
 }
 
@@ -82,6 +88,10 @@ impl Default for ProducerConfig {
 
 /// An unanswered produce call counts as failed after this long.
 const CALL_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The requests thread's longest park: how late it may notice a call's
+/// retransmission timer or `CALL_TIMEOUT` firing.
+const TIMER_CHECK: Duration = Duration::from_millis(50);
 
 /// Blind re-sends of a request after an error that is neither `Throttled`
 /// nor `Rejected`.
@@ -119,8 +129,13 @@ struct Shared {
     /// With `shutdown`: drop queued chunks instead of draining them
     /// (fast teardown for benchmarks; `close()` drains, `Drop` discards).
     discard: AtomicBool,
-    /// Chunks sealed but not yet acknowledged (flush barrier).
-    outstanding: AtomicU64,
+    /// Chunks sealed but not yet acknowledged; `flush` waits on `drained`
+    /// for it to reach 0.
+    outstanding: Mutex<u64>,
+    drained: Condvar,
+    /// Up while the requests thread is parked and a lane has room for a
+    /// new chunk: only then does enqueueing one unpark it.
+    listening: AtomicBool,
     /// Per-chunk sequence tags (broker-side retry dedup). Seeded from the
     /// wall clock so a restarted producer reusing an id cannot collide
     /// with tags its predecessor left in broker replay caches.
@@ -150,6 +165,15 @@ struct Shared {
 }
 
 impl Shared {
+    /// `chunks` were acknowledged, failed for good or discarded.
+    fn settled(&self, chunks: u64) {
+        let mut outstanding = self.outstanding.lock();
+        *outstanding -= chunks;
+        if *outstanding == 0 {
+            self.drained.notify_all();
+        }
+    }
+
     /// Publishes the buffer pool's counters as gauges. A miss means a
     /// chunk allocation fell through the free-list (pool exhausted or
     /// mismatched capacity) — a rising miss rate is the first sign the
@@ -208,7 +232,9 @@ impl Producer {
             ready_tx,
             shutdown: AtomicBool::new(false),
             discard: AtomicBool::new(false),
-            outstanding: AtomicU64::new(0),
+            outstanding: Mutex::new(0),
+            drained: Condvar::new(),
+            listening: AtomicBool::new(false),
             next_tag: AtomicU64::new(
                 std::time::SystemTime::now()
                     .duration_since(std::time::UNIX_EPOCH)
@@ -310,11 +336,20 @@ impl Producer {
             // the broker. Blocking here is the backpressure path; the
             // linger scan uses try_lock, so the requests thread can never
             // deadlock against a sender parked on a full queue.
-            self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
-            self.shared
-                .ready_tx
-                .send(sealed)
-                .map_err(|_| KeraError::ShuttingDown)?;
+            self.enqueue(sealed)?;
+        }
+        Ok(())
+    }
+
+    /// Hands a sealed chunk to the requests thread, and wakes it if it
+    /// said a chunk is what it is waiting for.
+    fn enqueue(&self, sealed: SealedChunk) -> Result<()> {
+        *self.shared.outstanding.lock() += 1;
+        self.shared.ready_tx.send(sealed).map_err(|_| KeraError::ShuttingDown)?;
+        if self.shared.listening.load(Ordering::SeqCst) {
+            if let Some(t) = &self.requests_thread {
+                t.thread().unpark();
+            }
         }
         Ok(())
     }
@@ -330,16 +365,13 @@ impl Producer {
                     // Seal + enqueue under the slot lock (see send_record:
                     // queue order must equal per-slot seal order).
                     let sealed = seal_pending(&self.shared, &route, sl, &mut p)?;
-                    self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
-                    self.shared.ready_tx.send(sealed).map_err(|_| KeraError::ShuttingDown)?;
+                    self.enqueue(sealed)?;
                 }
             }
         }
-        while self.shared.outstanding.load(Ordering::Acquire) > 0 {
-            if self.shared.shutdown.load(Ordering::Relaxed) {
-                return Err(KeraError::ShuttingDown);
-            }
-            std::thread::sleep(Duration::from_micros(200));
+        let mut outstanding = self.shared.outstanding.lock();
+        while *outstanding > 0 {
+            self.shared.drained.wait(&mut outstanding);
         }
         Ok(())
     }
@@ -383,6 +415,7 @@ impl Producer {
         self.shared.discard.store(discard, Ordering::SeqCst);
         self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(t) = self.requests_thread.take() {
+            t.thread().unpark();
             let _ = t.join();
         }
     }
@@ -439,12 +472,13 @@ struct InFlight {
 }
 
 impl InFlight {
-    /// Waits up to `wait` for the response; a call unanswered for
+    /// The response if it has landed; a call unanswered for
     /// `CALL_TIMEOUT` resolves as a timeout.
-    fn resolve(&mut self, wait: Duration) -> Option<Result<Bytes>> {
-        let left = CALL_TIMEOUT.saturating_sub(self.sent.elapsed());
-        match self.call.poll_wait(wait.min(left)) {
-            None if left <= wait => Some(Err(KeraError::Timeout { op: "produce" })),
+    fn resolve(&mut self) -> Option<Result<Bytes>> {
+        match self.call.poll_wait(Duration::ZERO) {
+            None if self.sent.elapsed() >= CALL_TIMEOUT => {
+                Some(Err(KeraError::Timeout { op: "produce" }))
+            }
             resolved => resolved,
         }
     }
@@ -484,44 +518,43 @@ struct RequestsThread {
 }
 
 /// The Requests thread. Each round settles what resolved, takes sealed
-/// chunks into their lanes, enforces linger and ships one request per
-/// lane that may send. With `pipeline` 1 (the paper's mode) it then
-/// blocks until the round's requests resolve — group commit on the broker
-/// consolidates whatever queues up meanwhile, and the thread stays cold
-/// between rounds; otherwise it blocks only when nothing could be shipped.
+/// chunks into their lanes, enforces linger, ships one request per lane
+/// that may send, and parks until something can have changed (`park`).
+/// Settling is also what sends a call's due retransmission and applies
+/// `CALL_TIMEOUT`.
 fn requests_loop(shared: Arc<Shared>, ready_rx: Receiver<SealedChunk>) {
-    // Linger-scan cadence (the scan walks every slot of every stream)
-    // and the longest idle wait.
+    // Linger-scan cadence (the scan walks every slot of every stream).
     let tick = shared.cfg.linger.max(Duration::from_micros(200)) / 2;
-    let pipeline_one = shared.cfg.pipeline <= 1;
     let flow = Flow {
         inflight_bytes: 0,
         window_hint: 0,
         rng: SplitMix64::new(0x5EED_0000 ^ u64::from(shared.cfg.id.raw())),
     };
     let mut t = RequestsThread { shared, ready_rx, lanes: HashMap::new(), in_lanes: 0, flow };
-    let mut last_linger_scan = Instant::now();
+    let mut next_linger_scan = Instant::now() + tick;
     loop {
-        t.reap(Duration::ZERO);
+        for lane in t.lanes.values_mut() {
+            t.flow.reap_lane(&t.shared, lane);
+        }
         t.shared.export_pool_stats();
-        if t.shared.shutdown.load(Ordering::SeqCst) {
-            if t.shared.discard.load(Ordering::SeqCst) {
-                return t.abort();
-            }
-            if t.shared.outstanding.load(Ordering::Acquire) == 0 {
-                return;
-            }
+        let stopping = t.shared.shutdown.load(Ordering::SeqCst);
+        if stopping && t.shared.discard.load(Ordering::SeqCst) {
+            t.discard_unsent();
+        }
+        if stopping && *t.shared.outstanding.lock() == 0 {
+            return;
         }
         t.take_ready();
-        if last_linger_scan.elapsed() >= tick {
-            t.scan_linger();
-            last_linger_scan = Instant::now();
+        if Instant::now() >= next_linger_scan {
+            // A stopped producer has no partial chunk worth sealing:
+            // `close` flushed them, `abort` gives them up.
+            if !stopping {
+                t.scan_linger();
+            }
+            next_linger_scan = Instant::now() + tick;
         }
-        if !t.ship() {
-            t.idle(tick);
-        } else if pipeline_one {
-            t.reap(CALL_TIMEOUT);
-        }
+        t.ship();
+        t.park(next_linger_scan);
     }
 }
 
@@ -572,20 +605,18 @@ impl RequestsThread {
                     return;
                 }
                 if let Ok(sealed) = seal_pending(&shared, &route, sl, &mut p) {
-                    shared.outstanding.fetch_add(1, Ordering::AcqRel);
+                    *shared.outstanding.lock() += 1;
                     self.enlane(sealed);
                 }
             }
         }
     }
 
-    /// Puts on the wire what each lane may send now — its `resend`, else
-    /// a new request if fewer than `pipeline` are in flight. Returns
-    /// whether anything was sent.
-    fn ship(&mut self) -> bool {
+    /// Puts on the wire what each lane may send now: its `resend`, else
+    /// a new request if fewer than `pipeline` are in flight.
+    fn ship(&mut self) {
         let Self { shared, lanes, in_lanes, flow, .. } = self;
         let now = Instant::now();
-        let mut shipped = false;
         for (&broker, lane) in lanes.iter_mut() {
             if now < lane.not_before {
                 continue;
@@ -605,65 +636,48 @@ impl RequestsThread {
             // lint: allow(no-hot-copy) — refcount clone; a re-send keeps the other handle
             let call = shared.rpc.call_async(broker, OpCode::Produce, req.payload.clone());
             lane.inflight.push_back(InFlight { req, call, sent: now });
-            shipped = true;
-        }
-        shipped
-    }
-
-    /// Settles resolved requests lane by lane, waiting up to `wait` for
-    /// the oldest request of each.
-    fn reap(&mut self, wait: Duration) {
-        for lane in self.lanes.values_mut() {
-            self.flow.reap_lane(&self.shared, lane, wait);
         }
     }
 
-    /// Nothing could be shipped: waits for what can change that — the
-    /// oldest call on the wire, else a new chunk — until the linger scan
-    /// is due or the first paused lane may send again.
-    fn idle(&mut self, tick: Duration) {
+    /// The thread's one blocking point. While some lane is below its
+    /// in-flight bound, a sealed chunk is worth an unpark (`listening`)
+    /// and the next linger scan a wake-up. With every lane on the wire
+    /// neither is — a chunk sealed now would only wait in its lane,
+    /// smaller — so a saturated producer sleeps from reply to reply
+    /// however fast its source seals. The end of a pause always is.
+    fn park(&self, linger_scan: Instant) {
         let now = Instant::now();
-        let wait = self
+        let bound = self.shared.cfg.pipeline.max(1);
+        let idle_lane =
+            self.lanes.is_empty() || self.lanes.values().any(|l| l.inflight.len() < bound);
+        let wake = self
             .lanes
             .values()
-            .filter(|l| l.resend.is_some() || !l.waiting.is_empty())
-            .map(|l| l.not_before.saturating_duration_since(now))
-            .filter(|pause| !pause.is_zero())
-            .fold(tick, Duration::min);
-        let room = self.in_lanes < self.capacity();
-        let oldest = self
-            .lanes
-            .values_mut()
-            .filter(|l| l.resend.is_none() && !l.inflight.is_empty())
-            .min_by_key(|l| l.inflight[0].sent);
-        match oldest {
-            Some(lane) => self.flow.reap_lane(&self.shared, lane, wait),
-            None if room => {
-                if let Ok(c) = self.ready_rx.recv_timeout(wait) {
-                    self.enlane(c);
-                }
-            }
-            // Lanes at their bound, nothing on the wire and nothing
-            // shippable: every lane that holds chunks is paused, so the
-            // end of a pause is the only event left to wait for.
-            None => std::thread::park_timeout(wait),
+            .map(|l| l.not_before)
+            .filter(|&pause_ends| pause_ends > now)
+            .fold(if idle_lane { linger_scan } else { now + TIMER_CHECK }, Instant::min);
+        let listening = idle_lane && self.in_lanes < self.capacity();
+        self.shared.listening.store(listening, Ordering::SeqCst);
+        // A chunk enqueued before the flag went up was not announced.
+        if !listening || self.ready_rx.is_empty() {
+            std::thread::park_timeout(wake.saturating_duration_since(now));
         }
+        self.shared.listening.store(false, Ordering::SeqCst);
     }
 
-    /// Fast teardown: waits out what is on the wire and drops the rest.
-    fn abort(&mut self) {
+    /// Fast teardown: drops everything not on the wire (what is, the loop
+    /// waits out; `settle` re-sends nothing).
+    fn discard_unsent(&mut self) {
         let mut dropped = 0;
         for lane in self.lanes.values_mut() {
-            dropped += lane.waiting.len() as u64
+            dropped += lane.waiting.drain(..).count() as u64
                 + lane.resend.take().map_or(0, |req| u64::from(req.chunks));
-            while !lane.inflight.is_empty() {
-                self.flow.reap_lane(&self.shared, lane, CALL_TIMEOUT);
-            }
         }
+        self.in_lanes = 0;
         while self.ready_rx.try_recv().is_ok() {
             dropped += 1;
         }
-        self.shared.outstanding.fetch_sub(dropped, Ordering::AcqRel);
+        self.shared.settled(dropped);
     }
 }
 
@@ -715,17 +729,12 @@ impl Flow {
         })
     }
 
-    /// Settles the lane's resolved requests in send order. Waits up to
-    /// `wait` for the first of them only; the rest are taken if ready.
-    fn reap_lane(&mut self, shared: &Shared, lane: &mut Lane, mut wait: Duration) {
+    /// Settles the lane's resolved requests, in send order.
+    fn reap_lane(&mut self, shared: &Shared, lane: &mut Lane) {
         while lane.resend.is_none() {
-            let Some(mut front) = lane.inflight.pop_front() else { break };
-            match front.resolve(std::mem::take(&mut wait)) {
-                Some(result) => self.settle(shared, lane, front.req, result),
-                None => {
-                    lane.inflight.push_front(front);
-                    break;
-                }
+            let Some(result) = lane.inflight.front_mut().and_then(InFlight::resolve) else { break };
+            if let Some(done) = lane.inflight.pop_front() {
+                self.settle(shared, lane, done.req, result);
             }
         }
     }
@@ -777,6 +786,6 @@ impl Flow {
             }
             Err(_) => shared.failed_requests.inc(),
         }
-        shared.outstanding.fetch_sub(u64::from(req.chunks), Ordering::AcqRel);
+        shared.settled(u64::from(req.chunks));
     }
 }

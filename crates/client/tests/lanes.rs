@@ -391,3 +391,101 @@ fn a_window_hint_smaller_than_a_chunk_does_not_wedge_the_producer() {
         assert_eq!(ProduceRequest::decode_bytes(body).unwrap().chunk_count, 1);
     }
 }
+
+/// Broker A sits on its first request for 300 ms (it answers *late*,
+/// not "not now"); B is prompt and must not notice: with the default one
+/// request in flight per broker, B's lane sends again as soon as B
+/// answers, not when the whole round has.
+#[test]
+fn a_late_broker_does_not_delay_the_others_next_request() {
+    let rig = rig(&[BROKER_A, BROKER_B]);
+    rig.script.plan(BROKER_A, [Step::Delay(Duration::from_millis(300))]);
+    let producer = producer(&rig, ProducerConfig { chunk_size: 1024, ..ProducerConfig::default() });
+    // Even records go to A, odd ones to B; each pair is a linger-sealed
+    // chunk per broker, sent once the one before it was applied at B.
+    for pair in 0..4 {
+        producer.send(STREAM, &record(2 * pair)).unwrap();
+        producer.send(STREAM, &record(2 * pair + 1)).unwrap();
+        wait_for("B's next request", Duration::from_secs(5), || {
+            rig.script.log.lock().applied_at.contains_key(&(2 * pair + 1))
+        });
+    }
+    assert_eq!(rig.script.requests_at(BROKER_B).len(), 4);
+    assert!(
+        !rig.script.log.lock().applied_at.contains_key(&0),
+        "B's three further requests waited for A's first to be answered"
+    );
+
+    producer.flush().unwrap();
+    assert_applied_once_in_order(&rig.script, 8);
+    assert_eq!((producer.metrics().items(), producer.failed_requests()), (8, 0));
+}
+
+/// How often the thread named `name` has gone to sleep so far; `None`
+/// until it has started and named itself.
+#[cfg(target_os = "linux")]
+fn times_blocked(name: &str) -> Option<u64> {
+    let task = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .flatten()
+        .find(|t| std::fs::read_to_string(t.path().join("comm")).is_ok_and(|c| c.trim() == name))?;
+    let status = std::fs::read_to_string(task.path().join("status")).unwrap();
+    let count = status.lines().find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+    count.unwrap().trim().parse().ok()
+}
+
+/// `flush` sleeps until the requests thread settles the last chunk, and
+/// that thread sleeps until the reply unparks it: with the one request
+/// 50 ms at the broker, neither of them polls its way there.
+#[test]
+#[cfg(target_os = "linux")]
+fn flush_wakes_on_the_last_ack() {
+    let rig = rig(&[BROKER_A]);
+    rig.script.plan(BROKER_A, [Step::Delay(Duration::from_millis(50))]);
+    // An id of its own: the requests thread is found by its name.
+    let cfg = ProducerConfig { id: ProducerId(70), chunk_size: 1024, ..ProducerConfig::default() };
+    let producer = Producer::new(&rig.meta, &[STREAM], cfg).unwrap();
+    producer.send(STREAM, &record(0)).unwrap();
+    let mut before = None;
+    wait_for("the requests thread", Duration::from_secs(5), || {
+        before = times_blocked("producer-req-70");
+        before.is_some()
+    });
+    producer.flush().unwrap();
+    let (flushed, sleeps) = (Instant::now(), times_blocked("producer-req-70").unwrap() - before.unwrap());
+    let acked = rig.script.log.lock().applied_at[&0];
+    assert!(flushed - acked < Duration::from_millis(10), "flush returned {:?} after the ack", flushed - acked);
+    // Idle until the flush (a linger scan or two), then asleep until the
+    // reply, a timer check at most; at the linger-scan cadence it is 100.
+    assert!(sleeps <= 10, "the requests thread slept {sleeps} times over one request");
+    assert_eq!((rig.script.requests_at(BROKER_A).len(), producer.metrics().items()), (1, 1));
+}
+
+/// Broker A answers late and broker B says "not now", both at once: B's
+/// pause ends on time — its request goes out again, with what was sealed
+/// for B meanwhile right behind it — while A's is still unanswered.
+#[test]
+fn a_pause_ends_on_time_while_another_broker_is_late() {
+    let rig = rig(&[BROKER_A, BROKER_B]);
+    let pause = Duration::from_millis(50);
+    rig.script.plan(BROKER_A, [Step::Delay(10 * pause)]);
+    rig.script.plan(BROKER_B, [Step::Throttle { retry_after: pause, window_hint: 0 }]);
+    let producer = producer(&rig, ProducerConfig { chunk_size: 1024, ..ProducerConfig::default() });
+    producer.send(STREAM, &record(0)).unwrap();
+    producer.send(STREAM, &record(1)).unwrap();
+    wait_for("B's throttle", Duration::from_secs(5), || producer.throttles() == 1);
+    // Record 2 waits behind A's late request; 3 is sealed for B during
+    // its pause.
+    producer.send(STREAM, &record(2)).unwrap();
+    producer.send(STREAM, &record(3)).unwrap();
+    wait_for("B's records", Duration::from_secs(5), || {
+        let log = rig.script.log.lock();
+        log.applied_at.contains_key(&1) && log.applied_at.contains_key(&3)
+    });
+    assert_eq!(rig.script.applied_records(), 2, "A's first request is still unanswered");
+    assert_eq!(rig.script.requests_at(BROKER_B).len(), 3, "refused, sent again, then record 3");
+
+    producer.flush().unwrap();
+    assert_applied_once_in_order(&rig.script, 4);
+    assert_eq!((producer.throttles(), producer.failed_requests()), (1, 0));
+}

@@ -172,6 +172,40 @@ fn kera_linger_pushes_partial_chunks() {
     cluster.shutdown();
 }
 
+/// A consumer nobody polls fills its cache and its requests thread blocks
+/// on the push; closing it must get that thread out without anyone
+/// draining the cache.
+#[test]
+fn closing_a_consumer_with_a_full_cache_returns() {
+    let cluster =
+        KeraCluster::start(ClusterConfig { brokers: 2, ..ClusterConfig::default() }).unwrap();
+    let rt = cluster.client(0);
+    let meta = MetadataClient::new(rt.client(), cluster.coordinator());
+    meta.create_stream(stream_config(1, 2, 1, 1)).unwrap();
+    let producer = Producer::new(&meta, &[StreamId(1)], producer_config(0)).unwrap();
+    for _ in 0..2_000 {
+        producer.send(StreamId(1), &[0x5au8; 100]).unwrap();
+    }
+    producer.close().unwrap();
+
+    // ~230 chunks of 1 KB fetched at most four at a time into a cache of
+    // two batches: the third push blocks.
+    let consumer = Consumer::new(
+        &meta,
+        &[Subscription::whole_stream(StreamId(1))],
+        ConsumerConfig { cache_capacity: 2, ..consumer_config(0) },
+    )
+    .unwrap();
+    let first = consumer.next_batch(Duration::from_secs(10)).expect("nothing was fetched");
+    assert!(first.record_count().unwrap() > 0);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        consumer.close();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(10)).expect("close did not return with the cache full");
+}
+
 #[test]
 fn kera_keyed_records_stay_in_one_streamlet() {
     let cluster = KeraCluster::start(ClusterConfig {

@@ -5,10 +5,12 @@
 //! frame to [`Deliver::deliver`] on the thread that already holds it.
 //! **Requests** are admitted against the at-most-once state and queued for
 //! a pool of *worker* threads that invoke the node's [`Service`];
-//! **responses** complete pending calls right there. The one rule:
-//! delivery never runs a handler, never blocks, and holds no lock across a
-//! send — so a worker blocked inside a handler (e.g. a broker waiting for
-//! backup acks) can always be completed.
+//! **responses** go into their call's pending slot right there, and the
+//! slot's waiter is unparked — a wake-up says "look again", the slot holds
+//! the data, so a thread parks in one place for all its calls. The one
+//! rule: delivery never runs a handler, never blocks, and holds no lock
+//! across a send or an unpark — so a worker blocked inside a handler (e.g.
+//! a broker waiting for backup acks) can always be completed.
 //!
 //! Every call is a [`PendingCall`] that retransmits while waited on; a
 //! synchronous [`RpcClient::call`] is `issue(..).wait(..)` with an overall
@@ -24,6 +26,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -157,6 +160,14 @@ impl DedupCache {
     }
 }
 
+/// A call's place in `rpc.pending`, from issue until collected or dropped.
+struct Slot {
+    /// Whom a reply unparks: the issuing thread, or whichever thread last
+    /// blocked in [`PendingCall::poll_wait`].
+    waiter: Thread,
+    reply: Option<Envelope>,
+}
+
 /// A request queued for the worker pool, with its absolute expiry (from
 /// the envelope's propagated deadline) resolved at receipt time.
 struct WorkItem {
@@ -167,7 +178,7 @@ struct WorkItem {
 struct NodeInner {
     id: NodeId,
     transport: Arc<dyn Transport>,
-    pending: Mutex<HashMap<u64, Sender<Envelope>>>,
+    pending: Mutex<HashMap<u64, Slot>>,
     /// The worker pool's queue; `None` is the stop marker, which each
     /// worker passes on to the next as it exits.
     work_tx: Sender<Option<WorkItem>>,
@@ -313,8 +324,9 @@ impl NodeInner {
 }
 
 impl Deliver for NodeInner {
-    /// `rpc.pending` / `rpc.dedup` are released before anything is sent:
-    /// the replay below runs the *peer's* delivery on this stack.
+    /// `rpc.pending` / `rpc.dedup` are released before anything is sent
+    /// (the replay below runs the *peer's* delivery on this stack) and
+    /// before a waiter is unparked.
     fn deliver(&self, env: Envelope) {
         if self.shutdown.load(Ordering::SeqCst) {
             return;
@@ -343,23 +355,29 @@ impl Deliver for NodeInner {
                 }
             },
             FrameKind::Response => {
-                let waiter = self.pending.lock().remove(&env.request_id);
-                if let Some(tx) = waiter {
-                    let _ = tx.send(env);
+                // (No slot: the call timed out and gave up — the stale
+                // response is dropped. A duplicate is the same bytes.)
+                let waiter = self.pending.lock().get_mut(&env.request_id).map(|slot| {
+                    slot.reply = Some(env);
+                    slot.waiter.clone()
+                });
+                if let Some(waiter) = waiter {
+                    waiter.unpark();
                 }
-                // else: the call timed out and gave up — drop the stale
-                // response.
             }
         }
     }
 
     /// Shutdown and crash end here: later deliveries are dropped, the
     /// workers find the stop marker behind the queued work, and every
-    /// pending call fails (its dropped sender reads as Disconnected).
+    /// pending call fails (its waiter wakes to find the slot gone).
     fn closed(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = self.work_tx.send(None);
-        self.pending.lock().clear();
+        let slots = std::mem::take(&mut *self.pending.lock());
+        for slot in slots.into_values() {
+            slot.waiter.unpark();
+        }
     }
 }
 
@@ -457,8 +475,8 @@ impl RpcClient {
         budget: Option<Duration>,
     ) -> PendingCall {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = channel::bounded(1);
-        self.inner.pending.lock().insert(id, tx);
+        let slot = Slot { waiter: std::thread::current(), reply: None };
+        self.inner.pending.lock().insert(id, slot);
         self.inner.calls_issued.inc();
         // One span covers the whole logical call, so a retried produce
         // stays one causal tree on the server side. It is a child of the
@@ -471,7 +489,6 @@ impl RpcClient {
             .with_trace(trace.trace_id, trace.span_id);
         let now = Instant::now();
         let mut call = PendingCall {
-            rx,
             failed: None,
             inner: Arc::clone(&self.inner),
             to,
@@ -598,7 +615,7 @@ impl RpcClient {
 
     /// Calls issued here that have neither resolved nor been dropped.
     pub fn pending_calls(&self) -> usize {
-        self.inner.pending.lock().len()
+        self.inner.pending.lock().values().filter(|slot| slot.reply.is_none()).count()
     }
 }
 
@@ -610,7 +627,6 @@ impl RpcClient {
 /// registered until the call resolves or is dropped, so a reply is
 /// accepted whenever it lands.
 pub struct PendingCall {
-    rx: Receiver<Envelope>,
     /// A send error that resolved the call; surfaced by the next poll.
     failed: Option<KeraError>,
     inner: Arc<NodeInner>,
@@ -635,37 +651,44 @@ pub struct PendingCall {
 impl PendingCall {
     /// Waits up to `timeout` without consuming the call: returns
     /// `Some(result)` once resolved, `None` on timeout (the call stays
-    /// pending and may be polled again). Used by pipelined callers that
-    /// block on the oldest in-flight request. Retransmits the request
-    /// whenever its retransmission timer fires during the wait.
+    /// pending and may be polled again; a zero timeout only looks).
+    /// Retransmits the request whenever its retransmission timer has
+    /// fired.
     pub fn poll_wait(&mut self, timeout: Duration) -> Option<Result<Bytes>> {
         let poll_deadline = Instant::now() + timeout;
         loop {
-            if let Some(e) = self.failed.take() {
+            let resolved = self.failed.take().map(Err).or_else(|| self.look());
+            if resolved.is_some() {
                 self.finish_span();
-                return Some(Err(e));
+                return resolved;
             }
-            let wake = self.next_retransmit.map_or(poll_deadline, |at| at.min(poll_deadline));
-            match self.rx.recv_timeout(wake.saturating_duration_since(Instant::now())) {
-                Ok(env) => {
-                    self.finish_span();
-                    return Some(env.check_status().map(|()| env.payload));
-                }
-                Err(channel::RecvTimeoutError::Timeout) => {
-                    let now = Instant::now();
-                    if self.next_retransmit.is_some_and(|at| now >= at) {
-                        self.transmit(now);
-                    } else if now >= poll_deadline {
-                        return None;
-                    }
-                }
-                Err(channel::RecvTimeoutError::Disconnected) => {
-                    // Our own node is shutting down.
-                    self.finish_span();
-                    return Some(Err(KeraError::Disconnected(self.inner.id)));
-                }
+            let now = Instant::now();
+            if self.next_retransmit.is_some_and(|at| now >= at) {
+                self.transmit(now);
+            } else if now >= poll_deadline {
+                return None;
+            } else {
+                let wake = self.next_retransmit.map_or(poll_deadline, |at| at.min(poll_deadline));
+                std::thread::park_timeout(wake - now);
             }
         }
+    }
+
+    /// Collects the reply if it is in the slot. If not, this thread is
+    /// the slot's waiter from here on — registered under the lock it
+    /// looked under, so a reply landing before it parks unparks it.
+    fn look(&mut self) -> Option<Result<Bytes>> {
+        let mut pending = self.inner.pending.lock();
+        let Some(slot) = pending.get_mut(&self.env.request_id) else {
+            // Our own node shut down or crashed.
+            return Some(Err(KeraError::Disconnected(self.inner.id)));
+        };
+        let Some(env) = slot.reply.take() else {
+            slot.waiter = std::thread::current();
+            return None;
+        };
+        pending.remove(&self.env.request_id);
+        Some(env.check_status().map(|()| env.payload))
     }
 
     /// Every send of the request, first or repeated: stamps the budget
@@ -741,7 +764,7 @@ impl PendingCall {
 
 impl Drop for PendingCall {
     /// Unregisters the pending slot: a call abandoned unresolved must
-    /// not leave its sender behind for a reply that may never come.
+    /// not leave it behind for a reply that may never come.
     fn drop(&mut self) {
         self.inner.pending.lock().remove(&self.env.request_id);
     }
@@ -942,6 +965,60 @@ mod tests {
         net.crash(NodeId(2));
         let res = call.poll_wait(Duration::ZERO).expect("still pending after the crash");
         assert!(matches!(res, Err(KeraError::Disconnected(NodeId(2)))));
+    }
+
+    #[test]
+    fn a_reply_that_lands_before_the_wait_is_not_lost() {
+        let (_net, _server, client) = pair();
+        let c = client.client();
+        for i in 0..1_000u64 {
+            let body = Bytes::from(i.to_le_bytes().to_vec());
+            let call = c.call_async(NodeId(1), OpCode::Ping, body.clone());
+            // Odd rounds let the echo land first (nothing left pending);
+            // even rounds race it against the check-then-park.
+            while i % 2 == 1 && c.pending_calls() > 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(call.wait(Duration::from_secs(5)).unwrap(), body);
+        }
+    }
+
+    #[test]
+    fn a_call_may_be_waited_on_by_another_thread() {
+        let (_net, _server, client) = pair();
+        // A slow handler: the waiter is parked, as the slot's registered
+        // waiter, well before the reply lands.
+        let call = client.client().call_async(NodeId(1), OpCode::Fetch, Bytes::from_static(b"moved"));
+        let waiter = std::thread::spawn(move || call.wait(Duration::from_secs(5)));
+        assert_eq!(&waiter.join().unwrap().unwrap()[..], b"moved");
+    }
+
+    #[test]
+    fn many_calls_one_parked_thread() {
+        struct Slow;
+        impl Service for Slow {
+            fn handle(&self, _ctx: &RequestContext, payload: Bytes) -> Result<Bytes> {
+                std::thread::sleep(Duration::from_millis(5));
+                Ok(payload)
+            }
+        }
+        let net = InMemNetwork::new(NetworkModel::default());
+        let _server = NodeRuntime::start(Arc::new(net.register(NodeId(1))), Arc::new(Slow), 8);
+        let client =
+            NodeRuntime::start(Arc::new(net.register(NodeId(2))), Arc::new(NullService), 1);
+        let c = client.client();
+        let started = Instant::now();
+        let calls: Vec<_> = (0..8u8)
+            .map(|i| (i, c.call_async(NodeId(1), OpCode::Ping, Bytes::from(vec![i]))))
+            .collect();
+        // Collected newest first: every earlier reply unparks this thread
+        // while it waits on a later call, and its token is all that is
+        // spent — the reply stays in its slot.
+        for (i, call) in calls.into_iter().rev() {
+            assert_eq!(&call.wait(Duration::from_secs(5)).unwrap()[..], [i]);
+        }
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(8 * 5), "eight overlapped calls took {took:?}");
     }
 
     #[test]

@@ -34,19 +34,28 @@ if grep -rnE '"repl-driver|ReplicationDriver' crates/*/src; then
   exit 1
 fi
 
+# A reply unparks its waiter: a pending call is a slot, not a channel,
+# and the producer's requests thread waits in one place, `park`.
+if grep -nE 'thread::sleep|fn idle' crates/client/src/producer.rs \
+    || grep -n 'bounded(1)' crates/rpc/src/node.rs; then
+  echo "no per-call channel in kera-rpc; no nap and no second wait in the producer" >&2
+  exit 1
+fi
+
 # Non-test lines per crate (no gate): the table "lines removed" figures
 # in CHANGES.md are quoted from.
 scripts/loc.sh
 
 # Dynamic lock-order checking: the shim's own lockdep suite, then the
-# chaos + invariants suites and the replication-round tests (kera-vlog's
-# unit tests, the broker's produce-failure drill) with every lock
-# acquisition instrumented.
+# chaos + invariants suites, the replication-round tests (kera-vlog's
+# unit tests, the broker's produce-failure drill) and the producer's
+# scripted-broker tests with every lock acquisition instrumented.
 # The chaos run arms the flight recorder: a panic or chaos failure dumps
 # each node's recent-event ring under results/tmp/flightrec/<run>/.
 (cd crates/shims/parking_lot && cargo test -q --features deadlock-detect)
-if ! KERA_FLIGHTREC=1 cargo test -q -p kera -p kera-vlog -p kera-broker \
-    --features kera/deadlock-detect --test chaos --test invariants --test produce_failure --lib; then
+if ! KERA_FLIGHTREC=1 cargo test -q -p kera -p kera-vlog -p kera-broker -p kera-client \
+    --features kera/deadlock-detect --test chaos --test invariants --test produce_failure \
+    --test lanes --lib; then
   echo "chaos/invariants failed — flight recorder dumps:" >&2
   ls results/tmp/flightrec/*/flightrec-*.json >&2 2>/dev/null || echo "  (none recorded)" >&2
   exit 1

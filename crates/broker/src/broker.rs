@@ -16,18 +16,16 @@
 //!
 //! Fetch path: consumers read whole chunks below the durable head only.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use kera_common::config::{QuotaConfig, StreamConfig};
-use kera_common::ids::{NodeId, StreamId, StreamletId};
+use kera_common::ids::{NodeId, StreamId};
 use kera_common::metrics::Counter;
 use kera_common::{KeraError, Result};
 use kera_obs::{Gauge, NodeObs, Stage};
-use parking_lot::Mutex;
 use kera_rpc::{RequestContext, RpcClient, Service};
 use kera_storage::store::StreamStore;
 use kera_storage::streamlet::SlotAppend;
@@ -35,7 +33,6 @@ use kera_vlog::selector::SelectionPolicy;
 use kera_vlog::vseg::ChunkRef;
 use kera_vlog::{VirtualLog, VirtualLogSet};
 use kera_wire::chunk::ChunkIter;
-use kera_wire::cursor::SlotCursor;
 use kera_wire::frames::OpCode;
 use kera_wire::messages::{
     BackupFreeRequest, DeleteStreamRequest, FetchRequest, FetchResponse, FetchResult,
@@ -83,10 +80,6 @@ pub struct BrokerService {
     /// Bytes appended to virtual logs but not yet durable on backups
     /// (`kera.broker.replication_lag_bytes`; refreshed on introspection).
     replication_lag_gauge: Arc<Gauge>,
-    /// Last-fetched cursor per (stream, streamlet, slot): the consumers'
-    /// committed read positions. Updated only on the fetch path, with no
-    /// other guard held.
-    fetch_pos: Mutex<BTreeMap<(StreamId, StreamletId, u32), SlotCursor>>,
     /// Chaos hook: a frozen broker wedges mid-ingest — produce requests
     /// hang (holding their RPC worker) until thawed, while fetch and
     /// introspection keep answering.
@@ -140,7 +133,6 @@ impl BrokerService {
             bytes_fetched: reg.counter("kera.broker.bytes_fetched", &[]),
             consumer_lag_gauge: reg.gauge("kera.broker.consumer_lag_bytes", &[]),
             replication_lag_gauge: reg.gauge("kera.broker.replication_lag_bytes", &[]),
-            fetch_pos: Mutex::named("broker.fetchpos", BTreeMap::new()),
             frozen: AtomicBool::new(false),
             admission: AdmissionControl::new(quotas, Arc::clone(&obs)),
             obs,
@@ -348,9 +340,6 @@ impl BrokerService {
                 e.max_bytes as usize,
             )?;
             self.bytes_fetched.add(data.len() as u64);
-            // Committed read position, recorded with no other guard held
-            // (the slot read above has already released its locks).
-            self.fetch_pos.lock().insert((e.stream, e.streamlet, e.slot), cursor);
             results.push(FetchResult {
                 stream: e.stream,
                 streamlet: e.streamlet,

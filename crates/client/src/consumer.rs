@@ -6,17 +6,35 @@
 //! creates records." The chunk cache between the two threads is bounded
 //! ("each client has a cache of up to 1000 chunks"), so a slow source
 //! back-pressures fetching.
+//!
+//! The requests thread has the producer's shape (`producer.rs`): one
+//! [`Lane`] per broker — the slots it fetches there, at most one fetch on
+//! the wire, a `not_before` — and a loop that settles every lane whose
+//! reply has landed, asks again on every lane that may, and parks.
+//!
+//! - **Order.** A slot belongs to one lane and a lane has one fetch in
+//!   flight, so a slot's batches enter the cache in cursor order.
+//! - **Isolation.** A lane asks again as soon as *its* reply is applied,
+//!   and "not now", "nothing new" and an error pause that lane alone: a
+//!   broker that answers late, refuses or is gone holds back its own
+//!   slots and nobody else's.
+//!
+//! The thread blocks in two places: the `park_timeout` that ends its loop
+//! — a reply unparks it (it issues every fetch, so it is each call's
+//! waiter), as does `close` — and the push into the full cache, which is
+//! the back-pressure.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{self, Receiver, Sender};
 use kera_common::ids::{ConsumerId, NodeId, StreamId, StreamletId};
 use kera_common::metrics::ThroughputMeter;
-use kera_common::Result;
+use kera_common::{KeraError, Result};
+use kera_rpc::node::PendingCall;
 use kera_rpc::RpcClient;
 use kera_wire::chunk::{ChunkIter, ChunkView};
 use kera_wire::cursor::SlotCursor;
@@ -25,9 +43,6 @@ use kera_wire::messages::{FetchEntry, FetchRequest, FetchResponse};
 use kera_wire::record::RecordView;
 
 use crate::metadata::MetadataClient;
-
-/// Result alias for seek-based subscription building.
-pub type SeekResult = Result<Subscription>;
 
 /// Consumer configuration.
 #[derive(Clone, Debug)]
@@ -41,11 +56,11 @@ pub struct ConsumerConfig {
     pub cache_capacity: usize,
 }
 
-/// How long a fetch or seek call may stay unanswered.
-const CALL_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Pause when a full round returned nothing (consumer caught up).
+/// A lane's pause after a reply without data (caught up at that broker).
 const IDLE_BACKOFF: Duration = Duration::from_micros(200);
+
+/// A lane's pause after a fetch that failed, or whose reply was refused.
+const ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 impl Default for ConsumerConfig {
     fn default() -> Self {
@@ -90,14 +105,14 @@ impl Subscription {
         meta: &MetadataClient,
         stream: StreamId,
         record_offset: u64,
-    ) -> crate::consumer::SeekResult {
+    ) -> Result<Subscription> {
         let md = meta.metadata(stream)?;
         let mut start = Vec::new();
         for sl in 0..md.config.streamlets {
             let streamlet = StreamletId(sl);
             let broker = md
                 .broker_of(streamlet)
-                .ok_or(kera_common::KeraError::UnknownStreamlet(stream, streamlet))?;
+                .ok_or(KeraError::UnknownStreamlet(stream, streamlet))?;
             for slot in 0..md.config.active_groups {
                 let req = kera_wire::messages::SeekRequest {
                     stream,
@@ -105,7 +120,8 @@ impl Subscription {
                     slot,
                     record_offset,
                 };
-                let payload = meta.rpc().call(broker, OpCode::Seek, req.encode(), CALL_TIMEOUT)?;
+                let payload =
+                    meta.rpc().call(broker, OpCode::Seek, req.encode(), crate::CALL_TIMEOUT)?;
                 let resp = kera_wire::messages::SeekResponse::decode(&payload)?;
                 if resp.found {
                     start.push(CursorPosition { stream, streamlet, slot, cursor: resp.cursor });
@@ -162,22 +178,11 @@ impl FetchedBatch {
     }
 }
 
-struct FetchState {
-    broker: NodeId,
-    stream: StreamId,
-    streamlet: StreamletId,
-    slot: u32,
-    cursor: SlotCursor,
-}
-
-type SharedStates = Arc<parking_lot::Mutex<Vec<FetchState>>>;
-
 /// A consumer client.
 pub struct Consumer {
     /// The chunk cache's reading end; gone once the consumer is stopped.
     cache_rx: Option<Receiver<FetchedBatch>>,
     shared: Arc<Shared>,
-    states: SharedStates,
     requests_thread: Option<std::thread::JoinHandle<()>>,
     /// Records consumed (counted by [`Consumer::poll_count`]).
     consumed: ThroughputMeter,
@@ -186,7 +191,20 @@ pub struct Consumer {
 struct Shared {
     cfg: ConsumerConfig,
     rpc: RpcClient,
+    /// Every subscribed slot's fetch cursor; a lane advances its own.
+    positions: parking_lot::Mutex<Vec<CursorPosition>>,
     shutdown: AtomicBool,
+}
+
+/// Everything the requests thread holds for one broker.
+struct Lane {
+    /// Indices into `Shared::positions` of the slots fetched here, in
+    /// the order every request lists them.
+    slots: Vec<usize>,
+    /// The fetch on the wire and when it was sent.
+    inflight: Option<(PendingCall, Instant)>,
+    /// No fetch is sent before this instant.
+    not_before: Instant,
 }
 
 impl Consumer {
@@ -195,7 +213,8 @@ impl Consumer {
         subscriptions: &[Subscription],
         cfg: ConsumerConfig,
     ) -> Result<Consumer> {
-        let mut states = Vec::new();
+        let mut positions = Vec::new();
+        let mut lanes: HashMap<NodeId, Lane> = HashMap::new();
         for sub in subscriptions {
             let md = meta.metadata(sub.stream)?;
             let streamlets: Vec<StreamletId> = match &sub.streamlets {
@@ -205,7 +224,12 @@ impl Consumer {
             for sl in streamlets {
                 let broker = md
                     .broker_of(sl)
-                    .ok_or(kera_common::KeraError::UnknownStreamlet(sub.stream, sl))?;
+                    .ok_or(KeraError::UnknownStreamlet(sub.stream, sl))?;
+                let lane = lanes.entry(broker).or_insert_with(|| Lane {
+                    slots: Vec::new(),
+                    inflight: None,
+                    not_before: Instant::now(),
+                });
                 for slot in 0..md.config.active_groups {
                     let cursor = sub
                         .start
@@ -213,13 +237,8 @@ impl Consumer {
                         .find(|p| p.streamlet == sl && p.slot == slot)
                         .map(|p| p.cursor)
                         .unwrap_or(SlotCursor::START);
-                    states.push(FetchState {
-                        broker,
-                        stream: sub.stream,
-                        streamlet: sl,
-                        slot,
-                        cursor,
-                    });
+                    lane.slots.push(positions.len());
+                    positions.push(CursorPosition { stream: sub.stream, streamlet: sl, slot, cursor });
                 }
             }
         }
@@ -227,21 +246,19 @@ impl Consumer {
         let shared = Arc::new(Shared {
             cfg,
             rpc: meta.rpc().clone(),
+            positions: parking_lot::Mutex::new(positions),
             shutdown: AtomicBool::new(false),
         });
-        let states: SharedStates = Arc::new(parking_lot::Mutex::new(states));
         let requests_thread = {
             let shared = Arc::clone(&shared);
-            let states = Arc::clone(&states);
             std::thread::Builder::new()
                 .name(format!("consumer-req-{}", shared.cfg.id.raw()))
-                .spawn(move || requests_loop(shared, states, cache_tx))
+                .spawn(move || requests_loop(&shared, lanes, cache_tx))
                 .expect("spawn consumer requests thread")
         };
         Ok(Consumer {
             cache_rx: Some(cache_rx),
             shared,
-            states,
             requests_thread: Some(requests_thread),
             consumed: ThroughputMeter::new(),
         })
@@ -273,16 +290,7 @@ impl Consumer {
     /// has consumed — drain the cache before saving positions for an
     /// exactly-once resume.
     pub fn positions(&self) -> Vec<CursorPosition> {
-        self.states
-            .lock()
-            .iter()
-            .map(|s| CursorPosition {
-                stream: s.stream,
-                streamlet: s.streamlet,
-                slot: s.slot,
-                cursor: s.cursor,
-            })
-            .collect()
+        self.shared.positions.lock().clone()
     }
 
     pub fn close(mut self) {
@@ -292,9 +300,10 @@ impl Consumer {
     fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // With the cache's receiver gone a requests thread blocked on a
-        // full cache, now or later in its round, fails its push and exits.
+        // full cache, now or later, fails its push and exits.
         self.cache_rx = None;
         if let Some(t) = self.requests_thread.take() {
+            t.thread().unpark();
             let _ = t.join();
         }
     }
@@ -306,82 +315,93 @@ impl Drop for Consumer {
     }
 }
 
-fn requests_loop(shared: Arc<Shared>, states: SharedStates, cache_tx: Sender<FetchedBatch>) {
-    // Group state indices per broker once; cursors advance in place.
-    let mut per_broker: HashMap<NodeId, Vec<usize>> = HashMap::new();
-    for (i, s) in states.lock().iter().enumerate() {
-        per_broker.entry(s.broker).or_default().push(i);
-    }
+/// The Requests thread. Each round settles the lanes whose reply has
+/// landed, sends a fetch on every lane that has none on the wire and is
+/// not paused, and parks until a reply or the end of a pause. Settling is
+/// also what sends a call's due retransmission and applies `CALL_TIMEOUT`.
+fn requests_loop(
+    shared: &Shared,
+    mut lanes: HashMap<NodeId, Lane>,
+    cache_tx: Sender<FetchedBatch>,
+) {
     while !shared.shutdown.load(Ordering::SeqCst) {
-        let mut got_data = false;
-        // One request per broker, all brokers in parallel.
-        let calls: Vec<(NodeId, Vec<usize>, _)> = per_broker
-            .iter()
-            .map(|(&broker, idxs)| {
-                let entries: Vec<FetchEntry> = {
-                    let st = states.lock();
-                    idxs.iter()
-                        .map(|&i| {
-                            let s = &st[i];
-                            FetchEntry {
-                                stream: s.stream,
-                                streamlet: s.streamlet,
-                                slot: s.slot,
-                                cursor: s.cursor,
-                                max_bytes: shared.cfg.fetch_max_bytes,
-                            }
-                        })
-                        .collect()
-                };
-                let req = FetchRequest { consumer: shared.cfg.id, entries };
-                let call = shared.rpc.call_async(broker, OpCode::Fetch, req.encode());
-                (broker, idxs.clone(), call)
-            })
-            .collect();
-        let mut throttled_pause: Option<Duration> = None;
-        for (_broker, idxs, call) in calls {
-            let payload = match call.wait(CALL_TIMEOUT) {
-                Ok(p) => p,
-                // Fetch-side admission control: the broker meters reads
-                // per tenant and answers `Throttled` when this consumer
-                // is in debt. Honour the hint instead of hammering.
-                Err(kera_common::KeraError::Throttled { retry_after, .. }) => {
-                    let pause = retry_after.min(Duration::from_millis(500));
-                    throttled_pause =
-                        Some(throttled_pause.map_or(pause, |p: Duration| p.max(pause)));
-                    continue;
-                }
-                Err(_) => continue,
-            };
-            // Sliced decode: each result's data stays a view of the
-            // receive buffer all the way into the consumer cache.
-            let Ok(resp) = FetchResponse::decode_bytes(&payload) else { continue };
-            for (result, &i) in resp.results.iter().zip(&idxs) {
-                {
-                    let mut st = states.lock();
-                    debug_assert_eq!(result.streamlet, st[i].streamlet);
-                    st[i].cursor = result.cursor;
-                }
-                if !result.data.is_empty() {
-                    got_data = true;
-                    let batch = FetchedBatch {
-                        stream: result.stream,
-                        streamlet: result.streamlet,
-                        slot: result.slot,
-                        // lint: allow(no-hot-copy) — refcount clone of the fetched slice
-                        data: result.data.clone(),
-                    };
-                    // Blocking push: a full cache pauses fetching.
-                    if cache_tx.send(batch).is_err() {
-                        return;
-                    }
-                }
+        for lane in lanes.values_mut() {
+            let Some((call, sent)) = &mut lane.inflight else { continue };
+            let Some(result) = crate::resolve(call, *sent, "fetch") else { continue };
+            lane.inflight = None;
+            let Some(pause) = lane.settle(shared, &cache_tx, result) else { return };
+            lane.not_before = Instant::now() + pause;
+        }
+        let now = Instant::now();
+        for (&broker, lane) in &mut lanes {
+            if lane.inflight.is_none() && now >= lane.not_before {
+                let call = shared.rpc.call_async(broker, OpCode::Fetch, lane.request(shared));
+                lane.inflight = Some((call, now));
             }
         }
-        if let Some(pause) = throttled_pause {
-            std::thread::sleep(pause);
-        } else if !got_data {
-            std::thread::sleep(IDLE_BACKOFF);
+        // The one park: until the first pause of an idle lane ends; with
+        // every lane on the wire only a reply, `stop` or a timer is left.
+        let wake = lanes
+            .values()
+            .filter(|l| l.inflight.is_none())
+            .map(|l| l.not_before)
+            .fold(now + crate::TIMER_CHECK, Instant::min);
+        std::thread::park_timeout(wake.saturating_duration_since(Instant::now()));
+    }
+}
+
+impl Lane {
+    /// One entry per slot at its current cursor.
+    fn request(&self, shared: &Shared) -> Bytes {
+        let positions = shared.positions.lock();
+        let entries = self.slots.iter().map(|&i| {
+            let CursorPosition { stream, streamlet, slot, cursor } = positions[i];
+            FetchEntry { stream, streamlet, slot, cursor, max_bytes: shared.cfg.fetch_max_bytes }
+        });
+        FetchRequest { consumer: shared.cfg.id, entries: entries.collect() }.encode()
+    }
+
+    /// Applies one resolved fetch and says how long the lane rests before
+    /// the next; `None` once the cache is closed.
+    fn settle(
+        &self,
+        shared: &Shared,
+        cache_tx: &Sender<FetchedBatch>,
+        result: Result<Bytes>,
+    ) -> Option<Duration> {
+        // Sliced decode: each result's data stays a view of the receive
+        // buffer all the way into the consumer cache.
+        let resp = match result.and_then(|payload| FetchResponse::decode_bytes(&payload)) {
+            Ok(resp) => resp,
+            // Fetch-side admission control: the broker meters reads per
+            // tenant and answers `Throttled` when this consumer is in
+            // debt. Honour the hint instead of hammering.
+            Err(KeraError::Throttled { retry_after, .. }) => {
+                return Some(retry_after.min(Duration::from_millis(500)));
+            }
+            Err(_) => return Some(ERROR_BACKOFF),
+        };
+        {
+            // The reply is input from a peer: it moves cursors only if it
+            // answers exactly the slots asked for, in order.
+            let mut positions = shared.positions.lock();
+            let asked = self.slots.iter().map(|&i| &positions[i]);
+            let answered = resp.results.iter().map(|r| (r.stream, r.streamlet, r.slot));
+            if !answered.eq(asked.map(|p| (p.stream, p.streamlet, p.slot))) {
+                return Some(ERROR_BACKOFF);
+            }
+            for (r, &i) in resp.results.iter().zip(&self.slots) {
+                positions[i].cursor = r.cursor;
+            }
         }
+        let mut pause = IDLE_BACKOFF;
+        for r in resp.results.into_iter().filter(|r| !r.data.is_empty()) {
+            pause = Duration::ZERO;
+            let batch =
+                FetchedBatch { stream: r.stream, streamlet: r.streamlet, slot: r.slot, data: r.data };
+            // Blocking push: a full cache pauses fetching.
+            cache_tx.send(batch).ok()?;
+        }
+        Some(pause)
     }
 }

@@ -14,6 +14,12 @@
 //! baseline — they speak the shared wire protocol and only see streams,
 //! partitions and chunks.
 
+use std::time::{Duration, Instant};
+
+use bytes::Bytes;
+use kera_common::{KeraError, Result};
+use kera_rpc::node::PendingCall;
+
 pub mod consumer;
 pub mod metadata;
 pub mod partitioner;
@@ -23,3 +29,21 @@ pub use consumer::{Consumer, ConsumerConfig};
 pub use metadata::MetadataClient;
 pub use partitioner::Partitioner;
 pub use producer::{Producer, ProducerConfig};
+
+/// An unanswered produce, fetch or seek call counts as failed after this
+/// long.
+const CALL_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// A requests thread's longest park: how late it may notice a call's
+/// retransmission timer or `CALL_TIMEOUT` firing.
+const TIMER_CHECK: Duration = Duration::from_millis(50);
+
+/// How a requests thread looks at a call it sent at `sent`: the response
+/// if it has landed (looking also sends a due retransmission), a timeout
+/// once the call has been unanswered for `CALL_TIMEOUT`, else `None`.
+fn resolve(call: &mut PendingCall, sent: Instant, op: &'static str) -> Option<Result<Bytes>> {
+    match call.poll_wait(Duration::ZERO) {
+        None if sent.elapsed() >= CALL_TIMEOUT => Some(Err(KeraError::Timeout { op })),
+        resolved => resolved,
+    }
+}

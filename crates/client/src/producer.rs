@@ -86,13 +86,6 @@ impl Default for ProducerConfig {
     }
 }
 
-/// An unanswered produce call counts as failed after this long.
-const CALL_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// The requests thread's longest park: how late it may notice a call's
-/// retransmission timer or `CALL_TIMEOUT` firing.
-const TIMER_CHECK: Duration = Duration::from_millis(50);
-
 /// Blind re-sends of a request after an error that is neither `Throttled`
 /// nor `Rejected`.
 const MAX_RETRIES: u32 = 3;
@@ -471,19 +464,6 @@ struct InFlight {
     sent: Instant,
 }
 
-impl InFlight {
-    /// The response if it has landed; a call unanswered for
-    /// `CALL_TIMEOUT` resolves as a timeout.
-    fn resolve(&mut self) -> Option<Result<Bytes>> {
-        match self.call.poll_wait(Duration::ZERO) {
-            None if self.sent.elapsed() >= CALL_TIMEOUT => {
-                Some(Err(KeraError::Timeout { op: "produce" }))
-            }
-            resolved => resolved,
-        }
-    }
-}
-
 /// Everything the requests thread holds for one broker — the only place
 /// a sealed chunk waits once it has left the channel.
 struct Lane {
@@ -655,7 +635,7 @@ impl RequestsThread {
             .values()
             .map(|l| l.not_before)
             .filter(|&pause_ends| pause_ends > now)
-            .fold(if idle_lane { linger_scan } else { now + TIMER_CHECK }, Instant::min);
+            .fold(if idle_lane { linger_scan } else { now + crate::TIMER_CHECK }, Instant::min);
         let listening = idle_lane && self.in_lanes < self.capacity();
         self.shared.listening.store(listening, Ordering::SeqCst);
         // A chunk enqueued before the flag went up was not announced.
@@ -732,7 +712,8 @@ impl Flow {
     /// Settles the lane's resolved requests, in send order.
     fn reap_lane(&mut self, shared: &Shared, lane: &mut Lane) {
         while lane.resend.is_none() {
-            let Some(result) = lane.inflight.front_mut().and_then(InFlight::resolve) else { break };
+            let Some(front) = lane.inflight.front_mut() else { break };
+            let Some(result) = crate::resolve(&mut front.call, front.sent, "produce") else { break };
             if let Some(done) = lane.inflight.pop_front() {
                 self.settle(shared, lane, done.req, result);
             }

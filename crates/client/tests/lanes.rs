@@ -1,8 +1,10 @@
-//! The producer against a scripted broker: a `Service` that applies
-//! produce requests like a broker would (dedup by chunk sequence tag),
-//! logs what arrived in what order, and can be told per broker to delay,
-//! throttle, fail retriably or hold every answer back. Each test pins one
-//! invariant of the producer's per-broker lanes (see `producer.rs`).
+//! The producer and the consumer against a scripted broker: a `Service`
+//! that applies produce requests like a broker would (dedup by chunk
+//! sequence tag) and serves fetches from prepared batches, logs what
+//! arrived in what order and when, and can be told per broker to delay,
+//! throttle, fail retriably, hold every answer back or answer a fetch
+//! with something it was not asked. Each test pins one invariant of the
+//! clients' per-broker lanes (see `producer.rs`, `consumer.rs`).
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,6 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use kera_client::consumer::{Consumer, ConsumerConfig, Subscription};
 use kera_client::producer::{Producer, ProducerConfig};
 use kera_client::MetadataClient;
 use kera_common::config::{NetworkModel, StreamConfig};
@@ -17,11 +20,12 @@ use kera_common::ids::{NodeId, ProducerId, StreamId, StreamletId};
 use kera_common::{KeraError, Result};
 use kera_rpc::inmem::InMemNetwork;
 use kera_rpc::node::{NodeRuntime, NullService, RequestContext, Service};
-use kera_wire::chunk::ChunkIter;
+use kera_wire::chunk::{ChunkBuilder, ChunkIter};
+use kera_wire::cursor::SlotCursor;
 use kera_wire::frames::OpCode;
 use kera_wire::messages::{
-    ChunkAck, GetMetadataRequest, ProduceRequest, ProduceResponse, StreamMetadata,
-    StreamletPlacement,
+    ChunkAck, FetchRequest, FetchResponse, FetchResult, GetMetadataRequest, ProduceRequest,
+    ProduceResponse, StreamMetadata, StreamletPlacement,
 };
 use parking_lot::Mutex;
 
@@ -30,15 +34,21 @@ const BROKER_A: NodeId = NodeId(10);
 const BROKER_B: NodeId = NodeId(11);
 const STREAM: StreamId = StreamId(1);
 
-/// What a broker does with the next produce request it receives (then
-/// the step is used up; with no step left it applies and acknowledges).
+/// What a broker does with the next produce or fetch request it receives
+/// (then the step is used up; with no step left it applies and
+/// acknowledges, or serves).
 enum Step {
-    /// Apply and acknowledge after a pause.
+    /// Apply and acknowledge, or serve, after a pause.
     Delay(Duration),
-    /// Refuse with `Throttled`, nothing applied.
+    /// Refuse with `Throttled`, nothing applied or served.
     Throttle { retry_after: Duration, window_hint: u64 },
     /// Apply, then lose the answer: the client sees a retriable error.
     Fail,
+    /// Fetch only: answer every slot with a moved cursor and a record
+    /// nobody produced, but leave the last slot's result out.
+    Short,
+    /// Fetch only: the same, with all results, in reverse order.
+    Reordered,
 }
 
 #[derive(Default)]
@@ -52,6 +62,8 @@ struct Log {
     seen_tags: HashSet<(StreamletId, u64)>,
     /// Chunks that arrived again after having been applied.
     replays: u64,
+    /// Every fetch as received: where, when, and the cursor of each entry.
+    fetches: Vec<(NodeId, Instant, Vec<SlotCursor>)>,
 }
 
 #[derive(Default)]
@@ -59,6 +71,8 @@ struct Script {
     plan: Mutex<HashMap<NodeId, VecDeque<Step>>>,
     /// Brokers that answer nothing until taken out of this set.
     held: Mutex<HashSet<NodeId>>,
+    /// What each broker has to serve, in order; see `serve`.
+    batches: Mutex<HashMap<NodeId, Vec<Bytes>>>,
     log: Mutex<Log>,
 }
 
@@ -82,6 +96,43 @@ impl Script {
 
     fn applied_records(&self) -> usize {
         self.log.lock().applied.values().map(Vec::len).sum()
+    }
+
+    /// Appends a one-record batch, record number `n`, to what `broker`
+    /// serves for `streamlet`.
+    fn offer(&self, broker: NodeId, streamlet: StreamletId, n: u64) {
+        self.batches.lock().entry(broker).or_default().push(one_record_batch(streamlet, n));
+    }
+
+    /// When each fetch arrived at `broker`, and the cursors it asked at.
+    fn fetches_at(&self, broker: NodeId) -> Vec<(Instant, Vec<SlotCursor>)> {
+        let log = self.log.lock();
+        log.fetches.iter().filter(|f| f.0 == broker).map(|f| (f.1, f.2.clone())).collect()
+    }
+
+    /// Answers every entry, in order. The first entry's cursor counts the
+    /// batches its slot has been served: it gets the next one, if it has
+    /// been offered, and the cursor after it. The other entries get no
+    /// data and their cursor back.
+    fn serve(&self, broker: NodeId, req: &FetchRequest) -> FetchResponse {
+        let mut results: Vec<FetchResult> = req
+            .entries
+            .iter()
+            .map(|e| FetchResult {
+                stream: e.stream,
+                streamlet: e.streamlet,
+                slot: e.slot,
+                cursor: e.cursor,
+                data: Bytes::new(),
+            })
+            .collect();
+        let first = &mut results[0];
+        let batches = self.batches.lock();
+        if let Some(batch) = batches.get(&broker).and_then(|b| b.get(first.cursor.offset as usize)) {
+            first.data = batch.clone();
+            first.cursor.offset += 1;
+        }
+        FetchResponse { results }
     }
 
     /// Applies every chunk not seen before, like a broker's replay cache.
@@ -114,8 +165,18 @@ impl Script {
     }
 }
 
+/// A sealed chunk of `streamlet` holding record number `n`.
+fn one_record_batch(streamlet: StreamletId, n: u64) -> Bytes {
+    let mut chunk = ChunkBuilder::new(1024, ProducerId(7), STREAM, streamlet);
+    assert!(chunk.append(&kera_wire::record::Record::value_only(&record(n))));
+    chunk.seal()
+}
+
+/// The record number no test produces.
+const POISON: u64 = u64::MAX;
+
 /// One scripted node: the coordinator answers `GetMetadata`, brokers
-/// answer `Produce`.
+/// answer `Produce` and `Fetch`.
 struct Scripted {
     id: NodeId,
     script: Arc<Script>,
@@ -149,7 +210,39 @@ impl Service for Scripted {
                         self.script.apply(&req)?;
                         Err(KeraError::ShuttingDown)
                     }
+                    Some(Step::Short | Step::Reordered) => {
+                        Err(KeraError::Protocol("a fetch step planned for a produce".into()))
+                    }
                 }
+            }
+            OpCode::Fetch => {
+                let req = FetchRequest::decode(&payload)?;
+                let asked_at = req.entries.iter().map(|e| e.cursor).collect();
+                self.script.log.lock().fetches.push((self.id, Instant::now(), asked_at));
+                while self.script.held.lock().contains(&self.id) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                let step = self.script.plan.lock().get_mut(&self.id).and_then(VecDeque::pop_front);
+                let mut resp = self.script.serve(self.id, &req);
+                match step {
+                    None => {}
+                    Some(Step::Delay(pause)) => std::thread::sleep(pause),
+                    Some(Step::Throttle { retry_after, window_hint }) => {
+                        return Err(KeraError::Throttled { retry_after, window_hint });
+                    }
+                    Some(Step::Fail) => return Err(KeraError::ShuttingDown),
+                    Some(malformed @ (Step::Short | Step::Reordered)) => {
+                        for r in &mut resp.results {
+                            r.cursor.offset += 100;
+                            r.data = one_record_batch(r.streamlet, POISON);
+                        }
+                        match malformed {
+                            Step::Short => drop(resp.results.pop()),
+                            _ => resp.results.reverse(),
+                        }
+                    }
+                }
+                resp.encode()
             }
             other => Err(KeraError::Protocol(format!("unscripted opcode {other:?}"))),
         }
@@ -159,9 +252,17 @@ impl Service for Scripted {
 /// A coordinator, brokers A and B and one client node on an in-memory
 /// fabric; streamlet `i` of the one stream lives on `placement[i]`.
 struct Rig {
+    net: InMemNetwork,
     script: Arc<Script>,
     meta: MetadataClient,
     _nodes: Vec<NodeRuntime>,
+}
+
+impl Drop for Rig {
+    /// A failed test must not leave a held broker's worker unjoinable.
+    fn drop(&mut self) {
+        self.script.held.lock().clear();
+    }
 }
 
 fn rig(placement: &[NodeId]) -> Rig {
@@ -187,7 +288,7 @@ fn rig(placement: &[NodeId]) -> Rig {
     let client = NodeRuntime::start(Arc::new(net.register(NodeId(100))), Arc::new(NullService), 1);
     let meta = MetadataClient::new(client.client(), COORDINATOR);
     nodes.push(client);
-    Rig { script, meta, _nodes: nodes }
+    Rig { net, script, meta, _nodes: nodes }
 }
 
 fn producer(rig: &Rig, cfg: ProducerConfig) -> Producer {
@@ -488,4 +589,130 @@ fn a_pause_ends_on_time_while_another_broker_is_late() {
     producer.flush().unwrap();
     assert_applied_once_in_order(&rig.script, 4);
     assert_eq!((producer.throttles(), producer.failed_requests()), (1, 0));
+}
+
+fn consumer(rig: &Rig) -> Consumer {
+    Consumer::new(&rig.meta, &[Subscription::whole_stream(STREAM)], ConsumerConfig::default()).unwrap()
+}
+
+/// The next batch out of the cache: its streamlet and record number.
+fn next(consumer: &Consumer, within: Duration) -> Option<(StreamletId, u64)> {
+    let batch = consumer.next_batch(within)?;
+    let mut numbers = Vec::new();
+    batch
+        .for_each_record(|_, rec| numbers.push(u64::from_le_bytes(rec.value()[..8].try_into().unwrap())))
+        .unwrap();
+    assert_eq!(numbers.len(), 1, "the script serves one-record batches");
+    Some((batch.streamlet, numbers[0]))
+}
+
+/// The fetch cursor of `streamlet`'s one slot, as `positions` reports it.
+fn position(consumer: &Consumer, streamlet: StreamletId) -> SlotCursor {
+    consumer.positions().iter().find(|p| p.streamlet == streamlet).unwrap().cursor
+}
+
+const SLOT_A: StreamletId = StreamletId(0);
+const SLOT_B: StreamletId = StreamletId(1);
+
+/// Broker A does not answer its first fetch; B is prompt and must not
+/// notice: B's lane asks again as soon as B's reply is applied, not when
+/// the whole round has been answered.
+#[test]
+fn a_late_broker_does_not_delay_the_others_fetches() {
+    let rig = rig(&[BROKER_A, BROKER_B]);
+    rig.script.hold(BROKER_A);
+    rig.script.offer(BROKER_A, SLOT_A, 100);
+    for n in 0..4 {
+        rig.script.offer(BROKER_B, SLOT_B, n);
+    }
+    let consumer = consumer(&rig);
+    for n in 0..4 {
+        assert_eq!(next(&consumer, Duration::from_secs(5)), Some((SLOT_B, n)), "B waited for A");
+    }
+    assert!(rig.script.fetches_at(BROKER_B).len() >= 4);
+    assert_eq!(position(&consumer, SLOT_A), SlotCursor::START);
+    assert!(rig.script.fetches_at(BROKER_A).len() <= 1, "A was asked again before it answered");
+
+    rig.script.release(BROKER_A);
+    assert_eq!(next(&consumer, Duration::from_secs(5)), Some((SLOT_A, 100)));
+}
+
+/// Broker A answers its first fetch "not now" for 200 ms: what B gets to
+/// serve during A's pause is fetched at once, and A is left alone until
+/// the pause is over.
+#[test]
+fn a_throttled_broker_pauses_only_its_lane() {
+    let rig = rig(&[BROKER_A, BROKER_B]);
+    let pause = Duration::from_millis(200);
+    rig.script.plan(BROKER_A, [Step::Throttle { retry_after: pause, window_hint: 0 }]);
+    rig.script.offer(BROKER_A, SLOT_A, 100);
+    let consumer = consumer(&rig);
+    wait_for("A's throttle", Duration::from_secs(5), || !rig.script.fetches_at(BROKER_A).is_empty());
+    for n in 0..4 {
+        rig.script.offer(BROKER_B, SLOT_B, n);
+        let offered = Instant::now();
+        assert_eq!(next(&consumer, pause / 4), Some((SLOT_B, n)), "B's batch waited behind A's pause");
+        // Spread over the pause, not all at its start.
+        std::thread::sleep((pause / 8).saturating_sub(offered.elapsed()));
+    }
+    let refused = rig.script.fetches_at(BROKER_A)[0].0;
+    assert!(refused.elapsed() < pause, "the four batches were to arrive within A's pause");
+    assert_eq!(rig.script.fetches_at(BROKER_A).len(), 1, "A was asked again during its pause");
+
+    assert_eq!(next(&consumer, Duration::from_secs(5)), Some((SLOT_A, 100)));
+    let asked_again = rig.script.fetches_at(BROKER_A)[1].0;
+    assert!(asked_again - refused >= pause, "A's pause was honored");
+}
+
+/// Broker A has crashed: every fetch to it fails, and its lane rests
+/// between attempts instead of asking again at once, while B's lane
+/// delivers what B gets to serve.
+#[test]
+fn an_unanswering_broker_is_not_hammered() {
+    let rig = rig(&[BROKER_A, BROKER_B]);
+    rig.net.crash(BROKER_A);
+    let issued = rig.meta.rpc().obs().registry().counter("kera.rpc.calls_issued", &[]);
+    let consumer = consumer(&rig);
+    let (calls_before, at_b_before) = (issued.get(), rig.script.fetches_at(BROKER_B).len() as u64);
+    let started = Instant::now();
+    for n in 0..8 {
+        rig.script.offer(BROKER_B, SLOT_B, n);
+        assert_eq!(next(&consumer, Duration::from_secs(5)), Some((SLOT_B, n)));
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    assert!(started.elapsed() >= Duration::from_millis(200));
+    // Every call the client node issued went to A or to B, and B logs
+    // every one it received (one may still be on its way).
+    let to_b = rig.script.fetches_at(BROKER_B).len() as u64 - at_b_before;
+    let to_a = (issued.get() - calls_before).saturating_sub(to_b + 1);
+    let per_200ms = to_a * 200 / started.elapsed().as_millis() as u64;
+    assert!((1..=40).contains(&per_200ms), "{to_a} fetches sent to a dead broker in {:?}", started.elapsed());
+}
+
+/// A reply is input from a peer. One that leaves a slot out, or answers
+/// the slots in another order, is refused whole: no cursor moves, nothing
+/// is delivered, and the lane rests before it asks the same question
+/// again, which the next well-formed reply answers.
+#[test]
+fn a_reply_that_does_not_match_its_request_is_refused() {
+    // Two slots on A, so that a reply has something to leave out or swap.
+    let rig = rig(&[BROKER_A, BROKER_A]);
+    rig.script.plan(BROKER_A, [Step::Short, Step::Reordered]);
+    let consumer = consumer(&rig);
+    // One fetch in flight per lane: with the third at the broker, both
+    // malformed replies have been dealt with.
+    wait_for("A's third fetch", Duration::from_secs(5), || rig.script.fetches_at(BROKER_A).len() >= 3);
+    assert!(consumer.positions().iter().all(|p| p.cursor == SlotCursor::START));
+    assert_eq!(next(&consumer, Duration::ZERO), None, "a refused reply's data was delivered");
+    let fetches = rig.script.fetches_at(BROKER_A);
+    assert!(fetches.iter().all(|(_, asked_at)| asked_at == &[SlotCursor::START; 2]));
+    for pair in fetches[..3].windows(2) {
+        assert!(pair[1].0 - pair[0].0 >= Duration::from_millis(10), "no rest after a refused reply");
+    }
+
+    rig.script.offer(BROKER_A, SLOT_A, 0);
+    assert_eq!(next(&consumer, Duration::from_secs(5)), Some((SLOT_A, 0)));
+    assert_eq!(position(&consumer, SLOT_A), SlotCursor { offset: 1, ..SlotCursor::START });
+    assert_eq!(position(&consumer, SLOT_B), SlotCursor::START);
+    assert_eq!(next(&consumer, Duration::from_millis(50)), None);
 }

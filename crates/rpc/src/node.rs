@@ -460,7 +460,7 @@ impl RpcClient {
     /// caller picks its budget at wait time): the server must not drop
     /// work a pipelined caller is still waiting on.
     pub fn call_async(&self, to: NodeId, opcode: OpCode, payload: Bytes) -> PendingCall {
-        self.issue(to, opcode, payload, self.inner.retry.max_attempts, None)
+        self.issue(to, opcode, payload, None)
     }
 
     /// Registers the call's pending slot and makes its first
@@ -471,7 +471,6 @@ impl RpcClient {
         to: NodeId,
         opcode: OpCode,
         payload: Bytes,
-        max_attempts: u32,
         budget: Option<Duration>,
     ) -> PendingCall {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
@@ -494,7 +493,6 @@ impl RpcClient {
             to,
             env,
             attempts: 0,
-            max_attempts,
             deadline: budget.map(|b| now + b),
             next_retransmit: None,
             // Deterministic jitter: seeded by (node, call), independent
@@ -520,19 +518,7 @@ impl RpcClient {
         payload: Bytes,
         timeout: Duration,
     ) -> Result<Bytes> {
-        self.issue(to, opcode, payload, self.inner.retry.max_attempts, Some(timeout)).wait(timeout)
-    }
-
-    /// Single-shot synchronous call: one send, no retransmission, no
-    /// backoff. For callers that orchestrate their own failure handling.
-    pub fn call_once(
-        &self,
-        to: NodeId,
-        opcode: OpCode,
-        payload: Bytes,
-        timeout: Duration,
-    ) -> Result<Bytes> {
-        self.issue(to, opcode, payload, 1, None).wait(timeout)
+        self.issue(to, opcode, payload, Some(timeout)).wait(timeout)
     }
 
     /// Calls whichever of `replicas` currently leads the replicated
@@ -636,8 +622,6 @@ pub struct PendingCall {
     env: Envelope,
     /// Sends so far (first transmission included).
     attempts: u32,
-    /// Sends allowed in all (`call_once`: 1).
-    max_attempts: u32,
     /// End of the caller's overall budget, when it stated one.
     deadline: Option<Instant>,
     /// When to send again; `None` once no further send will happen.
@@ -735,7 +719,7 @@ impl PendingCall {
     /// jittered to [50%, 100%]. `None` when the attempts are used up or
     /// that instant falls outside the call's budget.
     fn retransmit_after(&mut self, now: Instant, sent: bool) -> Option<Instant> {
-        if self.attempts >= self.max_attempts {
+        if self.attempts >= self.inner.retry.max_attempts {
             return None;
         }
         let policy = &self.inner.retry;
@@ -1360,17 +1344,5 @@ mod tests {
         assert_eq!(c.pending_calls(), 31);
         drop(calls);
         assert_eq!(c.pending_calls(), 0);
-    }
-
-    #[test]
-    fn call_once_does_not_retry() {
-        let (_net, _server, client) = pair();
-        let c = client.client();
-        let before = c.inner.calls_issued.get();
-        let err = c
-            .call_once(NodeId(42), OpCode::Ping, Bytes::new(), Duration::from_secs(1))
-            .unwrap_err();
-        assert!(matches!(err, KeraError::Disconnected(NodeId(42))));
-        assert_eq!(c.inner.calls_issued.get(), before + 1);
     }
 }

@@ -35,10 +35,12 @@ if grep -rnE '"repl-driver|ReplicationDriver' crates/*/src; then
 fi
 
 # A reply unparks its waiter: a pending call is a slot, not a channel,
-# and the producer's requests thread waits in one place, `park`.
-if grep -nE 'thread::sleep|fn idle' crates/client/src/producer.rs \
-    || grep -n 'bounded(1)' crates/rpc/src/node.rs; then
-  echo "no per-call channel in kera-rpc; no nap and no second wait in the producer" >&2
+# and each client's requests thread waits in one place, its park. The
+# broker keeps no per-fetch state nothing reads.
+if grep -nE 'thread::sleep|fn idle' crates/client/src/producer.rs crates/client/src/consumer.rs \
+    || grep -n 'bounded(1)' crates/rpc/src/node.rs \
+    || grep -rn 'fetch_pos' crates/broker/src; then
+  echo "no per-call channel in kera-rpc; no nap and no second wait in a client; no fetch_pos" >&2
   exit 1
 fi
 

@@ -246,7 +246,7 @@ impl Consumer {
         let shared = Arc::new(Shared {
             cfg,
             rpc: meta.rpc().clone(),
-            positions: parking_lot::Mutex::new(positions),
+            positions: parking_lot::Mutex::named("client.positions", positions),
             shutdown: AtomicBool::new(false),
         });
         let requests_thread = {

@@ -5,30 +5,34 @@
 //! appends records to per-streamlet chunk buffers; the *Requests* thread
 //! gathers filled chunks — or chunks older than the linger timeout — into
 //! one request per broker and keeps up to `pipeline` of them in flight.
+//! The shared memory is one structure, the [`Queue`] under one lock.
 //!
 //! Between sealing and acknowledgement a chunk is in exactly one place:
-//! the bounded `ready` channel, then its broker's [`Lane`] — a FIFO the
-//! requests thread owns — then a request. The invariants follow from
-//! that shape rather than from bookkeeping:
+//! its broker's lane in the queue — a FIFO, fixed when the producer is
+//! built — then a request. The invariants follow from that shape rather
+//! than from bookkeeping:
 //!
-//! - **FIFO per broker.** Chunks enter a lane in seal order (seal +
-//!   enqueue is atomic under the slot lock, and the linger scan drains
-//!   the channel under that lock before it seals) and leave it only from
-//!   the front; a failed request is re-sent before anything newer from
-//!   its lane. A slot has one broker, so per-slot order is lane order.
-//! - **Bound.** The thread stops taking from the channel while its lanes
-//!   hold `queue_capacity` chunks, so at most channel + lanes + in-flight
-//!   requests are sealed and unacknowledged; beyond that `send` blocks.
+//! - **FIFO per broker.** A chunk is sealed and pushed under its slot's
+//!   lock (slot, then queue, is the lock order), so it enters its lane in
+//!   seal order, and it leaves only from the front; a failed request is
+//!   re-sent before anything newer from its lane. A slot has one broker,
+//!   so per-slot order is lane order.
+//! - **Bound.** The lanes hold at most `queue_capacity` chunks, so at
+//!   most that many plus the in-flight requests are sealed and
+//!   unacknowledged; beyond that `send` blocks, on the queue's `room`.
 //! - **Isolation.** A throttle or retry pause is a lane's `not_before`,
 //!   and a lane sends again as soon as *its* request resolves: the thread
 //!   never sleeps, nor waits for an answer, on behalf of one broker.
 //! - **Progress.** With nothing in flight a lane may always send one
 //!   request, whatever byte window a broker hinted.
 //!
-//! The requests thread blocks in one place, the `park_timeout` that ends
-//! its loop. A reply unparks it (it issues every produce call, so it is
-//! each call's waiter), as do `close`/`abort` and — while some lane is
-//! below its in-flight bound — a sealed chunk.
+//! A source blocks on its slot's lock and on the queue (its lock, `room`,
+//! and `drained` in `flush`), nowhere else. The requests thread blocks in
+//! one place, the `park_timeout` that ends its loop; it takes the queue's
+//! lock to pop and to settle and never waits on it. A reply unparks it
+//! (it issues every produce call, so it is each call's waiter), as do
+//! `close`/`abort` and — while some lane is below its in-flight bound —
+//! a sealed chunk.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -36,8 +40,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, Sender};
-use kera_common::ids::{NodeId, ProducerId, StreamId};
+use kera_common::ids::{NodeId, ProducerId, StreamId, StreamletId};
 use kera_common::metrics::{Counter, LatencyHistogram, ThroughputMeter};
 use kera_common::rng::SplitMix64;
 use kera_common::{KeraError, Result};
@@ -45,9 +48,9 @@ use kera_rpc::node::PendingCall;
 use kera_rpc::RpcClient;
 use kera_wire::chunk::{BufferPool, ChunkBuilder};
 use kera_wire::frames::OpCode;
-use kera_wire::messages::{ProduceRequest, ProduceResponse, StreamMetadata};
+use kera_wire::messages::{ProduceRequest, ProduceResponse};
 use kera_wire::record::Record;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 
 use crate::metadata::MetadataClient;
 use crate::partitioner::Partitioner;
@@ -63,8 +66,8 @@ pub struct ProducerConfig {
     /// `linger.ms`: how long a non-full chunk may wait before being sent.
     pub linger: Duration,
     pub partitioner: Partitioner,
-    /// Bound of the sealed-chunk channel, and of the lanes behind it
-    /// (backpressure depth).
+    /// Sealed chunks that may wait in the lanes, all brokers together
+    /// (backpressure depth); one more `send` blocks.
     pub queue_capacity: usize,
     /// Outstanding requests per broker ("the number of parallel producer
     /// requests", paper §II-B); 1 is the paper's evaluation setting, and
@@ -80,7 +83,7 @@ impl Default for ProducerConfig {
             request_max_bytes: 1 << 20,
             linger: Duration::from_millis(1),
             partitioner: Partitioner::RoundRobin,
-            queue_capacity: 1000,
+            queue_capacity: 2000,
             pipeline: 1,
         }
     }
@@ -101,34 +104,63 @@ struct PendingChunk {
     since: Option<Instant>,
 }
 
+/// One streamlet's chunk buffer and where its chunks go.
+struct Slot {
+    /// Index of the streamlet's broker in the lanes.
+    lane: usize,
+    chunk: Mutex<PendingChunk>,
+}
+
 struct StreamRoute {
-    metadata: StreamMetadata,
     counter: AtomicU64,
-    pending: Vec<Mutex<PendingChunk>>,
+    /// One per streamlet.
+    slots: Vec<Slot>,
 }
 
 struct SealedChunk {
-    broker: NodeId,
     records: u32,
     bytes: Bytes,
+}
+
+/// What the two threads share: every sealed chunk not yet in a request.
+struct Queue {
+    /// Per lane, in seal order.
+    waiting: Vec<VecDeque<SealedChunk>>,
+    /// Chunks in all of `waiting`, at most `queue_capacity`.
+    queued: usize,
+    /// Chunks sealed and neither acknowledged, failed for good nor
+    /// discarded yet; `flush` waits on `drained` for it to reach 0.
+    unsettled: u64,
+    /// Up while some lane is below its in-flight bound: a chunk pushed
+    /// now would be sent at once, so pushing it unparks the requests
+    /// thread. Set where that thread pops (`ship`), under the one lock,
+    /// so no chunk falls between its look at the lanes and its park.
+    chunk_wanted: bool,
+}
+
+impl Queue {
+    /// Returns whether the requests thread is to be unparked.
+    fn push(&mut self, lane: usize, chunk: SealedChunk) -> bool {
+        self.waiting[lane].push_back(chunk);
+        self.queued += 1;
+        self.unsettled += 1;
+        self.chunk_wanted
+    }
 }
 
 struct Shared {
     cfg: ProducerConfig,
     rpc: RpcClient,
-    routes: RwLock<HashMap<StreamId, Arc<StreamRoute>>>,
-    ready_tx: Sender<SealedChunk>,
+    /// Fixed at construction: streams, their slots, each slot's lane.
+    routes: HashMap<StreamId, StreamRoute>,
+    queue: Mutex<Queue>,
+    /// Signalled when chunks left full lanes; `send` waits here.
+    room: Condvar,
+    drained: Condvar,
     shutdown: AtomicBool,
     /// With `shutdown`: drop queued chunks instead of draining them
     /// (fast teardown for benchmarks; `close()` drains, `Drop` discards).
     discard: AtomicBool,
-    /// Chunks sealed but not yet acknowledged; `flush` waits on `drained`
-    /// for it to reach 0.
-    outstanding: Mutex<u64>,
-    drained: Condvar,
-    /// Up while the requests thread is parked and a lane has room for a
-    /// new chunk: only then does enqueueing one unpark it.
-    listening: AtomicBool,
     /// Per-chunk sequence tags (broker-side retry dedup). Seeded from the
     /// wall clock so a restarted producer reusing an id cannot collide
     /// with tags its predecessor left in broker replay caches.
@@ -158,11 +190,20 @@ struct Shared {
 }
 
 impl Shared {
+    /// Seals the slot's chunk (the caller holds the slot lock); the
+    /// builder rearms itself for the same streamlet.
+    fn seal(&self, p: &mut PendingChunk) -> SealedChunk {
+        let records = p.builder.record_count();
+        let bytes = p.builder.seal_with_sequence(self.next_tag.fetch_add(1, Ordering::Relaxed));
+        p.since = None;
+        SealedChunk { records, bytes }
+    }
+
     /// `chunks` were acknowledged, failed for good or discarded.
     fn settled(&self, chunks: u64) {
-        let mut outstanding = self.outstanding.lock();
-        *outstanding -= chunks;
-        if *outstanding == 0 {
+        let mut q = self.queue.lock();
+        q.unsettled -= chunks;
+        if q.unsettled == 0 {
             self.drained.notify_all();
         }
     }
@@ -186,22 +227,42 @@ pub struct Producer {
 }
 
 impl Producer {
-    /// Connects a producer for `streams` (metadata is resolved eagerly).
+    /// Connects a producer for `streams`: metadata is resolved eagerly,
+    /// and so is every streamlet's broker — one that has none fails here.
     pub fn new(
         meta: &MetadataClient,
         streams: &[StreamId],
         cfg: ProducerConfig,
     ) -> Result<Producer> {
-        let (ready_tx, ready_rx) = channel::bounded(cfg.queue_capacity.max(1));
         // Enough pooled buffers to cover every pending slot plus a
         // queue's worth of sealed chunks, bounded so an oversized
         // queue_capacity cannot pin unbounded memory.
         let pool = BufferPool::new(cfg.chunk_size, cfg.queue_capacity.clamp(8, 256));
+        // A lane must be able to hold a chunk, or nothing is ever sent.
+        let cfg = ProducerConfig { queue_capacity: cfg.queue_capacity.max(1), ..cfg };
+        let mut brokers: Vec<NodeId> = Vec::new();
         let mut routes = HashMap::new();
-        for &s in streams {
-            let md = meta.metadata(s)?;
-            routes.insert(s, Arc::new(Self::route_for(&cfg, &pool, md)));
+        for &stream in streams {
+            let md = meta.metadata(stream)?;
+            let slots = (0..md.config.streamlets).map(StreamletId).map(|sl| {
+                let broker = md.broker_of(sl).ok_or(KeraError::UnknownStreamlet(stream, sl))?;
+                let lane = brokers.iter().position(|&b| b == broker).unwrap_or_else(|| {
+                    brokers.push(broker);
+                    brokers.len() - 1
+                });
+                let builder = ChunkBuilder::with_pool(Arc::clone(&pool), cfg.id, stream, sl);
+                let chunk = Mutex::named("client.slot", PendingChunk { builder, since: None });
+                Ok(Slot { lane, chunk })
+            });
+            let slots = slots.collect::<Result<Vec<Slot>>>()?;
+            routes.insert(stream, StreamRoute { counter: AtomicU64::new(0), slots });
         }
+        let queue = Queue {
+            waiting: brokers.iter().map(|_| VecDeque::new()).collect(),
+            queued: 0,
+            unsettled: 0,
+            chunk_wanted: false,
+        };
         let rpc = meta.rpc().clone();
         // Client metrics live in the node's registry, labelled by
         // producer id so co-hosted producers stay distinguishable.
@@ -221,13 +282,12 @@ impl Producer {
         let shared = Arc::new(Shared {
             cfg,
             rpc,
-            routes: RwLock::new(routes),
-            ready_tx,
+            routes,
+            queue: Mutex::named("client.queue", queue),
+            room: Condvar::new(),
+            drained: Condvar::new(),
             shutdown: AtomicBool::new(false),
             discard: AtomicBool::new(false),
-            outstanding: Mutex::new(0),
-            drained: Condvar::new(),
-            listening: AtomicBool::new(false),
             next_tag: AtomicU64::new(
                 std::time::SystemTime::now()
                     .duration_since(std::time::UNIX_EPOCH)
@@ -247,27 +307,10 @@ impl Producer {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("producer-req-{}", shared.cfg.id.raw()))
-                .spawn(move || requests_loop(shared, ready_rx))
+                .spawn(move || requests_loop(shared, brokers))
                 .expect("spawn producer requests thread")
         };
         Ok(Producer { shared, requests_thread: Some(requests_thread) })
-    }
-
-    fn route_for(cfg: &ProducerConfig, pool: &Arc<BufferPool>, metadata: StreamMetadata) -> StreamRoute {
-        let pending = (0..metadata.config.streamlets)
-            .map(|sl| {
-                Mutex::new(PendingChunk {
-                    builder: ChunkBuilder::with_pool(
-                        Arc::clone(pool),
-                        cfg.id,
-                        metadata.config.id,
-                        kera_common::ids::StreamletId(sl),
-                    ),
-                    since: None,
-                })
-            })
-            .collect();
-        StreamRoute { metadata, counter: AtomicU64::new(0), pending }
     }
 
     /// Appends a non-keyed record (the paper's workload shape).
@@ -287,84 +330,67 @@ impl Producer {
         if self.shared.shutdown.load(Ordering::Relaxed) {
             return Err(KeraError::ShuttingDown);
         }
-        let route = self
-            .shared
-            .routes
-            .read()
-            .get(&stream)
-            .cloned()
-            .ok_or(KeraError::UnknownStream(stream))?;
+        let route = self.shared.routes.get(&stream).ok_or(KeraError::UnknownStream(stream))?;
         let counter = route.counter.fetch_add(1, Ordering::Relaxed);
         let streamlet = self.shared.cfg.partitioner.pick(
-            route.metadata.config.streamlets,
+            route.slots.len() as u32,
             counter,
             record.keys.first().copied(),
         );
-        let slot = &route.pending[streamlet.raw() as usize];
+        let slot = &route.slots[streamlet.raw() as usize];
 
-        let mut p = slot.lock();
-        if p.builder.append(record) {
-            if p.since.is_none() {
-                p.since = Some(Instant::now());
+        let mut p = slot.chunk.lock();
+        if !p.builder.append(record) {
+            // Full: the chunk goes into its lane and the record opens the
+            // next one. What an empty chunk cannot take is refused.
+            if !p.builder.is_empty() {
+                self.seal_into_lane(slot, &mut p);
             }
-        } else {
-            if p.builder.is_empty() {
-                return Err(KeraError::ChunkTooLarge {
-                    chunk: record.encoded_len(),
-                    segment: self.shared.cfg.chunk_size,
-                });
-            }
-            // Seal the full chunk, rearm the builder, retry.
-            let sealed = seal_pending(&self.shared, &route, streamlet.raw(), &mut p)?;
             if !p.builder.append(record) {
                 return Err(KeraError::ChunkTooLarge {
                     chunk: record.encoded_len(),
                     segment: self.shared.cfg.chunk_size,
                 });
             }
+        }
+        if p.since.is_none() {
             p.since = Some(Instant::now());
-            // Enqueue while still holding the slot lock: queue order must
-            // equal per-slot seal order, or a linger-sealed successor can
-            // overtake this chunk and invert the slot's record order on
-            // the broker. Blocking here is the backpressure path; the
-            // linger scan uses try_lock, so the requests thread can never
-            // deadlock against a sender parked on a full queue.
-            self.enqueue(sealed)?;
         }
         Ok(())
     }
 
-    /// Hands a sealed chunk to the requests thread, and wakes it if it
-    /// said a chunk is what it is waiting for.
-    fn enqueue(&self, sealed: SealedChunk) -> Result<()> {
-        *self.shared.outstanding.lock() += 1;
-        self.shared.ready_tx.send(sealed).map_err(|_| KeraError::ShuttingDown)?;
-        if self.shared.listening.load(Ordering::SeqCst) {
-            if let Some(t) = &self.requests_thread {
-                t.thread().unpark();
-            }
+    /// Seals the slot's chunk and pushes it into its lane, all under the
+    /// slot lock the caller holds: lane order must equal per-slot seal
+    /// order, or a linger-sealed successor can overtake this chunk and
+    /// invert the slot's record order on the broker. Waiting for `room`
+    /// here is the backpressure path; the linger scan uses try_lock, so
+    /// the requests thread can never deadlock against a sender that
+    /// waits for it to make room.
+    fn seal_into_lane(&self, slot: &Slot, p: &mut PendingChunk) {
+        let sealed = self.shared.seal(p);
+        let mut q = self.shared.queue.lock();
+        while q.queued >= self.shared.cfg.queue_capacity {
+            self.shared.room.wait(&mut q);
         }
-        Ok(())
+        let wake = q.push(slot.lane, sealed);
+        drop(q);
+        if let (true, Some(t)) = (wake, &self.requests_thread) {
+            t.thread().unpark();
+        }
     }
 
     /// Seals all non-empty chunks and blocks until everything queued has
     /// been acknowledged (or failed terminally).
     pub fn flush(&self) -> Result<()> {
-        let routes: Vec<Arc<StreamRoute>> = self.shared.routes.read().values().cloned().collect();
-        for route in routes {
-            for sl in 0..route.metadata.config.streamlets {
-                let mut p = route.pending[sl as usize].lock();
-                if !p.builder.is_empty() {
-                    // Seal + enqueue under the slot lock (see send_record:
-                    // queue order must equal per-slot seal order).
-                    let sealed = seal_pending(&self.shared, &route, sl, &mut p)?;
-                    self.enqueue(sealed)?;
-                }
+        for slot in self.shared.routes.values().flat_map(|route| &route.slots) {
+            let mut p = slot.chunk.lock();
+            if !p.builder.is_empty() {
+                self.seal_into_lane(slot, &mut p);
             }
         }
-        let mut outstanding = self.shared.outstanding.lock();
-        while *outstanding > 0 {
-            self.shared.drained.wait(&mut outstanding);
+        let mut q = self.shared.queue.lock();
+        while q.unsettled > 0 {
+            self.shared.drained.wait(&mut q);
         }
         Ok(())
     }
@@ -421,27 +447,6 @@ impl Drop for Producer {
     }
 }
 
-/// Seals the slot's chunk (caller holds the slot lock) and rearms the
-/// builder. Resolving the broker here keeps the requests thread free of
-/// metadata lookups.
-fn seal_pending(
-    shared: &Shared,
-    route: &StreamRoute,
-    streamlet: u32,
-    p: &mut PendingChunk,
-) -> Result<SealedChunk> {
-    let records = p.builder.record_count();
-    let bytes = p.builder.seal_with_sequence(shared.next_tag.fetch_add(1, Ordering::Relaxed));
-    let sl = kera_common::ids::StreamletId(streamlet);
-    p.builder.reset(shared.cfg.id, route.metadata.config.id, sl);
-    p.since = None;
-    let broker = route
-        .metadata
-        .broker_of(sl)
-        .ok_or(KeraError::UnknownStreamlet(route.metadata.config.id, sl))?;
-    Ok(SealedChunk { broker, records, bytes })
-}
-
 /// One encoded produce request and what its resolution settles.
 struct Request {
     /// The encoded body, re-sent verbatim: the chunks' sequence tags make
@@ -464,18 +469,24 @@ struct InFlight {
     sent: Instant,
 }
 
-/// Everything the requests thread holds for one broker — the only place
-/// a sealed chunk waits once it has left the channel.
+/// What the requests thread alone holds for one broker; the lane's
+/// waiting chunks are in the [`Queue`], at the same index.
 struct Lane {
-    /// Sealed chunks not yet in a request, in seal order.
-    waiting: VecDeque<SealedChunk>,
+    broker: NodeId,
     /// A request that resolved `Throttled` or with an error and goes out
-    /// again before anything from `waiting`.
+    /// again before anything that waits.
     resend: Option<Request>,
     /// At most `pipeline` requests, in send order.
     inflight: VecDeque<InFlight>,
     /// Nothing is sent before this instant (throttle pause).
     not_before: Instant,
+}
+
+/// A lane's prefix, popped and on its way into a request.
+struct Batch {
+    chunks: Vec<Bytes>,
+    bytes: usize,
+    records: u32,
 }
 
 /// What the lanes share; plain state of the requests thread.
@@ -490,19 +501,15 @@ struct Flow {
 
 struct RequestsThread {
     shared: Arc<Shared>,
-    ready_rx: Receiver<SealedChunk>,
-    lanes: HashMap<NodeId, Lane>,
-    /// Chunks in all `waiting` queues together, at most `queue_capacity`.
-    in_lanes: usize,
+    lanes: Vec<Lane>,
     flow: Flow,
 }
 
-/// The Requests thread. Each round settles what resolved, takes sealed
-/// chunks into their lanes, enforces linger, ships one request per lane
-/// that may send, and parks until something can have changed (`park`).
-/// Settling is also what sends a call's due retransmission and applies
-/// `CALL_TIMEOUT`.
-fn requests_loop(shared: Arc<Shared>, ready_rx: Receiver<SealedChunk>) {
+/// The Requests thread. Each round settles what resolved, enforces
+/// linger, ships one request per lane that may send, and parks until
+/// something can have changed (`park`). Settling is also what sends a
+/// call's due retransmission and applies `CALL_TIMEOUT`.
+fn requests_loop(shared: Arc<Shared>, brokers: Vec<NodeId>) {
     // Linger-scan cadence (the scan walks every slot of every stream).
     let tick = shared.cfg.linger.max(Duration::from_micros(200)) / 2;
     let flow = Flow {
@@ -510,10 +517,16 @@ fn requests_loop(shared: Arc<Shared>, ready_rx: Receiver<SealedChunk>) {
         window_hint: 0,
         rng: SplitMix64::new(0x5EED_0000 ^ u64::from(shared.cfg.id.raw())),
     };
-    let mut t = RequestsThread { shared, ready_rx, lanes: HashMap::new(), in_lanes: 0, flow };
+    let lanes = brokers.into_iter().map(|broker| Lane {
+        broker,
+        resend: None,
+        inflight: VecDeque::new(),
+        not_before: Instant::now(),
+    });
+    let mut t = RequestsThread { shared, lanes: lanes.collect(), flow };
     let mut next_linger_scan = Instant::now() + tick;
     loop {
-        for lane in t.lanes.values_mut() {
+        for lane in &mut t.lanes {
             t.flow.reap_lane(&t.shared, lane);
         }
         t.shared.export_pool_stats();
@@ -521,10 +534,9 @@ fn requests_loop(shared: Arc<Shared>, ready_rx: Receiver<SealedChunk>) {
         if stopping && t.shared.discard.load(Ordering::SeqCst) {
             t.discard_unsent();
         }
-        if stopping && *t.shared.outstanding.lock() == 0 {
+        if stopping && t.shared.queue.lock().unsettled == 0 {
             return;
         }
-        t.take_ready();
         if Instant::now() >= next_linger_scan {
             // A stopped producer has no partial chunk worth sealing:
             // `close` flushed them, `abort` gives them up.
@@ -533,180 +545,161 @@ fn requests_loop(shared: Arc<Shared>, ready_rx: Receiver<SealedChunk>) {
             }
             next_linger_scan = Instant::now() + tick;
         }
-        t.ship();
-        t.park(next_linger_scan);
+        let idle_lane = t.ship();
+        t.park(idle_lane, next_linger_scan);
     }
 }
 
 impl RequestsThread {
-    fn capacity(&self) -> usize {
-        self.shared.cfg.queue_capacity.max(1)
-    }
-
-    fn enlane(&mut self, c: SealedChunk) {
-        let lane = self.lanes.entry(c.broker).or_insert_with(|| Lane {
-            waiting: VecDeque::new(),
-            resend: None,
-            inflight: VecDeque::new(),
-            not_before: Instant::now(),
-        });
-        lane.waiting.push_back(c);
-        self.in_lanes += 1;
-    }
-
-    /// Moves sealed chunks from the channel into their lanes, up to the
-    /// bound; what stays in the channel is what back-pressures `send`.
-    fn take_ready(&mut self) {
-        while self.in_lanes < self.capacity() {
-            let Ok(c) = self.ready_rx.try_recv() else { break };
-            self.enlane(c);
-        }
-    }
-
     /// Seals chunks whose linger expired, straight into their lanes.
-    fn scan_linger(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        let routes: Vec<Arc<StreamRoute>> = shared.routes.read().values().cloned().collect();
-        for route in routes {
-            for sl in 0..route.metadata.config.streamlets {
-                // try_lock: a held lock is a source thread inside its
-                // seal+enqueue critical section (possibly parked on a full
-                // channel that only this thread drains) — skip the slot
-                // and catch it on the next scan instead of deadlocking.
-                let Some(mut p) = route.pending[sl as usize].try_lock() else { continue };
-                let expired = p.since.is_some_and(|s| s.elapsed() >= shared.cfg.linger);
-                if !expired || p.builder.is_empty() {
-                    continue;
-                }
-                // Under the slot lock every earlier chunk of the slot is
-                // in its lane or in the channel; take the channel first.
-                self.take_ready();
-                if self.in_lanes >= self.capacity() {
-                    return;
-                }
-                if let Ok(sealed) = seal_pending(&shared, &route, sl, &mut p) {
-                    *shared.outstanding.lock() += 1;
-                    self.enlane(sealed);
-                }
+    fn scan_linger(&self) {
+        let shared = &self.shared;
+        for slot in shared.routes.values().flat_map(|route| &route.slots) {
+            // try_lock: a held lock is a source thread inside its
+            // seal+push critical section (possibly waiting for room that
+            // only this thread makes) — skip the slot and catch it on the
+            // next scan instead of deadlocking.
+            let Some(mut p) = slot.chunk.try_lock() else { continue };
+            let expired = p.since.is_some_and(|s| s.elapsed() >= shared.cfg.linger);
+            if !expired || p.builder.is_empty() {
+                continue;
             }
+            // This thread must not wait for room: with the lanes full the
+            // chunk stays open. It is sealed under the queue's lock, so
+            // that the bound holds exactly; a lingering chunk is a short one.
+            let mut q = shared.queue.lock();
+            if q.queued >= shared.cfg.queue_capacity {
+                return;
+            }
+            let sealed = shared.seal(&mut p);
+            q.push(slot.lane, sealed);
         }
     }
 
     /// Puts on the wire what each lane may send now: its `resend`, else
-    /// a new request if fewer than `pipeline` are in flight.
-    fn ship(&mut self) {
-        let Self { shared, lanes, in_lanes, flow, .. } = self;
+    /// a new request if fewer than `pipeline` are in flight. The lanes'
+    /// prefixes are popped in one critical section, which also tells the
+    /// sources whether some lane is left below its in-flight bound (the
+    /// return value); encoding and sending hold no lock.
+    fn ship(&mut self) -> bool {
+        let Self { shared, lanes, flow } = self;
         let now = Instant::now();
-        for (&broker, lane) in lanes.iter_mut() {
-            if now < lane.not_before {
-                continue;
+        let bound = shared.cfg.pipeline.max(1);
+        for lane in lanes.iter_mut().filter(|l| now >= l.not_before) {
+            if let Some(req) = lane.resend.take() {
+                flow.inflight_bytes += req.chunk_bytes;
+                lane.send(shared, req, now);
             }
-            let req = match lane.resend.take() {
-                Some(req) => req,
-                None if lane.inflight.len() >= shared.cfg.pipeline.max(1) => continue,
-                None => match flow.pack(shared, &mut lane.waiting, now) {
-                    Some(req) => {
-                        *in_lanes -= req.chunks as usize;
-                        req
-                    }
-                    None => continue,
-                },
-            };
-            flow.inflight_bytes += req.chunk_bytes;
-            // lint: allow(no-hot-copy) — refcount clone; a re-send keeps the other handle
-            let call = shared.rpc.call_async(broker, OpCode::Produce, req.payload.clone());
-            lane.inflight.push_back(InFlight { req, call, sent: now });
         }
+        let mut batches: Vec<(usize, Batch)> = Vec::new();
+        let mut idle_lane = false;
+        let mut q = shared.queue.lock();
+        let was_full = q.queued >= shared.cfg.queue_capacity;
+        for (i, lane) in lanes.iter().enumerate() {
+            let mut on_wire = lane.inflight.len();
+            if now >= lane.not_before && on_wire < bound {
+                if let Some(batch) = flow.pack(shared, &mut q.waiting[i]) {
+                    q.queued -= batch.chunks.len();
+                    batches.push((i, batch));
+                    on_wire += 1;
+                }
+            }
+            idle_lane |= on_wire < bound;
+        }
+        q.chunk_wanted = idle_lane;
+        drop(q);
+        if was_full && !batches.is_empty() {
+            shared.room.notify_all();
+        }
+        for (i, batch) in batches {
+            lanes[i].send(shared, batch.encode(shared, now), now);
+        }
+        idle_lane
     }
 
     /// The thread's one blocking point. While some lane is below its
-    /// in-flight bound, a sealed chunk is worth an unpark (`listening`)
-    /// and the next linger scan a wake-up. With every lane on the wire
-    /// neither is — a chunk sealed now would only wait in its lane,
-    /// smaller — so a saturated producer sleeps from reply to reply
-    /// however fast its source seals. The end of a pause always is.
-    fn park(&self, linger_scan: Instant) {
+    /// in-flight bound, a sealed chunk is worth an unpark (`ship` said
+    /// so in `chunk_wanted`) and the next linger scan a wake-up. With
+    /// every lane on the wire neither is — a chunk sealed now would only
+    /// wait in its lane, smaller — so a saturated producer sleeps from
+    /// reply to reply however fast its source seals. The end of a pause
+    /// always is.
+    fn park(&self, idle_lane: bool, linger_scan: Instant) {
         let now = Instant::now();
-        let bound = self.shared.cfg.pipeline.max(1);
-        let idle_lane =
-            self.lanes.is_empty() || self.lanes.values().any(|l| l.inflight.len() < bound);
         let wake = self
             .lanes
-            .values()
+            .iter()
             .map(|l| l.not_before)
             .filter(|&pause_ends| pause_ends > now)
             .fold(if idle_lane { linger_scan } else { now + crate::TIMER_CHECK }, Instant::min);
-        let listening = idle_lane && self.in_lanes < self.capacity();
-        self.shared.listening.store(listening, Ordering::SeqCst);
-        // A chunk enqueued before the flag went up was not announced.
-        if !listening || self.ready_rx.is_empty() {
-            std::thread::park_timeout(wake.saturating_duration_since(now));
-        }
-        self.shared.listening.store(false, Ordering::SeqCst);
+        std::thread::park_timeout(wake.saturating_duration_since(now));
     }
 
     /// Fast teardown: drops everything not on the wire (what is, the loop
     /// waits out; `settle` re-sends nothing).
     fn discard_unsent(&mut self) {
-        let mut dropped = 0;
-        for lane in self.lanes.values_mut() {
-            dropped += lane.waiting.drain(..).count() as u64
-                + lane.resend.take().map_or(0, |req| u64::from(req.chunks));
-        }
-        self.in_lanes = 0;
-        while self.ready_rx.try_recv().is_ok() {
-            dropped += 1;
-        }
+        let resends = self.lanes.iter_mut().filter_map(|lane| lane.resend.take());
+        let mut dropped: u64 = resends.map(|req| u64::from(req.chunks)).sum();
+        let mut q = self.shared.queue.lock();
+        dropped += q.queued as u64;
+        q.waiting.iter_mut().for_each(VecDeque::clear);
+        q.queued = 0;
+        drop(q);
         self.shared.settled(dropped);
     }
 }
 
+impl Lane {
+    fn send(&mut self, shared: &Shared, req: Request, now: Instant) {
+        // lint: allow(no-hot-copy) — refcount clone; a re-send keeps the other handle
+        let call = shared.rpc.call_async(self.broker, OpCode::Produce, req.payload.clone());
+        self.inflight.push_back(InFlight { req, call, sent: now });
+    }
+}
+
+impl Batch {
+    /// The single copy of the chunks into a contiguous request body; the
+    /// buffers then return to the pool for the builders to reuse.
+    fn encode(self, shared: &Shared, now: Instant) -> Request {
+        let payload = ProduceRequest::encode_chunks(shared.cfg.id, false, &self.chunks);
+        let chunks = self.chunks.len() as u32;
+        for c in self.chunks {
+            shared.pool.release(c);
+        }
+        Request {
+            payload,
+            chunk_bytes: self.bytes as u64,
+            chunks,
+            records: self.records,
+            started: now,
+            retries: 0,
+            throttle_retries: 0,
+        }
+    }
+}
+
 impl Flow {
-    /// Packs the longest prefix of `waiting` that fits `request_max_bytes`
-    /// and the hinted byte window into one request. With nothing on the
-    /// wire the first chunk always fits: a hint smaller than a chunk
-    /// must slow the producer down, not wedge it.
-    fn pack(
-        &self,
-        shared: &Shared,
-        waiting: &mut VecDeque<SealedChunk>,
-        now: Instant,
-    ) -> Option<Request> {
-        let mut chunks: Vec<Bytes> = Vec::new();
-        let (mut bytes, mut records) = (0usize, 0u32);
+    /// Pops the longest prefix of `waiting` that fits `request_max_bytes`
+    /// and the hinted byte window, and counts it as on the wire. With
+    /// nothing on the wire the first chunk always fits: a hint smaller
+    /// than a chunk must slow the producer down, not wedge it.
+    fn pack(&mut self, shared: &Shared, waiting: &mut VecDeque<SealedChunk>) -> Option<Batch> {
+        let mut batch = Batch { chunks: Vec::new(), bytes: 0, records: 0 };
         while let Some(c) = waiting.front() {
-            let total = bytes + c.bytes.len();
+            let total = batch.bytes + c.bytes.len();
             let on_wire = self.inflight_bytes + total as u64;
-            let first_of_all = self.inflight_bytes == 0 && chunks.is_empty();
-            if (!chunks.is_empty() && total > shared.cfg.request_max_bytes)
+            let first_of_all = self.inflight_bytes == 0 && batch.chunks.is_empty();
+            if (!batch.chunks.is_empty() && total > shared.cfg.request_max_bytes)
                 || (self.window_hint > 0 && on_wire > self.window_hint && !first_of_all)
             {
                 break;
             }
-            bytes = total;
-            records += c.records;
-            chunks.extend(waiting.pop_front().map(|c| c.bytes));
+            batch.bytes = total;
+            batch.records += c.records;
+            batch.chunks.extend(waiting.pop_front().map(|c| c.bytes));
         }
-        if chunks.is_empty() {
-            return None;
-        }
-        // Chunks are collected as shared slices — the single copy into a
-        // contiguous request body happens here; the buffers then return
-        // to the pool for the builders to reuse.
-        let payload = ProduceRequest::encode_chunks(shared.cfg.id, false, &chunks);
-        let count = chunks.len() as u32;
-        for c in chunks {
-            shared.pool.release(c);
-        }
-        Some(Request {
-            payload,
-            chunk_bytes: bytes as u64,
-            chunks: count,
-            records,
-            started: now,
-            retries: 0,
-            throttle_retries: 0,
-        })
+        self.inflight_bytes += batch.bytes as u64;
+        (!batch.chunks.is_empty()).then_some(batch)
     }
 
     /// Settles the lane's resolved requests, in send order.
@@ -724,10 +717,16 @@ impl Flow {
     /// after `Throttled` or an error — the lane's next send.
     fn settle(&mut self, shared: &Shared, lane: &mut Lane, mut req: Request, result: Result<Bytes>) {
         self.inflight_bytes -= req.chunk_bytes;
+        // A reply is input from a peer: unless it answers exactly the
+        // chunks sent it acknowledges nothing, an error like any other.
+        let result = result.and_then(|payload| match ProduceResponse::decode(&payload)?.acks.len() {
+            acks if acks == req.chunks as usize => Ok(()),
+            acks => Err(KeraError::Protocol(format!("{acks} acks for {} chunks", req.chunks))),
+        });
         let aborting =
             shared.shutdown.load(Ordering::SeqCst) && shared.discard.load(Ordering::SeqCst);
         let again = match &result {
-            Ok(_) => false,
+            Ok(()) => false,
             // A hard refusal: the broker is out of admission memory or
             // has evicted this session. Hammering it with retries is
             // exactly what admission control punishes.
@@ -759,9 +758,7 @@ impl Flow {
             return;
         }
         match result {
-            Ok(payload) => {
-                debug_assert!(ProduceResponse::decode(&payload)
-                    .map_or(true, |resp| resp.acks.len() as u32 == req.chunks));
+            Ok(()) => {
                 shared.acked.record(u64::from(req.records), req.chunk_bytes);
                 shared.request_latency.record(req.started.elapsed());
             }

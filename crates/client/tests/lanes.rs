@@ -2,8 +2,8 @@
 //! that applies produce requests like a broker would (dedup by chunk
 //! sequence tag) and serves fetches from prepared batches, logs what
 //! arrived in what order and when, and can be told per broker to delay,
-//! throttle, fail retriably, hold every answer back or answer a fetch
-//! with something it was not asked. Each test pins one invariant of the
+//! throttle, fail retriably, hold every answer back or answer with
+//! something it was not asked. Each test pins one invariant of the
 //! clients' per-broker lanes (see `producer.rs`, `consumer.rs`).
 
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -44,6 +44,8 @@ enum Step {
     Throttle { retry_after: Duration, window_hint: u64 },
     /// Apply, then lose the answer: the client sees a retriable error.
     Fail,
+    /// Produce only: apply, then answer with the last chunk's ack left out.
+    ShortAck,
     /// Fetch only: answer every slot with a moved cursor and a record
     /// nobody produced, but leave the last slot's result out.
     Short,
@@ -210,6 +212,11 @@ impl Service for Scripted {
                         self.script.apply(&req)?;
                         Err(KeraError::ShuttingDown)
                     }
+                    Some(Step::ShortAck) => {
+                        let mut resp = ProduceResponse::decode(&self.script.apply(&req)?)?;
+                        resp.acks.pop();
+                        Ok(resp.encode())
+                    }
                     Some(Step::Short | Step::Reordered) => {
                         Err(KeraError::Protocol("a fetch step planned for a produce".into()))
                     }
@@ -230,7 +237,7 @@ impl Service for Scripted {
                     Some(Step::Throttle { retry_after, window_hint }) => {
                         return Err(KeraError::Throttled { retry_after, window_hint });
                     }
-                    Some(Step::Fail) => return Err(KeraError::ShuttingDown),
+                    Some(Step::Fail | Step::ShortAck) => return Err(KeraError::ShuttingDown),
                     Some(malformed @ (Step::Short | Step::Reordered)) => {
                         for r in &mut resp.results {
                             r.cursor.offset += 100;
@@ -266,16 +273,20 @@ impl Drop for Rig {
 }
 
 fn rig(placement: &[NodeId]) -> Rig {
-    let net = InMemNetwork::new(NetworkModel::default());
-    let script = Arc::new(Script::default());
-    let metadata = StreamMetadata {
+    rig_serving(StreamMetadata {
         config: StreamConfig::kafka_like(STREAM, placement.len() as u32),
         placements: placement
             .iter()
             .enumerate()
             .map(|(i, &broker)| StreamletPlacement { streamlet: StreamletId(i as u32), broker })
             .collect(),
-    };
+    })
+}
+
+/// The same, with the coordinator answering `metadata` as it is.
+fn rig_serving(metadata: StreamMetadata) -> Rig {
+    let net = InMemNetwork::new(NetworkModel::default());
+    let script = Arc::new(Script::default());
     let mut nodes: Vec<NodeRuntime> = [COORDINATOR, BROKER_A, BROKER_B]
         .into_iter()
         .map(|id| {
@@ -369,11 +380,10 @@ fn per_slot_order_holds_while_a_lane_is_backed_up() {
 }
 
 /// (b) A broker that never answers: sealed-but-unacknowledged chunks
-/// stop at channel + lanes + the requests on the wire, and `send` blocks.
-/// (`pipeline` 2 so that the requests thread keeps running its rounds
-/// with the lane stuck, instead of blocking on its one request.)
+/// stop at `queue_capacity` in the lanes + the requests on the wire, and
+/// `send` blocks. (`pipeline` 2 so that there is more than one of those.)
 #[test]
-fn send_blocks_once_channel_and_lanes_are_full() {
+fn send_blocks_once_the_lanes_are_full() {
     const CAPACITY: usize = 8;
     const RECORDS_PER_CHUNK: u64 = 4; // 48-byte header + 4 × 76-byte records ≤ 400
     const ATTEMPTED: u64 = 100 * CAPACITY as u64 * RECORDS_PER_CHUNK;
@@ -406,9 +416,9 @@ fn send_blocks_once_channel_and_lanes_are_full() {
         now == ATTEMPTED || last.1.elapsed() > Duration::from_millis(300)
     });
     let accepted = sent.load(Ordering::SeqCst);
-    // Channel + lanes, two requests of two chunks on the wire, the
-    // chunk being filled and the one whose `send` is blocked.
-    let bound = (2 * CAPACITY as u64 + 4 + 2) * RECORDS_PER_CHUNK;
+    // The lanes, two requests of two chunks on the wire, the chunk
+    // being filled and the sealed one whose `send` is blocked.
+    let bound = (CAPACITY as u64 + 4 + 2) * RECORDS_PER_CHUNK;
     assert!(accepted <= bound, "{accepted} records accepted with nothing acknowledged (bound {bound})");
     assert_eq!(producer.metrics().items(), 0);
 
@@ -462,6 +472,47 @@ fn a_failed_request_is_resent_verbatim_and_acked_once() {
     assert_eq!(rig.script.log.lock().replays, 1, "the broker saw the chunk twice and applied it once");
     assert_applied_once_in_order(&rig.script, 10);
     assert_eq!((producer.metrics().items(), producer.failed_requests()), (10, 0));
+}
+
+/// A reply is input from a peer. One that acknowledges fewer chunks than
+/// its request carried acknowledges none: nothing is counted until the
+/// verbatim re-send has been answered in full.
+#[test]
+fn a_short_ack_is_not_an_ack() {
+    let rig = rig(&[BROKER_A]);
+    let pause = Duration::from_millis(200);
+    rig.script.plan(BROKER_A, [Step::ShortAck, Step::Delay(pause)]);
+    let producer = producer(&rig, ProducerConfig { chunk_size: 1024, ..ProducerConfig::default() });
+    for n in 0..10 {
+        producer.send(STREAM, &record(n)).unwrap();
+    }
+    // The re-send is what the producer made of the short reply; its own
+    // answer is `pause` away.
+    wait_for("the re-send", Duration::from_secs(5), || rig.script.requests_at(BROKER_A).len() == 2);
+    assert_eq!(producer.metrics().items(), 0, "records counted that no reply acknowledged");
+
+    producer.flush().unwrap();
+    let requests = rig.script.requests_at(BROKER_A);
+    assert_eq!(requests.len(), 2, "one send, one re-send");
+    assert_eq!(requests[0], requests[1], "the re-send is the same bytes");
+    assert_eq!(rig.script.log.lock().replays, 1, "the broker saw the chunk twice and applied it once");
+    assert_applied_once_in_order(&rig.script, 10);
+    assert_eq!((producer.metrics().items(), producer.failed_requests()), (10, 0));
+}
+
+/// A streamlet the metadata places nowhere is found when the producer is
+/// built, not by the first chunk sealed for it.
+#[test]
+fn an_unplaced_streamlet_fails_construction() {
+    let rig = rig_serving(StreamMetadata {
+        config: StreamConfig::kafka_like(STREAM, 2),
+        placements: vec![StreamletPlacement { streamlet: SLOT_A, broker: BROKER_A }],
+    });
+    let refused = Producer::new(&rig.meta, &[STREAM], ProducerConfig::default()).err();
+    assert!(
+        matches!(refused, Some(KeraError::UnknownStreamlet(STREAM, SLOT_B))),
+        "a producer for an unplaced streamlet: {refused:?}"
+    );
 }
 
 /// A byte hint smaller than one chunk (it arrives over the wire, so it
@@ -520,6 +571,28 @@ fn a_late_broker_does_not_delay_the_others_next_request() {
     producer.flush().unwrap();
     assert_applied_once_in_order(&rig.script, 8);
     assert_eq!((producer.metrics().items(), producer.failed_requests()), (8, 0));
+}
+
+/// Broker A has the producer's one request and does not answer it; B has
+/// never been sent anything. A partial chunk for B is sealed and sent at
+/// the linger cadence: B's lane exists from the start and is idle, so the
+/// thread does not sleep as if every broker were busy.
+#[test]
+fn a_partial_chunk_for_an_idle_broker_keeps_the_linger_cadence() {
+    let rig = rig(&[BROKER_A, BROKER_B]);
+    rig.script.hold(BROKER_A);
+    let producer = producer(&rig, ProducerConfig { chunk_size: 1024, ..ProducerConfig::default() });
+    producer.send(STREAM, &record(0)).unwrap();
+    wait_for("A's request", Duration::from_secs(5), || rig.script.requests_at(BROKER_A).len() == 1);
+    let sent = Instant::now();
+    producer.send(STREAM, &record(1)).unwrap();
+    wait_for("B's record", Duration::from_secs(5), || rig.script.log.lock().applied_at.contains_key(&1));
+    let waited = rig.script.log.lock().applied_at[&1] - sent;
+    assert!(waited < Duration::from_millis(20), "B's record waited {waited:?} with A unanswered");
+
+    rig.script.release(BROKER_A);
+    producer.flush().unwrap();
+    assert_applied_once_in_order(&rig.script, 2);
 }
 
 /// How often the thread named `name` has gone to sleep so far; `None`

@@ -317,10 +317,10 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> Result<Measurement> {
                 request_max_bytes: cfg.request_max_bytes,
                 linger: cfg.linger,
                 partitioner: Partitioner::RoundRobin,
-                // Bound queued-but-unsent data to ~4 MB per producer so a
+                // Bound queued-but-unsent data to ~8 MB per producer so a
                 // slow configuration cannot balloon memory or stretch
                 // teardown.
-                queue_capacity: ((4 << 20) / cfg.chunk_size).clamp(8, 1000),
+                queue_capacity: ((8 << 20) / cfg.chunk_size).clamp(16, 2000),
                 ..ProducerConfig::default()
             },
         )?);

@@ -36,11 +36,14 @@ fi
 
 # A reply unparks its waiter: a pending call is a slot, not a channel,
 # and each client's requests thread waits in one place, its park. The
-# broker keeps no per-fetch state nothing reads.
+# producer's two threads share one queue under one lock: no channel in
+# front of the lanes, no wake-up flag beside them, no lock on the routes.
+# The broker keeps no per-fetch state nothing reads.
 if grep -nE 'thread::sleep|fn idle' crates/client/src/producer.rs crates/client/src/consumer.rs \
+    || grep -nE 'crossbeam|listening|RwLock' crates/client/src/producer.rs \
     || grep -n 'bounded(1)' crates/rpc/src/node.rs \
     || grep -rn 'fetch_pos' crates/broker/src; then
-  echo "no per-call channel in kera-rpc; no nap and no second wait in a client; no fetch_pos" >&2
+  echo "no per-call channel in kera-rpc; no nap, no second wait and no second queue in a client; no fetch_pos" >&2
   exit 1
 fi
 

@@ -154,7 +154,6 @@ pub struct StageSummary {
     pub stage: &'static str,
     pub count: u64,
     pub mean_us: f64,
-    pub p50_us: f64,
     pub p99_us: f64,
 }
 
@@ -173,7 +172,6 @@ pub fn stage_breakdown(snap: &kera_obs::RegistrySnapshot) -> Vec<StageSummary> {
                 stage,
                 count: h.count,
                 mean_us: h.mean_ns() / 1e3,
-                p50_us: h.quantile_ns(0.5) as f64 / 1e3,
                 p99_us: h.quantile_ns(0.99) as f64 / 1e3,
             })
         })
@@ -206,8 +204,6 @@ pub struct Measurement {
     /// replicate wait → vlog ship → backup write → flush), empty when
     /// observability is off.
     pub stages: Vec<StageSummary>,
-    /// Full cluster metrics snapshot as JSON, for per-figure dumps.
-    pub metrics_json: String,
 }
 
 impl Measurement {
@@ -265,6 +261,12 @@ impl Cluster {
 
 /// Runs one experiment point and returns its measurement.
 pub fn run_experiment(cfg: &ExperimentConfig) -> Result<Measurement> {
+    Ok(measure(cfg)?.0)
+}
+
+/// [`run_experiment`], plus the cluster-wide metrics it read its stage
+/// breakdown from.
+fn measure(cfg: &ExperimentConfig) -> Result<(Measurement, kera_obs::RegistrySnapshot)> {
     let cluster_cfg = ClusterConfig {
         brokers: cfg.brokers,
         worker_threads: cfg.worker_threads,
@@ -461,7 +463,6 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> Result<Measurement> {
     // before teardown so every node's registry is still alive.
     let snapshot = cluster.metrics_snapshot();
     let stages = stage_breakdown(&snapshot);
-    let metrics_json = snapshot.to_json();
 
     // Tear down.
     stop.store(true, Ordering::SeqCst);
@@ -494,7 +495,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> Result<Measurement> {
         malloc_trim(0);
     }
 
-    Ok(Measurement {
+    let m = Measurement {
         produce_rate,
         consume_rate,
         produce_bytes_rate,
@@ -504,8 +505,8 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> Result<Measurement> {
         failed_requests,
         tenant_rates,
         stages,
-        metrics_json,
-    })
+    };
+    Ok((m, snapshot))
 }
 
 #[cfg(test)]
@@ -529,7 +530,7 @@ mod tests {
             ..ExperimentConfig::default()
         };
         quick(&mut cfg);
-        let m = run_experiment(&cfg).unwrap();
+        let (m, snap) = measure(&cfg).unwrap();
         assert!(m.produce_rate > 0.0, "no throughput measured: {m:?}");
         assert_eq!(m.failed_requests, 0);
         assert!(m.replication_batches > 0);
@@ -540,7 +541,7 @@ mod tests {
         for want in ["rpc_call", "append", "replicate", "vlog_ship", "backup_write"] {
             assert!(stages.contains(&want), "missing stage {want} in {stages:?}");
         }
-        assert!(m.metrics_json.contains("kera.broker.records_in"), "metrics dump populated");
+        assert!(snap.counter_sum("kera.broker.records_in", &[]) > 0, "brokers counted no record");
     }
 
     /// Acceptance for DESIGN.md §10: the figure harness runs unchanged
@@ -582,11 +583,12 @@ mod tests {
             ..ExperimentConfig::default()
         };
         quick(&mut cfg);
-        let m = run_experiment(&cfg).unwrap();
+        let (m, snap) = measure(&cfg).unwrap();
         assert!(m.produce_rate > 0.0, "no throughput with quotas on: {m:?}");
         assert_eq!(m.failed_requests, 0);
         assert_eq!(m.tenant_rates.len(), 2, "one rate per producer: {:?}", m.tenant_rates);
-        assert!(m.metrics_json.contains("kera.broker.admission_queue_bytes"), "quota gauges");
+        let gauge = "kera.broker.admission_queue_bytes";
+        assert!(snap.gauges.keys().any(|k| k.matches(gauge, &[])), "quota gauges");
     }
 
     #[test]
@@ -612,11 +614,11 @@ mod tests {
             ..ExperimentConfig::default()
         };
         quick(&mut cfg);
-        let m = run_experiment(&cfg).unwrap();
+        let (m, snap) = measure(&cfg).unwrap();
         assert!(m.produce_rate > 0.0);
         assert!(m.stages.is_empty(), "no spans with obs off: {:?}", m.stages);
         // Counters are registry-backed and keep working regardless.
-        assert!(m.metrics_json.contains("kera.broker.records_in"));
+        assert!(snap.counter_sum("kera.broker.records_in", &[]) > 0);
     }
 
     #[test]

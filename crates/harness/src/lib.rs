@@ -8,15 +8,20 @@
 //!   request per broker in parallel), measured over a steady-state window
 //!   that skips warm-up;
 //! - [`workload`] — synthetic record generation;
-//! - [`figures`] — the per-figure parameter sweeps of §V-B/C/D, each
-//!   mapping onto [`experiment::ExperimentConfig`]s;
-//! - [`report`] — table/TSV output.
+//! - [`figures`] — each figure declared once: its sweep of §V-B/C/D as
+//!   [`experiment::ExperimentConfig`]s, the paper's sentence, the claim
+//!   checked with its tolerance, the verdict the committed results earn;
+//! - [`check`] — grades a claim against a measured TSV (medians over the
+//!   repeats, min–max spread, `Unresolved` inside it);
+//! - [`report`] — the `figure` binary's verbs: run into a TSV, check,
+//!   render `EXPERIMENTS.md`, list.
 //!
 //! Environment: the `figure harness` rows of `kera_common::knobs::TABLE`
 //! (`KERA_MEASURE_MS`, `KERA_WARMUP_MS`, …). Absolute numbers depend on the host
 //! (this is a single-process simulation, not Grid5000); the *shapes* are
 //! what `EXPERIMENTS.md` tracks.
 
+pub mod check;
 pub mod experiment;
 pub mod figures;
 pub mod report;

@@ -1,4 +1,5 @@
-//! Result collection and table/TSV output.
+//! The `figure` binary: runs a sweep into a TSV, grades the TSVs, renders
+//! `EXPERIMENTS.md`.
 
 use std::io::Write;
 use std::path::Path;
@@ -6,48 +7,50 @@ use std::path::Path;
 use kera_common::knobs;
 use kera_common::Result;
 
+use crate::check::{self, Verdict, REPEATS};
 use crate::experiment::{run_experiment, Measurement};
-use crate::figures::Figure;
+use crate::figures::{all_figures, figure, Figure};
 
 /// One measured figure point.
 #[derive(Clone, Debug)]
 pub struct Row {
-    pub figure: String,
     pub series: String,
     pub x: String,
+    pub repeat: usize,
     pub m: Measurement,
 }
 
-/// Runs every point of `fig`, printing one line per point as it lands
-/// (throughput in million records/s, like the paper's y-axes).
+/// Runs every point of `fig` [`REPEATS`] times — the whole sweep once
+/// per repeat, so a point's spread includes the host's drift over the
+/// run — printing one line per point as it lands (throughput in million
+/// records/s, like the paper's y-axes).
 pub fn run_figure(fig: &Figure) -> Result<Vec<Row>> {
-    println!("== {}: {} ({} points) ==", fig.id, fig.title, fig.points.len());
+    println!("== {}: {} ({} points x {REPEATS}) ==", fig.id, fig.title, fig.points.len());
     println!(
         "{:<18} {:>12} {:>12} {:>12} {:>10} {:>12}",
         "series", "x", "Mrec/s", "MB/s", "lat(us)", "consolid."
     );
-    let mut rows = Vec::with_capacity(fig.points.len());
-    for p in &fig.points {
-        let m = run_experiment(&p.cfg)?;
-        println!(
-            "{:<18} {:>12} {:>12.3} {:>12.1} {:>10.0} {:>12.1}",
-            p.series,
-            p.x,
-            m.mrecords_per_sec(),
-            m.produce_bytes_rate / 1e6,
-            m.mean_request_latency_us,
-            m.consolidation(),
-        );
-        if m.failed_requests > 0 {
-            eprintln!("  warning: {} failed produce requests", m.failed_requests);
+    let mut rows = Vec::with_capacity(fig.points.len() * REPEATS);
+    for repeat in 0..REPEATS {
+        for p in &fig.points {
+            let m = run_experiment(&p.cfg)?;
+            println!(
+                "{:<18} {:>12} {:>12.3} {:>12.1} {:>10.0} {:>12.1}",
+                p.series,
+                p.x,
+                m.mrecords_per_sec(),
+                m.produce_bytes_rate / 1e6,
+                m.mean_request_latency_us,
+                m.consolidation(),
+            );
+            if !m.stages.is_empty() {
+                println!("  {}", format_stage_breakdown(&m.stages));
+            }
+            if !m.tenant_rates.is_empty() {
+                println!("  {}", format_tenant_rates(&m.tenant_rates));
+            }
+            rows.push(Row { series: p.series.clone(), x: p.x.clone(), repeat, m });
         }
-        if !m.stages.is_empty() {
-            println!("  {}", format_stage_breakdown(&m.stages));
-        }
-        if !m.tenant_rates.is_empty() {
-            println!("  {}", format_tenant_rates(&m.tenant_rates));
-        }
-        rows.push(Row { figure: fig.id.to_string(), series: p.series.clone(), x: p.x.clone(), m });
     }
     Ok(rows)
 }
@@ -75,23 +78,23 @@ fn format_tenant_rates(rates: &[(u32, f64)]) -> String {
     format!("tenants: {}", parts.join(" | "))
 }
 
-/// Writes rows as TSV (one header line, then one row per point).
-pub fn write_tsv(path: &Path, rows: &[Row]) -> Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut f = std::fs::File::create(path)?;
+/// Writes `fig`'s rows as `<dir>/<fig.id>.tsv` (one header line, then
+/// one row per point and repeat) — the file [`check::load`] reads back.
+pub fn write_tsv(dir: &Path, fig: &Figure, rows: &[Row]) -> Result<()> {
+    std::fs::create_dir_all(dir)?;
+    let mut f = std::fs::File::create(check::tsv_path(fig, dir))?;
     writeln!(
         f,
-        "figure\tseries\tx\tmrecords_per_sec\tproduce_rate\tconsume_rate\tbytes_per_sec\tmean_latency_us\treplication_batches\treplication_chunks\tfailed_requests"
+        "figure\tseries\tx\trepeat\tmrecords_per_sec\tproduce_rate\tconsume_rate\tbytes_per_sec\tmean_latency_us\treplication_batches\treplication_chunks\tfailed_requests"
     )?;
     for r in rows {
         writeln!(
             f,
-            "{}\t{}\t{}\t{:.4}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{}\t{}\t{}",
-            r.figure,
+            "{}\t{}\t{}\t{}\t{:.4}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{}\t{}\t{}",
+            fig.id,
             r.series,
             r.x,
+            r.repeat,
             r.m.mrecords_per_sec(),
             r.m.produce_rate,
             r.m.consume_rate,
@@ -105,46 +108,19 @@ pub fn write_tsv(path: &Path, rows: &[Row]) -> Result<()> {
     Ok(())
 }
 
-/// Writes every point's cluster metrics snapshot and stage breakdown as
-/// one JSON array — the per-figure metrics dump under `results/`.
-pub fn write_metrics_json(path: &Path, rows: &[Row]) -> Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "[")?;
-    for (i, r) in rows.iter().enumerate() {
-        let stages: Vec<String> = r
-            .m
-            .stages
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"stage\":\"{}\",\"count\":{},\"mean_us\":{:.1},\"p50_us\":{:.1},\"p99_us\":{:.1}}}",
-                    s.stage, s.count, s.mean_us, s.p50_us, s.p99_us
-                )
-            })
-            .collect();
-        let metrics = if r.m.metrics_json.is_empty() { "{}" } else { &r.m.metrics_json };
-        writeln!(
-            f,
-            "  {{\"figure\":\"{}\",\"series\":\"{}\",\"x\":\"{}\",\"stages\":[{}],\"metrics\":{}}}{}",
-            r.figure,
-            r.series,
-            r.x,
-            stages.join(","),
-            metrics,
-            if i + 1 == rows.len() { "" } else { "," }
-        )?;
-    }
-    writeln!(f, "]")?;
-    Ok(())
+/// Where the committed reference TSVs live, and what `figure check`
+/// holds to the declared verdicts.
+const COMMITTED: &str = "results";
+
+/// The measurement window (warm-up, measure) `read` gives the two knobs.
+fn window(read: fn(&knobs::Knob) -> u64) -> [std::time::Duration; 2] {
+    [&knobs::WARMUP_MS, &knobs::MEASURE_MS].map(|k| std::time::Duration::from_millis(read(k)))
 }
 
-/// The canonical full measurement window (warm-up, measure): the
-/// defaults of `KERA_WARMUP_MS` / `KERA_MEASURE_MS`.
+/// The canonical full window: the defaults of `KERA_WARMUP_MS` /
+/// `KERA_MEASURE_MS`.
 fn full_window() -> [std::time::Duration; 2] {
-    [&knobs::WARMUP_MS, &knobs::MEASURE_MS].map(|k| std::time::Duration::from_millis(k.default))
+    window(|k| k.default)
 }
 
 /// Output directory for a figure run measured with the given window.
@@ -159,49 +135,129 @@ fn full_window() -> [std::time::Duration; 2] {
 pub fn results_dir(warmup: std::time::Duration, measure: std::time::Duration) -> &'static Path {
     let [full_warmup, full_measure] = full_window();
     if warmup == full_warmup && measure == full_measure {
-        Path::new("results")
+        Path::new(COMMITTED)
     } else {
         Path::new("results/tmp")
     }
 }
 
-/// Entry point of the `figure` binary: runs the figure `id` and
-/// stores `<dir>/<id>.tsv` plus `<dir>/<id>-metrics.json`, where `<dir>`
-/// is chosen by [`results_dir`] from the run's measurement window.
-pub fn figure_main(id: &str) {
-    let fig = crate::figures::figure(id).unwrap_or_else(|| {
-        eprintln!("unknown figure {id}");
-        std::process::exit(2);
-    });
-    let window = crate::experiment::ExperimentConfig::default();
-    let dir = results_dir(window.warmup, window.measure);
-    if dir != Path::new("results") {
+/// Where [`render`]'s output starts in `EXPERIMENTS.md`; everything above
+/// it is written by hand.
+pub const MARKER: &str = "<!-- RESULTS_TABLE -->\n";
+
+/// Everything below [`MARKER`]: per figure the paper's sentence, the
+/// claim, the measured effects with their spread and the computed
+/// verdict, then the median of every point — from `figures.rs` and the
+/// TSVs under `dir`, nothing typed in.
+pub fn render(dir: &Path) -> String {
+    let mut verdicts = String::new();
+    let mut tables =
+        format!("\n## Raw measured series (median of {REPEATS} repeats, million records/s)\n");
+    for fig in all_figures() {
+        let loaded = check::load(&fig, dir);
+        let (verdict, measured) = check::grade(&fig, &loaded);
+        verdicts += &format!(
+            "\n### {} — {}\n\n- **Paper**: {}\n- **Claim**: `{:?}`\n- **Measured**: {measured}\n\
+             - **Verdict**: {verdict}\n",
+            fig.id, fig.title, fig.paper, fig.claim
+        );
+        let Ok(check::Series(series)) = loaded else { continue };
+        let xs: Vec<&str> = series[0].1.iter().map(|(x, _)| x.as_str()).collect();
+        tables += &format!("\n### {}\n\n| series | {} |\n|---|", fig.id, xs.join(" | "));
+        tables += &"---|".repeat(xs.len());
+        for (name, points) in &series {
+            let cells: Vec<String> = points.iter().map(|(_, s)| format!("{:.3}", s.mid)).collect();
+            tables += &format!("\n| {name} | {} |", cells.join(" | "));
+        }
+        tables.push('\n');
+    }
+    verdicts + &tables
+}
+
+/// `figure report`: rewrites `EXPERIMENTS.md` below [`MARKER`] from the
+/// committed `results/`.
+fn report() -> Result<bool> {
+    let md = std::fs::read_to_string("EXPERIMENTS.md")?;
+    let head = md.split(MARKER).next().unwrap_or_default();
+    std::fs::write("EXPERIMENTS.md", format!("{head}{MARKER}{}", render(Path::new(COMMITTED))))?;
+    Ok(true)
+}
+
+/// `figure list`: the human-readable index of the fourteen figures.
+fn index() -> String {
+    let line = |f: &Figure| {
+        format!("{}  {} ({} points)\n       {:?}\n", f.id, f.title, f.points.len(), f.claim)
+    };
+    all_figures().iter().map(line).collect()
+}
+
+/// `figure <id>`: measures `fig` into the directory its window selects
+/// and grades what it wrote. False if that is not a measurement.
+fn run_and_store(fig: &Figure) -> Result<bool> {
+    let [warmup, measure] = window(knobs::Knob::get);
+    let dir = results_dir(warmup, measure);
+    if dir != Path::new(COMMITTED) {
         println!(
-            "measurement window {:?}/{:?} differs from the canonical full window — \
+            "measurement window {warmup:?}/{measure:?} differs from the canonical full window — \
              writing to {} (reference results/ left untouched)",
-            window.warmup,
-            window.measure,
             dir.display()
         );
     }
-    match run_figure(&fig) {
-        Ok(rows) => {
-            let path = dir.join(format!("{id}.tsv"));
-            if let Err(e) = write_tsv(&path, &rows) {
-                eprintln!("could not write {}: {e}", path.display());
-            } else {
-                println!("wrote {}", path.display());
-            }
-            let mpath = dir.join(format!("{id}-metrics.json"));
-            if let Err(e) = write_metrics_json(&mpath, &rows) {
-                eprintln!("could not write {}: {e}", mpath.display());
-            } else {
-                println!("wrote {}", mpath.display());
-            }
+    write_tsv(dir, fig, &run_figure(fig)?)?;
+    let (verdict, measured) = check::check(fig, dir);
+    println!("wrote {}/{}.tsv: {verdict}\n  {measured}", dir.display(), fig.id);
+    Ok(verdict != Verdict::Invalid)
+}
+
+/// `figure check [dir]`: grades every figure's TSV under `dir`. An
+/// invalid TSV fails anywhere; under `results/` so does a missing one or
+/// a verdict other than the declared one, elsewhere absent figures are
+/// skipped and verdicts only printed (short windows prove nothing).
+fn check_dir(dir: &Path) -> bool {
+    let committed = dir == Path::new(COMMITTED);
+    let mut ok = true;
+    for fig in all_figures() {
+        if !committed && !check::tsv_path(&fig, dir).exists() {
+            continue;
         }
+        let (verdict, measured) = check::check(&fig, dir);
+        println!("{}  {verdict} (declared {})\n       {measured}", fig.id, fig.declared);
+        if verdict == Verdict::Invalid {
+            ok = false;
+        } else if committed && verdict != fig.declared {
+            eprintln!(
+                "{}: change `declared` in crates/harness/src/figures.rs or explain the regression",
+                fig.id
+            );
+            ok = false;
+        }
+    }
+    ok
+}
+
+/// Entry point of the `figure` binary; returns its exit code.
+pub fn figure_main(args: &[&str]) -> i32 {
+    let done = match (args, args.first().and_then(|id| figure(id))) {
+        (["list"], _) => {
+            print!("{}", index());
+            Ok(true)
+        }
+        (["check"], _) => Ok(check_dir(Path::new(COMMITTED))),
+        (["check", dir], _) => Ok(check_dir(Path::new(dir))),
+        (["report"], _) => report(),
+        (["all"], _) => all_figures().iter().try_fold(true, |ok, f| Ok(run_and_store(f)? && ok)),
+        ([_], Some(fig)) => run_and_store(&fig),
+        _ => {
+            eprint!("usage: figure <id|all> | check [dir] | report | list\n\n{}", index());
+            return 2;
+        }
+    };
+    match done {
+        Ok(true) => 0,
+        Ok(false) => 1,
         Err(e) => {
-            eprintln!("{id} failed: {e}");
-            std::process::exit(1);
+            eprintln!("figure {}: {e}", args.join(" "));
+            1
         }
     }
 }
@@ -210,14 +266,15 @@ pub fn figure_main(id: &str) {
 mod tests {
     use super::*;
     use crate::experiment::Measurement;
+    use crate::figures::{Claim, Point};
 
-    fn row() -> Row {
+    fn row(series: &str, repeat: usize, produce_rate: f64) -> Row {
         Row {
-            figure: "fig00".into(),
-            series: "KerA R3".into(),
+            series: series.into(),
             x: "128".into(),
+            repeat,
             m: Measurement {
-                produce_rate: 1_500_000.0,
+                produce_rate,
                 consume_rate: 1_400_000.0,
                 produce_bytes_rate: 150e6,
                 mean_request_latency_us: 250.0,
@@ -225,42 +282,83 @@ mod tests {
                 replication_chunks: 100,
                 failed_requests: 0,
                 tenant_rates: Vec::new(),
-                stages: vec![crate::experiment::StageSummary {
-                    stage: "append",
-                    count: 42,
-                    mean_us: 12.5,
-                    p50_us: 10.0,
-                    p99_us: 80.0,
-                }],
-                metrics_json: "{\"node\":0}".into(),
+                stages: Vec::new(),
             },
         }
     }
 
+    /// Two series at one x, KerA at 1.5/1.6/1.7 Mrec/s over Kafka at 1.0.
+    fn two_series() -> (Figure, Vec<Row>) {
+        let point = |series: &str| Point {
+            series: series.into(),
+            x: "128".into(),
+            cfg: crate::ExperimentConfig::default(),
+        };
+        let fig = Figure {
+            id: "fig00",
+            title: "report test",
+            paper: "",
+            claim: Claim::Ratio { num: "KerA R3", den: "Kafka R3", floor: 1.2, grows: None },
+            declared: Verdict::Holds,
+            points: vec![point("Kafka R3"), point("KerA R3")],
+        };
+        let rows = (0..REPEATS)
+            .flat_map(|k| {
+                [row("Kafka R3", k, 1_000_000.0), row("KerA R3", k, 1_500_000.0 + 1e5 * k as f64)]
+            })
+            .collect();
+        (fig, rows)
+    }
+
+    fn scratch(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("kera-{name}-{}", std::process::id()))
+    }
+
     #[test]
-    fn tsv_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("kera-report-{}", std::process::id()));
-        let path = dir.join("out.tsv");
-        write_tsv(&path, &[row()]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut lines = text.lines();
-        assert!(lines.next().unwrap().starts_with("figure\tseries"));
-        let data = lines.next().unwrap();
-        assert!(data.contains("KerA R3"));
-        assert!(data.contains("1.5000"));
+    fn tsv_roundtrip_keeps_every_repeat() {
+        let dir = scratch("report");
+        let (fig, rows) = two_series();
+        write_tsv(&dir, &fig, &rows).unwrap();
+        let text = std::fs::read_to_string(dir.join("fig00.tsv")).unwrap();
+        assert!(text.starts_with("figure\tseries\tx\trepeat\tmrecords_per_sec"), "{text}");
+        assert!(text.contains("fig00\tKerA R3\t128\t2\t1.7000"), "{text}");
+        let check::Series(series) = check::load(&fig, &dir).unwrap();
+        assert_eq!(series[0].0, "Kafka R3");
+        assert_eq!(series[1].0, "KerA R3");
+        let spread = check::Spread { lo: 1.5, mid: 1.6, hi: 1.7 };
+        assert_eq!(series[1].1, [("128".to_string(), spread)]);
+        assert_eq!(check::check(&fig, &dir).0, Verdict::Holds);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn metrics_json_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("kera-metrics-{}", std::process::id()));
-        let path = dir.join("fig00-metrics.json");
-        write_metrics_json(&path, &[row()]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"stage\":\"append\""), "{text}");
-        assert!(text.contains("\"metrics\":{\"node\":0}"), "{text}");
-        assert!(text.trim_start().starts_with('['), "{text}");
+    fn a_tsv_that_is_not_a_measurement_is_invalid() {
+        let dir = scratch("invalid");
+        let (fig, rows) = two_series();
+        assert_eq!(check::check(&fig, &dir).0, Verdict::Invalid, "no file");
+        write_tsv(&dir, &fig, &rows[..rows.len() - 1]).unwrap();
+        let (verdict, why) = check::check(&fig, &dir);
+        assert_eq!(verdict, Verdict::Invalid);
+        assert!(why.contains("KerA R3 @128: 2 of 3 repeats"), "{why}");
+        let mut failing = rows.clone();
+        failing[3].m.failed_requests = 7;
+        write_tsv(&dir, &fig, &failing).unwrap();
+        let (verdict, why) = check::check(&fig, &dir);
+        assert_eq!(verdict, Verdict::Invalid);
+        assert!(why.contains("7 failed produce requests"), "{why}");
+        let mut other = fig.clone();
+        other.points[0].series = "Kafka R2".into();
+        write_tsv(&dir, &fig, &rows).unwrap();
+        assert_eq!(check::check(&other, &dir).0, Verdict::Invalid, "a declared series is missing");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unknown_verb_or_id_is_usage() {
+        assert_eq!(figure_main(&[]), 2);
+        assert_eq!(figure_main(&["fig99"]), 2);
+        assert_eq!(figure_main(&["check", "a", "b"]), 2);
+        assert_eq!(figure_main(&["list"]), 0);
     }
 
     #[test]
@@ -286,8 +384,8 @@ mod tests {
 
     #[test]
     fn consolidation_math() {
-        let r = row();
-        assert!((r.m.consolidation() - 10.0).abs() < 1e-9);
-        assert!((r.m.mrecords_per_sec() - 1.5).abs() < 1e-9);
+        let m = row("KerA R3", 0, 1_500_000.0).m;
+        assert!((m.consolidation() - 10.0).abs() < 1e-9);
+        assert!((m.mrecords_per_sec() - 1.5).abs() < 1e-9);
     }
 }

@@ -47,6 +47,26 @@ if grep -nE 'thread::sleep|fn idle' crates/client/src/producer.rs crates/client/
   exit 1
 fi
 
+# A figure is declared once, in crates/harness/src/figures.rs, and graded
+# by `figure check`: the committed results/ must earn their declared
+# verdicts (file-only, instant), and one live short-window pass — fig13,
+# 9 points x 3 repeats — must come out of run -> TSV -> check as a
+# measurement (a short window proves nothing about the claim, so outside
+# results/ only an invalid TSV fails). No script re-derives a figure:
+# scripts/ holds no Python and nothing but history (CHANGES.md) names the
+# two files that did.
+cargo run -q --release -p kera-harness --bin figure -- check
+rm -f results/tmp/fig*.tsv
+KERA_WARMUP_MS=100 KERA_MEASURE_MS=300 \
+  cargo run -q --release -p kera-harness --bin figure -- fig13 >/dev/null
+cargo run -q --release -p kera-harness --bin figure -- check results/tmp
+if ls scripts/*.py 2>/dev/null \
+    || grep -rnE 'summarize_result[s]|fill_experiment[s]' README.md DESIGN.md EXPERIMENTS.md \
+        ROADMAP.md .claude scripts crates src tests examples lint; then
+  echo "figures are declared in figures.rs and graded by figure check, not by a script" >&2
+  exit 1
+fi
+
 # Non-test lines per crate (no gate): the table "lines removed" figures
 # in CHANGES.md are quoted from.
 scripts/loc.sh

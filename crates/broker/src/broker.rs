@@ -16,9 +16,8 @@
 //!
 //! Fetch path: consumers read whole chunks below the durable head only.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use kera_common::config::{QuotaConfig, StreamConfig};
@@ -80,10 +79,6 @@ pub struct BrokerService {
     /// Bytes appended to virtual logs but not yet durable on backups
     /// (`kera.broker.replication_lag_bytes`; refreshed on introspection).
     replication_lag_gauge: Arc<Gauge>,
-    /// Chaos hook: a frozen broker wedges mid-ingest — produce requests
-    /// hang (holding their RPC worker) until thawed, while fetch and
-    /// introspection keep answering.
-    frozen: AtomicBool,
 }
 
 impl BrokerService {
@@ -133,7 +128,6 @@ impl BrokerService {
             bytes_fetched: reg.counter("kera.broker.bytes_fetched", &[]),
             consumer_lag_gauge: reg.gauge("kera.broker.consumer_lag_bytes", &[]),
             replication_lag_gauge: reg.gauge("kera.broker.replication_lag_bytes", &[]),
-            frozen: AtomicBool::new(false),
             admission: AdmissionControl::new(quotas, Arc::clone(&obs)),
             obs,
         })
@@ -164,29 +158,6 @@ impl BrokerService {
 
     pub fn vlogs(&self) -> &VirtualLogSet {
         &self.vlogs
-    }
-
-    /// Chaos hook: wedge the ingest path — produce requests hang until
-    /// [`BrokerService::thaw`]. Fetch and introspection keep answering:
-    /// a stalled data plane must stay observable.
-    pub fn freeze(&self) {
-        self.frozen.store(true, Ordering::SeqCst);
-    }
-
-    pub fn thaw(&self) {
-        self.frozen.store(false, Ordering::SeqCst);
-    }
-
-    fn wait_if_frozen(&self, ctx: &RequestContext) -> Result<()> {
-        while self.frozen.load(Ordering::SeqCst) {
-            if let Some(d) = ctx.deadline {
-                if Instant::now() >= d {
-                    return Err(KeraError::Timeout { op: "frozen broker" });
-                }
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        Ok(())
     }
 
     /// Bytes ingested but never fetched by any consumer — the broker's
@@ -400,7 +371,6 @@ impl Service for BrokerService {
             // Recovery re-ingestion is "handled as a normal producer
             // request" (paper §IV-B).
             OpCode::Produce | OpCode::RecoveryIngest => {
-                self.wait_if_frozen(ctx)?;
                 // Slice the chunk train straight out of the receive
                 // buffer: the broker never re-owns the payload.
                 let req = ProduceRequest::decode_bytes(&payload)?;

@@ -10,12 +10,11 @@
 
 use std::sync::Arc;
 
-use kera_common::config::{ClusterConfig, TransportChoice};
+use kera_common::config::ClusterConfig;
 use kera_common::ids::NodeId;
 use kera_common::knobs;
 use kera_common::Result;
 use kera_obs::{NodeObs, RegistrySnapshot, Watchdog};
-use kera_rpc::network::TransportKind;
 use kera_rpc::{AnyNetwork, FaultInjector, FaultPlan, NodeRuntime, NullService, Transport};
 use kera_storage::flush::DiskFlusher;
 use parking_lot::Mutex;
@@ -71,31 +70,33 @@ pub struct KeraCluster {
     watchdogs: Vec<Watchdog>,
 }
 
+/// Registers `id` on the fabric. With a fault plan every node's transport
+/// — coordinator, brokers, backups and clients — goes through a
+/// `FaultInjector` sharing it, so replication, re-replication and recovery
+/// all run over the same lossy fabric; no node is registered around it.
+fn register_on(
+    net: &AnyNetwork,
+    plan: Option<&FaultPlan>,
+    id: NodeId,
+) -> Result<Arc<dyn Transport>> {
+    let transport = net.register(id)?;
+    Ok(match plan {
+        Some(plan) => Arc::new(FaultInjector::new(transport, plan.clone())),
+        None => transport,
+    })
+}
+
 impl KeraCluster {
     /// Boots coordinator, brokers and backups.
     pub fn start(config: ClusterConfig) -> Result<KeraCluster> {
         config.validate()?;
-        let kind = match config.transport {
-            TransportChoice::InMemory => TransportKind::InMemory,
-            TransportChoice::Tcp => TransportKind::Tcp,
-        };
-        let net = AnyNetwork::with_max_frame(kind, config.network, config.max_frame_bytes);
-        // With a fault profile configured, every node's transport —
-        // coordinator, brokers, backups and clients — goes through a
-        // FaultInjector sharing one plan, so replication, re-replication
-        // and recovery all run over the same lossy fabric.
-        let fault_plan = config.faults.map(FaultPlan::new);
+        let net =
+            AnyNetwork::with_max_frame(config.transport, config.network, config.max_frame_bytes);
+        let fault_plan = config.faults.map(FaultPlan::new).transpose()?;
         let b = config.brokers;
         let broker_ids: Vec<NodeId> = (0..b).map(broker_node).collect();
         let backup_ids: Vec<NodeId> = (0..b).map(backup_node).collect();
-
-        let register = |id: NodeId| -> Result<Arc<dyn Transport>> {
-            let transport = net.register(id)?;
-            Ok(match &fault_plan {
-                Some(plan) => Arc::new(FaultInjector::new(transport, plan.clone())),
-                None => transport,
-            })
-        };
+        let register = |id: NodeId| register_on(&net, fault_plan.as_ref(), id);
 
         let mut node_obs: Vec<Arc<NodeObs>> = Vec::new();
         let flightrec = knobs::FLIGHTREC.is_on();
@@ -264,39 +265,6 @@ impl KeraCluster {
         }
     }
 
-    /// Wedges coordinator replica `i` without exiting it: its ticker
-    /// stops acting and every request hangs — the "frozen process"
-    /// failure mode (as opposed to the clean exit of
-    /// [`KeraCluster::kill_coordinator`]).
-    pub fn freeze_coordinator(&self, i: u32) {
-        if let Some(svc) = self.coordinator_svcs.get(i as usize) {
-            svc.freeze();
-        }
-    }
-
-    pub fn thaw_coordinator(&self, i: u32) {
-        if let Some(svc) = self.coordinator_svcs.get(i as usize) {
-            svc.thaw();
-        }
-    }
-
-    /// Wedges broker `i`'s data plane without exiting it: produce-path
-    /// requests hang until [`KeraCluster::thaw_broker`]. Fetches and the
-    /// introspection plane stay live — a stalled data plane must remain
-    /// observable, and the stall watchdog is expected to notice this
-    /// exact failure mode.
-    pub fn freeze_broker(&self, i: u32) {
-        if let Some(svc) = self.broker_svcs.get(i as usize) {
-            svc.freeze();
-        }
-    }
-
-    pub fn thaw_broker(&self, i: u32) {
-        if let Some(svc) = self.broker_svcs.get(i as usize) {
-            svc.thaw();
-        }
-    }
-
     /// The armed stall watchdogs (empty unless `KERA_WATCHDOG_MS` was set
     /// when the cluster booted or [`KeraCluster::arm_watchdogs`] ran), in
     /// server-node registration order.
@@ -325,7 +293,8 @@ impl KeraCluster {
 
     /// The shared fault plan, when the cluster was started with a
     /// [`kera_common::config::FaultProfile`]. Tests use it to create and
-    /// heal partitions and to assert faults actually fired.
+    /// heal partitions, to hold and release nodes, and to assert faults
+    /// actually fired.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault_plan.as_ref()
     }
@@ -334,13 +303,10 @@ impl KeraCluster {
     /// the recovery manager, test drivers). Client traffic crosses the
     /// same fault injector as server traffic.
     pub fn client(&self, i: u32) -> NodeRuntime {
+        let transport = register_on(&self.net, self.fault_plan.as_ref(), client_node(i));
         // lint: allow(no-panic) — cluster assembly in the test/bench harness;
         // a duplicate client id is a driver bug and must fail fast.
-        let transport = self.net.register(client_node(i)).expect("register client node");
-        let transport: Arc<dyn Transport> = match &self.fault_plan {
-            Some(plan) => Arc::new(FaultInjector::new(transport, plan.clone())),
-            None => transport,
-        };
+        let transport = transport.expect("register client node");
         let obs = NodeObs::new(client_node(i).raw(), self.config.observability);
         if knobs::FLIGHTREC.is_on() {
             kera_obs::register_for_dump(obs.recorder());

@@ -86,9 +86,6 @@ pub struct CoordinatorService {
     replica: Mutex<Replica>,
     client: OnceLock<RpcClient>,
     shutdown: AtomicBool,
-    /// Chaos hook: a frozen replica stops ticking and hangs every
-    /// request, simulating a wedged (but not exited) process.
-    frozen: AtomicBool,
     ticker: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -134,7 +131,6 @@ impl CoordinatorService {
             cfg,
             client: OnceLock::new(),
             shutdown: AtomicBool::new(false),
-            frozen: AtomicBool::new(false),
             ticker: Mutex::named("coord.ticker", None),
         })
     }
@@ -204,38 +200,13 @@ impl CoordinatorService {
         }
     }
 
-    /// Stops the ticker (idempotent). Also thaws a frozen replica so
-    /// blocked handlers drain during shutdown.
+    /// Stops the ticker (idempotent).
     pub fn stop(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         let handle = self.ticker.lock().take();
         if let Some(h) = handle {
             let _ = h.join();
         }
-    }
-
-    /// Chaos hook: wedge the replica — the ticker stops acting and every
-    /// request (including heartbeats and votes) hangs until [`Self::thaw`].
-    pub fn freeze(&self) {
-        self.frozen.store(true, Ordering::SeqCst);
-    }
-
-    pub fn thaw(&self) {
-        self.frozen.store(false, Ordering::SeqCst);
-    }
-
-    fn wait_if_frozen(&self, ctx: &RequestContext) -> Result<()> {
-        while self.frozen.load(Ordering::SeqCst) && !self.shutdown.load(Ordering::SeqCst) {
-            if let Some(d) = ctx.deadline {
-                if Instant::now() >= d {
-                    // Should this beat the caller's own timer it must read
-                    // "try another replica": a `Timeout` travels as `Internal`.
-                    return Err(KeraError::NotLeader { hint: None, term: 0 });
-                }
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        Ok(())
     }
 
     // ---- observability helpers ----------------------------------------
@@ -260,9 +231,7 @@ impl CoordinatorService {
         }
     }
 
-    /// Serves the Introspect RPC. Deliberately *not* gated on the frozen
-    /// chaos hook: a wedged replica is exactly the node an operator most
-    /// needs to scrape.
+    /// Serves the Introspect RPC.
     fn handle_introspect(&self, payload: &[u8]) -> Result<Bytes> {
         let (is_leader, term, streams) = {
             let st = self.replica.lock();
@@ -517,9 +486,6 @@ impl CoordinatorService {
             std::thread::sleep(granularity);
             if self.shutdown.load(Ordering::SeqCst) {
                 return;
-            }
-            if self.frozen.load(Ordering::SeqCst) {
-                continue;
             }
             let now = Instant::now();
             let action = {
@@ -960,13 +926,9 @@ impl CoordinatorService {
 
 impl Service for CoordinatorService {
     fn handle(&self, ctx: &RequestContext, payload: Bytes) -> Result<Bytes> {
-        if ctx.opcode == OpCode::Introspect {
-            // The introspection plane bypasses the frozen chaos hook.
-            return self.handle_introspect(&payload);
-        }
-        self.wait_if_frozen(ctx)?;
         match ctx.opcode {
             OpCode::Ping => Ok(Bytes::new()),
+            OpCode::Introspect => self.handle_introspect(&payload),
             OpCode::RequestVote => self.handle_vote(&payload),
             OpCode::MetaAppend => self.handle_append(&payload),
             OpCode::GetLeader => self.handle_get_leader(),

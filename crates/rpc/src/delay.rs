@@ -1,8 +1,9 @@
-//! The delay line: envelopes held until a due time, then handed to a sink.
+//! The delay line: items held until a due time, then handed to a sink.
 //!
-//! One timing heap on one thread, shared by the two places that hold
-//! messages back — [`crate::inmem`]'s latency model and
-//! [`crate::faults`]' delay fault. Release order is `(due, arrival)`:
+//! One timing heap on one thread, the one mechanism of the two places
+//! that hold messages back in time — [`crate::inmem`]'s latency model
+//! (one line per network) and [`crate::faults`]' delay fault (one line
+//! per plan). Release order is `(due, arrival)`:
 //! earliest due time first, FIFO among equal due times, so a constant
 //! delay preserves per-link order. Dropping the line closes it: whatever
 //! is still held is released at once, in the same order, and the thread
@@ -12,50 +13,44 @@ use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
-use kera_common::ids::NodeId;
-use kera_wire::frames::Envelope;
 
-struct Held {
+struct Held<T> {
     due: Instant,
     /// Arrival number at the line's thread (the tie-break).
     seq: u64,
-    to: NodeId,
-    env: Envelope,
+    item: T,
 }
 
-impl PartialEq for Held {
+impl<T> PartialEq for Held<T> {
     fn eq(&self, other: &Self) -> bool {
         self.due == other.due && self.seq == other.seq
     }
 }
-impl Eq for Held {}
-impl PartialOrd for Held {
+impl<T> Eq for Held<T> {}
+impl<T> PartialOrd for Held<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Held {
+impl<T> Ord for Held<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // `BinaryHeap` is a max-heap; reverse for earliest-first.
         other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
     }
 }
 
-pub(crate) struct DelayLine {
-    tx: Option<Sender<(Instant, NodeId, Envelope)>>,
+pub(crate) struct DelayLine<T> {
+    tx: Option<Sender<(Instant, T)>>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
-impl DelayLine {
-    /// Starts the line's thread; `sink` receives each envelope once its
-    /// due time has passed (or the line closes).
-    pub(crate) fn spawn(
-        name: String,
-        sink: impl FnMut(NodeId, Envelope) + Send + 'static,
-    ) -> DelayLine {
+impl<T: Send + 'static> DelayLine<T> {
+    /// Starts the line's thread; `sink` receives each item once its due
+    /// time has passed (or the line closes).
+    pub(crate) fn spawn(name: &str, sink: impl FnMut(T) + Send + 'static) -> DelayLine<T> {
         let (tx, rx) = channel::unbounded();
         let thread = std::thread::Builder::new()
-            .name(name)
+            .name(name.into())
             .spawn(move || run(rx, sink))
             // lint: allow(no-panic) — spawn failure while assembling a test
             // fabric (latency model / fault injector) is fatal by design.
@@ -63,13 +58,13 @@ impl DelayLine {
         DelayLine { tx: Some(tx), thread: Some(thread) }
     }
 
-    /// Holds `env` until `due`. False when the line's thread is gone.
-    pub(crate) fn hold(&self, due: Instant, to: NodeId, env: Envelope) -> bool {
-        self.tx.as_ref().is_some_and(|tx| tx.send((due, to, env)).is_ok())
+    /// Holds `item` until `due`. False when the line's thread is gone.
+    pub(crate) fn hold(&self, due: Instant, item: T) -> bool {
+        self.tx.as_ref().is_some_and(|tx| tx.send((due, item)).is_ok())
     }
 }
 
-impl Drop for DelayLine {
+impl<T> Drop for DelayLine<T> {
     fn drop(&mut self) {
         drop(self.tx.take());
         // A sink can drop its own line: the last reference to a node, and
@@ -82,18 +77,18 @@ impl Drop for DelayLine {
     }
 }
 
-fn run(rx: Receiver<(Instant, NodeId, Envelope)>, mut sink: impl FnMut(NodeId, Envelope)) {
-    let mut heap: BinaryHeap<Held> = BinaryHeap::new();
+fn run<T>(rx: Receiver<(Instant, T)>, mut sink: impl FnMut(T)) {
+    let mut heap: BinaryHeap<Held<T>> = BinaryHeap::new();
     let mut seq = 0u64;
     loop {
-        // Wait for the next due envelope or the next arrival, whichever
+        // Wait for the next due item or the next arrival, whichever
         // comes first.
         let next = match heap.peek() {
             Some(head) => {
                 let wait = head.due.saturating_duration_since(Instant::now());
                 if wait.is_zero() {
                     if let Some(h) = heap.pop() {
-                        sink(h.to, h.env);
+                        sink(h.item);
                     }
                     continue;
                 }
@@ -102,14 +97,14 @@ fn run(rx: Receiver<(Instant, NodeId, Envelope)>, mut sink: impl FnMut(NodeId, E
             None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
         match next {
-            Ok((due, to, env)) => {
-                heap.push(Held { due, seq, to, env });
+            Ok((due, item)) => {
+                heap.push(Held { due, seq, item });
                 seq += 1;
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => {
                 while let Some(h) = heap.pop() {
-                    sink(h.to, h.env);
+                    sink(h.item);
                 }
                 return;
             }
@@ -120,19 +115,13 @@ fn run(rx: Receiver<(Instant, NodeId, Envelope)>, mut sink: impl FnMut(NodeId, E
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use kera_wire::frames::OpCode;
     use std::sync::Arc;
     use std::time::Duration;
 
-    fn env(id: u64) -> Envelope {
-        Envelope::request(OpCode::Ping, id, NodeId(1), Bytes::new())
-    }
-
-    fn line() -> (DelayLine, Receiver<u64>) {
+    fn line() -> (DelayLine<u64>, Receiver<u64>) {
         let (out_tx, out_rx) = channel::unbounded();
-        let line = DelayLine::spawn("delay-test".into(), move |_to, env: Envelope| {
-            let _ = out_tx.send(env.request_id);
+        let line = DelayLine::spawn("delay-test", move |id| {
+            let _ = out_tx.send(id);
         });
         (line, out_rx)
     }
@@ -143,9 +132,9 @@ mod tests {
         let t0 = Instant::now();
         let late = t0 + Duration::from_millis(30);
         let soon = t0 + Duration::from_millis(10);
-        assert!(line.hold(late, NodeId(2), env(1)));
+        assert!(line.hold(late, 1));
         for id in 2..=5 {
-            assert!(line.hold(soon, NodeId(2), env(id)));
+            assert!(line.hold(soon, id));
         }
         let got: Vec<u64> =
             (0..5).map(|_| out.recv_timeout(Duration::from_secs(2)).unwrap()).collect();
@@ -157,15 +146,15 @@ mod tests {
     fn a_sink_may_drop_its_own_line() {
         // What the in-memory fabric's line does when a delivery holds the
         // last reference to a node and, through it, to the network.
-        let slot = Arc::new(parking_lot::Mutex::new(None::<DelayLine>));
+        let slot = Arc::new(parking_lot::Mutex::new(None::<DelayLine<u64>>));
         let (done_tx, done_rx) = channel::unbounded();
         let owner = Arc::clone(&slot);
-        let line = DelayLine::spawn("delay-self".into(), move |_to, _env| {
+        let line = DelayLine::spawn("delay-self", move |_id| {
             drop(owner.lock().take());
             let _ = done_tx.send(());
         });
         let mut guard = slot.lock();
-        assert!(line.hold(Instant::now(), NodeId(2), env(1)));
+        assert!(line.hold(Instant::now(), 1));
         *guard = Some(line);
         drop(guard);
         done_rx.recv_timeout(Duration::from_secs(2)).expect("the line's thread died joining itself");
@@ -175,9 +164,9 @@ mod tests {
     fn close_drains_what_is_held_in_order() {
         let (line, out) = line();
         let t0 = Instant::now();
-        assert!(line.hold(t0 + Duration::from_secs(60), NodeId(2), env(1)));
-        assert!(line.hold(t0 + Duration::from_secs(30), NodeId(2), env(2)));
-        assert!(line.hold(t0 + Duration::from_secs(30), NodeId(2), env(3)));
+        assert!(line.hold(t0 + Duration::from_secs(60), 1));
+        assert!(line.hold(t0 + Duration::from_secs(30), 2));
+        assert!(line.hold(t0 + Duration::from_secs(30), 3));
         drop(line); // joins the thread: everything held has been released
         let got: Vec<u64> = std::iter::from_fn(|| out.try_recv().ok()).collect();
         assert_eq!(got, [2, 3, 1]);

@@ -44,7 +44,7 @@ struct NetInner {
     nodes: Arc<Nodes>,
     model: NetworkModel,
     /// The latency model's delay line (present iff latency_ns > 0).
-    delay: Option<DelayLine>,
+    delay: Option<DelayLine<(NodeId, Envelope)>>,
 }
 
 /// A fabric connecting in-process nodes.
@@ -61,7 +61,7 @@ impl InMemNetwork {
             // A destination that crashed while the message was in flight
             // silently swallows it — exactly what a dead NIC does; the
             // sender's RPC times out instead.
-            DelayLine::spawn("inmem-delay".into(), move |to, env| {
+            DelayLine::spawn("inmem-delay", move |(to, env)| {
                 if let Some(node) = bound(&nodes, to) {
                     node.deliver(env);
                 }
@@ -127,7 +127,7 @@ impl Transport for InMemTransport {
         match &self.net.delay {
             Some(line) => {
                 let due = Instant::now() + Duration::from_nanos(model.latency_ns);
-                if !line.hold(due, to, env) {
+                if !line.hold(due, (to, env)) {
                     return Err(KeraError::ShuttingDown);
                 }
             }

@@ -17,8 +17,8 @@
 //! - [`tcp`] — a real TCP transport (length-prefixed frames over loopback
 //!   or a LAN) with the same interface; a reader thread per connection
 //!   delivers;
-//! - [`faults`] — a transport wrapper injecting drops, duplicates, delays
-//!   and partitions below the RPC layer, for chaos testing;
+//! - [`faults`] — a transport wrapper injecting drops, duplicates, delays,
+//!   partitions and held nodes below the RPC layer, for chaos testing;
 //! - [`node`] — the node runtime: delivery completes pending calls and
 //!   queues admitted requests for a worker pool;
 //!   [`node::RpcClient`] issues calls that retransmit under a bounded

@@ -12,16 +12,8 @@ use crate::inmem::InMemNetwork;
 use crate::tcp::TcpNetwork;
 use crate::transport::Transport;
 
-/// Which fabric a cluster runs on.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TransportKind {
-    /// In-process channels: fastest, supports fault injection and the
-    /// network cost model.
-    #[default]
-    InMemory,
-    /// Loopback TCP sockets: every RPC crosses the kernel.
-    Tcp,
-}
+/// Which fabric a cluster runs on: the cluster configuration's choice.
+pub use kera_common::config::TransportChoice as TransportKind;
 
 /// Either fabric, behind one registration API.
 #[derive(Clone)]

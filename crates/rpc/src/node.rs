@@ -778,6 +778,42 @@ mod tests {
         }
     }
 
+    /// Echoes, counting how often its handler ran.
+    struct CountingService {
+        hits: Arc<std::sync::atomic::AtomicU64>,
+    }
+    impl Service for CountingService {
+        fn handle(&self, _ctx: &RequestContext, payload: Bytes) -> Result<Bytes> {
+            self.hits.fetch_add(1, Ordering::SeqCst);
+            Ok(payload)
+        }
+    }
+
+    /// Node 2 as a client whose sends go through `plan`, retransmitting
+    /// every `attempt_timeout` up to `max_attempts` sends.
+    fn client_behind(
+        net: &InMemNetwork,
+        plan: &crate::faults::FaultPlan,
+        max_attempts: u32,
+        attempt_timeout: Duration,
+    ) -> NodeRuntime {
+        let transport = Arc::new(net.register(NodeId(2)));
+        let transport = crate::faults::FaultInjector::new(transport, plan.clone());
+        let retry = RetryPolicy {
+            max_attempts,
+            attempt_timeout,
+            initial_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(10),
+        };
+        NodeRuntime::start_with_obs(
+            Arc::new(transport),
+            Arc::new(NullService),
+            1,
+            retry,
+            NodeObs::disabled(2),
+        )
+    }
+
     fn pair() -> (InMemNetwork, NodeRuntime, NodeRuntime) {
         let net = InMemNetwork::new(NetworkModel::default());
         let server = NodeRuntime::start(
@@ -1064,7 +1100,7 @@ mod tests {
 
     #[test]
     fn retries_recover_from_lossy_transport() {
-        use crate::faults::{FaultInjector, FaultPlan};
+        use crate::faults::FaultPlan;
         use kera_common::config::FaultProfile;
 
         let net = InMemNetwork::new(NetworkModel::default());
@@ -1077,20 +1113,9 @@ mod tests {
             seed: 11,
             drop_rate: 0.3,
             ..FaultProfile::default()
-        });
-        let lossy = Arc::new(FaultInjector::new(Arc::new(net.register(NodeId(2))), plan.clone()));
-        let client = NodeRuntime::start_with_obs(
-            lossy,
-            Arc::new(NullService),
-            1,
-            RetryPolicy {
-                max_attempts: 10,
-                attempt_timeout: Duration::from_millis(100),
-                initial_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(10),
-            },
-            NodeObs::disabled(2),
-        );
+        })
+        .unwrap();
+        let client = client_behind(&net, &plan, 10, Duration::from_millis(100));
         let c = client.client();
         for i in 0..40u64 {
             let body = Bytes::from(i.to_le_bytes().to_vec());
@@ -1104,19 +1129,9 @@ mod tests {
 
     #[test]
     fn async_calls_retransmit_without_reexecuting() {
-        use crate::faults::{FaultInjector, FaultPlan};
+        use crate::faults::FaultPlan;
         use kera_common::config::FaultProfile;
         use std::sync::atomic::AtomicU64;
-
-        struct CountingService {
-            hits: Arc<AtomicU64>,
-        }
-        impl Service for CountingService {
-            fn handle(&self, _ctx: &RequestContext, payload: Bytes) -> Result<Bytes> {
-                self.hits.fetch_add(1, Ordering::SeqCst);
-                Ok(payload)
-            }
-        }
 
         let net = InMemNetwork::new(NetworkModel::default());
         let hits = Arc::new(AtomicU64::new(0));
@@ -1129,20 +1144,9 @@ mod tests {
             seed: 23,
             drop_rate: 0.4,
             ..FaultProfile::default()
-        });
-        let lossy = Arc::new(FaultInjector::new(Arc::new(net.register(NodeId(2))), plan.clone()));
-        let client = NodeRuntime::start_with_obs(
-            lossy,
-            Arc::new(NullService),
-            1,
-            RetryPolicy {
-                max_attempts: 20,
-                attempt_timeout: Duration::from_millis(50),
-                initial_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(10),
-            },
-            NodeObs::disabled(2),
-        );
+        })
+        .unwrap();
+        let client = client_behind(&net, &plan, 20, Duration::from_millis(50));
         let c = client.client();
         const CALLS: u64 = 30;
         for i in 0..CALLS {
@@ -1161,18 +1165,46 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_request_executes_at_most_once() {
+    fn a_held_request_is_retransmitted_and_runs_once_on_release() {
+        use crate::faults::FaultPlan;
+        use kera_common::config::FaultProfile;
         use std::sync::atomic::AtomicU64;
 
-        struct CountingService {
-            hits: Arc<AtomicU64>,
+        let net = InMemNetwork::new(NetworkModel::default());
+        let hits = Arc::new(AtomicU64::new(0));
+        let server = NodeRuntime::start(
+            Arc::new(net.register(NodeId(1))),
+            Arc::new(CountingService { hits: Arc::clone(&hits) }),
+            2,
+        );
+        let plan = FaultPlan::new(FaultProfile::default()).unwrap();
+        let client = client_behind(&net, &plan, 20, Duration::from_millis(100));
+        let c = client.client();
+
+        plan.hold(NodeId(1));
+        let caller = {
+            let c = c.clone();
+            std::thread::spawn(move || {
+                c.call(NodeId(1), OpCode::Ping, Bytes::from_static(b"late"), Duration::from_secs(5))
+            })
+        };
+        // Held past `attempt_timeout`: the retransmit is kept as well.
+        while plan.held() < 2 {
+            std::thread::sleep(Duration::from_millis(1));
         }
-        impl Service for CountingService {
-            fn handle(&self, _ctx: &RequestContext, payload: Bytes) -> Result<Bytes> {
-                self.hits.fetch_add(1, Ordering::SeqCst);
-                Ok(payload)
-            }
-        }
+        plan.release(NodeId(1));
+        assert_eq!(&caller.join().unwrap().expect("the kept request is answered")[..], b"late");
+
+        // Every kept copy landed; the handler ran for the first only.
+        assert!(c.retries_sent() >= 1);
+        assert_eq!(hits.load(Ordering::SeqCst), 1, "handler re-executed a retransmit");
+        assert_eq!(server.requests_deduped(), plan.held() - 1);
+        assert_eq!(c.pending_calls(), 0);
+    }
+
+    #[test]
+    fn duplicate_request_executes_at_most_once() {
+        use std::sync::atomic::AtomicU64;
 
         let net = InMemNetwork::new(NetworkModel::default());
         let hits = Arc::new(AtomicU64::new(0));

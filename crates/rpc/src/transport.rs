@@ -18,8 +18,8 @@ use kera_wire::frames::Envelope;
 /// Where a transport hands arriving frames: the node runtime, or a
 /// collecting fake in tests. The one rule: it never runs a handler, never
 /// blocks, and holds no lock across a [`Transport::send`] — it runs on a
-/// peer's sending (or a reader / delay-line) thread, and a send it makes
-/// runs the next node's delivery on the same stack.
+/// peer's sending (or a reader / delay-line / releasing) thread, and a
+/// send it makes runs the next node's delivery on the same stack.
 pub trait Deliver: Send + Sync + 'static {
     /// One frame addressed to this node arrived.
     fn deliver(&self, env: Envelope);

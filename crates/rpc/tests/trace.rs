@@ -58,7 +58,7 @@ fn traced_pair(
 /// the eventual server-side RpcServe span in the same trace.
 #[test]
 fn retried_call_stays_one_trace() {
-    let plan = FaultPlan::new(FaultProfile::default());
+    let plan = FaultPlan::new(FaultProfile::default()).unwrap();
     let retry = RetryPolicy {
         max_attempts: 8,
         attempt_timeout: Duration::from_millis(40),
@@ -117,7 +117,8 @@ fn retried_call_stays_one_trace() {
 /// visible as an RpcDedupHit event inside the caller's trace.
 #[test]
 fn duplicate_delivery_surfaces_dedup_hit_in_trace() {
-    let plan = FaultPlan::new(FaultProfile { duplicate_rate: 1.0, ..FaultProfile::default() });
+    let plan =
+        FaultPlan::new(FaultProfile { duplicate_rate: 1.0, ..FaultProfile::default() }).unwrap();
     let (_net, server, client, server_obs, client_obs) =
         traced_pair(&plan, RetryPolicy::default());
 

@@ -38,12 +38,27 @@ fi
 # and each client's requests thread waits in one place, its park. The
 # producer's two threads share one queue under one lock: no channel in
 # front of the lanes, no wake-up flag beside them, no lock on the routes.
-# The broker keeps no per-fetch state nothing reads.
+# The broker keeps no per-fetch state nothing reads. Nothing naps on the
+# record path at all: not the clients, not the produce handler, not the
+# backup's write handler, not a replication round (non-test lines: a
+# file counts up to its first `#[cfg(test)]`, as in scripts/loc.sh).
 if grep -nE 'thread::sleep|fn idle' crates/client/src/producer.rs crates/client/src/consumer.rs \
+    || find crates/broker/src/broker.rs crates/broker/src/backup.rs crates/vlog/src -name '*.rs' \
+        -exec awk '/^#\[cfg\(test\)\]/{nextfile} /thread::sleep/{print FILENAME":"FNR": "$0}' {} + \
+        | grep . \
     || grep -nE 'crossbeam|listening|RwLock' crates/client/src/producer.rs \
     || grep -n 'bounded(1)' crates/rpc/src/node.rs \
     || grep -rn 'fetch_pos' crates/broker/src; then
-  echo "no per-call channel in kera-rpc; no nap, no second wait and no second queue in a client; no fetch_pos" >&2
+  echo "no per-call channel in kera-rpc; no nap, no second wait and no second queue in a client; no nap in broker.rs, backup.rs or kera-vlog; no fetch_pos" >&2
+  exit 1
+fi
+
+# A node is held at the fabric (FaultPlan::hold), not in its handlers: no
+# service carries a drill flag. And every frame a fault plan holds back in
+# time sits on the plan's one line, not on a line per injector.
+if grep -rnE 'frozen|fn freeze|fn thaw' crates/broker/src \
+    || grep -rn 'faults-delay-{' crates/rpc/src; then
+  echo "no freeze/thaw hook in a service; one faults-delay line per FaultPlan" >&2
   exit 1
 fi
 
@@ -86,12 +101,13 @@ if ! KERA_FLIGHTREC=1 cargo test -q -p kera -p kera-vlog -p kera-broker -p kera-
   exit 1
 fi
 
-# The six named drills — coordinator failover (DESIGN.md §10: leader
-# killed / frozen / partitioned mid-ingest) and overload (§11: the 10:1
-# abusive-tenant storm, the slow-consumer pile-up, quota flapping) — ran
-# in the workspace pass and again, instrumented and with the recorder
-# armed, just above. What is left to guard is a refactor that renames or
-# drops one and silently shrinks the chaos surface: each must be listed.
+# The seven named drills — coordinator failover (DESIGN.md §10: leader
+# killed / held / partitioned mid-ingest), overload (§11: the 10:1
+# abusive-tenant storm, the slow-consumer pile-up, quota flapping) and
+# the stall drill (§13: a held backup, the watchdog's dump) — ran in the
+# workspace pass and again, instrumented and with the recorder armed,
+# just above. What is left to guard is a refactor that renames or drops
+# one and silently shrinks the chaos surface: each must be listed.
 drills=$(cargo test -q --test chaos -- --list)
 for drill in \
     coordinator_leader_kill_fails_over_without_metadata_loss \
@@ -99,7 +115,8 @@ for drill in \
     coordinator_partitioned_leader_abdicates_and_rejoins \
     overload_polite_tenants_keep_throughput_floor \
     slow_consumer_pileup_keeps_broker_bounded \
-    quota_flapping_mid_ingest_preserves_exactly_once; do
+    quota_flapping_mid_ingest_preserves_exactly_once \
+    held_backup_mid_ingest_triggers_watchdog_dump; do
   if ! grep -q "^$drill: test\$" <<<"$drills"; then
     echo "chaos drill '$drill' no longer exists in tests/chaos.rs" >&2
     exit 1
@@ -110,8 +127,8 @@ done
 # 3-replica cluster on loopback TCP, scrape every node over the wire
 # with the Introspect opcode, and require each one to report health
 # (role, term, lag, quota ladder, in-flight). Non-zero exit if any node
-# is unreachable — the watchdog chaos drill above already covers the
-# stall-dump path.
+# is unreachable — the stall drill above already covers the stall-dump
+# path.
 cargo run -q --release -p kera-inspect -- health --brokers 3 --replicas 3
 
 # Repo-benchmark smoke: a 2-second pass over every workload of

@@ -356,9 +356,27 @@ fn await_new_leader(cluster: &KeraCluster, exclude: Option<u32>) -> u32 {
     }
 }
 
+/// Polls until exactly one replica leads and replica `old` — a deposed
+/// leader back in reach — has `streams` committed streams.
+fn await_one_leader_and_caught_up(cluster: &KeraCluster, old: u32, streams: usize) {
+    let deadline = Instant::now() + ELECTION_WINDOW;
+    loop {
+        let leaders = cluster.coordinator_svcs.iter().filter(|s| s.is_leader()).count();
+        let caught_up = cluster.coordinator_svcs[old as usize].committed_streams() >= streams;
+        if leaders == 1 && caught_up {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "convergence failed: leaders={leaders} caught_up={caught_up}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 /// The split-brain audit: across every replica's full history, no term
 /// may have been won twice. (Replica-local `won_terms` lists survive
-/// kills and freezes — the `Arc<CoordinatorService>` outlives both.)
+/// kills and holds — the `Arc<CoordinatorService>` outlives both.)
 fn assert_no_split_brain(cluster: &KeraCluster) {
     let mut winner_of: HashMap<u64, usize> = HashMap::new();
     for (i, svc) in cluster.coordinator_svcs.iter().enumerate() {
@@ -458,52 +476,38 @@ fn coordinator_leader_kill_fails_over_without_metadata_loss() {
     cluster.shutdown();
 }
 
-/// Freeze the leader (wedged process: ticker stops, every request
-/// hangs): the survivors must depose it, and on thaw the stale leader
-/// must step down the moment it sees the higher term — leaving exactly
-/// one leader and a coherent metadata log.
+/// Hold the leader's node (an unreachable process: nothing arrives,
+/// nothing it sends leaves, and nothing is lost): the survivors must
+/// depose it, and on release the whole backlog — its stale heartbeats
+/// and votes, the clients' expired requests — lands in one burst, after
+/// which exactly one replica leads and the old leader has caught up.
 #[test]
 fn coordinator_frozen_leader_is_deposed_and_steps_down_on_thaw() {
     let _serial = serial();
-    let cluster = replicated_cluster(2, None);
+    let cluster = replicated_cluster(2, Some(FaultProfile::default()));
     let admin_rt = cluster.client(0);
     let admin = MetadataClient::with_replicas(admin_rt.client(), cluster.coordinators());
     admin.create_stream(stream_config(2)).unwrap();
 
-    let frozen = cluster.coordinator_leader().expect("bootstrap election completed");
-    cluster.freeze_coordinator(frozen);
+    let old = cluster.coordinator_leader().expect("bootstrap election completed");
+    let plan = cluster.fault_plan().expect("started with a fault plan").clone();
+    plan.hold(coordinator_node(old));
 
-    // The survivors elect around the hung leader, and the metadata plane
-    // keeps serving writes while it is still wedged.
-    let new = await_new_leader(&cluster, Some(frozen));
-    assert_ne!(new, frozen);
+    // The survivors elect around the held leader, and the metadata plane
+    // keeps serving writes while it is still out of reach.
+    let new = await_new_leader(&cluster, Some(old));
+    assert_ne!(new, old);
     admin
         .create_stream(StreamConfig { id: StreamId(2), ..stream_config(2) })
-        .expect("create_stream while old leader hung");
+        .expect("create_stream while old leader held");
+    assert!(plan.held() > 0, "the hold kept nothing");
 
-    // Thaw: the stale leader observes the higher term on the next
-    // heartbeat and steps down. Eventually exactly one replica leads.
-    cluster.thaw_coordinator(frozen);
-    let deadline = Instant::now() + ELECTION_WINDOW;
-    loop {
-        let leaders: Vec<usize> = cluster
-            .coordinator_svcs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_leader())
-            .map(|(i, _)| i)
-            .collect();
-        if leaders.len() == 1 && leaders[0] != frozen as usize {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "stale leader never stepped down after thaw: leaders={leaders:?}"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    // Release: the backlog lands, the terms settle, and the old leader
+    // tails the log it missed. Eventually exactly one replica leads.
+    plan.release(coordinator_node(old));
+    await_one_leader_and_caught_up(&cluster, old, 2);
 
-    // Both streams — one committed before the freeze, one during — are
+    // Both streams — one committed before the hold, one during — are
     // visible from a fresh client via the surviving leader.
     let rt = cluster.client(1);
     let meta = MetadataClient::with_replicas(rt.client(), cluster.coordinators());
@@ -556,20 +560,7 @@ fn coordinator_partitioned_leader_abdicates_and_rejoins() {
     // Heal: the old leader rejoins, observes the higher term, and tails
     // the log it missed; the cluster converges on one leader.
     plan.heal_all();
-    let deadline = Instant::now() + ELECTION_WINDOW;
-    loop {
-        let leaders =
-            cluster.coordinator_svcs.iter().filter(|s| s.is_leader()).count();
-        let caught_up = cluster.coordinator_svcs[old as usize].committed_streams() >= 2;
-        if leaders == 1 && caught_up {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "post-heal convergence failed: leaders={leaders} caught_up={caught_up}"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    await_one_leader_and_caught_up(&cluster, old, 2);
 
     assert_no_split_brain(&cluster);
     let snap = cluster.metrics_snapshot();
@@ -1029,15 +1020,16 @@ fn quota_flapping_mid_ingest_preserves_exactly_once() {
     cluster.shutdown();
 }
 
-/// The stall drill (DESIGN.md §13): freeze a broker's data plane
-/// mid-ingest with the watchdogs armed. The produce in flight hangs, the
-/// progress heartbeat stops, and within the threshold the broker's
-/// watchdog must auto-dump its flight-recorder ring plus at least one
-/// sampled slow span tree — the post-mortem an operator would otherwise
-/// have to race the stall to collect. Fetches and Introspect stay live
-/// on the frozen node throughout.
+/// The stall drill (DESIGN.md §13): hold the backup a broker's virtual
+/// log replicates to, mid-ingest, with the watchdogs armed. The produce
+/// in flight stalls where this system really stalls — its worker in
+/// `Round::finish`, waiting on an ack — the progress heartbeat stops,
+/// and within the threshold the broker's watchdog must auto-dump its
+/// flight-recorder ring plus at least one sampled slow span tree — the
+/// post-mortem an operator would otherwise have to race the stall to
+/// collect. Introspect stays live on the stalled broker throughout.
 #[test]
-fn frozen_broker_mid_ingest_triggers_watchdog_dump() {
+fn held_backup_mid_ingest_triggers_watchdog_dump() {
     use kera::wire::chunk::ChunkBuilder;
     use kera::wire::record::Record;
 
@@ -1045,6 +1037,7 @@ fn frozen_broker_mid_ingest_triggers_watchdog_dump() {
     let mut cluster = KeraCluster::start(ClusterConfig {
         brokers: 2,
         worker_threads: 4,
+        faults: Some(FaultProfile::default()),
         ..ClusterConfig::default()
     })
     .unwrap();
@@ -1056,7 +1049,7 @@ fn frozen_broker_mid_ingest_triggers_watchdog_dump() {
         .call(
             cluster.coordinator(),
             OpCode::CreateStream,
-            kera::wire::messages::CreateStreamRequest { config: stream_config_for(77, 1) }
+            kera::wire::messages::CreateStreamRequest { config: stream_config_for(77, 2) }
                 .encode(),
             Duration::from_secs(5),
         )
@@ -1086,9 +1079,12 @@ fn frozen_broker_mid_ingest_triggers_watchdog_dump() {
             .unwrap();
     }
 
-    // Freeze the data plane, then send the produce that stalls in it.
-    let frozen_ix = broker.raw() - 1;
-    cluster.freeze_broker(frozen_ix);
+    // Hold the backup — with two servers, and a virtual log never on its
+    // co-located backup, the other server's — then send the produce
+    // whose replication round stalls on it.
+    let plan = cluster.fault_plan().expect("started with a fault plan").clone();
+    let backup = backup_node(2 - broker.raw());
+    plan.hold(backup);
     let hung = {
         let client = client_rt.client();
         let req = produce_req(make_chunk()).encode();
@@ -1105,13 +1101,13 @@ fn frozen_broker_mid_ingest_triggers_watchdog_dump() {
         }) {
             break path;
         }
-        assert!(Instant::now() < deadline, "watchdog never fired on the frozen broker");
+        assert!(Instant::now() < deadline, "watchdog never fired on the stalled broker");
         std::thread::sleep(Duration::from_millis(10));
     };
     let body = std::fs::read_to_string(&dump).unwrap();
     assert!(
         body.contains(&format!("\"node\":{}", broker.raw())),
-        "dump is not the frozen broker's: {dump:?}"
+        "dump is not the stalled broker's: {dump:?}"
     );
     assert!(body.contains("\"ring\":{"), "flight-recorder ring missing from dump");
     assert!(
@@ -1119,8 +1115,8 @@ fn frozen_broker_mid_ingest_triggers_watchdog_dump() {
         "expected at least one sampled slow span tree in the dump"
     );
 
-    // The frozen node stays observable: Introspect answers while the
-    // data plane hangs, and reports the in-flight produce.
+    // The stalled node stays observable: Introspect answers while the
+    // produce waits, and reports it in flight.
     let intro = client
         .call(
             broker,
@@ -1130,12 +1126,14 @@ fn frozen_broker_mid_ingest_triggers_watchdog_dump() {
         )
         .unwrap();
     let intro = IntrospectResponse::decode(&intro).unwrap();
-    assert!(intro.inflight >= 1, "frozen broker must report its stuck produce in flight");
+    assert!(intro.inflight >= 1, "stalled broker must report its stuck produce in flight");
     assert_eq!(intro.watchdog_ms, 150);
+    assert!(plan.held() > 0, "the hold kept nothing");
 
-    // Thaw: the stalled produce completes and ingest resumes.
-    cluster.thaw_broker(frozen_ix);
-    hung.join().unwrap().expect("produce must complete after thaw");
+    // Release: the kept write and its ack land, the stalled produce
+    // completes and ingest resumes.
+    plan.release(backup);
+    hung.join().unwrap().expect("produce must complete after release");
     client
         .call(broker, OpCode::Produce, produce_req(make_chunk()).encode(), Duration::from_secs(5))
         .unwrap();

@@ -43,9 +43,6 @@ impl std::fmt::Display for SystemKind {
 /// Record value size of every figure's workload, bytes.
 const RECORD_SIZE: usize = 100;
 
-/// `replica.fetch.wait.max.ms` of the Kafka baseline.
-const KAFKA_FETCH_WAIT: Duration = Duration::from_millis(500);
-
 /// Full description of one experiment point.
 #[derive(Clone, Debug)]
 pub struct ExperimentConfig {
@@ -266,7 +263,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> Result<Measurement> {
 
 /// [`run_experiment`], plus the cluster-wide metrics it read its stage
 /// breakdown from.
-fn measure(cfg: &ExperimentConfig) -> Result<(Measurement, kera_obs::RegistrySnapshot)> {
+pub fn measure(cfg: &ExperimentConfig) -> Result<(Measurement, kera_obs::RegistrySnapshot)> {
     let cluster_cfg = ClusterConfig {
         brokers: cfg.brokers,
         worker_threads: cfg.worker_threads,
@@ -281,15 +278,9 @@ fn measure(cfg: &ExperimentConfig) -> Result<(Measurement, kera_obs::RegistrySna
     };
     let cluster = match cfg.system {
         SystemKind::Kera => Cluster::Kera(KeraCluster::start(cluster_cfg)?),
-        SystemKind::Kafka => Cluster::Kafka(KafkaCluster::start(
-            cluster_cfg,
-            KafkaTuning {
-                fetch_wait: KAFKA_FETCH_WAIT,
-                fetch_max_bytes_per_partition: 1 << 20,
-                ack_timeout: Duration::from_secs(10),
-                io_cost_ns: cfg.io_cost_ns,
-            },
-        )?),
+        SystemKind::Kafka => {
+            Cluster::Kafka(KafkaCluster::start(cluster_cfg, KafkaTuning::default())?)
+        }
     };
 
     // Create all streams through one admin client.

@@ -1,16 +1,17 @@
 //! The Kafka-style broker: topic store, produce path with acks=all,
 //! consumer fetch, and the leader side of follower fetch.
 //!
-//! Two services share one `TopicStore` per node, mirroring Kafka's
-//! separation of client and replication traffic:
-//!
-//! - [`KafkaBrokerService`] — produce, consumer fetch, hosting;
-//! - [`KafkaReplicaService`] — follower fetch, served from a separate
-//!   node runtime so replication traffic can never be starved by worker
-//!   threads blocked in acks=all waits.
+//! One service per node, [`KafkaBrokerService`], serves clients and
+//! followers alike, and none of its handlers parks a worker. A follower
+//! fetch that finds no data and an acks=all produce waiting for its high
+//! watermarks are delayed operations in the store's purgatory (Kafka's
+//! name for it), answered through their [`Reply`] by the request that
+//! completes them — the produce whose append gives the fetch data, the
+//! follower fetch whose position moves the produce's last high watermark
+//! — or at their timeout by the store's one expiry line.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -18,7 +19,7 @@ use kera_common::ids::{NodeId, StreamId, StreamletId};
 use kera_common::metrics::Counter;
 use kera_common::{KeraError, Result};
 use kera_obs::NodeObs;
-use kera_rpc::{RequestContext, Service};
+use kera_rpc::{DelayLine, Reply, RequestContext, Service};
 use kera_wire::chunk::ChunkIter;
 use kera_wire::cursor::SlotCursor;
 use kera_wire::frames::OpCode;
@@ -27,7 +28,7 @@ use kera_wire::messages::{
     FollowerFetchResponse, FollowerFetchResult, HostStreamRequest, ProduceRequest,
     ProduceResponse, ReplicaRole, SeekRequest, SeekResponse,
 };
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
 use crate::partition::{PartitionLog, Role};
 
@@ -35,37 +36,60 @@ use crate::partition::{PartitionLog, Role};
 /// to tune" for passive replication).
 #[derive(Clone, Copy, Debug)]
 pub struct KafkaTuning {
-    /// `replica.fetch.wait.max.ms`: how long the leader parks an empty
-    /// follower fetch before answering.
+    /// `replica.fetch.wait.max.ms`: how long an empty follower fetch
+    /// waits in the purgatory before it is answered empty.
     pub fetch_wait: Duration,
-    /// `replica.fetch.max.bytes` per partition.
-    pub fetch_max_bytes_per_partition: u32,
-    /// Produce acks=all wait bound.
+    /// How long an acks=all produce waits in the purgatory for its high
+    /// watermarks before it fails with `Timeout`.
     pub ack_timeout: Duration,
-    /// Per-write fixed IO cost on followers, paid once per *partition*
-    /// whose data a fetch delivered — each Kafka partition is its own
-    /// log file (see `ClusterConfig::io_cost_ns`).
-    pub io_cost_ns: u64,
 }
 
 impl Default for KafkaTuning {
     fn default() -> Self {
-        Self {
-            fetch_wait: Duration::from_millis(500),
-            fetch_max_bytes_per_partition: 1 << 20,
-            ack_timeout: Duration::from_secs(10),
-            io_cost_ns: 0,
+        Self { fetch_wait: Duration::from_millis(500), ack_timeout: Duration::from_secs(10) }
+    }
+}
+
+/// A request waiting in the purgatory for an event rather than a worker.
+enum Delayed {
+    /// A follower fetch that found no data, with the log of each entry.
+    Fetch(FollowerFetchRequest, Vec<Arc<PartitionLog>>),
+    /// An acks=all produce: its response, and the end offset each log's
+    /// high watermark must reach first.
+    Produce(ProduceResponse, Vec<(Arc<PartitionLog>, u64)>),
+}
+
+impl Delayed {
+    /// Whether what it waits for has happened.
+    fn ready(&self) -> bool {
+        match self {
+            Delayed::Fetch(req, logs) => {
+                req.entries.iter().zip(logs).any(|(e, log)| log.leo() > e.fetch_offset)
+            }
+            Delayed::Produce(_, waits) => waits.iter().all(|(log, end)| log.high_watermark() >= *end),
         }
     }
+}
+
+/// Kafka's purgatory holds these: requests of one store that wait for
+/// data or for a high watermark. A request is parked and completed under
+/// the purgatory's one lock, `ksim.purgatory`, and replies are sent only
+/// after that lock is released.
+struct Parked {
+    /// When it times out.
+    due: Instant,
+    op: Delayed,
+    reply: Reply,
 }
 
 /// All partition replicas hosted on one node.
 pub struct TopicStore {
     node: NodeId,
     replicas: RwLock<HashMap<(StreamId, StreamletId), Arc<PartitionLog>>>,
-    /// Signalled on every leader append (wakes parked follower fetches).
-    data_cv: Condvar,
-    data_lock: Mutex<()>,
+    purgatory: Mutex<Vec<Parked>>,
+    /// Wakes the store when a parked request is due; its sink holds the
+    /// store weakly.
+    expiry: DelayLine<()>,
     tuning: KafkaTuning,
     /// Chunks ingested (leader appends; `kera.kafka.chunks_in`).
     pub chunks_in: Arc<Counter>,
@@ -75,6 +99,9 @@ pub struct TopicStore {
     pub bytes_in: Arc<Counter>,
     /// Follower fetches served (`kera.kafka.follower_fetches`).
     pub follower_fetches: Arc<Counter>,
+    /// Follower fetches answered at `fetch_wait` with no data
+    /// (`kera.kafka.fetch_expired`).
+    pub fetch_expired: Arc<Counter>,
 }
 
 impl TopicStore {
@@ -86,25 +113,29 @@ impl TopicStore {
     /// node's metrics registry as `kera.kafka.*`.
     pub fn new_with_obs(node: NodeId, tuning: KafkaTuning, obs: Arc<NodeObs>) -> Arc<Self> {
         let reg = obs.registry();
-        Arc::new(Self {
-            node,
-            replicas: RwLock::new(HashMap::new()),
-            data_cv: Condvar::new(),
-            data_lock: Mutex::new(()),
-            tuning,
-            chunks_in: reg.counter("kera.kafka.chunks_in", &[]),
-            records_in: reg.counter("kera.kafka.records_in", &[]),
-            bytes_in: reg.counter("kera.kafka.bytes_in", &[]),
-            follower_fetches: reg.counter("kera.kafka.follower_fetches", &[]),
+        Arc::new_cyclic(|me: &Weak<TopicStore>| {
+            let me = Weak::clone(me);
+            Self {
+                node,
+                replicas: RwLock::new(HashMap::new()),
+                purgatory: Mutex::named("ksim.purgatory", Vec::new()),
+                expiry: DelayLine::spawn(&format!("purgatory-{}", node.raw()), move |()| {
+                    if let Some(store) = me.upgrade() {
+                        store.expire();
+                    }
+                }),
+                tuning,
+                chunks_in: reg.counter("kera.kafka.chunks_in", &[]),
+                records_in: reg.counter("kera.kafka.records_in", &[]),
+                bytes_in: reg.counter("kera.kafka.bytes_in", &[]),
+                follower_fetches: reg.counter("kera.kafka.follower_fetches", &[]),
+                fetch_expired: reg.counter("kera.kafka.fetch_expired", &[]),
+            }
         })
     }
 
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    pub fn tuning(&self) -> KafkaTuning {
-        self.tuning
     }
 
     pub fn replica(&self, stream: StreamId, partition: StreamletId) -> Result<Arc<PartitionLog>> {
@@ -130,32 +161,86 @@ impl TopicStore {
         )
     }
 
-    fn notify_appends(&self) {
-        let _g = self.data_lock.lock();
-        self.data_cv.notify_all();
+    /// Called after every append and every recorded fetch position:
+    /// answers each parked request that is now ready, then `op` — at once
+    /// if it is ready too, else once it is or when it times out.
+    fn settle(&self, op: Delayed, reply: Reply) {
+        let timeout = match op {
+            Delayed::Fetch(..) => self.tuning.fetch_wait,
+            Delayed::Produce(..) => self.tuning.ack_timeout,
+        };
+        let due = Instant::now() + timeout;
+        let (done, parked) = {
+            let mut purgatory = self.purgatory.lock();
+            let mut done: Vec<Parked> = purgatory.extract_if(.., |p| p.op.ready()).collect();
+            // Looked at under the lock the next append or fetch position
+            // settles under: none can land between this look and parking.
+            let parked = !op.ready();
+            let op = Parked { due, op, reply };
+            if parked { purgatory.push(op) } else { done.push(op) }
+            (done, parked)
+        };
+        if parked {
+            self.expiry.hold(due, ());
+        }
+        for p in done {
+            self.answer(p, false);
+        }
+    }
+
+    /// The expiry line's sink: answers every parked request that is due.
+    fn expire(&self) {
+        let now = Instant::now();
+        let due: Vec<Parked> = self.purgatory.lock().extract_if(.., |p| p.due <= now).collect();
+        for p in due {
+            let timed_out = !p.op.ready();
+            self.answer(p, timed_out);
+        }
+    }
+
+    /// A fetch gets the whole chunks past each of its offsets up to the
+    /// log end now; a produce its acks, or `Timeout` if it `timed_out`.
+    fn answer(&self, p: Parked, timed_out: bool) {
+        match p.op {
+            Delayed::Fetch(req, logs) => {
+                self.follower_fetches.inc();
+                if timed_out {
+                    self.fetch_expired.inc();
+                }
+                let max = req.max_bytes_per_partition as usize;
+                let results = req.entries.iter().zip(&logs).map(|(e, log)| FollowerFetchResult {
+                    stream: e.stream,
+                    partition: e.partition,
+                    data: Bytes::from(log.read_chunks(e.fetch_offset, max, log.leo())),
+                    high_watermark: log.high_watermark(),
+                });
+                p.reply.send(FollowerFetchResponse { results: results.collect() }.encode());
+            }
+            Delayed::Produce(..) if timed_out => {
+                p.reply.send(Err(KeraError::Timeout { op: "acks=all high-watermark wait" }))
+            }
+            Delayed::Produce(resp, _) => p.reply.send(Ok(resp.encode())),
+        }
     }
 }
 
-/// The client-facing broker service.
+/// The broker service: clients' produce, fetch and seek, the coordinator's
+/// hosting, and its followers' fetches.
 pub struct KafkaBrokerService {
     store: Arc<TopicStore>,
     /// New follower assignments that the fetcher runner must pick up:
-    /// (leader replica-service node, partition log).
+    /// (leader broker, partition log).
     pending_follower_targets: Mutex<Vec<(NodeId, Arc<PartitionLog>)>>,
-    /// Maps a broker data-node id to its replica-service node id (set at
-    /// cluster assembly).
-    replica_node_of: HashMap<NodeId, NodeId>,
     /// Invoked after each hosting change (the cluster wires this to the
     /// fetcher runner's refresh).
     on_host: Mutex<Option<Box<dyn Fn() + Send>>>,
 }
 
 impl KafkaBrokerService {
-    pub fn new(store: Arc<TopicStore>, replica_node_of: HashMap<NodeId, NodeId>) -> Arc<Self> {
+    pub fn new(store: Arc<TopicStore>) -> Arc<Self> {
         Arc::new(Self {
             store,
             pending_follower_targets: Mutex::new(Vec::new()),
-            replica_node_of,
             on_host: Mutex::new(None),
         })
     }
@@ -175,45 +260,27 @@ impl KafkaBrokerService {
         std::mem::take(&mut *self.pending_follower_targets.lock())
     }
 
-    fn handle_host(&self, req: HostStreamRequest) -> Result<()> {
+    fn handle_host(&self, req: HostStreamRequest) {
         let factor = req.metadata.config.replication.factor;
         for a in &req.assignments {
-            match a.role {
-                ReplicaRole::Leader => {
-                    self.store.host_replica(
-                        req.metadata.config.id,
-                        a.streamlet,
-                        Role::Leader,
-                        factor,
-                    );
-                }
-                ReplicaRole::Follower => {
-                    let log = self.store.host_replica(
-                        req.metadata.config.id,
-                        a.streamlet,
-                        Role::Follower { leader: a.leader },
-                        factor,
-                    );
-                    let replica_node =
-                        self.replica_node_of.get(&a.leader).copied().ok_or_else(|| {
-                            KeraError::Protocol(format!(
-                                "no replica service known for leader {}",
-                                a.leader
-                            ))
-                        })?;
-                    self.pending_follower_targets.lock().push((replica_node, log));
-                }
+            let role = match a.role {
+                ReplicaRole::Leader => Role::Leader,
+                ReplicaRole::Follower => Role::Follower { leader: a.leader },
+            };
+            let log = self.store.host_replica(req.metadata.config.id, a.streamlet, role, factor);
+            if a.role == ReplicaRole::Follower {
+                self.pending_follower_targets.lock().push((a.leader, log));
             }
         }
         if let Some(cb) = self.on_host.lock().as_ref() {
             cb();
         }
-        Ok(())
     }
 
-    fn handle_produce(&self, req: ProduceRequest) -> Result<ProduceResponse> {
+    /// Appends every chunk; the response and the end offset each touched
+    /// log's high watermark must reach before it may be sent (acks=all).
+    fn append(&self, req: ProduceRequest) -> Result<Delayed> {
         let mut acks = Vec::with_capacity(req.chunk_count as usize);
-        // (log, end offset, factor) to wait on after all appends.
         let mut waits: Vec<(Arc<PartitionLog>, u64)> = Vec::new();
         for chunk in ChunkIter::new(&req.chunks) {
             let chunk = chunk?;
@@ -239,13 +306,19 @@ impl KafkaBrokerService {
             self.store.records_in.add(u64::from(h.record_count));
             self.store.bytes_in.add(chunk.len() as u64);
         }
-        // Wake parked follower fetches, then wait for acks=all.
-        self.store.notify_appends();
-        let timeout = self.store.tuning.ack_timeout;
-        for (log, end) in waits {
-            log.wait_hw(end, timeout)?;
+        Ok(Delayed::Produce(ProduceResponse { acks }, waits))
+    }
+
+    /// Records the follower's positions — the replication acknowledgement
+    /// that advances high watermarks.
+    fn record_positions(&self, req: FollowerFetchRequest) -> Result<Delayed> {
+        let mut logs = Vec::with_capacity(req.entries.len());
+        for e in &req.entries {
+            let log = self.store.replica(e.stream, e.partition)?;
+            log.record_follower_fetch(req.follower, e.fetch_offset);
+            logs.push(log);
         }
-        Ok(ProduceResponse { acks })
+        Ok(Delayed::Fetch(req, logs))
     }
 
     fn handle_fetch(&self, req: FetchRequest) -> Result<FetchResponse> {
@@ -272,17 +345,14 @@ impl KafkaBrokerService {
 }
 
 impl Service for KafkaBrokerService {
+    /// The requests answered at once; produce and follower fetch go
+    /// through [`KafkaBrokerService::serve`].
     fn handle(&self, ctx: &RequestContext, payload: Bytes) -> Result<Bytes> {
         match ctx.opcode {
             OpCode::Ping => Ok(Bytes::new()),
             OpCode::HostStream => {
-                let req = HostStreamRequest::decode(&payload)?;
-                self.handle_host(req)?;
+                self.handle_host(HostStreamRequest::decode(&payload)?);
                 Ok(Bytes::new())
-            }
-            OpCode::Produce => {
-                let req = ProduceRequest::decode_bytes(&payload)?;
-                Ok(self.handle_produce(req)?.encode())
             }
             OpCode::Fetch => {
                 let req = FetchRequest::decode(&payload)?;
@@ -303,68 +373,20 @@ impl Service for KafkaBrokerService {
             other => Err(KeraError::Protocol(format!("kafka broker cannot serve {other:?}"))),
         }
     }
-}
 
-/// The replication-facing service: serves follower fetches from the
-/// leader's logs, parking empty fetches up to `fetch.wait.max.ms`.
-pub struct KafkaReplicaService {
-    store: Arc<TopicStore>,
-}
-
-impl KafkaReplicaService {
-    pub fn new(store: Arc<TopicStore>) -> Arc<Self> {
-        Arc::new(Self { store })
-    }
-
-    fn handle_follower_fetch(&self, req: FollowerFetchRequest) -> Result<FollowerFetchResponse> {
-        let max = req.max_bytes_per_partition as usize;
-        let deadline = Instant::now() + self.store.tuning.fetch_wait;
-        loop {
-            // Pass 1: record fetch positions (this is the replication
-            // acknowledgement that advances high watermarks).
-            let mut logs = Vec::with_capacity(req.entries.len());
-            for e in &req.entries {
-                let log = self.store.replica(e.stream, e.partition)?;
-                log.record_follower_fetch(req.follower, e.fetch_offset);
-                logs.push(log);
-            }
-            // Pass 2: collect available data.
-            let mut results = Vec::with_capacity(req.entries.len());
-            let mut total = 0usize;
-            for (e, log) in req.entries.iter().zip(&logs) {
-                let data = log.read_chunks(e.fetch_offset, max, log.leo());
-                total += data.len();
-                results.push(FollowerFetchResult {
-                    stream: e.stream,
-                    partition: e.partition,
-                    high_watermark: log.high_watermark(),
-                    data: Bytes::from(data),
-                });
-            }
-            if total > 0 || Instant::now() >= deadline {
-                self.store.follower_fetches.inc();
-                return Ok(FollowerFetchResponse { results });
-            }
-            // Nothing available: park until an append or the deadline
-            // (Kafka's fetch purgatory).
-            let mut guard = self.store.data_lock.lock();
-            let now = Instant::now();
-            if now < deadline {
-                self.store.data_cv.wait_for(&mut guard, deadline - now);
-            }
-        }
-    }
-}
-
-impl Service for KafkaReplicaService {
-    fn handle(&self, ctx: &RequestContext, payload: Bytes) -> Result<Bytes> {
-        match ctx.opcode {
-            OpCode::Ping => Ok(Bytes::new()),
+    /// A produce and a follower fetch may wait in the purgatory; whatever
+    /// completes them sends their reply.
+    fn serve(&self, ctx: &RequestContext, payload: Bytes, reply: Reply) {
+        let op = match ctx.opcode {
+            OpCode::Produce => ProduceRequest::decode_bytes(&payload).and_then(|r| self.append(r)),
             OpCode::FollowerFetch => {
-                let req = FollowerFetchRequest::decode(&payload)?;
-                self.handle_follower_fetch(req)?.encode()
+                FollowerFetchRequest::decode(&payload).and_then(|r| self.record_positions(r))
             }
-            other => Err(KeraError::Protocol(format!("replica service cannot serve {other:?}"))),
+            _ => return reply.send(self.handle(ctx, payload)),
+        };
+        match op {
+            Ok(op) => self.store.settle(op, reply),
+            Err(e) => reply.send(Err(e)),
         }
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! Node id scheme (shared fabric layout with `kera_broker::cluster` so
 //! the same client stack talks to both systems):
-//! coordinator = 0, broker `i` = `1 + i`, replica service of broker `i` =
-//! `3001 + i`, clients = `2001 + i`.
+//! coordinator = 0, broker `i` = `1 + i`, clients = `2001 + i`. A broker
+//! is one node: its followers fetch from the runtime its clients call.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use kera_common::config::ClusterConfig;
@@ -16,7 +15,7 @@ use kera_obs::{NodeObs, RegistrySnapshot};
 use kera_rpc::{InMemNetwork, NodeRuntime, NullService};
 use parking_lot::Mutex;
 
-use crate::broker::{KafkaBrokerService, KafkaReplicaService, KafkaTuning, TopicStore};
+use crate::broker::{KafkaBrokerService, KafkaTuning, TopicStore};
 use crate::coordinator::KafkaCoordinator;
 use crate::fetcher::FetcherRunner;
 
@@ -24,10 +23,6 @@ pub const COORDINATOR: NodeId = NodeId(0);
 
 pub const fn broker_node(i: u32) -> NodeId {
     NodeId(1 + i)
-}
-
-pub const fn replica_node(i: u32) -> NodeId {
-    NodeId(3001 + i)
 }
 
 pub const fn client_node(i: u32) -> NodeId {
@@ -40,7 +35,6 @@ pub struct KafkaCluster {
     config: ClusterConfig,
     coordinator_rt: Option<NodeRuntime>,
     broker_rts: Vec<Option<NodeRuntime>>,
-    replica_rts: Vec<Option<NodeRuntime>>,
     fetchers: Vec<Arc<FetcherRunner>>,
     pub coordinator_svc: Arc<KafkaCoordinator>,
     pub broker_svcs: Vec<Arc<KafkaBrokerService>>,
@@ -50,23 +44,15 @@ pub struct KafkaCluster {
 }
 
 impl KafkaCluster {
-    pub fn start(config: ClusterConfig, mut tuning: KafkaTuning) -> Result<KafkaCluster> {
+    pub fn start(config: ClusterConfig, tuning: KafkaTuning) -> Result<KafkaCluster> {
         config.validate()?;
-        // The cluster-level IO cost model applies unless the tuning
-        // already sets one explicitly.
-        if tuning.io_cost_ns == 0 {
-            tuning.io_cost_ns = config.io_cost_ns;
-        }
         let net = InMemNetwork::new(config.network);
         let b = config.brokers;
         let broker_ids: Vec<NodeId> = (0..b).map(broker_node).collect();
-        let replica_node_of: HashMap<NodeId, NodeId> =
-            (0..b).map(|i| (broker_node(i), replica_node(i))).collect();
 
         let mut stores = Vec::with_capacity(b as usize);
         let mut broker_svcs = Vec::with_capacity(b as usize);
         let mut broker_rts = Vec::with_capacity(b as usize);
-        let mut replica_rts = Vec::with_capacity(b as usize);
         let mut fetchers = Vec::with_capacity(b as usize);
 
         let mut node_obs: Vec<Arc<NodeObs>> = Vec::new();
@@ -81,13 +67,10 @@ impl KafkaCluster {
 
         for i in 0..b {
             let broker_obs = make_obs(broker_node(i));
-            let replica_obs = make_obs(replica_node(i));
             node_obs.push(Arc::clone(&broker_obs));
-            node_obs.push(Arc::clone(&replica_obs));
             let store =
                 TopicStore::new_with_obs(broker_node(i), tuning, Arc::clone(&broker_obs));
-            let broker_svc = KafkaBrokerService::new(Arc::clone(&store), replica_node_of.clone());
-            let replica_svc = KafkaReplicaService::new(Arc::clone(&store));
+            let broker_svc = KafkaBrokerService::new(Arc::clone(&store));
 
             let broker_rt = NodeRuntime::start_with_obs(
                 Arc::new(net.register(broker_node(i))),
@@ -96,22 +79,11 @@ impl KafkaCluster {
                 config.retry,
                 broker_obs,
             );
-            // The replica service gets its own small worker pool so
-            // replication can never be starved by blocked produce workers.
-            let replica_rt = NodeRuntime::start_with_obs(
-                Arc::new(net.register(replica_node(i))),
-                replica_svc as Arc<dyn kera_rpc::Service>,
-                2.max(config.worker_threads / 2),
-                config.retry,
-                replica_obs,
-            );
-
             let fetcher = FetcherRunner::new(
                 broker_node(i),
                 broker_rt.client(),
                 Arc::clone(&broker_svc),
-                tuning.fetch_max_bytes_per_partition,
-                tuning.io_cost_ns,
+                config.io_cost_ns,
             );
             {
                 // Weak: the callback must not create a reference cycle
@@ -128,7 +100,6 @@ impl KafkaCluster {
             stores.push(store);
             broker_svcs.push(broker_svc);
             broker_rts.push(Some(broker_rt));
-            replica_rts.push(Some(replica_rt));
             fetchers.push(fetcher);
         }
 
@@ -149,7 +120,6 @@ impl KafkaCluster {
             config,
             coordinator_rt: Some(coordinator_rt),
             broker_rts,
-            replica_rts,
             fetchers,
             coordinator_svc,
             broker_svcs,
@@ -193,7 +163,7 @@ impl KafkaCluster {
         )
     }
 
-    /// Per-node observability handles (brokers, replicas, coordinator).
+    /// Per-node observability handles (brokers, coordinator).
     pub fn node_obs(&self) -> &[Arc<NodeObs>] {
         &self.node_obs
     }
@@ -217,18 +187,16 @@ impl KafkaCluster {
     }
 
     fn shutdown_inner(&mut self) {
-        // Stop fetchers first so they don't spin against dead leaders.
-        for f in &self.fetchers {
-            f.shutdown();
-        }
+        // Nodes first: a fetcher waiting for a fetch its leader keeps in
+        // the purgatory fails at once instead of at `fetch_wait`.
         if let Some(rt) = self.coordinator_rt.take() {
             rt.shutdown();
         }
         for rt in self.broker_rts.iter_mut().filter_map(Option::take) {
             rt.shutdown();
         }
-        for rt in self.replica_rts.iter_mut().filter_map(Option::take) {
-            rt.shutdown();
+        for f in &self.fetchers {
+            f.shutdown();
         }
     }
 }
@@ -438,9 +406,8 @@ mod tests {
 
     #[test]
     fn consumers_cannot_read_above_high_watermark() {
-        // Kill the followers' fetchers by never creating them: topic R3
-        // on a 3-broker cluster, then crash the follower replica services
-        // before producing. Produce must time out; nothing readable.
+        // Topic R3 on a 3-broker cluster, then crash both followers before
+        // producing. Produce must time out; nothing readable.
         let cfg = ClusterConfig { brokers: 3, ..ClusterConfig::default() };
         let tuning =
             KafkaTuning { ack_timeout: Duration::from_millis(300), ..KafkaTuning::default() };

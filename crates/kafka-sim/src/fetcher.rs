@@ -23,17 +23,19 @@ use parking_lot::Mutex;
 use crate::broker::KafkaBrokerService;
 use crate::partition::PartitionLog;
 
+/// `replica.fetch.max.bytes`: what one fetch takes from one partition.
+const FETCH_MAX_BYTES_PER_PARTITION: u32 = 1 << 20;
+
 /// Runs and owns a broker's replica fetcher threads.
 pub struct FetcherRunner {
     node: NodeId,
     client: RpcClient,
     broker: Arc<KafkaBrokerService>,
-    max_bytes_per_partition: u32,
     /// Per-partition write cost (each partition is its own log file).
     io_cost_ns: u64,
     shutdown: Arc<AtomicBool>,
     threads: Mutex<HashMap<NodeId, std::thread::JoinHandle<()>>>,
-    /// Shared registry: leader replica-node -> partitions to fetch.
+    /// Shared registry: leader broker -> partitions to fetch.
     targets: Arc<Mutex<HashMap<NodeId, Vec<Arc<PartitionLog>>>>>,
 }
 
@@ -42,14 +44,12 @@ impl FetcherRunner {
         node: NodeId,
         client: RpcClient,
         broker: Arc<KafkaBrokerService>,
-        max_bytes_per_partition: u32,
         io_cost_ns: u64,
     ) -> Arc<Self> {
         Arc::new(Self {
             node,
             client,
             broker,
-            max_bytes_per_partition,
             io_cost_ns,
             shutdown: Arc::new(AtomicBool::new(false)),
             threads: Mutex::new(HashMap::new()),
@@ -61,18 +61,14 @@ impl FetcherRunner {
     /// since the last call and (re)arms fetcher threads. Called after
     /// every topic creation (the cluster wires this to HostStream).
     pub fn refresh(self: &Arc<Self>) {
-        for (leader_replica_node, log) in self.broker.take_new_follower_targets() {
-            self.targets.lock().entry(leader_replica_node).or_default().push(log);
+        for (leader, log) in self.broker.take_new_follower_targets() {
+            self.targets.lock().entry(leader).or_default().push(log);
             let mut threads = self.threads.lock();
-            threads.entry(leader_replica_node).or_insert_with(|| {
+            threads.entry(leader).or_insert_with(|| {
                 let me = Arc::clone(self);
                 std::thread::Builder::new()
-                    .name(format!(
-                        "replica-fetcher-{}-from-{}",
-                        self.node.raw(),
-                        leader_replica_node.raw()
-                    ))
-                    .spawn(move || me.fetch_loop(leader_replica_node))
+                    .name(format!("replica-fetcher-{}-from-{}", self.node.raw(), leader.raw()))
+                    .spawn(move || me.fetch_loop(leader))
                     .expect("spawn replica fetcher")
             });
         }
@@ -96,10 +92,10 @@ impl FetcherRunner {
                 .collect();
             let req = FollowerFetchRequest {
                 follower: self.node,
-                max_bytes_per_partition: self.max_bytes_per_partition,
+                max_bytes_per_partition: FETCH_MAX_BYTES_PER_PARTITION,
                 entries,
             };
-            // The leader parks empty fetches for up to fetch.wait, so the
+            // The leader keeps an empty fetch for up to fetch.wait, so the
             // timeout must comfortably exceed it.
             let resp = self.client.call(
                 leader,

@@ -18,7 +18,8 @@
 //! - [`partition`] — the per-partition replicated log: leader state, log
 //!   end offset, high watermark, follower progress;
 //! - [`broker`] — topic store + the broker service (produce, consumer
-//!   fetch, hosting) and the replica service (follower fetch);
+//!   fetch, hosting, follower fetch), whose produce and follower fetch
+//!   wait in a purgatory instead of parking a worker;
 //! - [`fetcher`] — replica fetcher threads (one per leader a broker
 //!   follows, like `num.replica.fetchers = 1`);
 //! - [`coordinator`] — topic creation with leader/follower placement;

@@ -5,17 +5,16 @@
 //! logical record offsets carried inside the chunk headers exactly as in
 //! KerA. The leader tracks each follower's log-end offset (learned from
 //! its fetch requests) and advances the high watermark to the minimum;
-//! producers using acks=all block until the high watermark covers their
-//! batch.
+//! a produce using acks=all is answered once the high watermark covers
+//! its batch (see the broker's purgatory).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 use kera_common::ids::{NodeId, SegmentId, StreamId, StreamletId};
 use kera_common::{KeraError, Result};
 use kera_wire::chunk::{self, CHUNK_HEADER};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 /// Role of this replica.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,13 +41,10 @@ pub struct PartitionLog {
     /// Replication factor of the topic.
     factor: u32,
     inner: Mutex<LogInner>,
-    /// Log end offset in bytes (published).
+    /// Log end offset in bytes, published under `inner` so it only grows.
     leo: AtomicU64,
     /// High watermark in bytes (consumer-visible, durable).
     hw: AtomicU64,
-    /// Signalled when the high watermark advances (producer acks).
-    hw_cv: Condvar,
-    hw_lock: Mutex<()>,
 }
 
 impl PartitionLog {
@@ -66,8 +62,6 @@ impl PartitionLog {
             }),
             leo: AtomicU64::new(0),
             hw: AtomicU64::new(0),
-            hw_cv: Condvar::new(),
-            hw_lock: Mutex::named("ksim.hw", ()),
         }
     }
 
@@ -119,8 +113,11 @@ impl PartitionLog {
             base,
         );
         let end = inner.data.len() as u64;
-        drop(inner);
+        // Published before the lock goes: two appenders storing their ends
+        // after it could leave the lower one last, and a produce whose end
+        // lies above a log end that went back waits for the next append.
         self.leo.store(end, Ordering::Release);
+        drop(inner);
         if self.factor == 1 {
             self.advance_hw(end);
         }
@@ -133,8 +130,8 @@ impl PartitionLog {
         let mut inner = self.inner.lock();
         inner.data.extend_from_slice(bytes);
         let end = inner.data.len() as u64;
-        drop(inner);
         self.leo.store(end, Ordering::Release);
+        drop(inner);
         // Followers adopt the leader's HW (bounded by what they hold).
         self.advance_hw(high_watermark.min(end));
         Ok(())
@@ -158,31 +155,7 @@ impl PartitionLog {
     }
 
     fn advance_hw(&self, new_hw: u64) -> bool {
-        let prev = self.hw.fetch_max(new_hw, Ordering::AcqRel);
-        if new_hw > prev {
-            let _g = self.hw_lock.lock();
-            self.hw_cv.notify_all();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Blocks until the high watermark reaches `target` (acks=all) or the
-    /// timeout expires.
-    pub fn wait_hw(&self, target: u64, timeout: Duration) -> Result<()> {
-        let deadline = Instant::now() + timeout;
-        let mut guard = self.hw_lock.lock();
-        loop {
-            if self.high_watermark() >= target {
-                return Ok(());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(KeraError::Timeout { op: "acks=all high-watermark wait" });
-            }
-            self.hw_cv.wait_for(&mut guard, deadline - now);
-        }
+        self.hw.fetch_max(new_hw, Ordering::AcqRel) < new_hw
     }
 
     /// Byte offset of the chunk covering `record_offset` (leader's
@@ -269,7 +242,6 @@ mod tests {
         assert_eq!(base, 0);
         assert_eq!(end, c.len() as u64);
         assert_eq!(log.high_watermark(), end);
-        log.wait_hw(end, Duration::from_millis(10)).unwrap();
     }
 
     #[test]
@@ -287,29 +259,6 @@ mod tests {
         // Second follower catches up.
         assert!(log.record_follower_fetch(NodeId(3), end));
         assert_eq!(log.high_watermark(), end);
-    }
-
-    #[test]
-    fn wait_hw_blocks_and_wakes() {
-        let log = std::sync::Arc::new(leader(2));
-        let c = chunk(1);
-        let (_, end) = log.append_leader(&c, 1).unwrap();
-        let waiter = {
-            let log = std::sync::Arc::clone(&log);
-            std::thread::spawn(move || log.wait_hw(end, Duration::from_secs(2)))
-        };
-        std::thread::sleep(Duration::from_millis(30));
-        log.record_follower_fetch(NodeId(2), end);
-        waiter.join().unwrap().unwrap();
-    }
-
-    #[test]
-    fn wait_hw_times_out() {
-        let log = leader(3);
-        let c = chunk(1);
-        let (_, end) = log.append_leader(&c, 1).unwrap();
-        let err = log.wait_hw(end, Duration::from_millis(30)).unwrap_err();
-        assert!(matches!(err, KeraError::Timeout { .. }));
     }
 
     #[test]

@@ -202,6 +202,55 @@ fn fetchers_replicate_and_hw_advances_without_producers_waiting() {
     cluster.shutdown();
 }
 
+/// A follower fetch cannot sleep through the append it waits for. Before
+/// the purgatory, the replica service's fetch handler read its partitions
+/// (finding nothing new) and only then took `data_lock` to wait on
+/// `data_cv`: a produce whose append and `notify_appends` fell between
+/// that read and that lock left the fetch asleep for the whole
+/// `fetch_wait`, and the produce waited in `wait_hw` for the position that
+/// fetch would have reported. With `fetch_wait` at 5 s, such a produce
+/// takes 5 s here.
+#[test]
+fn acks_all_produces_never_wait_out_a_fetch_that_missed_their_append() {
+    let cluster = KafkaCluster::start(
+        ClusterConfig { brokers: 2, worker_threads: 2, ..ClusterConfig::default() },
+        KafkaTuning { fetch_wait: Duration::from_secs(5), ..KafkaTuning::default() },
+    )
+    .unwrap();
+    let rt = cluster.client(0);
+    let client = rt.client();
+    client
+        .call(
+            COORDINATOR,
+            OpCode::CreateStream,
+            CreateStreamRequest { config: topic(1, 1, 2) }.encode(),
+            Duration::from_secs(5),
+        )
+        .unwrap();
+    for i in 0..200u32 {
+        let mut b = kera_wire::chunk::ChunkBuilder::new(
+            1024,
+            ProducerId(0),
+            StreamId(1),
+            StreamletId(0),
+        );
+        b.append(&kera_wire::record::Record::value_only(&i.to_le_bytes()));
+        let req = kera_wire::messages::ProduceRequest {
+            producer: ProducerId(0),
+            recovery: false,
+            chunk_count: 1,
+            chunks: b.seal(),
+        };
+        let started = std::time::Instant::now();
+        client
+            .call(broker_node(0), OpCode::Produce, req.encode(), Duration::from_secs(10))
+            .unwrap();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "produce {i} took {took:?}");
+    }
+    cluster.shutdown();
+}
+
 #[test]
 fn roles_are_reported() {
     use crate::partition::{PartitionLog, Role};

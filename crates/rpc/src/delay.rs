@@ -1,9 +1,10 @@
 //! The delay line: items held until a due time, then handed to a sink.
 //!
-//! One timing heap on one thread, the one mechanism of the two places
-//! that hold messages back in time — [`crate::inmem`]'s latency model
-//! (one line per network) and [`crate::faults`]' delay fault (one line
-//! per plan). Release order is `(due, arrival)`:
+//! One timing heap on one thread, the one mechanism of every place that
+//! holds something back in time — [`crate::inmem`]'s latency model (one
+//! line per network), [`crate::faults`]' delay fault (one line per plan)
+//! and, outside this crate, kafka-sim's purgatory timeouts (one line per
+//! broker). Release order is `(due, arrival)`:
 //! earliest due time first, FIFO among equal due times, so a constant
 //! delay preserves per-link order. Dropping the line closes it: whatever
 //! is still held is released at once, in the same order, and the thread
@@ -39,7 +40,8 @@ impl<T> Ord for Held<T> {
     }
 }
 
-pub(crate) struct DelayLine<T> {
+/// A timing heap on its own thread (see the module docs).
+pub struct DelayLine<T> {
     tx: Option<Sender<(Instant, T)>>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -47,19 +49,19 @@ pub(crate) struct DelayLine<T> {
 impl<T: Send + 'static> DelayLine<T> {
     /// Starts the line's thread; `sink` receives each item once its due
     /// time has passed (or the line closes).
-    pub(crate) fn spawn(name: &str, sink: impl FnMut(T) + Send + 'static) -> DelayLine<T> {
+    pub fn spawn(name: &str, sink: impl FnMut(T) + Send + 'static) -> DelayLine<T> {
         let (tx, rx) = channel::unbounded();
         let thread = std::thread::Builder::new()
             .name(name.into())
             .spawn(move || run(rx, sink))
-            // lint: allow(no-panic) — spawn failure while assembling a test
-            // fabric (latency model / fault injector) is fatal by design.
+            // lint: allow(no-panic) — spawn failure while assembling a node
+            // or a test fabric is fatal by design.
             .expect("spawn delay line");
         DelayLine { tx: Some(tx), thread: Some(thread) }
     }
 
     /// Holds `item` until `due`. False when the line's thread is gone.
-    pub(crate) fn hold(&self, due: Instant, item: T) -> bool {
+    pub fn hold(&self, due: Instant, item: T) -> bool {
         self.tx.as_ref().is_some_and(|tx| tx.send((due, item)).is_ok())
     }
 }

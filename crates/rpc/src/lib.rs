@@ -20,7 +20,8 @@
 //! - [`faults`] — a transport wrapper injecting drops, duplicates, delays,
 //!   partitions and held nodes below the RPC layer, for chaos testing;
 //! - [`node`] — the node runtime: delivery completes pending calls and
-//!   queues admitted requests for a worker pool;
+//!   queues admitted requests for a worker pool, whose handlers answer by
+//!   returning or through a [`node::Reply`] sent later;
 //!   [`node::RpcClient`] issues calls that retransmit under a bounded
 //!   retry policy (at-most-once via a server-side response cache),
 //!   waited on at once (`call`) or later (`call_async`).
@@ -36,10 +37,11 @@ pub mod node;
 pub mod tcp;
 pub mod transport;
 
+pub use delay::DelayLine;
 pub use faults::{FaultInjector, FaultPlan};
 pub use inmem::InMemNetwork;
 pub use network::{AnyNetwork, TransportKind};
-pub use node::{NodeRuntime, NullService, PendingCall, RequestContext, RpcClient, Service};
+pub use node::{NodeRuntime, NullService, PendingCall, Reply, RequestContext, RpcClient, Service};
 pub use transport::{Deliver, Transport};
 
 /// Live threads of this process whose name starts with `prefix` (Linux

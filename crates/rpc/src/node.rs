@@ -10,7 +10,9 @@
 //! the data, so a thread parks in one place for all its calls. The one
 //! rule: delivery never runs a handler, never blocks, and holds no lock
 //! across a send or an unpark — so a worker blocked inside a handler (e.g.
-//! a broker waiting for backup acks) can always be completed.
+//! a broker waiting for backup acks) can always be completed. A service
+//! need not block at all: it may keep a request's [`Reply`] and send it
+//! from whichever thread completes the request, freeing the worker.
 //!
 //! Every call is a [`PendingCall`] that retransmits while waited on; a
 //! synchronous [`RpcClient::call`] is `issue(..).wait(..)` with an overall
@@ -37,7 +39,7 @@ use kera_common::metrics::Counter;
 use kera_common::rng::SplitMix64;
 use kera_common::{KeraError, Result};
 use kera_obs::{NodeObs, Span, Stage, TraceContext};
-use kera_wire::frames::{Envelope, FrameKind, OpCode};
+use kera_wire::frames::{Envelope, FrameKind, OpCode, StatusCode};
 use parking_lot::Mutex;
 
 use crate::transport::{Deliver, Transport};
@@ -67,9 +69,65 @@ impl RequestContext {
 }
 
 /// The application living on a node. Handlers run on worker threads and
-/// may block (e.g. on replication acks of nested RPCs).
+/// may block (KerA's produce waits there for its backups' acks); one that
+/// waits on an event instead keeps its [`Reply`] ([`Service::serve`]).
 pub trait Service: Send + Sync + 'static {
     fn handle(&self, ctx: &RequestContext, payload: Bytes) -> Result<Bytes>;
+
+    /// Serves one request: `reply` is sent now, or later from any thread
+    /// by whoever completes the request. The default answers with
+    /// [`Service::handle`].
+    fn serve(&self, ctx: &RequestContext, payload: Bytes, reply: Reply) {
+        reply.send(self.handle(ctx, payload));
+    }
+}
+
+/// The answer to one request, sent once, by any thread. Until then the
+/// request is in flight: it counts in `inflight` and a retransmit of it is
+/// dropped. Dropped unsent, it clears the in-flight mark as an expired
+/// request does. It holds its node weakly: one that outlives its node is
+/// sent nowhere.
+pub struct Reply {
+    node: Weak<NodeInner>,
+    /// (caller, request id): the dedup key.
+    key: (NodeId, u64),
+    opcode: OpCode,
+    /// The serve span; `None` once sent.
+    span: Option<Span>,
+}
+
+impl Reply {
+    /// What a worker did once a handler returned: finish the serve span,
+    /// cache the reply for duplicates, send it.
+    pub fn send(mut self, result: Result<Bytes>) {
+        let (Some(inner), Some(mut span)) = (self.node.upgrade(), self.span.take()) else { return };
+        let ((to, id), op) = (self.key, self.opcode);
+        let reply = match result {
+            Ok(payload) => Envelope::response(op, id, inner.id, StatusCode::Ok, payload),
+            Err(e) => {
+                // Errored serves are force-sampled into the slow-trace
+                // store regardless of duration.
+                span.set_error();
+                Envelope::error_response(op, id, inner.id, &e)
+            }
+        };
+        inner.obs.inflight_exit();
+        span.set_aux(reply.payload.len() as u64);
+        span.finish();
+        inner.dedup.complete(self.key, reply.clone());
+        inner.requests_served.inc();
+        // The requester may be gone; that's its problem.
+        let _ = inner.send(to, reply);
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(inner) = self.span.take().and_then(|_| self.node.upgrade()) {
+            inner.obs.inflight_exit();
+            inner.dedup.abandon(self.key);
+        }
+    }
 }
 
 /// A service that rejects everything — used by pure client nodes.
@@ -414,31 +472,9 @@ fn worker_loop(
             trace: span.context(),
         };
         inner.obs.inflight_enter();
-        let reply = {
-            let _in_trace = kera_obs::enter(ctx.trace);
-            match service.handle(&ctx, env.payload) {
-                Ok(payload) => Envelope::response(
-                    ctx.opcode,
-                    ctx.request_id,
-                    inner.id,
-                    kera_wire::frames::StatusCode::Ok,
-                    payload,
-                ),
-                Err(e) => {
-                    // Errored serves are force-sampled into the
-                    // slow-trace store regardless of duration.
-                    span.set_error();
-                    Envelope::error_response(ctx.opcode, ctx.request_id, inner.id, &e)
-                }
-            }
-        };
-        inner.obs.inflight_exit();
-        span.set_aux(reply.payload.len() as u64);
-        span.finish();
-        inner.dedup.complete(key, reply.clone());
-        inner.requests_served.inc();
-        // The requester may be gone; that's its problem.
-        let _ = inner.send(ctx.from, reply);
+        let reply = Reply { node: Arc::downgrade(&inner), key, opcode: env.opcode, span: Some(span) };
+        let _in_trace = kera_obs::enter(ctx.trace);
+        service.serve(&ctx, env.payload, reply);
     }
     let _ = inner.work_tx.send(None);
 }
@@ -949,6 +985,118 @@ mod tests {
         assert_eq!(&got[..], b"through");
     }
 
+    /// Keeps the [`Reply`] of every `Fetch` (counting how often that
+    /// handler ran) for the test to send or drop; echoes anything else.
+    #[derive(Default)]
+    struct Parking {
+        parked: Mutex<Vec<Reply>>,
+        hits: std::sync::atomic::AtomicU64,
+    }
+
+    impl Parking {
+        fn wait_parked(&self, n: usize) {
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while self.parked.lock().len() < n {
+                assert!(Instant::now() < deadline, "no request parked its reply");
+                std::thread::yield_now();
+            }
+        }
+
+        fn take(&self) -> Reply {
+            self.parked.lock().pop().expect("a parked reply")
+        }
+    }
+
+    impl Service for Parking {
+        fn handle(&self, _ctx: &RequestContext, payload: Bytes) -> Result<Bytes> {
+            Ok(payload)
+        }
+
+        fn serve(&self, ctx: &RequestContext, payload: Bytes, reply: Reply) {
+            if ctx.opcode != OpCode::Fetch {
+                return reply.send(self.handle(ctx, payload));
+            }
+            self.hits.fetch_add(1, Ordering::SeqCst);
+            self.parked.lock().push(reply);
+        }
+    }
+
+    /// A server of one worker and the raw transport of a client whose
+    /// retransmits are sent by hand.
+    fn parking_server(
+    ) -> (InMemNetwork, Arc<Parking>, NodeRuntime, crate::inmem::InMemTransport, Arc<Collector>)
+    {
+        let net = InMemNetwork::new(NetworkModel::default());
+        let svc = Arc::new(Parking::default());
+        let server = NodeRuntime::start(
+            Arc::new(net.register(NodeId(1))),
+            Arc::clone(&svc) as Arc<dyn Service>,
+            1,
+        );
+        let (raw, raw_in) = crate::testkit::endpoint(net.register(NodeId(9)));
+        (net, svc, server, raw, raw_in)
+    }
+
+    #[test]
+    fn a_parked_reply_frees_its_worker() {
+        let net = InMemNetwork::new(NetworkModel::default());
+        let svc = Arc::new(Parking::default());
+        let _server = NodeRuntime::start(
+            Arc::new(net.register(NodeId(1))),
+            Arc::clone(&svc) as Arc<dyn Service>,
+            1,
+        );
+        let client =
+            NodeRuntime::start(Arc::new(net.register(NodeId(2))), Arc::new(NullService), 1);
+        let c = client.client();
+        let mut parked = c.call_async(NodeId(1), OpCode::Fetch, Bytes::from_static(b"later"));
+        // The one worker kept the first reply and is free for the second.
+        let now = c.call(NodeId(1), OpCode::Ping, Bytes::from_static(b"now"), Duration::from_secs(2));
+        assert_eq!(&now.unwrap()[..], b"now");
+        assert!(parked.poll_wait(Duration::ZERO).is_none(), "answered before its reply was sent");
+        let reply = svc.take();
+        std::thread::spawn(move || reply.send(Ok(Bytes::from_static(b"later")))).join().unwrap();
+        assert_eq!(&parked.wait(Duration::from_secs(2)).unwrap()[..], b"later");
+    }
+
+    #[test]
+    fn a_retransmit_of_a_parked_request_is_in_flight_until_its_reply_is_sent() {
+        let (_net, svc, server, raw, raw_in) = parking_server();
+        let req = Envelope::request(OpCode::Fetch, 77, NodeId(9), Bytes::new());
+        raw.send(NodeId(1), req.clone()).unwrap();
+        svc.wait_parked(1);
+        // The retransmit is dropped: its original is in flight.
+        raw.send(NodeId(1), req.clone()).unwrap();
+        assert!(raw_in.recv(Duration::from_millis(50)).unwrap().is_none());
+        assert!(server.requests_deduped() >= 1);
+        // The late reply answers the call...
+        svc.take().send(Ok(Bytes::from_static(b"late")));
+        let first = raw_in.recv(Duration::from_secs(1)).unwrap().expect("the late reply");
+        assert_eq!((first.request_id, &first.payload[..]), (77, &b"late"[..]));
+        // ...and is what a third copy gets, from the cache.
+        raw.send(NodeId(1), req).unwrap();
+        let third = raw_in.recv(Duration::from_secs(1)).unwrap().expect("the cached reply");
+        assert_eq!(&third.payload[..], b"late");
+        assert_eq!(svc.hits.load(Ordering::SeqCst), 1, "the handler ran for a duplicate");
+        assert_eq!(server.requests_deduped(), 2);
+    }
+
+    #[test]
+    fn a_reply_dropped_unsent_lets_a_retry_run_again() {
+        let (_net, svc, _server, raw, raw_in) = parking_server();
+        let req = Envelope::request(OpCode::Fetch, 5, NodeId(9), Bytes::new());
+        raw.send(NodeId(1), req.clone()).unwrap();
+        svc.wait_parked(1);
+        drop(svc.take());
+        assert!(raw_in.recv(Duration::from_millis(20)).unwrap().is_none(), "a dropped reply was sent");
+        raw.send(NodeId(1), req).unwrap();
+        svc.wait_parked(1);
+        assert_eq!(svc.hits.load(Ordering::SeqCst), 2, "the retry was taken for a duplicate");
+        svc.take().send(Ok(Bytes::from_static(b"again")));
+        let resp = raw_in.recv(Duration::from_secs(1)).unwrap().expect("the retry's reply");
+        assert_eq!(&resp.payload[..], b"again");
+    }
+
     #[test]
     fn null_service_rejects() {
         let (_net, _server, _client) = pair();
@@ -1049,8 +1197,12 @@ mod tests {
         use crate::network::{AnyNetwork, TransportKind};
         for kind in [TransportKind::InMemory, TransportKind::Tcp] {
             let net = AnyNetwork::new(kind, NetworkModel::default());
-            let server =
-                NodeRuntime::start(net.register(NodeId(1)).unwrap(), Arc::new(EchoService), 1);
+            let svc = Arc::new(Parking::default());
+            let server = NodeRuntime::start(
+                net.register(NodeId(1)).unwrap(),
+                Arc::clone(&svc) as Arc<dyn Service>,
+                1,
+            );
             let client =
                 NodeRuntime::start(net.register(NodeId(2)).unwrap(), Arc::new(NullService), 1);
             // Traffic both ways, so TCP has live reader threads on each side.
@@ -1058,6 +1210,9 @@ mod tests {
                 .client()
                 .call(NodeId(1), OpCode::Ping, Bytes::new(), Duration::from_secs(2))
                 .unwrap();
+            // A reply parked with the service outlives the runtime.
+            drop(client.client().call_async(NodeId(1), OpCode::Fetch, Bytes::new()));
+            svc.wait_parked(1);
             let nodes = [Arc::downgrade(&server.inner), Arc::downgrade(&client.inner)];
             drop(client);
             drop(server);
@@ -1068,6 +1223,9 @@ mod tests {
                 assert!(Instant::now() < deadline, "{kind:?} leaked a node");
                 std::thread::yield_now();
             }
+            // Sending it now goes nowhere, and brings nothing back.
+            svc.take().send(Ok(Bytes::from_static(b"too late")));
+            assert!(nodes.iter().all(|n| n.upgrade().is_none()));
         }
     }
 

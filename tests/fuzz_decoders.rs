@@ -157,6 +157,80 @@ fn hostile_chunk_count_is_a_protocol_error_on_both_brokers() {
     }
 }
 
+/// A chunk with one payload bit flipped is refused wherever a copy is
+/// stored: by KerA's backup, and — as Kafka's log append checks every
+/// batch — by kafka-sim's leader (`Corruption` to the producer, nothing
+/// appended) and its follower (log end unchanged, so it is fetched again).
+#[test]
+fn corrupt_chunk_is_refused_by_backups_leaders_and_followers() {
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use kera::broker::backup::BackupService;
+    use kera::common::ids::{NodeId, ProducerId, StreamId, StreamletId};
+    use kera::common::ids::{VirtualLogId, VirtualSegmentId};
+    use kera::kafka_sim::broker::{KafkaBrokerService, KafkaTuning, TopicStore};
+    use kera::kafka_sim::partition::{PartitionLog, Role};
+    use kera::rpc::{InMemNetwork, NodeRuntime, NullService, RequestContext, Service};
+    use kera::wire::frames::OpCode;
+
+    fn refused<T: std::fmt::Debug>(what: &str, r: kera::common::Result<T>) {
+        match r {
+            Err(KeraError::Corruption { .. }) => {}
+            other => panic!("{what} answered a corrupt chunk with {other:?}"),
+        }
+    }
+
+    let intact = chunk_train(4).swap_remove(0);
+    let mut flipped = intact.to_vec();
+    flipped[CHUNK_HEADER + 5] ^= 0x10;
+    let corrupt = Bytes::from(flipped);
+
+    let backup = BackupService::new(NodeId(100), None);
+    let write = BackupWriteRequest {
+        source_broker: NodeId(1),
+        vlog: VirtualLogId(0),
+        vseg: VirtualSegmentId(0),
+        vseg_offset: 0,
+        flags: backup_flags::OPEN,
+        vseg_checksum: 0,
+        chunk_count: 1,
+        chunks: corrupt.clone(),
+    };
+    let ctx = RequestContext {
+        from: NodeId(1),
+        opcode: OpCode::BackupWrite,
+        request_id: 1,
+        deadline: None,
+        trace: Default::default(), // untraced
+    };
+    refused("kera backup", backup.handle(&ctx, write.encode()));
+    assert_eq!(backup.bytes_held(), 0);
+
+    let net = InMemNetwork::new(Default::default());
+    let store = TopicStore::new(NodeId(1), KafkaTuning::default());
+    let leader = store.host_replica(StreamId(1), StreamletId(0), Role::Leader, 1);
+    let broker = KafkaBrokerService::new(store);
+    let _broker = NodeRuntime::start(Arc::new(net.register(NodeId(1))), broker, 1);
+    let client = Arc::new(net.register(NodeId(2001)));
+    let client = NodeRuntime::start(client, Arc::new(NullService), 1);
+    let produce = |chunk: &Bytes| {
+        let req = ProduceRequest::encode_chunks(ProducerId(3), false, std::slice::from_ref(chunk));
+        client.client().call(NodeId(1), OpCode::Produce, req, Duration::from_secs(2))
+    };
+    refused("kafka-sim leader", produce(&corrupt));
+    assert_eq!(leader.leo(), 0);
+    produce(&intact).unwrap();
+    assert_eq!(leader.leo(), intact.len() as u64);
+
+    let role = Role::Follower { leader: NodeId(1) };
+    let follower = PartitionLog::new(StreamId(1), StreamletId(0), role, 2);
+    refused("kafka-sim follower", follower.append_follower(&corrupt, u64::MAX));
+    assert_eq!((follower.leo(), follower.high_watermark()), (0, 0));
+    follower.append_follower(&intact, u64::MAX).unwrap();
+    assert_eq!(follower.leo(), intact.len() as u64);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 

@@ -160,7 +160,7 @@ fn fig10() -> Figure {
         title: "Low-latency configuration (R3, chunk 1KB, 4P+4C)",
         paper: "similar when configured identically; KerA up to 3x with fewer shared vlogs.",
         claim: Claim::Ratio { num: "KerA 4 vlogs", den: "Kafka", floor: 1.0, grows: Some(1.1) },
-        declared: Verdict::Unresolved,
+        declared: Verdict::Holds,
         points,
     }
 }

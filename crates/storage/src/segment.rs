@@ -13,6 +13,13 @@
 //!
 //! With replication factor 1 the append path advances the durable head
 //! immediately.
+//!
+//! A segment's memory is resident from [`Segment::new`] (an 8 MB segment
+//! on 2 MB pages, see [`AppendBuffer`]): whoever creates one — a group
+//! rolling on the produce worker, or a streamlet being hosted — pays its
+//! page faults there, and no append takes one. The memory is returned
+//! when the last `Arc<Segment>` drops; readers copy out of a segment
+//! (fetch, replication pack) rather than keep views of it.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 

@@ -8,6 +8,9 @@ cargo test -q --workspace
 # The SSE4.2 CRC32C kernel against the slice-by-8 tables, at the
 # optimisation level the benchmark and the figures build with.
 cargo test -q --release -p kera-common checksum
+# Segment memory (2 MB-page mappings, the heap fallback, unmap on drop),
+# likewise at the benchmark's optimisation level.
+cargo test -q --release -p kera-storage
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Concurrency/robustness analyzer: non-zero exit on any finding.
@@ -159,3 +162,14 @@ cargo run -q --release -p kera-inspect -- health --brokers 3 --replicas 3
 # with anything; a hot-path regression is judged by `benchmark/run.sh
 # repeat` + `compare` against the parent commit.
 bash benchmark/ci-smoke.sh
+
+# Per-thread CPU census (ROADMAP "What the repo's own numbers say"): one
+# smoke-length run of ingest-small-r3 under scripts/thread_cpu.sh must
+# come back with a row for a broker's RPC workers.
+census=$(scripts/thread_cpu.sh bash benchmark/run.sh --workload ingest-small-r3 \
+  --seed 1 --seconds 2 --trace 0)
+if ! grep -qE '^worker-[0-9]+ ' <<<"$census"; then
+  echo "$census" >&2
+  echo "scripts/thread_cpu.sh: no worker- row in the census" >&2
+  exit 1
+fi

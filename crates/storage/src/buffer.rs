@@ -19,6 +19,14 @@
 //! `MADV_HUGEPAGE`, so an 8 MB segment is four faults instead of 2048;
 //! anything else (smaller buffers, other targets, a failed `mmap`) is a
 //! zeroed heap allocation with the same pre-touch.
+//!
+//! The ~0.4 ms is for a host with free 2 MB blocks. With
+//! `transparent_hugepage/defrag` at the kernel's default, `madvise`, a
+//! fault in an advised range that finds none compacts memory
+//! synchronously before it falls back to 4 KB pages, and that runs here,
+//! on the produce worker holding the group's slot and segments lock. How
+//! long a roll then takes on a long-running host with fragmented memory
+//! is unmeasured; it may exceed the ~3 ms of the 4 KB pre-touch.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

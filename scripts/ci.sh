@@ -155,21 +155,16 @@ done
 # path.
 cargo run -q --release -p kera-inspect -- health --brokers 3 --replicas 3
 
-# Repo-benchmark smoke: a 2-second pass over every workload of
-# BENCHMARK.json (untraced and traced) with its read-back checks (chunk
-# CRCs, sequence continuity, consumed == acked), the result-schema test
-# and the benchmark crate's unit tests. Smoke numbers are never compared
-# with anything; a hot-path regression is judged by `benchmark/run.sh
-# repeat` + `compare` against the parent commit.
-bash benchmark/ci-smoke.sh
-
-# Per-thread CPU census (ROADMAP "What the repo's own numbers say"): one
-# smoke-length run of ingest-small-r3 under scripts/thread_cpu.sh must
-# come back with a row for a broker's RPC workers.
-census=$(scripts/thread_cpu.sh bash benchmark/run.sh --workload ingest-small-r3 \
-  --seed 1 --seconds 2 --trace 0)
-if ! grep -qE '^worker-[0-9]+ ' <<<"$census"; then
-  echo "$census" >&2
-  echo "scripts/thread_cpu.sh: no worker- row in the census" >&2
-  exit 1
-fi
+# Repo-benchmark pass: every workload of BENCHMARK.json (untraced and
+# traced) with its read-back checks (chunk CRCs, sequence continuity,
+# consumed == acked), the result-schema test and the benchmark crate's
+# unit tests -- the three steps of benchmark/ci-smoke.sh, at the
+# canonical 10-s run length instead of its 2-s one. `ingest-large-r1`
+# can reach its 4.5 M-record round quota before a round's first window
+# closes (ROADMAP item 12); a 2-s run has ~8 rounds and may keep none,
+# a 10-s run has ~40. These numbers are never compared with anything;
+# a hot-path regression is judged by `benchmark/run.sh repeat` +
+# `compare` against the parent commit.
+bash benchmark/run.sh --save benchmark/out/ci.json
+BENCH_SMOKE_RESULT=benchmark/out/ci.json python3 benchmark/test_schema.py
+cargo test --release --offline --manifest-path benchmark/Cargo.toml

@@ -5,11 +5,11 @@
 //! segment (physical append, header fields assigned in place); append a
 //! chunk *reference* to the streamlet's virtual log — atomically with the
 //! physical append, under the slot lock. Once all chunks of the request
-//! are appended, the worker that appended them synchronizes the touched
-//! virtual logs on the backups itself (`kera_vlog::sync`: one round per
-//! log, all begun before any is finished) and acknowledges the producer.
-//! A failed round fails the request and strands its chunks, invisible,
-//! until the re-send's replay ships them. Integrity note: payload checksums are
+//! are appended, the worker registers the request on every virtual log it
+//! touched and is free: the request keeps its `Reply`, and the thread that
+//! lands the last round it waits for acknowledges the producer. A failed
+//! round fails the request and strands its chunks, invisible, until the
+//! re-send's replay ships them. Integrity note: payload checksums are
 //! producer-computed and verified on the *backups* (and at recovery); the
 //! broker append path stays copy-and-patch only, preserving the paper's
 //! zero-copy claim.
@@ -24,8 +24,8 @@ use kera_common::config::{QuotaConfig, StreamConfig};
 use kera_common::ids::{NodeId, StreamId};
 use kera_common::metrics::Counter;
 use kera_common::{KeraError, Result};
-use kera_obs::{Gauge, NodeObs, Stage};
-use kera_rpc::{RequestContext, RpcClient, Service};
+use kera_obs::{Gauge, NodeObs, Stage, TraceContext};
+use kera_rpc::{Reply, RequestContext, RpcClient, Service};
 use kera_storage::store::StreamStore;
 use kera_storage::streamlet::SlotAppend;
 use kera_vlog::selector::SelectionPolicy;
@@ -43,8 +43,11 @@ use crate::channel::RpcBackupChannel;
 use crate::introspect::{self, HealthFields};
 use crate::quota::{AdmissionControl, AdmissionPermit};
 
-/// Timeout for one replication round.
+/// Budget of one backup write (its retransmits included).
 const REPLICATION_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// A produce appended: its acks, the logs it touched, its admission permit.
+type Appended = (ProduceResponse, Vec<(Arc<VirtualLog>, u64)>, AdmissionPermit);
 
 /// The broker service of one node.
 pub struct BrokerService {
@@ -177,11 +180,22 @@ impl BrokerService {
         Ok(())
     }
 
-    fn handle_produce(
-        &self,
-        req: ProduceRequest,
-        durability_timeout: Duration,
-    ) -> Result<ProduceResponse> {
+    /// Admits and appends a produce, physically and (R > 1) to its slots'
+    /// virtual logs: the acks, the logs touched with the highest ticket
+    /// each, and the permit, held until the produce is answered — its
+    /// bytes *are* the broker's admission-queue occupancy.
+    fn append_produce(&self, ctx: &RequestContext, payload: &Bytes) -> Result<Appended> {
+        // Slice the chunk train straight out of the receive buffer: the
+        // broker never re-owns the payload.
+        let req = ProduceRequest::decode_bytes(payload)?;
+        // Admission gate, before any append work. Recovery re-ingestion
+        // bypasses it: throttling our own crash recovery would turn
+        // overload into data loss.
+        let permit = if ctx.opcode == OpCode::Produce && !req.recovery {
+            self.admission.admit(ctx.from, req.chunks.len() as u64)?
+        } else {
+            AdmissionPermit::inactive()
+        };
         let mut acks = Vec::with_capacity(req.chunk_count as usize);
         // Touched virtual logs, deduped, with the highest ticket each.
         let mut pending: Vec<(Arc<VirtualLog>, u64)> = Vec::new();
@@ -256,24 +270,7 @@ impl BrokerService {
         }
 
         append_span.finish();
-
-        // "Once all chunks of a request are appended, the corresponding
-        // replicated virtual logs are synchronized on backups" (§IV-B),
-        // by this worker.
-        if !pending.is_empty() {
-            // The replicate stage: how long this request took to make its
-            // chunks durable. Entered: its `vlog_ship` rounds nest under it.
-            let mut rep_span = self.obs.span(Stage::Replicate, kera_obs::current());
-            rep_span.set_aux(pending.len() as u64);
-            let _in_span = rep_span.is_recording().then(|| kera_obs::enter(rep_span.context()));
-            let channel = self
-                .channel
-                .get()
-                .ok_or_else(|| KeraError::Protocol("broker not attached to its runtime".into()))?;
-            kera_vlog::sync(&pending, channel, durability_timeout)?;
-        }
-        self.obs.bump_progress();
-        Ok(ProduceResponse { acks })
+        Ok((ProduceResponse { acks }, pending, permit))
     }
 
     /// Unhosts a deleted stream: groups close, dedicated virtual logs are
@@ -368,30 +365,15 @@ impl Service for BrokerService {
                 self.handle_host(req)?;
                 Ok(Bytes::new())
             }
-            // Recovery re-ingestion is "handled as a normal producer
-            // request" (paper §IV-B).
-            OpCode::Produce | OpCode::RecoveryIngest => {
-                // Slice the chunk train straight out of the receive
-                // buffer: the broker never re-owns the payload.
-                let req = ProduceRequest::decode_bytes(&payload)?;
-                // Admission gate, before any append work. Recovery
-                // re-ingestion bypasses it: throttling our own crash
-                // recovery would turn overload into data loss. The
-                // permit spans the durability wait — its bytes *are*
-                // the broker's admission-queue occupancy.
-                let _permit = if ctx.opcode == OpCode::Produce && !req.recovery {
-                    self.admission.admit(ctx.from, req.chunks.len() as u64)?
-                } else {
-                    AdmissionPermit::inactive()
-                };
-                // Don't block on durability longer than the caller is
-                // willing to wait (propagated deadline), nor longer than
-                // the replication timeout.
-                let timeout = ctx
-                    .remaining()
-                    .map_or(REPLICATION_TIMEOUT, |r| r.min(REPLICATION_TIMEOUT));
-                Ok(self.handle_produce(req, timeout)?.encode())
-            }
+            // Answered here only when its chunks are durable as appended
+            // (R1): a replicated one waits for its rounds (`serve`).
+            OpCode::Produce | OpCode::RecoveryIngest => match self.append_produce(ctx, &payload)? {
+                (resp, touched, _permit) if touched.is_empty() => {
+                    self.obs.bump_progress();
+                    Ok(resp.encode())
+                }
+                _ => Err(KeraError::Protocol("replicated produce needs `serve`".into())),
+            },
             OpCode::Fetch => {
                 let req = FetchRequest::decode(&payload)?;
                 // Fetch quota is a debt model: refuse while the tenant
@@ -422,5 +404,34 @@ impl Service for BrokerService {
             }
             other => Err(KeraError::Protocol(format!("broker cannot serve {other:?}"))),
         }
+    }
+
+    /// A produce — recovery re-ingestion is "handled as a normal producer
+    /// request" (paper §IV-B) — frees its worker once its chunks are
+    /// appended; the thread that lands the last of its rounds answers it.
+    fn serve(&self, ctx: &RequestContext, payload: Bytes, reply: Reply) {
+        let produce = matches!(ctx.opcode, OpCode::Produce | OpCode::RecoveryIngest);
+        let Some(channel) = self.channel.get().filter(|_| produce) else {
+            return reply.send(self.handle(ctx, payload));
+        };
+        let (resp, touched, permit) = match self.append_produce(ctx, &payload) {
+            Ok(appended) => appended,
+            Err(e) => return reply.send(Err(e)),
+        };
+        // The replicate stage, registration to answer (none at R1); the
+        // rounds begun for the request nest under it.
+        let parent = if touched.is_empty() { TraceContext::NONE } else { kera_obs::current() };
+        let mut span = self.obs.span(Stage::Replicate, parent);
+        span.set_aux(touched.len() as u64);
+        let (trace, obs) = (span.context(), Arc::clone(&self.obs));
+        let answer = move |durable: Result<()>| {
+            drop(span);
+            reply.send(durable.map(|()| {
+                obs.bump_progress();
+                resp.encode()
+            }));
+            drop(permit);
+        };
+        kera_vlog::wait_all(touched, channel, trace, Box::new(answer));
     }
 }

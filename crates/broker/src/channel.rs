@@ -1,27 +1,28 @@
 //! The real replication channel: one `BackupWrite` RPC per backup, fanned
 //! out in parallel ("it also sends (replicates) the chunk in parallel to
-//! the backups", paper §II-B) and issued without waiting — the caller
-//! collects the acknowledgements when it has started every write it
-//! means to overlap.
+//! the backups", paper §II-B). Nobody waits on the calls: each is a
+//! detached call whose answer runs that backup's `Acked` on the thread
+//! that delivers it.
 //!
-//! Transient loss is the RPC plane's problem: each fan-out call
-//! retransmits its request id under the node's retry policy while it is
-//! waited on, and the backup's at-most-once cache absorbs the
-//! duplicates. Only when the overall replication budget (or the
-//! retransmission budget) runs out does a backup's failure normalize to
-//! `Disconnected(backup)`, which is the virtual log's signal to
-//! re-replicate around the node.
+//! Transient loss is the RPC plane's problem: each call retransmits its
+//! request id under the node's retry policy, driven by the node's workers,
+//! and the backup's at-most-once cache absorbs the duplicates. Only when a
+//! call's budget (or its retransmissions) runs out does a backup's failure
+//! normalize to `Disconnected(backup)`, which is the virtual log's signal
+//! to re-replicate around the node.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use bytes::Bytes;
 use kera_common::ids::NodeId;
-use kera_common::KeraError;
+use kera_common::{KeraError, Result};
 use kera_rpc::RpcClient;
-use kera_vlog::channel::{BackupChannel, PendingAcks};
+use kera_vlog::channel::{Acked, BackupChannel};
 use kera_wire::frames::OpCode;
 use kera_wire::messages::{BackupWriteResponse, EncodedBackupWrite};
 
 /// Ships replication batches over the RPC fabric.
+#[derive(Clone)]
 pub struct RpcBackupChannel {
     pub(crate) client: RpcClient,
     timeout: Duration,
@@ -34,32 +35,24 @@ impl RpcBackupChannel {
 }
 
 impl BackupChannel for RpcBackupChannel {
-    fn start<'a>(&'a self, backups: &[NodeId], req: &EncodedBackupWrite) -> PendingAcks<'a> {
-        // Already on the wire format: the one body is shared by all
-        // fan-out sends without re-encoding.
-        let payload = req.body();
-        let overall = Instant::now() + self.timeout;
-        let calls: Vec<_> = backups
-            .iter()
-            // lint: allow(no-hot-copy) — refcount clone per fan-out send
-            .map(|&b| (b, self.client.call_async(b, OpCode::BackupWrite, payload.clone())))
-            .collect();
-        Box::new(move || {
-            let mut last = BackupWriteResponse { durable_offset: 0 };
-            for (backup, call) in calls {
-                let remaining = overall.saturating_duration_since(Instant::now());
-                let resp = call.wait(remaining).map_err(|e| match e {
-                    // Normalize exhausted transient failures to
-                    // Disconnected(backup) so the virtual log can
-                    // re-replicate around the dead node.
-                    KeraError::Disconnected(_) | KeraError::Timeout { .. } => {
-                        KeraError::Disconnected(backup)
-                    }
+    fn start(&self, backups: &[NodeId], req: &EncodedBackupWrite, acked: Vec<Acked>) {
+        for (&backup, acked) in backups.iter().zip(acked) {
+            let channel = self.clone();
+            let answered = move |reply: Result<Bytes>| {
+                // Out of budget or retransmits — like a send the fabric
+                // refused, `Disconnected(backup)` already — it is dead.
+                let reply = reply.map_err(|e| match e {
+                    KeraError::Timeout { .. } => KeraError::Disconnected(backup),
                     other => other,
-                })?;
-                last = BackupWriteResponse::decode(&resp)?;
-            }
-            Ok(last)
-        })
+                });
+                let reply = reply.and_then(|body| BackupWriteResponse::decode(&body).map(drop));
+                acked(&channel, reply);
+            };
+            // Already on the wire format: the one body is shared by all
+            // fan-out sends without re-encoding.
+            // lint: allow(no-hot-copy) — refcount clone per fan-out send
+            let payload = req.body().clone();
+            self.client.call_detached(backup, OpCode::BackupWrite, payload, self.timeout, answered);
+        }
     }
 }

@@ -10,9 +10,9 @@ use kera_broker::channel::RpcBackupChannel;
 use kera_broker::cluster::{backup_node, broker_node, KeraCluster, COORDINATOR};
 use kera_common::config::{ClusterConfig, ReplicationConfig, StreamConfig, VirtualLogPolicy};
 use kera_common::ids::*;
-use kera_common::KeraError;
+use kera_common::{KeraError, Result};
 use kera_rpc::{InMemNetwork, NodeRuntime, NullService};
-use kera_vlog::channel::BackupChannel;
+use kera_vlog::channel::{Acked, BackupChannel};
 use kera_wire::chunk::ChunkBuilder;
 use kera_wire::frames::OpCode;
 use kera_wire::messages::{
@@ -25,6 +25,19 @@ fn chunk_bytes() -> Bytes {
     let mut b = ChunkBuilder::new(1024, ProducerId(0), StreamId(1), StreamletId(0));
     b.append(&Record::value_only(&[5u8; 64]));
     b.seal()
+}
+
+/// Starts `req` on `channel` and waits, as nothing in the broker does, for
+/// every backup's answer: the first failure.
+fn write(channel: &RpcBackupChannel, backups: &[NodeId], req: &EncodedBackupWrite) -> Result<()> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let acked = backups.iter().map(|_| {
+        let tx = tx.clone();
+        Box::new(move |_: &dyn BackupChannel, acks| drop(tx.send(acks))) as Acked
+    });
+    channel.start(backups, req, acked.collect());
+    let wait = Duration::from_secs(10);
+    backups.iter().try_for_each(|_| rx.recv_timeout(wait).expect("every backup answers"))
 }
 
 fn write_req(chunks: Bytes, count: u32) -> EncodedBackupWrite {
@@ -61,8 +74,7 @@ fn channel_fans_out_to_every_backup() {
 
     let c = chunk_bytes();
     let targets: Vec<NodeId> = (0..3).map(|i| NodeId(100 + i)).collect();
-    let resp = channel.start(&targets, &write_req(c.clone(), 1))().unwrap();
-    assert_eq!(resp.durable_offset as usize, c.len());
+    write(&channel, &targets, &write_req(c.clone(), 1)).unwrap();
     for b in &backups {
         assert_eq!(b.bytes_held(), c.len(), "every backup must hold the batch");
         assert_eq!(b.chunks_received.get(), 1);
@@ -83,8 +95,8 @@ fn channel_normalizes_dead_backup_to_disconnected() {
 
     // NodeId(999) was never registered: the send fails fast and must be
     // reported as Disconnected(999) so the virtual log re-replicates.
-    let err =
-        channel.start(&[NodeId(100), NodeId(999)], &write_req(chunk_bytes(), 1))().unwrap_err();
+    let targets = [NodeId(100), NodeId(999)];
+    let err = write(&channel, &targets, &write_req(chunk_bytes(), 1)).unwrap_err();
     match err {
         KeraError::Disconnected(n) => assert_eq!(n, NodeId(999)),
         other => panic!("expected Disconnected, got {other}"),
@@ -106,7 +118,7 @@ fn corrupt_batch_is_rejected_by_real_backup_over_rpc() {
     let mut bad = chunk_bytes().to_vec();
     let last = bad.len() - 1;
     bad[last] ^= 0xff;
-    let err = channel.start(&[NodeId(100)], &write_req(Bytes::from(bad), 1))().unwrap_err();
+    let err = write(&channel, &[NodeId(100)], &write_req(Bytes::from(bad), 1)).unwrap_err();
     assert!(matches!(err, KeraError::Corruption { .. }), "got {err}");
     assert_eq!(backup.bytes_held(), 0);
 }

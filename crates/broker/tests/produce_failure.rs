@@ -1,11 +1,12 @@
 //! Failure semantics of the produce path, end to end: a real broker
 //! shipping to two scripted backups — real `BackupService`s behind a
 //! `Service` that can be told to refuse the next writes (answered with
-//! an error, nothing applied). Nothing retries a failed replication
-//! round in the background; the producer's re-sent request does, through
-//! the replay path.
+//! an error, nothing applied) or to hold the next one until released.
+//! Nothing retries a failed replication round in the background; the
+//! producer's re-sent request does, through the replay path.
 
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -24,6 +25,7 @@ use kera_wire::messages::{
     ProduceResponse, ReplicaRole, StreamMetadata, StreamletPlacement,
 };
 use kera_wire::record::Record;
+use parking_lot::Mutex;
 
 const BROKER: NodeId = NodeId(1);
 const BACKUP_A: NodeId = NodeId(100);
@@ -35,15 +37,35 @@ struct ScriptedBackup {
     inner: Arc<BackupService>,
     /// `BackupWrite`s still to refuse.
     refuse: AtomicU32,
+    /// Set: the next `BackupWrite` says so on the sender, then waits on
+    /// the receiver before it is applied.
+    hold: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+}
+
+impl ScriptedBackup {
+    /// Holds the next write: returns where it says it arrived and what
+    /// releases it.
+    fn hold_next(&self) -> (Receiver<()>, Sender<()>) {
+        let (arrived_tx, arrived) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        *self.hold.lock() = Some((arrived_tx, release_rx));
+        (arrived, release)
+    }
 }
 
 impl Service for ScriptedBackup {
     fn handle(&self, ctx: &RequestContext, payload: Bytes) -> Result<Bytes> {
+        if ctx.opcode != OpCode::BackupWrite {
+            return self.inner.handle(ctx, payload);
+        }
         let take_one = |n: u32| n.checked_sub(1);
-        let refused = ctx.opcode == OpCode::BackupWrite
-            && self.refuse.fetch_update(Ordering::SeqCst, Ordering::SeqCst, take_one).is_ok();
-        if refused {
+        if self.refuse.fetch_update(Ordering::SeqCst, Ordering::SeqCst, take_one).is_ok() {
             return Err(KeraError::Protocol("scripted: write refused".into()));
+        }
+        let hold = self.hold.lock().take();
+        if let Some((arrived, release)) = hold {
+            arrived.send(()).unwrap();
+            release.recv().unwrap();
         }
         self.inner.handle(ctx, payload)
     }
@@ -65,7 +87,8 @@ impl Rig {
             .into_iter()
             .map(|id| {
                 let inner = BackupService::new(id, None);
-                Arc::new(ScriptedBackup { inner, refuse: AtomicU32::new(0) })
+                let (refuse, hold) = (AtomicU32::new(0), Mutex::new(None));
+                Arc::new(ScriptedBackup { inner, refuse, hold })
             })
             .collect();
         let mut nodes: Vec<NodeRuntime> = backups
@@ -204,4 +227,41 @@ fn the_next_round_on_the_log_ships_what_a_failed_round_stranded() {
     assert_eq!(rig.produce(&first).unwrap(), 1);
     assert_eq!((rig.broker.chunks_in.get(), rig.broker.chunks_replayed.get()), (2, 1));
     assert_eq!(rig.held(), (both, both));
+}
+
+/// A round lands only when every write of it has: one backup refuses its
+/// write while the other holds its own, and the produce is not answered —
+/// its round not failed — until the held write is released and applied.
+/// Both orders, since the fan-out's backup order is the selector's.
+#[test]
+fn a_refused_write_waits_for_the_rest_of_its_round() {
+    for (refusing, holding) in [(0, 1), (1, 0)] {
+        let rig = Rig::new();
+        let (request, len) = request(1);
+        rig.backups[refusing].refuse.store(1, Ordering::SeqCst);
+        let (arrived, release) = rig.backups[holding].hold_next();
+        let (answered_tx, answered) = mpsc::channel();
+        let client = rig.client.clone();
+        let producer = std::thread::spawn(move || {
+            let _ = answered_tx.send(client.call(BROKER, OpCode::Produce, request, WAIT));
+        });
+        arrived.recv_timeout(WAIT).expect("the held backup never got its write");
+        let deadline = std::time::Instant::now() + WAIT;
+        while rig.backups[refusing].refuse.load(Ordering::SeqCst) > 0 {
+            assert!(std::time::Instant::now() < deadline, "the write was never refused");
+            std::thread::yield_now();
+        }
+        assert!(
+            answered.recv_timeout(Duration::from_millis(200)).is_err(),
+            "answered while a write of its round was in flight (backup {holding} held)"
+        );
+        release.send(()).unwrap();
+        let err = answered.recv_timeout(WAIT).unwrap().unwrap_err();
+        producer.join().unwrap();
+        assert!(matches!(err, KeraError::Protocol(_)), "got {err}");
+        let mut held = [0, 0];
+        held[holding] = len;
+        assert_eq!(rig.held(), (held[0], held[1]), "the held write was not applied first");
+        assert_eq!(rig.visible(), 0);
+    }
 }

@@ -167,6 +167,40 @@ impl From<io::Error> for KeraError {
     }
 }
 
+/// A copy is the same error to whoever it is sent to: every variant copies
+/// as itself, and an `Io` error — `io::Error` has no `Clone` — keeps its
+/// kind and message.
+impl Clone for KeraError {
+    fn clone(&self) -> Self {
+        match self {
+            KeraError::Io(e) => KeraError::Io(io::Error::new(e.kind(), e.to_string())),
+            KeraError::Corruption { what, expected, actual } => {
+                KeraError::Corruption { what, expected: *expected, actual: *actual }
+            }
+            KeraError::Protocol(msg) => KeraError::Protocol(msg.clone()),
+            KeraError::UnknownStream(s) => KeraError::UnknownStream(*s),
+            KeraError::UnknownStreamlet(s, p) => KeraError::UnknownStreamlet(*s, *p),
+            KeraError::UnknownGroup(g) => KeraError::UnknownGroup(*g),
+            KeraError::StreamExists(s) => KeraError::StreamExists(*s),
+            KeraError::ChunkTooLarge { chunk, segment } => {
+                KeraError::ChunkTooLarge { chunk: *chunk, segment: *segment }
+            }
+            KeraError::Timeout { op } => KeraError::Timeout { op },
+            KeraError::Disconnected(n) => KeraError::Disconnected(*n),
+            KeraError::NoCapacity(msg) => KeraError::NoCapacity(msg.clone()),
+            KeraError::ShuttingDown => KeraError::ShuttingDown,
+            KeraError::Recovery(msg) => KeraError::Recovery(msg.clone()),
+            KeraError::InvalidConfig(msg) => KeraError::InvalidConfig(msg.clone()),
+            KeraError::NotLeader { hint, term } => KeraError::NotLeader { hint: *hint, term: *term },
+            KeraError::Throttled { retry_after, window_hint } => {
+                KeraError::Throttled { retry_after: *retry_after, window_hint: *window_hint }
+            }
+            KeraError::Rejected { reason } => KeraError::Rejected { reason: reason.clone() },
+            KeraError::EncodeOverflow { what, len } => KeraError::EncodeOverflow { what, len: *len },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -127,7 +127,7 @@ fn fig09() -> Figure {
         title: "Scaling the number of clients (one log per partition)",
         paper: "KerA ~2x Kafka at 16 producers, R3 (active push vs passive pull needing tuning).",
         claim: Claim::Ratio { num: "KerA R3", den: "Kafka R3", floor: 1.5, grows: None },
-        declared: Verdict::Unresolved,
+        declared: Verdict::Holds,
         points,
     }
 }

@@ -29,7 +29,7 @@ pub const RULE_NO_TIME_UNDER_LOCK: &str = "no-time-under-lock";
 /// Method names that acquire a lock guard when called with no arguments.
 const ACQUIRE_METHODS: [&str; 3] = ["lock", "read", "write"];
 /// Method names that cross an RPC / replication boundary.
-const RPC_METHODS: [&str; 3] = ["call", "call_async", "start"];
+const RPC_METHODS: [&str; 4] = ["call", "call_async", "call_detached", "start"];
 /// Receiver identifiers that, by workspace convention, carry record
 /// payload bytes. `.to_vec()` / `.clone()` on one of these in a
 /// `copy_crates` crate is a full-payload copy on the data plane — the

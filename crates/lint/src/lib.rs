@@ -5,7 +5,7 @@
 //! - `lock-order`       nested lock acquisitions must follow the
 //!   hierarchy declared in `lint/lock-order.toml`
 //! - `lock-across-rpc`  no lock guard may be held across `.call(` /
-//!   `.call_async(` / `.start(` (a backup channel)
+//!   `.call_async(` / `.call_detached(` / `.start(` (a backup channel)
 //! - `std-lock`         `std::sync::{Mutex,RwLock}` banned outside
 //!   `crates/shims`
 //! - `no-panic`         `unwrap()` / `expect()` / `panic!` banned in

@@ -63,7 +63,7 @@ fn guard_across_rpc_is_flagged() {
     let (findings, _) = run("rpc_bad.rs", "fixture");
     assert_eq!(
         rules_of(&findings),
-        vec![RULE_LOCK_ACROSS_RPC, RULE_LOCK_ACROSS_RPC],
+        vec![RULE_LOCK_ACROSS_RPC, RULE_LOCK_ACROSS_RPC, RULE_LOCK_ACROSS_RPC],
         "{findings:?}"
     );
 }

@@ -24,7 +24,9 @@
 //!   returning or through a [`node::Reply`] sent later;
 //!   [`node::RpcClient`] issues calls that retransmit under a bounded
 //!   retry policy (at-most-once via a server-side response cache),
-//!   waited on at once (`call`) or later (`call_async`).
+//!   waited on at once (`call`), later (`call_async`) or by nobody
+//!   (`call_detached`: its completion runs with the reply, and the
+//!   node's workers drive its retransmits between requests).
 //!
 //! Every node of the simulated cluster — coordinator, brokers, backups and
 //! clients — is one [`node::NodeRuntime`].

@@ -9,14 +9,17 @@
 //! slot's waiter is unparked — a wake-up says "look again", the slot holds
 //! the data, so a thread parks in one place for all its calls. The one
 //! rule: delivery never runs a handler, never blocks, and holds no lock
-//! across a send or an unpark — so a worker blocked inside a handler (e.g.
-//! a broker waiting for backup acks) can always be completed. A service
-//! need not block at all: it may keep a request's [`Reply`] and send it
-//! from whichever thread completes the request, freeing the worker.
+//! across a send or an unpark — so a worker blocked inside a handler can
+//! always be completed. A service need not block at all: it may keep a
+//! request's [`Reply`] and send it from whichever thread completes the
+//! request, freeing the worker.
 //!
-//! Every call is a [`PendingCall`] that retransmits while waited on; a
+//! A waited call is a [`PendingCall`] that retransmits while waited on; a
 //! synchronous [`RpcClient::call`] is `issue(..).wait(..)` with an overall
-//! budget. Every transmission of a logical call reuses the **same
+//! budget. A call nobody waits on ([`RpcClient::call_detached`]) carries
+//! a completion instead: its reply runs it on the delivering thread, and
+//! the node's workers retransmit it and end it at its budget between
+//! requests. Every transmission of a logical call reuses the **same
 //! request id**, and the server keeps a bounded cache of completed
 //! responses keyed by `(caller, request_id)` (RAMCloud's RIFL
 //! discipline): a retransmit whose original executed but whose response
@@ -25,14 +28,15 @@
 //! Calls with a budget carry their remaining time so servers can drop
 //! queued work whose caller has already given up.
 
-use std::collections::{HashMap, VecDeque};
+use std::cell::Cell;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use kera_common::config::RetryPolicy;
 use kera_common::ids::NodeId;
 use kera_common::metrics::Counter;
@@ -40,7 +44,7 @@ use kera_common::rng::SplitMix64;
 use kera_common::{KeraError, Result};
 use kera_obs::{NodeObs, Span, Stage, TraceContext};
 use kera_wire::frames::{Envelope, FrameKind, OpCode, StatusCode};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::transport::{Deliver, Transport};
 
@@ -68,9 +72,9 @@ impl RequestContext {
     }
 }
 
-/// The application living on a node. Handlers run on worker threads and
-/// may block (KerA's produce waits there for its backups' acks); one that
-/// waits on an event instead keeps its [`Reply`] ([`Service::serve`]).
+/// The application living on a node. Handlers run on worker threads; one
+/// that waits on an event keeps its [`Reply`] ([`Service::serve`]) instead
+/// of blocking the worker.
 pub trait Service: Send + Sync + 'static {
     fn handle(&self, ctx: &RequestContext, payload: Bytes) -> Result<Bytes>;
 
@@ -218,12 +222,73 @@ impl DedupCache {
     }
 }
 
-/// A call's place in `rpc.pending`, from issue until collected or dropped.
-struct Slot {
-    /// Whom a reply unparks: the issuing thread, or whichever thread last
-    /// blocked in [`PendingCall::poll_wait`].
-    waiter: Thread,
-    reply: Option<Envelope>,
+/// What a call nobody waits on runs once, with its outcome (see
+/// [`RpcClient::call_detached`] for on which thread) — never under
+/// `rpc.pending`.
+type Completion = Box<dyn FnOnce(Result<Bytes>) + Send>;
+
+/// A call's place in `rpc.pending`, from issue until resolved or dropped.
+enum Slot {
+    /// A [`PendingCall`]'s: whom a reply unparks — the issuing thread, or
+    /// whichever thread last blocked in [`PendingCall::poll_wait`] — and
+    /// the reply once it lands.
+    Waited { waiter: Thread, reply: Option<Envelope> },
+    /// A call nobody waits on.
+    Detached(Detached),
+}
+
+/// A call nobody waits on: its transmissions and what runs its outcome.
+struct Detached {
+    call: Call,
+    /// Its key in [`Pending::timers`]; `None` while it is being sent.
+    due: Option<Instant>,
+    done: Completion,
+}
+
+impl Detached {
+    fn complete(mut self, result: Result<Bytes>) {
+        self.call.finish_span();
+        (self.done)(result);
+    }
+}
+
+/// Every call of a node still in flight, and when each detached one is
+/// next due — to retransmit, or to give up at the end of its budget.
+#[derive(Default)]
+struct Pending {
+    slots: HashMap<u64, Slot>,
+    /// `(due, request id)` of every detached call not being sent.
+    timers: BTreeSet<(Instant, u64)>,
+}
+
+impl Pending {
+    fn detached(&mut self, id: u64) -> Option<&mut Detached> {
+        match self.slots.get_mut(&id) {
+            Some(Slot::Detached(d)) => Some(d),
+            _ => None,
+        }
+    }
+
+    /// Takes a detached call out, timer and all.
+    fn take_detached(&mut self, id: u64) -> Option<Detached> {
+        let due = self.detached(id)?.due;
+        if let Some(due) = due {
+            self.timers.remove(&(due, id));
+        }
+        match self.slots.remove(&id) {
+            Some(Slot::Detached(d)) => Some(d),
+            _ => None,
+        }
+    }
+}
+
+/// What the worker pool's queue carries.
+enum Work {
+    Request(WorkItem),
+    /// A detached call is due before any worker may next look: look now.
+    Timers,
+    /// Shutdown; each worker passes it on to the next as it exits.
+    Stop,
 }
 
 /// A request queued for the worker pool, with its absolute expiry (from
@@ -233,13 +298,17 @@ struct WorkItem {
     expires: Option<Instant>,
 }
 
+thread_local! {
+    /// The node whose worker this thread is (its `NodeInner`'s address):
+    /// such a thread looks at the node's timers before it next blocks.
+    static WORKER_OF: Cell<usize> = const { Cell::new(0) };
+}
+
 struct NodeInner {
     id: NodeId,
     transport: Arc<dyn Transport>,
-    pending: Mutex<HashMap<u64, Slot>>,
-    /// The worker pool's queue; `None` is the stop marker, which each
-    /// worker passes on to the next as it exits.
-    work_tx: Sender<Option<WorkItem>>,
+    pending: Mutex<Pending>,
+    work_tx: Sender<Work>,
     next_id: AtomicU64,
     shutdown: AtomicBool,
     retry: RetryPolicy,
@@ -301,7 +370,7 @@ impl NodeRuntime {
         let inner = Arc::new(NodeInner {
             id: transport.local(),
             transport,
-            pending: Mutex::named("rpc.pending", HashMap::new()),
+            pending: Mutex::named("rpc.pending", Pending::default()),
             work_tx,
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
@@ -379,12 +448,73 @@ impl NodeInner {
         }
         self.transport.send(to, env)
     }
+
+    /// Takes detached call `id` out and runs its completion, with the
+    /// `rpc.pending` guard dropped first.
+    fn complete(&self, mut pending: MutexGuard<'_, Pending>, id: u64, result: Result<Bytes>) {
+        let detached = pending.take_detached(id);
+        drop(pending);
+        if let Some(d) = detached {
+            d.complete(result);
+        }
+    }
+
+    /// What a worker does between requests: retransmits or ends every
+    /// detached call that is due, then says when the next one is.
+    fn fire_due(&self) -> Option<Instant> {
+        loop {
+            let now = Instant::now();
+            let id = {
+                let mut pending = self.pending.lock();
+                let &(due, id) = pending.timers.first()?;
+                if due > now {
+                    return Some(due);
+                }
+                pending.timers.pop_first();
+                if let Some(d) = pending.detached(id) {
+                    d.due = None;
+                }
+                id
+            };
+            self.fire(id, now);
+        }
+    }
+
+    /// Detached call `id` (off the timers) is due: past its budget it
+    /// completes with `Timeout`; else it is transmitted — stamped under
+    /// `rpc.pending`, sent without it — and due again at its next
+    /// retransmit or the end of its budget, unless the send failed for
+    /// good. Returns whether it is now the earliest timer.
+    fn fire(&self, id: u64, now: Instant) -> bool {
+        let mut pending = self.pending.lock();
+        let Some(d) = pending.detached(id) else { return false };
+        let Some(env) = d.call.stamp(self, now) else {
+            self.complete(pending, id, Err(KeraError::Timeout { op: "rpc" }));
+            return false;
+        };
+        let to = d.call.to;
+        drop(pending);
+        let sent = self.send(to, env);
+        let mut pending = self.pending.lock();
+        // Gone: answered while it was being sent.
+        let Some(d) = pending.detached(id) else { return false };
+        d.call.next_retransmit = d.call.retransmit_after(&self.retry, now, sent.is_ok());
+        if let Some(e) = d.call.failed_for_good(sent) {
+            self.complete(pending, id, Err(e));
+            return false;
+        }
+        // With no retransmit left it is due when its budget (always set) ends.
+        let due = d.call.next_retransmit.or(d.call.deadline).unwrap_or(now);
+        d.due = Some(due);
+        pending.timers.insert((due, id));
+        pending.timers.first() == Some(&(due, id))
+    }
 }
 
 impl Deliver for NodeInner {
     /// `rpc.pending` / `rpc.dedup` are released before anything is sent
-    /// (the replay below runs the *peer's* delivery on this stack) and
-    /// before a waiter is unparked.
+    /// (the replay below runs the *peer's* delivery on this stack), before
+    /// a waiter is unparked and before a detached call's completion runs.
     fn deliver(&self, env: Envelope) {
         if self.shutdown.load(Ordering::SeqCst) {
             return;
@@ -394,7 +524,7 @@ impl Deliver for NodeInner {
                 Admit::New => {
                     let expires = (env.deadline_micros > 0)
                         .then(|| Instant::now() + Duration::from_micros(env.deadline_micros));
-                    let _ = self.work_tx.send(Some(WorkItem { env, expires }));
+                    let _ = self.work_tx.send(Work::Request(WorkItem { env, expires }));
                 }
                 duplicate => {
                     self.requests_deduped.inc();
@@ -415,12 +545,19 @@ impl Deliver for NodeInner {
             FrameKind::Response => {
                 // (No slot: the call timed out and gave up — the stale
                 // response is dropped. A duplicate is the same bytes.)
-                let waiter = self.pending.lock().get_mut(&env.request_id).map(|slot| {
-                    slot.reply = Some(env);
-                    slot.waiter.clone()
-                });
-                if let Some(waiter) = waiter {
-                    waiter.unpark();
+                let id = env.request_id;
+                let mut pending = self.pending.lock();
+                match pending.slots.get_mut(&id) {
+                    Some(Slot::Waited { waiter, reply }) => {
+                        *reply = Some(env);
+                        let waiter = waiter.clone();
+                        drop(pending);
+                        waiter.unpark();
+                    }
+                    Some(Slot::Detached(_)) => {
+                        self.complete(pending, id, env.check_status().map(|()| env.payload));
+                    }
+                    None => {}
                 }
             }
         }
@@ -428,55 +565,68 @@ impl Deliver for NodeInner {
 
     /// Shutdown and crash end here: later deliveries are dropped, the
     /// workers find the stop marker behind the queued work, and every
-    /// pending call fails (its waiter wakes to find the slot gone).
+    /// pending call fails — a waiter wakes to find its slot gone, a
+    /// detached call completes with `Disconnected` on this thread.
     fn closed(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        let _ = self.work_tx.send(None);
-        let slots = std::mem::take(&mut *self.pending.lock());
-        for slot in slots.into_values() {
-            slot.waiter.unpark();
+        let _ = self.work_tx.send(Work::Stop);
+        let pending = std::mem::take(&mut *self.pending.lock());
+        for slot in pending.slots.into_values() {
+            match slot {
+                Slot::Waited { waiter, .. } => waiter.unpark(),
+                Slot::Detached(d) => d.complete(Err(KeraError::Disconnected(self.id))),
+            }
         }
     }
 }
 
-fn worker_loop(
-    inner: Arc<NodeInner>,
-    service: Arc<dyn Service>,
-    work_rx: Receiver<Option<WorkItem>>,
-) {
-    while let Ok(Some(item)) = work_rx.recv() {
-        let env = item.env;
-        let key = (env.from, env.request_id);
-        let sender_ctx = TraceContext { trace_id: env.trace_id, span_id: env.span_id };
-        if let Some(expires) = item.expires {
-            if Instant::now() >= expires {
-                // The caller's budget ran out while this sat in queue —
-                // skip the work; clearing the in-flight mark (without a
-                // cached response) lets a later retry execute fresh.
-                inner.dedup.abandon(key);
-                inner.requests_expired.inc();
-                inner.obs.event(Stage::RpcExpired, sender_ctx, env.opcode as u8, env.request_id);
-                continue;
-            }
-        }
-        // The serve span is parented to the sender's span; making it the
-        // thread's current context means any nested RPC the handler
-        // issues (broker → backup) parents to this execution.
-        let mut span = inner.obs.span(Stage::RpcServe, sender_ctx);
-        span.set_opcode(env.opcode as u8);
-        let ctx = RequestContext {
-            from: env.from,
-            opcode: env.opcode,
-            request_id: env.request_id,
-            deadline: item.expires,
-            trace: span.context(),
+/// A worker serves requests and, between them, the node's detached calls'
+/// timers: it sleeps until the next one is due, never longer.
+fn worker_loop(inner: Arc<NodeInner>, service: Arc<dyn Service>, work_rx: Receiver<Work>) {
+    WORKER_OF.with(|w| w.set(Arc::as_ptr(&inner) as usize));
+    loop {
+        let work = match inner.fire_due() {
+            Some(due) => work_rx.recv_timeout(due.saturating_duration_since(Instant::now())),
+            None => work_rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
-        inner.obs.inflight_enter();
-        let reply = Reply { node: Arc::downgrade(&inner), key, opcode: env.opcode, span: Some(span) };
-        let _in_trace = kera_obs::enter(ctx.trace);
-        service.serve(&ctx, env.payload, reply);
+        match work {
+            Ok(Work::Request(item)) => serve(&inner, &*service, item),
+            Ok(Work::Timers) | Err(RecvTimeoutError::Timeout) => {}
+            Ok(Work::Stop) | Err(RecvTimeoutError::Disconnected) => break,
+        }
     }
-    let _ = inner.work_tx.send(None);
+    let _ = inner.work_tx.send(Work::Stop);
+}
+
+fn serve(inner: &Arc<NodeInner>, service: &dyn Service, item: WorkItem) {
+    let env = item.env;
+    let key = (env.from, env.request_id);
+    let sender_ctx = TraceContext { trace_id: env.trace_id, span_id: env.span_id };
+    if item.expires.is_some_and(|expires| Instant::now() >= expires) {
+        // The caller's budget ran out while this sat in queue — skip the
+        // work; clearing the in-flight mark (without a cached response)
+        // lets a later retry execute fresh.
+        inner.dedup.abandon(key);
+        inner.requests_expired.inc();
+        inner.obs.event(Stage::RpcExpired, sender_ctx, env.opcode as u8, env.request_id);
+        return;
+    }
+    // The serve span is parented to the sender's span; making it the
+    // thread's current context means any nested RPC the handler issues
+    // (broker → backup) parents to this execution.
+    let mut span = inner.obs.span(Stage::RpcServe, sender_ctx);
+    span.set_opcode(env.opcode as u8);
+    let ctx = RequestContext {
+        from: env.from,
+        opcode: env.opcode,
+        request_id: env.request_id,
+        deadline: item.expires,
+        trace: span.context(),
+    };
+    inner.obs.inflight_enter();
+    let reply = Reply { node: Arc::downgrade(inner), key, opcode: env.opcode, span: Some(span) };
+    let _in_trace = kera_obs::enter(ctx.trace);
+    service.serve(&ctx, env.payload, reply);
 }
 
 /// Handle for issuing RPCs from a node.
@@ -499,19 +649,17 @@ impl RpcClient {
         self.issue(to, opcode, payload, None)
     }
 
-    /// Registers the call's pending slot and makes its first
-    /// transmission. `budget` is the overall time the caller will wait,
-    /// propagated to the server as the request's deadline.
-    fn issue(
+    /// A new logical call: its request id, span and envelope. `budget` is
+    /// the overall time the caller will wait, propagated to the server as
+    /// the request's deadline.
+    fn new_call(
         &self,
         to: NodeId,
         opcode: OpCode,
         payload: Bytes,
         budget: Option<Duration>,
-    ) -> PendingCall {
+    ) -> Call {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let slot = Slot { waiter: std::thread::current(), reply: None };
-        self.inner.pending.lock().insert(id, slot);
         self.inner.calls_issued.inc();
         // One span covers the whole logical call, so a retried produce
         // stays one causal tree on the server side. It is a child of the
@@ -522,22 +670,70 @@ impl RpcClient {
         let trace = span.context();
         let env = Envelope::request(opcode, id, self.inner.id, payload)
             .with_trace(trace.trace_id, trace.span_id);
-        let now = Instant::now();
-        let mut call = PendingCall {
-            failed: None,
-            inner: Arc::clone(&self.inner),
+        Call {
             to,
             env,
             attempts: 0,
-            deadline: budget.map(|b| now + b),
+            deadline: budget.map(|b| Instant::now() + b),
             next_retransmit: None,
             // Deterministic jitter: seeded by (node, call), independent
             // of thread interleavings.
             jitter: SplitMix64::new(u64::from(self.inner.id.raw()) << 32 ^ id),
             span,
-        };
-        call.transmit(now);
+        }
+    }
+
+    /// Registers the call's pending slot and makes its first transmission.
+    fn issue(
+        &self,
+        to: NodeId,
+        opcode: OpCode,
+        payload: Bytes,
+        budget: Option<Duration>,
+    ) -> PendingCall {
+        let call = self.new_call(to, opcode, payload, budget);
+        let slot = Slot::Waited { waiter: std::thread::current(), reply: None };
+        self.inner.pending.lock().slots.insert(call.env.request_id, slot);
+        let mut call = PendingCall { failed: None, inner: Arc::clone(&self.inner), call };
+        call.transmit(Instant::now());
         call
+    }
+
+    /// Issues a call nobody waits on. `done` runs once with its outcome:
+    /// the reply, on the thread that delivers it; `Timeout` once `budget`
+    /// is spent, or the error of a send that failed for good, on the
+    /// thread that made the send (one of this node's workers, or this
+    /// one); `Disconnected` when this node shuts down or crashes first. It
+    /// retransmits like a [`PendingCall`], driven by this node's workers
+    /// between requests; `budget` is also the deadline its transmissions
+    /// carry.
+    pub fn call_detached(
+        &self,
+        to: NodeId,
+        opcode: OpCode,
+        payload: Bytes,
+        budget: Duration,
+        done: impl FnOnce(Result<Bytes>) + Send + 'static,
+    ) {
+        let call = self.new_call(to, opcode, payload, Some(budget));
+        let id = call.env.request_id;
+        {
+            let mut pending = self.inner.pending.lock();
+            // Looked at under the lock `closed` empties the map under: a
+            // call registered here is one it completes.
+            if self.inner.shutdown.load(Ordering::SeqCst) {
+                drop(pending);
+                return done(Err(KeraError::Disconnected(self.inner.id)));
+            }
+            let detached = Detached { call, due: None, done: Box::new(done) };
+            pending.slots.insert(id, Slot::Detached(detached));
+        }
+        let earliest = self.inner.fire(id, Instant::now());
+        // A worker of this node looks at the timers before it next blocks;
+        // any other thread wakes one, lest they all sleep past this call.
+        if earliest && WORKER_OF.with(Cell::get) != Arc::as_ptr(&self.inner) as usize {
+            let _ = self.inner.work_tx.send(Work::Timers);
+        }
     }
 
     /// Synchronous call: a [`PendingCall`] waited on for `timeout`, which
@@ -637,21 +833,19 @@ impl RpcClient {
 
     /// Calls issued here that have neither resolved nor been dropped.
     pub fn pending_calls(&self) -> usize {
-        self.inner.pending.lock().values().filter(|slot| slot.reply.is_none()).count()
+        let pending = self.inner.pending.lock();
+        let resolved = |slot: &&Slot| matches!(slot, Slot::Waited { reply: Some(_), .. });
+        pending.slots.values().filter(|slot| !resolved(slot)).count()
     }
 }
 
-/// An in-flight RPC; resolves on response, send failure or node
-/// shutdown. While waited on, it retransmits the same request id — one
-/// attempt timeout plus a jittered exponential backoff step after the
-/// previous send, within the policy's `max_attempts` and the call's
-/// budget — so transient loss heals transparently. Its pending slot stays
-/// registered until the call resolves or is dropped, so a reply is
-/// accepted whenever it lands.
-pub struct PendingCall {
-    /// A send error that resolved the call; surfaced by the next poll.
-    failed: Option<KeraError>,
-    inner: Arc<NodeInner>,
+/// The transmissions of one logical call: the same request id every time,
+/// the budget left stamped afresh on each, the next one scheduled by the
+/// node's retry policy — one attempt timeout plus a jittered exponential
+/// backoff step after the previous send, within `max_attempts` and the
+/// call's budget. A [`PendingCall`] drives them while waited on; the
+/// node's workers drive a detached call's.
+struct Call {
     to: NodeId,
     /// The request as issued (no deadline); each transmission is a copy
     /// stamped with the budget left at that moment.
@@ -668,6 +862,82 @@ pub struct PendingCall {
     span: Span,
 }
 
+impl Call {
+    /// The next transmission, stamped with the budget *remaining* at
+    /// `now`; `None` once the budget is spent (a zero deadline on the
+    /// wire would read as "no deadline").
+    fn stamp(&mut self, inner: &NodeInner, now: Instant) -> Option<Envelope> {
+        let remaining = self.deadline.map(|d| d.saturating_duration_since(now));
+        if remaining.is_some_and(|r| r.is_zero()) {
+            return None;
+        }
+        if self.attempts > 0 {
+            inner.retries_sent.inc();
+            inner.obs.event(
+                Stage::RpcRetry,
+                self.span.context(),
+                self.env.opcode as u8,
+                u64::from(self.attempts),
+            );
+        }
+        self.attempts += 1;
+        // lint: allow(no-hot-copy) — refcount clone kept for retransmits
+        let env = self.env.clone();
+        // The *overall* budget, not the attempt timeout: a timed-out
+        // attempt only retransmits — the caller hasn't abandoned the
+        // call, and the server must not drop the execution early.
+        Some(match remaining {
+            Some(remaining) => env.with_deadline(remaining),
+            None => env,
+        })
+    }
+
+    /// When to retransmit after a transmission at `now`: the attempt
+    /// timeout (skipped if the send itself failed) plus the backoff step
+    /// jittered to [50%, 100%]. `None` when the attempts are used up or
+    /// that instant falls outside the call's budget.
+    fn retransmit_after(
+        &mut self,
+        policy: &RetryPolicy,
+        now: Instant,
+        sent: bool,
+    ) -> Option<Instant> {
+        if self.attempts >= policy.max_attempts {
+            return None;
+        }
+        let unit = self.jitter.next_u32() as f64 / u32::MAX as f64;
+        let backoff = policy.backoff_for(self.attempts).mul_f64(0.5 + 0.5 * unit);
+        let wait = if sent { policy.attempt_timeout + backoff } else { backoff };
+        let at = now + wait;
+        self.deadline.is_none_or(|d| at < d).then_some(at)
+    }
+
+    /// A send error resolves the call unless it is retriable and another
+    /// send is scheduled (it then just consumed an attempt).
+    fn failed_for_good(&self, sent: Result<()>) -> Option<KeraError> {
+        sent.err().filter(|e| !e.is_retriable() || self.next_retransmit.is_none())
+    }
+
+    /// Records the call span now (resolution time), replacing it with an
+    /// inert one so later polls/drops record nothing more.
+    fn finish_span(&mut self) {
+        let mut span = std::mem::replace(&mut self.span, Span::inert());
+        span.set_aux(u64::from(self.attempts));
+        span.finish();
+    }
+}
+
+/// An in-flight RPC; resolves on response, send failure or node
+/// shutdown. While waited on, it retransmits (see [`Call`]) so transient
+/// loss heals transparently. Its pending slot stays registered until the
+/// call resolves or is dropped, so a reply is accepted whenever it lands.
+pub struct PendingCall {
+    /// A send error that resolved the call; surfaced by the next poll.
+    failed: Option<KeraError>,
+    inner: Arc<NodeInner>,
+    call: Call,
+}
+
 impl PendingCall {
     /// Waits up to `timeout` without consuming the call: returns
     /// `Some(result)` once resolved, `None` on timeout (the call stays
@@ -679,16 +949,17 @@ impl PendingCall {
         loop {
             let resolved = self.failed.take().map(Err).or_else(|| self.look());
             if resolved.is_some() {
-                self.finish_span();
+                self.call.finish_span();
                 return resolved;
             }
             let now = Instant::now();
-            if self.next_retransmit.is_some_and(|at| now >= at) {
+            let next = self.call.next_retransmit;
+            if next.is_some_and(|at| now >= at) {
                 self.transmit(now);
             } else if now >= poll_deadline {
                 return None;
             } else {
-                let wake = self.next_retransmit.map_or(poll_deadline, |at| at.min(poll_deadline));
+                let wake = next.map_or(poll_deadline, |at| at.min(poll_deadline));
                 std::thread::park_timeout(wake - now);
             }
         }
@@ -698,80 +969,32 @@ impl PendingCall {
     /// the slot's waiter from here on — registered under the lock it
     /// looked under, so a reply landing before it parks unparks it.
     fn look(&mut self) -> Option<Result<Bytes>> {
+        let id = self.call.env.request_id;
         let mut pending = self.inner.pending.lock();
-        let Some(slot) = pending.get_mut(&self.env.request_id) else {
+        let Some(Slot::Waited { waiter, reply }) = pending.slots.get_mut(&id) else {
             // Our own node shut down or crashed.
             return Some(Err(KeraError::Disconnected(self.inner.id)));
         };
-        let Some(env) = slot.reply.take() else {
-            slot.waiter = std::thread::current();
+        let Some(env) = reply.take() else {
+            *waiter = std::thread::current();
             return None;
         };
-        pending.remove(&self.env.request_id);
+        pending.slots.remove(&id);
         Some(env.check_status().map(|()| env.payload))
     }
 
-    /// Every send of the request, first or repeated: stamps the budget
-    /// *remaining* now and schedules the next retransmission. A send
-    /// error resolves the call at once unless it is retriable and
-    /// another send is scheduled (it then just consumed an attempt).
+    /// Every send of the request, first or repeated, and the schedule of
+    /// the next.
     fn transmit(&mut self, now: Instant) {
-        let remaining = self.deadline.map(|d| d.saturating_duration_since(now));
-        if remaining.is_some_and(|r| r.is_zero()) {
-            // Budget already spent (a zero timeout, or a late wake-up):
-            // a zero deadline on the wire would read as "no deadline".
-            self.next_retransmit = None;
+        let Some(env) = self.call.stamp(&self.inner, now) else {
+            // Budget already spent (a zero timeout, or a late wake-up).
+            self.call.next_retransmit = None;
             return;
-        }
-        if self.attempts > 0 {
-            self.inner.retries_sent.inc();
-            self.inner.obs.event(
-                Stage::RpcRetry,
-                self.span.context(),
-                self.env.opcode as u8,
-                u64::from(self.attempts),
-            );
-        }
-        self.attempts += 1;
-        // lint: allow(no-hot-copy) — refcount clone kept for retransmits
-        let mut env = self.env.clone();
-        if let Some(remaining) = remaining {
-            // The *overall* budget, not the attempt timeout: a timed-out
-            // attempt only retransmits — the caller hasn't abandoned the
-            // call, and the server must not drop the execution early.
-            env = env.with_deadline(remaining);
-        }
-        let sent = self.inner.send(self.to, env);
-        self.next_retransmit = self.retransmit_after(now, sent.is_ok());
-        if let Err(e) = sent {
-            if !e.is_retriable() || self.next_retransmit.is_none() {
-                self.failed = Some(e);
-            }
-        }
-    }
-
-    /// When to retransmit after a transmission at `now`: the attempt
-    /// timeout (skipped if the send itself failed) plus the backoff step
-    /// jittered to [50%, 100%]. `None` when the attempts are used up or
-    /// that instant falls outside the call's budget.
-    fn retransmit_after(&mut self, now: Instant, sent: bool) -> Option<Instant> {
-        if self.attempts >= self.inner.retry.max_attempts {
-            return None;
-        }
-        let policy = &self.inner.retry;
-        let unit = self.jitter.next_u32() as f64 / u32::MAX as f64;
-        let backoff = policy.backoff_for(self.attempts).mul_f64(0.5 + 0.5 * unit);
-        let wait = if sent { policy.attempt_timeout + backoff } else { backoff };
-        let at = now + wait;
-        self.deadline.is_none_or(|d| at < d).then_some(at)
-    }
-
-    /// Records the call span now (resolution time), replacing it with an
-    /// inert one so later polls/drops record nothing more.
-    fn finish_span(&mut self) {
-        let mut span = std::mem::replace(&mut self.span, Span::inert());
-        span.set_aux(u64::from(self.attempts));
-        span.finish();
+        };
+        let sent = self.inner.send(self.call.to, env);
+        self.call.next_retransmit =
+            self.call.retransmit_after(&self.inner.retry, now, sent.is_ok());
+        self.failed = self.call.failed_for_good(sent);
     }
 
     /// Waits up to `timeout` for the response. On success returns the
@@ -786,7 +1009,7 @@ impl Drop for PendingCall {
     /// Unregisters the pending slot: a call abandoned unresolved must
     /// not leave it behind for a reply that may never come.
     fn drop(&mut self) {
-        self.inner.pending.lock().remove(&self.env.request_id);
+        self.inner.pending.lock().slots.remove(&self.call.env.request_id);
     }
 }
 
@@ -1095,6 +1318,132 @@ mod tests {
         svc.take().send(Ok(Bytes::from_static(b"again")));
         let resp = raw_in.recv(Duration::from_secs(1)).unwrap().expect("the retry's reply");
         assert_eq!(&resp.payload[..], b"again");
+    }
+
+    /// What the completions of detached calls were handed. Each also takes
+    /// `rpc.pending` itself, so one run under that lock deadlocks (or, under
+    /// `parking_lot/deadlock-detect`, panics).
+    #[derive(Default)]
+    struct Outcomes(Mutex<Vec<Result<Bytes>>>);
+
+    impl Outcomes {
+        fn done(self: &Arc<Self>, client: &RpcClient) -> impl FnOnce(Result<Bytes>) + Send {
+            let (outcomes, client) = (Arc::clone(self), client.clone());
+            move |result| {
+                client.pending_calls();
+                outcomes.0.lock().push(result);
+            }
+        }
+
+        fn wait(&self, n: usize) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while self.0.lock().len() < n {
+                let ran = self.0.lock().len();
+                assert!(Instant::now() < deadline, "{ran} of {n} completions ran");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    #[test]
+    fn a_detached_call_is_retransmitted_and_runs_once() {
+        use crate::faults::FaultPlan;
+        use kera_common::config::FaultProfile;
+        use std::sync::atomic::AtomicU64;
+
+        let net = InMemNetwork::new(NetworkModel::default());
+        let hits = Arc::new(AtomicU64::new(0));
+        let _server = NodeRuntime::start(
+            Arc::new(net.register(NodeId(1))),
+            Arc::new(CountingService { hits: Arc::clone(&hits) }),
+            2,
+        );
+        let plan = FaultPlan::new(FaultProfile {
+            seed: 23,
+            drop_rate: 0.4,
+            ..FaultProfile::default()
+        })
+        .unwrap();
+        // Its one worker drives the retransmits.
+        let client = client_behind(&net, &plan, 20, Duration::from_millis(50));
+        let c = client.client();
+        let outcomes = Arc::new(Outcomes::default());
+        const CALLS: u64 = 30;
+        for i in 0..CALLS {
+            let body = Bytes::from(i.to_le_bytes().to_vec());
+            let budget = Duration::from_secs(5);
+            c.call_detached(NodeId(1), OpCode::Ping, body, budget, outcomes.done(&c));
+        }
+        outcomes.wait(CALLS as usize);
+        let mut echoed: Vec<u64> = std::mem::take(&mut *outcomes.0.lock())
+            .into_iter()
+            .map(|r| u64::from_le_bytes(r.expect("retransmits mask drops")[..].try_into().unwrap()))
+            .collect();
+        echoed.sort_unstable();
+        assert_eq!(echoed, (0..CALLS).collect::<Vec<_>>());
+        assert!(plan.dropped() > 0, "faults never fired");
+        assert!(c.retries_sent() > 0, "drops should have forced retransmits");
+        assert_eq!(hits.load(Ordering::SeqCst), CALLS, "handler re-executed a retransmit");
+        assert_eq!(c.pending_calls(), 0);
+    }
+
+    #[test]
+    fn a_detached_call_to_a_held_peer_times_out_once_at_its_budget() {
+        use crate::faults::FaultPlan;
+        use kera_common::config::FaultProfile;
+
+        let net = InMemNetwork::new(NetworkModel::default());
+        let server =
+            NodeRuntime::start(Arc::new(net.register(NodeId(1))), Arc::new(EchoService), 1);
+        let plan = FaultPlan::new(FaultProfile::default()).unwrap();
+        let client = client_behind(&net, &plan, 20, Duration::from_millis(30));
+        let c = client.client();
+        let outcomes = Arc::new(Outcomes::default());
+        plan.hold(NodeId(1));
+        let started = Instant::now();
+        let budget = Duration::from_millis(200);
+        c.call_detached(NodeId(1), OpCode::Ping, Bytes::new(), budget, outcomes.done(&c));
+        outcomes.wait(1);
+        let took = started.elapsed();
+        assert!(matches!(outcomes.0.lock()[..], [Err(KeraError::Timeout { .. })]));
+        assert!(took >= budget && took < budget * 5, "completed after {took:?}");
+        assert!(plan.held() >= 2, "the held call was never retransmitted");
+        assert_eq!(c.pending_calls(), 0);
+        // The kept copies land now and are answered; the late replies find
+        // no call to complete.
+        plan.release(NodeId(1));
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while server.requests_served() == 0 {
+            assert!(Instant::now() < deadline, "the released request was never served");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(outcomes.0.lock().len(), 1, "a detached call completed twice");
+    }
+
+    #[test]
+    fn a_detached_call_completes_disconnected_when_its_node_goes() {
+        for crash in [false, true] {
+            let net = InMemNetwork::new(NetworkModel::default());
+            let _peer = Collector::bind(&net.register(NodeId(1))); // never answers
+            let client =
+                NodeRuntime::start(Arc::new(net.register(NodeId(2))), Arc::new(NullService), 1);
+            let c = client.client();
+            let (outcomes, budget) = (Arc::new(Outcomes::default()), Duration::from_secs(5));
+            c.call_detached(NodeId(1), OpCode::Ping, Bytes::new(), budget, outcomes.done(&c));
+            assert!(outcomes.0.lock().is_empty(), "completed before its node went");
+            // Either way the node goes on this thread, which completes the call.
+            if crash {
+                net.crash(NodeId(2));
+            } else {
+                client.shutdown();
+            }
+            // A call issued afterwards completes at once, the same way.
+            c.call_detached(NodeId(1), OpCode::Ping, Bytes::new(), budget, outcomes.done(&c));
+            let outcomes = outcomes.0.lock();
+            assert_eq!(outcomes.len(), 2, "crash: {crash}");
+            assert!(outcomes.iter().all(|r| matches!(r, Err(KeraError::Disconnected(NodeId(2))))));
+        }
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //!
 //! - [`vseg`] — virtual segments: chunk references, the header /
 //!   durable-header pair, the checksum-of-checksums, per-vseg backup sets;
-//! - [`vlog`] — the virtual log: one open virtual segment, rolling, the
-//!   group-commit replication round in its two halves (begin: send
-//!   everything pending; finish: collect the acknowledgements) and
-//!   [`sync`], the one call a produce worker makes to run an overlapped
-//!   round on every log its request touched — no thread of its own;
+//! - [`vlog`] — the virtual log: one open virtual segment, rolling, and
+//!   group-commit replication with no thread of its own — a request waits
+//!   on every log it touched ([`wait_all`]), and whichever thread delivers
+//!   a round's last acknowledgement lands it, answers the requests it
+//!   made durable and sends the next;
 //! - [`set`] — [`set::VirtualLogSet`]: maps streamlets (or sub-partitions)
 //!   onto virtual logs according to the configured
 //!   [`kera_common::config::VirtualLogPolicy`] — the *replication
@@ -36,5 +36,5 @@ pub mod vseg;
 
 pub use channel::BackupChannel;
 pub use set::VirtualLogSet;
-pub use vlog::{sync, VirtualLog};
+pub use vlog::{wait_all, VirtualLog};
 pub use vseg::{ChunkRef, VirtualSegment};

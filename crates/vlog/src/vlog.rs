@@ -5,25 +5,26 @@
 //!
 //! A produce worker calls [`VirtualLog::append`] for every chunk of its
 //! request (under the slot lock of the physical append — see
-//! `kera_storage::streamlet::Streamlet::append_chunk_tracked`) and then
-//! synchronizes the logs it touched itself, with one call to [`sync`]:
-//! "once all chunks of a request are appended, the corresponding
-//! replicated virtual logs are synchronized on backups" (§IV-B). A round
-//! has two halves. [`VirtualLog::begin_round`] gathers **every** pending
-//! chunk reference — across all waiting producers and all the partitions
-//! sharing the log — packs one `BackupWrite` body per virtual segment and
-//! hands each to the channel, which sends without waiting;
-//! [`Round::finish`] collects the acknowledgements, advances the durable
-//! mark and wakes the log's waiters. [`sync`] begins a round on every
-//! listed log before it finishes any, so a request touching several logs
-//! pays one backup round trip, not one per log.
+//! `kera_storage::streamlet::Streamlet::append_chunk_tracked`). "Once all
+//! chunks of a request are appended" (§IV-B) it registers the request on
+//! every log it touched ([`wait_all`]) and moves on: nobody waits out the
+//! round trip. A log keeps its waiters in ticket order, and one with no
+//! round in flight starts one for a new waiter: it gathers **every**
+//! pending chunk reference — across all waiting producers and all the
+//! partitions sharing the log — packs one `BackupWrite` body per virtual
+//! segment and hands each to the channel, which sends without waiting.
+//! The thread that delivers a round's last acknowledgement lands it:
+//! under the lock it applies the acks, takes every waiter the durable
+//! mark now covers and, if a waiter is left, begins the next round; with
+//! the lock released it answers the waiters it took and sends that
+//! round. A request touching several logs has their rounds in flight
+//! together and is answered by the last to land.
 //!
-//! At most one round per log is in flight. A worker that finds another
-//! worker's round in flight waits for it to land and, if its ticket is
-//! still not durable, ships the follow-up round itself (leader/follower
-//! group commit): chunks appended while a round is in flight ride the
-//! next one, which is exactly how the virtual log "consolidates multiple
-//! replication RPCs by replacing small I/Os with larger ones on backups".
+//! At most one round per log is in flight; what is appended meanwhile
+//! rides the next, which is exactly how the virtual log "consolidates
+//! multiple replication RPCs by replacing small I/Os with larger ones on
+//! backups". A round starts only for a registered request, so a request
+//! still appending is not split across rounds.
 //!
 //! ## Failure handling
 //!
@@ -32,27 +33,30 @@
 //! (RAMCloud-style re-replication) by the next round; producers keep
 //! waiting and succeed once the new set acknowledges. Only when no
 //! replacement backups exist does the log poison itself and fail its
-//! producers. Any other failure of a round — and a round dropped without
-//! being finished — is transient: it fails the producers waiting at that
-//! moment (their clients retry) and leaves the round's references
-//! pending. Nothing retries in the background: the **next** round on the
-//! log ships them, and until then they stay unacknowledged and invisible
-//! to consumers (durable-before-visible).
+//! producers. Any other failure of a round is transient: it fails every
+//! request waiting on the log (their clients retry) and leaves the
+//! round's references pending. Nothing retries in the background: the
+//! **next** request registered on the log ships them, and until then they
+//! stay unacknowledged and invisible to consumers (durable-before-visible).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, OnceLock};
 
 use kera_common::ids::{NodeId, VirtualLogId, VirtualSegmentId};
 use kera_common::metrics::Counter;
 use kera_common::{KeraError, Result};
-use kera_obs::{NodeObs, Span, Stage};
+use kera_obs::{NodeObs, Span, Stage, TraceContext};
 use kera_wire::messages::{backup_flags, EncodedBackupWrite};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
-use crate::channel::{BackupChannel, PendingAcks};
+use crate::channel::{Acked, BackupChannel};
 use crate::selector::BackupSelector;
 use crate::vseg::{ChunkRef, VirtualSegment};
+
+/// What a request waiting on its logs is told, once: its chunks are
+/// durable (`Ok`), or a log failed it. Runs with no lock held, on the
+/// thread that landed the last round or registered the request.
+pub type Landed = Box<dyn FnOnce(Result<()>) + Send + Sync>;
 
 struct VsegEntry {
     vseg: VirtualSegment,
@@ -74,9 +78,9 @@ struct LogState {
     replicating: bool,
     /// Unrecoverable: not enough backups remain.
     poisoned: bool,
-    /// Bumped by every failed or abandoned round so waiters can give up
-    /// instead of sleeping forever.
-    error_epoch: u64,
+    /// Requests waiting, in ticket order: ticket, where a round begun for
+    /// the request is traced, the request.
+    waiters: VecDeque<(u64, TraceContext, Arc<Join<Landed>>)>,
 }
 
 /// One captured replication batch for one virtual segment.
@@ -89,6 +93,60 @@ struct BatchWork {
     checksum: u32,
 }
 
+/// One job shared by its parts — a request by the logs it waits on, a
+/// round by its backups' acknowledgements: the last part to let go takes
+/// it, with the first failure any part reported.
+struct Join<T> {
+    job: T,
+    failed: OnceLock<KeraError>,
+}
+
+impl<T> Join<T> {
+    fn new(job: T) -> Arc<Self> {
+        Arc::new(Join { job, failed: OnceLock::new() })
+    }
+
+    fn release(self: Arc<Self>, outcome: Result<()>) -> Option<(T, Result<()>)> {
+        if let Err(e) = outcome {
+            let _ = self.failed.set(e);
+        }
+        let Join { job, failed } = Arc::into_inner(self)?;
+        Some((job, failed.into_inner().map_or(Ok(()), Err)))
+    }
+}
+
+/// A round in flight: its log, its batches and its `vlog_ship` span.
+type Flight = Join<(Arc<VirtualLog>, Vec<BatchWork>, Span)>;
+
+/// Registers one request on every log it touched, each with its highest
+/// ticket, and starts a round, traced under `trace`, on each that has
+/// none in flight. `landed` runs once every ticket is durable — at once,
+/// here, if they all are or no log has backups — or a log failed it.
+pub fn wait_all(
+    logs: Vec<(Arc<VirtualLog>, u64)>,
+    channel: &dyn BackupChannel,
+    trace: TraceContext,
+    landed: Landed,
+) {
+    let request = Join::new(landed);
+    for (log, ticket) in logs {
+        let mut st = log.state.lock();
+        if st.poisoned {
+            let _ = request.failed.set(log.poisoned());
+        } else if log.copies > 0 && st.durable < ticket {
+            let at = st.waiters.partition_point(|(t, ..)| *t <= ticket);
+            st.waiters.insert(at, (ticket, trace, Arc::clone(&request)));
+            if let Some((work, trace)) = VirtualLog::begin(&mut st) {
+                drop(st);
+                log.ship(channel, work, trace);
+            }
+        }
+    }
+    if let Some((landed, outcome)) = request.release(Ok(())) {
+        landed(outcome);
+    }
+}
+
 /// A shared replicated virtual log.
 pub struct VirtualLog {
     id: VirtualLogId,
@@ -97,7 +155,6 @@ pub struct VirtualLog {
     /// Backup copies per virtual segment (R − 1).
     copies: usize,
     state: Mutex<LogState>,
-    cv: Condvar,
     /// Observability handle (inert when the owning node runs without
     /// tracing); counters below live in its registry as `kera.vlog.*`.
     obs: Arc<NodeObs>,
@@ -143,7 +200,7 @@ impl VirtualLog {
             durable: 0,
             replicating: false,
             poisoned: false,
-            error_epoch: 0,
+            waiters: VecDeque::new(),
         };
         let vl = id.raw().to_string();
         let labels: &[(&str, &str)] = &[("vlog", &vl)];
@@ -157,7 +214,6 @@ impl VirtualLog {
             vseg_capacity,
             copies,
             state: Mutex::named("vlog.state", state),
-            cv: Condvar::new(),
             obs,
             batches_sent,
             chunks_replicated,
@@ -191,6 +247,10 @@ impl VirtualLog {
         self.state.lock().segs.len()
     }
 
+    fn poisoned(&self) -> KeraError {
+        KeraError::NoCapacity(format!("virtual log {} is poisoned", self.id))
+    }
+
     /// Appends a chunk reference; returns the durability *ticket* (the log's
     /// header after this chunk). Rolls to a fresh virtual segment — with a
     /// freshly selected backup set — when the open one is (virtually)
@@ -202,7 +262,7 @@ impl VirtualLog {
         }
         let mut st = self.state.lock();
         if st.poisoned {
-            return Err(KeraError::NoCapacity(format!("virtual log {} is poisoned", self.id)));
+            return Err(self.poisoned());
         }
         // A log is constructed with one open vseg; treat an (impossible)
         // empty deque as needing a roll rather than panicking mid-append.
@@ -232,69 +292,30 @@ impl VirtualLog {
         Ok(st.appended)
     }
 
-    /// One replication round on this log alone, begun and finished:
-    /// `Ok(true)` when more work remains, `Ok(false)` when there is
-    /// nothing (more) for this caller to ship — the log is durable,
-    /// another round is in flight, or `copies == 0` (replication factor 1:
-    /// nothing ever ships).
-    pub fn ship_once(&self, channel: &dyn BackupChannel) -> Result<bool> {
-        self.begin_round(channel, u64::MAX, None)?.map_or(Ok(false), Round::finish)
+    /// Replicates everything appended so far ([`wait_all`] on the log's
+    /// header). Through a channel that acknowledges inside `start`, like
+    /// `MockChannel`, the rounds have landed when this returns `Ok(false)`
+    /// or their error; `Ok(true)` while they are still in flight.
+    pub fn ship_once(self: &Arc<Self>, channel: &dyn BackupChannel) -> Result<bool> {
+        let outcome = Arc::new(OnceLock::<Result<()>>::new());
+        let seen = Arc::clone(&outcome);
+        let logs = vec![(Arc::clone(self), self.appended())];
+        wait_all(logs, channel, kera_obs::current(), Box::new(move |r| drop(seen.set(r))));
+        let landed = Arc::into_inner(outcome).and_then(OnceLock::into_inner);
+        landed.map_or(Ok(true), |r| r.map(|()| false))
     }
 
-    /// Starts a replication round, unless `ticket` is already durable or
-    /// nothing is pending: under `vlog.state` gathers everything pending
-    /// and marks the round in flight; then, with the lock released, packs
-    /// each virtual segment's body once and hands it to the channel, which
-    /// sends without waiting. While another caller's round is in flight
-    /// this returns `None` at once or — given `wait_until` — waits for
-    /// that round to land first and, if `ticket` is still not durable,
-    /// begins the follow-up round. A failed or abandoned round fails the
-    /// callers waiting here (their clients retry).
-    pub fn begin_round<'a>(
-        &'a self,
-        channel: &'a dyn BackupChannel,
-        ticket: u64,
-        wait_until: Option<Instant>,
-    ) -> Result<Option<Round<'a>>> {
-        if self.copies == 0 {
-            return Ok(None);
+    /// Marks a round in flight and gathers everything pending, if a
+    /// request waits and no round is in flight; traced under the oldest
+    /// waiter.
+    fn begin(st: &mut LogState) -> Option<(Vec<BatchWork>, TraceContext)> {
+        let trace = st.waiters.front()?.1;
+        if st.replicating || st.poisoned {
+            return None;
         }
-        let mut st = self.state.lock();
-        let epoch = st.error_epoch;
-        while !st.poisoned && st.durable < ticket && st.replicating {
-            let Some(deadline) = wait_until else { return Ok(None) };
-            // lint: allow(no-time-under-lock) — condvar timed wait must re-read
-            // the clock after every wakeup while still holding the state lock
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(KeraError::Timeout { op: "replication wait" });
-            }
-            self.cv.wait_for(&mut st, deadline - now);
-            if st.error_epoch != epoch {
-                return Err(KeraError::Timeout { op: "replication (transient failure)" });
-            }
-        }
-        if st.poisoned {
-            return Err(KeraError::NoCapacity(format!("virtual log {} is poisoned", self.id)));
-        }
-        if st.durable >= ticket {
-            return Ok(None);
-        }
-        let work = Self::gather(&st);
-        if work.is_empty() {
-            return Ok(None);
-        }
-        st.replicating = true;
-        drop(st);
-
-        // The shipping thread is the produce worker: the span parents to
-        // its current context and is entered so the writes nest under it.
-        let mut span = self.obs.span(Stage::VlogShip, kera_obs::current());
-        span.set_aux(work.iter().map(|w| w.refs.len() as u64).sum());
-        let in_span = span.is_recording().then(|| kera_obs::enter(span.context()));
-        let acks = work.iter().map(|w| self.send(channel, w)).collect();
-        drop(in_span);
-        Ok(Some(Round { log: self, work, acks, _span: span }))
+        let work = Self::gather(st);
+        st.replicating = !work.is_empty();
+        st.replicating.then_some((work, trace))
     }
 
     /// Collects, in log order, every unreplicated chunk reference.
@@ -318,11 +339,43 @@ impl VirtualLog {
         work
     }
 
-    /// Sends one captured batch. Chunk bytes are copied out of the
+    /// Sends a round begun under the lock, with the lock released: packs
+    /// each virtual segment's body once and starts it on the channel.
+    fn ship(
+        self: &Arc<Self>,
+        channel: &dyn BackupChannel,
+        work: Vec<BatchWork>,
+        trace: TraceContext,
+    ) {
+        let mut span = self.obs.span(Stage::VlogShip, trace);
+        span.set_aux(work.iter().map(|w| w.refs.len() as u64).sum());
+        // Entered, so that the writes' call spans nest under it.
+        let in_span = span.is_recording().then(|| kera_obs::enter(span.context()));
+        let bodies: Vec<_> = work.iter().map(|w| self.pack(w)).collect();
+        let flight = Join::new((Arc::clone(self), work, span));
+        for (w, req) in flight.job.1.iter().zip(&bodies) {
+            let acked = w.backups.iter().map(|_| {
+                let flight = Arc::clone(&flight);
+                Box::new(move |ch: &dyn BackupChannel, acks| Self::acked(flight, ch, acks)) as Acked
+            });
+            channel.start(&w.backups, req, acked.collect());
+        }
+        drop(in_span);
+        Self::acked(flight, channel, Ok(()));
+    }
+
+    /// One acknowledgement of a round in flight is in; the last lands it.
+    fn acked(flight: Arc<Flight>, channel: &dyn BackupChannel, acks: Result<()>) {
+        if let Some(((log, work, span), acks)) = flight.release(acks) {
+            drop(span);
+            log.land(channel, &work, acks);
+        }
+    }
+
+    /// Packs one captured batch. Chunk bytes are copied out of the
     /// physical segments exactly once, straight into the wire-format
-    /// request body, then fanned out to the virtual segment's backups
-    /// (the channel shares the one body).
-    fn send<'a>(&self, channel: &'a dyn BackupChannel, w: &BatchWork) -> PendingAcks<'a> {
+    /// request body, which the channel's fan-out shares.
+    fn pack(&self, w: &BatchWork) -> EncodedBackupWrite {
         let total: usize = w.refs.iter().map(|r| r.len as usize).sum();
         let mut flags = 0u8;
         if w.vseg_offset == 0 {
@@ -345,7 +398,47 @@ impl VirtualLog {
         self.batches_sent.inc();
         self.chunks_replicated.add(w.refs.len() as u64);
         self.bytes_replicated.add(total as u64);
-        channel.start(&w.backups, &req)
+        req
+    }
+
+    /// Lands a round, on the thread that delivered its last
+    /// acknowledgement. Under the lock: applies the acks — or rewrites the
+    /// backup sets around a dead backup of the round — takes every waiter
+    /// the durable mark now covers and begins the next round if a waiter
+    /// is left. On any other failure, or a poisoned log, it takes every
+    /// waiter and begins nothing. Then, with the lock released, answers
+    /// the waiters it took and ships the new round.
+    fn land(self: &Arc<Self>, channel: &dyn BackupChannel, work: &[BatchWork], acks: Result<()>) {
+        let mut st = self.state.lock();
+        st.replicating = false;
+        let failure = match acks {
+            Ok(()) => {
+                self.apply_acks(&mut st, work);
+                Self::recompute_durable(&mut st);
+                None
+            }
+            Err(KeraError::Disconnected(dead))
+                if work.iter().any(|w| w.backups.contains(&dead)) =>
+            {
+                self.handle_backup_failure(&mut st, dead);
+                None
+            }
+            Err(e) => Some(e),
+        };
+        let failure = failure.or_else(|| st.poisoned.then(|| self.poisoned()));
+        let durable = if failure.is_some() { u64::MAX } else { st.durable };
+        let covered = st.waiters.partition_point(|(t, ..)| *t <= durable);
+        let done: Vec<_> = st.waiters.drain(..covered).collect();
+        let round = Self::begin(&mut st);
+        drop(st);
+        for (.., request) in done {
+            if let Some((landed, outcome)) = request.release(failure.clone().map_or(Ok(()), Err)) {
+                landed(outcome);
+            }
+        }
+        if let Some((work, trace)) = round {
+            self.ship(channel, work, trace);
+        }
     }
 
     /// Marks the shipped references durable and advances the physical
@@ -410,96 +503,6 @@ impl VirtualLog {
     }
 }
 
-/// A replication round in flight on one log: the captured batches and
-/// the acknowledgements still owed for them. Dropped without
-/// [`Round::finish`], it counts as failed — the log is released and its
-/// waiters fail fast instead of sleeping out their timeout.
-pub struct Round<'a> {
-    log: &'a VirtualLog,
-    /// Taken by a `finish` that settles the round.
-    work: Vec<BatchWork>,
-    acks: Vec<PendingAcks<'a>>,
-    /// The `vlog_ship` span: begin to finish.
-    _span: Span,
-}
-
-impl Round<'_> {
-    /// Collects the acknowledgements — all of them, so that no write of
-    /// a failed round is still in flight when the next one is sent —
-    /// applies them and wakes the log's waiters. `Ok(true)` when more
-    /// work remains on the log.
-    pub fn finish(mut self) -> Result<bool> {
-        let mut outcome = Ok(());
-        for acks in self.acks.drain(..) {
-            outcome = outcome.and(acks().map(drop));
-        }
-        let dead = match outcome {
-            Ok(()) => None,
-            Err(KeraError::Disconnected(dead)) => Some(dead),
-            // Transient: dropping the round releases the log and fails its waiters.
-            Err(e) => return Err(e),
-        };
-        let work = std::mem::take(&mut self.work);
-        let log = self.log;
-        let mut st = log.state.lock();
-        st.replicating = false;
-        match dead {
-            None => {
-                log.apply_acks(&mut st, &work);
-                VirtualLog::recompute_durable(&mut st);
-            }
-            // Re-replicate onto the new backup set.
-            Some(dead) => log.handle_backup_failure(&mut st, dead),
-        }
-        log.cv.notify_all();
-        if st.poisoned {
-            return Err(KeraError::NoCapacity(format!("virtual log {} is poisoned", log.id)));
-        }
-        Ok(st.durable < st.appended || st.segs.iter().any(|e| e.vseg.needs_replication()))
-    }
-}
-
-impl Drop for Round<'_> {
-    fn drop(&mut self) {
-        if self.work.is_empty() {
-            return; // settled by `finish`
-        }
-        let mut st = self.log.state.lock();
-        st.replicating = false;
-        st.error_epoch += 1;
-        self.log.cv.notify_all();
-    }
-}
-
-/// Synchronizes the virtual logs one produce request touched, each up to
-/// its ticket, on the calling thread: begins a round on every log that
-/// still owes its ticket and has no round in flight — every send is
-/// issued before any acknowledgement is awaited — and finishes them all;
-/// then, where another worker's round was in flight, waits for it and
-/// ships the follow-up round. Fails with the first error, a poisoned
-/// log's included, or when `timeout` elapses waiting on another worker.
-pub fn sync(
-    logs: &[(Arc<VirtualLog>, u64)],
-    channel: &dyn BackupChannel,
-    timeout: Duration,
-) -> Result<()> {
-    let deadline = Instant::now() + timeout;
-    let begun: Vec<_> =
-        logs.iter().map(|(log, ticket)| log.begin_round(channel, *ticket, None)).collect();
-    let mut outcome = Ok(());
-    for round in begun {
-        let finished = round.and_then(|r| r.map_or(Ok(false), Round::finish));
-        outcome = outcome.and(finished.map(drop));
-    }
-    outcome?;
-    for (log, ticket) in logs {
-        while let Some(round) = log.begin_round(channel, *ticket, Some(deadline))? {
-            round.finish()?;
-        }
-    }
-    Ok(())
-}
-
 impl std::fmt::Debug for VirtualLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let st = self.state.lock();
@@ -517,13 +520,15 @@ impl std::fmt::Debug for VirtualLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::MockChannel;
+    use crate::channel::{Acked, MockChannel};
     use crate::selector::{BackupSelector, SelectionPolicy};
-    use std::sync::atomic::Ordering::Relaxed;
     use kera_common::ids::{GroupId, GroupRef, ProducerId, SegmentId, StreamId, StreamletId};
     use kera_storage::segment::Segment;
     use kera_wire::chunk::{ChunkBuilder, ChunkIter, ChunkView};
     use kera_wire::record::Record;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::Ordering::{Relaxed, SeqCst};
+    use std::time::Duration;
 
     fn selector(local: u32, fleet: u32) -> BackupSelector {
         let nodes: Vec<NodeId> = (0..fleet).map(NodeId).collect();
@@ -561,17 +566,6 @@ mod tests {
         }
     }
 
-    /// Single-log rounds until nothing is left to ship, then the
-    /// produce worker's call, which finds the ticket durable.
-    fn ship_until_durable(
-        vlog: &Arc<VirtualLog>,
-        ch: &dyn BackupChannel,
-        ticket: u64,
-    ) -> Result<()> {
-        while vlog.ship_once(ch)? {}
-        sync(&[(Arc::clone(vlog), ticket)], ch, Duration::ZERO)
-    }
-
     /// `n` logs with one chunk appended to each, as a produce request
     /// touching them all would leave them.
     fn touched_logs(n: u32, phys: &mut Phys) -> Vec<(Arc<VirtualLog>, u64)> {
@@ -586,6 +580,55 @@ mod tests {
             .collect()
     }
 
+    /// Registers one request on every log it touched, as the broker does,
+    /// and blocks this thread until it is answered.
+    fn wait_for(logs: &[(Arc<VirtualLog>, u64)], ch: &dyn BackupChannel) -> Result<()> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        wait_all(logs.to_vec(), ch, TraceContext::NONE, Box::new(move |r| drop(tx.send(r))));
+        rx.recv().unwrap()
+    }
+
+    /// Registers one request on every log it touched; counts its answers.
+    fn register(logs: &[(Arc<VirtualLog>, u64)], ch: &dyn BackupChannel) -> Arc<AtomicUsize> {
+        let answered = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&answered);
+        let landed = Box::new(move |r: Result<()>| {
+            r.unwrap();
+            counted.fetch_add(1, SeqCst);
+        });
+        wait_all(logs.to_vec(), ch, TraceContext::NONE, landed);
+        answered
+    }
+
+    /// Keeps every write's acknowledgements for the test to deliver: a
+    /// round lands only when told to.
+    #[derive(Default)]
+    struct HeldChannel {
+        held: Mutex<Vec<Vec<Acked>>>,
+        inner: MockChannel,
+    }
+
+    impl BackupChannel for HeldChannel {
+        fn start(&self, backups: &[NodeId], req: &EncodedBackupWrite, acked: Vec<Acked>) {
+            self.inner.batches.lock().push((backups.to_vec(), req.request().unwrap()));
+            self.held.lock().push(acked);
+        }
+    }
+
+    impl HeldChannel {
+        fn held(&self) -> usize {
+            self.held.lock().len()
+        }
+
+        /// Delivers every backup's answer to the oldest write, on this thread.
+        fn ack_one(&self, acks: Result<()>) {
+            let acked = self.held.lock().remove(0);
+            for acked in acked {
+                acked(self, acks.clone());
+            }
+        }
+    }
+
     #[test]
     fn append_ship_makes_chunks_durable() {
         let vlog =
@@ -597,7 +640,7 @@ mod tests {
         let ticket = vlog.append(r).unwrap();
         assert_eq!(ticket, len);
         assert_eq!(vlog.durable(), 0);
-        ship_until_durable(&vlog, &ch, ticket).unwrap();
+        assert!(!vlog.ship_once(&ch).unwrap(), "MockChannel lands the round inside ship_once");
         assert_eq!(vlog.durable(), len);
         // Physical durable head advanced.
         assert_eq!(phys.seg.durable_head(), len as usize);
@@ -617,25 +660,27 @@ mod tests {
             VirtualLog::new(VirtualLogId(0), NodeId(0), 1 << 20, 1, selector(0, 2)).unwrap();
         let ch = MockChannel::new();
         let mut phys = Phys::new();
-        let mut last = 0;
         for _ in 0..10 {
-            last = vlog.append(phys.chunk(50)).unwrap();
+            vlog.append(phys.chunk(50)).unwrap();
         }
-        ship_until_durable(&vlog, &ch, last).unwrap();
+        assert!(!vlog.ship_once(&ch).unwrap());
         // All ten chunks left in a single consolidated batch.
         assert_eq!(ch.batch_count(), 1);
         assert_eq!(ch.batches.lock()[0].1.chunk_count, 10);
         assert_eq!(vlog.chunks_replicated.get(), 10);
     }
 
+    /// An R1 request (no backups) is answered at registration, and nothing
+    /// ships.
     #[test]
-    fn shipping_with_factor_one_is_noop() {
+    fn a_request_on_a_log_without_backups_is_answered_at_registration() {
         let vlog =
             VirtualLog::new(VirtualLogId(0), NodeId(0), 1 << 20, 0, selector(0, 1)).unwrap();
         let ch = MockChannel::new();
-        let mut phys = Phys::new();
-        let t = vlog.append(phys.chunk(10)).unwrap();
-        ship_until_durable(&vlog, &ch, t).unwrap();
+        let ticket = vlog.append(Phys::new().chunk(10)).unwrap();
+        let answered = register(&[(Arc::clone(&vlog), ticket)], &ch);
+        assert_eq!(answered.load(SeqCst), 1);
+        assert!(!vlog.ship_once(&ch).unwrap());
         assert_eq!(ch.batch_count(), 0);
     }
 
@@ -654,11 +699,11 @@ mod tests {
         )
         .unwrap();
         let ch = MockChannel::new();
-        let mut last = vlog.append(probe).unwrap();
+        vlog.append(probe).unwrap();
         for _ in 0..5 {
-            last = vlog.append(phys.chunk(100)).unwrap();
+            vlog.append(phys.chunk(100)).unwrap();
         }
-        ship_until_durable(&vlog, &ch, last).unwrap();
+        assert!(!vlog.ship_once(&ch).unwrap());
         // 6 chunks / 2 per vseg = 3 vsegs = 3 batches.
         assert_eq!(ch.batch_count(), 3);
         let batches = ch.batches.lock();
@@ -684,17 +729,15 @@ mod tests {
         assert!(matches!(err, KeraError::ChunkTooLarge { .. }));
     }
 
-    /// Adds wire latency to the mock so batches overlap with appends —
-    /// the condition under which group commit consolidates.
+    /// Adds wire latency to the mock, on the shipping thread, so rounds
+    /// are in flight while other threads append — the condition under
+    /// which group commit consolidates.
     struct SlowChannel(MockChannel);
 
     impl BackupChannel for SlowChannel {
-        fn start<'a>(&'a self, backups: &[NodeId], req: &EncodedBackupWrite) -> PendingAcks<'a> {
-            let acks = self.0.start(backups, req);
-            Box::new(move || {
-                std::thread::sleep(Duration::from_micros(300));
-                acks()
-            })
+        fn start(&self, backups: &[NodeId], req: &EncodedBackupWrite, acked: Vec<Acked>) {
+            std::thread::sleep(Duration::from_micros(300));
+            self.0.start(backups, req, acked);
         }
     }
 
@@ -711,7 +754,7 @@ mod tests {
                     let mut phys = Phys::new();
                     for _ in 0..50 {
                         let t = vlog.append(phys.chunk(40)).unwrap();
-                        sync(&[(Arc::clone(&vlog), t)], &*ch, Duration::from_secs(10)).unwrap();
+                        wait_for(&[(Arc::clone(&vlog), t)], &*ch).unwrap();
                     }
                     // Every byte this thread appended is durable.
                     assert!(phys.seg.durable_head() == phys.seg.head());
@@ -732,17 +775,19 @@ mod tests {
         assert_eq!(vlog.durable(), vlog.appended());
     }
 
-    /// A produce-shaped call starts a round on every log it touched
-    /// before it collects any: the request pays one backup round trip,
-    /// not one per log.
+    /// One request on two logs: both rounds' writes go out before either
+    /// lands, and the request is answered once, by the later landing.
     #[test]
-    fn sync_overlaps_the_rounds_of_every_touched_log() {
-        let ch = MockChannel::new();
-        let logs = touched_logs(4, &mut Phys::new());
-        sync(&logs, &ch, Duration::from_secs(10)).unwrap();
-        assert_eq!(ch.peak_outstanding.load(Relaxed), 4, "rounds ran one after another");
-        assert_eq!(ch.outstanding.load(Relaxed), 0);
-        assert_eq!(ch.batch_count(), 4);
+    fn a_request_on_two_logs_is_answered_by_the_later_landing() {
+        let ch = HeldChannel::default();
+        let logs = touched_logs(2, &mut Phys::new());
+        let answered = register(&logs, &ch);
+        assert_eq!(ch.held(), 2, "a log's round waited for another's");
+        ch.ack_one(Ok(()));
+        assert_eq!(logs[0].0.durable(), logs[0].0.appended());
+        assert_eq!(answered.load(SeqCst), 0, "answered before its second log landed");
+        ch.ack_one(Ok(()));
+        assert_eq!(answered.load(SeqCst), 1);
         for (vlog, _) in &logs {
             assert_eq!(vlog.durable(), vlog.appended());
         }
@@ -757,32 +802,43 @@ mod tests {
         let vlog =
             VirtualLog::new(VirtualLogId(0), NodeId(0), probe.len as usize * 2, 1, selector(0, 4))
                 .unwrap();
-        let ch = MockChannel::new();
+        let ch = HeldChannel::default();
         vlog.append(probe).unwrap();
         vlog.append(phys.chunk(100)).unwrap();
         let ticket = vlog.append(phys.chunk(100)).unwrap();
-        sync(&[(Arc::clone(&vlog), ticket)], &ch, Duration::from_secs(10)).unwrap();
-        assert_eq!(ch.batch_count(), 2, "one write per virtual segment");
-        assert_eq!(ch.peak_outstanding.load(Relaxed), 2, "segments shipped one after another");
+        let answered = register(&[(Arc::clone(&vlog), ticket)], &ch);
+        assert_eq!(ch.held(), 2, "segments shipped one after another");
+        ch.ack_one(Ok(()));
+        assert_eq!(answered.load(SeqCst), 0, "answered before its round landed");
+        ch.ack_one(Ok(()));
+        assert_eq!(answered.load(SeqCst), 1);
+        assert_eq!(ch.inner.batch_count(), 2, "one write per virtual segment");
         assert_eq!(vlog.durable(), vlog.appended());
     }
 
-    /// A begun round that is never finished (its worker returned early)
-    /// releases the log: the next round ships what it left pending.
+    /// A request registered while a round is in flight ships nothing
+    /// itself: the landing starts the next round, which carries it.
     #[test]
-    fn an_abandoned_round_does_not_wedge_its_log() {
-        let ch = MockChannel::new();
-        let logs = touched_logs(2, &mut Phys::new());
-        let (first, ticket) = &logs[0];
-        let round = first.begin_round(&ch, *ticket, None).unwrap().unwrap();
-        // While it is in flight nobody else ships this log...
-        assert!(!first.ship_once(&ch).unwrap());
-        drop(round);
-        assert_eq!(first.durable(), 0);
-        // ...and afterwards anybody can.
-        assert!(!first.ship_once(&ch).unwrap());
-        assert_eq!(first.durable(), first.appended());
-        sync(&logs, &ch, Duration::ZERO).unwrap();
+    fn a_request_behind_a_round_in_flight_rides_the_next_one() {
+        let vlog =
+            VirtualLog::new(VirtualLogId(0), NodeId(0), 1 << 20, 1, selector(0, 4)).unwrap();
+        let ch = HeldChannel::default();
+        let mut phys = Phys::new();
+        let mut request = || {
+            let ticket = vlog.append(phys.chunk(40)).unwrap();
+            register(&[(Arc::clone(&vlog), ticket)], &ch)
+        };
+        let first = request();
+        let behind: Vec<_> = (0..3).map(|_| request()).collect();
+        let answered = || behind.iter().map(|r| r.load(SeqCst)).sum::<usize>();
+        assert_eq!(ch.held(), 1, "a second round went out while one was in flight");
+        ch.ack_one(Ok(()));
+        assert_eq!((first.load(SeqCst), answered()), (1, 0));
+        assert_eq!(ch.held(), 1, "the landing did not ship what was pending");
+        ch.ack_one(Ok(()));
+        assert_eq!(answered(), 3);
+        let batches = ch.inner.batches.lock();
+        assert_eq!(batches.iter().map(|(_, b)| b.chunk_count).collect::<Vec<_>>(), [1, 3]);
     }
 
     #[test]
@@ -797,43 +853,41 @@ mod tests {
             .collect();
         let worker = {
             let ch = Arc::clone(&ch);
-            std::thread::spawn(move || sync(&again, &*ch, Duration::from_secs(10)))
+            std::thread::spawn(move || wait_for(&again, &*ch))
         };
-        sync(&logs, &*ch, Duration::from_secs(10)).unwrap();
+        wait_for(&logs, &*ch).unwrap();
         worker.join().unwrap().unwrap();
         for (vlog, _) in &logs {
             assert_eq!(vlog.durable(), vlog.appended());
         }
     }
 
-    #[test]
-    fn sync_with_factor_one_is_noop() {
-        let vlog =
-            VirtualLog::new(VirtualLogId(0), NodeId(0), 1 << 20, 0, selector(0, 1)).unwrap();
-        let ch = MockChannel::new();
-        sync(&[(vlog, 123)], &ch, Duration::ZERO).unwrap();
-        assert_eq!(ch.batch_count(), 0);
-    }
-
-    /// A failed round fails the request that rode it and leaves its
-    /// references pending; nothing retries them in the background — the
-    /// next round on the log (here: the re-sent request's) lands them.
+    /// A failed round fails every request waiting on the log and leaves
+    /// its references pending; nothing retries them in the background —
+    /// the next request registered on the log ships them.
     #[test]
     fn transient_failure_surfaces_then_the_next_round_lands_it() {
-        let ch = MockChannel::new();
-        let logs = touched_logs(2, &mut Phys::new());
-        ch.fail.store(true, Relaxed);
-        let err = sync(&logs, &ch, Duration::from_secs(10)).unwrap_err();
-        assert!(matches!(err, KeraError::Timeout { .. }));
-        assert_eq!(ch.outstanding.load(Relaxed), 0, "a write of the failed set is still owed");
-        ch.fail.store(false, Relaxed);
-        for (vlog, _) in &logs {
-            assert_eq!(vlog.durable(), 0);
+        let ch = HeldChannel::default();
+        let mut phys = Phys::new();
+        let logs = touched_logs(1, &mut phys);
+        let vlog = &logs[0].0;
+        let failed = Arc::new(AtomicUsize::new(0));
+        for ticket in [logs[0].1, vlog.append(phys.chunk(40)).unwrap()] {
+            let failed = Arc::clone(&failed);
+            let landed = Box::new(move |r: Result<()>| {
+                assert!(matches!(r, Err(KeraError::Timeout { .. })));
+                failed.fetch_add(1, SeqCst);
+            });
+            wait_all(vec![(Arc::clone(vlog), ticket)], &ch, TraceContext::NONE, landed);
         }
-        sync(&logs, &ch, Duration::from_secs(10)).unwrap();
-        for (vlog, _) in &logs {
-            assert_eq!(vlog.durable(), vlog.appended());
-        }
+        ch.ack_one(Err(KeraError::Timeout { op: "scripted" }));
+        assert_eq!(failed.load(SeqCst), 2, "a request behind the failed round was not failed");
+        assert_eq!(vlog.durable(), 0);
+        assert_eq!(ch.held(), 0, "a failed round's references were re-shipped in the background");
+        let healed = MockChannel::new();
+        wait_for(&logs, &healed).unwrap();
+        assert_eq!(healed.batches.lock()[0].1.chunk_count, 2, "the stranded chunks rode along");
+        assert_eq!(vlog.durable(), vlog.appended());
     }
 
     #[test]
@@ -842,30 +896,31 @@ mod tests {
             VirtualLog::new(VirtualLogId(0), NodeId(0), 1 << 20, 1, selector(0, 2)).unwrap();
         let ch = MockChannel::new();
         let mut phys = Phys::new();
-        let t = vlog.append(phys.chunk(10)).unwrap();
-        ch.fail.store(true, std::sync::atomic::Ordering::Relaxed);
-        assert!(ship_until_durable(&vlog, &ch, t).is_err());
+        vlog.append(phys.chunk(10)).unwrap();
+        ch.fail.store(true, Relaxed);
+        assert!(vlog.ship_once(&ch).is_err());
         assert_eq!(vlog.durable(), 0);
         // The failure is transient: once the channel heals, shipping succeeds.
-        ch.fail.store(false, std::sync::atomic::Ordering::Relaxed);
-        ship_until_durable(&vlog, &ch, t).unwrap();
+        ch.fail.store(false, Relaxed);
+        assert!(!vlog.ship_once(&ch).unwrap());
         assert_eq!(vlog.durable(), vlog.appended());
     }
 
     /// A channel that reports one backup as crashed until told otherwise.
+    use KeraError::Disconnected;
+
     struct FlakyChannel {
         dead: Mutex<Option<NodeId>>,
         inner: MockChannel,
     }
 
     impl BackupChannel for FlakyChannel {
-        fn start<'a>(&'a self, backups: &[NodeId], req: &EncodedBackupWrite) -> PendingAcks<'a> {
-            if let Some(dead) = *self.dead.lock() {
-                if backups.contains(&dead) {
-                    return Box::new(move || Err(KeraError::Disconnected(dead)));
-                }
+        fn start(&self, backups: &[NodeId], req: &EncodedBackupWrite, acked: Vec<Acked>) {
+            let dead = self.dead.lock().filter(|dead| backups.contains(dead));
+            match dead {
+                Some(dead) => acked.into_iter().for_each(|a| a(self, Err(Disconnected(dead)))),
+                None => self.inner.start(backups, req, acked),
             }
-            self.inner.start(backups, req)
         }
     }
 
@@ -877,9 +932,10 @@ mod tests {
             VirtualLog::new(VirtualLogId(0), NodeId(0), 1 << 20, 2, selector(0, 4)).unwrap();
         let ch = FlakyChannel { dead: Mutex::new(Some(NodeId(1))), inner: MockChannel::new() };
         let mut phys = Phys::new();
-        let t = vlog.append(phys.chunk(25)).unwrap();
-        // Shipping must succeed by reselecting {2, 3}.
-        ship_until_durable(&vlog, &ch, t).unwrap();
+        vlog.append(phys.chunk(25)).unwrap();
+        // Shipping must succeed by reselecting {2, 3}: the landing of the
+        // failed round ships the next one itself.
+        assert!(!vlog.ship_once(&ch).unwrap());
         assert_eq!(vlog.durable(), vlog.appended());
         let batches = ch.inner.batches.lock();
         assert_eq!(batches.len(), 1);
@@ -895,8 +951,8 @@ mod tests {
             VirtualLog::new(VirtualLogId(0), NodeId(0), 1 << 20, 2, selector(0, 3)).unwrap();
         let ch = FlakyChannel { dead: Mutex::new(Some(NodeId(1))), inner: MockChannel::new() };
         let mut phys = Phys::new();
-        let t = vlog.append(phys.chunk(25)).unwrap();
-        let err = ship_until_durable(&vlog, &ch, t).unwrap_err();
+        vlog.append(phys.chunk(25)).unwrap();
+        let err = vlog.ship_once(&ch).unwrap_err();
         assert!(matches!(err, KeraError::NoCapacity(_)));
         // Subsequent appends fail fast.
         assert!(vlog.append(phys.chunk(25)).is_err());

@@ -33,10 +33,11 @@ if grep -rnE '^ *fn recv\(|"dispatch-' crates/rpc/src; then
   exit 1
 fi
 
-# The worker that appended ships: no thread class stands between a
-# produce worker and the backups, and nothing brings one back.
+# No thread class stands between a produce and the backups: a round is
+# sent by the worker that registered a request on its log or by the
+# thread that landed the round before it, and nothing brings one back.
 if grep -rnE '"repl-driver|ReplicationDriver' crates/*/src; then
-  echo "kera-vlog: replication rounds run on the produce worker, not a driver thread" >&2
+  echo "kera-vlog: replication rounds have no thread of their own" >&2
   exit 1
 fi
 
@@ -81,6 +82,19 @@ if find crates/kafka-sim/src -name '*.rs' ! -name tests.rs -exec awk '/^#\[cfg\(
   exit 1
 fi
 
+# KerA's produce never parks a worker either: a replicated produce waits
+# as a kept Reply on its virtual logs, and the thread that lands the last
+# round it waits for answers it. No condvar or timed wait in kera-vlog,
+# no blocking collector of acks, no round a worker finishes, no `sync`
+# (non-test lines, as above).
+if find crates/vlog/src crates/broker/src/broker.rs crates/broker/src/channel.rs -name '*.rs' \
+        -exec awk '/^#\[cfg\(test\)\]/{nextfile}
+        /Condvar|wait_for|PendingAcks|Round<|kera_vlog::sync/{print FILENAME":"FNR": "$0}' {} + \
+        | grep .; then
+  echo "kera: a replicated produce waits as a kept Reply, not on a worker" >&2
+  exit 1
+fi
+
 # A figure is declared once, in crates/harness/src/figures.rs, and graded
 # by `figure check`: the committed results/ must earn their declared
 # verdicts (file-only, instant), and one live short-window pass — fig13,
@@ -112,12 +126,14 @@ scripts/loc.sh
 
 # Dynamic lock-order checking: the shim's own lockdep suite, then the
 # chaos + invariants suites, the replication-round tests (kera-vlog's
-# unit tests, the broker's produce-failure drill) and the producer's
-# scripted-broker tests with every lock acquisition instrumented.
+# unit tests, the broker's produce-failure drill), kera-rpc's unit tests
+# (a detached call's completion takes rpc.pending itself, so it must run
+# under none) and the producer's scripted-broker tests with every lock
+# acquisition instrumented.
 # The chaos run arms the flight recorder: a panic or chaos failure dumps
 # each node's recent-event ring under results/tmp/flightrec/<run>/.
 (cd crates/shims/parking_lot && cargo test -q --features deadlock-detect)
-if ! KERA_FLIGHTREC=1 cargo test -q -p kera -p kera-vlog -p kera-broker -p kera-client \
+if ! KERA_FLIGHTREC=1 cargo test -q -p kera -p kera-rpc -p kera-vlog -p kera-broker -p kera-client \
     --features kera/deadlock-detect --test chaos --test invariants --test produce_failure \
     --test lanes --lib; then
   echo "chaos/invariants failed — flight recorder dumps:" >&2

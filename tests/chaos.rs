@@ -1022,21 +1022,24 @@ fn quota_flapping_mid_ingest_preserves_exactly_once() {
 
 /// The stall drill (DESIGN.md §13): hold the backup a broker's virtual
 /// log replicates to, mid-ingest, with the watchdogs armed. The produce
-/// in flight stalls where this system really stalls — its worker in
-/// `Round::finish`, waiting on an ack — the progress heartbeat stops,
-/// and within the threshold the broker's watchdog must auto-dump its
-/// flight-recorder ring plus at least one sampled slow span tree — the
-/// post-mortem an operator would otherwise have to race the stall to
-/// collect. Introspect stays live on the stalled broker throughout.
+/// in flight stalls where this system really stalls — on a virtual log
+/// whose round waits for an ack, its reply kept and counted in flight —
+/// the progress heartbeat stops, and within the threshold the broker's
+/// watchdog must auto-dump its flight-recorder ring plus at least one
+/// sampled slow span tree — the post-mortem an operator would otherwise
+/// have to race the stall to collect. No worker is parked meanwhile: the
+/// broker, booted with one, still serves a fetch and Introspect.
 #[test]
 fn held_backup_mid_ingest_triggers_watchdog_dump() {
-    use kera::wire::chunk::ChunkBuilder;
+    use kera::wire::chunk::{ChunkBuilder, ChunkIter};
+    use kera::wire::cursor::SlotCursor;
+    use kera::wire::messages::{FetchEntry, FetchRequest, FetchResponse};
     use kera::wire::record::Record;
 
     let _serial = serial();
     let mut cluster = KeraCluster::start(ClusterConfig {
         brokers: 2,
-        worker_threads: 4,
+        worker_threads: 1,
         faults: Some(FaultProfile::default()),
         ..ClusterConfig::default()
     })
@@ -1114,6 +1117,24 @@ fn held_backup_mid_ingest_triggers_watchdog_dump() {
         body.contains("\"slow_traces\":[{") && body.contains("\"tree\":["),
         "expected at least one sampled slow span tree in the dump"
     );
+
+    // Its one worker is free: a fetch is served while the produce waits —
+    // the three produces before it, nothing of the held one.
+    let fetch = FetchRequest {
+        consumer: ConsumerId(1),
+        entries: vec![FetchEntry {
+            stream: StreamId(77),
+            streamlet: StreamletId(0),
+            slot: 0,
+            cursor: SlotCursor::START,
+            max_bytes: 1 << 20,
+        }],
+    };
+    let fetched = client
+        .call(broker, OpCode::Fetch, fetch.encode(), Duration::from_secs(2))
+        .expect("the stalled broker's worker is parked");
+    let fetched = FetchResponse::decode_bytes(&fetched).unwrap();
+    assert_eq!(ChunkIter::new(&fetched.results[0].data).count(), 3, "served a chunk not durable");
 
     // The stalled node stays observable: Introspect answers while the
     // produce waits, and reports it in flight.

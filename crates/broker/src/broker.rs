@@ -284,13 +284,16 @@ impl BrokerService {
             return Ok(());
         }
         // Free replicated segments on every backup (idempotent; dead
-        // backups are skipped; fire-and-forget).
+        // backups are skipped). Nobody waits: the node retransmits each
+        // free until it is answered or its budget is spent.
         if let Some(channel) = self.channel.get() {
             for vlog in dropped {
                 let payload = BackupFreeRequest { source: self.node, vlog: vlog.id() }.encode();
                 for &backup in self.vlogs.cluster_backups() {
                     // lint: allow(no-hot-copy) — refcount clone of a tiny control frame
-                    let _ = channel.client.call_async(backup, OpCode::BackupFree, payload.clone());
+                    let free = payload.clone();
+                    let client = &channel.client;
+                    client.call_detached(backup, OpCode::BackupFree, free, REPLICATION_TIMEOUT, drop);
                 }
             }
         }

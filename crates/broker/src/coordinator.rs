@@ -366,11 +366,13 @@ impl CoordinatorService {
     /// current-term entries, and a higher observed term deposes us.
     fn run_append_round(&self, batches: Vec<(NodeId, MetaAppendRequest)>) -> Result<()> {
         let client = self.client()?;
+        let round_timeout = self.round_timeout();
         let mut calls: Vec<(NodeId, PendingCall)> = Vec::with_capacity(batches.len());
         for (peer, req) in batches {
-            calls.push((peer, client.call_async(peer, OpCode::MetaAppend, req.encode()?)));
+            let payload = req.encode()?;
+            calls.push((peer, client.call_async(peer, OpCode::MetaAppend, payload, round_timeout)));
         }
-        let round_deadline = Instant::now() + self.round_timeout();
+        let round_deadline = Instant::now() + round_timeout;
         let mut responses = Vec::new();
         for (peer, call) in calls {
             let left = round_deadline
@@ -551,12 +553,12 @@ impl CoordinatorService {
         let mut span = client.obs().root_span(Stage::ElectionVote);
         span.set_aux(req.term);
         let peers = { self.replica.lock().election.peers().to_vec() };
+        let vote_timeout = (self.cfg.election_timeout_min / 2).max(Duration::from_millis(20));
         let calls: Vec<(NodeId, PendingCall)> = peers
             .into_iter()
-            .map(|peer| (peer, client.call_async(peer, OpCode::RequestVote, req.encode())))
+            .map(|peer| (peer, client.call_async(peer, OpCode::RequestVote, req.encode(), vote_timeout)))
             .collect();
-        let vote_deadline =
-            Instant::now() + (self.cfg.election_timeout_min / 2).max(Duration::from_millis(20));
+        let vote_deadline = Instant::now() + vote_timeout;
         let mut won = false;
         for (peer, call) in calls {
             let left = vote_deadline
@@ -803,7 +805,7 @@ impl CoordinatorService {
             .into_iter()
             .map(|(broker, assignments)| {
                 let req = HostStreamRequest { metadata: metadata.clone(), assignments };
-                client.call_async(broker, OpCode::HostStream, req.encode())
+                client.call_async(broker, OpCode::HostStream, req.encode(), HOST_TIMEOUT)
             })
             .collect();
         for c in calls {
@@ -833,7 +835,7 @@ impl CoordinatorService {
             .brokers()
             .into_iter()
             // lint: allow(no-hot-copy) — refcount clone of a tiny control frame
-            .map(|b| client.call_async(b, OpCode::DeleteStream, payload.clone()))
+            .map(|b| client.call_async(b, OpCode::DeleteStream, payload.clone(), HOST_TIMEOUT))
             .collect();
         for c in calls {
             c.wait(HOST_TIMEOUT)?;

@@ -19,8 +19,8 @@
 //!   broker that answers late, refuses or is gone holds back its own
 //!   slots and nobody else's.
 //!
-//! The thread blocks in two places: the `park_timeout` that ends its loop
-//! — a reply unparks it (it issues every fetch, so it is each call's
+//! The thread blocks in two places: the park that ends its loop — a
+//! call's end unparks it (it issues every fetch, so it is each call's
 //! waiter), as does `close` — and the push into the full cache, which is
 //! the back-pressure.
 
@@ -201,8 +201,8 @@ struct Lane {
     /// Indices into `Shared::positions` of the slots fetched here, in
     /// the order every request lists them.
     slots: Vec<usize>,
-    /// The fetch on the wire and when it was sent.
-    inflight: Option<(PendingCall, Instant)>,
+    /// The fetch on the wire.
+    inflight: Option<PendingCall>,
     /// No fetch is sent before this instant.
     not_before: Instant,
 }
@@ -317,8 +317,7 @@ impl Drop for Consumer {
 
 /// The Requests thread. Each round settles the lanes whose reply has
 /// landed, sends a fetch on every lane that has none on the wire and is
-/// not paused, and parks until a reply or the end of a pause. Settling is
-/// also what sends a call's due retransmission and applies `CALL_TIMEOUT`.
+/// not paused, and parks until a call ends or a pause does.
 fn requests_loop(
     shared: &Shared,
     mut lanes: HashMap<NodeId, Lane>,
@@ -326,8 +325,7 @@ fn requests_loop(
 ) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         for lane in lanes.values_mut() {
-            let Some((call, sent)) = &mut lane.inflight else { continue };
-            let Some(result) = crate::resolve(call, *sent, "fetch") else { continue };
+            let Some(result) = lane.inflight.as_mut().and_then(PendingCall::poll) else { continue };
             lane.inflight = None;
             let Some(pause) = lane.settle(shared, &cache_tx, result) else { return };
             lane.not_before = Instant::now() + pause;
@@ -335,18 +333,18 @@ fn requests_loop(
         let now = Instant::now();
         for (&broker, lane) in &mut lanes {
             if lane.inflight.is_none() && now >= lane.not_before {
-                let call = shared.rpc.call_async(broker, OpCode::Fetch, lane.request(shared));
-                lane.inflight = Some((call, now));
+                let fetch = lane.request(shared);
+                lane.inflight =
+                    Some(shared.rpc.call_async(broker, OpCode::Fetch, fetch, crate::CALL_TIMEOUT));
             }
         }
         // The one park: until the first pause of an idle lane ends; with
-        // every lane on the wire only a reply, `stop` or a timer is left.
-        let wake = lanes
-            .values()
-            .filter(|l| l.inflight.is_none())
-            .map(|l| l.not_before)
-            .fold(now + crate::TIMER_CHECK, Instant::min);
-        std::thread::park_timeout(wake.saturating_duration_since(Instant::now()));
+        // every lane on the wire only a call's end or `stop` is left.
+        let idle = lanes.values().filter(|l| l.inflight.is_none());
+        match idle.map(|l| l.not_before).min() {
+            Some(wake) => std::thread::park_timeout(wake.saturating_duration_since(Instant::now())),
+            None => std::thread::park(),
+        }
     }
 }
 

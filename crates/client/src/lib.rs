@@ -13,12 +13,13 @@
 //! The same clients drive both the KerA cluster and the Kafka-style
 //! baseline — they speak the shared wire protocol and only see streams,
 //! partitions and chunks.
+//!
+//! Each requests thread issues its calls with `CALL_TIMEOUT` as their
+//! budget and keeps no clock for them: the client's node retransmits
+//! them and ends them, and a call's end unparks the thread that issued
+//! it.
 
-use std::time::{Duration, Instant};
-
-use bytes::Bytes;
-use kera_common::{KeraError, Result};
-use kera_rpc::node::PendingCall;
+use std::time::Duration;
 
 pub mod consumer;
 pub mod metadata;
@@ -31,19 +32,5 @@ pub use partitioner::Partitioner;
 pub use producer::{Producer, ProducerConfig};
 
 /// An unanswered produce, fetch or seek call counts as failed after this
-/// long.
+/// long: the budget each is issued with.
 const CALL_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// A requests thread's longest park: how late it may notice a call's
-/// retransmission timer or `CALL_TIMEOUT` firing.
-const TIMER_CHECK: Duration = Duration::from_millis(50);
-
-/// How a requests thread looks at a call it sent at `sent`: the response
-/// if it has landed (looking also sends a due retransmission), a timeout
-/// once the call has been unanswered for `CALL_TIMEOUT`, else `None`.
-fn resolve(call: &mut PendingCall, sent: Instant, op: &'static str) -> Option<Result<Bytes>> {
-    match call.poll_wait(Duration::ZERO) {
-        None if sent.elapsed() >= CALL_TIMEOUT => Some(Err(KeraError::Timeout { op })),
-        resolved => resolved,
-    }
-}

@@ -28,11 +28,11 @@
 //!
 //! A source blocks on its slot's lock and on the queue (its lock, `room`,
 //! and `drained` in `flush`), nowhere else. The requests thread blocks in
-//! one place, the `park_timeout` that ends its loop; it takes the queue's
-//! lock to pop and to settle and never waits on it. A reply unparks it
-//! (it issues every produce call, so it is each call's waiter), as do
-//! `close`/`abort` and — while some lane is below its in-flight bound —
-//! a sealed chunk.
+//! one place, the park that ends its loop; it takes the queue's lock to
+//! pop and to settle and never waits on it. A call's end — a reply, or
+//! its node giving up on it — unparks it (it issues every produce call,
+//! so it is each call's waiter), as do `close`/`abort` and — while some
+//! lane is below its in-flight bound — a sealed chunk.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -466,7 +466,6 @@ struct Request {
 struct InFlight {
     req: Request,
     call: PendingCall,
-    sent: Instant,
 }
 
 /// What the requests thread alone holds for one broker; the lane's
@@ -507,8 +506,7 @@ struct RequestsThread {
 
 /// The Requests thread. Each round settles what resolved, enforces
 /// linger, ships one request per lane that may send, and parks until
-/// something can have changed (`park`). Settling is also what sends a
-/// call's due retransmission and applies `CALL_TIMEOUT`.
+/// something can have changed (`park`).
 fn requests_loop(shared: Arc<Shared>, brokers: Vec<NodeId>) {
     // Linger-scan cadence (the scan walks every slot of every stream).
     let tick = shared.cfg.linger.max(Duration::from_micros(200)) / 2;
@@ -588,7 +586,7 @@ impl RequestsThread {
         for lane in lanes.iter_mut().filter(|l| now >= l.not_before) {
             if let Some(req) = lane.resend.take() {
                 flow.inflight_bytes += req.chunk_bytes;
-                lane.send(shared, req, now);
+                lane.send(shared, req);
             }
         }
         let mut batches: Vec<(usize, Batch)> = Vec::new();
@@ -612,7 +610,7 @@ impl RequestsThread {
             shared.room.notify_all();
         }
         for (i, batch) in batches {
-            lanes[i].send(shared, batch.encode(shared, now), now);
+            lanes[i].send(shared, batch.encode(shared, now));
         }
         idle_lane
     }
@@ -626,13 +624,11 @@ impl RequestsThread {
     /// always is.
     fn park(&self, idle_lane: bool, linger_scan: Instant) {
         let now = Instant::now();
-        let wake = self
-            .lanes
-            .iter()
-            .map(|l| l.not_before)
-            .filter(|&pause_ends| pause_ends > now)
-            .fold(if idle_lane { linger_scan } else { now + crate::TIMER_CHECK }, Instant::min);
-        std::thread::park_timeout(wake.saturating_duration_since(now));
+        let pauses = self.lanes.iter().map(|l| l.not_before).filter(|&ends| ends > now);
+        match pauses.chain(idle_lane.then_some(linger_scan)).min() {
+            Some(wake) => std::thread::park_timeout(wake.saturating_duration_since(now)),
+            None => std::thread::park(),
+        }
     }
 
     /// Fast teardown: drops everything not on the wire (what is, the loop
@@ -650,10 +646,11 @@ impl RequestsThread {
 }
 
 impl Lane {
-    fn send(&mut self, shared: &Shared, req: Request, now: Instant) {
+    fn send(&mut self, shared: &Shared, req: Request) {
         // lint: allow(no-hot-copy) — refcount clone; a re-send keeps the other handle
-        let call = shared.rpc.call_async(self.broker, OpCode::Produce, req.payload.clone());
-        self.inflight.push_back(InFlight { req, call, sent: now });
+        let payload = req.payload.clone();
+        let call = shared.rpc.call_async(self.broker, OpCode::Produce, payload, crate::CALL_TIMEOUT);
+        self.inflight.push_back(InFlight { req, call });
     }
 }
 
@@ -706,7 +703,7 @@ impl Flow {
     fn reap_lane(&mut self, shared: &Shared, lane: &mut Lane) {
         while lane.resend.is_none() {
             let Some(front) = lane.inflight.front_mut() else { break };
-            let Some(result) = crate::resolve(&mut front.call, front.sent, "produce") else { break };
+            let Some(result) = front.call.poll() else { break };
             if let Some(done) = lane.inflight.pop_front() {
                 self.settle(shared, lane, done.req, result);
             }

@@ -92,7 +92,7 @@ impl KafkaCoordinator {
             .into_iter()
             .map(|(broker, assignments)| {
                 let host = HostStreamRequest { metadata: metadata.clone(), assignments };
-                client.call_async(broker, OpCode::HostStream, host.encode())
+                client.call_async(broker, OpCode::HostStream, host.encode(), HOST_TIMEOUT)
             })
             .collect();
         for c in calls {

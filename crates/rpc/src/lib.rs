@@ -22,11 +22,12 @@
 //! - [`node`] — the node runtime: delivery completes pending calls and
 //!   queues admitted requests for a worker pool, whose handlers answer by
 //!   returning or through a [`node::Reply`] sent later;
-//!   [`node::RpcClient`] issues calls that retransmit under a bounded
-//!   retry policy (at-most-once via a server-side response cache),
-//!   waited on at once (`call`), later (`call_async`) or by nobody
-//!   (`call_detached`: its completion runs with the reply, and the
-//!   node's workers drive its retransmits between requests).
+//!   [`node::RpcClient`] issues calls, each with its budget, that the
+//!   node's workers retransmit between requests under a bounded retry
+//!   policy (at-most-once via a server-side response cache) and end at
+//!   their budget; a call is waited on at once (`call`), later
+//!   (`call_async`, whose [`node::PendingCall`] only waits) or by nobody
+//!   (`call_detached`: its completion runs with the outcome).
 //!
 //! Every node of the simulated cluster — coordinator, brokers, backups and
 //! clients — is one [`node::NodeRuntime`].

@@ -14,19 +14,21 @@
 //! request's [`Reply`] and send it from whichever thread completes the
 //! request, freeing the worker.
 //!
-//! A waited call is a [`PendingCall`] that retransmits while waited on; a
-//! synchronous [`RpcClient::call`] is `issue(..).wait(..)` with an overall
-//! budget. A call nobody waits on ([`RpcClient::call_detached`]) carries
-//! a completion instead: its reply runs it on the delivering thread, and
-//! the node's workers retransmit it and end it at its budget between
-//! requests. Every transmission of a logical call reuses the **same
-//! request id**, and the server keeps a bounded cache of completed
-//! responses keyed by `(caller, request_id)` (RAMCloud's RIFL
-//! discipline): a retransmit whose original executed but whose response
-//! was lost is answered from the cache instead of being re-executed,
-//! making retried RPCs at-most-once even for non-idempotent handlers.
-//! Calls with a budget carry their remaining time so servers can drop
-//! queued work whose caller has already given up.
+//! Every call is issued with its budget and driven by its node's timers:
+//! its slot in `rpc.pending` holds its transmissions, its `(due, id)`
+//! timer and where its outcome goes, and the node's workers retransmit it
+//! and end it at its budget between requests. The outcome goes to a
+//! waiter — a [`PendingCall`] only waits: `call_async` hands one out, and
+//! a synchronous [`RpcClient::call`] is `call_async(..).wait(..)` — or to
+//! the completion of a call nobody waits on
+//! ([`RpcClient::call_detached`]). Every transmission of a logical call
+//! reuses the **same request id**, and the server keeps a bounded cache
+//! of completed responses keyed by `(caller, request_id)` (RAMCloud's
+//! RIFL discipline): a retransmit whose original executed but whose
+//! response was lost is answered from the cache instead of being
+//! re-executed, making retried RPCs at-most-once even for non-idempotent
+//! handlers. Every transmission carries the budget left so servers can
+//! drop queued work whose caller has already given up.
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -227,65 +229,55 @@ impl DedupCache {
 /// `rpc.pending`.
 type Completion = Box<dyn FnOnce(Result<Bytes>) + Send>;
 
-/// A call's place in `rpc.pending`, from issue until resolved or dropped.
-enum Slot {
-    /// A [`PendingCall`]'s: whom a reply unparks — the issuing thread, or
-    /// whichever thread last blocked in [`PendingCall::poll_wait`] — and
-    /// the reply once it lands.
-    Waited { waiter: Thread, reply: Option<Envelope> },
+/// Where a call's outcome goes.
+enum Outcome {
+    /// A [`PendingCall`]'s: the thread the call's end unparks to collect
+    /// it from [`Pending::ended`] — the issuing thread, or whichever
+    /// thread last looked in [`PendingCall::poll`].
+    Waiter(Thread),
     /// A call nobody waits on.
-    Detached(Detached),
+    Completion(Completion),
 }
 
-/// A call nobody waits on: its transmissions and what runs its outcome.
-struct Detached {
+/// A call's place in `rpc.pending`, from issue until it ends or is
+/// dropped.
+struct Slot {
     call: Call,
     /// Its key in [`Pending::timers`]; `None` while it is being sent.
     due: Option<Instant>,
-    done: Completion,
+    outcome: Outcome,
 }
 
-impl Detached {
-    fn complete(mut self, result: Result<Bytes>) {
-        self.call.finish_span();
-        (self.done)(result);
-    }
-}
-
-/// Every call of a node still in flight, and when each detached one is
-/// next due — to retransmit, or to give up at the end of its budget.
+/// Every call of a node in flight, when each is next due — to
+/// retransmit, or to end at its budget — and the outcomes its waiters
+/// have yet to collect.
 #[derive(Default)]
 struct Pending {
     slots: HashMap<u64, Slot>,
-    /// `(due, request id)` of every detached call not being sent.
+    /// `(due, request id)` of every call in flight not being sent.
     timers: BTreeSet<(Instant, u64)>,
+    /// What each waited call that has ended came to.
+    ended: HashMap<u64, Result<Bytes>>,
+    /// When the node's idle workers next look at the timers unwoken;
+    /// `None`: not before one is woken.
+    looks_at: Option<Instant>,
 }
 
 impl Pending {
-    fn detached(&mut self, id: u64) -> Option<&mut Detached> {
-        match self.slots.get_mut(&id) {
-            Some(Slot::Detached(d)) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// Takes a detached call out, timer and all.
-    fn take_detached(&mut self, id: u64) -> Option<Detached> {
-        let due = self.detached(id)?.due;
-        if let Some(due) = due {
+    /// Takes call `id` out, timer and all.
+    fn take(&mut self, id: u64) -> Option<Slot> {
+        let slot = self.slots.remove(&id)?;
+        if let Some(due) = slot.due {
             self.timers.remove(&(due, id));
         }
-        match self.slots.remove(&id) {
-            Some(Slot::Detached(d)) => Some(d),
-            _ => None,
-        }
+        Some(slot)
     }
 }
 
 /// What the worker pool's queue carries.
 enum Work {
     Request(WorkItem),
-    /// A detached call is due before any worker may next look: look now.
+    /// A call is due before the idle workers next look: look now.
     Timers,
     /// Shutdown; each worker passes it on to the next as it exits.
     Stop,
@@ -449,65 +441,95 @@ impl NodeInner {
         self.transport.send(to, env)
     }
 
-    /// Takes detached call `id` out and runs its completion, with the
-    /// `rpc.pending` guard dropped first.
-    fn complete(&self, mut pending: MutexGuard<'_, Pending>, id: u64, result: Result<Bytes>) {
-        let detached = pending.take_detached(id);
-        drop(pending);
-        if let Some(d) = detached {
-            d.complete(result);
+    /// Whether this thread is one of this node's workers.
+    fn on_worker(&self) -> bool {
+        WORKER_OF.with(Cell::get) == self as *const NodeInner as usize
+    }
+
+    /// Ends call `id` with `result`: its waiter is unparked or its
+    /// completion runs, with the `rpc.pending` guard dropped first.
+    fn end(&self, mut pending: MutexGuard<'_, Pending>, id: u64, result: Result<Bytes>) {
+        let Some(Slot { call, outcome, .. }) = pending.take(id) else { return };
+        match outcome {
+            Outcome::Waiter(waiter) => {
+                pending.ended.insert(id, result);
+                drop(pending);
+                call.finish();
+                waiter.unpark();
+            }
+            Outcome::Completion(done) => {
+                drop(pending);
+                call.finish();
+                done(result);
+            }
         }
     }
 
-    /// What a worker does between requests: retransmits or ends every
-    /// detached call that is due, then says when the next one is.
+    /// What a worker does before it blocks: fires every call that is
+    /// due, then says when it next looks — at the next timer; with none
+    /// left, at the instant it was to look anyway, so that calls issued
+    /// one after another, each ending before its timer, wake it once,
+    /// not once each.
     fn fire_due(&self) -> Option<Instant> {
         loop {
             let now = Instant::now();
             let id = {
                 let mut pending = self.pending.lock();
-                let &(due, id) = pending.timers.first()?;
-                if due > now {
-                    return Some(due);
+                match pending.timers.first().copied() {
+                    Some((due, id)) if due <= now => {
+                        pending.timers.pop_first();
+                        if let Some(slot) = pending.slots.get_mut(&id) {
+                            slot.due = None;
+                        }
+                        id
+                    }
+                    next => {
+                        let idle = pending.looks_at.filter(|&at| at > now);
+                        pending.looks_at = next.map(|(due, _)| due).or(idle);
+                        return pending.looks_at;
+                    }
                 }
-                pending.timers.pop_first();
-                if let Some(d) = pending.detached(id) {
-                    d.due = None;
-                }
-                id
             };
             self.fire(id, now);
         }
     }
 
-    /// Detached call `id` (off the timers) is due: past its budget it
-    /// completes with `Timeout`; else it is transmitted — stamped under
-    /// `rpc.pending`, sent without it — and due again at its next
-    /// retransmit or the end of its budget, unless the send failed for
-    /// good. Returns whether it is now the earliest timer.
+    /// Call `id` (off the timers) is due: past its budget it ends with
+    /// `Timeout`; else it is transmitted — stamped under `rpc.pending`,
+    /// sent without it — and due again at its next retransmit or the end
+    /// of its budget, unless the send failed for good. Returns whether a
+    /// worker is to be woken for it: it is due before they next look.
     fn fire(&self, id: u64, now: Instant) -> bool {
         let mut pending = self.pending.lock();
-        let Some(d) = pending.detached(id) else { return false };
-        let Some(env) = d.call.stamp(self, now) else {
-            self.complete(pending, id, Err(KeraError::Timeout { op: "rpc" }));
+        let Some(slot) = pending.slots.get_mut(&id) else { return false };
+        let Some(env) = slot.call.stamp(self, now) else {
+            self.end(pending, id, Err(KeraError::Timeout { op: "rpc" }));
             return false;
         };
-        let to = d.call.to;
+        let to = slot.call.to;
         drop(pending);
         let sent = self.send(to, env);
         let mut pending = self.pending.lock();
-        // Gone: answered while it was being sent.
-        let Some(d) = pending.detached(id) else { return false };
-        d.call.next_retransmit = d.call.retransmit_after(&self.retry, now, sent.is_ok());
-        if let Some(e) = d.call.failed_for_good(sent) {
-            self.complete(pending, id, Err(e));
+        // Gone: answered (or dropped) while it was being sent.
+        let Some(slot) = pending.slots.get_mut(&id) else { return false };
+        let next = slot.call.retransmit_after(&self.retry, now, sent.is_ok());
+        // A send error ends the call unless it is retriable and another
+        // send is scheduled (it then just consumed an attempt).
+        if let Some(e) = sent.err().filter(|e| !e.is_retriable() || next.is_none()) {
+            self.end(pending, id, Err(e));
             return false;
         }
-        // With no retransmit left it is due when its budget (always set) ends.
-        let due = d.call.next_retransmit.or(d.call.deadline).unwrap_or(now);
-        d.due = Some(due);
+        // With no retransmit left it is due when its budget ends. Workers
+        // that look by the latest instant its jitter allows need no wake:
+        // calls issued one after another, jittered either way, wake none.
+        let (due, latest) = next.unwrap_or((slot.call.deadline, slot.call.deadline));
+        slot.due = Some(due);
         pending.timers.insert((due, id));
-        pending.timers.first() == Some(&(due, id))
+        let wake = pending.looks_at.is_none_or(|at| latest < at);
+        if wake {
+            pending.looks_at = Some(due);
+        }
+        wake
     }
 }
 
@@ -543,22 +565,11 @@ impl Deliver for NodeInner {
                 }
             },
             FrameKind::Response => {
-                // (No slot: the call timed out and gave up — the stale
+                // (No slot: the call ended or was dropped — the stale
                 // response is dropped. A duplicate is the same bytes.)
                 let id = env.request_id;
-                let mut pending = self.pending.lock();
-                match pending.slots.get_mut(&id) {
-                    Some(Slot::Waited { waiter, reply }) => {
-                        *reply = Some(env);
-                        let waiter = waiter.clone();
-                        drop(pending);
-                        waiter.unpark();
-                    }
-                    Some(Slot::Detached(_)) => {
-                        self.complete(pending, id, env.check_status().map(|()| env.payload));
-                    }
-                    None => {}
-                }
+                let result = env.check_status().map(|()| env.payload);
+                self.end(self.pending.lock(), id, result);
             }
         }
     }
@@ -566,22 +577,23 @@ impl Deliver for NodeInner {
     /// Shutdown and crash end here: later deliveries are dropped, the
     /// workers find the stop marker behind the queued work, and every
     /// pending call fails — a waiter wakes to find its slot gone, a
-    /// detached call completes with `Disconnected` on this thread.
+    /// completion runs with `Disconnected` on this thread.
     fn closed(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = self.work_tx.send(Work::Stop);
         let pending = std::mem::take(&mut *self.pending.lock());
-        for slot in pending.slots.into_values() {
-            match slot {
-                Slot::Waited { waiter, .. } => waiter.unpark(),
-                Slot::Detached(d) => d.complete(Err(KeraError::Disconnected(self.id))),
+        for Slot { call, outcome, .. } in pending.slots.into_values() {
+            call.finish();
+            match outcome {
+                Outcome::Waiter(waiter) => waiter.unpark(),
+                Outcome::Completion(done) => done(Err(KeraError::Disconnected(self.id))),
             }
         }
     }
 }
 
-/// A worker serves requests and, between them, the node's detached calls'
-/// timers: it sleeps until the next one is due, never longer.
+/// A worker serves requests and, between them, the node's calls' timers:
+/// it sleeps until the next one is due, never longer.
 fn worker_loop(inner: Arc<NodeInner>, service: Arc<dyn Service>, work_rx: Receiver<Work>) {
     WORKER_OF.with(|w| w.set(Arc::as_ptr(&inner) as usize));
     loop {
@@ -641,24 +653,26 @@ impl RpcClient {
         &self.inner.obs
     }
 
-    /// Issues a request without waiting; see [`PendingCall`] for how it
-    /// resolves and retransmits. The envelope carries no deadline (the
-    /// caller picks its budget at wait time): the server must not drop
-    /// work a pipelined caller is still waiting on.
-    pub fn call_async(&self, to: NodeId, opcode: OpCode, payload: Bytes) -> PendingCall {
-        self.issue(to, opcode, payload, None)
-    }
-
-    /// A new logical call: its request id, span and envelope. `budget` is
-    /// the overall time the caller will wait, propagated to the server as
-    /// the request's deadline.
-    fn new_call(
+    /// Issues a request and hands back what waits on it. The node
+    /// retransmits it and ends it with `Timeout` once `budget` is spent;
+    /// `budget` is also the deadline its transmissions carry.
+    pub fn call_async(
         &self,
         to: NodeId,
         opcode: OpCode,
         payload: Bytes,
-        budget: Option<Duration>,
-    ) -> Call {
+        budget: Duration,
+    ) -> PendingCall {
+        let call = self.new_call(to, opcode, payload, budget);
+        let id = call.env.request_id;
+        self.start(call, Outcome::Waiter(std::thread::current()));
+        PendingCall { inner: Arc::clone(&self.inner), id }
+    }
+
+    /// A new logical call: its request id, span and envelope. `budget` is
+    /// the overall time it may take, propagated to the server as the
+    /// request's deadline.
+    fn new_call(&self, to: NodeId, opcode: OpCode, payload: Bytes, budget: Duration) -> Call {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         self.inner.calls_issued.inc();
         // One span covers the whole logical call, so a retried produce
@@ -674,8 +688,7 @@ impl RpcClient {
             to,
             env,
             attempts: 0,
-            deadline: budget.map(|b| Instant::now() + b),
-            next_retransmit: None,
+            deadline: Instant::now() + budget,
             // Deterministic jitter: seeded by (node, call), independent
             // of thread interleavings.
             jitter: SplitMix64::new(u64::from(self.inner.id.raw()) << 32 ^ id),
@@ -683,30 +696,38 @@ impl RpcClient {
         }
     }
 
-    /// Registers the call's pending slot and makes its first transmission.
-    fn issue(
-        &self,
-        to: NodeId,
-        opcode: OpCode,
-        payload: Bytes,
-        budget: Option<Duration>,
-    ) -> PendingCall {
-        let call = self.new_call(to, opcode, payload, budget);
-        let slot = Slot::Waited { waiter: std::thread::current(), reply: None };
-        self.inner.pending.lock().slots.insert(call.env.request_id, slot);
-        let mut call = PendingCall { failed: None, inner: Arc::clone(&self.inner), call };
-        call.transmit(Instant::now());
-        call
+    /// Registers the call's slot and makes its first transmission. A call
+    /// issued once its node has closed is never registered: its waiter
+    /// finds no slot, its completion runs at once, `Disconnected` both.
+    fn start(&self, call: Call, outcome: Outcome) {
+        let id = call.env.request_id;
+        {
+            let mut pending = self.inner.pending.lock();
+            // Looked at under the lock `closed` empties the map under: a
+            // call registered here is one it ends.
+            if self.inner.shutdown.load(Ordering::SeqCst) {
+                drop(pending);
+                if let Outcome::Completion(done) = outcome {
+                    done(Err(KeraError::Disconnected(self.inner.id)));
+                }
+                return;
+            }
+            pending.slots.insert(id, Slot { call, due: None, outcome });
+        }
+        // A worker of this node looks at the timers before it next blocks;
+        // any other thread wakes one if the call is due before they look.
+        if self.inner.fire(id, Instant::now()) && !self.inner.on_worker() {
+            let _ = self.inner.work_tx.send(Work::Timers);
+        }
     }
 
     /// Issues a call nobody waits on. `done` runs once with its outcome:
     /// the reply, on the thread that delivers it; `Timeout` once `budget`
     /// is spent, or the error of a send that failed for good, on the
     /// thread that made the send (one of this node's workers, or this
-    /// one); `Disconnected` when this node shuts down or crashes first. It
-    /// retransmits like a [`PendingCall`], driven by this node's workers
-    /// between requests; `budget` is also the deadline its transmissions
-    /// carry.
+    /// one); `Disconnected` when this node shuts down or crashes first.
+    /// Like every call it is retransmitted by this node's workers, and
+    /// `budget` is also the deadline its transmissions carry.
     pub fn call_detached(
         &self,
         to: NodeId,
@@ -715,29 +736,12 @@ impl RpcClient {
         budget: Duration,
         done: impl FnOnce(Result<Bytes>) + Send + 'static,
     ) {
-        let call = self.new_call(to, opcode, payload, Some(budget));
-        let id = call.env.request_id;
-        {
-            let mut pending = self.inner.pending.lock();
-            // Looked at under the lock `closed` empties the map under: a
-            // call registered here is one it completes.
-            if self.inner.shutdown.load(Ordering::SeqCst) {
-                drop(pending);
-                return done(Err(KeraError::Disconnected(self.inner.id)));
-            }
-            let detached = Detached { call, due: None, done: Box::new(done) };
-            pending.slots.insert(id, Slot::Detached(detached));
-        }
-        let earliest = self.inner.fire(id, Instant::now());
-        // A worker of this node looks at the timers before it next blocks;
-        // any other thread wakes one, lest they all sleep past this call.
-        if earliest && WORKER_OF.with(Cell::get) != Arc::as_ptr(&self.inner) as usize {
-            let _ = self.inner.work_tx.send(Work::Timers);
-        }
+        let call = self.new_call(to, opcode, payload, budget);
+        self.start(call, Outcome::Completion(Box::new(done)));
     }
 
-    /// Synchronous call: a [`PendingCall`] waited on for `timeout`, which
-    /// is also the budget its transmissions carry to the server.
+    /// Synchronous call: a [`PendingCall`] with budget `timeout`, waited
+    /// on for as long.
     ///
     /// An error **status** in a response is returned immediately, even
     /// for transient error kinds: it proves the handler executed, and a
@@ -750,7 +754,7 @@ impl RpcClient {
         payload: Bytes,
         timeout: Duration,
     ) -> Result<Bytes> {
-        self.issue(to, opcode, payload, Some(timeout)).wait(timeout)
+        self.call_async(to, opcode, payload, timeout).wait(timeout)
     }
 
     /// Calls whichever of `replicas` currently leads the replicated
@@ -831,11 +835,9 @@ impl RpcClient {
         self.inner.retries_sent.get()
     }
 
-    /// Calls issued here that have neither resolved nor been dropped.
+    /// Calls issued here that have neither ended nor been dropped.
     pub fn pending_calls(&self) -> usize {
-        let pending = self.inner.pending.lock();
-        let resolved = |slot: &&Slot| matches!(slot, Slot::Waited { reply: Some(_), .. });
-        pending.slots.values().filter(|slot| !resolved(slot)).count()
+        self.inner.pending.lock().slots.len()
     }
 }
 
@@ -843,8 +845,7 @@ impl RpcClient {
 /// the budget left stamped afresh on each, the next one scheduled by the
 /// node's retry policy — one attempt timeout plus a jittered exponential
 /// backoff step after the previous send, within `max_attempts` and the
-/// call's budget. A [`PendingCall`] drives them while waited on; the
-/// node's workers drive a detached call's.
+/// call's budget. The node's timers drive them ([`NodeInner::fire`]).
 struct Call {
     to: NodeId,
     /// The request as issued (no deadline); each transmission is a copy
@@ -852,13 +853,11 @@ struct Call {
     env: Envelope,
     /// Sends so far (first transmission included).
     attempts: u32,
-    /// End of the caller's overall budget, when it stated one.
-    deadline: Option<Instant>,
-    /// When to send again; `None` once no further send will happen.
-    next_retransmit: Option<Instant>,
+    /// End of the call's budget.
+    deadline: Instant,
     jitter: SplitMix64,
-    /// The client-side span of this call; finished when the call
-    /// resolves (or when an abandoned call is dropped).
+    /// The client-side span of this call; recorded when the call ends
+    /// (or when an abandoned call is dropped).
     span: Span,
 }
 
@@ -867,8 +866,8 @@ impl Call {
     /// `now`; `None` once the budget is spent (a zero deadline on the
     /// wire would read as "no deadline").
     fn stamp(&mut self, inner: &NodeInner, now: Instant) -> Option<Envelope> {
-        let remaining = self.deadline.map(|d| d.saturating_duration_since(now));
-        if remaining.is_some_and(|r| r.is_zero()) {
+        let remaining = self.deadline.saturating_duration_since(now);
+        if remaining.is_zero() {
             return None;
         }
         if self.attempts > 0 {
@@ -881,120 +880,87 @@ impl Call {
             );
         }
         self.attempts += 1;
-        // lint: allow(no-hot-copy) — refcount clone kept for retransmits
-        let env = self.env.clone();
         // The *overall* budget, not the attempt timeout: a timed-out
         // attempt only retransmits — the caller hasn't abandoned the
         // call, and the server must not drop the execution early.
-        Some(match remaining {
-            Some(remaining) => env.with_deadline(remaining),
-            None => env,
-        })
+        // lint: allow(no-hot-copy) — refcount clone kept for retransmits
+        Some(self.env.clone().with_deadline(remaining))
     }
 
     /// When to retransmit after a transmission at `now`: the attempt
     /// timeout (skipped if the send itself failed) plus the backoff step
-    /// jittered to [50%, 100%]. `None` when the attempts are used up or
-    /// that instant falls outside the call's budget.
+    /// jittered to [50%, 100%] — and the latest instant that window
+    /// allows. `None` when the attempts are used up or the retransmit
+    /// falls outside the call's budget.
     fn retransmit_after(
         &mut self,
         policy: &RetryPolicy,
         now: Instant,
         sent: bool,
-    ) -> Option<Instant> {
+    ) -> Option<(Instant, Instant)> {
         if self.attempts >= policy.max_attempts {
             return None;
         }
         let unit = self.jitter.next_u32() as f64 / u32::MAX as f64;
-        let backoff = policy.backoff_for(self.attempts).mul_f64(0.5 + 0.5 * unit);
-        let wait = if sent { policy.attempt_timeout + backoff } else { backoff };
-        let at = now + wait;
-        self.deadline.is_none_or(|d| at < d).then_some(at)
+        let step = policy.backoff_for(self.attempts);
+        let from = if sent { now + policy.attempt_timeout } else { now };
+        let at = from + step.mul_f64(0.5 + 0.5 * unit);
+        (at < self.deadline).then(|| (at, (from + step).min(self.deadline)))
     }
 
-    /// A send error resolves the call unless it is retriable and another
-    /// send is scheduled (it then just consumed an attempt).
-    fn failed_for_good(&self, sent: Result<()>) -> Option<KeraError> {
-        sent.err().filter(|e| !e.is_retriable() || self.next_retransmit.is_none())
-    }
-
-    /// Records the call span now (resolution time), replacing it with an
-    /// inert one so later polls/drops record nothing more.
-    fn finish_span(&mut self) {
-        let mut span = std::mem::replace(&mut self.span, Span::inert());
-        span.set_aux(u64::from(self.attempts));
-        span.finish();
+    /// Records the call's span, with its attempts, as it ends.
+    fn finish(mut self) {
+        self.span.set_aux(u64::from(self.attempts));
     }
 }
 
-/// An in-flight RPC; resolves on response, send failure or node
-/// shutdown. While waited on, it retransmits (see [`Call`]) so transient
-/// loss heals transparently. Its pending slot stays registered until the
-/// call resolves or is dropped, so a reply is accepted whenever it lands.
+/// A call its caller waits on. The call's node transmits it and ends it
+/// (see [`Call`]); this handle only waits for its outcome. Dropped before
+/// it is collected, it drops the call: slot, timer and outcome.
 pub struct PendingCall {
-    /// A send error that resolved the call; surfaced by the next poll.
-    failed: Option<KeraError>,
     inner: Arc<NodeInner>,
-    call: Call,
+    id: u64,
 }
 
 impl PendingCall {
-    /// Waits up to `timeout` without consuming the call: returns
-    /// `Some(result)` once resolved, `None` on timeout (the call stays
-    /// pending and may be polled again; a zero timeout only looks).
-    /// Retransmits the request whenever its retransmission timer has
-    /// fired.
-    pub fn poll_wait(&mut self, timeout: Duration) -> Option<Result<Bytes>> {
-        let poll_deadline = Instant::now() + timeout;
-        loop {
-            let resolved = self.failed.take().map(Err).or_else(|| self.look());
-            if resolved.is_some() {
-                self.call.finish_span();
-                return resolved;
+    /// The call's outcome if it has ended, else `None`; never parks. From
+    /// here on this thread is the one the call's end unparks — registered
+    /// under the lock it looked under, so an end landing before it parks
+    /// unparks it.
+    pub fn poll(&mut self) -> Option<Result<Bytes>> {
+        let mut pending = self.inner.pending.lock();
+        if let Some(result) = pending.ended.remove(&self.id) {
+            return Some(result);
+        }
+        match pending.slots.get_mut(&self.id) {
+            Some(Slot { outcome: Outcome::Waiter(waiter), .. }) => {
+                *waiter = std::thread::current();
+                None
             }
-            let now = Instant::now();
-            let next = self.call.next_retransmit;
-            if next.is_some_and(|at| now >= at) {
-                self.transmit(now);
-            } else if now >= poll_deadline {
-                return None;
-            } else {
-                let wake = next.map_or(poll_deadline, |at| at.min(poll_deadline));
-                std::thread::park_timeout(wake - now);
-            }
+            // Our own node shut down or crashed.
+            _ => Some(Err(KeraError::Disconnected(self.inner.id))),
         }
     }
 
-    /// Collects the reply if it is in the slot. If not, this thread is
-    /// the slot's waiter from here on — registered under the lock it
-    /// looked under, so a reply landing before it parks unparks it.
-    fn look(&mut self) -> Option<Result<Bytes>> {
-        let id = self.call.env.request_id;
-        let mut pending = self.inner.pending.lock();
-        let Some(Slot::Waited { waiter, reply }) = pending.slots.get_mut(&id) else {
-            // Our own node shut down or crashed.
-            return Some(Err(KeraError::Disconnected(self.inner.id)));
-        };
-        let Some(env) = reply.take() else {
-            *waiter = std::thread::current();
-            return None;
-        };
-        pending.slots.remove(&id);
-        Some(env.check_status().map(|()| env.payload))
-    }
-
-    /// Every send of the request, first or repeated, and the schedule of
-    /// the next.
-    fn transmit(&mut self, now: Instant) {
-        let Some(env) = self.call.stamp(&self.inner, now) else {
-            // Budget already spent (a zero timeout, or a late wake-up).
-            self.call.next_retransmit = None;
-            return;
-        };
-        let sent = self.inner.send(self.call.to, env);
-        self.call.next_retransmit =
-            self.call.retransmit_after(&self.inner.retry, now, sent.is_ok());
-        self.failed = self.call.failed_for_good(sent);
+    /// Waits up to `timeout` without consuming the call: returns
+    /// `Some(result)` once it has ended, `None` on timeout (the call
+    /// stays pending and may be polled again; a zero timeout only looks).
+    /// A worker of the call's node fires the node's due timers while it
+    /// waits, so a node whose workers all wait still retransmits.
+    pub fn poll_wait(&mut self, timeout: Duration) -> Option<Result<Bytes>> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let due = if self.inner.on_worker() { self.inner.fire_due() } else { None };
+            if let Some(result) = self.poll() {
+                return Some(result);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            let wake = due.map_or(deadline, |due| due.min(deadline));
+            std::thread::park_timeout(wake.saturating_duration_since(now));
+        }
     }
 
     /// Waits up to `timeout` for the response. On success returns the
@@ -1006,10 +972,15 @@ impl PendingCall {
 }
 
 impl Drop for PendingCall {
-    /// Unregisters the pending slot: a call abandoned unresolved must
-    /// not leave it behind for a reply that may never come.
+    /// Drops the call: one abandoned before it ends must leave nothing
+    /// behind for a reply that may never come. Its span records after
+    /// `rpc.pending` is released.
     fn drop(&mut self) {
-        self.inner.pending.lock().slots.remove(&self.call.env.request_id);
+        let _slot = {
+            let mut pending = self.inner.pending.lock();
+            pending.ended.remove(&self.id);
+            pending.take(self.id)
+        };
     }
 }
 
@@ -1135,7 +1106,7 @@ mod tests {
         let calls: Vec<_> = (0..64u64)
             .map(|i| {
                 let body = Bytes::from(i.to_le_bytes().to_vec());
-                (i, c.call_async(NodeId(1), OpCode::Ping, body))
+                (i, c.call_async(NodeId(1), OpCode::Ping, body, Duration::from_secs(2)))
             })
             .collect();
         for (i, call) in calls {
@@ -1272,7 +1243,8 @@ mod tests {
         let client =
             NodeRuntime::start(Arc::new(net.register(NodeId(2))), Arc::new(NullService), 1);
         let c = client.client();
-        let mut parked = c.call_async(NodeId(1), OpCode::Fetch, Bytes::from_static(b"later"));
+        let later = Bytes::from_static(b"later");
+        let mut parked = c.call_async(NodeId(1), OpCode::Fetch, later, Duration::from_secs(2));
         // The one worker kept the first reply and is free for the second.
         let now = c.call(NodeId(1), OpCode::Ping, Bytes::from_static(b"now"), Duration::from_secs(2));
         assert_eq!(&now.unwrap()[..], b"now");
@@ -1447,6 +1419,131 @@ mod tests {
     }
 
     #[test]
+    fn a_fan_out_retransmits_every_call_not_just_the_one_waited_on() {
+        use crate::faults::FaultPlan;
+        use kera_common::config::FaultProfile;
+
+        let net = InMemNetwork::new(NetworkModel::default());
+        let _server =
+            NodeRuntime::start(Arc::new(net.register(NodeId(1))), Arc::new(EchoService), 2);
+        let plan = FaultPlan::new(FaultProfile::default()).unwrap();
+        let client = client_behind(&net, &plan, 5, Duration::from_millis(50));
+        let c = client.client();
+        // The first transmission of each is lost.
+        plan.partition_one_way(NodeId(2), NodeId(1));
+        let budget = Duration::from_secs(5);
+        let first = c.call_async(NodeId(1), OpCode::Ping, Bytes::from_static(b"1"), budget);
+        let mut second = c.call_async(NodeId(1), OpCode::Ping, Bytes::from_static(b"2"), budget);
+        plan.heal(NodeId(2), NodeId(1));
+        assert_eq!(&first.wait(budget).unwrap()[..], b"1");
+        // The second is due again within a backoff step (≤ 1 ms) of the
+        // first; nobody waited on it, and it went out all the same.
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(c.retries_sent(), 2);
+        let second = second.poll_wait(Duration::ZERO).expect("the second was not answered");
+        assert_eq!(&second.unwrap()[..], b"2");
+    }
+
+    /// How often the thread named `name` has gone to sleep so far.
+    #[cfg(target_os = "linux")]
+    fn times_blocked(name: &str) -> u64 {
+        let task = std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .flatten()
+            .find(|t| std::fs::read_to_string(t.path().join("comm")).is_ok_and(|c| c.trim() == name))
+            .expect("no such thread");
+        let status = std::fs::read_to_string(task.path().join("status")).unwrap();
+        let count = status.lines().find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+        count.unwrap().trim().parse().unwrap()
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn calls_issued_one_after_another_wake_no_worker() {
+        let net = InMemNetwork::new(NetworkModel::default());
+        let _server =
+            NodeRuntime::start(Arc::new(net.register(NodeId(1))), Arc::new(EchoService), 2);
+        // A node id of its own: its one worker is found by name.
+        let client =
+            NodeRuntime::start(Arc::new(net.register(NodeId(77))), Arc::new(NullService), 1);
+        let c = client.client();
+        let call = || c.call(NodeId(1), OpCode::Ping, Bytes::new(), Duration::from_secs(5)).unwrap();
+        // The first call wakes the idle worker, to sleep toward its timer.
+        call();
+        std::thread::sleep(Duration::from_millis(20));
+        let before = times_blocked("worker-77-0");
+        for _ in 0..500 {
+            call();
+        }
+        // Each call ends before its timer (1 s out) and the next is due
+        // later still: the worker sleeps through them all.
+        let woke = times_blocked("worker-77-0") - before;
+        assert!(woke <= 2, "the worker woke {woke} times for 500 calls");
+    }
+
+    #[test]
+    fn a_worker_blocked_in_a_call_still_retransmits_its_nodes_calls() {
+        use crate::faults::FaultPlan;
+        use kera_common::config::FaultProfile;
+
+        /// Node 1's one handler: a detached call to node 3 whose first
+        /// transmission is lost, then a synchronous call to node 4, which
+        /// answers after 200 ms — long after the detached call's first
+        /// retransmit is due (~30 ms) and its 150-ms budget.
+        struct FanOut {
+            plan: FaultPlan,
+            client: Mutex<Option<RpcClient>>,
+            outcomes: Arc<Outcomes>,
+        }
+        impl Service for FanOut {
+            fn handle(&self, _ctx: &RequestContext, _payload: Bytes) -> Result<Bytes> {
+                let client = self.client.lock().clone().unwrap();
+                self.plan.partition_one_way(NodeId(1), NodeId(3));
+                let (budget, done) = (Duration::from_millis(150), self.outcomes.done(&client));
+                client.call_detached(NodeId(3), OpCode::Ping, Bytes::new(), budget, done);
+                self.plan.heal(NodeId(1), NodeId(3));
+                client.call(NodeId(4), OpCode::Fetch, Bytes::new(), Duration::from_secs(2))
+            }
+        }
+
+        let net = InMemNetwork::new(NetworkModel::default());
+        let plan = FaultPlan::new(FaultProfile::default()).unwrap();
+        let outcomes = Arc::new(Outcomes::default());
+        let svc = Arc::new(FanOut {
+            plan: plan.clone(),
+            client: Mutex::new(None),
+            outcomes: Arc::clone(&outcomes),
+        });
+        let transport =
+            crate::faults::FaultInjector::new(Arc::new(net.register(NodeId(1))), plan.clone());
+        let retry = RetryPolicy {
+            max_attempts: 20,
+            attempt_timeout: Duration::from_millis(30),
+            initial_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(10),
+        };
+        let node = NodeRuntime::start_with_obs(
+            Arc::new(transport),
+            Arc::clone(&svc) as Arc<dyn Service>,
+            1,
+            retry,
+            NodeObs::disabled(1),
+        );
+        *svc.client.lock() = Some(node.client());
+        let _peer = NodeRuntime::start(Arc::new(net.register(NodeId(3))), Arc::new(EchoService), 1);
+        let _slow = NodeRuntime::start(Arc::new(net.register(NodeId(4))), Arc::new(EchoService), 1);
+        let caller =
+            NodeRuntime::start(Arc::new(net.register(NodeId(2))), Arc::new(NullService), 1);
+        caller.client().call(NodeId(1), OpCode::Ping, Bytes::new(), Duration::from_secs(5)).unwrap();
+        outcomes.wait(1);
+        assert!(plan.blocked() >= 1, "the first transmission was never lost");
+        assert!(
+            matches!(outcomes.0.lock()[..], [Ok(_)]),
+            "the detached call was not retransmitted while the worker waited"
+        );
+    }
+
+    #[test]
     fn null_service_rejects() {
         let (_net, _server, _client) = pair();
         // Call *into* the pure client node from the server side.
@@ -1461,7 +1558,7 @@ mod tests {
     fn shutdown_fails_outstanding_calls() {
         let (_net, server, client) = pair();
         let c = client.client();
-        let call = c.call_async(NodeId(1), OpCode::Fetch, Bytes::new()); // slow op
+        let call = c.call_async(NodeId(1), OpCode::Fetch, Bytes::new(), Duration::from_secs(5)); // slow op
         std::thread::sleep(Duration::from_millis(20));
         server.shutdown();
         // Either the response never comes (timeout) or the channel drops.
@@ -1475,7 +1572,8 @@ mod tests {
         let _peer = Collector::bind(&net.register(NodeId(1))); // never answers
         let client =
             NodeRuntime::start(Arc::new(net.register(NodeId(2))), Arc::new(NullService), 1);
-        let mut call = client.client().call_async(NodeId(1), OpCode::Ping, Bytes::new());
+        let mut call =
+            client.client().call_async(NodeId(1), OpCode::Ping, Bytes::new(), Duration::from_secs(5));
         assert!(call.poll_wait(Duration::ZERO).is_none());
         // The crash itself tells the node: by the time it returns the call
         // has failed, with no thread left to notice a closed inbox first.
@@ -1490,7 +1588,7 @@ mod tests {
         let c = client.client();
         for i in 0..1_000u64 {
             let body = Bytes::from(i.to_le_bytes().to_vec());
-            let call = c.call_async(NodeId(1), OpCode::Ping, body.clone());
+            let call = c.call_async(NodeId(1), OpCode::Ping, body.clone(), Duration::from_secs(5));
             // Odd rounds let the echo land first (nothing left pending);
             // even rounds race it against the check-then-park.
             while i % 2 == 1 && c.pending_calls() > 0 {
@@ -1505,7 +1603,8 @@ mod tests {
         let (_net, _server, client) = pair();
         // A slow handler: the waiter is parked, as the slot's registered
         // waiter, well before the reply lands.
-        let call = client.client().call_async(NodeId(1), OpCode::Fetch, Bytes::from_static(b"moved"));
+        let moved = Bytes::from_static(b"moved");
+        let call = client.client().call_async(NodeId(1), OpCode::Fetch, moved, Duration::from_secs(5));
         let waiter = std::thread::spawn(move || call.wait(Duration::from_secs(5)));
         assert_eq!(&waiter.join().unwrap().unwrap()[..], b"moved");
     }
@@ -1526,7 +1625,7 @@ mod tests {
         let c = client.client();
         let started = Instant::now();
         let calls: Vec<_> = (0..8u8)
-            .map(|i| (i, c.call_async(NodeId(1), OpCode::Ping, Bytes::from(vec![i]))))
+            .map(|i| (i, c.call_async(NodeId(1), OpCode::Ping, Bytes::from(vec![i]), Duration::from_secs(5))))
             .collect();
         // Collected newest first: every earlier reply unparks this thread
         // while it waits on a later call, and its token is all that is
@@ -1560,7 +1659,7 @@ mod tests {
                 .call(NodeId(1), OpCode::Ping, Bytes::new(), Duration::from_secs(2))
                 .unwrap();
             // A reply parked with the service outlives the runtime.
-            drop(client.client().call_async(NodeId(1), OpCode::Fetch, Bytes::new()));
+            drop(client.client().call_async(NodeId(1), OpCode::Fetch, Bytes::new(), Duration::from_secs(2)));
             svc.wait_parked(1);
             let nodes = [Arc::downgrade(&server.inner), Arc::downgrade(&client.inner)];
             drop(client);
@@ -1659,7 +1758,7 @@ mod tests {
         for i in 0..CALLS {
             let body = Bytes::from(i.to_le_bytes().to_vec());
             let got = c
-                .call_async(NodeId(1), OpCode::Ping, body.clone())
+                .call_async(NodeId(1), OpCode::Ping, body.clone(), Duration::from_secs(5))
                 .wait(Duration::from_secs(5))
                 .expect("retransmits should mask drops");
             assert_eq!(got, body);
@@ -1873,7 +1972,7 @@ mod tests {
             NodeRuntime::start(Arc::new(net.register(NodeId(2))), Arc::new(NullService), 1);
         let c = client.client();
         let mut calls: Vec<_> =
-            (0..32).map(|_| c.call_async(NodeId(1), OpCode::Ping, Bytes::new())).collect();
+            (0..32).map(|_| c.call_async(NodeId(1), OpCode::Ping, Bytes::new(), Duration::from_secs(5))).collect();
         assert_eq!(c.pending_calls(), 32);
         // Polled-and-timed-out, waited-and-timed-out and never-polled
         // calls all let go of their slot.

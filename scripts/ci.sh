@@ -49,14 +49,20 @@ fi
 # record path at all: not the clients, not the produce handler, not the
 # backup's write handler, not a replication round (non-test lines: a
 # file counts up to its first `#[cfg(test)]`, as in scripts/loc.sh).
+# One retransmit engine: the node's timers drive every call, so a client
+# keeps no clock for its calls and a `PendingCall` never sends.
 if grep -nE 'thread::sleep|fn idle' crates/client/src/producer.rs crates/client/src/consumer.rs \
     || find crates/broker/src/broker.rs crates/broker/src/backup.rs crates/vlog/src -name '*.rs' \
         -exec awk '/^#\[cfg\(test\)\]/{nextfile} /thread::sleep/{print FILENAME":"FNR": "$0}' {} + \
         | grep . \
     || grep -nE 'crossbeam|listening|RwLock' crates/client/src/producer.rs \
     || grep -n 'bounded(1)' crates/rpc/src/node.rs \
-    || grep -rn 'fetch_pos' crates/broker/src; then
-  echo "no per-call channel in kera-rpc; no nap, no second wait and no second queue in a client; no nap in broker.rs, backup.rs or kera-vlog; no fetch_pos" >&2
+    || grep -rn 'fetch_pos' crates/broker/src \
+    || find crates/client/src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{nextfile}
+        /TIMER_CHECK|fn resolve|poll_wait/{print FILENAME":"FNR": "$0}' {} + | grep . \
+    || awk '/^#\[cfg\(test\)\]/{exit} /Slot::Waited|fn transmit/{print FILENAME":"FNR": "$0}' \
+        crates/rpc/src/node.rs | grep .; then
+  echo "no per-call channel in kera-rpc; no nap, no second wait and no second queue in a client; no nap in broker.rs, backup.rs or kera-vlog; no fetch_pos; no call timer in a client and no second retransmit engine in kera-rpc" >&2
   exit 1
 fi
 

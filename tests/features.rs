@@ -3,11 +3,14 @@
 
 use std::time::Duration;
 
+use kera::broker::cluster::{backup_node, broker_node};
 use kera::broker::KeraCluster;
 use kera::client::consumer::{Consumer, ConsumerConfig, Subscription};
 use kera::client::producer::{Producer, ProducerConfig};
 use kera::client::MetadataClient;
-use kera::common::config::{ClusterConfig, ReplicationConfig, StreamConfig, VirtualLogPolicy};
+use kera::common::config::{
+    ClusterConfig, FaultProfile, ReplicationConfig, StreamConfig, VirtualLogPolicy,
+};
 use kera::common::ids::{ConsumerId, ProducerId, StreamId};
 
 fn cluster(brokers: u32) -> KeraCluster {
@@ -26,15 +29,12 @@ fn stream_config(id: u32, streamlets: u32, policy: VirtualLogPolicy) -> StreamCo
     }
 }
 
-#[test]
-fn delete_stream_frees_dedicated_vlogs_and_backups() {
-    let cluster = cluster(4);
-    let rt = cluster.client(0);
-    let meta = MetadataClient::new(rt.client(), cluster.coordinator());
+/// Creates stream 1 with a dedicated virtual log per streamlet and fills
+/// it: the backups then hold its replicated segments.
+fn fill_dedicated_stream(cluster: &KeraCluster, meta: &MetadataClient) {
     meta.create_stream(stream_config(1, 4, VirtualLogPolicy::PerStreamlet)).unwrap();
-
     let producer = Producer::new(
-        &meta,
+        meta,
         &[StreamId(1)],
         ProducerConfig { id: ProducerId(0), chunk_size: 1024, ..ProducerConfig::default() },
     )
@@ -44,18 +44,13 @@ fn delete_stream_frees_dedicated_vlogs_and_backups() {
     }
     producer.flush().unwrap();
     producer.close().unwrap();
-
     let held_before: usize = cluster.backup_svcs.iter().map(|b| b.bytes_held()).sum();
     assert!(held_before > 0);
+}
 
-    meta.delete_stream(StreamId(1)).unwrap();
-
-    // Metadata is gone...
-    assert!(meta.refresh(StreamId(1)).is_err());
-    // ...new producers cannot connect...
-    assert!(Producer::new(&meta, &[StreamId(1)], ProducerConfig::default()).is_err());
-    // ...and the backups eventually free the replicated segments
-    // (fire-and-forget frees; poll briefly).
+/// Waits up to 5 s for the backups to hold nothing (nobody waits on the
+/// frees, so poll).
+fn await_backups_freed(cluster: &KeraCluster) {
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
         let held: usize = cluster.backup_svcs.iter().map(|b| b.bytes_held()).sum();
@@ -68,8 +63,55 @@ fn delete_stream_frees_dedicated_vlogs_and_backups() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+#[test]
+fn delete_stream_frees_dedicated_vlogs_and_backups() {
+    let cluster = cluster(4);
+    let rt = cluster.client(0);
+    let meta = MetadataClient::new(rt.client(), cluster.coordinator());
+    fill_dedicated_stream(&cluster, &meta);
+
+    meta.delete_stream(StreamId(1)).unwrap();
+
+    // Metadata is gone...
+    assert!(meta.refresh(StreamId(1)).is_err());
+    // ...new producers cannot connect...
+    assert!(Producer::new(&meta, &[StreamId(1)], ProducerConfig::default()).is_err());
+    // ...and the backups eventually free the replicated segments.
+    await_backups_freed(&cluster);
     // Deleting again errors cleanly.
     assert!(meta.delete_stream(StreamId(1)).is_err());
+    cluster.shutdown();
+}
+
+/// Every broker's frames to every backup are lost while the stream is
+/// deleted: the frees are retransmitted once the links heal, and the
+/// backups still let go of every segment.
+#[test]
+fn delete_stream_frees_backups_across_lost_frees() {
+    let cluster = KeraCluster::start(ClusterConfig {
+        brokers: 4,
+        worker_threads: 2,
+        faults: Some(FaultProfile::default()),
+        ..ClusterConfig::default()
+    })
+    .unwrap();
+    let rt = cluster.client(0);
+    let meta = MetadataClient::new(rt.client(), cluster.coordinator());
+    fill_dedicated_stream(&cluster, &meta);
+
+    let plan = cluster.fault_plan().unwrap();
+    for b in 0..4 {
+        for k in 0..4 {
+            plan.partition_one_way(broker_node(b), backup_node(k));
+        }
+    }
+    meta.delete_stream(StreamId(1)).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(plan.blocked() > 0, "no free was lost");
+    plan.heal_all();
+    await_backups_freed(&cluster);
     cluster.shutdown();
 }
 

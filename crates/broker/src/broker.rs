@@ -20,7 +20,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use bytes::Bytes;
-use kera_common::config::{QuotaConfig, StreamConfig};
+use kera_common::config::StreamConfig;
 use kera_common::ids::{NodeId, StreamId};
 use kera_common::metrics::Counter;
 use kera_common::{KeraError, Result};
@@ -41,13 +41,12 @@ use kera_wire::messages::{
 
 use crate::channel::RpcBackupChannel;
 use crate::introspect::{self, HealthFields};
-use crate::quota::{AdmissionControl, AdmissionPermit};
 
 /// Budget of one backup write (its retransmits included).
 const REPLICATION_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// A produce appended: its acks, the logs it touched, its admission permit.
-type Appended = (ProduceResponse, Vec<(Arc<VirtualLog>, u64)>, AdmissionPermit);
+/// A produce appended: its acks and the logs it touched.
+type Appended = (ProduceResponse, Vec<(Arc<VirtualLog>, u64)>);
 
 /// The broker service of one node.
 pub struct BrokerService {
@@ -60,9 +59,6 @@ pub struct BrokerService {
     channel: OnceLock<RpcBackupChannel>,
     /// Observability handle; the counters below live in its registry.
     obs: Arc<NodeObs>,
-    /// Multi-tenant admission gate on the produce/fetch paths (inert
-    /// unless `QuotaConfig::enabled`).
-    admission: Arc<AdmissionControl>,
     /// Chunks ingested (`kera.broker.chunks_in`).
     pub chunks_in: Arc<Counter>,
     /// Records ingested (`kera.broker.records_in`).
@@ -90,26 +86,18 @@ impl BrokerService {
     /// `cluster_backups`: every backup node in the cluster (virtual logs
     /// pick per-virtual-segment subsets from it).
     pub fn new(node: NodeId, colocated_backup: NodeId, cluster_backups: Vec<NodeId>) -> Arc<Self> {
-        Self::with_quotas(
-            node,
-            colocated_backup,
-            cluster_backups,
-            NodeObs::disabled(node.raw()),
-            QuotaConfig::default(),
-        )
+        Self::with_obs(node, colocated_backup, cluster_backups, NodeObs::disabled(node.raw()))
     }
 
     /// Full constructor: binds the broker (and its virtual logs) to a
     /// node's observability handle — ingestion counters register as
     /// `kera.broker.*`; produce requests emit `append` and `replicate`
-    /// spans under the serving RPC's trace — and takes the tenant quota
-    /// configuration (the default is disabled — no admission gate).
-    pub fn with_quotas(
+    /// spans under the serving RPC's trace.
+    pub fn with_obs(
         node: NodeId,
         colocated_backup: NodeId,
         cluster_backups: Vec<NodeId>,
         obs: Arc<NodeObs>,
-        quotas: QuotaConfig,
     ) -> Arc<Self> {
         let reg = obs.registry();
         Arc::new(Self {
@@ -131,14 +119,8 @@ impl BrokerService {
             bytes_fetched: reg.counter("kera.broker.bytes_fetched", &[]),
             consumer_lag_gauge: reg.gauge("kera.broker.consumer_lag_bytes", &[]),
             replication_lag_gauge: reg.gauge("kera.broker.replication_lag_bytes", &[]),
-            admission: AdmissionControl::new(quotas, Arc::clone(&obs)),
             obs,
         })
-    }
-
-    /// The admission gate (runtime quota flips, chaos drills, tooling).
-    pub fn admission(&self) -> &Arc<AdmissionControl> {
-        &self.admission
     }
 
     /// Wires the service to its node runtime's RPC client (must be called
@@ -180,22 +162,12 @@ impl BrokerService {
         Ok(())
     }
 
-    /// Admits and appends a produce, physically and (R > 1) to its slots'
-    /// virtual logs: the acks, the logs touched with the highest ticket
-    /// each, and the permit, held until the produce is answered — its
-    /// bytes *are* the broker's admission-queue occupancy.
-    fn append_produce(&self, ctx: &RequestContext, payload: &Bytes) -> Result<Appended> {
+    /// Appends a produce, physically and (R > 1) to its slots' virtual
+    /// logs: the acks and the logs touched with the highest ticket each.
+    fn append_produce(&self, payload: &Bytes) -> Result<Appended> {
         // Slice the chunk train straight out of the receive buffer: the
         // broker never re-owns the payload.
         let req = ProduceRequest::decode_bytes(payload)?;
-        // Admission gate, before any append work. Recovery re-ingestion
-        // bypasses it: throttling our own crash recovery would turn
-        // overload into data loss.
-        let permit = if ctx.opcode == OpCode::Produce && !req.recovery {
-            self.admission.admit(ctx.from, req.chunks.len() as u64)?
-        } else {
-            AdmissionPermit::inactive()
-        };
         let mut acks = Vec::with_capacity(req.chunk_count as usize);
         // Touched virtual logs, deduped, with the highest ticket each.
         let mut pending: Vec<(Arc<VirtualLog>, u64)> = Vec::new();
@@ -270,7 +242,7 @@ impl BrokerService {
         }
 
         append_span.finish();
-        Ok((ProduceResponse { acks }, pending, permit))
+        Ok((ProduceResponse { acks }, pending))
     }
 
     /// Unhosts a deleted stream: groups close, dedicated virtual logs are
@@ -324,10 +296,10 @@ impl BrokerService {
         Ok(FetchResponse { results })
     }
 
-    /// Serves the Introspect RPC: health from the broker's own stores
-    /// and quota gate, metrics/traces via the shared helper. Refreshes
-    /// the lag gauges as a side effect so metric scrapes see them too.
-    fn handle_introspect(&self, ctx: &RequestContext, payload: &[u8]) -> Result<Bytes> {
+    /// Serves the Introspect RPC: health from the broker's own stores,
+    /// metrics/traces via the shared helper. Refreshes the lag gauges as
+    /// a side effect so metric scrapes see them too.
+    fn handle_introspect(&self, payload: &[u8]) -> Result<Bytes> {
         let logs = self.vlogs.all_logs();
         let appended: u64 = logs.iter().map(|l| l.appended()).sum();
         let durable: u64 = logs.iter().map(|l| l.durable()).sum();
@@ -336,7 +308,6 @@ impl BrokerService {
         self.consumer_lag_gauge.set(consumer_lag.min(i64::MAX as u64) as i64);
         self.replication_lag_gauge
             .set(appended.saturating_sub(durable).min(i64::MAX as u64) as i64);
-        let quota = self.admission.snapshot(ctx.from.raw());
         introspect::serve(
             &self.obs,
             payload,
@@ -349,11 +320,6 @@ impl BrokerService {
                 appended_bytes: appended,
                 durable_bytes: durable,
                 consumer_lag_bytes: consumer_lag,
-                quota_enabled: self.admission.is_enabled(),
-                quota_queue_bytes: quota.queue_bytes,
-                quota_queue_hwm_bytes: quota.queue_hwm_bytes,
-                quota_throttles: quota.throttles,
-                quota_rejections: quota.rejections,
             },
         )
     }
@@ -370,25 +336,15 @@ impl Service for BrokerService {
             }
             // Answered here only when its chunks are durable as appended
             // (R1): a replicated one waits for its rounds (`serve`).
-            OpCode::Produce | OpCode::RecoveryIngest => match self.append_produce(ctx, &payload)? {
-                (resp, touched, _permit) if touched.is_empty() => {
+            OpCode::Produce | OpCode::RecoveryIngest => match self.append_produce(&payload)? {
+                (resp, touched) if touched.is_empty() => {
                     self.obs.bump_progress();
                     Ok(resp.encode())
                 }
                 _ => Err(KeraError::Protocol("replicated produce needs `serve`".into())),
             },
-            OpCode::Fetch => {
-                let req = FetchRequest::decode(&payload)?;
-                // Fetch quota is a debt model: refuse while the tenant
-                // still owes for previously served bytes, else serve
-                // and charge afterwards.
-                self.admission.admit_fetch(ctx.from)?;
-                let resp = self.handle_fetch(req)?;
-                let served: u64 = resp.results.iter().map(|r| r.data.len() as u64).sum();
-                self.admission.charge_fetch(ctx.from, served);
-                resp.encode()
-            }
-            OpCode::Introspect => self.handle_introspect(ctx, &payload),
+            OpCode::Fetch => self.handle_fetch(FetchRequest::decode(&payload)?)?.encode(),
+            OpCode::Introspect => self.handle_introspect(&payload),
             OpCode::Seek => {
                 let req = SeekRequest::decode(&payload)?;
                 let streamlet = self.store.streamlet(req.stream, req.streamlet)?;
@@ -417,7 +373,7 @@ impl Service for BrokerService {
         let Some(channel) = self.channel.get().filter(|_| produce) else {
             return reply.send(self.handle(ctx, payload));
         };
-        let (resp, touched, permit) = match self.append_produce(ctx, &payload) {
+        let (resp, touched) = match self.append_produce(&payload) {
             Ok(appended) => appended,
             Err(e) => return reply.send(Err(e)),
         };
@@ -433,7 +389,6 @@ impl Service for BrokerService {
                 obs.bump_progress();
                 resp.encode()
             }));
-            drop(permit);
         };
         kera_vlog::wait_all(touched, channel, trace, Box::new(answer));
     }

@@ -143,12 +143,11 @@ impl KeraCluster {
         let mut broker_rts = Vec::with_capacity(b as usize);
         for i in 0..b {
             let obs = make_obs(broker_node(i));
-            let svc = BrokerService::with_quotas(
+            let svc = BrokerService::with_obs(
                 broker_node(i),
                 backup_node(i),
                 backup_ids.clone(),
                 Arc::clone(&obs),
-                config.quotas,
             );
             let rt = NodeRuntime::start_with_obs(
                 register(broker_node(i))?,

@@ -25,11 +25,6 @@ pub struct HealthFields {
     pub appended_bytes: u64,
     pub durable_bytes: u64,
     pub consumer_lag_bytes: u64,
-    pub quota_enabled: bool,
-    pub quota_queue_bytes: u64,
-    pub quota_queue_hwm_bytes: u64,
-    pub quota_throttles: u64,
-    pub quota_rejections: u64,
 }
 
 /// Decodes the request, assembles the selected sections and encodes the
@@ -55,17 +50,12 @@ pub fn serve(obs: &NodeObs, payload: &[u8], h: HealthFields) -> Result<Bytes> {
         node: obs.node(),
         role: h.role,
         is_leader: h.is_leader,
-        quota_enabled: h.quota_enabled,
         term: h.term,
         vlogs: h.vlogs,
         segments: h.segments,
         appended_bytes: h.appended_bytes,
         durable_bytes: h.durable_bytes,
         consumer_lag_bytes: h.consumer_lag_bytes,
-        quota_queue_bytes: h.quota_queue_bytes,
-        quota_queue_hwm_bytes: h.quota_queue_hwm_bytes,
-        quota_throttles: h.quota_throttles,
-        quota_rejections: h.quota_rejections,
         inflight: obs.inflight(),
         progress: obs.progress_counter(),
         watchdog_ms: obs.watchdog_ms(),

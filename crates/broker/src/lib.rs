@@ -30,6 +30,5 @@ pub mod coordinator;
 pub mod election;
 pub mod introspect;
 pub mod metalog;
-pub mod quota;
 
 pub use cluster::KeraCluster;

@@ -15,9 +15,9 @@
 //! - **Order.** A slot belongs to one lane and a lane has one fetch in
 //!   flight, so a slot's batches enter the cache in cursor order.
 //! - **Isolation.** A lane asks again as soon as *its* reply is applied,
-//!   and "not now", "nothing new" and an error pause that lane alone: a
-//!   broker that answers late, refuses or is gone holds back its own
-//!   slots and nobody else's.
+//!   and "nothing new" and an error pause that lane alone: a broker that
+//!   answers late, refuses or is gone holds back its own slots and
+//!   nobody else's.
 //!
 //! The thread blocks in two places: the park that ends its loop — a
 //! call's end unparks it (it issues every fetch, so it is each call's
@@ -371,12 +371,6 @@ impl Lane {
         // buffer all the way into the consumer cache.
         let resp = match result.and_then(|payload| FetchResponse::decode_bytes(&payload)) {
             Ok(resp) => resp,
-            // Fetch-side admission control: the broker meters reads per
-            // tenant and answers `Throttled` when this consumer is in
-            // debt. Honour the hint instead of hammering.
-            Err(KeraError::Throttled { retry_after, .. }) => {
-                return Some(retry_after.min(Duration::from_millis(500)));
-            }
             Err(_) => return Some(ERROR_BACKOFF),
         };
         {

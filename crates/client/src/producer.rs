@@ -20,11 +20,9 @@
 //! - **Bound.** The lanes hold at most `queue_capacity` chunks, so at
 //!   most that many plus the in-flight requests are sealed and
 //!   unacknowledged; beyond that `send` blocks, on the queue's `room`.
-//! - **Isolation.** A throttle or retry pause is a lane's `not_before`,
-//!   and a lane sends again as soon as *its* request resolves: the thread
-//!   never sleeps, nor waits for an answer, on behalf of one broker.
-//! - **Progress.** With nothing in flight a lane may always send one
-//!   request, whatever byte window a broker hinted.
+//! - **Isolation.** A lane sends again as soon as *its* request
+//!   resolves: the thread never sleeps, nor waits for an answer, on
+//!   behalf of one broker.
 //!
 //! A source blocks on its slot's lock and on the queue (its lock, `room`,
 //! and `drained` in `flush`), nowhere else. The requests thread blocks in
@@ -42,7 +40,6 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use kera_common::ids::{NodeId, ProducerId, StreamId, StreamletId};
 use kera_common::metrics::{Counter, LatencyHistogram, ThroughputMeter};
-use kera_common::rng::SplitMix64;
 use kera_common::{KeraError, Result};
 use kera_rpc::node::PendingCall;
 use kera_rpc::RpcClient;
@@ -89,14 +86,8 @@ impl Default for ProducerConfig {
     }
 }
 
-/// Blind re-sends of a request after an error that is neither `Throttled`
-/// nor `Rejected`.
+/// Blind re-sends of a request after an error.
 const MAX_RETRIES: u32 = 3;
-
-/// Upper bound on honored throttle retries per request: at the broker's
-/// maximum retry hint this is tens of seconds of cooperation before the
-/// request is declared failed.
-const MAX_THROTTLE_RETRIES: u32 = 64;
 
 struct PendingChunk {
     builder: ChunkBuilder,
@@ -173,9 +164,6 @@ struct Shared {
     /// Requests that exhausted retries
     /// (`kera.client.failed_requests{producer=<id>}`).
     pub failed_requests: Arc<Counter>,
-    /// Broker throttle responses honored
-    /// (`kera.client.throttles{producer=<id>}`).
-    pub throttled: Arc<Counter>,
     /// Chunk buffers cycle through here: builders draw fresh buffers,
     /// the requests thread returns them once a chunk has been packed
     /// into a request body.
@@ -271,8 +259,6 @@ impl Producer {
             rpc.obs().registry().histogram("kera.client.request_latency", &[("producer", &pid)]);
         let failed_requests =
             rpc.obs().registry().counter("kera.client.failed_requests", &[("producer", &pid)]);
-        let throttled =
-            rpc.obs().registry().counter("kera.client.throttles", &[("producer", &pid)]);
         let pool_hits =
             rpc.obs().registry().gauge("kera.client.pool_hits", &[("producer", &pid)]);
         let pool_misses =
@@ -297,7 +283,6 @@ impl Producer {
             acked: ThroughputMeter::new(),
             request_latency,
             failed_requests,
-            throttled,
             pool,
             pool_hits,
             pool_misses,
@@ -409,9 +394,10 @@ impl Producer {
         self.shared.failed_requests.get()
     }
 
-    /// Broker throttle responses this producer has honored so far.
+    /// Always 0: no broker throttles. Kept because the repository
+    /// benchmark reads it and reports the sum as `client.throttles`.
     pub fn throttles(&self) -> u64 {
-        self.shared.throttled.get()
+        0
     }
 
     /// Flushes, stops the requests thread and joins it.
@@ -452,14 +438,13 @@ struct Request {
     /// The encoded body, re-sent verbatim: the chunks' sequence tags make
     /// a re-send exactly-once on the broker.
     payload: Bytes,
-    /// Chunk bytes inside (byte window, goodput).
+    /// Chunk bytes inside (goodput).
     chunk_bytes: u64,
     chunks: u32,
     records: u32,
     /// First send; request latency runs from here to the ack.
     started: Instant,
     retries: u32,
-    throttle_retries: u32,
 }
 
 /// A request on the wire.
@@ -472,13 +457,11 @@ struct InFlight {
 /// waiting chunks are in the [`Queue`], at the same index.
 struct Lane {
     broker: NodeId,
-    /// A request that resolved `Throttled` or with an error and goes out
-    /// again before anything that waits.
+    /// A request that resolved with an error and goes out again before
+    /// anything that waits.
     resend: Option<Request>,
     /// At most `pipeline` requests, in send order.
     inflight: VecDeque<InFlight>,
-    /// Nothing is sent before this instant (throttle pause).
-    not_before: Instant,
 }
 
 /// A lane's prefix, popped and on its way into a request.
@@ -488,20 +471,9 @@ struct Batch {
     records: u32,
 }
 
-/// What the lanes share; plain state of the requests thread.
-struct Flow {
-    /// Chunk bytes on the wire, all brokers.
-    inflight_bytes: u64,
-    /// Latest broker-suggested bound on `inflight_bytes` (0 = none yet).
-    window_hint: u64,
-    /// Backoff jitter, deterministic per producer.
-    rng: SplitMix64,
-}
-
 struct RequestsThread {
     shared: Arc<Shared>,
     lanes: Vec<Lane>,
-    flow: Flow,
 }
 
 /// The Requests thread. Each round settles what resolved, enforces
@@ -510,22 +482,16 @@ struct RequestsThread {
 fn requests_loop(shared: Arc<Shared>, brokers: Vec<NodeId>) {
     // Linger-scan cadence (the scan walks every slot of every stream).
     let tick = shared.cfg.linger.max(Duration::from_micros(200)) / 2;
-    let flow = Flow {
-        inflight_bytes: 0,
-        window_hint: 0,
-        rng: SplitMix64::new(0x5EED_0000 ^ u64::from(shared.cfg.id.raw())),
-    };
     let lanes = brokers.into_iter().map(|broker| Lane {
         broker,
         resend: None,
         inflight: VecDeque::new(),
-        not_before: Instant::now(),
     });
-    let mut t = RequestsThread { shared, lanes: lanes.collect(), flow };
+    let mut t = RequestsThread { shared, lanes: lanes.collect() };
     let mut next_linger_scan = Instant::now() + tick;
     loop {
         for lane in &mut t.lanes {
-            t.flow.reap_lane(&t.shared, lane);
+            lane.reap(&t.shared);
         }
         t.shared.export_pool_stats();
         let stopping = t.shared.shutdown.load(Ordering::SeqCst);
@@ -580,12 +546,11 @@ impl RequestsThread {
     /// sources whether some lane is left below its in-flight bound (the
     /// return value); encoding and sending hold no lock.
     fn ship(&mut self) -> bool {
-        let Self { shared, lanes, flow } = self;
+        let Self { shared, lanes } = self;
         let now = Instant::now();
         let bound = shared.cfg.pipeline.max(1);
-        for lane in lanes.iter_mut().filter(|l| now >= l.not_before) {
+        for lane in lanes.iter_mut() {
             if let Some(req) = lane.resend.take() {
-                flow.inflight_bytes += req.chunk_bytes;
                 lane.send(shared, req);
             }
         }
@@ -595,8 +560,8 @@ impl RequestsThread {
         let was_full = q.queued >= shared.cfg.queue_capacity;
         for (i, lane) in lanes.iter().enumerate() {
             let mut on_wire = lane.inflight.len();
-            if now >= lane.not_before && on_wire < bound {
-                if let Some(batch) = flow.pack(shared, &mut q.waiting[i]) {
+            if on_wire < bound {
+                if let Some(batch) = Batch::pack(shared, &mut q.waiting[i]) {
                     q.queued -= batch.chunks.len();
                     batches.push((i, batch));
                     on_wire += 1;
@@ -620,14 +585,12 @@ impl RequestsThread {
     /// so in `chunk_wanted`) and the next linger scan a wake-up. With
     /// every lane on the wire neither is — a chunk sealed now would only
     /// wait in its lane, smaller — so a saturated producer sleeps from
-    /// reply to reply however fast its source seals. The end of a pause
-    /// always is.
+    /// reply to reply however fast its source seals.
     fn park(&self, idle_lane: bool, linger_scan: Instant) {
-        let now = Instant::now();
-        let pauses = self.lanes.iter().map(|l| l.not_before).filter(|&ends| ends > now);
-        match pauses.chain(idle_lane.then_some(linger_scan)).min() {
-            Some(wake) => std::thread::park_timeout(wake.saturating_duration_since(now)),
-            None => std::thread::park(),
+        if idle_lane {
+            std::thread::park_timeout(linger_scan.saturating_duration_since(Instant::now()));
+        } else {
+            std::thread::park();
         }
     }
 
@@ -652,9 +615,63 @@ impl Lane {
         let call = shared.rpc.call_async(self.broker, OpCode::Produce, payload, crate::CALL_TIMEOUT);
         self.inflight.push_back(InFlight { req, call });
     }
+
+    /// Settles the lane's resolved requests, in send order.
+    fn reap(&mut self, shared: &Shared) {
+        while self.resend.is_none() {
+            let Some(front) = self.inflight.front_mut() else { break };
+            let Some(result) = front.call.poll() else { break };
+            if let Some(done) = self.inflight.pop_front() {
+                self.settle(shared, done.req, result);
+            }
+        }
+    }
+
+    /// Applies one resolved request: acknowledged, failed for good, or —
+    /// after an error — the lane's next send.
+    fn settle(&mut self, shared: &Shared, mut req: Request, result: Result<Bytes>) {
+        // A reply is input from a peer: unless it answers exactly the
+        // chunks sent it acknowledges nothing, an error like any other.
+        let result = result.and_then(|payload| match ProduceResponse::decode(&payload)?.acks.len() {
+            acks if acks == req.chunks as usize => Ok(()),
+            acks => Err(KeraError::Protocol(format!("{acks} acks for {} chunks", req.chunks))),
+        });
+        let aborting =
+            shared.shutdown.load(Ordering::SeqCst) && shared.discard.load(Ordering::SeqCst);
+        // An error is re-sent blindly, at once.
+        if result.is_err() && !aborting && req.retries < MAX_RETRIES {
+            req.retries += 1;
+            self.resend = Some(req);
+            return;
+        }
+        match result {
+            Ok(()) => {
+                shared.acked.record(u64::from(req.records), req.chunk_bytes);
+                shared.request_latency.record(req.started.elapsed());
+            }
+            Err(_) => shared.failed_requests.inc(),
+        }
+        shared.settled(u64::from(req.chunks));
+    }
 }
 
 impl Batch {
+    /// Pops the longest prefix of `waiting` that fits `request_max_bytes`;
+    /// the first chunk always fits.
+    fn pack(shared: &Shared, waiting: &mut VecDeque<SealedChunk>) -> Option<Batch> {
+        let mut batch = Batch { chunks: Vec::new(), bytes: 0, records: 0 };
+        while let Some(c) = waiting.front() {
+            let total = batch.bytes + c.bytes.len();
+            if !batch.chunks.is_empty() && total > shared.cfg.request_max_bytes {
+                break;
+            }
+            batch.bytes = total;
+            batch.records += c.records;
+            batch.chunks.extend(waiting.pop_front().map(|c| c.bytes));
+        }
+        (!batch.chunks.is_empty()).then_some(batch)
+    }
+
     /// The single copy of the chunks into a contiguous request body; the
     /// buffers then return to the pool for the builders to reuse.
     fn encode(self, shared: &Shared, now: Instant) -> Request {
@@ -670,97 +687,7 @@ impl Batch {
             records: self.records,
             started: now,
             retries: 0,
-            throttle_retries: 0,
         }
     }
 }
 
-impl Flow {
-    /// Pops the longest prefix of `waiting` that fits `request_max_bytes`
-    /// and the hinted byte window, and counts it as on the wire. With
-    /// nothing on the wire the first chunk always fits: a hint smaller
-    /// than a chunk must slow the producer down, not wedge it.
-    fn pack(&mut self, shared: &Shared, waiting: &mut VecDeque<SealedChunk>) -> Option<Batch> {
-        let mut batch = Batch { chunks: Vec::new(), bytes: 0, records: 0 };
-        while let Some(c) = waiting.front() {
-            let total = batch.bytes + c.bytes.len();
-            let on_wire = self.inflight_bytes + total as u64;
-            let first_of_all = self.inflight_bytes == 0 && batch.chunks.is_empty();
-            if (!batch.chunks.is_empty() && total > shared.cfg.request_max_bytes)
-                || (self.window_hint > 0 && on_wire > self.window_hint && !first_of_all)
-            {
-                break;
-            }
-            batch.bytes = total;
-            batch.records += c.records;
-            batch.chunks.extend(waiting.pop_front().map(|c| c.bytes));
-        }
-        self.inflight_bytes += batch.bytes as u64;
-        (!batch.chunks.is_empty()).then_some(batch)
-    }
-
-    /// Settles the lane's resolved requests, in send order.
-    fn reap_lane(&mut self, shared: &Shared, lane: &mut Lane) {
-        while lane.resend.is_none() {
-            let Some(front) = lane.inflight.front_mut() else { break };
-            let Some(result) = front.call.poll() else { break };
-            if let Some(done) = lane.inflight.pop_front() {
-                self.settle(shared, lane, done.req, result);
-            }
-        }
-    }
-
-    /// Applies one resolved request: acknowledged, failed for good, or —
-    /// after `Throttled` or an error — the lane's next send.
-    fn settle(&mut self, shared: &Shared, lane: &mut Lane, mut req: Request, result: Result<Bytes>) {
-        self.inflight_bytes -= req.chunk_bytes;
-        // A reply is input from a peer: unless it answers exactly the
-        // chunks sent it acknowledges nothing, an error like any other.
-        let result = result.and_then(|payload| match ProduceResponse::decode(&payload)?.acks.len() {
-            acks if acks == req.chunks as usize => Ok(()),
-            acks => Err(KeraError::Protocol(format!("{acks} acks for {} chunks", req.chunks))),
-        });
-        let aborting =
-            shared.shutdown.load(Ordering::SeqCst) && shared.discard.load(Ordering::SeqCst);
-        let again = match &result {
-            Ok(()) => false,
-            // A hard refusal: the broker is out of admission memory or
-            // has evicted this session. Hammering it with retries is
-            // exactly what admission control punishes.
-            Err(KeraError::Rejected { .. }) => false,
-            Err(KeraError::Throttled { retry_after, window_hint }) => {
-                let again = !aborting && req.throttle_retries < MAX_THROTTLE_RETRIES;
-                if again {
-                    req.throttle_retries += 1;
-                    shared.throttled.inc();
-                    if *window_hint > 0 {
-                        self.window_hint = *window_hint;
-                    }
-                    // Pause the lane for retry_after plus jitter.
-                    let bound = (*retry_after / 2 + Duration::from_micros(100)).as_nanos() as u64;
-                    let jitter = Duration::from_nanos(self.rng.next_u64() % bound);
-                    lane.not_before = Instant::now() + *retry_after + jitter;
-                }
-                again
-            }
-            // Anything else: blind re-send, at once.
-            Err(_) => {
-                let again = !aborting && req.retries < MAX_RETRIES;
-                req.retries += u32::from(again);
-                again
-            }
-        };
-        if again {
-            lane.resend = Some(req);
-            return;
-        }
-        match result {
-            Ok(()) => {
-                shared.acked.record(u64::from(req.records), req.chunk_bytes);
-                shared.request_latency.record(req.started.elapsed());
-            }
-            Err(_) => shared.failed_requests.inc(),
-        }
-        shared.settled(u64::from(req.chunks));
-    }
-}

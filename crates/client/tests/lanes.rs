@@ -2,8 +2,8 @@
 //! that applies produce requests like a broker would (dedup by chunk
 //! sequence tag) and serves fetches from prepared batches, logs what
 //! arrived in what order and when, and can be told per broker to delay,
-//! throttle, fail retriably, hold every answer back or answer with
-//! something it was not asked. Each test pins one invariant of the
+//! fail retriably, hold every answer back or answer with something it
+//! was not asked. Each test pins one invariant of the
 //! clients' per-broker lanes (see `producer.rs`, `consumer.rs`).
 
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -40,8 +40,6 @@ const STREAM: StreamId = StreamId(1);
 enum Step {
     /// Apply and acknowledge, or serve, after a pause.
     Delay(Duration),
-    /// Refuse with `Throttled`, nothing applied or served.
-    Throttle { retry_after: Duration, window_hint: u64 },
     /// Apply, then lose the answer: the client sees a retriable error.
     Fail,
     /// Produce only: apply, then answer with the last chunk's ack left out.
@@ -94,10 +92,6 @@ impl Script {
     fn requests_at(&self, broker: NodeId) -> Vec<Bytes> {
         let log = self.log.lock();
         log.requests.iter().filter(|(b, _)| *b == broker).map(|(_, r)| r.clone()).collect()
-    }
-
-    fn applied_records(&self) -> usize {
-        self.log.lock().applied.values().map(Vec::len).sum()
     }
 
     /// Appends a one-record batch, record number `n`, to what `broker`
@@ -205,9 +199,6 @@ impl Service for Scripted {
                         std::thread::sleep(pause);
                         self.script.apply(&req)
                     }
-                    Some(Step::Throttle { retry_after, window_hint }) => {
-                        Err(KeraError::Throttled { retry_after, window_hint })
-                    }
                     Some(Step::Fail) => {
                         self.script.apply(&req)?;
                         Err(KeraError::ShuttingDown)
@@ -234,9 +225,6 @@ impl Service for Scripted {
                 match step {
                     None => {}
                     Some(Step::Delay(pause)) => std::thread::sleep(pause),
-                    Some(Step::Throttle { retry_after, window_hint }) => {
-                        return Err(KeraError::Throttled { retry_after, window_hint });
-                    }
                     Some(Step::Fail | Step::ShortAck) => return Err(KeraError::ShuttingDown),
                     Some(malformed @ (Step::Short | Step::Reordered)) => {
                         for r in &mut resp.results {
@@ -428,34 +416,7 @@ fn send_blocks_once_the_lanes_are_full() {
     assert_applied_once_in_order(&rig.script, ATTEMPTED);
 }
 
-/// (c) Broker A throttles for 200 ms; broker B is healthy and must not
-/// notice: what is sent to B during A's pause is acknowledged at once.
-#[test]
-fn a_throttled_broker_does_not_stall_the_others() {
-    let rig = rig(&[BROKER_A, BROKER_B]);
-    let pause = Duration::from_millis(200);
-    rig.script.plan(BROKER_A, [Step::Throttle { retry_after: pause, window_hint: 0 }]);
-    let producer = producer(&rig, ProducerConfig { chunk_size: 1024, ..ProducerConfig::default() });
-    // Records 0 and 1: one per broker; A refuses its request.
-    producer.send(STREAM, &record(0)).unwrap();
-    producer.send(STREAM, &record(1)).unwrap();
-    wait_for("A's throttle", Duration::from_secs(5), || producer.throttles() == 1);
-    let throttled_at = Instant::now();
-    // Records 2 (A, paused) and 3 (B).
-    producer.send(STREAM, &record(2)).unwrap();
-    producer.send(STREAM, &record(3)).unwrap();
-    wait_for("B's record", Duration::from_secs(5), || rig.script.log.lock().applied_at.contains_key(&3));
-    let waited = rig.script.log.lock().applied_at[&3] - throttled_at;
-    assert!(waited < pause / 4, "B's record waited {waited:?} behind A's {pause:?} pause");
-    assert_eq!(rig.script.applied_records(), 2, "A is still paused");
-
-    producer.flush().unwrap();
-    assert!(throttled_at.elapsed() >= pause, "A's pause was honored");
-    assert_applied_once_in_order(&rig.script, 4);
-    assert_eq!((producer.throttles(), producer.failed_requests()), (1, 0));
-}
-
-/// (d) A request whose answer is lost is re-sent verbatim — same bytes,
+/// (c) A request whose answer is lost is re-sent verbatim — same bytes,
 /// same dedup tags — and its records are acknowledged exactly once.
 #[test]
 fn a_failed_request_is_resent_verbatim_and_acked_once() {
@@ -515,39 +476,9 @@ fn an_unplaced_streamlet_fails_construction() {
     );
 }
 
-/// A byte hint smaller than one chunk (it arrives over the wire, so it
-/// can be anything) slows the producer to one chunk at a time; it must
-/// not wedge it.
-#[test]
-fn a_window_hint_smaller_than_a_chunk_does_not_wedge_the_producer() {
-    let rig = rig(&[BROKER_A]);
-    rig.script.plan(
-        BROKER_A,
-        [Step::Throttle { retry_after: Duration::from_millis(1), window_hint: 1 }],
-    );
-    let producer = Arc::new(producer(&rig, ProducerConfig {
-        chunk_size: 512,
-        ..ProducerConfig::default()
-    }));
-    for n in 0..200 {
-        producer.send(STREAM, &record(n)).unwrap();
-    }
-    flush_within(&producer, Duration::from_secs(20));
-    assert_applied_once_in_order(&rig.script, 200);
-    assert_eq!((producer.metrics().items(), producer.failed_requests()), (200, 0));
-    // The throttled request goes out again as it was; after that a
-    // 1-byte window admits one chunk per request.
-    let requests = rig.script.requests_at(BROKER_A);
-    assert_eq!(requests[0], requests[1]);
-    for body in &requests[2..] {
-        assert_eq!(ProduceRequest::decode_bytes(body).unwrap().chunk_count, 1);
-    }
-}
-
-/// Broker A sits on its first request for 300 ms (it answers *late*,
-/// not "not now"); B is prompt and must not notice: with the default one
-/// request in flight per broker, B's lane sends again as soon as B
-/// answers, not when the whole round has.
+/// Broker A sits on its first request for 300 ms; B is prompt and must
+/// not notice: with the default one request in flight per broker, B's
+/// lane sends again as soon as B answers, not when the whole round has.
 #[test]
 fn a_late_broker_does_not_delay_the_others_next_request() {
     let rig = rig(&[BROKER_A, BROKER_B]);
@@ -635,35 +566,6 @@ fn flush_wakes_on_the_last_ack() {
     assert_eq!((rig.script.requests_at(BROKER_A).len(), producer.metrics().items()), (1, 1));
 }
 
-/// Broker A answers late and broker B says "not now", both at once: B's
-/// pause ends on time — its request goes out again, with what was sealed
-/// for B meanwhile right behind it — while A's is still unanswered.
-#[test]
-fn a_pause_ends_on_time_while_another_broker_is_late() {
-    let rig = rig(&[BROKER_A, BROKER_B]);
-    let pause = Duration::from_millis(50);
-    rig.script.plan(BROKER_A, [Step::Delay(10 * pause)]);
-    rig.script.plan(BROKER_B, [Step::Throttle { retry_after: pause, window_hint: 0 }]);
-    let producer = producer(&rig, ProducerConfig { chunk_size: 1024, ..ProducerConfig::default() });
-    producer.send(STREAM, &record(0)).unwrap();
-    producer.send(STREAM, &record(1)).unwrap();
-    wait_for("B's throttle", Duration::from_secs(5), || producer.throttles() == 1);
-    // Record 2 waits behind A's late request; 3 is sealed for B during
-    // its pause.
-    producer.send(STREAM, &record(2)).unwrap();
-    producer.send(STREAM, &record(3)).unwrap();
-    wait_for("B's records", Duration::from_secs(5), || {
-        let log = rig.script.log.lock();
-        log.applied_at.contains_key(&1) && log.applied_at.contains_key(&3)
-    });
-    assert_eq!(rig.script.applied_records(), 2, "A's first request is still unanswered");
-    assert_eq!(rig.script.requests_at(BROKER_B).len(), 3, "refused, sent again, then record 3");
-
-    producer.flush().unwrap();
-    assert_applied_once_in_order(&rig.script, 4);
-    assert_eq!((producer.throttles(), producer.failed_requests()), (1, 0));
-}
-
 fn consumer(rig: &Rig) -> Consumer {
     Consumer::new(&rig.meta, &[Subscription::whole_stream(STREAM)], ConsumerConfig::default()).unwrap()
 }
@@ -708,33 +610,6 @@ fn a_late_broker_does_not_delay_the_others_fetches() {
 
     rig.script.release(BROKER_A);
     assert_eq!(next(&consumer, Duration::from_secs(5)), Some((SLOT_A, 100)));
-}
-
-/// Broker A answers its first fetch "not now" for 200 ms: what B gets to
-/// serve during A's pause is fetched at once, and A is left alone until
-/// the pause is over.
-#[test]
-fn a_throttled_broker_pauses_only_its_lane() {
-    let rig = rig(&[BROKER_A, BROKER_B]);
-    let pause = Duration::from_millis(200);
-    rig.script.plan(BROKER_A, [Step::Throttle { retry_after: pause, window_hint: 0 }]);
-    rig.script.offer(BROKER_A, SLOT_A, 100);
-    let consumer = consumer(&rig);
-    wait_for("A's throttle", Duration::from_secs(5), || !rig.script.fetches_at(BROKER_A).is_empty());
-    for n in 0..4 {
-        rig.script.offer(BROKER_B, SLOT_B, n);
-        let offered = Instant::now();
-        assert_eq!(next(&consumer, pause / 4), Some((SLOT_B, n)), "B's batch waited behind A's pause");
-        // Spread over the pause, not all at its start.
-        std::thread::sleep((pause / 8).saturating_sub(offered.elapsed()));
-    }
-    let refused = rig.script.fetches_at(BROKER_A)[0].0;
-    assert!(refused.elapsed() < pause, "the four batches were to arrive within A's pause");
-    assert_eq!(rig.script.fetches_at(BROKER_A).len(), 1, "A was asked again during its pause");
-
-    assert_eq!(next(&consumer, Duration::from_secs(5)), Some((SLOT_A, 100)));
-    let asked_again = rig.script.fetches_at(BROKER_A)[1].0;
-    assert!(asked_again - refused >= pause, "A's pause was honored");
 }
 
 /// Broker A has crashed: every fetch to it fails, and its lane rests

@@ -279,98 +279,6 @@ impl FaultProfile {
     }
 }
 
-/// Multi-tenant admission control: per-client token-bucket quotas on the
-/// produce and fetch paths, a broker-wide admission-queue byte cap (the
-/// broker's memory bound), and the degradation ladder a misbehaving
-/// tenant climbs: *throttle* (structured `Throttled { retry_after,
-/// window_hint }` responses) → *reject* (`Rejected`, no hint — stop
-/// sending) → *evict* (the session is refused outright for
-/// `evict_cooldown` and its accounting is dropped).
-///
-/// `enabled: false` (the default) bypasses the gate entirely — one
-/// relaxed atomic load on the produce path — so existing figures
-/// reproduce byte-for-byte.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QuotaConfig {
-    /// Master switch; `false` preserves pre-quota behaviour exactly.
-    pub enabled: bool,
-    /// Per-tenant produce token refill rate in bytes/second.
-    pub produce_bytes_per_sec: u64,
-    /// Token-bucket capacity: the largest burst a tenant may land at
-    /// once. Requests larger than this can never be admitted and ride
-    /// the ladder to eviction.
-    pub burst_bytes: u64,
-    /// Per-tenant fetch-side refill rate in bytes/second (`0` = fetch
-    /// unmetered). Fetch uses a debt model: the response is served,
-    /// then charged; a tenant in debt is throttled until it refills.
-    pub fetch_bytes_per_sec: u64,
-    /// Per-tenant cap on bytes admitted but not yet acknowledged.
-    pub max_inflight_bytes: u64,
-    /// Broker-wide cap on admitted-but-unacknowledged bytes — the RSS
-    /// proxy. Exceeding it rejects (not throttles): memory pressure
-    /// means "back off hard", not "retry in 10 ms".
-    pub admission_queue_bytes: u64,
-    /// Consecutive throttles before a tenant escalates to `Rejected`.
-    pub reject_after_throttles: u32,
-    /// Rejections before the tenant's session is evicted.
-    pub evict_after_rejections: u32,
-    /// How long an evicted session stays refused before it may start
-    /// fresh.
-    pub evict_cooldown: std::time::Duration,
-    /// Idle age after which a tenant's session state is swept (zombie
-    /// eviction): its accounting — including any in-flight bytes a dead
-    /// client will never release — is dropped.
-    pub zombie_idle: std::time::Duration,
-}
-
-impl Default for QuotaConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            produce_bytes_per_sec: 8 * 1024 * 1024,
-            burst_bytes: 1024 * 1024,
-            fetch_bytes_per_sec: 0,
-            max_inflight_bytes: 4 * 1024 * 1024,
-            admission_queue_bytes: 64 * 1024 * 1024,
-            reject_after_throttles: 8,
-            evict_after_rejections: 16,
-            evict_cooldown: std::time::Duration::from_secs(2),
-            zombie_idle: std::time::Duration::from_secs(30),
-        }
-    }
-}
-
-impl QuotaConfig {
-    pub fn validate(&self) -> Result<()> {
-        if !self.enabled {
-            return Ok(()); // disabled configs are never consulted
-        }
-        if self.produce_bytes_per_sec == 0 {
-            return Err(KeraError::InvalidConfig("quota produce rate must be > 0".into()));
-        }
-        if self.burst_bytes == 0 {
-            return Err(KeraError::InvalidConfig("quota burst must be > 0".into()));
-        }
-        if self.max_inflight_bytes == 0 {
-            return Err(KeraError::InvalidConfig("quota in-flight cap must be > 0".into()));
-        }
-        if self.admission_queue_bytes < self.max_inflight_bytes {
-            return Err(KeraError::InvalidConfig(
-                "admission queue cap must be >= the per-tenant in-flight cap".into(),
-            ));
-        }
-        if self.reject_after_throttles == 0 || self.evict_after_rejections == 0 {
-            return Err(KeraError::InvalidConfig(
-                "degradation ladder thresholds must be >= 1".into(),
-            ));
-        }
-        if self.evict_cooldown.is_zero() || self.zombie_idle.is_zero() {
-            return Err(KeraError::InvalidConfig("eviction windows must be > 0".into()));
-        }
-        Ok(())
-    }
-}
-
 /// Replicated-coordinator configuration: how many replicas hold the
 /// metadata log and the timers driving failure detection and election.
 ///
@@ -485,8 +393,6 @@ pub struct ClusterConfig {
     pub faults: Option<FaultProfile>,
     /// Replicated-coordinator shape and timers.
     pub coordinator: CoordinatorConfig,
-    /// Multi-tenant admission control (off by default).
-    pub quotas: QuotaConfig,
     /// Largest RPC frame a stream transport will accept before dropping
     /// the connection (guards against corrupt/hostile length prefixes).
     pub max_frame_bytes: usize,
@@ -509,7 +415,6 @@ impl Default for ClusterConfig {
             retry: RetryPolicy::default(),
             faults: None,
             coordinator: CoordinatorConfig::default(),
-            quotas: QuotaConfig::default(),
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             observability: true,
         }
@@ -529,7 +434,6 @@ impl ClusterConfig {
             faults.validate()?;
         }
         self.coordinator.validate()?;
-        self.quotas.validate()?;
         if self.max_frame_bytes < 1024 {
             return Err(KeraError::InvalidConfig(
                 "max_frame_bytes must allow at least a small frame (>= 1024)".into(),
@@ -579,44 +483,6 @@ mod tests {
 
         let c = ClusterConfig { max_frame_bytes: 16, ..ClusterConfig::default() };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn quota_config_validation() {
-        let q = QuotaConfig::default();
-        assert!(!q.enabled);
-        q.validate().unwrap();
-
-        // A disabled config is never consulted, so junk values pass.
-        QuotaConfig { produce_bytes_per_sec: 0, ..q }.validate().unwrap();
-
-        let on = QuotaConfig { enabled: true, ..q };
-        on.validate().unwrap();
-        assert!(QuotaConfig { produce_bytes_per_sec: 0, ..on }.validate().is_err());
-        assert!(QuotaConfig { burst_bytes: 0, ..on }.validate().is_err());
-        assert!(QuotaConfig { max_inflight_bytes: 0, ..on }.validate().is_err());
-        assert!(QuotaConfig {
-            admission_queue_bytes: on.max_inflight_bytes - 1,
-            ..on
-        }
-        .validate()
-        .is_err());
-        assert!(QuotaConfig { reject_after_throttles: 0, ..on }.validate().is_err());
-        assert!(QuotaConfig { evict_after_rejections: 0, ..on }.validate().is_err());
-        assert!(QuotaConfig {
-            evict_cooldown: std::time::Duration::ZERO,
-            ..on
-        }
-        .validate()
-        .is_err());
-
-        let cluster = ClusterConfig { quotas: on, ..ClusterConfig::default() };
-        cluster.validate().unwrap();
-        let cluster = ClusterConfig {
-            quotas: QuotaConfig { enabled: true, burst_bytes: 0, ..q },
-            ..ClusterConfig::default()
-        };
-        assert!(cluster.validate().is_err());
     }
 
     #[test]

@@ -59,26 +59,6 @@ pub enum KeraError {
         /// The replica's current term, so stale hints can be ranked.
         term: u64,
     },
-    /// The broker's admission gate deferred the request: the tenant is
-    /// over its quota but in good standing. Honor `retry_after` (plus
-    /// jitter) before retrying, and shrink the in-flight window to
-    /// `window_hint` bytes.
-    Throttled {
-        /// Broker's estimate of when the tenant's token bucket can
-        /// cover the request.
-        retry_after: std::time::Duration,
-        /// Suggested cap on the sender's in-flight bytes (`0` = no
-        /// suggestion).
-        window_hint: u64,
-    },
-    /// The broker's admission gate refused the request outright — the
-    /// tenant ignored throttles, the broker is out of admission-queue
-    /// memory, or the session has been evicted. Not retriable: the
-    /// sender must back off for an extended period or give up.
-    Rejected {
-        /// Human-readable refusal reason.
-        reason: String,
-    },
     /// An encoder was handed a buffer too large for its `u32` length
     /// field. Truncating the cast would produce a frame that *decodes*
     /// — with a silently wrong length — so this must surface as an
@@ -98,11 +78,6 @@ impl KeraError {
     /// `NotLeader` is deliberately *not* retriable: retrying the same
     /// replica cannot succeed — the caller must re-resolve the leader
     /// (see `RpcClient::call_leader`) and redirect.
-    ///
-    /// `Throttled` is likewise not blind-retriable: the RPC layer's
-    /// immediate-retry loop would defeat the backpressure. The producer
-    /// handles it explicitly — sleep `retry_after` (jittered), shrink
-    /// the window, then retry through the idempotent dedup path.
     pub fn is_retriable(&self) -> bool {
         matches!(
             self,
@@ -139,12 +114,6 @@ impl fmt::Display for KeraError {
             KeraError::NotLeader { hint: None, term } => {
                 write!(f, "not the leader (term {term}, leader unknown)")
             }
-            KeraError::Throttled { retry_after, window_hint } => write!(
-                f,
-                "throttled: retry after {}us (window hint {window_hint} bytes)",
-                retry_after.as_micros()
-            ),
-            KeraError::Rejected { reason } => write!(f, "rejected by admission control: {reason}"),
             KeraError::EncodeOverflow { what, len } => {
                 write!(f, "{what} of {len} bytes exceeds the u32 length field")
             }
@@ -192,10 +161,6 @@ impl Clone for KeraError {
             KeraError::Recovery(msg) => KeraError::Recovery(msg.clone()),
             KeraError::InvalidConfig(msg) => KeraError::InvalidConfig(msg.clone()),
             KeraError::NotLeader { hint, term } => KeraError::NotLeader { hint: *hint, term: *term },
-            KeraError::Throttled { retry_after, window_hint } => {
-                KeraError::Throttled { retry_after: *retry_after, window_hint: *window_hint }
-            }
-            KeraError::Rejected { reason } => KeraError::Rejected { reason: reason.clone() },
             KeraError::EncodeOverflow { what, len } => KeraError::EncodeOverflow { what, len: *len },
         }
     }
@@ -224,26 +189,6 @@ mod tests {
         assert!(!KeraError::Protocol("x".into()).is_retriable());
         // NotLeader requires re-resolution, not a same-node retry.
         assert!(!KeraError::NotLeader { hint: Some(NodeId(3)), term: 2 }.is_retriable());
-        // Throttle/reject must not feed the blind retry loop: backoff is
-        // the producer's job, immediately re-sending defeats the gate.
-        let t = KeraError::Throttled {
-            retry_after: std::time::Duration::from_millis(5),
-            window_hint: 1 << 20,
-        };
-        assert!(!t.is_retriable());
-        assert!(!KeraError::Rejected { reason: "evicted".into() }.is_retriable());
-    }
-
-    #[test]
-    fn throttle_display() {
-        let t = KeraError::Throttled {
-            retry_after: std::time::Duration::from_micros(1500),
-            window_hint: 4096,
-        };
-        assert!(t.to_string().contains("1500us"));
-        assert!(t.to_string().contains("4096"));
-        let r = KeraError::Rejected { reason: "admission queue full".into() };
-        assert!(r.to_string().contains("admission queue full"));
     }
 
     #[test]

@@ -64,11 +64,6 @@ pub static COORD_REPLICAS: Knob = Knob::new(
     1,
     "figure harness: coordinator replicas; 3 runs any figure against the replicated metadata plane",
 );
-pub static QUOTA: Knob = Knob::new(
-    "KERA_QUOTA",
-    0,
-    "figure harness: 1 enables per-tenant admission control at the `QuotaConfig` defaults",
-);
 pub static FLIGHTREC: Knob = Knob::new(
     "KERA_FLIGHTREC",
     0,
@@ -81,5 +76,5 @@ pub static WATCHDOG_MS: Knob = Knob::new(
 );
 
 /// All rows, in README order.
-pub static TABLE: [&Knob; 8] =
-    [&WARMUP_MS, &MEASURE_MS, &IO_COST_NS, &OBS, &COORD_REPLICAS, &QUOTA, &FLIGHTREC, &WATCHDOG_MS];
+pub static TABLE: [&Knob; 7] =
+    [&WARMUP_MS, &MEASURE_MS, &IO_COST_NS, &OBS, &COORD_REPLICAS, &FLIGHTREC, &WATCHDOG_MS];

@@ -10,8 +10,7 @@ use kera_client::consumer::{Consumer, ConsumerConfig, Subscription};
 use kera_client::producer::{Producer, ProducerConfig};
 use kera_client::{MetadataClient, Partitioner};
 use kera_common::config::{
-    ClusterConfig, CoordinatorConfig, QuotaConfig, ReplicationConfig, StreamConfig,
-    VirtualLogPolicy,
+    ClusterConfig, CoordinatorConfig, ReplicationConfig, StreamConfig, VirtualLogPolicy,
 };
 use kera_common::ids::{ConsumerId, NodeId, ProducerId, StreamId, StreamletId};
 use kera_common::knobs;
@@ -86,11 +85,6 @@ pub struct ExperimentConfig {
     /// `KERA_COORD_REPLICAS` overrides, so every figure harness run
     /// works unchanged against a replicated coordinator.
     pub coordinator_replicas: u32,
-    /// Per-tenant admission control (DESIGN.md §11). Off by default so
-    /// every figure reproduces the unthrottled paper numbers;
-    /// `KERA_QUOTA=1` turns it on, at the `QuotaConfig` defaults, for any
-    /// figure run.
-    pub quotas: QuotaConfig,
 }
 
 impl Default for ExperimentConfig {
@@ -116,7 +110,6 @@ impl Default for ExperimentConfig {
             io_cost_ns: knobs::IO_COST_NS.get(),
             observability: knobs::OBS.is_on(),
             coordinator_replicas: knobs::COORD_REPLICAS.get() as u32,
-            quotas: QuotaConfig { enabled: knobs::QUOTA.is_on(), ..QuotaConfig::default() },
         }
     }
 }
@@ -193,10 +186,6 @@ pub struct Measurement {
     pub replication_chunks: u64,
     /// Produce requests that failed terminally.
     pub failed_requests: u64,
-    /// Per-tenant (per-producer) acknowledged throughput, records/s —
-    /// populated only when quotas are enabled, so quota-off reports are
-    /// byte-identical to pre-quota runs.
-    pub tenant_rates: Vec<(u32, f64)>,
     /// Per-stage latency breakdown (client call → broker append →
     /// replicate wait → vlog ship → backup write → flush), empty when
     /// observability is off.
@@ -273,7 +262,6 @@ pub fn measure(cfg: &ExperimentConfig) -> Result<(Measurement, kera_obs::Registr
             replicas: cfg.coordinator_replicas,
             ..CoordinatorConfig::default()
         },
-        quotas: cfg.quotas,
         ..ClusterConfig::default()
     };
     let cluster = match cfg.system {
@@ -417,14 +405,10 @@ pub fn measure(cfg: &ExperimentConfig) -> Result<(Measurement, kera_obs::Registr
     let mut produce_bytes_rate = 0.0;
     let mut failed_requests = 0;
     let mut latency_sum = 0.0;
-    let mut tenant_rates = Vec::new();
-    for (p_idx, p) in producers.iter().enumerate() {
+    for p in &producers {
         if let Some((r, b)) = p.metrics().rates() {
             produce_rate += r;
             produce_bytes_rate += b;
-            if cfg.quotas.enabled {
-                tenant_rates.push((p_idx as u32, r));
-            }
         }
         failed_requests += p.failed_requests();
         latency_sum += p.request_latency().mean_ns() / 1e3;
@@ -494,7 +478,6 @@ pub fn measure(cfg: &ExperimentConfig) -> Result<(Measurement, kera_obs::Registr
         replication_batches,
         replication_chunks,
         failed_requests,
-        tenant_rates,
         stages,
     };
     Ok((m, snapshot))
@@ -552,48 +535,6 @@ mod tests {
         let m = run_experiment(&cfg).unwrap();
         assert!(m.produce_rate > 0.0, "no throughput with replicated coordinator: {m:?}");
         assert_eq!(m.failed_requests, 0);
-    }
-
-    /// Acceptance for DESIGN.md §11: a figure point runs to completion
-    /// with admission control enabled, reports per-tenant rates, and
-    /// still loses no acked request. The quota is set high enough that
-    /// the measured aggregate stays positive even when individual
-    /// requests get throttled and retried.
-    #[test]
-    fn kera_experiment_runs_with_quotas_enabled() {
-        let mut cfg = ExperimentConfig {
-            streams: 2,
-            replication_factor: 2,
-            chunk_size: 1024,
-            quotas: QuotaConfig {
-                enabled: true,
-                produce_bytes_per_sec: 64 * 1024 * 1024,
-                burst_bytes: 4 * 1024 * 1024,
-                ..QuotaConfig::default()
-            },
-            ..ExperimentConfig::default()
-        };
-        quick(&mut cfg);
-        let (m, snap) = measure(&cfg).unwrap();
-        assert!(m.produce_rate > 0.0, "no throughput with quotas on: {m:?}");
-        assert_eq!(m.failed_requests, 0);
-        assert_eq!(m.tenant_rates.len(), 2, "one rate per producer: {:?}", m.tenant_rates);
-        let gauge = "kera.broker.admission_queue_bytes";
-        assert!(snap.gauges.keys().any(|k| k.matches(gauge, &[])), "quota gauges");
-    }
-
-    #[test]
-    fn quotas_off_reports_no_tenant_rates() {
-        let mut cfg = ExperimentConfig {
-            replication_factor: 2,
-            chunk_size: 1024,
-            ..ExperimentConfig::default()
-        };
-        cfg.quotas.enabled = false;
-        quick(&mut cfg);
-        let m = run_experiment(&cfg).unwrap();
-        assert!(m.produce_rate > 0.0);
-        assert!(m.tenant_rates.is_empty(), "quota-off output must not change");
     }
 
     #[test]

@@ -46,9 +46,6 @@ pub fn run_figure(fig: &Figure) -> Result<Vec<Row>> {
             if !m.stages.is_empty() {
                 println!("  {}", format_stage_breakdown(&m.stages));
             }
-            if !m.tenant_rates.is_empty() {
-                println!("  {}", format_tenant_rates(&m.tenant_rates));
-            }
             rows.push(Row { series: p.series.clone(), x: p.x.clone(), repeat, m });
         }
     }
@@ -68,14 +65,6 @@ fn format_stage_breakdown(stages: &[crate::experiment::StageSummary]) -> String 
         })
         .collect();
     format!("stages: {}", parts.join(" | "))
-}
-
-/// Per-tenant acknowledged throughput (quota runs only):
-/// `tenants: t0=1.20Mrec/s | t1=0.35Mrec/s`.
-fn format_tenant_rates(rates: &[(u32, f64)]) -> String {
-    let parts: Vec<String> =
-        rates.iter().map(|(t, r)| format!("t{t}={:.2}Mrec/s", r / 1e6)).collect();
-    format!("tenants: {}", parts.join(" | "))
 }
 
 /// Writes `fig`'s rows as `<dir>/<fig.id>.tsv` (one header line, then
@@ -281,7 +270,6 @@ mod tests {
                 replication_batches: 10,
                 replication_chunks: 100,
                 failed_requests: 0,
-                tenant_rates: Vec::new(),
                 stages: Vec::new(),
             },
         }

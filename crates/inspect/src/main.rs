@@ -6,7 +6,7 @@
 //! would. Subcommands:
 //!
 //! - `health`  — one line per node: role, leader term, replication and
-//!   consumer lag, quota ladder state, in-flight window occupancy.
+//!   consumer lag, in-flight window occupancy.
 //!   Exits non-zero unless EVERY node reports.
 //! - `metrics` — each node's full registry snapshot as JSON (brokers
 //!   merge in the process-wide lock-contention histograms).
@@ -157,16 +157,10 @@ fn health_line(r: &IntrospectResponse) -> String {
         }
         NodeRole::Broker => {
             line.push_str(&format!(
-                "  vlogs={} repl_lag={}B consumer_lag={}B quota={} queue={}B/{}B hwm \
-                 throttles={} rejects={}",
+                "  vlogs={} repl_lag={}B consumer_lag={}B",
                 r.vlogs,
                 r.replication_lag_bytes(),
                 r.consumer_lag_bytes,
-                if r.quota_enabled { "on" } else { "off" },
-                r.quota_queue_bytes,
-                r.quota_queue_hwm_bytes,
-                r.quota_throttles,
-                r.quota_rejections,
             ));
         }
         NodeRole::Backup => {

@@ -105,19 +105,12 @@ pub enum Stage {
     /// A leader stepped down after seeing a higher term or losing its
     /// quorum (instant event; aux = the deposed term).
     ElectionStepdown = 14,
-    /// Broker admission gate throttled a tenant (instant event;
-    /// aux = the tenant's raw node id).
-    QuotaThrottle = 15,
-    /// Broker admission gate rejected a tenant — ladder escalation or
-    /// admission-queue memory pressure (instant event; aux = tenant id).
-    QuotaReject = 16,
-    /// Broker evicted a tenant session — abuse ladder or zombie sweep
-    /// (instant event; aux = tenant id).
-    QuotaEvict = 17,
+    // 15–17 were the retired admission gate's throttle, reject and
+    // evict events. The numbers stay unassigned.
 }
 
 /// Number of distinct stages (dense, 1-based).
-pub const STAGE_COUNT: usize = 17;
+pub const STAGE_COUNT: usize = 14;
 
 impl Stage {
     pub const ALL: [Stage; STAGE_COUNT] = [
@@ -135,9 +128,6 @@ impl Stage {
         Stage::ElectionWon,
         Stage::ElectionTimeout,
         Stage::ElectionStepdown,
-        Stage::QuotaThrottle,
-        Stage::QuotaReject,
-        Stage::QuotaEvict,
     ];
 
     pub fn name(self) -> &'static str {
@@ -156,9 +146,6 @@ impl Stage {
             Stage::ElectionWon => "election_won",
             Stage::ElectionTimeout => "election_timeout",
             Stage::ElectionStepdown => "election_stepdown",
-            Stage::QuotaThrottle => "quota_throttle",
-            Stage::QuotaReject => "quota_reject",
-            Stage::QuotaEvict => "quota_evict",
         }
     }
 

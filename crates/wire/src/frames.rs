@@ -84,8 +84,8 @@ wire_enum! {
         MetaAppend = 17 (MetaAppendRequest => MetaAppendResponse),
         /// Any node → coordinator replica: who is the leader right now?
         GetLeader = 18 (empty => GetLeaderResponse),
-        // 19 was `QuotaState`; its report is `Introspect`'s health block.
-        // The number stays unassigned.
+        // 19 was `QuotaState`, a retired admission gate's probe. The
+        // number stays unassigned.
         /// Any node: introspection scrape — health summary, metrics
         /// snapshot and sampled slow traces (`kera-inspect`, not the data
         /// path).
@@ -111,8 +111,8 @@ wire_enum! {
         Recovery = 10,
         Internal = 11,
         NotLeader = 12,
-        Throttled = 13,
-        Rejected = 14,
+        // 13 and 14 were `Throttled` and `Rejected`, the answers of a
+        // retired admission gate. The numbers stay unassigned.
     }
 }
 
@@ -130,8 +130,6 @@ fn status_for_error(e: &KeraError) -> StatusCode {
         KeraError::Protocol(_) => StatusCode::Protocol,
         KeraError::Recovery(_) => StatusCode::Recovery,
         KeraError::NotLeader { .. } => StatusCode::NotLeader,
-        KeraError::Throttled { .. } => StatusCode::Throttled,
-        KeraError::Rejected { .. } => StatusCode::Rejected,
         _ => StatusCode::Internal,
     }
 }
@@ -215,8 +213,7 @@ impl Envelope {
     /// An error response carrying the error's message as payload.
     /// `NotLeader` additionally carries its redirect hint and term after
     /// the message (hint `u32::MAX` = no known leader), so the client can
-    /// re-resolve without string parsing; `Throttled` likewise carries
-    /// its structured retry_after (microseconds) and window hint.
+    /// re-resolve without string parsing.
     pub fn error_response(opcode: OpCode, request_id: u64, from: NodeId, e: &KeraError) -> Self {
         let mut w = Writer::default();
         // An error message can never exceed the u32 length field; if it
@@ -224,16 +221,9 @@ impl Envelope {
         // the response degrades to a message-less frame (check_status
         // falls back to an empty message).
         let _ = w.put(&e.to_string());
-        match e {
-            KeraError::NotLeader { hint, term } => {
-                let _ = Sentinel::put(hint, &mut w);
-                w.u64(*term);
-            }
-            KeraError::Throttled { retry_after, window_hint } => {
-                w.u64(u64::try_from(retry_after.as_micros()).unwrap_or(u64::MAX))
-                    .u64(*window_hint);
-            }
-            _ => {}
+        if let KeraError::NotLeader { hint, term } = e {
+            let _ = Sentinel::put(hint, &mut w);
+            w.u64(*term);
         }
         Self::response(opcode, request_id, from, status_for_error(e), w.finish())
     }
@@ -295,11 +285,10 @@ impl Envelope {
     }
 
     /// Extracts the error from a response envelope, or `Ok(())` if the
-    /// status is Ok: the message, then for `NotLeader` and `Throttled` the
-    /// structured fields [`Envelope::error_response`] put behind it. A
-    /// malformed or legacy payload degrades to "leader unknown" / "retry
-    /// now, no hint" rather than a decode error — the caller re-resolves
-    /// or retries anyway.
+    /// status is Ok: the message, then for `NotLeader` the structured
+    /// fields [`Envelope::error_response`] put behind it. A malformed or
+    /// legacy payload degrades to "leader unknown" rather than a decode
+    /// error — the caller re-resolves anyway.
     pub fn check_status(&self) -> Result<()> {
         if self.status == StatusCode::Ok {
             return Ok(());
@@ -315,11 +304,6 @@ impl Envelope {
                 hint: Sentinel::get(&mut r).unwrap_or(None),
                 term: r.get().unwrap_or(0),
             },
-            StatusCode::Throttled => KeraError::Throttled {
-                retry_after: std::time::Duration::from_micros(r.get().unwrap_or(0)),
-                window_hint: r.get().unwrap_or(0),
-            },
-            StatusCode::Rejected => KeraError::Rejected { reason: message },
             status => KeraError::Protocol(format!("{status:?}: {message}")),
         })
     }
@@ -353,9 +337,14 @@ mod tests {
 
     #[test]
     fn status_roundtrip() {
-        for v in 0..=14u8 {
+        for v in 0..=12u8 {
             let s = StatusCode::from_u8(v).unwrap();
             assert_eq!(s as u8, v);
+        }
+        // 13 and 14 (the retired `Throttled` and `Rejected`) stay
+        // unassigned, as opcode 19 does.
+        for v in [13, 14] {
+            assert!(matches!(StatusCode::from_u8(v), Err(KeraError::Protocol(_))));
         }
         assert!(StatusCode::from_u8(99).is_err());
     }
@@ -420,44 +409,17 @@ mod tests {
             }
             other => panic!("wrong error: {other}"),
         }
-    }
-
-    #[test]
-    fn throttled_roundtrips_retry_after_and_hint() {
-        let e = KeraError::Throttled {
-            retry_after: std::time::Duration::from_micros(2500),
-            window_hint: 1 << 20,
-        };
-        let env = Envelope::error_response(OpCode::Produce, 4, NodeId(1), &e);
-        assert_eq!(env.status, StatusCode::Throttled);
-        match env.check_status().unwrap_err() {
-            KeraError::Throttled { retry_after, window_hint } => {
-                assert_eq!(retry_after, std::time::Duration::from_micros(2500));
-                assert_eq!(window_hint, 1 << 20);
-            }
-            other => panic!("wrong error: {other}"),
-        }
 
         // A legacy payload (message only, no extras) degrades gracefully.
         let mut w = Writer::default();
-        w.put(&String::from("throttled")).unwrap();
-        let env = Envelope::response(OpCode::Produce, 4, NodeId(1), StatusCode::Throttled, w.finish());
+        w.put(&String::from("not the leader")).unwrap();
+        let status = StatusCode::NotLeader;
+        let env = Envelope::response(OpCode::GetMetadata, 9, NodeId(3000), status, w.finish());
         match env.check_status().unwrap_err() {
-            KeraError::Throttled { retry_after, window_hint } => {
-                assert_eq!(retry_after, std::time::Duration::ZERO);
-                assert_eq!(window_hint, 0);
+            KeraError::NotLeader { hint, term } => {
+                assert_eq!(hint, None);
+                assert_eq!(term, 0);
             }
-            other => panic!("wrong error: {other}"),
-        }
-    }
-
-    #[test]
-    fn rejected_roundtrips_reason() {
-        let e = KeraError::Rejected { reason: "admission queue full".into() };
-        let env = Envelope::error_response(OpCode::Produce, 6, NodeId(2), &e);
-        assert_eq!(env.status, StatusCode::Rejected);
-        match env.check_status().unwrap_err() {
-            KeraError::Rejected { reason } => assert!(reason.contains("admission queue full")),
             other => panic!("wrong error: {other}"),
         }
     }

@@ -198,8 +198,8 @@ wire_struct! {
     #[derive(Clone, Debug, PartialEq)]
     pub struct ProduceRequest {
         pub producer: ProducerId,
-        /// Set for recovery re-ingestion: chunks already carry group/segment
-        /// assignments that must be preserved.
+        /// Set for recovery re-ingestion, which also arrives under its own
+        /// opcode (`RecoveryIngest`); no broker branches on the flag.
         pub recovery: bool,
         pub chunk_count: u32 [ChunkCount],
         /// Packed serialized chunks: everything after the header, a
@@ -632,8 +632,6 @@ wire_struct! {
         pub role: NodeRole,
         /// Coordinator replicas only: currently the elected leader.
         pub is_leader: bool,
-        /// Broker: admission control armed.
-        pub quota_enabled: bool,
         /// Coordinator replicas: current term. Brokers/backups: 0.
         pub term: u64,
         /// Broker: live virtual logs. Others: 0.
@@ -648,15 +646,6 @@ wire_struct! {
         /// Broker: bytes appended but not yet fetched past by any consumer
         /// on tracked slots (committed-offset lag).
         pub consumer_lag_bytes: u64,
-        /// Broker: admitted-but-unacknowledged bytes right now.
-        pub quota_queue_bytes: u64,
-        /// Broker: high-water mark of the admission queue — the
-        /// bounded-memory gate of the overload drills reads this.
-        pub quota_queue_hwm_bytes: u64,
-        /// Broker: total throttle responses issued.
-        pub quota_throttles: u64,
-        /// Broker: total rejections issued.
-        pub quota_rejections: u64,
         /// RPC requests currently executing in this node's worker pool.
         pub inflight: u32,
         /// Monotonic progress heartbeat (appends/replications/commits); the

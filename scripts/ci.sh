@@ -66,6 +66,16 @@ if grep -nE 'thread::sleep|fn idle' crates/client/src/producer.rs crates/client/
   exit 1
 fi
 
+# No admission plane: a broker answers every request it can decode, and
+# a client re-sends only after an error, at once (non-test lines, as
+# above).
+if find crates/*/src src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{nextfile}
+        /QuotaConfig|AdmissionControl|AdmissionPermit|KeraError::Throttled|KeraError::Rejected|KERA_QUOTA|broker\.quota|tenant_rates/{print FILENAME":"FNR": "$0}' {} + \
+        | grep .; then
+  echo "no quota plane: no QuotaConfig, admission gate, Throttled/Rejected, KERA_QUOTA or tenant_rates" >&2
+  exit 1
+fi
+
 # A node is held at the fabric (FaultPlan::hold), not in its handlers: no
 # service carries a drill flag. And every frame a fault plan holds back in
 # time sits on the plan's one line, not on a line per injector.
@@ -147,10 +157,10 @@ if ! KERA_FLIGHTREC=1 cargo test -q -p kera -p kera-rpc -p kera-vlog -p kera-bro
   exit 1
 fi
 
-# The seven named drills — coordinator failover (DESIGN.md §10: leader
+# The six named drills — coordinator failover (DESIGN.md §10: leader
 # killed / held / partitioned mid-ingest), overload (§11: the 10:1
-# abusive-tenant storm, the slow-consumer pile-up, quota flapping) and
-# the stall drill (§13: a held backup, the watchdog's dump) — ran in the
+# raw-RPC storm, the slow-consumer pile-up) and the stall drill (§13: a
+# held backup, the watchdog's dump) — ran in the
 # workspace pass and again, instrumented and with the recorder armed,
 # just above. What is left to guard is a refactor that renames or drops
 # one and silently shrinks the chaos surface: each must be listed.
@@ -159,9 +169,8 @@ for drill in \
     coordinator_leader_kill_fails_over_without_metadata_loss \
     coordinator_frozen_leader_is_deposed_and_steps_down_on_thaw \
     coordinator_partitioned_leader_abdicates_and_rejoins \
-    overload_polite_tenants_keep_throughput_floor \
+    raw_rpc_storm_does_not_starve_a_polite_producer \
     slow_consumer_pileup_keeps_broker_bounded \
-    quota_flapping_mid_ingest_preserves_exactly_once \
     held_backup_mid_ingest_triggers_watchdog_dump; do
   if ! grep -q "^$drill: test\$" <<<"$drills"; then
     echo "chaos drill '$drill' no longer exists in tests/chaos.rs" >&2
@@ -172,7 +181,7 @@ done
 # Introspection plane smoke (DESIGN.md §13): boot a real 3-broker /
 # 3-replica cluster on loopback TCP, scrape every node over the wire
 # with the Introspect opcode, and require each one to report health
-# (role, term, lag, quota ladder, in-flight). Non-zero exit if any node
+# (role, term, lag, in-flight). Non-zero exit if any node
 # is unreachable — the stall drill above already covers the stall-dump
 # path.
 cargo run -q --release -p kera-inspect -- health --brokers 3 --replicas 3

@@ -15,10 +15,11 @@ use kera::client::consumer::{Consumer, ConsumerConfig, Subscription};
 use kera::client::producer::{Producer, ProducerConfig};
 use kera::client::MetadataClient;
 use kera::common::config::{
-    ClusterConfig, CoordinatorConfig, FaultProfile, QuotaConfig, ReplicationConfig, RetryPolicy,
-    StreamConfig, VirtualLogPolicy,
+    ClusterConfig, CoordinatorConfig, FaultProfile, ReplicationConfig, RetryPolicy, StreamConfig,
+    VirtualLogPolicy,
 };
 use kera::common::ids::{ConsumerId, ProducerId, StreamId, StreamletId};
+use kera::common::KeraError;
 use kera::wire::frames::OpCode;
 use kera::wire::messages::{introspect_sections, IntrospectRequest, IntrospectResponse, ProduceRequest};
 
@@ -569,58 +570,26 @@ fn coordinator_partitioned_leader_abdicates_and_rejoins() {
 }
 
 // ---------------------------------------------------------------------------
-// Overload chaos: multi-tenant admission control under abusive load
-// (DESIGN.md §11). These drills run with quotas *enabled* — every other
-// test in the suite runs with the default `enabled: false` and must be
-// byte-for-byte unaffected by the admission plane.
+// Overload chaos: clients that do not cooperate. Nothing admits or meters
+// a request; what bounds a tenant is that each call waits for its reply,
+// and what is fair is that every node serves its requests from one FIFO
+// work queue.
 // ---------------------------------------------------------------------------
 
-fn quota_cluster(brokers: u32, quotas: QuotaConfig, faults: Option<FaultProfile>) -> KeraCluster {
+fn overload_cluster(faults: Option<FaultProfile>) -> KeraCluster {
     KeraCluster::start(ClusterConfig {
-        brokers,
+        brokers: 2,
         worker_threads: 4,
-        quotas,
         faults,
         ..ClusterConfig::default()
     })
     .unwrap()
 }
 
-/// Quota profile for the overload storm: a 2 MB/s per-tenant rate far
-/// below what the unthrottled broker can serve, so the quota — not the
-/// machine — is the binding constraint in both the isolated baseline
-/// and the storm run. The polite producer's requests are capped below
-/// `burst_bytes` (a request larger than the burst can never be
-/// admitted).
-fn storm_quotas() -> QuotaConfig {
-    QuotaConfig {
-        enabled: true,
-        produce_bytes_per_sec: 1024 * 1024,
-        burst_bytes: 64 * 1024,
-        fetch_bytes_per_sec: 0,
-        max_inflight_bytes: 256 * 1024,
-        // Roomy enough that eleven tenants' bursts and windows fit: the
-        // queue-full path rejects *terminally* (memory pressure is not
-        // retriable politeness), and this drill wants the polite tenant
-        // throttled, never rejected.
-        admission_queue_bytes: 4 * 1024 * 1024,
-        // Low enough that an instant-retry abuser trips them within one
-        // refill window, high enough that the polite producer (honest
-        // backoff — its counter resets on every admit) never can.
-        reject_after_throttles: 6,
-        evict_after_rejections: 3,
-        evict_cooldown: Duration::from_millis(200),
-        zombie_idle: Duration::from_millis(1500),
-    }
-}
-
-/// Sends a fixed record volume from one polite (throttle-honoring)
-/// producer and flushes; returns (elapsed, client throttle count). The
-/// volume is several times the per-tenant burst, so the quota — not
-/// machine speed — is the bottleneck and `total / elapsed` measures
-/// quota-bound throughput. Fails the test if any request died
-/// terminally — a polite client must ride out throttles.
-fn polite_run(cluster: &KeraCluster, total: u64) -> (Duration, u64) {
+/// Sends a fixed record volume from one polite producer and flushes;
+/// returns the elapsed time. Fails the test unless every request was
+/// acknowledged.
+fn polite_run(cluster: &KeraCluster, total: u64) -> Duration {
     let rt = cluster.client(0);
     let meta = MetadataClient::new(rt.client(), cluster.coordinator());
     let producer = Producer::new(
@@ -628,13 +597,10 @@ fn polite_run(cluster: &KeraCluster, total: u64) -> (Duration, u64) {
         &[StreamId(1)],
         ProducerConfig {
             id: ProducerId(0),
+            // Small chunks and requests: thousands of produce calls, each
+            // of which queues behind whatever the abusers have in line.
+            // Pipeline depth 1 (the default) keeps per-slot order.
             chunk_size: 512,
-            // Half the burst: always admittable, and refilling 32 KB at
-            // 1 MB/s takes ~32 ms — an order of magnitude above the
-            // round-trip, so the quota (not storm-inflated latency)
-            // stays the bottleneck even at pipeline depth 1. Depth 1
-            // also keeps per-slot order: concurrent in-flight requests
-            // to one broker may append out of order.
             request_max_bytes: 32 * 1024,
             linger: Duration::from_millis(1),
             ..ProducerConfig::default()
@@ -649,46 +615,36 @@ fn polite_run(cluster: &KeraCluster, total: u64) -> (Duration, u64) {
     let elapsed = start.elapsed();
     assert_eq!(producer.failed_requests(), 0, "polite producer lost requests");
     assert_eq!(producer.metrics().items(), total, "every polite send acknowledged");
-    let throttles = producer.throttles();
     producer.close().unwrap();
-    (elapsed, throttles)
+    elapsed
 }
 
-/// The 10:1 overload storm (ISSUE drill 1): ten abusive clients that
-/// ignore throttle hints and retry instantly hammer one stream while a
-/// single polite tenant produces to another. Admission control must
-/// hold the polite tenant at ≥ 70% of its isolated (quota-bound)
-/// throughput, keep the broker's admission queue under the configured
-/// cap, walk the abusers down the throttle → reject → evict ladder, and
-/// deliver every acked polite record exactly once. Afterwards the
-/// zombie sweep reclaims every idle session.
+/// The 10:1 raw-RPC storm: ten clients that bypass the producer library
+/// hammer both brokers with junk produce calls while one polite producer
+/// streams. Each tenant has one request in flight per broker, and a
+/// broker serves its work queue in arrival order, so a polite request
+/// waits behind at most ten others: the polite rate under the storm must
+/// be at least 1/11 of its rate alone. Every abuser call is answered with
+/// an error, never left to time out, and every polite record is delivered
+/// exactly once in per-slot order.
 #[test]
-fn overload_polite_tenants_keep_throughput_floor() {
+fn raw_rpc_storm_does_not_starve_a_polite_producer() {
     let _serial = serial();
-    // ~2.5 MB of chunk traffic: ~0.6 s through two 2 MB/s buckets.
-    const POLITE_RECORDS: u64 = 30_000;
-    let quotas = storm_quotas();
+    const POLITE_RECORDS: u64 = 300_000;
 
-    // Baseline: the polite tenant alone on an identical cluster. The
-    // quota binds in both runs, so the floor compares quota-rate to
-    // quota-rate and does not depend on absolute machine speed.
-    let baseline = quota_cluster(2, quotas, None);
+    // Baseline: the polite tenant alone on an identical cluster.
+    let baseline = overload_cluster(None);
     let admin_rt = baseline.client(20);
     let admin = MetadataClient::new(admin_rt.client(), baseline.coordinator());
     admin.create_stream(stream_config_for(1, 1)).unwrap();
     drop(admin_rt);
-    let (iso_elapsed, iso_throttles) = polite_run(&baseline, POLITE_RECORDS);
+    let iso_elapsed = polite_run(&baseline, POLITE_RECORDS);
     baseline.shutdown();
 
-    // Storm: same cluster shape, plus ten abusive tenants hammering the
-    // brokers' admission gates with raw full-burst Produce calls and
-    // ignoring every Throttled/Rejected reply. The polite client
-    // library's pacing (bounded queue, linger, backoff) is exactly the
-    // machinery an abuser doesn't run, so the storm bypasses Producer
-    // and drives the RPC directly: attempt cadence is round-trip-bound,
-    // far faster than a 1 MB/s bucket refills a 64 KB deficit, so
-    // consecutive throttles pile up and the ladder escalates.
-    let cluster = quota_cluster(2, quotas, None);
+    // Storm: the same cluster plus ten abusers. The producer library's
+    // pacing (bounded queue, linger, one request per broker) is exactly
+    // what an abuser does not run, so they drive the RPC directly.
+    let cluster = overload_cluster(None);
     let admin_rt = cluster.client(20);
     let admin = MetadataClient::new(admin_rt.client(), cluster.coordinator());
     admin.create_stream(stream_config_for(1, 1)).unwrap();
@@ -700,9 +656,8 @@ fn overload_polite_tenants_keep_throughput_floor() {
         let rt = cluster.client(1 + a);
         let stop = Arc::clone(&stop);
         abuser_threads.push(std::thread::spawn(move || {
-            // A full-burst-sized garbage request: admission charges the
-            // request's byte length before any chunk parsing, which is
-            // all an overload storm needs.
+            // 64 KB of garbage claiming 16 chunks: the broker refuses it
+            // at the first chunk header.
             let junk = ProduceRequest {
                 producer: ProducerId(100 + a),
                 recovery: false,
@@ -711,92 +666,46 @@ fn overload_polite_tenants_keep_throughput_floor() {
             }
             .encode();
             let client = rt.client();
-            let mut j = 0u32;
+            let (mut calls, mut refused) = (0u64, 0u64);
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let broker = broker_node((a + j) % 2);
-                let _ =
-                    client.call(broker, OpCode::Produce, junk.clone(), Duration::from_secs(2));
-                j = j.wrapping_add(1);
-                // Abusive, not omnipotent: an attempt every ~half
-                // millisecond still lands dozens of consecutive
-                // throttles per 64 ms refill window (≫ the reject
-                // threshold), without ten spinning threads drowning the
-                // polite tenant in raw CPU contention.
+                let broker = broker_node((a + calls as u32) % 2);
+                match client.call(broker, OpCode::Produce, junk.clone(), Duration::from_secs(2)) {
+                    Err(KeraError::Protocol(_)) => refused += 1,
+                    Err(e @ KeraError::Timeout { .. }) => panic!("abuser call timed out: {e}"),
+                    other => panic!("abuser call not refused: {other:?}"),
+                }
+                calls += 1;
+                // An attempt every ~half millisecond per abuser: a storm
+                // of calls, not ten threads spinning on two cores.
                 std::thread::sleep(Duration::from_micros(500));
             }
+            (calls, refused)
         }));
     }
 
-    let (storm_elapsed, polite_throttles) = polite_run(&cluster, POLITE_RECORDS);
+    let storm_elapsed = polite_run(&cluster, POLITE_RECORDS);
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    let (mut calls, mut refused) = (0, 0);
     for t in abuser_threads {
-        t.join().unwrap();
+        let (c, r) = t.join().unwrap();
+        calls += c;
+        refused += r;
     }
+    assert!(calls > 0, "the abusers made no calls");
+    assert_eq!(refused, calls, "every abuser call ends in an error reply");
 
-    // The throughput floor: abusive neighbours may cost the polite
-    // tenant at most 30% of its isolated quota-bound throughput.
     let iso_rate = POLITE_RECORDS as f64 / iso_elapsed.as_secs_f64();
     let storm_rate = POLITE_RECORDS as f64 / storm_elapsed.as_secs_f64();
+    eprintln!(
+        "storm {storm_rate:.0} rec/s ({storm_elapsed:?}) vs isolated {iso_rate:.0} rec/s \
+         ({iso_elapsed:?}): ratio {:.2}; {calls} abuser calls",
+        storm_rate / iso_rate
+    );
     assert!(
-        storm_rate >= 0.70 * iso_rate,
+        storm_rate >= iso_rate / 11.0,
         "polite tenant starved: storm {storm_rate:.0} rec/s ({storm_elapsed:?}) \
          vs isolated {iso_rate:.0} rec/s ({iso_elapsed:?})"
     );
-    // The quota (not machine speed) bound the polite tenant: in at least
-    // one of the runs it outran its bucket and was throttled. The
-    // isolated run is the deterministic one — round trips are an order
-    // of magnitude shorter than the 32 ms per-request refill — while in
-    // the storm run contention-stretched cycles can hide the quota.
-    assert!(
-        iso_throttles + polite_throttles > 0,
-        "polite tenant over quota was never throttled"
-    );
-
-    // Bounded broker memory: the admission queue's high-water mark never
-    // exceeded the configured cap, on any broker, at any instant.
-    let mut hwm_sum = 0;
-    for b in &cluster.broker_svcs {
-        let hwm = b.admission().queue_hwm();
-        assert!(
-            hwm <= quotas.admission_queue_bytes,
-            "admission queue exceeded cap: {hwm} > {}",
-            quotas.admission_queue_bytes
-        );
-        hwm_sum += hwm;
-    }
-    assert!(hwm_sum > 0, "no bytes ever admitted");
-
-    // The degradation ladder fired end to end: throttles, escalating
-    // rejections, evictions.
-    let (mut throttles, mut rejections, mut evictions) = (0, 0, 0);
-    for b in &cluster.broker_svcs {
-        let s = b.admission().snapshot(0);
-        throttles += s.throttles;
-        rejections += s.rejections;
-        evictions += s.evictions;
-    }
-    assert!(throttles > 0, "no throttles under a 10:1 storm");
-    assert!(rejections > 0, "abusers never escalated to rejection");
-    assert!(evictions > 0, "abusers never reached eviction");
-
-    // Introspect's health block reports the same story over the wire.
-    let probe_rt = cluster.client(11);
-    let payload_bytes = probe_rt
-        .client()
-        .call(
-            broker_node(0),
-            OpCode::Introspect,
-            IntrospectRequest { sections: introspect_sections::HEALTH }.encode(),
-            Duration::from_secs(5),
-        )
-        .unwrap();
-    let health = IntrospectResponse::decode(&payload_bytes).unwrap();
-    let local = cluster.broker_svcs[0].admission().snapshot(client_node(1).raw());
-    assert!(health.quota_enabled, "Introspect must report quotas on");
-    assert!(local.known, "abusive tenant unknown to broker 0");
-    // Both are monotonic and `local` was read second.
-    assert!((1..=local.throttles).contains(&health.quota_throttles));
-    assert!((1..=local.queue_hwm_bytes).contains(&health.quota_queue_hwm_bytes));
 
     // Every acked polite record arrives exactly once, in per-slot order.
     let cons_rt = cluster.client(12);
@@ -816,46 +725,20 @@ fn overload_polite_tenants_keep_throughput_floor() {
     assert_eq!(*seen.last().unwrap(), POLITE_RECORDS - 1);
     consumer.close();
 
-    // Zombie sweep: once every session has idled past `zombie_idle`, the
-    // next admission sweeps them all; only the probing tenant remains.
-    std::thread::sleep(quotas.zombie_idle + Duration::from_millis(300));
-    for b in &cluster.broker_svcs {
-        let _ = b.admission().admit(client_node(60), 1);
-        assert_eq!(
-            b.admission().tenant_count(),
-            1,
-            "idle sessions survived the zombie sweep"
-        );
-    }
-
     cluster.shutdown();
 }
 
-/// Slow-consumer pile-up (ISSUE drill 2): one consumer's uplink turns
-/// glacial (every send stalls) while another reads at full speed, with a
-/// fetch-side quota metering both. The broker must stay bounded, the
-/// fetch quota must actually throttle, and *both* consumers — fast and
-/// slow — must still receive every acknowledged record exactly once.
+/// Slow-consumer pile-up: one consumer's uplink turns glacial (every
+/// send stalls) while another reads at full speed. A consumer has one
+/// fetch in flight per broker, so the stalled one piles nothing up on
+/// the broker, and *both* consumers — fast and slow — must still receive
+/// every acknowledged record exactly once.
 #[test]
 fn slow_consumer_pileup_keeps_broker_bounded() {
     let _serial = serial();
-    let quotas = QuotaConfig {
-        enabled: true,
-        // Produce effectively unmetered: every throttle in this drill is
-        // fetch-side.
-        produce_bytes_per_sec: 256 * 1024 * 1024,
-        burst_bytes: 8 * 1024 * 1024,
-        fetch_bytes_per_sec: 256 * 1024,
-        max_inflight_bytes: 8 * 1024 * 1024,
-        admission_queue_bytes: 16 * 1024 * 1024,
-        reject_after_throttles: 10_000,
-        evict_after_rejections: 10_000,
-        evict_cooldown: Duration::from_secs(1),
-        zombie_idle: Duration::from_secs(30),
-    };
     // Inert fault profile: zero rates, but the injector is wired so
     // slow-client mode can be flipped on per node.
-    let cluster = quota_cluster(2, quotas, Some(FaultProfile::default()));
+    let cluster = overload_cluster(Some(FaultProfile::default()));
     let plan = cluster.fault_plan().expect("faults wired").clone();
 
     let prod_rt = cluster.client(0);
@@ -899,124 +782,11 @@ fn slow_consumer_pileup_keeps_broker_bounded() {
         seen.dedup();
         assert_eq!(seen.len() as u64, TOTAL, "consumer {consumer_id} saw duplicates");
     };
-    drain_all(1, 0); // full speed, quota-throttled
-    drain_all(2, 1); // glacial uplink, quota-throttled *and* stalled
+    drain_all(1, 0); // full speed
+    drain_all(2, 1); // glacial uplink
 
     assert!(plan.stalled() > 0, "slow-client mode never stalled a send");
-    let mut throttles = 0;
-    for b in &cluster.broker_svcs {
-        throttles += b.admission().snapshot(0).throttles;
-        let hwm = b.admission().queue_hwm();
-        assert!(hwm <= quotas.admission_queue_bytes, "queue over cap: {hwm}");
-    }
-    // Produce is effectively unmetered, so every throttle is fetch-side.
-    assert!(throttles > 0, "fetch quota never throttled a consumer");
 
-    cluster.shutdown();
-}
-
-/// Quota flapping mid-ingest (ISSUE drill 3): an operator (or a broken
-/// controller) toggles admission control on/off and swings the rate
-/// between a trickle and a flood while a polite producer streams. The
-/// client-visible contract must hold through every flip — zero terminal
-/// failures, every record exactly once — and when the dust settles the
-/// admission accounting must drain to exactly zero (no leaked window
-/// bytes, no stuck queue bytes).
-#[test]
-fn quota_flapping_mid_ingest_preserves_exactly_once() {
-    let _serial = serial();
-    let quotas = QuotaConfig {
-        enabled: true,
-        produce_bytes_per_sec: 4 * 1024 * 1024,
-        burst_bytes: 64 * 1024,
-        fetch_bytes_per_sec: 0,
-        max_inflight_bytes: 512 * 1024,
-        admission_queue_bytes: 4 * 1024 * 1024,
-        // The flapping drill is about accounting, not abuse: keep the
-        // ladder out of the way so throttles never escalate.
-        reject_after_throttles: 100_000,
-        evict_after_rejections: 100_000,
-        evict_cooldown: Duration::from_secs(1),
-        zombie_idle: Duration::from_secs(30),
-    };
-    let cluster = quota_cluster(2, quotas, None);
-    let admission: Vec<_> =
-        cluster.broker_svcs.iter().map(|b| Arc::clone(b.admission())).collect();
-
-    let prod_rt = cluster.client(0);
-    let meta_p = MetadataClient::new(prod_rt.client(), cluster.coordinator());
-    meta_p.create_stream(stream_config(1)).unwrap();
-    let producer = Producer::new(
-        &meta_p,
-        &[StreamId(1)],
-        ProducerConfig {
-            id: ProducerId(0),
-            chunk_size: 512,
-            request_max_bytes: 16 * 1024,
-            ..ProducerConfig::default()
-        },
-    )
-    .unwrap();
-
-    let flapper = std::thread::spawn(move || {
-        for i in 0..24u32 {
-            match i % 4 {
-                0 => admission.iter().for_each(|a| a.set_produce_rate(128 * 1024)),
-                1 => admission.iter().for_each(|a| a.set_enabled(false)),
-                2 => admission.iter().for_each(|a| {
-                    a.set_enabled(true);
-                    a.set_produce_rate(8 * 1024 * 1024);
-                }),
-                _ => admission.iter().for_each(|a| a.set_produce_rate(192 * 1024)),
-            }
-            std::thread::sleep(Duration::from_millis(40));
-        }
-        // Settle on: enabled, at the original configured rate.
-        admission.iter().for_each(|a| {
-            a.set_enabled(true);
-            a.set_produce_rate(4 * 1024 * 1024);
-        });
-    });
-
-    const TOTAL: u64 = 12_000;
-    for i in 0..TOTAL {
-        producer.send(StreamId(1), &payload(i)).unwrap();
-    }
-    producer.flush().unwrap();
-    flapper.join().unwrap();
-
-    assert_eq!(producer.failed_requests(), 0, "flapping caused terminal failures");
-    assert_eq!(producer.metrics().items(), TOTAL, "every send acknowledged");
-    assert!(producer.throttles() > 0, "trickle phases never throttled the producer");
-    producer.close().unwrap();
-
-    // Accounting drains to exactly zero once the pipeline quiesces: every
-    // permit released its queue bytes and its tenant window bytes, across
-    // enable/disable flips and rate swings.
-    std::thread::sleep(Duration::from_millis(100));
-    for b in &cluster.broker_svcs {
-        assert_eq!(b.admission().queue_bytes(), 0, "leaked admission queue bytes");
-        let snap = b.admission().snapshot(client_node(0).raw());
-        if snap.known {
-            assert_eq!(snap.inflight_bytes, 0, "leaked tenant window bytes");
-        }
-    }
-
-    // Exactly-once delivery of all 12k records, through all the flips.
-    let cons_rt = cluster.client(1);
-    let meta_c = MetadataClient::new(cons_rt.client(), cluster.coordinator());
-    let consumer = Consumer::new(
-        &meta_c,
-        &[Subscription::whole_stream(StreamId(1))],
-        ConsumerConfig { id: ConsumerId(0), fetch_max_bytes: 4096, ..ConsumerConfig::default() },
-    )
-    .unwrap();
-    let mut seen = drain(&consumer, TOTAL);
-    assert_eq!(seen.len() as u64, TOTAL, "record count after flapping");
-    seen.sort_unstable();
-    seen.dedup();
-    assert_eq!(seen.len() as u64, TOTAL, "duplicates after flapping");
-    consumer.close();
     cluster.shutdown();
 }
 

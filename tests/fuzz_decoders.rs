@@ -44,7 +44,6 @@ const BOOL_BYTES: &[(&str, usize)] = &[
     ("RecoveryEnumerateResponse", 20),
     ("ProduceRequest", 4),
     ("IntrospectResponse", 5),
-    ("IntrospectResponse", 6),
     ("MetaAppendRequest/heartbeat", 36),
 ];
 
@@ -335,43 +334,31 @@ proptest! {
         }
     }
 
-    /// The admission plane's wire surface (DESIGN.md §11): a `Throttled`
-    /// error envelope carries structured retry_after/window_hint extras
-    /// after the message. Truncating or bit-flipping the frame anywhere
-    /// must never panic in decode or `check_status`; a mangled extras
-    /// section degrades to "retry now, no hint" rather than erroring.
+    /// The one error envelope with structured extras: `NotLeader` carries
+    /// its redirect hint and term after the message. Truncating or
+    /// bit-flipping the frame anywhere must never panic in decode or
+    /// `check_status`; a mangled extras section degrades to "leader
+    /// unknown" rather than erroring, so a frame whose status still reads
+    /// `NotLeader` decodes as `NotLeader`.
     #[test]
-    fn mangled_throttled_envelope_never_panics(
-        retry_us in 0u64..10_000_000,
-        window in 0u64..(1 << 32),
+    fn mangled_not_leader_envelope_never_panics(
+        hint in proptest::option::of(3000u32..3010),
+        term in 0u64..(1 << 40),
         cut in 0usize..256,
         flip_byte in 0usize..128,
         flip_bit in 0u8..8,
     ) {
         use kera::common::ids::NodeId;
-        use kera::common::KeraError;
-        use kera::wire::frames::{OpCode, StatusCode};
+        use kera::wire::frames::StatusCode;
 
-        let err = KeraError::Throttled {
-            retry_after: std::time::Duration::from_micros(retry_us),
-            window_hint: window,
-        };
-        let env = Envelope::error_response(OpCode::Produce, 99, NodeId(1), &err);
-        let [truncated, mutant] = mangle(&env.encode(), cut, flip_byte, flip_bit);
-
-        // Truncation anywhere: decode errors or yields an envelope whose
-        // check_status still produces a structured error, never a panic.
-        if let Ok(truncated) = Envelope::decode_bytes(&truncated) {
-            let _ = truncated.check_status();
-        }
-
-        // A single bit flip: same contract, and if the status byte still
-        // says Throttled the error must come back as Throttled.
-        if let Ok(decoded) = Envelope::decode_bytes(&mutant) {
+        let err = KeraError::NotLeader { hint: hint.map(NodeId), term };
+        let env = Envelope::error_response(OpCode::CreateStream, 99, NodeId(3000), &err);
+        for mangled in mangle(&env.encode(), cut, flip_byte, flip_bit) {
+            let Ok(decoded) = Envelope::decode_bytes(&mangled) else { continue };
             let status = decoded.status;
             match decoded.check_status() {
-                Err(KeraError::Throttled { .. }) => prop_assert_eq!(status, StatusCode::Throttled),
-                Err(_) => prop_assert!(status != StatusCode::Ok),
+                Err(KeraError::NotLeader { .. }) => prop_assert_eq!(status, StatusCode::NotLeader),
+                Err(_) => prop_assert!(status != StatusCode::Ok && status != StatusCode::NotLeader),
                 Ok(()) => prop_assert_eq!(status, StatusCode::Ok),
             }
         }

@@ -46,8 +46,8 @@ struct ReplicatedSegment {
 }
 
 impl ReplicatedSegment {
-    /// The segment's bytes as one contiguous buffer (cold paths only:
-    /// the secondary-storage flush and recovery reads).
+    /// The segment's bytes as one contiguous buffer (recovery reads
+    /// only; the flush writes `batches` as they are).
     fn contents(&self) -> Bytes {
         match self.batches.as_slice() {
             [single] => single.clone(),
@@ -66,12 +66,10 @@ impl ReplicatedSegment {
 pub struct BackupService {
     node: NodeId,
     segments: RwLock<HashMap<SegKey, Arc<Mutex<ReplicatedSegment>>>>,
+    /// Writes each closed virtual segment to its own file, off the
+    /// replication path ("backups asynchronously write buffered chunks
+    /// to secondary storage", §II-B).
     flusher: Option<DiskFlusher>,
-    /// Fixed IO cost charged when a *closed* virtual segment is flushed
-    /// (asynchronous, segment granularity — "backups asynchronously
-    /// write buffered chunks to secondary storage", §II-B). The
-    /// synchronous replication path is a pure in-memory buffer append.
-    io_cost_ns: u64,
     /// Observability handle; counters below live in its registry.
     obs: Arc<NodeObs>,
     /// Replication writes handled (`kera.backup.writes`).
@@ -84,25 +82,19 @@ pub struct BackupService {
 
 impl BackupService {
     pub fn new(node: NodeId, flusher: Option<DiskFlusher>) -> Arc<Self> {
-        Self::with_obs(node, flusher, 0, NodeObs::disabled(node.raw()))
+        Self::with_obs(node, flusher, NodeObs::disabled(node.raw()))
     }
 
     /// Full constructor: binds the backup to a node's observability
     /// handle. Write counters register as `kera.backup.*`; replication
     /// writes emit `backup_write` (and, on segment close, `flush`) spans
     /// under the shipping broker's trace.
-    pub fn with_obs(
-        node: NodeId,
-        flusher: Option<DiskFlusher>,
-        io_cost_ns: u64,
-        obs: Arc<NodeObs>,
-    ) -> Arc<Self> {
+    pub fn with_obs(node: NodeId, flusher: Option<DiskFlusher>, obs: Arc<NodeObs>) -> Arc<Self> {
         let reg = obs.registry();
         Arc::new(Self {
             node,
             segments: RwLock::named("backup.segments", HashMap::new()),
             flusher,
-            io_cost_ns,
             writes: reg.counter("kera.backup.writes", &[]),
             bytes_received: reg.counter("kera.backup.bytes_received", &[]),
             chunks_received: reg.counter("kera.backup.chunks_received", &[]),
@@ -215,14 +207,11 @@ impl BackupService {
                 });
             }
             seg.closed = true;
-            // Secondary-storage flush: one large asynchronous IO per
-            // closed virtual segment (amortized over the whole segment).
-            let mut flush_span = self.obs.span(Stage::Flush, kera_obs::current());
-            flush_span.set_aux(seg.len as u64);
-            if self.io_cost_ns > 0 {
-                kera_common::timing::spin_for_ns(self.io_cost_ns);
-            }
+            // Secondary-storage flush: one large asynchronous write per
+            // closed virtual segment, handed over as the batches it holds.
             if let Some(f) = &self.flusher {
+                let mut flush_span = self.obs.span(Stage::Flush, kera_obs::current());
+                flush_span.set_aux(seg.len as u64);
                 f.flush(
                     format!(
                         "broker{}/vlog{}/vseg{}.seg",
@@ -230,10 +219,10 @@ impl BackupService {
                         req.vlog.raw(),
                         req.vseg.raw()
                     ),
-                    seg.contents(),
+                    seg.batches.clone(),
                 );
+                flush_span.finish();
             }
-            flush_span.finish();
         }
         Ok(BackupWriteResponse { durable_offset: seg.len as u32 })
     }
@@ -524,21 +513,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let flusher = DiskFlusher::start(dir.clone()).unwrap();
         let b = BackupService::new(NodeId(100), Some(flusher));
-        let (c, k) = chunk_bytes(2);
+        let (c1, k1) = chunk_bytes(2);
+        let (c2, k2) = chunk_bytes(3);
         let mut crc = Crc32c::new();
-        crc.update_u32(k);
+        crc.update_u32(k1);
+        crc.update_u32(k2);
+        b.handle_write(write_req(0, backup_flags::OPEN, 0, std::slice::from_ref(&c1))).unwrap();
         b.handle_write(write_req(
-            0,
-            backup_flags::OPEN | backup_flags::CLOSE,
+            c1.len() as u32,
+            backup_flags::CLOSE,
             crc.finish(),
-            std::slice::from_ref(&c),
+            std::slice::from_ref(&c2),
         ))
         .unwrap();
         // Force the flusher to drain by dropping the service (drops flusher).
         drop(b);
         let file = dir.join("broker1/vlog0/vseg0.seg");
         let on_disk = std::fs::read(&file).unwrap();
-        assert_eq!(on_disk, c.to_vec(), "disk format == in-memory format");
+        assert_eq!(on_disk, [c1.to_vec(), c2.to_vec()].concat(), "the file is the two writes");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

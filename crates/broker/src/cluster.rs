@@ -16,7 +16,7 @@ use kera_common::knobs;
 use kera_common::Result;
 use kera_obs::{NodeObs, RegistrySnapshot, Watchdog};
 use kera_rpc::{AnyNetwork, FaultInjector, FaultPlan, NodeRuntime, NullService, Transport};
-use kera_storage::flush::DiskFlusher;
+use kera_storage::flush::{DiskFlusher, FlushMetrics};
 use parking_lot::Mutex;
 
 use crate::backup::BackupService;
@@ -90,8 +90,7 @@ impl KeraCluster {
     /// Boots coordinator, brokers and backups.
     pub fn start(config: ClusterConfig) -> Result<KeraCluster> {
         config.validate()?;
-        let net =
-            AnyNetwork::with_max_frame(config.transport, config.network, config.max_frame_bytes);
+        let net = AnyNetwork::new(config.transport, Some(config.max_frame_bytes));
         let fault_plan = config.faults.map(FaultPlan::new).transpose()?;
         let b = config.brokers;
         let broker_ids: Vec<NodeId> = (0..b).map(broker_node).collect();
@@ -115,18 +114,18 @@ impl KeraCluster {
         for i in 0..b {
             let obs = make_obs(backup_node(i));
             let flusher = match &config.flush_dir {
-                Some(dir) => Some(DiskFlusher::start_with_histogram(
-                    dir.join(format!("backup-{i}")),
-                    obs.registry().histogram("kera.storage.flush", &[]),
-                )?),
+                Some(dir) => {
+                    let reg = obs.registry();
+                    let metrics = FlushMetrics {
+                        latency: reg.histogram("kera.storage.flush", &[]),
+                        bytes: reg.counter("kera.storage.flush_bytes", &[]),
+                        errors: reg.counter("kera.storage.flush_errors", &[]),
+                    };
+                    Some(DiskFlusher::start_with_metrics(dir.join(format!("backup-{i}")), metrics)?)
+                }
                 None => None,
             };
-            let svc = BackupService::with_obs(
-                backup_node(i),
-                flusher,
-                config.io_cost_ns,
-                Arc::clone(&obs),
-            );
+            let svc = BackupService::with_obs(backup_node(i), flusher, Arc::clone(&obs));
             let rt = NodeRuntime::start_with_obs(
                 register(backup_node(i))?,
                 Arc::clone(&svc) as Arc<dyn kera_rpc::Service>,

@@ -1007,7 +1007,6 @@ mod tests {
     /// owners — and decide nothing itself.
     #[test]
     fn a_repeated_crash_report_answers_the_first_decision_and_appends_nothing() {
-        use kera_common::config::NetworkModel;
         use kera_rpc::inmem::InMemNetwork;
         use kera_rpc::node::NodeRuntime;
 
@@ -1018,7 +1017,7 @@ mod tests {
                 Ok(Bytes::new())
             }
         }
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let brokers = vec![NodeId(1), NodeId(2)];
         let _brokers: Vec<NodeRuntime> = brokers
             .iter()

@@ -55,7 +55,7 @@ fn write_req(chunks: Bytes, count: u32) -> EncodedBackupWrite {
 
 #[test]
 fn channel_fans_out_to_every_backup() {
-    let net = InMemNetwork::new(Default::default());
+    let net = InMemNetwork::new();
     let backups: Vec<Arc<BackupService>> =
         (0..3).map(|i| BackupService::new(NodeId(100 + i), None)).collect();
     let _rts: Vec<NodeRuntime> = backups
@@ -83,7 +83,7 @@ fn channel_fans_out_to_every_backup() {
 
 #[test]
 fn channel_normalizes_dead_backup_to_disconnected() {
-    let net = InMemNetwork::new(Default::default());
+    let net = InMemNetwork::new();
     let alive = BackupService::new(NodeId(100), None);
     let _rt = NodeRuntime::start(
         Arc::new(net.register(NodeId(100))),
@@ -105,7 +105,7 @@ fn channel_normalizes_dead_backup_to_disconnected() {
 
 #[test]
 fn corrupt_batch_is_rejected_by_real_backup_over_rpc() {
-    let net = InMemNetwork::new(Default::default());
+    let net = InMemNetwork::new();
     let backup = BackupService::new(NodeId(100), None);
     let _rt = NodeRuntime::start(
         Arc::new(net.register(NodeId(100))),

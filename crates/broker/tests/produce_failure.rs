@@ -82,7 +82,7 @@ struct Rig {
 
 impl Rig {
     fn new() -> Rig {
-        let net = InMemNetwork::new(Default::default());
+        let net = InMemNetwork::new();
         let backups: Vec<Arc<ScriptedBackup>> = [BACKUP_A, BACKUP_B]
             .into_iter()
             .map(|id| {

@@ -15,7 +15,7 @@ use bytes::Bytes;
 use kera_client::consumer::{Consumer, ConsumerConfig, Subscription};
 use kera_client::producer::{Producer, ProducerConfig};
 use kera_client::MetadataClient;
-use kera_common::config::{NetworkModel, StreamConfig};
+use kera_common::config::StreamConfig;
 use kera_common::ids::{NodeId, ProducerId, StreamId, StreamletId};
 use kera_common::{KeraError, Result};
 use kera_rpc::inmem::InMemNetwork;
@@ -273,7 +273,7 @@ fn rig(placement: &[NodeId]) -> Rig {
 
 /// The same, with the coordinator answering `metadata` as it is.
 fn rig_serving(metadata: StreamMetadata) -> Rig {
-    let net = InMemNetwork::new(NetworkModel::default());
+    let net = InMemNetwork::new();
     let script = Arc::new(Script::default());
     let mut nodes: Vec<NodeRuntime> = [COORDINATOR, BROKER_A, BROKER_B]
         .into_iter()

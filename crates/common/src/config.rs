@@ -144,39 +144,6 @@ impl Default for StreamConfig {
     }
 }
 
-/// Optional network cost model for the in-memory transport.
-///
-/// With everything zero (the default) messages are delivered as fast as the
-/// channel allows and all costs are the real CPU costs of the RPC stack.
-/// Non-zero values let experiments approximate a physical cluster: a fixed
-/// per-message wire latency plus a per-link bandwidth cap.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct NetworkModel {
-    /// One-way latency added to each message, in nanoseconds.
-    pub latency_ns: u64,
-    /// Per-link bandwidth cap in bytes/second (`0` = unlimited).
-    pub bandwidth_bytes_per_sec: u64,
-}
-
-impl NetworkModel {
-    /// Time the wire occupies for a message of `bytes`, in nanoseconds
-    /// (serialization delay only; latency is added separately).
-    #[inline]
-    pub fn serialize_ns(&self, bytes: usize) -> u64 {
-        if self.bandwidth_bytes_per_sec == 0 {
-            0
-        } else {
-            (bytes as u128 * 1_000_000_000u128 / self.bandwidth_bytes_per_sec as u128) as u64
-        }
-    }
-
-    /// True when the model adds no cost and can be bypassed entirely.
-    #[inline]
-    pub fn is_free(&self) -> bool {
-        self.latency_ns == 0 && self.bandwidth_bytes_per_sec == 0
-    }
-}
-
 /// Retry discipline for synchronous RPCs (`RpcClient::call` and the
 /// replication fan-out): bounded attempts with exponential backoff and
 /// deterministic jitter, all under one overall per-call deadline.
@@ -354,8 +321,7 @@ pub const DEFAULT_MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 /// Which fabric the cluster's nodes talk over.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TransportChoice {
-    /// In-process channels: fastest, supports fault injection and the
-    /// network cost model.
+    /// In-process channels: fastest, supports fault injection.
     #[default]
     InMemory,
     /// Loopback TCP sockets (the paper's client transport).
@@ -372,20 +338,16 @@ pub struct ClusterConfig {
     pub worker_threads: usize,
     /// Fabric choice (in-memory channels or loopback TCP).
     pub transport: TransportChoice,
-    /// Network cost model (in-memory transport only).
-    pub network: NetworkModel,
-    /// Fixed CPU/IO-setup cost per *storage write operation* on the
-    /// replication path, in nanoseconds (busy-wait). Models what the
-    /// in-process substrate lacks relative to a real node: the per-write
-    /// syscall/filesystem/index cost of persisting one batch to one log
-    /// file. KerA backups pay it once per consolidated replication write;
-    /// Kafka followers pay it once per *partition* whose data a fetch
-    /// delivered (each partition is its own log file) — the paper's
-    /// "small I/Os vs large I/Os on backups". `0` disables the model.
+    /// Retired: the busy-wait that stood in for a storage write. Backups
+    /// and followers now write their files under `flush_dir`, so only `0`
+    /// is accepted (ROADMAP item 13). Kept until the benchmark stops
+    /// setting it; the next change to `benchmark/` deletes it.
     pub io_cost_ns: u64,
-    /// Directory for asynchronous secondary-storage flushes; `None`
-    /// disables disk entirely (pure in-memory experiments, as the produce
-    /// path never depends on disk anyway).
+    /// Directory the nodes write their logs under: a KerA backup's
+    /// flusher writes each closed virtual segment to its own file, a Kafka
+    /// follower appends each partition's fetched bytes to that
+    /// partition's file. `None` writes nothing (the produce path never
+    /// waits on disk either way).
     pub flush_dir: Option<std::path::PathBuf>,
     /// Retry/backoff discipline applied by every node's RPC client.
     pub retry: RetryPolicy,
@@ -409,7 +371,6 @@ impl Default for ClusterConfig {
             brokers: 4,
             worker_threads: 4,
             transport: TransportChoice::default(),
-            network: NetworkModel::default(),
             io_cost_ns: 0,
             flush_dir: None,
             retry: RetryPolicy::default(),
@@ -428,6 +389,13 @@ impl ClusterConfig {
         }
         if self.worker_threads == 0 {
             return Err(KeraError::InvalidConfig("brokers need at least one worker thread".into()));
+        }
+        if self.io_cost_ns != 0 {
+            return Err(KeraError::InvalidConfig(
+                "io_cost_ns is retired: storage writes are real files under flush_dir \
+                 (ROADMAP item 13); set it to 0"
+                    .into(),
+            ));
         }
         self.retry.validate()?;
         if let Some(faults) = &self.faults {
@@ -481,6 +449,8 @@ mod tests {
         };
         assert!(c.validate().is_err());
 
+        let c = ClusterConfig { io_cost_ns: 30_000, ..ClusterConfig::default() };
+        assert!(c.validate().is_err(), "the retired cost model accepts only 0");
         let c = ClusterConfig { max_frame_bytes: 16, ..ClusterConfig::default() };
         assert!(c.validate().is_err());
     }
@@ -544,17 +514,5 @@ mod tests {
         assert_eq!(s.streamlets, 32);
         assert_eq!(s.active_groups, 1);
         s.validate().unwrap();
-    }
-
-    #[test]
-    fn network_model_costs() {
-        let free = NetworkModel::default();
-        assert!(free.is_free());
-        assert_eq!(free.serialize_ns(1_000_000), 0);
-
-        let gbe10 = NetworkModel { latency_ns: 20_000, bandwidth_bytes_per_sec: 1_250_000_000 };
-        assert!(!gbe10.is_free());
-        // 1.25 GB/s -> 1 MB takes 800 µs.
-        assert_eq!(gbe10.serialize_ns(1_000_000), 800_000);
     }
 }

@@ -49,11 +49,6 @@ pub static MEASURE_MS: Knob = Knob::new(
     2000,
     "figure harness: measurement window, ms; any other value than the default sends the TSVs to results/tmp/",
 );
-pub static IO_COST_NS: Knob = Knob::new(
-    "KERA_IO_COST_NS",
-    30_000,
-    "figure harness: modelled cost of one synchronous storage write, ns; 0 disables the model",
-);
 pub static OBS: Knob = Knob::new(
     "KERA_OBS",
     1,
@@ -76,5 +71,5 @@ pub static WATCHDOG_MS: Knob = Knob::new(
 );
 
 /// All rows, in README order.
-pub static TABLE: [&Knob; 7] =
-    [&WARMUP_MS, &MEASURE_MS, &IO_COST_NS, &OBS, &COORD_REPLICAS, &FLIGHTREC, &WATCHDOG_MS];
+pub static TABLE: [&Knob; 6] =
+    [&WARMUP_MS, &MEASURE_MS, &OBS, &COORD_REPLICAS, &FLIGHTREC, &WATCHDOG_MS];

@@ -16,9 +16,7 @@
 //! - [`metrics`] — low-overhead counters, throughput meters and latency
 //!   histograms used by brokers, clients and the benchmark harness;
 //! - [`rng`] — a tiny deterministic SplitMix64 generator for hot paths that
-//!   must not pull in a full RNG;
-//! - [`timing`] — monotonic-time helpers and calibrated busy-wait used by the
-//!   optional network cost model.
+//!   must not pull in a full RNG.
 
 pub mod checksum;
 pub mod config;
@@ -27,6 +25,5 @@ pub mod ids;
 pub mod knobs;
 pub mod metrics;
 pub mod rng;
-pub mod timing;
 
 pub use error::{KeraError, Result};

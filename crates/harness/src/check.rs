@@ -195,6 +195,11 @@ pub fn tsv_path(fig: &Figure, dir: &Path) -> std::path::PathBuf {
 /// of `fig`: unreadable, a row with failed requests, a declared point
 /// with fewer than [`REPEATS`] rows.
 pub fn load(fig: &Figure, dir: &Path) -> Result<Series, String> {
+    load_column(fig, dir, "mrecords_per_sec")
+}
+
+/// [`load`] of another numeric column of the TSV, in its own unit.
+pub fn load_column(fig: &Figure, dir: &Path, column: &str) -> Result<Series, String> {
     let path = tsv_path(fig, dir);
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
     let mut lines = text.lines();
@@ -204,7 +209,7 @@ pub fn load(fig: &Figure, dir: &Path) -> Result<Series, String> {
         header.iter().position(|h| *h == name).ok_or_else(missing)
     };
     let (series, x, rate, failed) =
-        (col("series")?, col("x")?, col("mrecords_per_sec")?, col("failed_requests")?);
+        (col("series")?, col("x")?, col(column)?, col("failed_requests")?);
     let mut samples = Vec::new();
     for line in lines {
         let f: Vec<&str> = line.split('\t').collect();

@@ -1,7 +1,7 @@
 //! One experiment: cluster + producers + consumers + steady-state
 //! measurement (paper §V-A).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -69,13 +69,6 @@ pub struct ExperimentConfig {
     /// can never clobber the committed reference results.
     pub warmup: Duration,
     pub measure: Duration,
-    /// Per-storage-write fixed cost on the replication path (see
-    /// `ClusterConfig::io_cost_ns`). The figure sweeps default to 30 µs —
-    /// the order of one small log-file append + offset-index update on
-    /// the paper's testbed — so the small-IO vs large-IO effect the
-    /// paper measures is present on the in-process substrate
-    /// (`KERA_IO_COST_NS` overrides; 0 disables).
-    pub io_cost_ns: u64,
     /// Cluster-wide observability (tracing + flight recorder). On by
     /// default; `KERA_OBS=0` turns it off for overhead comparisons.
     /// Metrics counters work either way.
@@ -107,7 +100,6 @@ impl Default for ExperimentConfig {
             vseg_size: 1 << 20,
             warmup: Duration::from_millis(knobs::WARMUP_MS.get()),
             measure: Duration::from_millis(knobs::MEASURE_MS.get()),
-            io_cost_ns: knobs::IO_COST_NS.get(),
             observability: knobs::OBS.is_on(),
             coordinator_replicas: knobs::COORD_REPLICAS.get() as u32,
         }
@@ -186,6 +178,13 @@ pub struct Measurement {
     pub replication_chunks: u64,
     /// Produce requests that failed terminally.
     pub failed_requests: u64,
+    /// Writes the run made under its directory, warm-up and teardown
+    /// included: on KerA one file per closed virtual segment (the
+    /// backups' flushers), on Kafka one append per follower fetch result
+    /// with data.
+    pub storage_writes: u64,
+    /// Bytes those writes carried (bytes / writes: how large an I/O is).
+    pub storage_bytes: u64,
     /// Per-stage latency breakdown (client call → broker append →
     /// replicate wait → vlog ship → backup write → flush), empty when
     /// observability is off.
@@ -237,12 +236,53 @@ impl Cluster {
         }
     }
 
+    fn node_obs(&self) -> Vec<Arc<kera_obs::NodeObs>> {
+        match self {
+            Cluster::Kera(c) => c.node_obs().to_vec(),
+            Cluster::Kafka(c) => c.node_obs().to_vec(),
+        }
+    }
+
     fn shutdown(self) {
         match self {
             Cluster::Kera(c) => c.shutdown(),
             Cluster::Kafka(c) => c.shutdown(),
         }
     }
+}
+
+/// Names every per-run directory of this process: `<temp>/kera-run-<pid>-<n>`.
+pub const RUN_DIR_PREFIX: &str = "kera-run-";
+
+/// A run's `flush_dir`, removed when dropped — after the cluster, which
+/// is declared after it and so joins its flushers and fetchers first.
+struct RunDir(std::path::PathBuf);
+
+impl Drop for RunDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Writes and bytes the nodes wrote, from their registries once every
+/// writer has been joined; an error names the first node a write failed
+/// on (a full disk must not pass for a measurement).
+fn written(nodes: &[Arc<kera_obs::NodeObs>]) -> Result<(u64, u64)> {
+    let (mut writes, mut bytes) = (0, 0);
+    for obs in nodes {
+        let snap = obs.registry().snapshot();
+        let errors = snap.counter_sum("kera.storage.flush_errors", &[])
+            + snap.counter_sum("kera.kafka.follower_write_errors", &[]);
+        if errors > 0 {
+            let why = format!("node {}: {errors} storage writes failed", obs.node());
+            return Err(kera_common::KeraError::Io(std::io::Error::other(why)));
+        }
+        writes += snap.histogram_sum("kera.storage.flush", &[]).count
+            + snap.counter_sum("kera.kafka.follower_writes", &[]);
+        bytes += snap.counter_sum("kera.storage.flush_bytes", &[])
+            + snap.counter_sum("kera.kafka.follower_write_bytes", &[]);
+    }
+    Ok((writes, bytes))
 }
 
 /// Runs one experiment point and returns its measurement.
@@ -253,10 +293,14 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> Result<Measurement> {
 /// [`run_experiment`], plus the cluster-wide metrics it read its stage
 /// breakdown from.
 pub fn measure(cfg: &ExperimentConfig) -> Result<(Measurement, kera_obs::RegistrySnapshot)> {
+    static RUNS: AtomicU64 = AtomicU64::new(0);
+    let n = RUNS.fetch_add(1, Ordering::Relaxed);
+    let name = format!("{RUN_DIR_PREFIX}{}-{n}", std::process::id());
+    let run_dir = RunDir(std::env::temp_dir().join(name));
     let cluster_cfg = ClusterConfig {
         brokers: cfg.brokers,
         worker_threads: cfg.worker_threads,
-        io_cost_ns: cfg.io_cost_ns,
+        flush_dir: Some(run_dir.0.clone()),
         observability: cfg.observability,
         coordinator: CoordinatorConfig {
             replicas: cfg.coordinator_replicas,
@@ -453,7 +497,10 @@ pub fn measure(cfg: &ExperimentConfig) -> Result<(Measurement, kera_obs::Registr
             p.abort(); // fast teardown: unsent chunks are dropped
         }
     }
+    let nodes = cluster.node_obs();
     cluster.shutdown();
+    let (storage_writes, storage_bytes) = written(&nodes)?;
+    drop(run_dir);
 
     // Hand freed arena pages back to the OS: a sweep runs dozens of
     // experiments in one process, and glibc otherwise accumulates each
@@ -478,6 +525,8 @@ pub fn measure(cfg: &ExperimentConfig) -> Result<(Measurement, kera_obs::Registr
         replication_batches,
         replication_chunks,
         failed_requests,
+        storage_writes,
+        storage_bytes,
         stages,
     };
     Ok((m, snapshot))

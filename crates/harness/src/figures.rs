@@ -94,7 +94,7 @@ fn fig08() -> Figure {
         paper: "throughput grows with batching; R1>R2>R3; KerA (4 shared vlogs) beats Kafka \
                 increasingly as streams grow (headline: up to 4x over hundreds of streams).",
         claim: Claim::Ratio { num: "KerA R3", den: "Kafka R3", floor: 1.0, grows: Some(1.1) },
-        declared: Verdict::Holds,
+        declared: Verdict::NotReproduced,
         points,
     }
 }
@@ -127,7 +127,7 @@ fn fig09() -> Figure {
         title: "Scaling the number of clients (one log per partition)",
         paper: "KerA ~2x Kafka at 16 producers, R3 (active push vs passive pull needing tuning).",
         claim: Claim::Ratio { num: "KerA R3", den: "Kafka R3", floor: 1.5, grows: None },
-        declared: Verdict::Holds,
+        declared: Verdict::Unresolved,
         points,
     }
 }
@@ -160,7 +160,7 @@ fn fig10() -> Figure {
         title: "Low-latency configuration (R3, chunk 1KB, 4P+4C)",
         paper: "similar when configured identically; KerA up to 3x with fewer shared vlogs.",
         claim: Claim::Ratio { num: "KerA 4 vlogs", den: "Kafka", floor: 1.0, grows: Some(1.1) },
-        declared: Verdict::Holds,
+        declared: Verdict::Unresolved,
         points,
     }
 }

@@ -23,25 +23,28 @@ pub struct Row {
 /// Runs every point of `fig` [`REPEATS`] times — the whole sweep once
 /// per repeat, so a point's spread includes the host's drift over the
 /// run — printing one line per point as it lands (throughput in million
-/// records/s, like the paper's y-axes).
+/// records/s, like the paper's y-axes, then the writes the run made and
+/// their mean size).
 pub fn run_figure(fig: &Figure) -> Result<Vec<Row>> {
     println!("== {}: {} ({} points x {REPEATS}) ==", fig.id, fig.title, fig.points.len());
     println!(
-        "{:<18} {:>12} {:>12} {:>12} {:>10} {:>12}",
-        "series", "x", "Mrec/s", "MB/s", "lat(us)", "consolid."
+        "{:<18} {:>12} {:>12} {:>12} {:>10} {:>12} {:>10} {:>10}",
+        "series", "x", "Mrec/s", "MB/s", "lat(us)", "consolid.", "writes", "KB/write"
     );
     let mut rows = Vec::with_capacity(fig.points.len() * REPEATS);
     for repeat in 0..REPEATS {
         for p in &fig.points {
             let m = run_experiment(&p.cfg)?;
             println!(
-                "{:<18} {:>12} {:>12.3} {:>12.1} {:>10.0} {:>12.1}",
+                "{:<18} {:>12} {:>12.3} {:>12.1} {:>10.0} {:>12.1} {:>10} {:>10.1}",
                 p.series,
                 p.x,
                 m.mrecords_per_sec(),
                 m.produce_bytes_rate / 1e6,
                 m.mean_request_latency_us,
                 m.consolidation(),
+                m.storage_writes,
+                m.storage_bytes as f64 / m.storage_writes.max(1) as f64 / 1e3,
             );
             if !m.stages.is_empty() {
                 println!("  {}", format_stage_breakdown(&m.stages));
@@ -74,12 +77,12 @@ pub fn write_tsv(dir: &Path, fig: &Figure, rows: &[Row]) -> Result<()> {
     let mut f = std::fs::File::create(check::tsv_path(fig, dir))?;
     writeln!(
         f,
-        "figure\tseries\tx\trepeat\tmrecords_per_sec\tproduce_rate\tconsume_rate\tbytes_per_sec\tmean_latency_us\treplication_batches\treplication_chunks\tfailed_requests"
+        "figure\tseries\tx\trepeat\tmrecords_per_sec\tproduce_rate\tconsume_rate\tbytes_per_sec\tmean_latency_us\treplication_batches\treplication_chunks\tfailed_requests\tstorage_writes\tstorage_bytes"
     )?;
     for r in rows {
         writeln!(
             f,
-            "{}\t{}\t{}\t{}\t{:.4}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{}\t{}\t{}",
+            "{}\t{}\t{}\t{}\t{:.4}\t{:.1}\t{:.1}\t{:.1}\t{:.1}\t{}\t{}\t{}\t{}\t{}",
             fig.id,
             r.series,
             r.x,
@@ -92,6 +95,8 @@ pub fn write_tsv(dir: &Path, fig: &Figure, rows: &[Row]) -> Result<()> {
             r.m.replication_batches,
             r.m.replication_chunks,
             r.m.failed_requests,
+            r.m.storage_writes,
+            r.m.storage_bytes,
         )?;
     }
     Ok(())
@@ -136,8 +141,8 @@ pub const MARKER: &str = "<!-- RESULTS_TABLE -->\n";
 
 /// Everything below [`MARKER`]: per figure the paper's sentence, the
 /// claim, the measured effects with their spread and the computed
-/// verdict, then the median of every point — from `figures.rs` and the
-/// TSVs under `dir`, nothing typed in.
+/// verdict, then the median of every point and of the writes its runs
+/// made — from `figures.rs` and the TSVs under `dir`, nothing typed in.
 pub fn render(dir: &Path) -> String {
     let mut verdicts = String::new();
     let mut tables =
@@ -158,9 +163,28 @@ pub fn render(dir: &Path) -> String {
             let cells: Vec<String> = points.iter().map(|(_, s)| format!("{:.3}", s.mid)).collect();
             tables += &format!("\n| {name} | {} |", cells.join(" | "));
         }
+        tables += &writes_rows(&fig, dir).unwrap_or_default();
         tables.push('\n');
     }
     verdicts + &tables
+}
+
+/// One row per series below its rates: per point, the median over its
+/// repeats of the writes a run made, and the median bytes over that
+/// (`2400 × 1048.6 KB`). `None` for a TSV measured before the runs
+/// wrote files.
+fn writes_rows(fig: &Figure, dir: &Path) -> Option<String> {
+    let check::Series(writes) = check::load_column(fig, dir, "storage_writes").ok()?;
+    let check::Series(bytes) = check::load_column(fig, dir, "storage_bytes").ok()?;
+    let mut out = String::new();
+    for ((name, writes), (_, bytes)) in writes.iter().zip(&bytes) {
+        let cell = |((_, w), (_, b)): (&(String, check::Spread), &(String, check::Spread))| {
+            format!("{:.0} × {:.1} KB", w.mid, b.mid / w.mid.max(1.0) / 1e3)
+        };
+        let cells: Vec<String> = writes.iter().zip(bytes).map(cell).collect();
+        out += &format!("\n| {name} writes | {} |", cells.join(" | "));
+    }
+    Some(out)
 }
 
 /// `figure report`: rewrites `EXPERIMENTS.md` below [`MARKER`] from the
@@ -270,6 +294,8 @@ mod tests {
                 replication_batches: 10,
                 replication_chunks: 100,
                 failed_requests: 0,
+                storage_writes: 0,
+                storage_bytes: 0,
                 stages: Vec::new(),
             },
         }

@@ -6,6 +6,7 @@ use std::time::Duration;
 use kera_harness::check::{self, Verdict, REPEATS};
 use kera_harness::figures::{Claim, Figure, Point};
 use kera_harness::report::{run_figure, write_tsv};
+use kera_harness::experiment::RUN_DIR_PREFIX;
 use kera_harness::{ExperimentConfig, SystemKind};
 
 #[test]
@@ -20,7 +21,6 @@ fn mini_figure_runs_and_writes_tsv() {
         replication_factor: 2,
         warmup: Duration::from_millis(100),
         measure: Duration::from_millis(300),
-        io_cost_ns: 0, // keep the smoke test fast and host-independent
         ..ExperimentConfig::default()
     };
     let fig = Figure {
@@ -41,7 +41,18 @@ fn mini_figure_runs_and_writes_tsv() {
     for r in &rows {
         assert!(r.m.produce_rate > 0.0, "{} measured nothing", r.series);
         assert_eq!(r.m.failed_requests, 0);
+        // KerA's backups flushed closed segments, Kafka's followers
+        // appended to their partition files.
+        assert!(r.m.storage_writes > 0 && r.m.storage_bytes > 0, "{} wrote nothing", r.series);
     }
+    // Every run removed its directory once its writers were joined.
+    let ours = format!("{RUN_DIR_PREFIX}{}-", std::process::id());
+    let left: Vec<_> = std::fs::read_dir(std::env::temp_dir())
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with(&ours))
+        .collect();
+    assert!(left.is_empty(), "run directories left behind: {left:?}");
     let dir = std::env::temp_dir().join(format!("kera-smoke-{}", std::process::id()));
     write_tsv(&dir, &fig, &rows).unwrap();
     let text = std::fs::read_to_string(dir.join("fig_smoke.tsv")).unwrap();

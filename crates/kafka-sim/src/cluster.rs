@@ -46,7 +46,7 @@ pub struct KafkaCluster {
 impl KafkaCluster {
     pub fn start(config: ClusterConfig, tuning: KafkaTuning) -> Result<KafkaCluster> {
         config.validate()?;
-        let net = InMemNetwork::new(config.network);
+        let net = InMemNetwork::new();
         let b = config.brokers;
         let broker_ids: Vec<NodeId> = (0..b).map(broker_node).collect();
 
@@ -77,13 +77,14 @@ impl KafkaCluster {
                 Arc::clone(&broker_svc) as Arc<dyn kera_rpc::Service>,
                 config.worker_threads,
                 config.retry,
-                broker_obs,
+                Arc::clone(&broker_obs),
             );
             let fetcher = FetcherRunner::new(
                 broker_node(i),
                 broker_rt.client(),
                 Arc::clone(&broker_svc),
-                config.io_cost_ns,
+                config.flush_dir.as_ref().map(|d| d.join(format!("broker-{i}"))),
+                broker_obs.registry(),
             );
             {
                 // Weak: the callback must not create a reference cycle

@@ -45,7 +45,7 @@ impl kera_rpc::Service for AcceptAll {
 fn coordinator_fixture(
     brokers: u32,
 ) -> (InMemNetwork, Vec<NodeRuntime>, NodeRuntime, NodeRuntime) {
-    let net = InMemNetwork::new(Default::default());
+    let net = InMemNetwork::new();
     let broker_rts: Vec<NodeRuntime> = (0..brokers)
         .map(|i| {
             NodeRuntime::start(Arc::new(net.register(broker_node(i))), Arc::new(AcceptAll), 1)

@@ -1,10 +1,9 @@
 //! The delay line: items held until a due time, then handed to a sink.
 //!
 //! One timing heap on one thread, the one mechanism of every place that
-//! holds something back in time — [`crate::inmem`]'s latency model (one
-//! line per network), [`crate::faults`]' delay fault (one line per plan)
-//! and, outside this crate, kafka-sim's purgatory timeouts (one line per
-//! broker). Release order is `(due, arrival)`:
+//! holds something back in time — [`crate::faults`]' delay fault (one
+//! line per plan) and, outside this crate, kafka-sim's purgatory timeouts
+//! (one line per broker). Release order is `(due, arrival)`:
 //! earliest due time first, FIFO among equal due times, so a constant
 //! delay preserves per-link order. Dropping the line closes it: whatever
 //! is still held is released at once, in the same order, and the thread

@@ -310,7 +310,6 @@ mod tests {
     use super::*;
     use crate::inmem::InMemNetwork;
     use crate::testkit::Collector;
-    use kera_common::config::NetworkModel;
     use kera_wire::frames::OpCode;
 
     fn env(id: u64) -> Envelope {
@@ -323,7 +322,7 @@ mod tests {
         profile: FaultProfile,
         n: u32,
     ) -> (InMemNetwork, FaultPlan, Vec<Arc<FaultInjector>>, Vec<Arc<Collector>>) {
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let plan = FaultPlan::new(profile).unwrap();
         let (injectors, inboxes) = (1..=n)
             .map(|id| {
@@ -482,7 +481,7 @@ mod tests {
             }
             fn closed(&self) {}
         }
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let plan = FaultPlan::new(FaultProfile::default()).unwrap();
         let via = Arc::new(FaultInjector::new(Arc::new(net.register(NodeId(1))), plan.clone()));
         let node = Arc::new(SendsOnFirst { via: Arc::clone(&via), seen: Mutex::new(Vec::new()) });

@@ -11,9 +11,7 @@
 //!   `send` of [`kera_wire::frames::Envelope`]s, and `bind` of the
 //!   [`transport::Deliver`] target that receives them;
 //! - [`inmem`] — the in-memory transport used by the in-process cluster:
-//!   the sender's own thread delivers; an optional network cost model
-//!   (per-message latency, per-link bandwidth) and fault injection (crash
-//!   a node, drop its traffic);
+//!   the sender's own thread delivers; fault injection crashes a node;
 //! - [`tcp`] — a real TCP transport (length-prefixed frames over loopback
 //!   or a LAN) with the same interface; a reader thread per connection
 //!   delivers;

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use kera_common::config::NetworkModel;
+use kera_common::config::DEFAULT_MAX_FRAME_BYTES;
 use kera_common::ids::NodeId;
 use kera_common::Result;
 
@@ -23,21 +23,15 @@ pub enum AnyNetwork {
 }
 
 impl AnyNetwork {
-    pub fn new(kind: TransportKind, model: NetworkModel) -> AnyNetwork {
-        Self::with_max_frame(kind, model, kera_common::config::DEFAULT_MAX_FRAME_BYTES)
-    }
-
-    /// Like [`AnyNetwork::new`] with an explicit frame-size cap for
-    /// stream transports (ignored by the in-memory fabric, which never
-    /// parses untrusted length prefixes).
-    pub fn with_max_frame(
-        kind: TransportKind,
-        model: NetworkModel,
-        max_frame_bytes: usize,
-    ) -> AnyNetwork {
+    /// A fabric of `kind`. `max_frame_bytes` caps a frame on stream
+    /// transports (`None`: [`DEFAULT_MAX_FRAME_BYTES`]); the in-memory
+    /// fabric never parses untrusted length prefixes and ignores it.
+    pub fn new(kind: TransportKind, max_frame_bytes: Option<usize>) -> AnyNetwork {
         match kind {
-            TransportKind::InMemory => AnyNetwork::InMem(InMemNetwork::new(model)),
-            TransportKind::Tcp => AnyNetwork::Tcp(TcpNetwork::with_max_frame(max_frame_bytes)),
+            TransportKind::InMemory => AnyNetwork::InMem(InMemNetwork::new()),
+            TransportKind::Tcp => AnyNetwork::Tcp(TcpNetwork::with_max_frame(
+                max_frame_bytes.unwrap_or(DEFAULT_MAX_FRAME_BYTES),
+            )),
         }
     }
 
@@ -90,7 +84,7 @@ mod tests {
     #[test]
     fn both_fabrics_roundtrip() {
         for kind in [TransportKind::InMemory, TransportKind::Tcp] {
-            let net = AnyNetwork::new(kind, NetworkModel::default());
+            let net = AnyNetwork::new(kind, None);
             let server =
                 NodeRuntime::start(net.register(NodeId(1)).unwrap(), Arc::new(Echo), 1);
             let client =
@@ -107,12 +101,12 @@ mod tests {
 
     #[test]
     fn crash_support_by_kind() {
-        let inmem = AnyNetwork::new(TransportKind::InMemory, NetworkModel::default());
+        let inmem = AnyNetwork::new(TransportKind::InMemory, None);
         let _t = inmem.register(NodeId(1)).unwrap();
         assert!(inmem.crash(NodeId(1)));
         assert!(inmem.as_inmem().is_some());
 
-        let tcp = AnyNetwork::new(TransportKind::Tcp, NetworkModel::default());
+        let tcp = AnyNetwork::new(TransportKind::Tcp, None);
         let _t = tcp.register(NodeId(1)).unwrap();
         assert!(!tcp.crash(NodeId(1)));
         assert!(tcp.as_inmem().is_none());

@@ -989,7 +989,6 @@ mod tests {
     use super::*;
     use crate::inmem::InMemNetwork;
     use crate::testkit::Collector;
-    use kera_common::config::NetworkModel;
 
     /// Echoes the payload; `Shutdown` opcode returns an error; `Fetch`
     /// sleeps to simulate a slow handler.
@@ -1045,7 +1044,7 @@ mod tests {
     }
 
     fn pair() -> (InMemNetwork, NodeRuntime, NodeRuntime) {
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let server = NodeRuntime::start(
             Arc::new(net.register(NodeId(1))),
             Arc::new(EchoService),
@@ -1156,7 +1155,7 @@ mod tests {
             }
         }
 
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let proxy_svc = Arc::new(Proxy { next: NodeId(3), client: Mutex::new(None) });
         let proxy = NodeRuntime::start(
             Arc::new(net.register(NodeId(1))),
@@ -1220,7 +1219,7 @@ mod tests {
     fn parking_server(
     ) -> (InMemNetwork, Arc<Parking>, NodeRuntime, crate::inmem::InMemTransport, Arc<Collector>)
     {
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let svc = Arc::new(Parking::default());
         let server = NodeRuntime::start(
             Arc::new(net.register(NodeId(1))),
@@ -1233,7 +1232,7 @@ mod tests {
 
     #[test]
     fn a_parked_reply_frees_its_worker() {
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let svc = Arc::new(Parking::default());
         let _server = NodeRuntime::start(
             Arc::new(net.register(NodeId(1))),
@@ -1323,7 +1322,7 @@ mod tests {
         use kera_common::config::FaultProfile;
         use std::sync::atomic::AtomicU64;
 
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let hits = Arc::new(AtomicU64::new(0));
         let _server = NodeRuntime::start(
             Arc::new(net.register(NodeId(1))),
@@ -1364,7 +1363,7 @@ mod tests {
         use crate::faults::FaultPlan;
         use kera_common::config::FaultProfile;
 
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let server =
             NodeRuntime::start(Arc::new(net.register(NodeId(1))), Arc::new(EchoService), 1);
         let plan = FaultPlan::new(FaultProfile::default()).unwrap();
@@ -1396,7 +1395,7 @@ mod tests {
     #[test]
     fn a_detached_call_completes_disconnected_when_its_node_goes() {
         for crash in [false, true] {
-            let net = InMemNetwork::new(NetworkModel::default());
+            let net = InMemNetwork::new();
             let _peer = Collector::bind(&net.register(NodeId(1))); // never answers
             let client =
                 NodeRuntime::start(Arc::new(net.register(NodeId(2))), Arc::new(NullService), 1);
@@ -1423,7 +1422,7 @@ mod tests {
         use crate::faults::FaultPlan;
         use kera_common::config::FaultProfile;
 
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let _server =
             NodeRuntime::start(Arc::new(net.register(NodeId(1))), Arc::new(EchoService), 2);
         let plan = FaultPlan::new(FaultProfile::default()).unwrap();
@@ -1460,7 +1459,7 @@ mod tests {
     #[test]
     #[cfg(target_os = "linux")]
     fn calls_issued_one_after_another_wake_no_worker() {
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let _server =
             NodeRuntime::start(Arc::new(net.register(NodeId(1))), Arc::new(EchoService), 2);
         // A node id of its own: its one worker is found by name.
@@ -1506,7 +1505,7 @@ mod tests {
             }
         }
 
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let plan = FaultPlan::new(FaultProfile::default()).unwrap();
         let outcomes = Arc::new(Outcomes::default());
         let svc = Arc::new(FanOut {
@@ -1568,7 +1567,7 @@ mod tests {
 
     #[test]
     fn crash_fails_the_crashed_nodes_own_calls_at_once() {
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let _peer = Collector::bind(&net.register(NodeId(1))); // never answers
         let client =
             NodeRuntime::start(Arc::new(net.register(NodeId(2))), Arc::new(NullService), 1);
@@ -1618,7 +1617,7 @@ mod tests {
                 Ok(payload)
             }
         }
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let _server = NodeRuntime::start(Arc::new(net.register(NodeId(1))), Arc::new(Slow), 8);
         let client =
             NodeRuntime::start(Arc::new(net.register(NodeId(2))), Arc::new(NullService), 1);
@@ -1644,7 +1643,7 @@ mod tests {
         // runtime, on either fabric.
         use crate::network::{AnyNetwork, TransportKind};
         for kind in [TransportKind::InMemory, TransportKind::Tcp] {
-            let net = AnyNetwork::new(kind, NetworkModel::default());
+            let net = AnyNetwork::new(kind, None);
             let svc = Arc::new(Parking::default());
             let server = NodeRuntime::start(
                 net.register(NodeId(1)).unwrap(),
@@ -1709,7 +1708,7 @@ mod tests {
         use crate::faults::FaultPlan;
         use kera_common::config::FaultProfile;
 
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let _server =
             NodeRuntime::start(Arc::new(net.register(NodeId(1))), Arc::new(EchoService), 2);
         // 30% of everything the client sends vanishes; requests and the
@@ -1739,7 +1738,7 @@ mod tests {
         use kera_common::config::FaultProfile;
         use std::sync::atomic::AtomicU64;
 
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let hits = Arc::new(AtomicU64::new(0));
         let server = NodeRuntime::start(
             Arc::new(net.register(NodeId(1))),
@@ -1776,7 +1775,7 @@ mod tests {
         use kera_common::config::FaultProfile;
         use std::sync::atomic::AtomicU64;
 
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let hits = Arc::new(AtomicU64::new(0));
         let server = NodeRuntime::start(
             Arc::new(net.register(NodeId(1))),
@@ -1812,7 +1811,7 @@ mod tests {
     fn duplicate_request_executes_at_most_once() {
         use std::sync::atomic::AtomicU64;
 
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let hits = Arc::new(AtomicU64::new(0));
         let server = NodeRuntime::start(
             Arc::new(net.register(NodeId(1))),
@@ -1839,7 +1838,7 @@ mod tests {
 
     #[test]
     fn expired_queued_request_is_dropped_then_retriable() {
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         // Single worker so a slow request blocks the queue.
         let server =
             NodeRuntime::start(Arc::new(net.register(NodeId(1))), Arc::new(EchoService), 1);
@@ -1881,7 +1880,7 @@ mod tests {
                 Ok(Bytes::new())
             }
         }
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let _server =
             NodeRuntime::start(Arc::new(net.register(NodeId(1))), Arc::new(DeadlineCheck), 1);
         let client =
@@ -1896,7 +1895,7 @@ mod tests {
     fn reply_between_attempt_timeout_and_retransmit_resolves_the_call() {
         // The handler (200 ms) outlives the attempt timeout (30 ms) but
         // answers well inside the backoff that follows it (≥ 500 ms).
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         let _server =
             NodeRuntime::start(Arc::new(net.register(NodeId(1))), Arc::new(EchoService), 1);
         let client = NodeRuntime::start_with_obs(
@@ -1921,7 +1920,7 @@ mod tests {
 
     #[test]
     fn retransmission_carries_the_smaller_remaining_budget() {
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         // A peer that collects its frames by hand: it sees every
         // transmission.
         let peer = net.register(NodeId(1));
@@ -1965,7 +1964,7 @@ mod tests {
 
     #[test]
     fn dropped_calls_release_their_pending_slots() {
-        let net = InMemNetwork::new(NetworkModel::default());
+        let net = InMemNetwork::new();
         // A black hole: bound (sends succeed) but never answers.
         let _peer = Collector::bind(&net.register(NodeId(1)));
         let client =

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use kera_common::config::{FaultProfile, NetworkModel, RetryPolicy};
+use kera_common::config::{FaultProfile, RetryPolicy};
 use kera_common::ids::NodeId;
 use kera_common::Result;
 use kera_obs::{NodeObs, Stage};
@@ -33,7 +33,7 @@ fn traced_pair(
     plan: &FaultPlan,
     retry: RetryPolicy,
 ) -> (InMemNetwork, NodeRuntime, NodeRuntime, Arc<NodeObs>, Arc<NodeObs>) {
-    let net = InMemNetwork::new(NetworkModel::default());
+    let net = InMemNetwork::new();
     let server_obs = NodeObs::new(SERVER.raw(), true);
     let client_obs = NodeObs::new(CLIENT.raw(), true);
     let server = NodeRuntime::start_with_obs(

@@ -4,10 +4,10 @@
 //! secondary storage. Therefore, the producer request is not impacted by
 //! secondary storage latency" (paper §II-B). Segments keep the same format
 //! on disk and in memory, so a flushed file is just the segment's
-//! published bytes.
+//! published bytes, written from the buffers that hold them.
 //!
 //! The flusher is one background thread draining a queue of flush tasks;
-//! enqueueing never blocks on I/O.
+//! enqueueing never blocks on I/O and never copies.
 
 use std::fs;
 use std::io::Write;
@@ -19,133 +19,90 @@ use crossbeam::channel::{self, Receiver, Sender};
 use kera_common::metrics::{Counter, LatencyHistogram};
 use kera_common::Result;
 
-/// One unit of flushing: raw bytes destined for a named file.
-pub struct FlushTask {
-    /// File name relative to the flush directory (slashes allowed).
-    pub name: String,
-    pub data: Bytes,
+/// One unit of flushing: a file name and its buffers, in order.
+type FlushTask = (String, Vec<Bytes>);
+
+/// What a flusher counts. A node passes registry-owned ones
+/// (`kera.storage.flush`, `kera.storage.flush_bytes`,
+/// `kera.storage.flush_errors`) so a scrape sees them.
+#[derive(Clone, Default)]
+pub struct FlushMetrics {
+    /// Wall time of each file written (create + write + sync); its count
+    /// is the number of files written.
+    pub latency: Arc<LatencyHistogram>,
+    pub bytes: Arc<Counter>,
+    /// Files that could not be written (a full disk, a bad path).
+    pub errors: Arc<Counter>,
 }
 
-struct FlusherShared {
-    bytes_written: Counter,
-    files_written: Counter,
-    errors: Counter,
-    /// Wall time of each file write (create + write + sync). Callers can
-    /// supply a registry-owned histogram (`kera.storage.flush`) via
-    /// [`DiskFlusher::start_with_histogram`].
-    write_latency: Arc<LatencyHistogram>,
-}
-
-/// Handle for enqueueing flush work. Dropping all handles stops the
-/// flusher after it drains its queue.
+/// Handle for enqueueing flush work. Dropping it stops the flusher
+/// after it drains its queue.
 pub struct DiskFlusher {
     tx: Sender<FlushTask>,
-    shared: Arc<FlusherShared>,
     thread: Option<std::thread::JoinHandle<()>>,
-    dir: PathBuf,
 }
 
 impl DiskFlusher {
     /// Starts a flusher writing under `dir` (created if missing).
     pub fn start(dir: PathBuf) -> Result<DiskFlusher> {
-        Self::start_with_histogram(dir, Arc::new(LatencyHistogram::new()))
+        Self::start_with_metrics(dir, FlushMetrics::default())
     }
 
-    /// Like [`DiskFlusher::start`], recording per-file write latency
-    /// into a caller-owned histogram.
-    pub fn start_with_histogram(
-        dir: PathBuf,
-        write_latency: Arc<LatencyHistogram>,
-    ) -> Result<DiskFlusher> {
+    /// Like [`DiskFlusher::start`], counting into caller-owned metrics.
+    pub fn start_with_metrics(dir: PathBuf, metrics: FlushMetrics) -> Result<DiskFlusher> {
         fs::create_dir_all(&dir)?;
         let (tx, rx) = channel::unbounded::<FlushTask>();
-        let shared = Arc::new(FlusherShared {
-            bytes_written: Counter::new(),
-            files_written: Counter::new(),
-            errors: Counter::new(),
-            write_latency,
-        });
-        let thread = {
-            let dir = dir.clone();
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("disk-flusher".into())
-                .spawn(move || flush_loop(dir, rx, shared))
-                // lint: allow(no-panic) — spawn failure at flusher startup is
-                // fatal by design: there is no runtime to degrade into yet.
-                .expect("spawn flusher")
-        };
-        Ok(DiskFlusher { tx, shared, thread: Some(thread), dir })
+        let thread = std::thread::Builder::new()
+            .name("disk-flusher".into())
+            .spawn(move || flush_loop(dir, rx, metrics))
+            // lint: allow(no-panic) — spawn failure at flusher startup is
+            // fatal by design: there is no runtime to degrade into yet.
+            .expect("spawn flusher");
+        Ok(DiskFlusher { tx, thread: Some(thread) })
     }
 
-    /// Enqueues a flush; returns immediately.
-    pub fn flush(&self, name: String, data: Bytes) {
-        let _ = self.tx.send(FlushTask { name, data });
+    /// Enqueues the file `name` (relative to the flush directory,
+    /// slashes allowed) made of `data`'s buffers in order; returns
+    /// immediately.
+    pub fn flush(&self, name: String, data: Vec<Bytes>) {
+        let _ = self.tx.send((name, data));
     }
+}
 
-    pub fn dir(&self) -> &PathBuf {
-        &self.dir
-    }
-
-    pub fn bytes_written(&self) -> u64 {
-        self.shared.bytes_written.get()
-    }
-
-    pub fn files_written(&self) -> u64 {
-        self.shared.files_written.get()
-    }
-
-    pub fn errors(&self) -> u64 {
-        self.shared.errors.get()
-    }
-
-    /// Latency histogram of completed file writes.
-    pub fn write_latency(&self) -> &Arc<LatencyHistogram> {
-        &self.shared.write_latency
-    }
-
-    /// Drains the queue and stops the thread.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
+impl Drop for DiskFlusher {
+    /// Drains the queue and joins the thread.
+    fn drop(&mut self) {
         // Replacing the sender closes the channel once in-flight tasks
         // drain; then join.
-        let (dummy_tx, _) = channel::unbounded();
-        let real_tx = std::mem::replace(&mut self.tx, dummy_tx);
-        drop(real_tx);
+        let (closed, _) = channel::unbounded();
+        drop(std::mem::replace(&mut self.tx, closed));
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
     }
 }
 
-impl Drop for DiskFlusher {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-fn flush_loop(dir: PathBuf, rx: Receiver<FlushTask>, shared: Arc<FlusherShared>) {
-    while let Ok(task) = rx.recv() {
-        let path = dir.join(&task.name);
+fn flush_loop(dir: PathBuf, rx: Receiver<FlushTask>, metrics: FlushMetrics) {
+    while let Ok((name, data)) = rx.recv() {
+        let path = dir.join(name);
         let start = std::time::Instant::now();
         let result = (|| -> std::io::Result<()> {
             if let Some(parent) = path.parent() {
                 fs::create_dir_all(parent)?;
             }
             let mut f = fs::File::create(&path)?;
-            f.write_all(&task.data)?;
+            for buf in &data {
+                f.write_all(buf)?;
+            }
+            // What makes the segment durable on this backup.
             f.sync_data()
         })();
         match result {
             Ok(()) => {
-                shared.write_latency.record(start.elapsed());
-                shared.bytes_written.add(task.data.len() as u64);
-                shared.files_written.inc();
+                metrics.latency.record(start.elapsed());
+                metrics.bytes.add(data.iter().map(|b| b.len() as u64).sum());
             }
-            Err(_) => shared.errors.inc(),
+            Err(_) => metrics.errors.inc(),
         }
     }
 }
@@ -164,9 +121,9 @@ mod tests {
     fn flushes_files_with_exact_contents() {
         let dir = tmpdir("basic");
         let f = DiskFlusher::start(dir.clone()).unwrap();
-        f.flush("a.seg".into(), Bytes::from_static(b"segment-a"));
-        f.flush("sub/b.seg".into(), Bytes::from_static(b"segment-b"));
-        f.shutdown();
+        f.flush("a.seg".into(), vec![Bytes::from_static(b"segment-"), Bytes::from_static(b"a")]);
+        f.flush("sub/b.seg".into(), vec![Bytes::from_static(b"segment-b")]);
+        drop(f);
         assert_eq!(fs::read(dir.join("a.seg")).unwrap(), b"segment-a");
         assert_eq!(fs::read(dir.join("sub/b.seg")).unwrap(), b"segment-b");
         let _ = fs::remove_dir_all(&dir);
@@ -175,13 +132,15 @@ mod tests {
     #[test]
     fn counters_track_work() {
         let dir = tmpdir("counters");
-        let f = DiskFlusher::start(dir.clone()).unwrap();
+        let metrics = FlushMetrics::default();
+        let f = DiskFlusher::start_with_metrics(dir.clone(), metrics.clone()).unwrap();
         for i in 0..10 {
-            f.flush(format!("{i}.seg"), Bytes::from(vec![0u8; 100]));
+            f.flush(format!("{i}.seg"), vec![Bytes::from(vec![0u8; 100])]);
         }
-        let files = f.files_written(); // may not have drained yet
+        let files = metrics.latency.count(); // may not have drained yet
         assert!(files <= 10);
-        f.shutdown();
+        drop(f);
+        assert_eq!((metrics.latency.count(), metrics.bytes.get()), (10, 1000));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -190,9 +149,9 @@ mod tests {
         let dir = tmpdir("drain");
         let f = DiskFlusher::start(dir.clone()).unwrap();
         for i in 0..50 {
-            f.flush(format!("{i}.seg"), Bytes::from(vec![1u8; 1000]));
+            f.flush(format!("{i}.seg"), vec![Bytes::from(vec![1u8; 1000])]);
         }
-        f.shutdown(); // must block until everything hit the disk
+        drop(f); // must block until everything hit the disk
         let count = fs::read_dir(&dir).unwrap().count();
         assert_eq!(count, 50);
         let _ = fs::remove_dir_all(&dir);
@@ -204,11 +163,27 @@ mod tests {
         let f = DiskFlusher::start(dir.clone()).unwrap();
         let t0 = std::time::Instant::now();
         for i in 0..100 {
-            f.flush(format!("{i}.seg"), Bytes::from(vec![2u8; 64 * 1024]));
+            f.flush(format!("{i}.seg"), vec![Bytes::from(vec![2u8; 64 * 1024])]);
         }
         // 100 enqueues of 64 KB must not wait for 6.4 MB of fsyncs.
         assert!(t0.elapsed() < std::time::Duration::from_millis(100));
-        f.shutdown();
+        drop(f);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_file_that_cannot_be_written_is_counted_and_the_queue_drains() {
+        let dir = tmpdir("error");
+        let metrics = FlushMetrics::default();
+        let f = DiskFlusher::start_with_metrics(dir.clone(), metrics.clone()).unwrap();
+        // A regular file where a directory must go: the path cannot be made.
+        fs::write(dir.join("blocker"), b"").unwrap();
+        f.flush("blocker/a.seg".into(), vec![Bytes::from_static(b"lost")]);
+        f.flush("b.seg".into(), vec![Bytes::from_static(b"kept")]);
+        drop(f);
+        assert_eq!(metrics.errors.get(), 1);
+        assert_eq!(metrics.latency.count(), 1, "the task behind the failed one was written");
+        assert_eq!(fs::read(dir.join("b.seg")).unwrap(), b"kept");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -76,6 +76,17 @@ if find crates/*/src src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{nextfile}
   exit 1
 fi
 
+# No spun cost model: a backup pays for the files its flusher writes and a
+# Kafka follower for the appends to its partition files, not for a
+# busy-wait, and the in-memory fabric adds no modelled latency or
+# bandwidth (non-test lines, as above).
+if find crates/*/src src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{nextfile}
+        /spin_for_ns|NetworkModel|KERA_IO_COST_NS|IO_COST_NS|kera_common::timing/{print FILENAME":"FNR": "$0}' {} + \
+        | grep .; then
+  echo "no spun cost model: no spin_for_ns, NetworkModel, KERA_IO_COST_NS or kera_common::timing" >&2
+  exit 1
+fi
+
 # A node is held at the fabric (FaultPlan::hold), not in its handlers: no
 # service carries a drill flag. And every frame a fault plan holds back in
 # time sits on the plan's one line, not on a line per injector.

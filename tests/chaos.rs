@@ -35,7 +35,11 @@ fn serial() -> parking_lot::MutexGuard<'static, ()> {
 }
 
 fn chaos_cluster(brokers: u32, profile: FaultProfile) -> KeraCluster {
-    KeraCluster::start(ClusterConfig {
+    KeraCluster::start(chaos_config(brokers, profile)).unwrap()
+}
+
+fn chaos_config(brokers: u32, profile: FaultProfile) -> ClusterConfig {
+    ClusterConfig {
         brokers,
         worker_threads: 4,
         faults: Some(profile),
@@ -50,8 +54,7 @@ fn chaos_cluster(brokers: u32, profile: FaultProfile) -> KeraCluster {
             max_backoff: Duration::from_millis(20),
         },
         ..ClusterConfig::default()
-    })
-    .unwrap()
+    }
 }
 
 fn stream_config(factor: u32) -> StreamConfig {
@@ -228,20 +231,21 @@ fn lossy_cluster_with_transient_partition_loses_nothing() {
 
 /// Crash recovery driven over a lossy network: enumerate/read/re-ingest
 /// RPCs all ride the retry plane, and the recovered stream still serves
-/// every acknowledged record exactly once.
+/// every acknowledged record exactly once. The backups write their
+/// closed segments to files meanwhile.
 #[test]
 fn crash_recovery_survives_lossy_network() {
     let _serial = serial();
-    let mut cluster = chaos_cluster(
-        4,
-        FaultProfile {
-            seed: 0xDEC0_DE01,
-            drop_rate: 0.01,
-            duplicate_rate: 0.01,
-            delay_rate: 0.02,
-            max_delay: Duration::from_millis(1),
-        },
-    );
+    let dir = std::env::temp_dir().join(format!("kera-chaos-files-{}", std::process::id()));
+    let profile = FaultProfile {
+        seed: 0xDEC0_DE01,
+        drop_rate: 0.01,
+        duplicate_rate: 0.01,
+        delay_rate: 0.02,
+        max_delay: Duration::from_millis(1),
+    };
+    let config = ClusterConfig { flush_dir: Some(dir.clone()), ..chaos_config(4, profile) };
+    let mut cluster = KeraCluster::start(config).unwrap();
     let prod_rt = cluster.client(0);
     let meta_p = MetadataClient::new(prod_rt.client(), cluster.coordinator());
     meta_p.create_stream(stream_config(3)).unwrap();
@@ -301,7 +305,10 @@ fn crash_recovery_survives_lossy_network() {
     assert_eq!(seen.len() as u64, N);
 
     consumer.close();
+    let flush_errors = cluster.metrics_snapshot().counter_sum("kera.storage.flush_errors", &[]);
     cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(flush_errors, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ fn hostile_chunk_count_is_a_protocol_error_on_both_brokers() {
         other => panic!("kera broker answered a hostile chunk_count with {other:?}"),
     }
 
-    let net = InMemNetwork::new(Default::default());
+    let net = InMemNetwork::new();
     let kafka_broker = KafkaBrokerService::new(TopicStore::new(NodeId(1), KafkaTuning::default()));
     let _broker = NodeRuntime::start(Arc::new(net.register(NodeId(1))), kafka_broker, 1);
     let client = NodeRuntime::start(Arc::new(net.register(ctx.from)), Arc::new(NullService), 1);
@@ -206,7 +206,7 @@ fn corrupt_chunk_is_refused_by_backups_leaders_and_followers() {
     refused("kera backup", backup.handle(&ctx, write.encode()));
     assert_eq!(backup.bytes_held(), 0);
 
-    let net = InMemNetwork::new(Default::default());
+    let net = InMemNetwork::new();
     let store = TopicStore::new(NodeId(1), KafkaTuning::default());
     let leader = store.host_replica(StreamId(1), StreamletId(0), Role::Leader, 1);
     let broker = KafkaBrokerService::new(store);

@@ -263,7 +263,6 @@ proptest! {
 #[test]
 fn duplicate_of_a_completed_request_is_replayed_inside_the_delivery() {
     use bytes::Bytes;
-    use kera::common::config::NetworkModel;
     use kera::rpc::transport::{Deliver, Transport};
     use kera::rpc::{InMemNetwork, NodeRuntime, RequestContext, Service};
     use kera::wire::frames::{Envelope, OpCode};
@@ -285,7 +284,7 @@ fn duplicate_of_a_completed_request_is_replayed_inside_the_delivery() {
         fn closed(&self) {}
     }
 
-    let net = InMemNetwork::new(NetworkModel::default());
+    let net = InMemNetwork::new();
     let service = Arc::new(Counting(AtomicU64::new(0)));
     let server = NodeRuntime::start(Arc::new(net.register(NodeId(1))), Arc::clone(&service) as _, 1);
     let raw = net.register(NodeId(9));

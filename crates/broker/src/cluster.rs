@@ -98,12 +98,8 @@ impl KeraCluster {
         let register = |id: NodeId| register_on(&net, fault_plan.as_ref(), id);
 
         let mut node_obs: Vec<Arc<NodeObs>> = Vec::new();
-        let flightrec = knobs::FLIGHTREC.is_on();
         let mut make_obs = |id: NodeId| -> Arc<NodeObs> {
             let obs = NodeObs::new(id.raw(), config.observability);
-            if flightrec {
-                kera_obs::register_for_dump(obs.recorder());
-            }
             node_obs.push(Arc::clone(&obs));
             obs
         };
@@ -191,14 +187,10 @@ impl KeraCluster {
             svc.start_ticker();
         }
 
-        if flightrec {
-            kera_obs::install_panic_hook(std::path::Path::new("results"));
-        }
-
         // Arm the per-node stall watchdogs. A node counts as stalled when
         // it has RPCs in flight but its progress counter stops moving for
         // the configured window; the watchdog then auto-dumps that node's
-        // flight-recorder ring and slow-trace store under results/tmp/.
+        // flight-recorder ring and its slow traces under results/tmp/.
         let mut watchdogs = Vec::new();
         if knobs::WATCHDOG_MS.is_on() {
             let threshold = std::time::Duration::from_millis(knobs::WATCHDOG_MS.get());
@@ -306,9 +298,6 @@ impl KeraCluster {
         // a duplicate client id is a driver bug and must fail fast.
         let transport = transport.expect("register client node");
         let obs = NodeObs::new(client_node(i).raw(), self.config.observability);
-        if knobs::FLIGHTREC.is_on() {
-            kera_obs::register_for_dump(obs.recorder());
-        }
         self.client_obs.lock().push(Arc::clone(&obs));
         NodeRuntime::start_with_obs(transport, Arc::new(NullService), 1, self.config.retry, obs)
     }

@@ -42,7 +42,7 @@ pub fn serve(obs: &NodeObs, payload: &[u8], h: HealthFields) -> Result<Bytes> {
         String::new()
     };
     let traces_json = if req.sections & introspect_sections::TRACES != 0 {
-        obs.slow_traces().to_json(obs.recorder())
+        obs.recorder().slow_traces_json(kera_obs::PER_STAGE)
     } else {
         String::new()
     };

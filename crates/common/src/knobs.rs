@@ -62,7 +62,7 @@ pub static COORD_REPLICAS: Knob = Knob::new(
 pub static FLIGHTREC: Knob = Knob::new(
     "KERA_FLIGHTREC",
     0,
-    "clusters: 1 installs the panic hook that dumps every node's flight-recorder ring",
+    "every node, KerA or Kafka: 1 installs the panic hook that dumps every node's flight-recorder ring",
 );
 pub static WATCHDOG_MS: Knob = Knob::new(
     "KERA_WATCHDOG_MS",

@@ -245,9 +245,9 @@ fn cmd_watch(
     if failed > 0 { ExitCode::FAILURE } else { ExitCode::SUCCESS }
 }
 
-/// A short burst of real ingest so the slow-trace stores and flight
-/// recorders have spans to show: one R-min stream, a few hundred
-/// records spread over every streamlet.
+/// A short burst of real ingest so the flight recorders, and the slow
+/// traces sampled from them, have spans to show: one R-min stream, a
+/// few hundred records spread over every streamlet.
 fn drive_ingest(cluster: &KeraCluster, client: &RpcClient) -> Result<()> {
     let brokers = cluster.config().brokers;
     let sc = StreamConfig {

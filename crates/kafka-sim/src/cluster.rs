@@ -9,7 +9,6 @@ use std::sync::Arc;
 
 use kera_common::config::ClusterConfig;
 use kera_common::ids::NodeId;
-use kera_common::knobs;
 use kera_common::Result;
 use kera_obs::{NodeObs, RegistrySnapshot};
 use kera_rpc::{InMemNetwork, NodeRuntime, NullService};
@@ -56,14 +55,7 @@ impl KafkaCluster {
         let mut fetchers = Vec::with_capacity(b as usize);
 
         let mut node_obs: Vec<Arc<NodeObs>> = Vec::new();
-        let flightrec = knobs::FLIGHTREC.is_on();
-        let make_obs = |id: NodeId| -> Arc<NodeObs> {
-            let obs = NodeObs::new(id.raw(), config.observability);
-            if flightrec {
-                kera_obs::register_for_dump(obs.recorder());
-            }
-            obs
-        };
+        let make_obs = |id: NodeId| NodeObs::new(id.raw(), config.observability);
 
         for i in 0..b {
             let broker_obs = make_obs(broker_node(i));
@@ -151,9 +143,6 @@ impl KafkaCluster {
     /// Registers a pure client node.
     pub fn client(&self, i: u32) -> NodeRuntime {
         let obs = NodeObs::new(client_node(i).raw(), self.config.observability);
-        if knobs::FLIGHTREC.is_on() {
-            kera_obs::register_for_dump(obs.recorder());
-        }
         self.client_obs.lock().push(Arc::clone(&obs));
         NodeRuntime::start_with_obs(
             Arc::new(self.net.register(client_node(i))),

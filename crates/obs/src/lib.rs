@@ -8,8 +8,9 @@
 //! - trace/span recording: [`NodeObs::root_span`]/[`NodeObs::span`]
 //!   return RAII [`Span`]s that, on drop, feed the per-stage latency
 //!   histograms (`kera.trace.stage{stage=...}`) and the flight recorder;
-//! - a [`FlightRecorder`] ring of recent events, dumpable on panic or
-//!   chaos failure.
+//! - a [`FlightRecorder`] ring of recent events — the node's only span
+//!   buffer — dumpable on panic or chaos failure, from which the slow
+//!   traces are sampled at read time.
 //!
 //! With `enabled == false` every tracing entry point returns inert
 //! values: no ids are allocated, no events recorded, and the only
@@ -19,20 +20,17 @@
 
 pub mod flightrec;
 pub mod registry;
-pub mod slowtrace;
 pub mod trace;
 pub mod watchdog;
 
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use kera_common::knobs;
 use kera_common::metrics::{HistogramSnapshot, LatencyHistogram};
 
-pub use flightrec::{
-    dump_all, dump_run_dir, install_panic_hook, register_for_dump, EventRecord, FlightRecorder,
-};
+pub use flightrec::{dump_all, dump_run_dir, EventRecord, FlightRecorder, PER_STAGE};
 pub use registry::{Gauge, MetricKey, MetricsRegistry, RegistrySnapshot};
-pub use slowtrace::{SlowSpan, SlowTraceStore};
 pub use trace::{current, enter, ContextGuard, Stage, TraceContext, STAGE_COUNT};
 pub use watchdog::Watchdog;
 
@@ -48,8 +46,6 @@ pub struct NodeObs {
     /// Span/trace id allocator; ids embed the node so they are unique
     /// across an in-process cluster.
     next_id: AtomicU64,
-    /// Tail-sampled slowest/errored spans per stage (introspection).
-    slow: SlowTraceStore,
     /// Monotone progress heartbeat: subsystems bump it whenever real work
     /// completes (append accepted, segment shipped, entry committed). The
     /// stall watchdog fires when this stops moving while `inflight > 0`.
@@ -71,14 +67,19 @@ impl NodeObs {
             // parking_lot shim; the first enabled node arms it.
             parking_lot::set_contention_timing(true);
         }
+        let recorder = FlightRecorder::new(node, flightrec::DEFAULT_CAPACITY);
+        if knobs::FLIGHTREC.is_on() {
+            // Every node of every cluster, KerA or Kafka, reaches the hook.
+            flightrec::register_for_dump(&recorder);
+            flightrec::install_panic_hook(std::path::Path::new("results"));
+        }
         Arc::new(NodeObs {
             node,
             enabled,
             registry,
-            recorder: FlightRecorder::new(node, flightrec::DEFAULT_CAPACITY),
+            recorder,
             stages,
             next_id: AtomicU64::new(1),
-            slow: SlowTraceStore::new(slowtrace::PER_STAGE),
             progress: AtomicU64::new(0),
             inflight: AtomicI64::new(0),
             watchdog_ms: AtomicU32::new(0),
@@ -110,11 +111,6 @@ impl NodeObs {
     /// Latency histogram of one pipeline stage.
     pub fn stage_histogram(&self, stage: Stage) -> &Arc<LatencyHistogram> {
         &self.stages[stage as usize - 1]
-    }
-
-    /// The node's tail-sampled slow/errored span store.
-    pub fn slow_traces(&self) -> &SlowTraceStore {
-        &self.slow
     }
 
     /// Signals forward progress (work item completed). One relaxed add
@@ -229,6 +225,8 @@ impl NodeObs {
             stage: stage as u8,
             opcode,
             aux,
+            error: false,
+            instant: true,
         });
     }
 }
@@ -285,8 +283,8 @@ impl Span {
         self.aux = aux;
     }
 
-    /// Marks the span as errored: it is force-sampled into the node's
-    /// slow-trace store regardless of duration.
+    /// Marks the span as errored: it outranks every span of its stage
+    /// that is not, whatever its duration, when slow traces are sampled.
     #[inline]
     pub fn set_error(&mut self) {
         self.error = true;
@@ -301,7 +299,7 @@ impl Drop for Span {
         let Some(obs) = self.obs.take() else { return };
         let dur_ns = flightrec::now_ns().saturating_sub(self.start_ns);
         obs.stages[self.stage as usize - 1].record_ns(dur_ns);
-        let record = EventRecord {
+        obs.recorder.record(&EventRecord {
             time_ns: self.start_ns,
             dur_ns,
             trace_id: self.trace_id,
@@ -311,9 +309,9 @@ impl Drop for Span {
             stage: self.stage as u8,
             opcode: self.opcode,
             aux: self.aux,
-        };
-        obs.recorder.record(&record);
-        obs.slow.offer(&record, self.error);
+            error: self.error,
+            instant: false,
+        });
     }
 }
 
@@ -410,6 +408,7 @@ mod tests {
         let events = obs.recorder().read();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].dur_ns, 0);
+        assert!(events[0].instant);
         assert_eq!(events[0].aux, 42);
         assert_eq!(events[0].parent_span_id, root.context().span_id);
     }
@@ -431,5 +430,25 @@ mod tests {
         let snap = obs.registry().snapshot();
         let hs = snap.histogram_sum("kera.trace.stage", &[("stage", "flush")]);
         assert_eq!(hs.count, 1);
+    }
+
+    #[test]
+    fn errored_span_reads_back_and_is_sampled_when_fast() {
+        let obs = NodeObs::new(8, true);
+        let mut failed = obs.root_span(Stage::RpcServe);
+        failed.set_error();
+        let failed_id = failed.context().span_id;
+        drop(failed);
+        let slow = obs.root_span(Stage::RpcServe);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        drop(slow);
+        let events = obs.recorder().read();
+        let failed = events.iter().find(|e| e.span_id == failed_id).unwrap();
+        assert!(failed.error && !failed.instant);
+        assert!(events.iter().filter(|e| e.span_id != failed_id).all(|e| !e.error));
+        assert!(failed.dur_ns < events[1].dur_ns, "the errored span is the faster one");
+        let json = obs.recorder().slow_traces_json(1);
+        assert!(json.starts_with("[{\"stage\":\"rpc_serve\",\"error\":true,"), "{json}");
+        assert!(json.contains(&format!("\"span_id\":{failed_id},")), "{json}");
     }
 }

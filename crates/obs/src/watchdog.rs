@@ -7,8 +7,9 @@
 //! the [`NodeObs`] progress heartbeat and the in-flight RPC gauge — and
 //! when there is work in flight but the heartbeat has not moved for the
 //! armed threshold, it automatically dumps the node's flight-recorder
-//! ring and slow-trace store to a discriminated directory under the
-//! results tree, then re-arms for the next stall.
+//! ring and the slow traces sampled from it — the panic hook's dump
+//! format, plus the stall's context — to a discriminated directory
+//! under the results tree, then re-arms for the next stall.
 //!
 //! Armed by the cluster when `KERA_WATCHDOG_MS` is set; with
 //! observability disabled the signals never move, so the watchdog stays
@@ -118,22 +119,20 @@ fn monitor(
     }
 }
 
-/// Writes `watchdog-<node>.json` — health context, the full flight-
-/// recorder ring, and the sampled slow span trees — into a fresh
-/// discriminated dump directory. Returns the path, or `None` on I/O
-/// failure (logged; a broken disk must not take the watchdog down).
+/// Writes `watchdog-<node>.json` — [`FlightRecorder::dump_json`] with the
+/// stall's context in front — into a fresh discriminated dump directory.
+/// Returns the path, or `None` on I/O failure (logged; a broken disk
+/// must not take the watchdog down).
+///
+/// [`FlightRecorder::dump_json`]: crate::FlightRecorder::dump_json
 fn dump_stall(obs: &Arc<NodeObs>, threshold: Duration, base: &Path) -> Option<PathBuf> {
     let dir = dump_run_dir(base, &format!("watchdog-node{}", obs.node()));
-    let body = format!(
-        "{{\"node\":{},\"reason\":\"stall\",\"watchdog_ms\":{},\"inflight\":{},\
-         \"progress\":{},\"ring\":{},\"slow_traces\":{}}}",
-        obs.node(),
+    let body = obs.recorder().dump_json(&format!(
+        "\"reason\":\"stall\",\"watchdog_ms\":{},\"inflight\":{},\"progress\":{},",
         threshold.as_millis(),
         obs.inflight(),
         obs.progress_counter(),
-        obs.recorder().to_json(),
-        obs.slow_traces().to_json(obs.recorder()),
-    );
+    ));
     let path = dir.join(format!("watchdog-{}.json", obs.node()));
     let write = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, body));
     match write {

@@ -87,6 +87,16 @@ if find crates/*/src src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{nextfile}
   exit 1
 fi
 
+# One span buffer: a node's slow traces are sampled from its lock-free
+# flight-recorder ring when it is read, so no second span store and no
+# lock on the span path (non-test lines, as above).
+if find crates/*/src src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{nextfile}
+        /SlowTraceStore|SlowSpan|slowtrace::|obs\.slowtrace/{print FILENAME":"FNR": "$0}' {} + \
+        | grep .; then
+  echo "one span buffer: no SlowTraceStore, SlowSpan, slowtrace module or obs.slowtrace lock" >&2
+  exit 1
+fi
+
 # A node is held at the fabric (FaultPlan::hold), not in its handlers: no
 # service carries a drill flag. And every frame a fault plan holds back in
 # time sits on the plan's one line, not on a line per injector.

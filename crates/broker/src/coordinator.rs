@@ -548,7 +548,7 @@ impl CoordinatorService {
 
     /// Broadcasts one vote request and folds the responses. On winning,
     /// asserts authority immediately and re-drives cluster side effects.
-    fn run_campaign(self: &Arc<Self>, req: VoteRequest) {
+    fn run_campaign(&self, req: VoteRequest) {
         let Ok(client) = self.client() else { return };
         let mut span = client.obs().root_span(Stage::ElectionVote);
         span.set_aux(req.term);
@@ -593,10 +593,7 @@ impl CoordinatorService {
             // Re-drive side effects a deposed leader may have left
             // half-done; both are idempotent.
             let _ = self.ensure_brokers_registered();
-            let svc = Arc::clone(self);
-            let _ = std::thread::Builder::new()
-                .name(format!("coord-repush-{}", self.node.raw()))
-                .spawn(move || svc.repush_all_hosting());
+            self.repush_all_hosting();
         }
     }
 
@@ -631,8 +628,11 @@ impl CoordinatorService {
 
     /// Re-sends HostStream for every committed stream (idempotent on the
     /// brokers): a failover may have interrupted the previous leader
-    /// between commit and push.
+    /// between commit and push. Every push is issued at once and waited on
+    /// by nobody — the node's timers retransmit it within `HOST_TIMEOUT`
+    /// — and its outcome is ignored, so this returns at once.
     fn repush_all_hosting(&self) {
+        let Ok(client) = self.client() else { return };
         let metas: Vec<StreamMetadata> = {
             let st = self.replica.lock();
             if !st.election.is_leader() {
@@ -641,10 +641,9 @@ impl CoordinatorService {
             st.state.streams.values().cloned().collect()
         };
         for meta in &metas {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
+            for (broker, req) in Self::host_requests(meta, None) {
+                client.call_detached(broker, OpCode::HostStream, req, HOST_TIMEOUT, |_| {});
             }
-            let _ = self.push_hosting(meta, None);
         }
     }
 
@@ -786,9 +785,26 @@ impl CoordinatorService {
         Ok(metadata)
     }
 
-    /// Sends HostStream to every broker owning streamlets of `metadata`.
-    /// With `only` set, restricts to that broker (recovery path).
+    /// Sends HostStream to every broker owning streamlets of `metadata`
+    /// and waits for each. With `only` set, restricts to that broker
+    /// (recovery path).
     fn push_hosting(&self, metadata: &StreamMetadata, only: Option<NodeId>) -> Result<()> {
+        let client = self.client()?;
+        let calls: Vec<_> = Self::host_requests(metadata, only)
+            .map(|(broker, req)| client.call_async(broker, OpCode::HostStream, req, HOST_TIMEOUT))
+            .collect();
+        for c in calls {
+            c.wait(HOST_TIMEOUT)?;
+        }
+        Ok(())
+    }
+
+    /// The encoded HostStream request of each broker owning streamlets of
+    /// `metadata` (of `only`, when set).
+    fn host_requests(
+        metadata: &StreamMetadata,
+        only: Option<NodeId>,
+    ) -> impl Iterator<Item = (NodeId, Bytes)> + '_ {
         let mut per_broker: HashMap<NodeId, Vec<HostAssignment>> = HashMap::new();
         for p in &metadata.placements {
             if only.map(|b| b != p.broker).unwrap_or(false) {
@@ -800,18 +816,9 @@ impl CoordinatorService {
                 leader: p.broker,
             });
         }
-        let client = self.client()?;
-        let calls: Vec<_> = per_broker
-            .into_iter()
-            .map(|(broker, assignments)| {
-                let req = HostStreamRequest { metadata: metadata.clone(), assignments };
-                client.call_async(broker, OpCode::HostStream, req.encode(), HOST_TIMEOUT)
-            })
-            .collect();
-        for c in calls {
-            c.wait(HOST_TIMEOUT)?;
-        }
-        Ok(())
+        per_broker.into_iter().map(|(broker, assignments)| {
+            (broker, HostStreamRequest { metadata: metadata.clone(), assignments }.encode())
+        })
     }
 
     /// Deletes a stream: commits the removal, then tells every broker

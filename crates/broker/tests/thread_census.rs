@@ -40,8 +40,9 @@ fn a_node_runtime_is_its_workers_and_nothing_else() {
     assert_eq!(thread_count_named("") - before, workers, "an uncounted thread class");
 
     // Second phase, same test (the census is process-wide): a lossy
-    // cluster holds delayed frames on one line per fault plan. (With a
-    // line per injector this cluster ran eight `faults-delay-<node>`.)
+    // cluster holds each delayed frame on its sender's timers. (With a
+    // line per injector this cluster ran eight `faults-delay-<node>`, with
+    // one per fault plan one `faults-delay`.)
     drop(_client);
     cluster.shutdown();
     let faults = FaultProfile {
@@ -59,11 +60,8 @@ fn a_node_runtime_is_its_workers_and_nothing_else() {
     let cluster = KeraCluster::start(config).unwrap();
     let client = cluster.client(0);
     await_named("worker-", workers);
-    await_named("faults-delay", 1);
-    assert_eq!(thread_count_named("faults-delay"), 1);
-    assert_eq!(thread_count_named("") - before, workers + 1, "an uncounted thread class");
-    // The line is the plan's: it goes with the last injector on it.
+    assert_eq!(thread_count_named("faults-delay"), 0, "a delay line is back");
+    assert_eq!(thread_count_named("") - before, workers, "an uncounted thread class");
     drop(client);
     cluster.shutdown();
-    assert_eq!(thread_count_named("faults-delay"), 0, "the plan's line outlived its nodes");
 }

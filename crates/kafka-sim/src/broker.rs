@@ -8,10 +8,11 @@
 //! name for it), answered through their [`Reply`] by the request that
 //! completes them — the produce whose append gives the fetch data, the
 //! follower fetch whose position moves the produce's last high watermark
-//! — or at their timeout by the store's one expiry line.
+//! — or at their timeout by a timer on the broker's node, armed through
+//! the parked request's own `Reply`.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -19,7 +20,7 @@ use kera_common::ids::{NodeId, StreamId, StreamletId};
 use kera_common::metrics::Counter;
 use kera_common::{KeraError, Result};
 use kera_obs::NodeObs;
-use kera_rpc::{DelayLine, Reply, RequestContext, Service};
+use kera_rpc::{Reply, RequestContext, Service};
 use kera_wire::chunk::ChunkIter;
 use kera_wire::cursor::SlotCursor;
 use kera_wire::frames::OpCode;
@@ -87,9 +88,6 @@ pub struct TopicStore {
     node: NodeId,
     replicas: RwLock<HashMap<(StreamId, StreamletId), Arc<PartitionLog>>>,
     purgatory: Mutex<Vec<Parked>>,
-    /// Wakes the store when a parked request is due; its sink holds the
-    /// store weakly.
-    expiry: DelayLine<()>,
     tuning: KafkaTuning,
     /// Chunks ingested (leader appends; `kera.kafka.chunks_in`).
     pub chunks_in: Arc<Counter>,
@@ -113,24 +111,16 @@ impl TopicStore {
     /// node's metrics registry as `kera.kafka.*`.
     pub fn new_with_obs(node: NodeId, tuning: KafkaTuning, obs: Arc<NodeObs>) -> Arc<Self> {
         let reg = obs.registry();
-        Arc::new_cyclic(|me: &Weak<TopicStore>| {
-            let me = Weak::clone(me);
-            Self {
-                node,
-                replicas: RwLock::new(HashMap::new()),
-                purgatory: Mutex::named("ksim.purgatory", Vec::new()),
-                expiry: DelayLine::spawn(&format!("purgatory-{}", node.raw()), move |()| {
-                    if let Some(store) = me.upgrade() {
-                        store.expire();
-                    }
-                }),
-                tuning,
-                chunks_in: reg.counter("kera.kafka.chunks_in", &[]),
-                records_in: reg.counter("kera.kafka.records_in", &[]),
-                bytes_in: reg.counter("kera.kafka.bytes_in", &[]),
-                follower_fetches: reg.counter("kera.kafka.follower_fetches", &[]),
-                fetch_expired: reg.counter("kera.kafka.fetch_expired", &[]),
-            }
+        Arc::new(Self {
+            node,
+            replicas: RwLock::new(HashMap::new()),
+            purgatory: Mutex::named("ksim.purgatory", Vec::new()),
+            tuning,
+            chunks_in: reg.counter("kera.kafka.chunks_in", &[]),
+            records_in: reg.counter("kera.kafka.records_in", &[]),
+            bytes_in: reg.counter("kera.kafka.bytes_in", &[]),
+            follower_fetches: reg.counter("kera.kafka.follower_fetches", &[]),
+            fetch_expired: reg.counter("kera.kafka.fetch_expired", &[]),
         })
     }
 
@@ -164,31 +154,39 @@ impl TopicStore {
     /// Called after every append and every recorded fetch position:
     /// answers each parked request that is now ready, then `op` — at once
     /// if it is ready too, else once it is or when it times out.
-    fn settle(&self, op: Delayed, reply: Reply) {
+    fn settle(self: &Arc<Self>, op: Delayed, reply: Reply) {
         let timeout = match op {
             Delayed::Fetch(..) => self.tuning.fetch_wait,
             Delayed::Produce(..) => self.tuning.ack_timeout,
         };
         let due = Instant::now() + timeout;
-        let (done, parked) = {
+        let done = {
             let mut purgatory = self.purgatory.lock();
             let mut done: Vec<Parked> = purgatory.extract_if(.., |p| p.op.ready()).collect();
             // Looked at under the lock the next append or fetch position
             // settles under: none can land between this look and parking.
-            let parked = !op.ready();
-            let op = Parked { due, op, reply };
-            if parked { purgatory.push(op) } else { done.push(op) }
-            (done, parked)
+            if op.ready() {
+                done.push(Parked { due, op, reply });
+            } else {
+                // Its expiry, on the node it came to; armed under the lock,
+                // so a worker that runs it finds it parked.
+                let store = Arc::downgrade(self);
+                reply.timer(due, move || {
+                    if let Some(store) = store.upgrade() {
+                        store.expire();
+                    }
+                });
+                purgatory.push(Parked { due, op, reply });
+            }
+            done
         };
-        if parked {
-            self.expiry.hold(due, ());
-        }
         for p in done {
             self.answer(p, false);
         }
     }
 
-    /// The expiry line's sink: answers every parked request that is due.
+    /// What a parked request's expiry timer runs: answers every parked
+    /// request that is due.
     fn expire(&self) {
         let now = Instant::now();
         let due: Vec<Parked> = self.purgatory.lock().extract_if(.., |p| p.due <= now).collect();

@@ -135,10 +135,6 @@ impl FetcherRunner {
         while !self.shutdown.load(Ordering::SeqCst) {
             let logs: Vec<Arc<PartitionLog>> =
                 self.targets.lock().get(&leader).cloned().unwrap_or_default();
-            if logs.is_empty() {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
             let entries: Vec<FollowerFetchEntry> = logs
                 .iter()
                 .map(|l| FollowerFetchEntry {

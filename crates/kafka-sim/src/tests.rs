@@ -315,3 +315,45 @@ fn host_assignment_roles_parse() {
     assert_eq!(ReplicaRole::Leader as u8, 0);
     assert_eq!(ReplicaRole::Follower as u8, 1);
 }
+
+/// A follower fetch that finds no data waits in the purgatory until
+/// `fetch_wait`, when its expiry — a timer on the broker's own node —
+/// answers it empty and counts it in `kera.kafka.fetch_expired`.
+#[test]
+fn an_empty_follower_fetch_is_answered_empty_at_fetch_wait() {
+    use crate::broker::{KafkaBrokerService, TopicStore};
+    use crate::partition::Role;
+    use kera_wire::messages::{FollowerFetchEntry, FollowerFetchRequest, FollowerFetchResponse};
+
+    let net = InMemNetwork::new();
+    let fetch_wait = Duration::from_millis(100);
+    let store = TopicStore::new(broker_node(0), KafkaTuning { fetch_wait, ..KafkaTuning::default() });
+    store.host_replica(StreamId(1), StreamletId(0), Role::Leader, 2);
+    let _broker = NodeRuntime::start(
+        Arc::new(net.register(broker_node(0))),
+        KafkaBrokerService::new(Arc::clone(&store)),
+        1,
+    );
+    let follower =
+        NodeRuntime::start(Arc::new(net.register(broker_node(1))), Arc::new(NullService), 1);
+    let req = FollowerFetchRequest {
+        follower: broker_node(1),
+        max_bytes_per_partition: 1 << 20,
+        entries: vec![FollowerFetchEntry {
+            stream: StreamId(1),
+            partition: StreamletId(0),
+            fetch_offset: 0,
+        }],
+    };
+    let started = std::time::Instant::now();
+    let resp = follower
+        .client()
+        .call(broker_node(0), OpCode::FollowerFetch, req.encode(), Duration::from_secs(5))
+        .unwrap();
+    let took = started.elapsed();
+    assert!(took >= fetch_wait, "answered after {took:?}");
+    let resp = FollowerFetchResponse::decode_bytes(&resp).unwrap();
+    assert_eq!(resp.results.len(), 1);
+    assert!(resp.results[0].data.is_empty(), "an empty log answered with data");
+    assert_eq!((store.fetch_expired.get(), store.follower_fetches.get()), (1, 1));
+}

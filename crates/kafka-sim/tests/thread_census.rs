@@ -23,7 +23,7 @@ fn await_named(prefix: &str, n: usize) {
 }
 
 #[test]
-fn a_kafka_broker_is_one_node_and_one_purgatory_line() {
+fn a_kafka_broker_is_one_node() {
     let before = thread_count_named("");
     let config = ClusterConfig { brokers: 4, worker_threads: 3, ..ClusterConfig::default() };
     let cluster = KafkaCluster::start(config, KafkaTuning::default()).unwrap();
@@ -53,15 +53,15 @@ fn a_kafka_broker_is_one_node_and_one_purgatory_line() {
     await_named("worker-", workers);
     assert_eq!(thread_count_named("worker-"), workers);
     assert_eq!(thread_count_named("worker-300"), 0, "a replica service is back");
-    // Each broker's purgatory expires what waits in it on one line.
-    await_named("purgatory-", 4);
-    assert_eq!(thread_count_named("purgatory-"), 4);
+    // Each broker's purgatory expires what waits in it on the broker's
+    // own timers. (With an expiry line per broker, a `purgatory-<node>`
+    // thread each, this cluster ran 4 more threads.)
+    assert_eq!(thread_count_named("purgatory-"), 0, "a purgatory line is back");
     let fetchers = 4 * 2;
     await_named("replica-fetch", fetchers);
     assert_eq!(thread_count_named("replica-fetch"), fetchers);
-    assert_eq!(thread_count_named("") - before, workers + 4 + fetchers, "an uncounted thread class");
+    assert_eq!(thread_count_named("") - before, workers + fetchers, "an uncounted thread class");
 
     drop(client);
     cluster.shutdown();
-    assert_eq!(thread_count_named("purgatory-"), 0, "a purgatory line outlived its broker");
 }

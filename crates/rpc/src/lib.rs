@@ -16,7 +16,8 @@
 //!   or a LAN) with the same interface; a reader thread per connection
 //!   delivers;
 //! - [`faults`] — a transport wrapper injecting drops, duplicates, delays,
-//!   partitions and held nodes below the RPC layer, for chaos testing;
+//!   partitions and held nodes below the RPC layer, for chaos testing (a
+//!   delayed frame waits on its sender's timers);
 //! - [`node`] — the node runtime: delivery completes pending calls and
 //!   queues admitted requests for a worker pool, whose handlers answer by
 //!   returning or through a [`node::Reply`] sent later;
@@ -25,12 +26,12 @@
 //!   policy (at-most-once via a server-side response cache) and end at
 //!   their budget; a call is waited on at once (`call`), later
 //!   (`call_async`, whose [`node::PendingCall`] only waits) or by nobody
-//!   (`call_detached`: its completion runs with the outcome).
+//!   (`call_detached`: its completion runs with the outcome); the same
+//!   timers run the node's one-shot timers ([`node::Reply::timer`]).
 //!
 //! Every node of the simulated cluster — coordinator, brokers, backups and
 //! clients — is one [`node::NodeRuntime`].
 
-mod delay;
 pub mod faults;
 pub mod inmem;
 pub mod network;
@@ -38,7 +39,6 @@ pub mod node;
 pub mod tcp;
 pub mod transport;
 
-pub use delay::DelayLine;
 pub use faults::{FaultInjector, FaultPlan};
 pub use inmem::InMemNetwork;
 pub use network::{AnyNetwork, TransportKind};

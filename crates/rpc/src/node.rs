@@ -29,6 +29,12 @@
 //! re-executed, making retried RPCs at-most-once even for non-idempotent
 //! handlers. Every transmission carries the budget left so servers can
 //! drop queued work whose caller has already given up.
+//!
+//! The same timers are the node's one clock for anything else: a
+//! one-shot [`Deliver::timer`] — a parked request's expiry
+//! ([`Reply::timer`]), a frame the fault plan delays — sits on them too
+//! and runs on one of the node's workers, under no lock; a node that
+//! closes drops the ones that have not run.
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -48,7 +54,7 @@ use kera_obs::{NodeObs, Span, Stage, TraceContext};
 use kera_wire::frames::{Envelope, FrameKind, OpCode, StatusCode};
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::transport::{Deliver, Transport};
+use crate::transport::{Deliver, Timer, Transport};
 
 /// A request being handled.
 #[derive(Clone, Copy, Debug)]
@@ -124,6 +130,13 @@ impl Reply {
         inner.requests_served.inc();
         // The requester may be gone; that's its problem.
         let _ = inner.send(to, reply);
+    }
+
+    /// Runs `timer` once, no earlier than `due`, on a worker of the node
+    /// this request came to ([`Deliver::timer`]); false once that node is
+    /// gone.
+    pub fn timer(&self, due: Instant, timer: impl FnOnce() + Send + 'static) -> bool {
+        self.node.upgrade().is_some_and(|inner| inner.timer(due, Box::new(timer)))
     }
 }
 
@@ -250,12 +263,16 @@ struct Slot {
 
 /// Every call of a node in flight, when each is next due — to
 /// retransmit, or to end at its budget — and the outcomes its waiters
-/// have yet to collect.
+/// have yet to collect; and the node's one-shot timers.
 #[derive(Default)]
 struct Pending {
     slots: HashMap<u64, Slot>,
-    /// `(due, request id)` of every call in flight not being sent.
+    /// `(due, id)` of every call in flight not being sent and of every
+    /// one-shot timer.
     timers: BTreeSet<(Instant, u64)>,
+    /// What each one-shot timer runs, by its id (from `next_id`, as a
+    /// call's): an id on `timers` with no slot is one of these.
+    oneshots: HashMap<u64, Timer>,
     /// What each waited call that has ended came to.
     ended: HashMap<u64, Result<Bytes>>,
     /// When the node's idle workers next look at the timers unwoken;
@@ -271,6 +288,17 @@ impl Pending {
             self.timers.remove(&(due, id));
         }
         Some(slot)
+    }
+
+    /// Puts `id` on the timers at `due`. Returns whether a worker is to
+    /// be woken for it: workers that look by `latest` need no wake.
+    fn arm(&mut self, id: u64, due: Instant, latest: Instant) -> bool {
+        self.timers.insert((due, id));
+        let wake = self.looks_at.is_none_or(|at| latest < at);
+        if wake {
+            self.looks_at = Some(due);
+        }
+        wake
     }
 }
 
@@ -446,6 +474,15 @@ impl NodeInner {
         WORKER_OF.with(Cell::get) == self as *const NodeInner as usize
     }
 
+    /// A timer was armed due before the idle workers next look: a worker
+    /// of this node looks before it next blocks; any other thread wakes
+    /// one.
+    fn wake(&self) {
+        if !self.on_worker() {
+            let _ = self.work_tx.send(Work::Timers);
+        }
+    }
+
     /// Ends call `id` with `result`: its waiter is unparked or its
     /// completion runs, with the `rpc.pending` guard dropped first.
     fn end(&self, mut pending: MutexGuard<'_, Pending>, id: u64, result: Result<Bytes>) {
@@ -465,23 +502,26 @@ impl NodeInner {
         }
     }
 
-    /// What a worker does before it blocks: fires every call that is
-    /// due, then says when it next looks — at the next timer; with none
-    /// left, at the instant it was to look anyway, so that calls issued
-    /// one after another, each ending before its timer, wake it once,
-    /// not once each.
+    /// What a worker does before it blocks: fires every call and runs
+    /// every one-shot timer that is due, then says when it next looks —
+    /// at the next timer; with none left, at the instant it was to look
+    /// anyway, so that calls issued one after another, each ending before
+    /// its timer, wake it once, not once each.
     fn fire_due(&self) -> Option<Instant> {
         loop {
             let now = Instant::now();
-            let id = {
+            let (id, oneshot) = {
                 let mut pending = self.pending.lock();
                 match pending.timers.first().copied() {
                     Some((due, id)) if due <= now => {
                         pending.timers.pop_first();
-                        if let Some(slot) = pending.slots.get_mut(&id) {
-                            slot.due = None;
+                        match pending.slots.get_mut(&id) {
+                            Some(slot) => {
+                                slot.due = None;
+                                (id, None)
+                            }
+                            None => (id, pending.oneshots.remove(&id)),
                         }
-                        id
                     }
                     next => {
                         let idle = pending.looks_at.filter(|&at| at > now);
@@ -490,7 +530,11 @@ impl NodeInner {
                     }
                 }
             };
-            self.fire(id, now);
+            if let Some(run) = oneshot {
+                run();
+            } else {
+                self.fire(id, now);
+            }
         }
     }
 
@@ -524,12 +568,7 @@ impl NodeInner {
         // calls issued one after another, jittered either way, wake none.
         let (due, latest) = next.unwrap_or((slot.call.deadline, slot.call.deadline));
         slot.due = Some(due);
-        pending.timers.insert((due, id));
-        let wake = pending.looks_at.is_none_or(|at| latest < at);
-        if wake {
-            pending.looks_at = Some(due);
-        }
-        wake
+        pending.arm(id, due, latest)
     }
 }
 
@@ -575,9 +614,10 @@ impl Deliver for NodeInner {
     }
 
     /// Shutdown and crash end here: later deliveries are dropped, the
-    /// workers find the stop marker behind the queued work, and every
-    /// pending call fails — a waiter wakes to find its slot gone, a
-    /// completion runs with `Disconnected` on this thread.
+    /// workers find the stop marker behind the queued work, every pending
+    /// call fails — a waiter wakes to find its slot gone, a completion
+    /// runs with `Disconnected` on this thread — and the one-shot timers
+    /// that have not run are dropped, after `rpc.pending` is released.
     fn closed(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = self.work_tx.send(Work::Stop);
@@ -589,6 +629,24 @@ impl Deliver for NodeInner {
                 Outcome::Completion(done) => done(Err(KeraError::Disconnected(self.id))),
             }
         }
+    }
+
+    /// On the calls' timers, under the same wake rule; refused once the
+    /// node has closed — looked at under the lock `closed` empties them
+    /// under.
+    fn timer(&self, due: Instant, timer: Timer) -> bool {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let mut pending = self.pending.lock();
+        if self.shutdown.load(Ordering::SeqCst) {
+            return false;
+        }
+        pending.oneshots.insert(id, timer);
+        let wake = pending.arm(id, due, due);
+        drop(pending);
+        if wake {
+            self.wake();
+        }
+        true
     }
 }
 
@@ -714,10 +772,8 @@ impl RpcClient {
             }
             pending.slots.insert(id, Slot { call, due: None, outcome });
         }
-        // A worker of this node looks at the timers before it next blocks;
-        // any other thread wakes one if the call is due before they look.
-        if self.inner.fire(id, Instant::now()) && !self.inner.on_worker() {
-            let _ = self.inner.work_tx.send(Work::Timers);
+        if self.inner.fire(id, Instant::now()) {
+            self.inner.wake();
         }
     }
 
@@ -1540,6 +1596,164 @@ mod tests {
             matches!(outcomes.0.lock()[..], [Ok(_)]),
             "the detached call was not retransmitted while the worker waited"
         );
+    }
+
+    #[test]
+    fn a_timer_runs_once_on_a_worker_of_its_node_not_before_it_is_due() {
+        let net = InMemNetwork::new();
+        let node = NodeRuntime::start(Arc::new(net.register(NodeId(78))), Arc::new(NullService), 2);
+        let (tx, rx) = channel::unbounded();
+        let due = Instant::now() + Duration::from_millis(30);
+        // Armed from a thread that is not the node's: it wakes a worker.
+        assert!(node.inner.timer(
+            due,
+            Box::new(move || {
+                let on = std::thread::current().name().map(str::to_owned);
+                let _ = tx.send((Instant::now(), on));
+            })
+        ));
+        let (ran_at, on) = rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("the timer never ran");
+        assert!(ran_at >= due, "ran {:?} early", due - ran_at);
+        assert!(
+            on.as_deref().is_some_and(|n| n.starts_with("worker-78-")),
+            "ran on {on:?}"
+        );
+        // Once: it was dropped as it ran, and its sender with it.
+        assert!(matches!(rx.recv_timeout(Duration::from_millis(50)), Err(RecvTimeoutError::Disconnected)));
+    }
+
+    #[test]
+    fn a_timer_falls_due_while_the_nodes_only_worker_waits_in_a_call() {
+        /// Node 1's one handler arms a timer 30 ms out, then waits in a
+        /// call to node 4, which answers after 200 ms; it answers whether
+        /// the timer ran, and when, while it waited.
+        struct ArmsThenWaits {
+            client: Mutex<Option<RpcClient>>,
+            ran: Arc<Mutex<Option<Instant>>>,
+        }
+        impl Service for ArmsThenWaits {
+            fn handle(&self, _ctx: &RequestContext, _payload: Bytes) -> Result<Bytes> {
+                unreachable!("served through serve")
+            }
+
+            fn serve(&self, _ctx: &RequestContext, _payload: Bytes, reply: Reply) {
+                let client = self.client.lock().clone().unwrap();
+                let (ran, due) = (
+                    Arc::clone(&self.ran),
+                    Instant::now() + Duration::from_millis(30),
+                );
+                assert!(reply.timer(due, move || *ran.lock() = Some(Instant::now())));
+                let slow = client.call(
+                    NodeId(4),
+                    OpCode::Fetch,
+                    Bytes::new(),
+                    Duration::from_secs(2),
+                );
+                let fired = self.ran.lock().is_some_and(|at| at >= due);
+                reply.send(slow.map(|_| Bytes::from(vec![u8::from(fired)])));
+            }
+        }
+
+        let net = InMemNetwork::new();
+        let svc = Arc::new(ArmsThenWaits {
+            client: Mutex::new(None),
+            ran: Arc::default(),
+        });
+        let node = NodeRuntime::start(
+            Arc::new(net.register(NodeId(1))),
+            Arc::clone(&svc) as Arc<dyn Service>,
+            1,
+        );
+        *svc.client.lock() = Some(node.client());
+        let _slow = NodeRuntime::start(Arc::new(net.register(NodeId(4))), Arc::new(EchoService), 1);
+        let caller =
+            NodeRuntime::start(Arc::new(net.register(NodeId(2))), Arc::new(NullService), 1);
+        let got = caller.client().call(
+            NodeId(1),
+            OpCode::Ping,
+            Bytes::new(),
+            Duration::from_secs(5),
+        );
+        assert_eq!(
+            &got.unwrap()[..],
+            [1],
+            "the timer did not run, when due, while the worker waited"
+        );
+    }
+
+    #[test]
+    fn a_timer_of_a_node_that_closes_first_never_runs() {
+        let net = InMemNetwork::new();
+        let node = NodeRuntime::start(Arc::new(net.register(NodeId(1))), Arc::new(NullService), 1);
+        let ran = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&ran);
+        let due = Instant::now() + Duration::from_millis(20);
+        assert!(node
+            .inner
+            .timer(due, Box::new(move || flag.store(true, Ordering::SeqCst))));
+        let inner = Arc::clone(&node.inner);
+        node.shutdown();
+        assert_eq!(
+            Arc::strong_count(&ran),
+            1,
+            "the closed node kept its unrun timer"
+        );
+        std::thread::sleep(Duration::from_millis(40));
+        assert!(!ran.load(Ordering::SeqCst));
+        // Nor does a closed node take a new one.
+        assert!(!inner.timer(
+            Instant::now(),
+            Box::new(|| unreachable!("armed on a closed node"))
+        ));
+    }
+
+    #[test]
+    fn delayed_messages_still_arrive() {
+        use crate::faults::{FaultInjector, FaultPlan};
+        use kera_common::config::FaultProfile;
+
+        let plan = FaultPlan::new(FaultProfile {
+            seed: 7,
+            delay_rate: 1.0,
+            max_delay: Duration::from_millis(5),
+            ..FaultProfile::default()
+        })
+        .unwrap();
+        let net = InMemNetwork::new();
+        let inbox = Collector::bind(&net.register(NodeId(1)));
+        // Four sending nodes: each holds its delayed frames on its own
+        // timers, and no thread of the plan's stands beside them.
+        let senders: Vec<_> = (2..=5)
+            .map(|id| {
+                let injector = Arc::new(FaultInjector::new(
+                    Arc::new(net.register(NodeId(id))),
+                    plan.clone(),
+                ));
+                let node = NodeRuntime::start(
+                    Arc::clone(&injector) as Arc<dyn Transport>,
+                    Arc::new(NullService),
+                    1,
+                );
+                (injector, node)
+            })
+            .collect();
+        for (n, (injector, _node)) in senders.iter().enumerate() {
+            for i in 0..5 {
+                let env =
+                    Envelope::request(OpCode::Ping, n as u64 * 5 + i, NodeId(1), Bytes::new());
+                injector.send(NodeId(1), env).unwrap();
+            }
+        }
+        let mut got: Vec<u64> =
+            std::iter::from_fn(|| inbox.recv(Duration::from_millis(100)).ok().flatten())
+                .map(|env| env.request_id)
+                .collect();
+        got.sort_unstable();
+        assert_eq!(got, (0..20).collect::<Vec<_>>());
+        assert_eq!(plan.delayed(), 20);
+        assert_eq!(crate::thread_count_named("faults-delay"), 0);
     }
 
     #[test]

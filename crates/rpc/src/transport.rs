@@ -10,22 +10,34 @@
 //! that already holds the frame. Until it is bound a node is unreachable.
 
 use std::sync::Weak;
+use std::time::Instant;
 
 use kera_common::ids::NodeId;
 use kera_common::Result;
 use kera_wire::frames::Envelope;
 
+/// What a node runs once at a due time (see [`Deliver::timer`]).
+pub type Timer = Box<dyn FnOnce() + Send>;
+
 /// Where a transport hands arriving frames: the node runtime, or a
 /// collecting fake in tests. The one rule: it never runs a handler, never
 /// blocks, and holds no lock across a [`Transport::send`] — it runs on a
-/// peer's sending (or a reader / delay-line / releasing) thread, and a
-/// send it makes runs the next node's delivery on the same stack.
+/// peer's sending (or a reader or releasing) thread, and a send it makes
+/// runs the next node's delivery on the same stack.
 pub trait Deliver: Send + Sync + 'static {
     /// One frame addressed to this node arrived.
     fn deliver(&self, env: Envelope);
 
     /// The fabric took the endpoint away (a crash): nothing more arrives.
     fn closed(&self);
+
+    /// Runs `timer` once, no earlier than `due`, on one of this node's
+    /// own threads and under none of its locks; `timer` must not block.
+    /// False, and `timer` dropped unrun, where the node keeps no timers:
+    /// it has closed, or it is a collecting fake.
+    fn timer(&self, _due: Instant, _timer: Timer) -> bool {
+        false
+    }
 }
 
 /// A node's connection to the cluster fabric.

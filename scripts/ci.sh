@@ -98,11 +98,15 @@ if find crates/*/src src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{nextfile}
 fi
 
 # A node is held at the fabric (FaultPlan::hold), not in its handlers: no
-# service carries a drill flag. And every frame a fault plan holds back in
-# time sits on the plan's one line, not on a line per injector.
+# service carries a drill flag. And time passes on one queue per node: a
+# parked Kafka request's expiry, a frame the fault plan delays and the
+# coordinator's repush run on the node's own timers and workers — no delay
+# line and no thread of their own (non-test lines, as above).
 if grep -rnE 'frozen|fn freeze|fn thaw' crates/broker/src \
-    || grep -rn 'faults-delay-{' crates/rpc/src; then
-  echo "no freeze/thaw hook in a service; one faults-delay line per FaultPlan" >&2
+    || find crates/*/src src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{nextfile}
+        /DelayLine|mod delay|"faults-delay|purgatory-\{|coord-repush/{print FILENAME":"FNR": "$0}' {} + \
+        | grep .; then
+  echo "no freeze/thaw hook in a service; one timer queue per node: no DelayLine, faults-delay, purgatory- or coord-repush thread" >&2
   exit 1
 fi
 

@@ -50,7 +50,7 @@ use kera_common::ids::NodeId;
 use kera_common::metrics::Counter;
 use kera_common::rng::SplitMix64;
 use kera_common::{KeraError, Result};
-use kera_obs::{NodeObs, Span, Stage, TraceContext};
+use kera_obs::{MetricsRegistry, NodeObs, Span, Stage, TraceContext};
 use kera_wire::frames::{Envelope, FrameKind, OpCode, StatusCode};
 use parking_lot::{Mutex, MutexGuard};
 
@@ -127,7 +127,7 @@ impl Reply {
         span.set_aux(reply.payload.len() as u64);
         span.finish();
         inner.dedup.complete(self.key, reply.clone());
-        inner.requests_served.inc();
+        inner.served[op as usize].inc();
         // The requester may be gone; that's its problem.
         let _ = inner.send(to, reply);
     }
@@ -336,8 +336,9 @@ struct NodeInner {
     /// This node's observability handle (disabled unless the runtime was
     /// started with [`NodeRuntime::start_with_obs`]).
     obs: Arc<NodeObs>,
-    /// RPCs served (requests handled) — `kera.rpc.requests_served`.
-    pub requests_served: Arc<Counter>,
+    /// RPCs served (requests handled), one counter per opcode indexed by
+    /// its byte — `kera.rpc.requests_served{op=<opcode>}`.
+    served: Vec<Arc<Counter>>,
     /// RPCs issued from this node — `kera.rpc.calls_issued`.
     pub calls_issued: Arc<Counter>,
     /// Retransmissions performed by this node's calls —
@@ -349,6 +350,18 @@ struct NodeInner {
     /// Requests dropped unexecuted because their deadline passed in
     /// queue — `kera.rpc.requests_expired`.
     pub requests_expired: Arc<Counter>,
+}
+
+/// `kera.rpc.requests_served`, one counter per opcode, indexed by the
+/// opcode's byte. An unassigned byte gets a counter of its own that no
+/// request reaches, so a served request is one index and one add.
+fn served_counters(reg: &MetricsRegistry) -> Vec<Arc<Counter>> {
+    let len = OpCode::TABLE.iter().map(|&(op, ..)| op as usize + 1).max().unwrap_or(0);
+    let mut served: Vec<Arc<Counter>> = (0..len).map(|_| Arc::new(Counter::new())).collect();
+    for &(op, ..) in OpCode::TABLE {
+        served[op as usize] = reg.counter("kera.rpc.requests_served", &[("op", &format!("{op:?}"))]);
+    }
+    served
 }
 
 /// A running node: its workers, fed by whatever thread delivers a frame.
@@ -396,7 +409,7 @@ impl NodeRuntime {
             shutdown: AtomicBool::new(false),
             retry,
             dedup: DedupCache::new(),
-            requests_served: reg.counter("kera.rpc.requests_served", &[]),
+            served: served_counters(reg),
             calls_issued: reg.counter("kera.rpc.calls_issued", &[]),
             retries_sent: reg.counter("kera.rpc.retries_sent", &[]),
             requests_deduped: reg.counter("kera.rpc.requests_deduped", &[]),
@@ -428,9 +441,9 @@ impl NodeRuntime {
         RpcClient { inner: Arc::clone(&self.inner) }
     }
 
-    /// Requests handled so far.
+    /// Requests handled so far, every opcode.
     pub fn requests_served(&self) -> u64 {
-        self.inner.requests_served.get()
+        self.inner.served.iter().map(|c| c.get()).sum()
     }
 
     /// Duplicate requests answered from the at-most-once cache or
@@ -1915,6 +1928,20 @@ mod tests {
             c.call(NodeId(1), OpCode::Ping, Bytes::new(), Duration::from_secs(1)).unwrap();
         }
         assert_eq!(server.requests_served(), 5);
+    }
+
+    #[test]
+    fn requests_served_are_counted_per_opcode() {
+        let (_net, server, client) = pair();
+        let c = client.client();
+        for op in [OpCode::Ping, OpCode::Fetch, OpCode::Ping, OpCode::Fetch, OpCode::Ping] {
+            c.call(NodeId(1), op, Bytes::new(), Duration::from_secs(1)).unwrap();
+        }
+        let snap = server.inner.obs.registry().snapshot();
+        let served = |op: &str| snap.counter_sum("kera.rpc.requests_served", &[("op", op)]);
+        assert_eq!((served("Ping"), served("Fetch"), served("Produce")), (3, 2, 0));
+        assert_eq!(server.requests_served(), 5);
+        assert_eq!(snap.counter_sum("kera.rpc.requests_served", &[]), 5);
     }
 
     #[test]

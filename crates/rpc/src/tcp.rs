@@ -263,6 +263,16 @@ impl TcpTransport {
     }
 }
 
+/// Removes `to`'s connection if it is still `failed`. A sender that
+/// redialled after `failed` broke has mapped a healthy connection in its
+/// place, and others may be writing on it: dropping that one from the map
+/// would let the next send dial a second socket to the same peer.
+fn forget<T>(conns: &mut HashMap<NodeId, Arc<T>>, to: NodeId, failed: &Arc<T>) {
+    if conns.get(&to).is_some_and(|c| Arc::ptr_eq(c, failed)) {
+        conns.remove(&to);
+    }
+}
+
 impl Transport for TcpTransport {
     fn local(&self) -> NodeId {
         self.id
@@ -289,7 +299,7 @@ impl Transport for TcpTransport {
         if res.is_err() {
             // Connection broke: forget it so the next send redials.
             drop(guard);
-            self.conns.lock().remove(&to);
+            forget(&mut self.conns.lock(), to, &conn);
             return Err(KeraError::Disconnected(to));
         }
         Ok(())
@@ -324,6 +334,22 @@ mod tests {
     use bytes::Bytes;
     use kera_wire::frames::OpCode;
 
+
+    #[test]
+    fn a_failed_send_forgets_only_the_connection_it_failed_on() {
+        let (failed, redialled) = (Arc::new(1), Arc::new(2));
+        let mut conns = HashMap::from([(NodeId(7), Arc::clone(&redialled))]);
+        // Another sender already replaced the broken connection.
+        forget(&mut conns, NodeId(7), &failed);
+        assert!(conns.get(&NodeId(7)).is_some_and(|c| Arc::ptr_eq(c, &redialled)));
+        // The broken connection is still mapped: it goes.
+        conns.insert(NodeId(7), Arc::clone(&failed));
+        forget(&mut conns, NodeId(7), &failed);
+        assert!(conns.is_empty());
+        // Nothing mapped: nothing to do.
+        forget(&mut conns, NodeId(7), &failed);
+        assert!(conns.is_empty());
+    }
 
     #[test]
     fn tcp_roundtrip() {

@@ -9,7 +9,7 @@
 //! `slot + chain·Q` so consumer cursors can walk the chain without a
 //! directory (see [`kera_wire::cursor`]).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use kera_common::config::StreamConfig;
@@ -63,32 +63,94 @@ pub enum SlotAppend {
     Replay { ack: ChunkAck, token: Option<u64> },
 }
 
-/// Recent (producer, sequence-tag) → ack mappings of one slot, so a
+/// The slot's last [`ReplayWindow::MAX_ENTRIES`] tagged appends,
+/// (producer, sequence tag) → (ack, token), oldest evicted first, so a
 /// retried produce request replays the original ack instead of appending
-/// a second copy of the chunk. Bounded FIFO per slot.
+/// a second copy of the chunk.
+///
+/// Beside the entries, each producer that still has one keeps the highest
+/// tag it has there. A tag above that mark is not in the window after one
+/// comparison, which covers every new chunk of a producer sending in
+/// order; only a re-send, an out-of-order tag or a producer restarted
+/// below its mark scans the entries, newest first. Nothing is hashed.
 #[derive(Default)]
-struct ReplayCache {
-    acks: HashMap<(ProducerId, u64), (ChunkAck, Option<u64>)>,
-    order: std::collections::VecDeque<(ProducerId, u64)>,
+struct ReplayWindow {
+    /// Insertion order, oldest first.
+    entries: VecDeque<Tagged>,
+    /// One per producer with an entry in `entries`, sorted by producer.
+    marks: Vec<Mark>,
 }
 
-impl ReplayCache {
+struct Tagged {
+    producer: ProducerId,
+    seq: u64,
+    ack: ChunkAck,
+    token: Option<u64>,
+}
+
+struct Mark {
+    producer: ProducerId,
+    /// The highest tag of `producer` in the window.
+    high: u64,
+    /// How many entries of `producer` the window holds.
+    live: u32,
+}
+
+impl ReplayWindow {
     /// Plenty for the handful of in-flight requests a producer pipelines;
     /// a retry always lands well within this window.
     const MAX_ENTRIES: usize = 1024;
 
-    fn get(&self, producer: ProducerId, seq: u64) -> Option<(ChunkAck, Option<u64>)> {
-        self.acks.get(&(producer, seq)).copied()
+    fn mark(&self, producer: ProducerId) -> std::result::Result<usize, usize> {
+        self.marks.binary_search_by_key(&producer, |m| m.producer)
     }
 
+    fn get(&self, producer: ProducerId, seq: u64) -> Option<(ChunkAck, Option<u64>)> {
+        let i = self.mark(producer).ok()?;
+        if seq > self.marks[i].high {
+            return None;
+        }
+        self.entries
+            .iter()
+            .rev()
+            .find(|e| e.seq == seq && e.producer == producer)
+            .map(|e| (e.ack, e.token))
+    }
+
+    /// Records a tag [`get`](Self::get) has just missed (the slot lock is
+    /// held in between, so the window never holds a tag twice).
     fn insert(&mut self, producer: ProducerId, seq: u64, ack: ChunkAck, token: Option<u64>) {
-        if self.acks.insert((producer, seq), (ack, token)).is_none() {
-            self.order.push_back((producer, seq));
-            while self.order.len() > Self::MAX_ENTRIES {
-                if let Some(old) = self.order.pop_front() {
-                    self.acks.remove(&old);
-                }
+        if self.entries.len() == Self::MAX_ENTRIES {
+            self.evict_oldest();
+        }
+        match self.mark(producer) {
+            Ok(i) => {
+                let m = &mut self.marks[i];
+                m.high = m.high.max(seq);
+                m.live += 1;
             }
+            Err(i) => self.marks.insert(i, Mark { producer, high: seq, live: 1 }),
+        }
+        self.entries.push_back(Tagged { producer, seq, ack, token });
+    }
+
+    fn evict_oldest(&mut self) {
+        let Some(old) = self.entries.pop_front() else { return };
+        let Ok(i) = self.mark(old.producer) else { return };
+        let m = &mut self.marks[i];
+        m.live -= 1;
+        if m.live == 0 {
+            self.marks.remove(i);
+        } else if old.seq == m.high {
+            // Only when a producer's oldest entry was its highest: it
+            // restarted below its mark, or sent out of order.
+            m.high = self
+                .entries
+                .iter()
+                .filter(|e| e.producer == old.producer)
+                .map(|e| e.seq)
+                .max()
+                .unwrap_or(0);
         }
     }
 }
@@ -103,7 +165,7 @@ struct Slot {
     /// Per-chunk offset index (seek by record offset).
     index: OffsetIndex,
     /// Duplicate suppression for retried produce requests.
-    replays: ReplayCache,
+    replays: ReplayWindow,
 }
 
 /// One hosted streamlet.
@@ -136,7 +198,7 @@ impl Streamlet {
                         group,
                         next_offset: 0,
                         index: OffsetIndex::new(),
-                        replays: ReplayCache::default(),
+                        replays: ReplayWindow::default(),
                     },
                 )
             })
@@ -362,6 +424,7 @@ mod tests {
     use kera_common::config::ReplicationConfig;
     use kera_wire::chunk::{ChunkBuilder, ChunkIter};
     use kera_wire::record::Record;
+    use proptest::prelude::*;
 
     fn config(q: u32, segment_size: usize, segs_per_group: u32) -> StreamConfig {
         StreamConfig {
@@ -538,6 +601,32 @@ mod tests {
     }
 
     #[test]
+    fn the_1025th_tagged_append_evicts_the_first() {
+        let s = Streamlet::new(StreamId(1), StreamletId(0), &config(1, 1 << 24, 64));
+        let c = chunk(1);
+        let max = super::ReplayWindow::MAX_ENTRIES as u64;
+        for seq in 0..max {
+            s.append_chunk_tracked(ProducerId(0), &c, 1, Some(seq), |_| Ok(None)).unwrap();
+        }
+        // 1024 inserts: the first is still inside, and its re-send is a
+        // replay (which inserts nothing).
+        let first = s.append_chunk_tracked(ProducerId(0), &c, 1, Some(0), |_| Ok(None)).unwrap();
+        assert!(matches!(first, SlotAppend::Replay { .. }));
+        // The 1025th insert evicts the first, so its re-send appends fresh.
+        s.append_chunk_tracked(ProducerId(0), &c, 1, Some(max), |_| Ok(None)).unwrap();
+        let first = s.append_chunk_tracked(ProducerId(0), &c, 1, Some(0), |_| Ok(None)).unwrap();
+        let SlotAppend::Fresh { append, .. } = first else {
+            panic!("an evicted tag must append again")
+        };
+        assert_eq!(append.base_offset, max + 1);
+        // That re-append was itself an insert: tag 1 went with it.
+        let second = s.append_chunk_tracked(ProducerId(0), &c, 1, Some(1), |_| Ok(None)).unwrap();
+        assert!(matches!(second, SlotAppend::Fresh { .. }));
+        let third = s.append_chunk_tracked(ProducerId(0), &c, 1, Some(3), |_| Ok(None)).unwrap();
+        assert!(matches!(third, SlotAppend::Replay { .. }));
+    }
+
+    #[test]
     fn replay_cache_is_per_producer() {
         // Producers 0 and 2 share slot 0 of a Q=2 streamlet; the same tag
         // value from different producers must not collide.
@@ -565,7 +654,7 @@ mod tests {
     fn replay_cache_evicts_oldest() {
         let s = Streamlet::new(StreamId(1), StreamletId(0), &config(1, 1 << 24, 64));
         let c = chunk(1);
-        let n = super::ReplayCache::MAX_ENTRIES as u64 + 8;
+        let n = super::ReplayWindow::MAX_ENTRIES as u64 + 8;
         for seq in 0..n {
             s.append_chunk_tracked(ProducerId(0), &c, 1, Some(seq), |_| Ok(None)).unwrap();
         }
@@ -605,6 +694,116 @@ mod tests {
         for p in 0..4u32 {
             let a = s.append_chunk(ProducerId(p), &c, 1).unwrap();
             assert_eq!(a.base_offset, 200);
+        }
+    }
+
+    /// The reference [`ReplayWindow`] is held to: a hash map plus a FIFO
+    /// of its keys, bounded at the same size. The window must answer
+    /// exactly as it does.
+    #[derive(Default)]
+    struct MapWindow {
+        acks: HashMap<(ProducerId, u64), (ChunkAck, Option<u64>)>,
+        order: VecDeque<(ProducerId, u64)>,
+    }
+
+    impl MapWindow {
+        fn get(&self, producer: ProducerId, seq: u64) -> Option<(ChunkAck, Option<u64>)> {
+            self.acks.get(&(producer, seq)).copied()
+        }
+
+        fn insert(&mut self, producer: ProducerId, seq: u64, ack: ChunkAck, token: Option<u64>) {
+            if self.acks.insert((producer, seq), (ack, token)).is_none() {
+                self.order.push_back((producer, seq));
+                while self.order.len() > ReplayWindow::MAX_ENTRIES {
+                    if let Some(old) = self.order.pop_front() {
+                        self.acks.remove(&old);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Both windows hold the same entries in the same order, and each
+    /// producer with an entry (and no other) has a mark: its highest tag
+    /// and its entry count.
+    fn assert_same(window: &ReplayWindow, map: &MapWindow) {
+        let held: Vec<(ProducerId, u64)> =
+            window.entries.iter().map(|e| (e.producer, e.seq)).collect();
+        assert_eq!(held, map.order.iter().copied().collect::<Vec<_>>());
+        for e in &window.entries {
+            assert_eq!(Some((e.ack, e.token)), map.get(e.producer, e.seq));
+        }
+        let mut marks: Vec<(ProducerId, u64, u32)> = Vec::new();
+        for &(producer, seq) in &held {
+            match marks.iter_mut().find(|m| m.0 == producer) {
+                Some(m) => *m = (producer, m.1.max(seq), m.2 + 1),
+                None => marks.push((producer, seq, 1)),
+            }
+        }
+        marks.sort_unstable();
+        let kept: Vec<_> = window.marks.iter().map(|m| (m.producer, m.high, m.live)).collect();
+        assert_eq!(kept, marks);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Producers sharing a slot, driven as `append_chunk_tracked`
+        /// drives the window (a lookup, then an insert if it missed):
+        /// in-order tags, re-sends of recent and of evicted tags,
+        /// out-of-order tags, restarts below the old mark, and more
+        /// inserts than the window holds. Every 1400 steps the set of
+        /// producers sending changes (4, 1, 3, 1), so producers leave the
+        /// window whole and a lone producer's restarts age its mark out.
+        /// Every lookup agrees with the map, and the two hold the same
+        /// entries throughout.
+        #[test]
+        fn window_answers_as_the_map_does(
+            ops in proptest::collection::vec((0u32..1000, 0u32..4, 0u64..1 << 20), 4500..8000),
+        ) {
+            let (mut window, mut map) = (ReplayWindow::default(), MapWindow::default());
+            let (mut next, mut inserts) = ([1u64 << 32; 4], 0);
+            for (i, &(kind, p, x)) in ops.iter().enumerate() {
+                let p = p % [4, 1, 3, 1][i / 1400 % 4];
+                let n = &mut next[p as usize];
+                let seq = match kind {
+                    0..=699 => {
+                        *n += 1;
+                        *n - 1
+                    }
+                    700..=799 => n.saturating_sub(1 + x % 16),
+                    800..=849 => n.saturating_sub(1 + x % 3000),
+                    850..=939 => *n + x % 8,
+                    940..=979 => *n + x % 4096,
+                    980..=989 => {
+                        *n -= 10_000 + x % 10_000;
+                        *n
+                    }
+                    _ => x,
+                };
+                let producer = ProducerId(p * 2); // one slot of a Q = 2 streamlet
+                let got = window.get(producer, seq);
+                prop_assert_eq!(got, map.get(producer, seq), "lookup {} of {:?}/{}", i, producer, seq);
+                if got.is_none() {
+                    let ack = ChunkAck {
+                        stream: StreamId(1),
+                        streamlet: StreamletId(0),
+                        group: 0,
+                        segment: 0,
+                        base_offset: i as u64,
+                        records: 1,
+                    };
+                    let token = (x % 3 != 0).then_some(x);
+                    window.insert(producer, seq, ack, token);
+                    map.insert(producer, seq, ack, token);
+                    inserts += 1;
+                }
+                if i % 64 == 0 {
+                    assert_same(&window, &map);
+                }
+            }
+            assert_same(&window, &map);
+            prop_assert!(inserts > 3 * ReplayWindow::MAX_ENTRIES, "{} inserts", inserts);
         }
     }
 }

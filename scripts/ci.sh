@@ -97,6 +97,18 @@ if find crates/*/src src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{nextfile}
   exit 1
 fi
 
+# A fresh chunk passes its slot's exactly-once check in one comparison:
+# the replay window is kept in insertion order beside each producer's
+# highest tag, and nothing is hashed per chunk — no map keyed by
+# (producer, tag) in kera-storage (non-test lines, as above; the map the
+# window is checked against lives in streamlet.rs's tests).
+if find crates/storage/src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{nextfile}
+        /HashMap<\(ProducerId, *u64\)/{print FILENAME":"FNR": "$0}' {} + \
+        | grep .; then
+  echo "kera-storage: the replay window hashes nothing; no HashMap keyed by (ProducerId, u64)" >&2
+  exit 1
+fi
+
 # A node is held at the fabric (FaultPlan::hold), not in its handlers: no
 # service carries a drill flag. And time passes on one queue per node: a
 # parked Kafka request's expiry, a frame the fault plan delays and the

@@ -2,158 +2,75 @@
 //!
 //! Mirrors the paper's deployment (§V-A): on each of `B` server nodes
 //! live one broker service and one backup service; a coordinator manages
-//! them. Clients register as extra nodes on the same fabric. With
+//! them. The nodes boot on a [`Fabric`], the skeleton the Kafka baseline
+//! boots on too, in the order backups, brokers, coordinators. With
 //! `ClusterConfig::coordinator.replicas > 1` the coordinator itself is
-//! replicated (metadata log + leader election, DESIGN.md §10): replica 0
-//! keeps the historical node id 0, extra replicas live at 3000+i, and
+//! replicated (metadata log + leader election, DESIGN.md §10), and
 //! clients resolve the leader via `RpcClient::call_leader`.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use kera_common::config::ClusterConfig;
 use kera_common::ids::NodeId;
-use kera_common::knobs;
 use kera_common::Result;
-use kera_obs::{NodeObs, RegistrySnapshot, Watchdog};
-use kera_rpc::{AnyNetwork, FaultInjector, FaultPlan, NodeRuntime, NullService, Transport};
+use kera_rpc::Fabric;
 use kera_storage::flush::{DiskFlusher, FlushMetrics};
-use parking_lot::Mutex;
+
+pub use kera_rpc::fabric::{backup_node, broker_node, client_node, coordinator_node, COORDINATOR};
 
 use crate::backup::BackupService;
 use crate::broker::BrokerService;
 use crate::coordinator::CoordinatorService;
 
-/// The coordinator's node id (replica 0 of a replicated coordinator).
-pub const COORDINATOR: NodeId = NodeId(0);
-
-/// Node id of coordinator replica `i`. Replica 0 keeps the historical
-/// id 0 so single-coordinator callers are untouched; extra replicas get
-/// their own range clear of brokers (1+), backups (1001+) and clients
-/// (2001+).
-pub const fn coordinator_node(i: u32) -> NodeId {
-    if i == 0 { COORDINATOR } else { NodeId(3000 + i) }
-}
-
-/// Node id of broker `i`.
-pub const fn broker_node(i: u32) -> NodeId {
-    NodeId(1 + i)
-}
-
-/// Node id of backup `i` (co-located with broker `i`).
-pub const fn backup_node(i: u32) -> NodeId {
-    NodeId(1001 + i)
-}
-
-/// Node id of client `i`.
-pub const fn client_node(i: u32) -> NodeId {
-    NodeId(2001 + i)
-}
-
-/// A running in-process KerA cluster.
+/// A running in-process KerA cluster. Everything both systems share
+/// (network, nodes, clients, metrics, crashes) is on the [`Fabric`] it
+/// dereferences to.
 pub struct KeraCluster {
-    pub net: AnyNetwork,
-    config: ClusterConfig,
-    fault_plan: Option<FaultPlan>,
-    coordinator_rts: Vec<Option<NodeRuntime>>,
-    broker_rts: Vec<Option<NodeRuntime>>,
-    backup_rts: Vec<Option<NodeRuntime>>,
+    fabric: Fabric,
     /// Coordinator replicas, in replica order (index 0 = node id 0).
     pub coordinator_svcs: Vec<Arc<CoordinatorService>>,
     pub broker_svcs: Vec<Arc<BrokerService>>,
     pub backup_svcs: Vec<Arc<BackupService>>,
-    /// Server-node observability handles (coordinator, brokers, backups).
-    node_obs: Vec<Arc<NodeObs>>,
-    /// Client-node handles, collected as [`KeraCluster::client`] runs.
-    client_obs: Mutex<Vec<Arc<NodeObs>>>,
-    /// Per-server-node stall watchdogs, armed when `KERA_WATCHDOG_MS` is
-    /// set. Dropping the cluster stops and joins them.
-    watchdogs: Vec<Watchdog>,
-}
-
-/// Registers `id` on the fabric. With a fault plan every node's transport
-/// — coordinator, brokers, backups and clients — goes through a
-/// `FaultInjector` sharing it, so replication, re-replication and recovery
-/// all run over the same lossy fabric; no node is registered around it.
-fn register_on(
-    net: &AnyNetwork,
-    plan: Option<&FaultPlan>,
-    id: NodeId,
-) -> Result<Arc<dyn Transport>> {
-    let transport = net.register(id)?;
-    Ok(match plan {
-        Some(plan) => Arc::new(FaultInjector::new(transport, plan.clone())),
-        None => transport,
-    })
 }
 
 impl KeraCluster {
-    /// Boots coordinator, brokers and backups.
+    /// Boots backups, brokers and coordinators.
     pub fn start(config: ClusterConfig) -> Result<KeraCluster> {
-        config.validate()?;
-        let net = AnyNetwork::new(config.transport, Some(config.max_frame_bytes));
-        let fault_plan = config.faults.map(FaultPlan::new).transpose()?;
+        let mut fabric = Fabric::new(config.clone())?;
         let b = config.brokers;
-        let broker_ids: Vec<NodeId> = (0..b).map(broker_node).collect();
+        let broker_ids = fabric.brokers();
         let backup_ids: Vec<NodeId> = (0..b).map(backup_node).collect();
-        let register = |id: NodeId| register_on(&net, fault_plan.as_ref(), id);
-
-        let mut node_obs: Vec<Arc<NodeObs>> = Vec::new();
-        let mut make_obs = |id: NodeId| -> Arc<NodeObs> {
-            let obs = NodeObs::new(id.raw(), config.observability);
-            node_obs.push(Arc::clone(&obs));
-            obs
-        };
 
         // Backups first (brokers replicate into them).
         let mut backup_svcs = Vec::with_capacity(b as usize);
-        let mut backup_rts = Vec::with_capacity(b as usize);
         for i in 0..b {
-            let obs = make_obs(backup_node(i));
-            let flusher = match &config.flush_dir {
-                Some(dir) => {
-                    let reg = obs.registry();
-                    let metrics = FlushMetrics {
-                        latency: reg.histogram("kera.storage.flush", &[]),
-                        bytes: reg.counter("kera.storage.flush_bytes", &[]),
-                        errors: reg.counter("kera.storage.flush_errors", &[]),
-                    };
-                    Some(DiskFlusher::start_with_metrics(dir.join(format!("backup-{i}")), metrics)?)
-                }
-                None => None,
-            };
-            let svc = BackupService::with_obs(backup_node(i), flusher, Arc::clone(&obs));
-            let rt = NodeRuntime::start_with_obs(
-                register(backup_node(i))?,
-                Arc::clone(&svc) as Arc<dyn kera_rpc::Service>,
-                config.worker_threads,
-                config.retry,
-                obs,
-            );
+            let (svc, _) = fabric.boot(backup_node(i), config.worker_threads, |obs| {
+                let flusher = match &config.flush_dir {
+                    Some(dir) => {
+                        let reg = obs.registry();
+                        let metrics = FlushMetrics {
+                            latency: reg.histogram("kera.storage.flush", &[]),
+                            bytes: reg.counter("kera.storage.flush_bytes", &[]),
+                            errors: reg.counter("kera.storage.flush_errors", &[]),
+                        };
+                        Some(DiskFlusher::start_with_metrics(dir.join(format!("backup-{i}")), metrics)?)
+                    }
+                    None => None,
+                };
+                Ok(BackupService::with_obs(backup_node(i), flusher, obs))
+            })?;
             backup_svcs.push(svc);
-            backup_rts.push(Some(rt));
         }
 
         // Brokers.
         let mut broker_svcs = Vec::with_capacity(b as usize);
-        let mut broker_rts = Vec::with_capacity(b as usize);
         for i in 0..b {
-            let obs = make_obs(broker_node(i));
-            let svc = BrokerService::with_obs(
-                broker_node(i),
-                backup_node(i),
-                backup_ids.clone(),
-                Arc::clone(&obs),
-            );
-            let rt = NodeRuntime::start_with_obs(
-                register(broker_node(i))?,
-                Arc::clone(&svc) as Arc<dyn kera_rpc::Service>,
-                config.worker_threads,
-                config.retry,
-                obs,
-            );
-            svc.attach_client(rt.client());
+            let (svc, client) = fabric.boot(broker_node(i), config.worker_threads, |obs| {
+                Ok(BrokerService::with_obs(broker_node(i), backup_node(i), backup_ids.clone(), obs))
+            })?;
+            svc.attach_client(client);
             broker_svcs.push(svc);
-            broker_rts.push(Some(rt));
         }
 
         // Coordinator replicas. Single replica (the default) elects
@@ -163,73 +80,24 @@ impl KeraCluster {
         let r = config.coordinator.replicas;
         let coordinator_ids: Vec<NodeId> = (0..r).map(coordinator_node).collect();
         let mut coordinator_svcs = Vec::with_capacity(r as usize);
-        let mut coordinator_rts = Vec::with_capacity(r as usize);
         for i in 0..r {
-            let obs = make_obs(coordinator_node(i));
-            let svc = CoordinatorService::replicated(
-                coordinator_node(i),
-                coordinator_ids.clone(),
-                broker_ids.clone(),
-                config.coordinator,
-            );
-            let rt = NodeRuntime::start_with_obs(
-                register(coordinator_node(i))?,
-                Arc::clone(&svc) as Arc<dyn kera_rpc::Service>,
-                if r == 1 { 2 } else { 4 },
-                config.retry,
-                obs,
-            );
-            svc.attach_client(rt.client());
+            let workers = if r == 1 { 2 } else { 4 };
+            let (svc, client) = fabric.boot(coordinator_node(i), workers, |_| {
+                Ok(CoordinatorService::replicated(
+                    coordinator_node(i),
+                    coordinator_ids.clone(),
+                    broker_ids.clone(),
+                    config.coordinator,
+                ))
+            })?;
+            svc.attach_client(client);
             coordinator_svcs.push(svc);
-            coordinator_rts.push(Some(rt));
         }
         for svc in &coordinator_svcs {
             svc.start_ticker();
         }
 
-        // Arm the per-node stall watchdogs. A node counts as stalled when
-        // it has RPCs in flight but its progress counter stops moving for
-        // the configured window; the watchdog then auto-dumps that node's
-        // flight-recorder ring and its slow traces under results/tmp/.
-        let mut watchdogs = Vec::new();
-        if knobs::WATCHDOG_MS.is_on() {
-            let threshold = std::time::Duration::from_millis(knobs::WATCHDOG_MS.get());
-            let base = std::path::Path::new("results");
-            for obs in &node_obs {
-                watchdogs.push(Watchdog::arm(obs, threshold, base));
-            }
-        }
-
-        Ok(KeraCluster {
-            net,
-            config,
-            fault_plan,
-            coordinator_rts,
-            broker_rts,
-            backup_rts,
-            coordinator_svcs,
-            broker_svcs,
-            backup_svcs,
-            node_obs,
-            client_obs: Mutex::named("cluster.client_obs", Vec::new()),
-            watchdogs,
-        })
-    }
-
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
-    }
-
-    /// The first coordinator replica — the bootstrap leader contact for
-    /// single-coordinator callers. Replica-aware callers should use
-    /// [`KeraCluster::coordinators`] with `RpcClient::call_leader`.
-    pub fn coordinator(&self) -> NodeId {
-        COORDINATOR
-    }
-
-    /// All coordinator replica node ids, in replica order.
-    pub fn coordinators(&self) -> Vec<NodeId> {
-        (0..self.config.coordinator.replicas).map(coordinator_node).collect()
+        Ok(KeraCluster { fabric, coordinator_svcs, broker_svcs, backup_svcs })
     }
 
     /// Index of the replica currently believing itself leader, if any.
@@ -241,134 +109,50 @@ impl KeraCluster {
     /// its runtime and ticker are joined — a clean process exit.
     /// Requires the in-memory fabric.
     pub fn kill_coordinator(&mut self, i: u32) {
-        // lint: allow(no-panic) — chaos-test helper; killing a replica that
-        // does not exist is a driver bug and must fail fast.
-        assert!(
-            self.net.crash(coordinator_node(i)),
-            "kill_coordinator requires TransportChoice::InMemory"
-        );
+        self.fabric.crash(coordinator_node(i));
         if let Some(svc) = self.coordinator_svcs.get(i as usize) {
             svc.stop();
         }
-        if let Some(rt) = self.coordinator_rts.get_mut(i as usize).and_then(Option::take) {
-            rt.shutdown();
-        }
-    }
-
-    /// The armed stall watchdogs (empty unless `KERA_WATCHDOG_MS` was set
-    /// when the cluster booted or [`KeraCluster::arm_watchdogs`] ran), in
-    /// server-node registration order.
-    pub fn watchdogs(&self) -> &[Watchdog] {
-        &self.watchdogs
-    }
-
-    /// Arms a stall watchdog on every server node — the programmatic
-    /// twin of booting with `KERA_WATCHDOG_MS` (chaos drills use this so
-    /// they never mutate process-global env). Idempotent arming is not
-    /// attempted: calling it twice doubles the monitors.
-    pub fn arm_watchdogs(&mut self, threshold: std::time::Duration) {
-        let base = std::path::Path::new("results");
-        for obs in &self.node_obs {
-            self.watchdogs.push(Watchdog::arm(obs, threshold, base));
-        }
-    }
-
-    pub fn brokers(&self) -> Vec<NodeId> {
-        (0..self.config.brokers).map(broker_node).collect()
     }
 
     pub fn backups(&self) -> Vec<NodeId> {
-        (0..self.config.brokers).map(backup_node).collect()
-    }
-
-    /// The shared fault plan, when the cluster was started with a
-    /// [`kera_common::config::FaultProfile`]. Tests use it to create and
-    /// heal partitions, to hold and release nodes, and to assert faults
-    /// actually fired.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
-    }
-
-    /// Registers a pure client node on the fabric (producers, consumers,
-    /// the recovery manager, test drivers). Client traffic crosses the
-    /// same fault injector as server traffic.
-    pub fn client(&self, i: u32) -> NodeRuntime {
-        let transport = register_on(&self.net, self.fault_plan.as_ref(), client_node(i));
-        // lint: allow(no-panic) — cluster assembly in the test/bench harness;
-        // a duplicate client id is a driver bug and must fail fast.
-        let transport = transport.expect("register client node");
-        let obs = NodeObs::new(client_node(i).raw(), self.config.observability);
-        self.client_obs.lock().push(Arc::clone(&obs));
-        NodeRuntime::start_with_obs(transport, Arc::new(NullService), 1, self.config.retry, obs)
-    }
-
-    /// Observability handles of the server nodes (coordinator, brokers,
-    /// backups), in registration order.
-    pub fn node_obs(&self) -> &[Arc<NodeObs>] {
-        &self.node_obs
-    }
-
-    /// One merged metrics snapshot across every node of the cluster —
-    /// servers and clients. Keys stay distinct per node (the `node`
-    /// label), so per-node drill-down survives the merge.
-    pub fn metrics_snapshot(&self) -> RegistrySnapshot {
-        let mut snap = RegistrySnapshot::default();
-        for obs in &self.node_obs {
-            snap.merge(&obs.registry().snapshot());
-        }
-        for obs in self.client_obs.lock().iter() {
-            snap.merge(&obs.registry().snapshot());
-        }
-        snap
+        (0..self.config().brokers).map(backup_node).collect()
     }
 
     /// Kills server `i`: both its broker and its co-located backup vanish
     /// from the network, exactly like a machine crash. Requires the
     /// in-memory fabric (TCP does not support surgical crashes).
     pub fn crash_server(&mut self, i: u32) {
-        assert!(
-            self.net.crash(broker_node(i)),
-            "crash_server requires TransportChoice::InMemory"
-        );
-        self.net.crash(backup_node(i));
-        // Join the dead runtimes (the crash already told them: their
-        // workers are stopping and their calls have failed).
-        if let Some(rt) = self.broker_rts.get_mut(i as usize).and_then(Option::take) {
-            rt.shutdown();
-        }
-        if let Some(rt) = self.backup_rts.get_mut(i as usize).and_then(Option::take) {
-            rt.shutdown();
-        }
+        self.fabric.crash(broker_node(i));
+        self.fabric.crash(backup_node(i));
     }
 
-    /// Orderly shutdown of every node.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
+    /// Orderly shutdown of every node (what dropping the cluster does).
+    pub fn shutdown(self) {}
+}
 
-    fn shutdown_inner(&mut self) {
-        // Tickers first: they issue RPCs to sibling replicas, so every
-        // replica's runtime must still be up while they drain.
-        for svc in &self.coordinator_svcs {
-            svc.stop();
-        }
-        for rt in self.coordinator_rts.iter_mut().filter_map(Option::take) {
-            rt.shutdown();
-        }
-        for rt in self.broker_rts.iter_mut().filter_map(Option::take) {
-            rt.shutdown();
-        }
-        for rt in self.backup_rts.iter_mut().filter_map(Option::take) {
-            rt.shutdown();
-        }
+impl Deref for KeraCluster {
+    type Target = Fabric;
+    fn deref(&self) -> &Fabric {
+        &self.fabric
+    }
+}
+
+impl DerefMut for KeraCluster {
+    fn deref_mut(&mut self) -> &mut Fabric {
+        &mut self.fabric
     }
 }
 
 impl Drop for KeraCluster {
     fn drop(&mut self) {
-        // Idempotent: a cluster dropped on an error path still joins all
-        // of its threads.
-        self.shutdown_inner();
+        // Tickers first: they issue RPCs to sibling replicas, so every
+        // replica's runtime must still be up while they drain. The
+        // fabric then stops the nodes: coordinators, brokers, backups.
+        for svc in &self.coordinator_svcs {
+            svc.stop();
+        }
+        self.fabric.teardown();
     }
 }
 

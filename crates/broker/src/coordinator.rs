@@ -33,6 +33,7 @@ use kera_common::rng::SplitMix64;
 use kera_common::{KeraError, Result};
 use kera_obs::trace::Stage;
 use kera_obs::NodeObs;
+use kera_rpc::fabric::leader_index;
 use kera_rpc::{PendingCall, RequestContext, RpcClient, Service};
 use kera_wire::frames::OpCode;
 use kera_wire::messages::{
@@ -767,12 +768,10 @@ impl CoordinatorService {
             if alive.is_empty() {
                 return Err(KeraError::NoCapacity("no alive brokers".into()));
             }
-            // Streamlet i -> broker i mod B: equal distribution, the
-            // paper's "streams equally distributed over four brokers".
             let placements: Vec<StreamletPlacement> = (0..req.config.streamlets)
                 .map(|i| StreamletPlacement {
                     streamlet: StreamletId(i),
-                    broker: alive[i as usize % alive.len()],
+                    broker: alive[leader_index(req.config.id, i, alive.len())],
                 })
                 .collect();
             let metadata = StreamMetadata { config: req.config.clone(), placements };

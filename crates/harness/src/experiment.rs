@@ -1,6 +1,7 @@
 //! One experiment: cluster + producers + consumers + steady-state
 //! measurement (paper §V-A).
 
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,11 +13,12 @@ use kera_client::{MetadataClient, Partitioner};
 use kera_common::config::{
     ClusterConfig, CoordinatorConfig, ReplicationConfig, StreamConfig, VirtualLogPolicy,
 };
-use kera_common::ids::{ConsumerId, NodeId, ProducerId, StreamId, StreamletId};
+use kera_common::ids::{ConsumerId, ProducerId, StreamId, StreamletId};
 use kera_common::knobs;
 use kera_common::Result;
 use kera_kafka_sim::broker::KafkaTuning;
 use kera_kafka_sim::KafkaCluster;
+use kera_rpc::Fabric;
 
 use crate::workload::RecordPool;
 
@@ -207,55 +209,11 @@ impl Measurement {
     }
 }
 
-enum Cluster {
-    Kera(KeraCluster),
-    Kafka(KafkaCluster),
-}
-
-impl Cluster {
-    /// All coordinator replicas (single-element unless the KerA
-    /// coordinator is replicated).
-    fn coordinators(&self) -> Vec<NodeId> {
-        match self {
-            Cluster::Kera(c) => c.coordinators(),
-            Cluster::Kafka(c) => c.coordinators(),
-        }
-    }
-
-    fn client(&self, i: u32) -> kera_rpc::NodeRuntime {
-        match self {
-            Cluster::Kera(c) => c.client(i),
-            Cluster::Kafka(c) => c.client(i),
-        }
-    }
-
-    fn metrics_snapshot(&self) -> kera_obs::RegistrySnapshot {
-        match self {
-            Cluster::Kera(c) => c.metrics_snapshot(),
-            Cluster::Kafka(c) => c.metrics_snapshot(),
-        }
-    }
-
-    fn node_obs(&self) -> Vec<Arc<kera_obs::NodeObs>> {
-        match self {
-            Cluster::Kera(c) => c.node_obs().to_vec(),
-            Cluster::Kafka(c) => c.node_obs().to_vec(),
-        }
-    }
-
-    fn shutdown(self) {
-        match self {
-            Cluster::Kera(c) => c.shutdown(),
-            Cluster::Kafka(c) => c.shutdown(),
-        }
-    }
-}
-
 /// Names every per-run directory of this process: `<temp>/kera-run-<pid>-<n>`.
 pub const RUN_DIR_PREFIX: &str = "kera-run-";
 
-/// A run's `flush_dir`, removed when dropped — after the cluster, which
-/// is declared after it and so joins its flushers and fetchers first.
+/// A run's `flush_dir`, removed when dropped: after [`measure_on`] has
+/// dropped the cluster, which joins its flushers and fetchers.
 struct RunDir(std::path::PathBuf);
 
 impl Drop for RunDir {
@@ -308,13 +266,37 @@ pub fn measure(cfg: &ExperimentConfig) -> Result<(Measurement, kera_obs::Registr
         },
         ..ClusterConfig::default()
     };
-    let cluster = match cfg.system {
-        SystemKind::Kera => Cluster::Kera(KeraCluster::start(cluster_cfg)?),
+    let measured = match cfg.system {
+        SystemKind::Kera => measure_on(cfg, KeraCluster::start(cluster_cfg)?),
         SystemKind::Kafka => {
-            Cluster::Kafka(KafkaCluster::start(cluster_cfg, KafkaTuning::default())?)
+            measure_on(cfg, KafkaCluster::start(cluster_cfg, KafkaTuning::default())?)
         }
     };
+    drop(run_dir);
 
+    // Hand freed arena pages back to the OS: a sweep runs dozens of
+    // experiments in one process, and glibc otherwise accumulates each
+    // point's high-water mark until the OOM killer intervenes.
+    // SAFETY: malloc_trim is a glibc extension with no preconditions —
+    // it only releases unused arena pages back to the OS and is safe to
+    // call from any thread at any time; the declaration matches the
+    // glibc prototype `int malloc_trim(size_t pad)`.
+    #[cfg(target_env = "gnu")]
+    unsafe {
+        unsafe extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        malloc_trim(0);
+    }
+    measured
+}
+
+/// Drives one experiment point on a booted cluster of either system and
+/// tears the cluster down (dropping it runs the system's own shutdown).
+fn measure_on<C: Deref<Target = Fabric>>(
+    cfg: &ExperimentConfig,
+    cluster: C,
+) -> Result<(Measurement, kera_obs::RegistrySnapshot)> {
     // Create all streams through one admin client.
     let admin_rt = cluster.client(cfg.producers + cfg.consumers);
     let admin = MetadataClient::with_replicas(admin_rt.client(), cluster.coordinators());
@@ -464,24 +446,13 @@ pub fn measure(cfg: &ExperimentConfig) -> Result<(Measurement, kera_obs::Registr
             consume_rate += r;
         }
     }
-    let (replication_batches, replication_chunks) = match &cluster {
-        Cluster::Kera(c) => {
-            let mut batches = 0;
-            let mut chunks = 0;
-            for b in &c.broker_svcs {
-                let (bt, ch, _by) = b.vlogs().replication_stats();
-                batches += bt;
-                chunks += ch;
-            }
-            (batches, chunks)
-        }
-        Cluster::Kafka(_) => (0, 0),
-    };
-
     // Cluster-wide metrics and the per-stage latency breakdown, read
-    // before teardown so every node's registry is still alive.
+    // before teardown so every node's registry is still alive. A Kafka
+    // cluster has no virtual logs, so its replication counts read 0.
     let snapshot = cluster.metrics_snapshot();
     let stages = stage_breakdown(&snapshot);
+    let replication_batches = snapshot.counter_sum("kera.vlog.batches_sent", &[]);
+    let replication_chunks = snapshot.counter_sum("kera.vlog.chunks_replicated", &[]);
 
     // Tear down.
     stop.store(true, Ordering::SeqCst);
@@ -497,25 +468,9 @@ pub fn measure(cfg: &ExperimentConfig) -> Result<(Measurement, kera_obs::Registr
             p.abort(); // fast teardown: unsent chunks are dropped
         }
     }
-    let nodes = cluster.node_obs();
-    cluster.shutdown();
+    let nodes = cluster.node_obs().to_vec();
+    drop(cluster);
     let (storage_writes, storage_bytes) = written(&nodes)?;
-    drop(run_dir);
-
-    // Hand freed arena pages back to the OS: a sweep runs dozens of
-    // experiments in one process, and glibc otherwise accumulates each
-    // point's high-water mark until the OOM killer intervenes.
-    // SAFETY: malloc_trim is a glibc extension with no preconditions —
-    // it only releases unused arena pages back to the OS and is safe to
-    // call from any thread at any time; the declaration matches the
-    // glibc prototype `int malloc_trim(size_t pad)`.
-    #[cfg(target_env = "gnu")]
-    unsafe {
-        unsafe extern "C" {
-            fn malloc_trim(pad: usize) -> i32;
-        }
-        malloc_trim(0);
-    }
 
     let m = Measurement {
         produce_rate,

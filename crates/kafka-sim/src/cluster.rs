@@ -1,82 +1,54 @@
 //! In-process Kafka-style cluster assembly.
 //!
-//! Node id scheme (shared fabric layout with `kera_broker::cluster` so
-//! the same client stack talks to both systems):
-//! coordinator = 0, broker `i` = `1 + i`, clients = `2001 + i`. A broker
-//! is one node: its followers fetch from the runtime its clients call.
+//! The nodes boot on a [`Fabric`], the skeleton KerA boots on too, so the
+//! same client stack talks to both systems over the same node ids,
+//! transport and fault plan: brokers first, then the coordinator. A
+//! broker is one node: its followers fetch from the runtime its clients
+//! call.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use kera_common::config::ClusterConfig;
-use kera_common::ids::NodeId;
 use kera_common::Result;
-use kera_obs::{NodeObs, RegistrySnapshot};
-use kera_rpc::{InMemNetwork, NodeRuntime, NullService};
-use parking_lot::Mutex;
+use kera_rpc::Fabric;
+
+pub use kera_rpc::fabric::{broker_node, COORDINATOR};
 
 use crate::broker::{KafkaBrokerService, KafkaTuning, TopicStore};
 use crate::coordinator::KafkaCoordinator;
 use crate::fetcher::FetcherRunner;
 
-pub const COORDINATOR: NodeId = NodeId(0);
-
-pub const fn broker_node(i: u32) -> NodeId {
-    NodeId(1 + i)
-}
-
-pub const fn client_node(i: u32) -> NodeId {
-    NodeId(2001 + i)
-}
-
-/// A running in-process Kafka-style cluster.
+/// A running in-process Kafka-style cluster. Everything both systems
+/// share (network, nodes, clients, metrics, crashes) is on the
+/// [`Fabric`] it dereferences to.
 pub struct KafkaCluster {
-    pub net: InMemNetwork,
-    config: ClusterConfig,
-    coordinator_rt: Option<NodeRuntime>,
-    broker_rts: Vec<Option<NodeRuntime>>,
+    fabric: Fabric,
     fetchers: Vec<Arc<FetcherRunner>>,
     pub coordinator_svc: Arc<KafkaCoordinator>,
     pub broker_svcs: Vec<Arc<KafkaBrokerService>>,
     pub stores: Vec<Arc<TopicStore>>,
-    node_obs: Vec<Arc<NodeObs>>,
-    client_obs: Mutex<Vec<Arc<NodeObs>>>,
 }
 
 impl KafkaCluster {
     pub fn start(config: ClusterConfig, tuning: KafkaTuning) -> Result<KafkaCluster> {
-        config.validate()?;
-        let net = InMemNetwork::new();
+        let mut fabric = Fabric::new(config.clone())?;
         let b = config.brokers;
-        let broker_ids: Vec<NodeId> = (0..b).map(broker_node).collect();
-
         let mut stores = Vec::with_capacity(b as usize);
         let mut broker_svcs = Vec::with_capacity(b as usize);
-        let mut broker_rts = Vec::with_capacity(b as usize);
         let mut fetchers = Vec::with_capacity(b as usize);
 
-        let mut node_obs: Vec<Arc<NodeObs>> = Vec::new();
-        let make_obs = |id: NodeId| NodeObs::new(id.raw(), config.observability);
-
         for i in 0..b {
-            let broker_obs = make_obs(broker_node(i));
-            node_obs.push(Arc::clone(&broker_obs));
-            let store =
-                TopicStore::new_with_obs(broker_node(i), tuning, Arc::clone(&broker_obs));
-            let broker_svc = KafkaBrokerService::new(Arc::clone(&store));
-
-            let broker_rt = NodeRuntime::start_with_obs(
-                Arc::new(net.register(broker_node(i))),
-                Arc::clone(&broker_svc) as Arc<dyn kera_rpc::Service>,
-                config.worker_threads,
-                config.retry,
-                Arc::clone(&broker_obs),
-            );
+            let (broker_svc, client) = fabric.boot(broker_node(i), config.worker_threads, |obs| {
+                Ok(KafkaBrokerService::new(TopicStore::new_with_obs(broker_node(i), tuning, obs)))
+            })?;
+            let obs = Arc::clone(client.obs());
             let fetcher = FetcherRunner::new(
                 broker_node(i),
-                broker_rt.client(),
+                client,
                 Arc::clone(&broker_svc),
                 config.flush_dir.as_ref().map(|d| d.join(format!("broker-{i}"))),
-                broker_obs.registry(),
+                obs.registry(),
             );
             {
                 // Weak: the callback must not create a reference cycle
@@ -90,113 +62,46 @@ impl KafkaCluster {
                 }));
             }
 
-            stores.push(store);
+            stores.push(Arc::clone(broker_svc.store()));
             broker_svcs.push(broker_svc);
-            broker_rts.push(Some(broker_rt));
             fetchers.push(fetcher);
         }
 
-        let coordinator_svc = KafkaCoordinator::new(COORDINATOR, broker_ids);
-        let coordinator_obs = make_obs(COORDINATOR);
-        node_obs.push(Arc::clone(&coordinator_obs));
-        let coordinator_rt = NodeRuntime::start_with_obs(
-            Arc::new(net.register(COORDINATOR)),
-            Arc::clone(&coordinator_svc) as Arc<dyn kera_rpc::Service>,
-            2,
-            config.retry,
-            coordinator_obs,
-        );
-        coordinator_svc.attach_client(coordinator_rt.client());
+        let broker_ids = fabric.brokers();
+        let (coordinator_svc, client) =
+            fabric.boot(COORDINATOR, 2, |_| Ok(KafkaCoordinator::new(COORDINATOR, broker_ids)))?;
+        coordinator_svc.attach_client(client);
 
-        Ok(KafkaCluster {
-            net,
-            config,
-            coordinator_rt: Some(coordinator_rt),
-            broker_rts,
-            fetchers,
-            coordinator_svc,
-            broker_svcs,
-            stores,
-            node_obs,
-            client_obs: Mutex::named("cluster.client_obs", Vec::new()),
-        })
+        Ok(KafkaCluster { fabric, fetchers, coordinator_svc, broker_svcs, stores })
     }
 
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
-    }
+    /// Orderly shutdown of every node (what dropping the cluster does).
+    pub fn shutdown(self) {}
+}
 
-    pub fn coordinator(&self) -> NodeId {
-        COORDINATOR
+impl Deref for KafkaCluster {
+    type Target = Fabric;
+    fn deref(&self) -> &Fabric {
+        &self.fabric
     }
+}
 
-    /// The Kafka-sim coordinator is never replicated; this exists so
-    /// replica-aware harness code treats both systems uniformly.
-    pub fn coordinators(&self) -> Vec<NodeId> {
-        vec![COORDINATOR]
-    }
-
-    pub fn brokers(&self) -> Vec<NodeId> {
-        (0..self.config.brokers).map(broker_node).collect()
-    }
-
-    /// Registers a pure client node.
-    pub fn client(&self, i: u32) -> NodeRuntime {
-        let obs = NodeObs::new(client_node(i).raw(), self.config.observability);
-        self.client_obs.lock().push(Arc::clone(&obs));
-        NodeRuntime::start_with_obs(
-            Arc::new(self.net.register(client_node(i))),
-            Arc::new(NullService),
-            1,
-            self.config.retry,
-            obs,
-        )
-    }
-
-    /// Per-node observability handles (brokers, coordinator).
-    pub fn node_obs(&self) -> &[Arc<NodeObs>] {
-        &self.node_obs
-    }
-
-    /// Aggregated metrics across every node (and every client registered
-    /// through [`KafkaCluster::client`]). Per-node `node` labels keep the
-    /// merged keys disjoint.
-    pub fn metrics_snapshot(&self) -> RegistrySnapshot {
-        let mut snap = RegistrySnapshot::default();
-        for obs in &self.node_obs {
-            snap.merge(&obs.registry().snapshot());
-        }
-        for obs in self.client_obs.lock().iter() {
-            snap.merge(&obs.registry().snapshot());
-        }
-        snap
-    }
-
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        // Nodes first: a fetcher waiting for a fetch its leader keeps in
-        // the purgatory fails at once instead of at `fetch_wait`.
-        if let Some(rt) = self.coordinator_rt.take() {
-            rt.shutdown();
-        }
-        for rt in self.broker_rts.iter_mut().filter_map(Option::take) {
-            rt.shutdown();
-        }
-        for f in &self.fetchers {
-            f.shutdown();
-        }
+impl DerefMut for KafkaCluster {
+    fn deref_mut(&mut self) -> &mut Fabric {
+        &mut self.fabric
     }
 }
 
 impl Drop for KafkaCluster {
     fn drop(&mut self) {
-        // Idempotent: a cluster dropped on an error path still joins all
-        // of its threads (the fetchers hold self-referential Arcs and
-        // would otherwise live — and pin broker state — forever).
-        self.shutdown_inner();
+        // Nodes first: a fetcher waiting for a fetch its leader keeps in
+        // the purgatory fails at once instead of at `fetch_wait`. The
+        // fetchers hold self-referential Arcs and would otherwise live,
+        // and pin broker state, forever.
+        self.fabric.teardown();
+        for f in &self.fetchers {
+            f.shutdown();
+        }
     }
 }
 
@@ -401,7 +306,7 @@ mod tests {
         let cfg = ClusterConfig { brokers: 3, ..ClusterConfig::default() };
         let tuning =
             KafkaTuning { ack_timeout: Duration::from_millis(300), ..KafkaTuning::default() };
-        let cluster = KafkaCluster::start(cfg, tuning).unwrap();
+        let mut cluster = KafkaCluster::start(cfg, tuning).unwrap();
         let client_rt = cluster.client(0);
         let client = client_rt.client();
         let md = StreamMetadata::decode(
@@ -419,7 +324,7 @@ mod tests {
         // Crash the two follower brokers (their fetchers die with them).
         for i in 0..3 {
             if broker_node(i) != leader {
-                cluster.net.crash(broker_node(i));
+                cluster.crash(broker_node(i));
             }
         }
         std::thread::sleep(Duration::from_millis(50));

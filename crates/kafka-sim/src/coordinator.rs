@@ -11,6 +11,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use kera_common::ids::{NodeId, StreamId, StreamletId};
 use kera_common::{KeraError, Result};
+use kera_rpc::fabric::leader_index;
 use kera_rpc::{RequestContext, RpcClient, Service};
 use kera_wire::frames::OpCode;
 use kera_wire::messages::{
@@ -67,7 +68,7 @@ impl KafkaCoordinator {
         let mut placements = Vec::with_capacity(req.config.streamlets as usize);
         let mut per_broker: HashMap<NodeId, Vec<HostAssignment>> = HashMap::new();
         for p in 0..req.config.streamlets {
-            let leader_idx = (p % b) as usize;
+            let leader_idx = leader_index(req.config.id, p, b as usize);
             let leader = self.brokers[leader_idx];
             placements.push(StreamletPlacement { streamlet: StreamletId(p), broker: leader });
             per_broker.entry(leader).or_default().push(HostAssignment {

@@ -27,11 +27,14 @@
 //!   their budget; a call is waited on at once (`call`), later
 //!   (`call_async`, whose [`node::PendingCall`] only waits) or by nobody
 //!   (`call_detached`: its completion runs with the outcome); the same
-//!   timers run the node's one-shot timers ([`node::Reply::timer`]).
+//!   timers run the node's one-shot timers ([`node::Reply::timer`]);
+//! - [`fabric`] — the cluster skeleton both systems boot on: network,
+//!   fault plan, node ids, and every node's runtime and observability.
 //!
 //! Every node of the simulated cluster — coordinator, brokers, backups and
 //! clients — is one [`node::NodeRuntime`].
 
+pub mod fabric;
 pub mod faults;
 pub mod inmem;
 pub mod network;
@@ -39,6 +42,7 @@ pub mod node;
 pub mod tcp;
 pub mod transport;
 
+pub use fabric::Fabric;
 pub use faults::{FaultInjector, FaultPlan};
 pub use inmem::InMemNetwork;
 pub use network::{AnyNetwork, TransportKind};

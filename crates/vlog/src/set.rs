@@ -173,20 +173,6 @@ impl VirtualLogSet {
     pub fn all_logs(&self) -> Vec<Arc<VirtualLog>> {
         self.logs.read().values().cloned().collect()
     }
-
-    /// Aggregate replication statistics: (batches, chunks, bytes).
-    pub fn replication_stats(&self) -> (u64, u64, u64) {
-        let logs = self.logs.read();
-        let mut b = 0;
-        let mut c = 0;
-        let mut by = 0;
-        for log in logs.values() {
-            b += log.batches_sent.get();
-            c += log.chunks_replicated.get();
-            by += log.bytes_replicated.get();
-        }
-        (b, c, by)
-    }
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use kera::broker::cluster::broker_node;
 use kera::broker::KeraCluster;
 use kera::client::producer::{Producer, ProducerConfig};
 use kera::client::MetadataClient;
@@ -106,8 +107,13 @@ fn main() -> kera::common::Result<()> {
     // Replication consolidation: how many chunks each replication RPC
     // carried, per broker.
     println!("\nreplication consolidation (the virtual log effect):");
+    let snap = cluster.metrics_snapshot();
     for (i, b) in cluster.broker_svcs.iter().enumerate() {
-        let (batches, chunks, bytes) = b.vlogs().replication_stats();
+        let node = broker_node(i as u32).raw().to_string();
+        let count = |name| snap.counter_sum(name, &[("node", &node)]);
+        let batches = count("kera.vlog.batches_sent");
+        let chunks = count("kera.vlog.chunks_replicated");
+        let bytes = count("kera.vlog.bytes_replicated");
         if batches > 0 {
             println!(
                 "  broker {i}: {chunks} chunks in {batches} replication RPCs \

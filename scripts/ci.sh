@@ -135,6 +135,21 @@ if find crates/kafka-sim/src -name '*.rs' ! -name tests.rs -exec awk '/^#\[cfg\(
   exit 1
 fi
 
+# One cluster skeleton: KerA and Kafka boot every node through
+# kera_rpc::Fabric, which owns the network, the node ids, the node
+# registry and the teardown order, so neither cluster registers or starts
+# a node itself; the harness drives either system through its fabric,
+# with no dispatch enum (non-test lines, as above; tests.rs is a test
+# module).
+if find crates/broker/src crates/kafka-sim/src crates/harness/src -name '*.rs' ! -name tests.rs \
+        -exec awk '/^#\[cfg\(test\)\]/{nextfile}
+        /NodeRuntime::start_with_obs|net\.register\(/{print FILENAME":"FNR": "$0}' {} + \
+        | grep . \
+    || grep -rnE 'enum Cluster\b' crates/harness/src; then
+  echo "one cluster skeleton: nodes boot through kera_rpc::Fabric; no enum Cluster in the harness" >&2
+  exit 1
+fi
+
 # KerA's produce never parks a worker either: a replicated produce waits
 # as a kept Reply on its virtual logs, and the thread that lands the last
 # round it waits for answers it. No condvar or timed wait in kera-vlog,

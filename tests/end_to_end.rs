@@ -119,6 +119,32 @@ fn kera_and_kafka_deliver_identical_data() {
     }
 }
 
+/// Both coordinators place leaders with one function: a 4-streamlet
+/// stream on 4 brokers gets the same broker for every streamlet in each
+/// system, one streamlet per broker.
+#[test]
+fn kera_and_kafka_place_a_stream_alike() {
+    let config = ClusterConfig { brokers: 4, worker_threads: 1, ..ClusterConfig::default() };
+    let kera = KeraCluster::start(config.clone()).unwrap();
+    let rt = kera.client(0);
+    let on_kera = MetadataClient::new(rt.client(), kera.coordinator())
+        .create_stream(stream_config(4, 3))
+        .unwrap();
+    drop(rt);
+    kera.shutdown();
+
+    let kafka = KafkaCluster::start(config, KafkaTuning::default()).unwrap();
+    let rt = kafka.client(0);
+    let on_kafka = MetadataClient::new(rt.client(), kafka.coordinator())
+        .create_stream(stream_config(4, 3))
+        .unwrap();
+    drop(rt);
+    kafka.shutdown();
+
+    assert_eq!(on_kera.placements, on_kafka.placements);
+    assert_eq!(on_kera.brokers().len(), 4, "{:?}", on_kera.placements);
+}
+
 /// Several producers and consumers on several multi-streamlet streams —
 /// totals must reconcile exactly.
 #[test]

@@ -1,6 +1,7 @@
-//! The same cluster, clients and replication protocol over real loopback
-//! TCP sockets (the paper's client transport): every RPC crosses the
-//! kernel instead of an in-process channel.
+//! The same clusters, clients and replication protocols over real
+//! loopback TCP sockets (the paper's client transport): every RPC
+//! crosses the kernel instead of an in-process channel. Both systems
+//! boot on the fabric their config names.
 
 use std::time::Duration;
 
@@ -12,16 +13,23 @@ use kera::common::config::{
     ClusterConfig, ReplicationConfig, StreamConfig, TransportChoice, VirtualLogPolicy,
 };
 use kera::common::ids::{ProducerId, StreamId};
+use kera::kafka_sim::broker::KafkaTuning;
+use kera::kafka_sim::KafkaCluster;
+use kera::rpc::Fabric;
 
-#[test]
-fn kera_over_tcp_roundtrip() {
-    let cluster = KeraCluster::start(ClusterConfig {
+fn tcp_config() -> ClusterConfig {
+    ClusterConfig {
         brokers: 3,
         worker_threads: 2,
         transport: TransportChoice::Tcp,
         ..ClusterConfig::default()
-    })
-    .unwrap();
+    }
+}
+
+/// Produces 2000 records to an R3 stream and reads every acknowledged
+/// one back.
+fn roundtrip(cluster: &Fabric) {
+    assert!(cluster.net.as_inmem().is_none(), "the cluster runs on TCP");
     let rt = cluster.client(0);
     let meta = MetadataClient::new(rt.client(), cluster.coordinator());
     meta.create_stream(StreamConfig {
@@ -66,5 +74,20 @@ fn kera_over_tcp_roundtrip() {
     }
     assert_eq!(consumed, n, "all replicated records readable over TCP");
     consumer.close();
+}
+
+#[test]
+fn kera_over_tcp_roundtrip() {
+    let cluster = KeraCluster::start(tcp_config()).unwrap();
+    roundtrip(&cluster);
+    cluster.shutdown();
+}
+
+/// A Kafka produce at R3 is acknowledged once both followers fetched it
+/// (acks=all), over TCP too.
+#[test]
+fn kafka_over_tcp_roundtrip() {
+    let cluster = KafkaCluster::start(tcp_config(), KafkaTuning::default()).unwrap();
+    roundtrip(&cluster);
     cluster.shutdown();
 }

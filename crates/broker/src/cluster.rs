@@ -73,16 +73,13 @@ impl KeraCluster {
             broker_svcs.push(svc);
         }
 
-        // Coordinator replicas. Single replica (the default) elects
-        // itself instantly inside start_ticker and spawns no thread —
-        // the pre-replication behaviour. Replicated coordinators get
-        // more workers: the leader replicates while serving votes.
+        // Coordinator replicas. A single replica (the default) elects
+        // itself at once — the pre-replication behaviour.
         let r = config.coordinator.replicas;
         let coordinator_ids: Vec<NodeId> = (0..r).map(coordinator_node).collect();
         let mut coordinator_svcs = Vec::with_capacity(r as usize);
         for i in 0..r {
-            let workers = if r == 1 { 2 } else { 4 };
-            let (svc, client) = fabric.boot(coordinator_node(i), workers, |_| {
+            let (svc, client) = fabric.boot(coordinator_node(i), config.worker_threads, |_| {
                 Ok(CoordinatorService::replicated(
                     coordinator_node(i),
                     coordinator_ids.clone(),
@@ -94,7 +91,7 @@ impl KeraCluster {
             coordinator_svcs.push(svc);
         }
         for svc in &coordinator_svcs {
-            svc.start_ticker();
+            svc.start();
         }
 
         Ok(KeraCluster { fabric, coordinator_svcs, broker_svcs, backup_svcs })
@@ -103,16 +100,6 @@ impl KeraCluster {
     /// Index of the replica currently believing itself leader, if any.
     pub fn coordinator_leader(&self) -> Option<u32> {
         self.coordinator_svcs.iter().position(|s| s.is_leader()).map(|i| i as u32)
-    }
-
-    /// Kills coordinator replica `i`: it vanishes from the network and
-    /// its runtime and ticker are joined — a clean process exit.
-    /// Requires the in-memory fabric.
-    pub fn kill_coordinator(&mut self, i: u32) {
-        self.fabric.crash(coordinator_node(i));
-        if let Some(svc) = self.coordinator_svcs.get(i as usize) {
-            svc.stop();
-        }
     }
 
     pub fn backups(&self) -> Vec<NodeId> {
@@ -141,18 +128,6 @@ impl Deref for KeraCluster {
 impl DerefMut for KeraCluster {
     fn deref_mut(&mut self) -> &mut Fabric {
         &mut self.fabric
-    }
-}
-
-impl Drop for KeraCluster {
-    fn drop(&mut self) {
-        // Tickers first: they issue RPCs to sibling replicas, so every
-        // replica's runtime must still be up while they drain. The
-        // fabric then stops the nodes: coordinators, brokers, backups.
-        for svc in &self.coordinator_svcs {
-            svc.stop();
-        }
-        self.fabric.teardown();
     }
 }
 

@@ -8,22 +8,26 @@
 //! replicated metadata log ([`crate::metalog`]) and acknowledges only
 //! once a quorum of replicas holds it; replicas fold the committed
 //! prefix into their [`MetaState`] deterministically. Leadership comes
-//! from the election machine ([`crate::election`]): a ticker thread per
-//! replica runs heartbeats while leader and randomized election
-//! timeouts while follower. Client-facing ops on a non-leader fail with
-//! [`KeraError::NotLeader`] carrying a redirect hint;
-//! `RpcClient::call_leader` follows it.
+//! from the election machine ([`crate::election`]), driven by one
+//! self-re-arming timer per replica on its node: a leader's fires at its
+//! next heartbeat, a follower's at its election deadline. Client-facing
+//! ops on a non-leader fail with [`KeraError::NotLeader`] carrying a
+//! redirect hint; `RpcClient::call_leader` follows it.
+//!
+//! Nothing here parks a worker. Append rounds and vote requests are
+//! detached calls whose completions fold each response in as it lands.
+//! A client op keeps its `Reply`: the thread that commits its record
+//! issues the op's broker pushes, and the last push to end answers it; a
+//! stepdown refuses it and a timer at its deadline times it out.
 //!
 //! Lock discipline: the single `coord.replica` mutex guards all
 //! replication state and is **never** held across an RPC — every
-//! handler and every ticker action computes its outbound batch under
-//! the lock, drops it, performs the calls, then re-locks to fold the
-//! responses in.
+//! handler, timer and completion computes its outbound batch under the
+//! lock, drops it, then performs the calls.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -34,7 +38,7 @@ use kera_common::{KeraError, Result};
 use kera_obs::trace::Stage;
 use kera_obs::NodeObs;
 use kera_rpc::fabric::leader_index;
-use kera_rpc::{PendingCall, RequestContext, RpcClient, Service};
+use kera_rpc::{Reply, RequestContext, RpcClient, Service};
 use kera_wire::frames::OpCode;
 use kera_wire::messages::{
     CrashReassignmentResponse, CreateStreamRequest, DeleteStreamRequest, GetMetadataRequest,
@@ -44,7 +48,7 @@ use kera_wire::messages::{
 use kera_wire::meta::{
     GetLeaderResponse, MetaAppendRequest, MetaAppendResponse, MetaOp, VoteRequest, VoteResponse,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::election::ElectionMachine;
 use crate::metalog::{MetaLog, MetaState};
@@ -52,6 +56,24 @@ use crate::metalog::{MetaLog, MetaState};
 const HOST_TIMEOUT: Duration = Duration::from_secs(5);
 /// Commit budget for one metadata op when the caller sent no deadline.
 const COMMIT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// A call to a broker an op makes once its record commits.
+type Push = (NodeId, OpCode, Bytes);
+
+/// A client op as planned under the lock: its record's log index, its
+/// pushes and its answer.
+type Planned = (u64, Vec<Push>, Bytes);
+
+/// A client op whose record is in the log, waiting for it to commit.
+struct Op {
+    /// Log index of the record it waits on.
+    index: u64,
+    /// What the brokers are told once the record commits.
+    pushes: Vec<Push>,
+    /// The answer once every push has ended well.
+    ok: Bytes,
+    reply: Reply,
+}
 
 /// All replication state of one coordinator replica, under one mutex.
 struct Replica {
@@ -71,6 +93,10 @@ struct Replica {
     election_timeout: Duration,
     rng: SplitMix64,
     leader_since: Option<Instant>,
+    /// Leader-only: client ops by (caller, request id).
+    ops: HashMap<(NodeId, u64), Op>,
+    /// The protocol clock's arming; a timer of an earlier one is stale.
+    clock: u64,
 }
 
 /// The coordinator service: one replica of the replicated coordinator.
@@ -86,8 +112,8 @@ pub struct CoordinatorService {
     cfg: CoordinatorConfig,
     replica: Mutex<Replica>,
     client: OnceLock<RpcClient>,
-    shutdown: AtomicBool,
-    ticker: Mutex<Option<JoinHandle<()>>>,
+    /// This service, for the timers and completions it leaves behind.
+    me: Weak<Self>,
 }
 
 /// Applied metadata-log records that trigger a snapshot + log truncation.
@@ -112,7 +138,7 @@ impl CoordinatorService {
         // cluster-wide seed still desynchronizes election timeouts.
         let mut rng = SplitMix64::new(cfg.seed ^ (u64::from(node.raw()) << 20));
         let election_timeout = draw_timeout(&cfg, &mut rng);
-        Arc::new(Self {
+        Arc::new_cyclic(|me| Self {
             node,
             brokers_cfg: brokers,
             replica: Mutex::named("coord.replica", Replica {
@@ -127,12 +153,13 @@ impl CoordinatorService {
                 election_timeout,
                 rng,
                 leader_since: None,
+                ops: HashMap::new(),
+                clock: 0,
             }),
             replicas,
             cfg,
             client: OnceLock::new(),
-            shutdown: AtomicBool::new(false),
-            ticker: Mutex::named("coord.ticker", None),
+            me: me.clone(),
         })
     }
 
@@ -175,39 +202,23 @@ impl CoordinatorService {
 
     // ---- lifecycle -----------------------------------------------------
 
-    /// Starts this replica's protocol clock. A single-replica
-    /// configuration elects itself instantly and needs no thread; a
-    /// multi-replica one spawns the heartbeat/election ticker.
-    pub fn start_ticker(self: &Arc<Self>) {
-        if self.replicas.len() == 1 {
-            {
-                let now = Instant::now();
-                let mut st = self.replica.lock();
-                if !st.election.is_leader() {
-                    let (li, lt) = (st.log.last_index(), st.log.last_term());
-                    st.election.start_election(li, lt);
-                    st.leader_since = Some(now);
-                }
-            }
-            let _ = self.ensure_brokers_registered();
-            return;
+    /// Starts this replica's protocol. A single replica elects itself
+    /// at once and keeps no clock; one of several arms its clock for its
+    /// first election deadline.
+    pub fn start(&self) {
+        let now = Instant::now();
+        let mut st = self.replica.lock();
+        if self.replicas.len() > 1 {
+            let due = st.last_leader_contact + st.election_timeout;
+            return self.arm(&mut st, due);
         }
-        let svc = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(format!("coord-tick-{}", self.node.raw()))
-            .spawn(move || svc.tick_loop());
-        if let Ok(h) = handle {
-            *self.ticker.lock() = Some(h);
+        if !st.election.is_leader() {
+            let (li, lt) = (st.log.last_index(), st.log.last_term());
+            st.election.start_election(li, lt);
+            st.leader_since = Some(now);
         }
-    }
-
-    /// Stops the ticker (idempotent).
-    pub fn stop(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let handle = self.ticker.lock().take();
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
+        drop(st);
+        self.ensure_brokers_registered();
     }
 
     // ---- observability helpers ----------------------------------------
@@ -283,6 +294,8 @@ impl CoordinatorService {
         view
     }
 
+    /// Folds the newly committed records into the state, then snapshots
+    /// the applied prefix once it is long enough.
     fn apply_committed(st: &mut Replica) {
         while st.applied_index < st.commit_index {
             let next = st.applied_index + 1;
@@ -291,9 +304,6 @@ impl CoordinatorService {
             st.state.apply(&op);
             st.applied_index = next;
         }
-    }
-
-    fn maybe_compact(&self, st: &mut Replica) {
         if st.applied_index.saturating_sub(st.log.base_index()) >= SNAPSHOT_THRESHOLD {
             if let Some(term) = st.log.term_at(st.applied_index) {
                 st.log.compact_to(st.applied_index, term);
@@ -301,7 +311,7 @@ impl CoordinatorService {
         }
     }
 
-    fn require_leader(&self, st: &Replica) -> Result<()> {
+    fn require_leader(st: &Replica) -> Result<()> {
         if st.election.is_leader() {
             Ok(())
         } else {
@@ -318,6 +328,149 @@ impl CoordinatorService {
 
     fn round_timeout(&self) -> Duration {
         (self.cfg.heartbeat_interval * 4).max(Duration::from_millis(50))
+    }
+
+    /// Takes the ops this replica can answer now: once it no longer
+    /// leads, every one (refused — a record it appended may yet be
+    /// overwritten); while it leads, those whose record has committed.
+    fn settle(st: &mut Replica) -> Vec<(Op, Result<()>)> {
+        let (leading, commit) = (st.election.is_leader(), st.commit_index);
+        let ops: Vec<Op> =
+            st.ops.extract_if(|_, op| !leading || op.index <= commit).map(|(_, op)| op).collect();
+        ops.into_iter().map(|op| (op, Self::require_leader(st))).collect()
+    }
+
+    /// Releases the lock, then answers what it settled.
+    fn unlock(&self, mut st: MutexGuard<'_, Replica>) {
+        let settled = Self::settle(&mut st);
+        drop(st);
+        self.answer(settled);
+    }
+
+    /// A committed op tells its brokers, and the last push to end
+    /// answers it; a refused one is answered at once.
+    fn answer(&self, settled: Vec<(Op, Result<()>)>) {
+        for (op, verdict) in settled {
+            match verdict.and_then(|()| self.client()) {
+                Ok(client) => {
+                    // A committed metadata entry is control-plane progress
+                    // (the stall watchdog watches this heartbeat).
+                    self.bump_progress();
+                    client.call_all(op.pushes, HOST_TIMEOUT, op.reply, op.ok);
+                }
+                Err(e) => op.reply.send(Err(e)),
+            }
+        }
+    }
+
+    /// An op's deadline passed with its record uncommitted.
+    fn expire(&self, key: (NodeId, u64)) {
+        let op = self.replica.lock().ops.remove(&key);
+        if let Some(op) = op {
+            op.reply.send(Err(KeraError::Timeout { op: "metadata log commit" }));
+        }
+    }
+
+    // ---- the clock: heartbeats, timeouts, campaigns ---------------------
+
+    /// Arms the protocol clock for `due`, superseding any earlier arming.
+    fn arm(&self, st: &mut Replica, due: Instant) {
+        st.clock += 1;
+        let (me, clock) = (self.me.clone(), st.clock);
+        if let Some(client) = self.client.get() {
+            client.timer(due, move || {
+                if let Some(svc) = me.upgrade() {
+                    svc.tick(clock);
+                }
+            });
+        }
+    }
+
+    /// The clock fired: a leader heartbeats, or abdicates once its
+    /// quorum has been silent too long; a follower past its election
+    /// deadline campaigns. Either way the clock is re-armed.
+    fn tick(&self, clock: u64) {
+        let now = Instant::now();
+        let mut st = self.replica.lock();
+        if st.clock != clock {
+            return;
+        }
+        if st.election.is_leader() {
+            if let Some(since) = st.leader_since {
+                self.set_tenure_ms(now.duration_since(since).as_millis() as i64);
+            }
+            if now.duration_since(st.last_quorum_ack) <= self.cfg.election_timeout_max {
+                self.arm(&mut st, now + self.cfg.heartbeat_interval);
+                return self.replicate(st);
+            }
+            // Lost our quorum: stop accepting writes rather than serving
+            // a possibly-partitioned minority.
+            st.election.abdicate();
+            self.note_stepdown(&mut st);
+            st.last_leader_contact = now;
+        }
+        let mut campaign = None;
+        if now >= st.last_leader_contact + st.election_timeout {
+            self.election_event(Stage::ElectionTimeout, st.election.term());
+            let (li, lt) = (st.log.last_index(), st.log.last_term());
+            campaign = Some(st.election.start_election(li, lt));
+            st.election_timeout = draw_timeout(&self.cfg, &mut st.rng);
+            st.last_leader_contact = now;
+        }
+        let due = st.last_leader_contact + st.election_timeout;
+        self.arm(&mut st, due);
+        self.unlock(st);
+        if let Some(req) = campaign {
+            self.campaign(req);
+        }
+    }
+
+    /// Broadcasts one vote request; each answer is folded in as it lands.
+    fn campaign(&self, req: VoteRequest) {
+        self.bump("coord_elections_total");
+        self.election_event(Stage::ElectionVote, req.term);
+        let Ok(client) = self.client() else { return };
+        let vote_timeout = (self.cfg.election_timeout_min / 2).max(Duration::from_millis(20));
+        for &peer in self.replicas.iter().filter(|&&r| r != self.node) {
+            let me = self.me.clone();
+            client.call_detached(peer, OpCode::RequestVote, req.encode(), vote_timeout, move |r| {
+                let resp = r.and_then(|b| VoteResponse::decode(&b));
+                if let (Some(svc), Ok(resp)) = (me.upgrade(), resp) {
+                    svc.on_vote(peer, resp);
+                }
+            });
+        }
+    }
+
+    /// Folds one vote in. On winning, asserts authority at once and
+    /// re-drives the cluster side effects a deposed leader may have left
+    /// half-done; both are idempotent.
+    fn on_vote(&self, peer: NodeId, resp: VoteResponse) {
+        let now = Instant::now();
+        let mut st = self.replica.lock();
+        if st.election.observe_term(resp.term) {
+            self.note_stepdown(&mut st);
+        }
+        if !st.election.on_vote_response(peer, &resp) {
+            return self.unlock(st);
+        }
+        st.leader_since = Some(now);
+        st.last_quorum_ack = now;
+        let floor = st.log.last_index().min(st.commit_index);
+        for p in st.election.peers().to_vec() {
+            // Optimistically assume peers hold our committed prefix; a
+            // rejection lowers this to the real tail.
+            st.match_index.insert(p, floor);
+        }
+        let term = st.election.term();
+        self.arm(&mut st, now + self.cfg.heartbeat_interval);
+        self.unlock(st);
+        self.election_event(Stage::ElectionWon, term);
+        if term > 1 {
+            self.bump("coord_failovers_total");
+        }
+        self.ensure_brokers_registered();
+        self.repush_all_hosting();
     }
 
     // ---- replication (leader side) ------------------------------------
@@ -362,50 +515,54 @@ impl CoordinatorService {
             .collect()
     }
 
-    /// Sends one append round and folds the responses in: match indices
-    /// move forward, the commit index advances over quorum-replicated
-    /// current-term entries, and a higher observed term deposes us.
-    fn run_append_round(&self, batches: Vec<(NodeId, MetaAppendRequest)>) -> Result<()> {
-        let client = self.client()?;
-        let round_timeout = self.round_timeout();
-        let mut calls: Vec<(NodeId, PendingCall)> = Vec::with_capacity(batches.len());
+    /// Starts one append round from the leader's log — after committing
+    /// what a quorum already holds, which with no peers is all of it —
+    /// and releases the lock. Each response is folded in as it lands; a
+    /// round that is lost is made good by the next heartbeat.
+    fn replicate(&self, mut st: MutexGuard<'_, Replica>) {
+        let term = st.election.term();
+        let batches = if st.election.is_leader() {
+            Self::advance_commit(&mut st);
+            self.build_round(&st)
+        } else {
+            Vec::new()
+        };
+        let settled = Self::settle(&mut st);
+        drop(st);
+        self.answer(settled);
+        let Ok(client) = self.client() else { return };
+        // Acknowledgements of this round, the leader's own included.
+        let (acks, timeout) = (Arc::new(AtomicUsize::new(1)), self.round_timeout());
         for (peer, req) in batches {
-            let payload = req.encode()?;
-            calls.push((peer, client.call_async(peer, OpCode::MetaAppend, payload, round_timeout)));
-        }
-        let round_deadline = Instant::now() + round_timeout;
-        let mut responses = Vec::new();
-        for (peer, call) in calls {
-            let left = round_deadline
-                .saturating_duration_since(Instant::now())
-                .max(Duration::from_millis(1));
-            if let Ok(bytes) = call.wait(left) {
-                if let Ok(resp) = MetaAppendResponse::decode(&bytes) {
-                    responses.push((peer, resp));
+            let Ok(payload) = req.encode() else { continue };
+            let (me, acks) = (self.me.clone(), Arc::clone(&acks));
+            client.call_detached(peer, OpCode::MetaAppend, payload, timeout, move |r| {
+                let resp = r.and_then(|b| MetaAppendResponse::decode(&b));
+                if let (Some(svc), Ok(resp)) = (me.upgrade(), resp) {
+                    svc.on_appended(term, peer, resp, &acks);
                 }
-            }
+            });
         }
+    }
 
-        // Clock read hoisted above the lock (no-time-under-lock): an
-        // ack timestamp a hair early only shortens the leader's lease.
+    /// Folds one append response of a round sent in `term`: the peer's
+    /// match index moves, a quorum of the round stamps the leader's
+    /// lease, the commit index advances, and a higher term deposes us.
+    fn on_appended(&self, term: u64, peer: NodeId, resp: MetaAppendResponse, acks: &AtomicUsize) {
+        // Clock read hoisted above the lock (no-time-under-lock): an ack
+        // timestamp a hair early only shortens the leader's lease.
         let acked_at = Instant::now();
         let mut st = self.replica.lock();
-        let mut successes = 0usize;
-        for (peer, resp) in responses {
-            if st.election.observe_term(resp.term) {
-                self.note_stepdown(&mut st);
-                return Err(KeraError::NotLeader {
-                    hint: st.election.leader_hint(),
-                    term: st.election.term(),
-                });
-            }
-            if !st.election.is_leader() {
-                break;
-            }
+        if st.election.observe_term(resp.term) {
+            self.note_stepdown(&mut st);
+        } else if st.election.is_leader() && st.election.term() == term {
             if resp.success {
-                successes += 1;
                 let mi = st.match_index.entry(peer).or_insert(0);
                 *mi = (*mi).max(resp.match_index);
+                if acks.fetch_add(1, Ordering::Relaxed) + 1 == st.election.quorum() {
+                    st.last_quorum_ack = acked_at;
+                }
+                Self::advance_commit(&mut st);
             } else {
                 // The follower told us where its log actually ends; the
                 // next round resends from there (or ships a snapshot).
@@ -413,14 +570,7 @@ impl CoordinatorService {
                 st.match_index.insert(peer, resp.match_index.min(cap));
             }
         }
-        if st.election.is_leader() {
-            if successes + 1 >= st.election.quorum() {
-                st.last_quorum_ack = acked_at;
-            }
-            Self::advance_commit(&mut st);
-            self.maybe_compact(&mut st);
-        }
-        Ok(())
+        self.unlock(st);
     }
 
     fn advance_commit(st: &mut Replica) {
@@ -436,195 +586,27 @@ impl CoordinatorService {
         }
     }
 
-    /// Drives append rounds until the record at `target` is committed,
-    /// the deadline passes, or we are deposed.
-    fn replicate_to_commit(&self, target: u64, deadline: Instant) -> Result<()> {
-        let r = self.replicate_to_commit_inner(target, deadline);
-        if r.is_ok() {
-            // A committed metadata entry is control-plane progress (the
-            // stall watchdog watches this heartbeat).
-            self.bump_progress();
-        }
-        r
-    }
-
-    fn replicate_to_commit_inner(&self, target: u64, deadline: Instant) -> Result<()> {
-        loop {
-            let batches = {
-                let mut st = self.replica.lock();
-                self.require_leader(&st)?;
-                if self.replicas.len() == 1 {
-                    st.commit_index = st.log.last_index();
-                    Self::apply_committed(&mut st);
-                    self.maybe_compact(&mut st);
-                }
-                if st.commit_index >= target {
-                    return Ok(());
-                }
-                self.build_round(&st)
-            };
-            self.run_append_round(batches)?;
-            if self.replica.lock().commit_index >= target {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                return Err(KeraError::Timeout { op: "metadata log commit" });
-            }
-            // A dead peer fails sends instantly; don't spin hot on it.
-            std::thread::sleep(self.cfg.heartbeat_interval.min(Duration::from_millis(25)));
-        }
-    }
-
-    // ---- ticker: heartbeats, timeouts, campaigns ----------------------
-
-    fn tick_loop(self: &Arc<Self>) {
-        enum Action {
-            Idle,
-            Heartbeat,
-            Campaign(VoteRequest),
-        }
-        let granularity = (self.cfg.heartbeat_interval / 2).max(Duration::from_millis(1));
-        let mut last_heartbeat = Instant::now() - self.cfg.heartbeat_interval;
-        loop {
-            std::thread::sleep(granularity);
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let now = Instant::now();
-            let action = {
-                let mut st = self.replica.lock();
-                if st.election.is_leader() {
-                    if let Some(since) = st.leader_since {
-                        self.set_tenure_ms(now.duration_since(since).as_millis() as i64);
-                    }
-                    if now.duration_since(st.last_quorum_ack) > self.cfg.election_timeout_max {
-                        // Lost our quorum: stop accepting writes rather
-                        // than serving a possibly-partitioned minority.
-                        st.election.abdicate();
-                        self.note_stepdown(&mut st);
-                        st.last_leader_contact = now;
-                        Action::Idle
-                    } else if now.duration_since(last_heartbeat) >= self.cfg.heartbeat_interval {
-                        Action::Heartbeat
-                    } else {
-                        Action::Idle
-                    }
-                } else if now.duration_since(st.last_leader_contact) >= st.election_timeout {
-                    self.election_event(Stage::ElectionTimeout, st.election.term());
-                    let (li, lt) = (st.log.last_index(), st.log.last_term());
-                    let req = st.election.start_election(li, lt);
-                    st.election_timeout = draw_timeout(&self.cfg, &mut st.rng);
-                    st.last_leader_contact = now;
-                    Action::Campaign(req)
-                } else {
-                    Action::Idle
-                }
-            };
-            match action {
-                Action::Heartbeat => {
-                    last_heartbeat = Instant::now();
-                    let _ = self.heartbeat_round();
-                }
-                Action::Campaign(req) => {
-                    self.bump("coord_elections_total");
-                    self.run_campaign(req);
-                }
-                Action::Idle => {}
-            }
-        }
-    }
-
-    /// One heartbeat: an append round that doubles as catch-up and
-    /// commit-index driver for lagging peers.
-    fn heartbeat_round(&self) -> Result<()> {
-        let batches = {
-            let st = self.replica.lock();
-            if !st.election.is_leader() {
-                return Ok(());
-            }
-            self.build_round(&st)
-        };
-        self.run_append_round(batches)
-    }
-
-    /// Broadcasts one vote request and folds the responses. On winning,
-    /// asserts authority immediately and re-drives cluster side effects.
-    fn run_campaign(&self, req: VoteRequest) {
-        let Ok(client) = self.client() else { return };
-        let mut span = client.obs().root_span(Stage::ElectionVote);
-        span.set_aux(req.term);
-        let peers = { self.replica.lock().election.peers().to_vec() };
-        let vote_timeout = (self.cfg.election_timeout_min / 2).max(Duration::from_millis(20));
-        let calls: Vec<(NodeId, PendingCall)> = peers
-            .into_iter()
-            .map(|peer| (peer, client.call_async(peer, OpCode::RequestVote, req.encode(), vote_timeout)))
-            .collect();
-        let vote_deadline = Instant::now() + vote_timeout;
-        let mut won = false;
-        for (peer, call) in calls {
-            let left = vote_deadline
-                .saturating_duration_since(Instant::now())
-                .max(Duration::from_millis(1));
-            let Ok(bytes) = call.wait(left) else { continue };
-            let Ok(resp) = VoteResponse::decode(&bytes) else { continue };
-            let now = Instant::now();
-            let mut st = self.replica.lock();
-            if st.election.on_vote_response(peer, &resp) {
-                st.leader_since = Some(now);
-                st.last_quorum_ack = now;
-                let floor = st.log.last_index().min(st.commit_index);
-                for p in st.election.peers().to_vec() {
-                    // Optimistically assume peers hold our committed
-                    // prefix; a rejection lowers this to the real tail.
-                    st.match_index.insert(p, floor);
-                }
-                let term = st.election.term();
-                drop(st);
-                self.election_event(Stage::ElectionWon, term);
-                if term > 1 {
-                    self.bump("coord_failovers_total");
-                }
-                won = true;
-                break;
-            }
-        }
-        if won {
-            // Assert authority before followers' timers fire again.
-            let _ = self.heartbeat_round();
-            // Re-drive side effects a deposed leader may have left
-            // half-done; both are idempotent.
-            let _ = self.ensure_brokers_registered();
-            self.repush_all_hosting();
-        }
-    }
-
     /// Appends (idempotent) RegisterBroker records for the configured
-    /// broker set. Every new leader appends at least one, which also
-    /// serves as the current-term record that unblocks committing any
-    /// prior-term tail (see [`Self::advance_commit`]).
-    fn ensure_brokers_registered(&self) -> Result<()> {
-        let target = {
-            let mut st = self.replica.lock();
-            self.require_leader(&st)?;
-            let view = Self::preview(&st);
-            let term = st.election.term();
-            let mut target = 0u64;
-            for &b in &self.brokers_cfg {
-                if !view.brokers.contains(&b) {
-                    target = st.log.append(term, MetaOp::RegisterBroker { node: b }).index;
-                }
-            }
-            if target == 0 {
-                match self.brokers_cfg.first() {
-                    Some(&b) => {
-                        target = st.log.append(term, MetaOp::RegisterBroker { node: b }).index;
-                    }
-                    None => return Ok(()),
-                }
-            }
-            target
-        };
-        self.replicate_to_commit(target, Instant::now() + COMMIT_TIMEOUT)
+    /// broker set and starts their round; nobody waits for it. Every new
+    /// leader appends at least one, which also serves as the
+    /// current-term record that unblocks committing any prior-term tail
+    /// (see [`Self::advance_commit`]).
+    fn ensure_brokers_registered(&self) {
+        let mut st = self.replica.lock();
+        let Some(&first) = self.brokers_cfg.first() else { return };
+        if !st.election.is_leader() {
+            return;
+        }
+        let view = Self::preview(&st);
+        let term = st.election.term();
+        let mut missing = self.brokers_cfg.iter().filter(|b| !view.brokers.contains(b)).peekable();
+        if missing.peek().is_none() {
+            st.log.append(term, MetaOp::RegisterBroker { node: first });
+        }
+        for &node in missing {
+            st.log.append(term, MetaOp::RegisterBroker { node });
+        }
+        self.replicate(st);
     }
 
     /// Re-sends HostStream for every committed stream (idempotent on the
@@ -641,10 +623,8 @@ impl CoordinatorService {
             }
             st.state.streams.values().cloned().collect()
         };
-        for meta in &metas {
-            for (broker, req) in Self::host_requests(meta, None) {
-                client.call_detached(broker, OpCode::HostStream, req, HOST_TIMEOUT, |_| {});
-            }
+        for (broker, opcode, req) in metas.iter().flat_map(Self::host_requests) {
+            client.call_detached(broker, opcode, req, HOST_TIMEOUT, |_| {});
         }
     }
 
@@ -652,22 +632,20 @@ impl CoordinatorService {
 
     fn handle_vote(&self, payload: &Bytes) -> Result<Bytes> {
         let req = VoteRequest::decode(payload)?;
-        let resp = {
-            let now = Instant::now();
-            let mut st = self.replica.lock();
-            let was_leader = st.election.is_leader();
-            let (li, lt) = (st.log.last_index(), st.log.last_term());
-            let resp = st.election.on_vote_request(&req, li, lt);
-            if resp.granted {
-                // We promised our vote; grant the candidate a full
-                // election window before campaigning ourselves.
-                st.last_leader_contact = now;
-            }
-            if was_leader && !st.election.is_leader() {
-                self.note_stepdown(&mut st);
-            }
-            resp
-        };
+        let now = Instant::now();
+        let mut st = self.replica.lock();
+        let was_leader = st.election.is_leader();
+        let (li, lt) = (st.log.last_index(), st.log.last_term());
+        let resp = st.election.on_vote_request(&req, li, lt);
+        if resp.granted {
+            // We promised our vote; grant the candidate a full
+            // election window before campaigning ourselves.
+            st.last_leader_contact = now;
+        }
+        if was_leader && !st.election.is_leader() {
+            self.note_stepdown(&mut st);
+        }
+        self.unlock(st);
         self.election_event(Stage::ElectionVote, resp.term);
         Ok(resp.encode())
     }
@@ -676,14 +654,26 @@ impl CoordinatorService {
         let req = MetaAppendRequest::decode(payload)?;
         let now = Instant::now();
         let mut st = self.replica.lock();
+        let resp = self.append_entries(&mut st, req, now);
+        self.unlock(st);
+        if resp.success {
+            self.bump_progress();
+        }
+        Ok(resp.encode())
+    }
+
+    fn append_entries(
+        &self,
+        st: &mut Replica,
+        req: MetaAppendRequest,
+        now: Instant,
+    ) -> MetaAppendResponse {
         let was_leader = st.election.is_leader();
         if !st.election.on_leader_contact(req.term, req.leader) {
-            let resp =
-                MetaAppendResponse { term: st.election.term(), success: false, match_index: 0 };
-            return Ok(resp.encode());
+            return MetaAppendResponse { term: st.election.term(), success: false, match_index: 0 };
         }
         if was_leader && !st.election.is_leader() {
-            self.note_stepdown(&mut st);
+            self.note_stepdown(st);
         }
         st.last_leader_contact = now;
 
@@ -707,12 +697,11 @@ impl CoordinatorService {
             None => false,
         };
         if !consistent {
-            let resp = MetaAppendResponse {
+            return MetaAppendResponse {
                 term: st.election.term(),
                 success: false,
                 match_index: st.log.last_index().min(req.prev_index.saturating_sub(1)),
             };
-            return Ok(resp.encode());
         }
         for rec in req.entries {
             match st.log.term_at(rec.index) {
@@ -723,16 +712,9 @@ impl CoordinatorService {
             st.log.push(rec);
         }
         st.commit_index = st.commit_index.max(req.commit_index.min(st.log.last_index()));
-        Self::apply_committed(&mut st);
-        self.maybe_compact(&mut st);
-        let resp = MetaAppendResponse {
-            term: st.election.term(),
-            success: true,
-            match_index: st.log.last_index(),
-        };
-        drop(st);
-        self.bump_progress();
-        Ok(resp.encode())
+        Self::apply_committed(st);
+        let match_index = st.log.last_index();
+        MetaAppendResponse { term: st.election.term(), success: true, match_index }
     }
 
     fn handle_get_leader(&self) -> Result<Bytes> {
@@ -750,65 +732,42 @@ impl CoordinatorService {
     }
 
     // ---- client-facing ops (leader only) ------------------------------
+    //
+    // Each validates against the preview and appends its record under the
+    // lock.
 
-    fn handle_create(&self, ctx: &RequestContext, req: CreateStreamRequest) -> Result<StreamMetadata> {
+    fn create(&self, st: &mut Replica, payload: &Bytes) -> Result<Planned> {
+        let req = CreateStreamRequest::decode(payload)?;
         req.config.validate()?;
-        let (index, metadata) = {
-            let mut st = self.replica.lock();
-            self.require_leader(&st)?;
-            let view = Self::preview(&st);
-            if view.streams.contains_key(&req.config.id) {
-                return Err(KeraError::StreamExists(req.config.id));
-            }
-            let alive = view.alive_brokers();
-            if view.brokers.is_empty() && !self.brokers_cfg.is_empty() {
-                // Term won, `ensure_brokers_registered` not yet run: ask again.
-                return Err(KeraError::NotLeader { hint: None, term: st.election.term() });
-            }
-            if alive.is_empty() {
-                return Err(KeraError::NoCapacity("no alive brokers".into()));
-            }
-            let placements: Vec<StreamletPlacement> = (0..req.config.streamlets)
-                .map(|i| StreamletPlacement {
-                    streamlet: StreamletId(i),
-                    broker: alive[leader_index(req.config.id, i, alive.len())],
-                })
-                .collect();
-            let metadata = StreamMetadata { config: req.config.clone(), placements };
-            let term = st.election.term();
-            let rec = st.log.append(term, MetaOp::CreateStream { metadata: metadata.clone() });
-            (rec.index, metadata)
-        };
-        self.replicate_to_commit(index, self.op_deadline(ctx))?;
-        self.push_hosting(&metadata, None)?;
-        Ok(metadata)
-    }
-
-    /// Sends HostStream to every broker owning streamlets of `metadata`
-    /// and waits for each. With `only` set, restricts to that broker
-    /// (recovery path).
-    fn push_hosting(&self, metadata: &StreamMetadata, only: Option<NodeId>) -> Result<()> {
-        let client = self.client()?;
-        let calls: Vec<_> = Self::host_requests(metadata, only)
-            .map(|(broker, req)| client.call_async(broker, OpCode::HostStream, req, HOST_TIMEOUT))
-            .collect();
-        for c in calls {
-            c.wait(HOST_TIMEOUT)?;
+        Self::require_leader(st)?;
+        let view = Self::preview(st);
+        if view.streams.contains_key(&req.config.id) {
+            return Err(KeraError::StreamExists(req.config.id));
         }
-        Ok(())
+        let alive = view.alive_brokers();
+        if view.brokers.is_empty() && !self.brokers_cfg.is_empty() {
+            // Term won, `ensure_brokers_registered` not yet run: ask again.
+            return Err(KeraError::NotLeader { hint: None, term: st.election.term() });
+        }
+        if alive.is_empty() {
+            return Err(KeraError::NoCapacity("no alive brokers".into()));
+        }
+        let placements: Vec<StreamletPlacement> = (0..req.config.streamlets)
+            .map(|i| StreamletPlacement {
+                streamlet: StreamletId(i),
+                broker: alive[leader_index(req.config.id, i, alive.len())],
+            })
+            .collect();
+        let metadata = StreamMetadata { config: req.config, placements };
+        let term = st.election.term();
+        let rec = st.log.append(term, MetaOp::CreateStream { metadata: metadata.clone() });
+        Ok((rec.index, Self::host_requests(&metadata).collect(), metadata.encode()))
     }
 
-    /// The encoded HostStream request of each broker owning streamlets of
-    /// `metadata` (of `only`, when set).
-    fn host_requests(
-        metadata: &StreamMetadata,
-        only: Option<NodeId>,
-    ) -> impl Iterator<Item = (NodeId, Bytes)> + '_ {
+    /// The HostStream push to each broker owning streamlets of `metadata`.
+    fn host_requests(metadata: &StreamMetadata) -> impl Iterator<Item = Push> + '_ {
         let mut per_broker: HashMap<NodeId, Vec<HostAssignment>> = HashMap::new();
         for p in &metadata.placements {
-            if only.map(|b| b != p.broker).unwrap_or(false) {
-                continue;
-            }
             per_broker.entry(p.broker).or_default().push(HostAssignment {
                 streamlet: p.streamlet,
                 role: ReplicaRole::Leader,
@@ -816,119 +775,96 @@ impl CoordinatorService {
             });
         }
         per_broker.into_iter().map(|(broker, assignments)| {
-            (broker, HostStreamRequest { metadata: metadata.clone(), assignments }.encode())
+            let req = HostStreamRequest { metadata: metadata.clone(), assignments };
+            (broker, OpCode::HostStream, req.encode())
         })
     }
 
     /// Deletes a stream: commits the removal, then tells every broker
     /// that hosted its streamlets to unhost them (freeing dedicated
     /// virtual logs and their backup segments).
-    fn handle_delete(&self, ctx: &RequestContext, stream: StreamId) -> Result<()> {
-        let (index, metadata) = {
-            let mut st = self.replica.lock();
-            self.require_leader(&st)?;
-            let view = Self::preview(&st);
-            let metadata =
-                view.streams.get(&stream).cloned().ok_or(KeraError::UnknownStream(stream))?;
-            let term = st.election.term();
-            let rec = st.log.append(term, MetaOp::DeleteStream { stream });
-            (rec.index, metadata)
-        };
-        self.replicate_to_commit(index, self.op_deadline(ctx))?;
-        let client = self.client()?;
-        let payload = DeleteStreamRequest { stream }.encode();
-        let calls: Vec<_> = metadata
-            .brokers()
-            .into_iter()
-            // lint: allow(no-hot-copy) — refcount clone of a tiny control frame
-            .map(|b| client.call_async(b, OpCode::DeleteStream, payload.clone(), HOST_TIMEOUT))
-            .collect();
-        for c in calls {
-            c.wait(HOST_TIMEOUT)?;
-        }
-        Ok(())
+    fn delete(&self, st: &mut Replica, payload: &Bytes) -> Result<Planned> {
+        let stream = DeleteStreamRequest::decode(payload)?.stream;
+        Self::require_leader(st)?;
+        let view = Self::preview(st);
+        let metadata = view.streams.get(&stream).ok_or(KeraError::UnknownStream(stream))?;
+        let unhost = |b| (b, OpCode::DeleteStream, DeleteStreamRequest { stream }.encode());
+        let pushes = metadata.brokers().into_iter().map(unhost).collect();
+        let term = st.election.term();
+        Ok((st.log.append(term, MetaOp::DeleteStream { stream }).index, pushes, Bytes::new()))
     }
 
     fn handle_metadata(&self, req: GetMetadataRequest) -> Result<StreamMetadata> {
         let st = self.replica.lock();
-        self.require_leader(&st)?;
+        Self::require_leader(&st)?;
         st.state.streams.get(&req.stream).cloned().ok_or(KeraError::UnknownStream(req.stream))
     }
 
-    /// Marks `dead` crashed and reassigns its streamlets to survivors.
-    /// The reassignment list is computed once by the leader and carried
-    /// in the committed record, so every replica applies the identical
-    /// decision. Returns the reassignments; the caller (recovery
-    /// manager) replays the data from backups afterwards.
+    /// Marks the reported node crashed and reassigns its streamlets to
+    /// survivors, whose brokers are told to host them once the record
+    /// commits. The reassignment list is computed once by the leader and
+    /// carried in the committed record, so every replica applies the
+    /// identical decision. Answers the reassignments; the caller
+    /// (recovery manager) replays the data from backups afterwards.
     ///
     /// A repeat (`call_leader` re-probes under a fresh request id when an
     /// answer is lost or late) appends nothing: it answers what the node's
     /// `MarkDead` record decided, once that has committed.
-    fn handle_crash(
-        &self,
-        ctx: &RequestContext,
-        req: ReportCrashRequest,
-    ) -> Result<CrashReassignmentResponse> {
-        let (index, reassignments, metas) = {
-            let mut st = self.replica.lock();
-            self.require_leader(&st)?;
-            let mut view = Self::preview(&st);
-            let (index, reassignments) = if view.dead.contains(&req.node) {
-                // (The record is gone once compacted into a snapshot —
-                // long after a caller could still be repeating itself.)
-                st.log
-                    .entries_after(st.log.base_index())
-                    .find_map(|rec| match &rec.op {
-                        MetaOp::MarkDead { node, reassignments } if *node == req.node => {
-                            Some((rec.index, reassignments.clone()))
-                        }
-                        _ => None,
-                    })
-                    .unwrap_or_default()
-            } else {
-                view.dead.insert(req.node);
-                let alive = view.alive_brokers();
-                if alive.is_empty() {
-                    return Err(KeraError::NoCapacity("no alive brokers left".into()));
-                }
-                // Deterministic order (sorted stream ids, placement order
-                // within a stream) so the decided record is reproducible.
-                let mut ids: Vec<StreamId> = view.streams.keys().copied().collect();
-                ids.sort_unstable();
-                let mut reassignments = Vec::new();
-                let mut rr = 0usize;
-                for id in &ids {
-                    for p in &view.streams[id].placements {
-                        if p.broker == req.node {
-                            reassignments.push(Reassignment {
-                                stream: *id,
-                                streamlet: p.streamlet,
-                                new_broker: alive[rr % alive.len()],
-                            });
-                            rr += 1;
-                        }
+    fn crash(&self, st: &mut Replica, payload: &Bytes) -> Result<Planned> {
+        let req = ReportCrashRequest::decode(payload)?;
+        Self::require_leader(st)?;
+        let mut view = Self::preview(st);
+        let (index, reassignments) = if view.dead.contains(&req.node) {
+            // (The record is gone once compacted into a snapshot — long
+            // after a caller could still be repeating itself.)
+            st.log
+                .entries_after(st.log.base_index())
+                .find_map(|rec| match &rec.op {
+                    MetaOp::MarkDead { node, reassignments } if *node == req.node => {
+                        Some((rec.index, reassignments.clone()))
+                    }
+                    _ => None,
+                })
+                .unwrap_or_default()
+        } else {
+            view.dead.insert(req.node);
+            let alive = view.alive_brokers();
+            if alive.is_empty() {
+                return Err(KeraError::NoCapacity("no alive brokers left".into()));
+            }
+            // Deterministic order (sorted stream ids, placement order
+            // within a stream) so the decided record is reproducible.
+            let mut ids: Vec<StreamId> = view.streams.keys().copied().collect();
+            ids.sort_unstable();
+            let mut reassignments = Vec::new();
+            let mut rr = 0usize;
+            for id in &ids {
+                for p in &view.streams[id].placements {
+                    if p.broker == req.node {
+                        reassignments.push(Reassignment {
+                            stream: *id,
+                            streamlet: p.streamlet,
+                            new_broker: alive[rr % alive.len()],
+                        });
+                        rr += 1;
                     }
                 }
-                let op = MetaOp::MarkDead { node: req.node, reassignments: reassignments.clone() };
-                view.apply(&op);
-                let term = st.election.term();
-                (st.log.append(term, op).index, reassignments)
-            };
-            let mut touched: Vec<StreamId> = reassignments.iter().map(|r| r.stream).collect();
-            touched.sort_unstable();
-            touched.dedup();
-            let metas: Vec<StreamMetadata> =
-                touched.iter().filter_map(|id| view.streams.get(id).cloned()).collect();
-            (index, reassignments, metas)
-        };
-        self.replicate_to_commit(index, self.op_deadline(ctx))?;
-        // Tell the new owners to host their inherited streamlets.
-        for meta in &metas {
-            for broker in meta.brokers() {
-                self.push_hosting(meta, Some(broker))?;
             }
-        }
-        Ok(CrashReassignmentResponse { reassignments })
+            let op = MetaOp::MarkDead { node: req.node, reassignments: reassignments.clone() };
+            view.apply(&op);
+            let term = st.election.term();
+            (st.log.append(term, op).index, reassignments)
+        };
+        // Tell the new owners to host their inherited streamlets.
+        let mut touched: Vec<StreamId> = reassignments.iter().map(|r| r.stream).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let pushes = touched
+            .iter()
+            .filter_map(|id| view.streams.get(id))
+            .flat_map(Self::host_requests)
+            .collect();
+        Ok((index, pushes, CrashReassignmentResponse { reassignments }.encode()))
     }
 }
 
@@ -940,30 +876,44 @@ impl Service for CoordinatorService {
             OpCode::RequestVote => self.handle_vote(&payload),
             OpCode::MetaAppend => self.handle_append(&payload),
             OpCode::GetLeader => self.handle_get_leader(),
-            OpCode::CreateStream => {
-                let req = CreateStreamRequest::decode(&payload)?;
-                Ok(self.handle_create(ctx, req)?.encode())
-            }
             OpCode::GetMetadata => {
                 let req = GetMetadataRequest::decode(&payload)?;
                 Ok(self.handle_metadata(req)?.encode())
             }
-            OpCode::ReportCrash => {
-                let req = ReportCrashRequest::decode(&payload)?;
-                Ok(self.handle_crash(ctx, req)?.encode())
-            }
-            OpCode::DeleteStream => {
-                self.handle_delete(ctx, DeleteStreamRequest::decode(&payload)?.stream)?;
-                Ok(Bytes::new())
-            }
             other => Err(KeraError::Protocol(format!("coordinator cannot serve {other:?}"))),
         }
     }
-}
 
-impl Drop for CoordinatorService {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+    /// CreateStream, DeleteStream and ReportCrash keep their `Reply`:
+    /// the op's record is appended and its round started, and the worker
+    /// is free. A timer at the op's deadline answers `Timeout` if nothing
+    /// else has by then.
+    fn serve(&self, ctx: &RequestContext, payload: Bytes, reply: Reply) {
+        type Plan = fn(&CoordinatorService, &mut Replica, &Bytes) -> Result<Planned>;
+        let plan: Plan = match ctx.opcode {
+            OpCode::CreateStream => Self::create,
+            OpCode::DeleteStream => Self::delete,
+            OpCode::ReportCrash => Self::crash,
+            _ => return reply.send(self.handle(ctx, payload)),
+        };
+        let deadline = self.op_deadline(ctx);
+        let mut st = self.replica.lock();
+        match plan(self, &mut st, &payload) {
+            Ok((index, pushes, ok)) => {
+                let (me, key) = (self.me.clone(), (ctx.from, ctx.request_id));
+                reply.timer(deadline, move || {
+                    if let Some(svc) = me.upgrade() {
+                        svc.expire(key);
+                    }
+                });
+                st.ops.insert(key, Op { index, pushes, ok, reply });
+                self.replicate(st);
+            }
+            Err(e) => {
+                drop(st);
+                reply.send(Err(e));
+            }
+        }
     }
 }
 
@@ -971,6 +921,42 @@ impl Drop for CoordinatorService {
 mod tests {
     use super::*;
     use kera_common::config::StreamConfig;
+    use kera_rpc::inmem::InMemNetwork;
+    use kera_rpc::node::NodeRuntime;
+    use kera_rpc::NullService;
+
+    const T: Duration = Duration::from_secs(5);
+
+    /// A single-replica coordinator on node 0 that has won its term the
+    /// way `start` does, and stopped there; `attached` gives it its node's
+    /// client (without one it cannot push to brokers). Returns the
+    /// runtimes to keep alive and a client node's handle to call it with.
+    fn coordinator(
+        net: &InMemNetwork,
+        brokers: Vec<NodeId>,
+        attached: bool,
+    ) -> (Arc<CoordinatorService>, Vec<NodeRuntime>, RpcClient) {
+        let svc = CoordinatorService::replicated(
+            NodeId(0),
+            vec![NodeId(0)],
+            brokers,
+            CoordinatorConfig::default(),
+        );
+        let rt = NodeRuntime::start(
+            Arc::new(net.register(NodeId(0))),
+            Arc::clone(&svc) as Arc<dyn Service>,
+            1,
+        );
+        if attached {
+            svc.attach_client(rt.client());
+        }
+        svc.replica.lock().election.start_election(0, 0);
+        assert!(svc.is_leader());
+        let caller =
+            NodeRuntime::start(Arc::new(net.register(NodeId(9))), Arc::new(NullService), 1);
+        let client = caller.client();
+        (svc, vec![rt, caller], client)
+    }
 
     /// The new-leader window: a replica that has won its term but not yet
     /// run its post-win steps (`ensure_brokers_registered`) previews an
@@ -978,44 +964,27 @@ mod tests {
     /// `call_leader` does — not the non-retriable "no capacity".
     #[test]
     fn a_leader_without_its_registrations_refuses_create_stream_retriably() {
-        let brokers = vec![NodeId(1), NodeId(2)];
-        let svc = CoordinatorService::replicated(
-            NodeId(0),
-            vec![NodeId(0)],
-            brokers,
-            CoordinatorConfig::default(),
-        );
-        // Win the term the way `start_ticker` does, and stop there.
-        svc.replica.lock().election.start_election(0, 0);
-        assert!(svc.is_leader());
-
-        let ctx = RequestContext {
-            from: NodeId(9),
-            opcode: OpCode::CreateStream,
-            request_id: 1,
-            deadline: None,
-            trace: kera_obs::TraceContext::NONE,
-        };
+        let net = InMemNetwork::new();
+        let (svc, _rts, client) = coordinator(&net, vec![NodeId(1), NodeId(2)], false);
         let req = CreateStreamRequest { config: StreamConfig::kafka_like(StreamId(1), 2) };
-        let err = svc.handle(&ctx, req.encode()).unwrap_err();
+        let err = client.call(NodeId(0), OpCode::CreateStream, req.encode(), T).unwrap_err();
         assert!(matches!(err, KeraError::NotLeader { .. }), "got {err}");
 
         // Once the registrations are in the log the same request passes
-        // validation (and then needs a runtime to push the hosting).
-        svc.ensure_brokers_registered().unwrap();
-        let err = svc.handle(&ctx, req.encode()).unwrap_err();
+        // validation and commits (and then needs its node's client to
+        // push the hosting).
+        svc.ensure_brokers_registered();
+        let err = client.call(NodeId(0), OpCode::CreateStream, req.encode(), T).unwrap_err();
         assert!(matches!(err, KeraError::Protocol(_)), "got {err}");
         assert_eq!(svc.committed_streams(), 1);
     }
+
     /// `call_leader` repeats a `ReportCrash` whose answer was lost under a
     /// fresh request id. The repeat must answer what the first run
     /// decided — the recovery manager re-ingests onto exactly those
     /// owners — and decide nothing itself.
     #[test]
     fn a_repeated_crash_report_answers_the_first_decision_and_appends_nothing() {
-        use kera_rpc::inmem::InMemNetwork;
-        use kera_rpc::node::NodeRuntime;
-
         /// A broker as the coordinator sees it: accepts `HostStream`.
         struct Hosts;
         impl Service for Hosts {
@@ -1029,38 +998,19 @@ mod tests {
             .iter()
             .map(|&b| NodeRuntime::start(Arc::new(net.register(b)), Arc::new(Hosts), 1))
             .collect();
-        let svc = CoordinatorService::replicated(
-            NodeId(0),
-            vec![NodeId(0)],
-            brokers,
-            CoordinatorConfig::default(),
-        );
-        let rt = NodeRuntime::start(
-            Arc::new(net.register(NodeId(0))),
-            Arc::clone(&svc) as Arc<dyn Service>,
-            1,
-        );
-        svc.attach_client(rt.client());
-        svc.replica.lock().election.start_election(0, 0);
-        svc.ensure_brokers_registered().unwrap();
+        let (svc, _rts, client) = coordinator(&net, brokers, true);
+        svc.ensure_brokers_registered();
 
-        let ctx = |opcode, request_id| RequestContext {
-            from: NodeId(9),
-            opcode,
-            request_id,
-            deadline: None,
-            trace: kera_obs::TraceContext::NONE,
-        };
         let create = CreateStreamRequest { config: StreamConfig::kafka_like(StreamId(1), 4) };
-        svc.handle(&ctx(OpCode::CreateStream, 1), create.encode()).unwrap();
+        client.call(NodeId(0), OpCode::CreateStream, create.encode(), T).unwrap();
 
         let records_before = svc.replica.lock().log.last_index();
-        let report = |request_id| {
+        let report = || {
             let req = ReportCrashRequest { node: NodeId(1) };
-            let reply = svc.handle(&ctx(OpCode::ReportCrash, request_id), req.encode()).unwrap();
+            let reply = client.call(NodeId(0), OpCode::ReportCrash, req.encode(), T).unwrap();
             CrashReassignmentResponse::decode(&reply).unwrap().reassignments
         };
-        let (first, repeat) = (report(2), report(3));
+        let (first, repeat) = (report(), report());
         assert!(!first.is_empty() && first.iter().all(|r| r.new_broker == NodeId(2)), "{first:?}");
         assert_eq!(repeat, first);
         assert_eq!(svc.replica.lock().log.last_index(), records_before + 1);

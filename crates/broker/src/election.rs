@@ -2,10 +2,10 @@
 //!
 //! [`ElectionMachine`] is the *pure* core of the protocol: terms, votes,
 //! role transitions and the log-freshness check, with no clocks, RPC or
-//! locks. The coordinator service drives it — its ticker thread decides
-//! *when* to start an election (randomized timeouts drawn from the
-//! seeded [`kera_common::rng::SplitMix64`]) and carries the vote
-//! messages over kera-rpc; the machine decides *what* the replica may
+//! locks. The coordinator service drives it — its clock, one timer on
+//! its node, decides *when* to start an election (randomized timeouts
+//! drawn from the seeded [`kera_common::rng::SplitMix64`]) and detached
+//! calls carry the vote messages over kera-rpc; the machine decides *what* the replica may
 //! do. Keeping it pure makes the protocol unit-testable with fully
 //! deterministic message interleavings (see the tests below) and keeps
 //! kera-lint's no-guards-across-RPC rule trivially satisfiable.

@@ -5,7 +5,7 @@
 use std::time::{Duration, Instant};
 
 use kera_broker::cluster::KeraCluster;
-use kera_common::config::{ClusterConfig, FaultProfile};
+use kera_common::config::{ClusterConfig, CoordinatorConfig, FaultProfile};
 use kera_rpc::thread_count_named;
 
 /// A thread names itself as it starts, so wait for the last of them.
@@ -61,6 +61,29 @@ fn a_node_runtime_is_its_workers_and_nothing_else() {
     let client = cluster.client(0);
     await_named("worker-", workers);
     assert_eq!(thread_count_named("faults-delay"), 0, "a delay line is back");
+    assert_eq!(thread_count_named("") - before, workers, "an uncounted thread class");
+    drop(client);
+    cluster.shutdown();
+
+    // Third phase: a replicated coordinator is its replicas' workers, as
+    // many as any node's; each replica's clock is a timer on its node.
+    // (With a `coord-tick-<node>` thread per replica and four workers
+    // each, this cluster ran 9 more threads, 28 in all.)
+    let before = thread_count_named("");
+    let coordinator = CoordinatorConfig { replicas: 3, ..CoordinatorConfig::default() };
+    let config =
+        ClusterConfig { brokers: 3, worker_threads: 2, coordinator, ..ClusterConfig::default() };
+    let cluster = KeraCluster::start(config).unwrap();
+    let client = cluster.client(0);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while cluster.coordinator_leader().is_none() {
+        assert!(Instant::now() < deadline, "no coordinator leader");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let workers = 9 * 2 + 1;
+    await_named("worker-", workers);
+    assert_eq!(thread_count_named("worker-"), workers);
+    assert_eq!(thread_count_named("coord-tick-"), 0, "a coordinator ticker is back");
     assert_eq!(thread_count_named("") - before, workers, "an uncounted thread class");
     drop(client);
     cluster.shutdown();

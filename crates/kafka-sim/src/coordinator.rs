@@ -12,7 +12,7 @@ use bytes::Bytes;
 use kera_common::ids::{NodeId, StreamId, StreamletId};
 use kera_common::{KeraError, Result};
 use kera_rpc::fabric::leader_index;
-use kera_rpc::{RequestContext, RpcClient, Service};
+use kera_rpc::{Reply, RequestContext, RpcClient, Service};
 use kera_wire::frames::OpCode;
 use kera_wire::messages::{
     CreateStreamRequest, GetMetadataRequest, HostAssignment, HostStreamRequest, ReplicaRole,
@@ -21,6 +21,9 @@ use kera_wire::messages::{
 use parking_lot::Mutex;
 
 const HOST_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// A HostStream call to one broker.
+type Push = (NodeId, OpCode, Bytes);
 
 /// The Kafka-style coordinator (the controller, roughly).
 pub struct KafkaCoordinator {
@@ -49,7 +52,9 @@ impl KafkaCoordinator {
         self.node
     }
 
-    fn handle_create(&self, req: CreateStreamRequest) -> Result<StreamMetadata> {
+    /// Places a topic and records it; returns its metadata and the
+    /// HostStream push to each of its brokers.
+    fn create(&self, req: CreateStreamRequest) -> Result<(StreamMetadata, Vec<Push>)> {
         req.config.validate()?;
         let b = self.brokers.len() as u32;
         if req.config.replication.factor > b {
@@ -87,19 +92,14 @@ impl KafkaCoordinator {
         }
         let metadata = StreamMetadata { config: req.config.clone(), placements };
         self.topics.lock().insert(req.config.id, metadata.clone());
-
-        let client = self.client()?;
-        let calls: Vec<_> = per_broker
+        let pushes = per_broker
             .into_iter()
             .map(|(broker, assignments)| {
                 let host = HostStreamRequest { metadata: metadata.clone(), assignments };
-                client.call_async(broker, OpCode::HostStream, host.encode(), HOST_TIMEOUT)
+                (broker, OpCode::HostStream, host.encode())
             })
             .collect();
-        for c in calls {
-            c.wait(HOST_TIMEOUT)?;
-        }
-        Ok(metadata)
+        Ok((metadata, pushes))
     }
 
     fn handle_metadata(&self, req: GetMetadataRequest) -> Result<StreamMetadata> {
@@ -115,10 +115,6 @@ impl Service for KafkaCoordinator {
     fn handle(&self, ctx: &RequestContext, payload: Bytes) -> Result<Bytes> {
         match ctx.opcode {
             OpCode::Ping => Ok(Bytes::new()),
-            OpCode::CreateStream => {
-                let req = CreateStreamRequest::decode(&payload)?;
-                Ok(self.handle_create(req)?.encode())
-            }
             OpCode::GetMetadata => {
                 let req = GetMetadataRequest::decode(&payload)?;
                 Ok(self.handle_metadata(req)?.encode())
@@ -126,6 +122,21 @@ impl Service for KafkaCoordinator {
             other => {
                 Err(KeraError::Protocol(format!("kafka coordinator cannot serve {other:?}")))
             }
+        }
+    }
+
+    /// A CreateStream keeps its `Reply`: the last of its HostStream
+    /// pushes to end answers it.
+    fn serve(&self, ctx: &RequestContext, payload: Bytes, reply: Reply) {
+        if ctx.opcode != OpCode::CreateStream {
+            return reply.send(self.handle(ctx, payload));
+        }
+        let created = CreateStreamRequest::decode(&payload).and_then(|req| self.create(req));
+        match (created, self.client()) {
+            (Ok((metadata, pushes)), Ok(client)) => {
+                client.call_all(pushes, HOST_TIMEOUT, reply, metadata.encode())
+            }
+            (Err(e), _) | (_, Err(e)) => reply.send(Err(e)),
         }
     }
 }

@@ -26,8 +26,10 @@
 //!   policy (at-most-once via a server-side response cache) and end at
 //!   their budget; a call is waited on at once (`call`), later
 //!   (`call_async`, whose [`node::PendingCall`] only waits) or by nobody
-//!   (`call_detached`: its completion runs with the outcome); the same
-//!   timers run the node's one-shot timers ([`node::Reply::timer`]);
+//!   (`call_detached`: its completion runs with the outcome; `call_all`:
+//!   a fan-out whose last call to end answers a `Reply`); the same
+//!   timers run the node's one-shot timers ([`node::Reply::timer`],
+//!   [`node::RpcClient::timer`]);
 //! - [`fabric`] — the cluster skeleton both systems boot on: network,
 //!   fault plan, node ids, and every node's runtime and observability.
 //!

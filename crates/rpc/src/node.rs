@@ -32,14 +32,15 @@
 //!
 //! The same timers are the node's one clock for anything else: a
 //! one-shot [`Deliver::timer`] — a parked request's expiry
-//! ([`Reply::timer`]), a frame the fault plan delays — sits on them too
+//! ([`Reply::timer`]), a service's own clock ([`RpcClient::timer`]), a
+//! frame the fault plan delays — sits on them too
 //! and runs on one of the node's workers, under no lock; a node that
 //! closes drops the ones that have not run.
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
@@ -145,6 +146,26 @@ impl Drop for Reply {
         if let Some(inner) = self.span.take().and_then(|_| self.node.upgrade()) {
             inner.obs.inflight_exit();
             inner.dedup.abandon(self.key);
+        }
+    }
+}
+
+/// A [`Reply`] shared by the completions of [`RpcClient::call_all`]: the
+/// last one dropped sends it.
+struct Joined {
+    reply: Option<Reply>,
+    ok: Bytes,
+    /// The first error a call ended with.
+    err: OnceLock<KeraError>,
+}
+
+impl Drop for Joined {
+    fn drop(&mut self) {
+        if let Some(reply) = self.reply.take() {
+            reply.send(match self.err.take() {
+                Some(e) => Err(e),
+                None => Ok(std::mem::take(&mut self.ok)),
+            });
         }
     }
 }
@@ -809,6 +830,33 @@ impl RpcClient {
         self.start(call, Outcome::Completion(Box::new(done)));
     }
 
+    /// Issues `calls` detached, each with `budget`, and answers `reply`
+    /// once the last has ended: with the first error among them, or with
+    /// `ok`. With no calls it answers `ok` at once.
+    pub fn call_all(
+        &self,
+        calls: impl IntoIterator<Item = (NodeId, OpCode, Bytes)>,
+        budget: Duration,
+        reply: Reply,
+        ok: Bytes,
+    ) {
+        let joined = Arc::new(Joined { reply: Some(reply), ok, err: OnceLock::new() });
+        for (to, opcode, payload) in calls {
+            let joined = Arc::clone(&joined);
+            self.call_detached(to, opcode, payload, budget, move |result| {
+                if let Err(e) = result {
+                    let _ = joined.err.set(e);
+                }
+            });
+        }
+    }
+
+    /// Runs `timer` once, no earlier than `due`, on one of this node's
+    /// workers ([`Deliver::timer`]); false once the node has closed.
+    pub fn timer(&self, due: Instant, timer: impl FnOnce() + Send + 'static) -> bool {
+        self.inner.timer(due, Box::new(timer))
+    }
+
     /// Synchronous call: a [`PendingCall`] with budget `timeout`, waited
     /// on for as long.
     ///
@@ -1297,6 +1345,54 @@ mod tests {
         );
         let (raw, raw_in) = crate::testkit::endpoint(net.register(NodeId(9)));
         (net, svc, server, raw, raw_in)
+    }
+
+    /// `call_all` answers once the last of its calls has ended, with the
+    /// first error among them.
+    #[test]
+    fn call_all_answers_when_its_last_call_ends() {
+        /// Fans every request out twice to node 2, which parks both.
+        struct Fan(OnceLock<RpcClient>);
+        impl Service for Fan {
+            fn handle(&self, _ctx: &RequestContext, payload: Bytes) -> Result<Bytes> {
+                Ok(payload)
+            }
+            fn serve(&self, _ctx: &RequestContext, payload: Bytes, reply: Reply) {
+                let fetch = |payload| (NodeId(2), OpCode::Fetch, payload);
+                let calls = [fetch(payload.clone()), fetch(payload)];
+                let ok = Bytes::from_static(b"all");
+                self.0.get().unwrap().call_all(calls, Duration::from_secs(2), reply, ok);
+            }
+        }
+        let net = InMemNetwork::new();
+        let fan = Arc::new(Fan(OnceLock::new()));
+        let fan_rt =
+            NodeRuntime::start(Arc::new(net.register(NodeId(1))), Arc::clone(&fan) as _, 1);
+        fan.0.set(fan_rt.client()).ok().unwrap();
+        let parking = Arc::new(Parking::default());
+        let _parking_rt =
+            NodeRuntime::start(Arc::new(net.register(NodeId(2))), Arc::clone(&parking) as _, 1);
+        let client_rt =
+            NodeRuntime::start(Arc::new(net.register(NodeId(3))), Arc::new(NullService), 1);
+        let client = client_rt.client();
+        let budget = Duration::from_secs(2);
+        let ping = || client.call_async(NodeId(1), OpCode::Ping, Bytes::new(), budget);
+
+        let mut call = ping();
+        parking.wait_parked(2);
+        parking.take().send(Err(KeraError::NoCapacity("first".into())));
+        assert!(call.poll_wait(Duration::from_millis(50)).is_none(), "answered before the last");
+        parking.take().send(Ok(Bytes::new()));
+        match call.wait(budget) {
+            Err(KeraError::NoCapacity(m)) => assert!(m.contains("first"), "{m}"),
+            other => panic!("not the first error: {other:?}"),
+        }
+
+        let call = ping();
+        parking.wait_parked(2);
+        parking.take().send(Ok(Bytes::new()));
+        parking.take().send(Ok(Bytes::new()));
+        assert_eq!(&call.wait(budget).unwrap()[..], b"all");
     }
 
     #[test]

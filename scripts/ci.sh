@@ -163,6 +163,19 @@ if find crates/vlog/src crates/broker/src/broker.rs crates/broker/src/channel.rs
   exit 1
 fi
 
+# The coordinator never parks a worker and has no thread of its own
+# (ROADMAP item 5(a)): its protocol clock is one timer on its node, its
+# rounds and votes are detached calls, and an op keeps its Reply until
+# the last push after its commit ends. No sleep, thread or blocking wait
+# in either system's coordinator (non-test lines, as above).
+if awk '/^#\[cfg\(test\)\]/{exit} /thread::sleep|thread::Builder|JoinHandle|\.wait\(/{print FILENAME":"FNR": "$0}' \
+        crates/broker/src/coordinator.rs | grep . \
+    || awk '/^#\[cfg\(test\)\]/{exit} /\.wait\(/{print FILENAME":"FNR": "$0}' \
+        crates/kafka-sim/src/coordinator.rs | grep .; then
+  echo "a coordinator never parks a worker: no sleep, thread or .wait( in either coordinator" >&2
+  exit 1
+fi
+
 # A figure is declared once, in crates/harness/src/figures.rs, and graded
 # by `figure check`: the committed results/ must earn their declared
 # verdicts (file-only, instant), and one live short-window pass — fig13,
@@ -209,8 +222,9 @@ if ! KERA_FLIGHTREC=1 cargo test -q -p kera -p kera-rpc -p kera-vlog -p kera-bro
   exit 1
 fi
 
-# The six named drills — coordinator failover (DESIGN.md §10: leader
-# killed / held / partitioned mid-ingest), overload (§11: the 10:1
+# The seven named drills — coordinator failover (DESIGN.md §10: leader
+# crashed / held / partitioned mid-ingest, and a held quorum under
+# which the leader still answers), overload (§11: the 10:1
 # raw-RPC storm, the slow-consumer pile-up) and the stall drill (§13: a
 # held backup, the watchdog's dump) — ran in the
 # workspace pass and again, instrumented and with the recorder armed,
@@ -221,6 +235,7 @@ for drill in \
     coordinator_leader_kill_fails_over_without_metadata_loss \
     coordinator_frozen_leader_is_deposed_and_steps_down_on_thaw \
     coordinator_partitioned_leader_abdicates_and_rejoins \
+    coordinator_answers_get_leader_while_its_quorum_is_held \
     raw_rpc_storm_does_not_starve_a_polite_producer \
     slow_consumer_pileup_keeps_broker_bounded \
     held_backup_mid_ingest_triggers_watchdog_dump; do

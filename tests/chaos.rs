@@ -18,10 +18,13 @@ use kera::common::config::{
     ClusterConfig, CoordinatorConfig, FaultProfile, ReplicationConfig, RetryPolicy, StreamConfig,
     VirtualLogPolicy,
 };
-use kera::common::ids::{ConsumerId, ProducerId, StreamId, StreamletId};
+use kera::common::ids::{ConsumerId, NodeId, ProducerId, StreamId, StreamletId};
 use kera::common::KeraError;
 use kera::wire::frames::OpCode;
-use kera::wire::messages::{introspect_sections, IntrospectRequest, IntrospectResponse, ProduceRequest};
+use kera::wire::messages::{
+    introspect_sections, CreateStreamRequest, IntrospectRequest, IntrospectResponse, ProduceRequest,
+};
+use kera::wire::meta::GetLeaderResponse;
 
 /// Serializes the drills: each one spins up a full multi-node cluster
 /// (worker pools, chaos threads, in the overload storm ten full-speed
@@ -321,7 +324,11 @@ fn crash_recovery_survives_lossy_network() {
 /// timeouts (so a failover completes in tens of milliseconds, not the
 /// production default of hundreds) and the chaos retry policy.
 fn replicated_cluster(brokers: u32, faults: Option<FaultProfile>) -> KeraCluster {
-    KeraCluster::start(ClusterConfig {
+    KeraCluster::start(replicated_config(brokers, faults)).unwrap()
+}
+
+fn replicated_config(brokers: u32, faults: Option<FaultProfile>) -> ClusterConfig {
+    ClusterConfig {
         brokers,
         worker_threads: 4,
         faults,
@@ -339,8 +346,7 @@ fn replicated_cluster(brokers: u32, faults: Option<FaultProfile>) -> KeraCluster
             max_backoff: Duration::from_millis(20),
         },
         ..ClusterConfig::default()
-    })
-    .unwrap()
+    }
 }
 
 /// Upper bound on how long a failover may take before the suite calls it
@@ -396,7 +402,7 @@ fn assert_no_split_brain(cluster: &KeraCluster) {
     }
 }
 
-/// Kill the leader (clean process exit) while producers are mid-stream:
+/// Crash the leader while producers are mid-stream:
 /// a survivor must take over within the election window, in-flight
 /// ingestion must keep acknowledging, and every committed stream must
 /// still resolve afterwards — no metadata loss, no split-brain.
@@ -431,7 +437,7 @@ fn coordinator_leader_kill_fails_over_without_metadata_loss() {
     // Kill the leader, then keep producing immediately: the data plane
     // (brokers + backups) must not miss a beat during the election.
     let old = cluster.coordinator_leader().expect("bootstrap election completed");
-    cluster.kill_coordinator(old);
+    cluster.crash(coordinator_node(old));
     let failover_started = Instant::now();
     for i in PHASE1..TOTAL {
         producer.send(StreamId(1), &payload(i)).unwrap();
@@ -573,6 +579,62 @@ fn coordinator_partitioned_leader_abdicates_and_rejoins() {
     assert_no_split_brain(&cluster);
     let snap = cluster.metrics_snapshot();
     assert!(snap.counter_sum("coord_failovers_total", &[]) >= 1);
+    cluster.shutdown();
+}
+
+/// A coordinator op waits as a kept `Reply`, not on a worker: with both
+/// followers held, eight CreateStreams wait for a quorum that cannot
+/// answer, and the leader still answers a GetLeader at once. (With each
+/// op parking a worker until its commit or the leader's abdication, the
+/// GetLeader queued behind them for seconds.) On release every create
+/// ends, committed or timed out.
+#[test]
+fn coordinator_answers_get_leader_while_its_quorum_is_held() {
+    let _serial = serial();
+    let config = replicated_config(2, Some(FaultProfile::default()));
+    let coordinator = CoordinatorConfig {
+        election_timeout_min: Duration::from_secs(2),
+        election_timeout_max: Duration::from_secs(3),
+        ..config.coordinator
+    };
+    let cluster = KeraCluster::start(ClusterConfig { coordinator, ..config }).unwrap();
+    let leader = await_new_leader(&cluster, None);
+    let followers: Vec<NodeId> =
+        (0..3).filter(|&i| i != leader).map(coordinator_node).collect();
+    let leader = coordinator_node(leader);
+    let plan = cluster.fault_plan().expect("started with a fault plan").clone();
+    let rt = cluster.client(0);
+    let client = rt.client();
+
+    for &f in &followers {
+        plan.hold(f);
+    }
+    let budget = Duration::from_secs(5);
+    let creates: Vec<_> = (1..=8)
+        .map(|i| {
+            let req = CreateStreamRequest { config: stream_config_for(i, 2) };
+            client.call_async(leader, OpCode::CreateStream, req.encode(), budget)
+        })
+        .collect();
+    let asked = Instant::now();
+    let answer = client
+        .call(leader, OpCode::GetLeader, bytes::Bytes::new(), Duration::from_millis(500))
+        .expect("GetLeader answered while the creates wait");
+    assert!(asked.elapsed() < Duration::from_millis(500), "{:?}", asked.elapsed());
+    assert!(GetLeaderResponse::decode(&answer).unwrap().is_leader);
+
+    for &f in &followers {
+        plan.release(f);
+    }
+    for create in creates {
+        match create.wait(budget) {
+            Ok(_) | Err(KeraError::Timeout { .. }) => {}
+            // The leader's own commit deadline, as it crosses the wire.
+            Err(KeraError::Protocol(m)) if m.contains("metadata log commit timed out") => {}
+            Err(e) => panic!("a create ended in {e}"),
+        }
+    }
+    assert_no_split_brain(&cluster);
     cluster.shutdown();
 }
 

@@ -9,7 +9,10 @@
 //! A [`TcpNetwork`] is a directory mapping [`NodeId`]s to socket
 //! addresses. Each registered node binds an ephemeral listener; outbound
 //! connections are created lazily, one per (source, destination) pair, and
-//! writes are serialized per destination. Accepting starts when the node
+//! writes are serialized per destination. A frame goes out in one vectored
+//! write (`writev`): the prefix and the envelope header from a small stack
+//! buffer, the payload straight from its shared allocation, never copied
+//! into a frame buffer. Accepting starts when the node
 //! binds its [`Deliver`] target (earlier connections wait in the listen
 //! backlog); each inbound connection's reader thread delivers to it.
 //!
@@ -20,7 +23,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -68,9 +71,10 @@ impl TcpNetwork {
         Self::default()
     }
 
-    /// A network whose receivers reject frames larger than
-    /// `max_frame_bytes` (length prefix included payload) by dropping
-    /// the connection.
+    /// A network whose receivers drop the connection on a frame whose
+    /// length prefix exceeds `max_frame_bytes`. The prefix counts the
+    /// envelope header plus its payload, not the prefix itself; senders
+    /// refuse such a frame locally.
     pub fn with_max_frame(max_frame_bytes: usize) -> Self {
         Self { dir: Arc::default(), max_frame_bytes }
     }
@@ -273,6 +277,27 @@ fn forget<T>(conns: &mut HashMap<NodeId, Arc<T>>, to: NodeId, failed: &Arc<T>) {
     }
 }
 
+/// Writes one frame — `prefix ‖ header ‖ payload` — in one vectored write
+/// (more only if the kernel takes part of it). Prefix and header share one
+/// small stack buffer; the payload goes straight from its shared
+/// allocation.
+fn write_frame(out: &mut impl Write, prefix: u32, env: &Envelope) -> io::Result<()> {
+    let mut head = [0u8; 4 + Envelope::HEADER_LEN];
+    head[..4].copy_from_slice(&prefix.to_le_bytes());
+    head[4..].copy_from_slice(&env.encode_header());
+    let mut bufs = [IoSlice::new(&head), IoSlice::new(&env.payload)];
+    let mut bufs = &mut bufs[..];
+    while !bufs.is_empty() {
+        match out.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 impl Transport for TcpTransport {
     fn local(&self) -> NodeId {
         self.id
@@ -290,13 +315,7 @@ impl Transport for TcpTransport {
         let prefix = kera_wire::checked_len("tcp frame", frame_len)?;
         let conn = self.connection(to)?;
         let mut guard = conn.lock();
-        // Prefix and header share one small stack buffer; the payload is
-        // written straight from its shared allocation.
-        let mut head = [0u8; 4 + Envelope::HEADER_LEN];
-        head[..4].copy_from_slice(&prefix.to_le_bytes());
-        head[4..].copy_from_slice(&env.encode_header());
-        let res = guard.write_all(&head).and_then(|_| guard.write_all(&env.payload));
-        if res.is_err() {
+        if write_frame(&mut *guard, prefix, &env).is_err() {
             // Connection broke: forget it so the next send redials.
             drop(guard);
             forget(&mut self.conns.lock(), to, &conn);
@@ -349,6 +368,135 @@ mod tests {
         // Nothing mapped: nothing to do.
         forget(&mut conns, NodeId(7), &failed);
         assert!(conns.is_empty());
+    }
+
+    /// A writer that takes at most 7 bytes per call, across slices, and
+    /// fails every third call with `Interrupted`.
+    #[derive(Default)]
+    struct Trickle {
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let before = self.out.len();
+            for b in bufs {
+                let room = 7 - (self.out.len() - before);
+                self.out.extend_from_slice(&b[..b.len().min(room)]);
+            }
+            Ok(self.out.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The bytes a frame must put on the wire: `len ‖ header ‖ payload`.
+    fn wire_bytes(env: &Envelope) -> Vec<u8> {
+        let len = (Envelope::HEADER_LEN + env.payload.len()) as u32;
+        [&len.to_le_bytes()[..], &env.encode_header(), &env.payload].concat()
+    }
+
+    #[test]
+    fn a_frame_survives_short_and_interrupted_writes() {
+        for payload_len in [0usize, 1, 6, 7, 100] {
+            let payload = Bytes::from((0..payload_len as u8).collect::<Vec<_>>());
+            let env = Envelope::request(OpCode::Produce, 42, NodeId(3), payload);
+            let mut out = Trickle::default();
+            let prefix = (Envelope::HEADER_LEN + payload_len) as u32;
+            write_frame(&mut out, prefix, &env).unwrap();
+            assert_eq!(out.out, wire_bytes(&env), "payload of {payload_len} bytes");
+        }
+    }
+
+    #[test]
+    fn a_writer_that_takes_nothing_is_an_error_not_a_loop() {
+        /// Takes nothing; a sender that kept asking would spin forever.
+        struct Full(usize);
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                self.0 += 1;
+                assert!(self.0 < 100, "write_frame retries a writer that takes nothing");
+                Ok(0)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let env = Envelope::request(OpCode::Ping, 1, NodeId(1), Bytes::from_static(b"x"));
+        let err = write_frame(&mut Full(0), Envelope::HEADER_LEN as u32 + 1, &env).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+    }
+
+    #[test]
+    fn frames_on_the_wire_are_length_prefix_header_payload() {
+        // A hand-rolled peer: a bare listener in the directory, read raw.
+        let net = TcpNetwork::new();
+        let a = net.register(NodeId(1)).unwrap();
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        net.add_peer(NodeId(9), listener.local_addr().unwrap()).unwrap();
+        let envs = [
+            Envelope::request(OpCode::Ping, 1, NodeId(1), Bytes::new()),
+            Envelope::request(OpCode::Produce, 2, NodeId(1), Bytes::from_static(b"payload")),
+            Envelope::request(OpCode::Fetch, 3, NodeId(1), Bytes::from(vec![0x5a; 70_000])),
+        ];
+        for env in &envs {
+            a.send(NodeId(9), env.clone()).unwrap();
+        }
+        let (mut peer, _) = listener.accept().unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let expected: Vec<u8> = envs.iter().flat_map(wire_bytes).collect();
+        let mut got = vec![0u8; expected.len()];
+        peer.read_exact(&mut got).unwrap();
+        assert!(got == expected, "the stream differs from len ‖ header ‖ payload");
+    }
+
+    #[test]
+    fn concurrent_large_frames_arrive_whole_and_once() {
+        const THREADS: u64 = 4;
+        const FRAMES: u64 = 8;
+        const LEN: usize = 2 << 20;
+        let net = TcpNetwork::new();
+        let a = Arc::new(net.register(NodeId(1)).unwrap());
+        let (_b, b_in) = endpoint(net.register(NodeId(2)).unwrap());
+        // Frames far larger than the socket buffer, so a write blocks or
+        // returns short mid-frame while other senders wait on the lock.
+        // Each frame is filled with its own byte: a torn or interleaved
+        // frame shows as a mixed one.
+        let senders: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let a = Arc::clone(&a);
+                std::thread::spawn(move || {
+                    for i in 0..FRAMES {
+                        let id = t * FRAMES + i;
+                        let body = Bytes::from(vec![id as u8; LEN]);
+                        a.send(NodeId(2), Envelope::request(OpCode::Produce, id, NodeId(1), body))
+                            .unwrap();
+                    }
+                })
+            })
+            .collect();
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..THREADS * FRAMES {
+            let env = b_in.recv(Duration::from_secs(10)).unwrap().expect("frame lost");
+            assert!(seen.insert(env.request_id), "duplicate {}", env.request_id);
+            assert_eq!(env.payload.len(), LEN);
+            assert!(env.payload.iter().all(|&b| b == env.request_id as u8), "frame torn");
+        }
+        for s in senders {
+            s.join().unwrap();
+        }
+        assert!(b_in.recv(Duration::from_millis(50)).unwrap().is_none(), "extra frame");
     }
 
     #[test]

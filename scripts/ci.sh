@@ -33,6 +33,15 @@ if grep -rnE '^ *fn recv\(|"dispatch-' crates/rpc/src; then
   exit 1
 fi
 
+# A TCP frame costs one syscall: prefix, header and payload go out in one
+# vectored write, so nothing in the transport writes a part on its own
+# (non-test lines: the file up to its first `#[cfg(test)]`, as in scripts/loc.sh).
+if awk '/^#\[cfg\(test\)\]/{exit} /write_all\(/{print FILENAME":"FNR": "$0}' \
+        crates/rpc/src/tcp.rs | grep .; then
+  echo "kera-rpc: a TCP frame goes out in one vectored write, not in write_all calls" >&2
+  exit 1
+fi
+
 # No thread class stands between a produce and the backups: a round is
 # sent by the worker that registered a request on its log or by the
 # thread that landed the round before it, and nothing brings one back.

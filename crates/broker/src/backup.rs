@@ -511,7 +511,7 @@ mod tests {
     fn closed_segments_flush_to_disk() {
         let dir = std::env::temp_dir().join(format!("kera-backup-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let flusher = DiskFlusher::start(dir.clone()).unwrap();
+        let flusher = DiskFlusher::start(dir.clone(), Default::default()).unwrap();
         let b = BackupService::new(NodeId(100), Some(flusher));
         let (c1, k1) = chunk_bytes(2);
         let (c2, k2) = chunk_bytes(3);

@@ -45,19 +45,10 @@ impl KeraCluster {
         // Backups first (brokers replicate into them).
         let mut backup_svcs = Vec::with_capacity(b as usize);
         for i in 0..b {
+            let dir = fabric.write_dir(backup_node(i));
             let (svc, _) = fabric.boot(backup_node(i), config.worker_threads, |obs| {
-                let flusher = match &config.flush_dir {
-                    Some(dir) => {
-                        let reg = obs.registry();
-                        let metrics = FlushMetrics {
-                            latency: reg.histogram("kera.storage.flush", &[]),
-                            bytes: reg.counter("kera.storage.flush_bytes", &[]),
-                            errors: reg.counter("kera.storage.flush_errors", &[]),
-                        };
-                        Some(DiskFlusher::start_with_metrics(dir.join(format!("backup-{i}")), metrics)?)
-                    }
-                    None => None,
-                };
+                let metrics = || FlushMetrics::registered(obs.registry());
+                let flusher = dir.map(|dir| DiskFlusher::start(dir, metrics())).transpose()?;
                 Ok(BackupService::with_obs(backup_node(i), flusher, obs))
             })?;
             backup_svcs.push(svc);

@@ -338,16 +338,18 @@ pub struct ClusterConfig {
     pub worker_threads: usize,
     /// Fabric choice (in-memory channels or loopback TCP).
     pub transport: TransportChoice,
-    /// Retired: the busy-wait that stood in for a storage write. Backups
-    /// and followers now write their files under `flush_dir`, so only `0`
-    /// is accepted (ROADMAP item 13). Kept until the benchmark stops
-    /// setting it; the next change to `benchmark/` deletes it.
+    /// Retired: the busy-wait that stood in for a storage write. Both
+    /// systems now write real files under `flush_dir`, so only `0` is
+    /// accepted. Kept until the benchmark stops setting it; the next
+    /// change to `benchmark/` deletes it (ROADMAP item 12(b)).
     pub io_cost_ns: u64,
-    /// Directory the nodes write their logs under: a KerA backup's
-    /// flusher writes each closed virtual segment to its own file, a Kafka
-    /// follower appends each partition's fetched bytes to that
-    /// partition's file. `None` writes nothing (the produce path never
-    /// waits on disk either way).
+    /// Directory the nodes write their data files under, one
+    /// `node-<id>/` each, through `kera_storage::flush` (DESIGN §1, the
+    /// storage contract): a KerA backup's flusher writes and syncs each
+    /// closed virtual segment; a Kafka replica, leader or follower,
+    /// appends to its partition's files, which its flusher syncs when
+    /// they roll at the stream's `segment_size`. `None` writes nothing
+    /// (the produce path never waits on disk either way).
     pub flush_dir: Option<std::path::PathBuf>,
     /// Retry/backoff discipline applied by every node's RPC client.
     pub retry: RetryPolicy,

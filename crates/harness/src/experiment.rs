@@ -182,8 +182,8 @@ pub struct Measurement {
     pub failed_requests: u64,
     /// Writes the run made under its directory, warm-up and teardown
     /// included: on KerA one file per closed virtual segment (the
-    /// backups' flushers), on Kafka one append per follower fetch result
-    /// with data.
+    /// backups' flushers), on Kafka one append per produced chunk on a
+    /// leader and per fetch result with data on a follower.
     pub storage_writes: u64,
     /// Bytes those writes carried (bytes / writes: how large an I/O is).
     pub storage_bytes: u64,
@@ -222,23 +222,20 @@ impl Drop for RunDir {
     }
 }
 
-/// Writes and bytes the nodes wrote, from their registries once every
-/// writer has been joined; an error names the first node a write failed
+/// Writes and bytes the nodes wrote (`kera.storage.*`) once every writer
+/// has been joined; an error names the first node a write or sync failed
 /// on (a full disk must not pass for a measurement).
 fn written(nodes: &[Arc<kera_obs::NodeObs>]) -> Result<(u64, u64)> {
     let (mut writes, mut bytes) = (0, 0);
     for obs in nodes {
         let snap = obs.registry().snapshot();
-        let errors = snap.counter_sum("kera.storage.flush_errors", &[])
-            + snap.counter_sum("kera.kafka.follower_write_errors", &[]);
+        let errors = snap.counter_sum("kera.storage.errors", &[]);
         if errors > 0 {
             let why = format!("node {}: {errors} storage writes failed", obs.node());
             return Err(kera_common::KeraError::Io(std::io::Error::other(why)));
         }
-        writes += snap.histogram_sum("kera.storage.flush", &[]).count
-            + snap.counter_sum("kera.kafka.follower_writes", &[]);
-        bytes += snap.counter_sum("kera.storage.flush_bytes", &[])
-            + snap.counter_sum("kera.kafka.follower_write_bytes", &[]);
+        writes += snap.counter_sum("kera.storage.writes", &[]);
+        bytes += snap.counter_sum("kera.storage.write_bytes", &[]);
     }
     Ok((writes, bytes))
 }

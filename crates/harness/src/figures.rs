@@ -94,7 +94,7 @@ fn fig08() -> Figure {
         paper: "throughput grows with batching; R1>R2>R3; KerA (4 shared vlogs) beats Kafka \
                 increasingly as streams grow (headline: up to 4x over hundreds of streams).",
         claim: Claim::Ratio { num: "KerA R3", den: "Kafka R3", floor: 1.0, grows: Some(1.1) },
-        declared: Verdict::NotReproduced,
+        declared: Verdict::Unresolved,
         points,
     }
 }

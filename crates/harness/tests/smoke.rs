@@ -41,8 +41,8 @@ fn mini_figure_runs_and_writes_tsv() {
     for r in &rows {
         assert!(r.m.produce_rate > 0.0, "{} measured nothing", r.series);
         assert_eq!(r.m.failed_requests, 0);
-        // KerA's backups flushed closed segments, Kafka's followers
-        // appended to their partition files.
+        // KerA's backups flushed and synced closed segments; Kafka's
+        // leaders and followers appended to their partition files.
         assert!(r.m.storage_writes > 0 && r.m.storage_bytes > 0, "{} wrote nothing", r.series);
     }
     // Every run removed its directory once its writers were joined.

@@ -12,7 +12,7 @@
 //! the parked request's own `Reply`.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -21,6 +21,7 @@ use kera_common::metrics::Counter;
 use kera_common::{KeraError, Result};
 use kera_obs::NodeObs;
 use kera_rpc::{Reply, RequestContext, Service};
+use kera_storage::flush::DiskFlusher;
 use kera_wire::chunk::ChunkIter;
 use kera_wire::cursor::SlotCursor;
 use kera_wire::frames::OpCode;
@@ -31,6 +32,7 @@ use kera_wire::messages::{
 };
 use parking_lot::{Mutex, RwLock};
 
+use crate::fetcher::FetcherRunner;
 use crate::partition::{PartitionLog, Role};
 
 /// Kafka-equivalent tuning knobs (the parameters the paper says "one has
@@ -87,6 +89,8 @@ struct Parked {
 pub struct TopicStore {
     node: NodeId,
     replicas: RwLock<HashMap<(StreamId, StreamletId), Arc<PartitionLog>>>,
+    /// The node's flusher, owned by its cluster; dangling when it writes no files.
+    flusher: Weak<DiskFlusher>,
     purgatory: Mutex<Vec<Parked>>,
     tuning: KafkaTuning,
     /// Chunks ingested (leader appends; `kera.kafka.chunks_in`).
@@ -104,16 +108,23 @@ pub struct TopicStore {
 
 impl TopicStore {
     pub fn new(node: NodeId, tuning: KafkaTuning) -> Arc<Self> {
-        Self::new_with_obs(node, tuning, NodeObs::disabled(node.raw()))
+        Self::new_with_obs(node, tuning, Weak::new(), NodeObs::disabled(node.raw()))
     }
 
-    /// Like [`TopicStore::new`], registering the ingestion counters in a
-    /// node's metrics registry as `kera.kafka.*`.
-    pub fn new_with_obs(node: NodeId, tuning: KafkaTuning, obs: Arc<NodeObs>) -> Arc<Self> {
+    /// Like [`TopicStore::new`], writing each replica's files through
+    /// `flusher` and registering the ingestion counters in a node's
+    /// metrics registry as `kera.kafka.*`.
+    pub fn new_with_obs(
+        node: NodeId,
+        tuning: KafkaTuning,
+        flusher: Weak<DiskFlusher>,
+        obs: Arc<NodeObs>,
+    ) -> Arc<Self> {
         let reg = obs.registry();
         Arc::new(Self {
             node,
             replicas: RwLock::new(HashMap::new()),
+            flusher,
             purgatory: Mutex::named("ksim.purgatory", Vec::new()),
             tuning,
             chunks_in: reg.counter("kera.kafka.chunks_in", &[]),
@@ -136,19 +147,22 @@ impl TopicStore {
             .ok_or(KeraError::UnknownStreamlet(stream, partition))
     }
 
+    /// The replica of `partition`, created on first call with its files
+    /// (`<stream>-<partition>/`) rolling at the stream's `segment_size`.
     pub fn host_replica(
         &self,
         stream: StreamId,
         partition: StreamletId,
         role: Role,
         factor: u32,
+        segment_size: usize,
     ) -> Arc<PartitionLog> {
         let mut guard = self.replicas.write();
-        Arc::clone(
-            guard
-                .entry((stream, partition))
-                .or_insert_with(|| Arc::new(PartitionLog::new(stream, partition, role, factor))),
-        )
+        Arc::clone(guard.entry((stream, partition)).or_insert_with(|| {
+            let name = format!("{}-{}", stream.raw(), partition.raw());
+            let file = self.flusher.upgrade().map(|f| f.partition_file(&name, segment_size as u64));
+            Arc::new(PartitionLog::new(stream, partition, role, factor, file))
+        }))
     }
 
     /// Called after every append and every recorded fetch position:
@@ -226,52 +240,35 @@ impl TopicStore {
 /// hosting, and its followers' fetches.
 pub struct KafkaBrokerService {
     store: Arc<TopicStore>,
-    /// New follower assignments that the fetcher runner must pick up:
-    /// (leader broker, partition log).
-    pending_follower_targets: Mutex<Vec<(NodeId, Arc<PartitionLog>)>>,
-    /// Invoked after each hosting change (the cluster wires this to the
-    /// fetcher runner's refresh).
-    on_host: Mutex<Option<Box<dyn Fn() + Send>>>,
+    /// The node's replica fetchers, told of each partition it follows.
+    fetcher: OnceLock<Arc<FetcherRunner>>,
 }
 
 impl KafkaBrokerService {
     pub fn new(store: Arc<TopicStore>) -> Arc<Self> {
-        Arc::new(Self {
-            store,
-            pending_follower_targets: Mutex::new(Vec::new()),
-            on_host: Mutex::new(None),
-        })
+        Arc::new(Self { store, fetcher: OnceLock::new() })
     }
 
-    /// Registers the hosting-change callback (fetcher refresh).
-    pub fn set_on_host(&self, cb: Box<dyn Fn() + Send>) {
-        *self.on_host.lock() = Some(cb);
+    pub fn attach_fetcher(&self, fetcher: Arc<FetcherRunner>) {
+        let _ = self.fetcher.set(fetcher);
     }
 
     pub fn store(&self) -> &Arc<TopicStore> {
         &self.store
     }
 
-    /// Drains follower targets registered since the last call (the
-    /// fetcher runner polls this).
-    pub fn take_new_follower_targets(&self) -> Vec<(NodeId, Arc<PartitionLog>)> {
-        std::mem::take(&mut *self.pending_follower_targets.lock())
-    }
-
     fn handle_host(&self, req: HostStreamRequest) {
-        let factor = req.metadata.config.replication.factor;
+        let config = &req.metadata.config;
+        let (factor, segment_size) = (config.replication.factor, config.segment_size);
         for a in &req.assignments {
             let role = match a.role {
                 ReplicaRole::Leader => Role::Leader,
                 ReplicaRole::Follower => Role::Follower { leader: a.leader },
             };
-            let log = self.store.host_replica(req.metadata.config.id, a.streamlet, role, factor);
-            if a.role == ReplicaRole::Follower {
-                self.pending_follower_targets.lock().push((a.leader, log));
+            let log = self.store.host_replica(config.id, a.streamlet, role, factor, segment_size);
+            if let (ReplicaRole::Follower, Some(fetcher)) = (a.role, self.fetcher.get()) {
+                fetcher.follow(a.leader, log);
             }
-        }
-        if let Some(cb) = self.on_host.lock().as_ref() {
-            cb();
         }
     }
 

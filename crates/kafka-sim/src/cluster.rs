@@ -4,14 +4,15 @@
 //! same client stack talks to both systems over the same node ids,
 //! transport and fault plan: brokers first, then the coordinator. A
 //! broker is one node: its followers fetch from the runtime its clients
-//! call.
+//! call, and with a `flush_dir` its replicas write through its flusher.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use kera_common::config::ClusterConfig;
 use kera_common::Result;
 use kera_rpc::Fabric;
+use kera_storage::flush::{DiskFlusher, FlushMetrics};
 
 pub use kera_rpc::fabric::{broker_node, COORDINATOR};
 
@@ -25,6 +26,9 @@ use crate::fetcher::FetcherRunner;
 pub struct KafkaCluster {
     fabric: Fabric,
     fetchers: Vec<Arc<FetcherRunner>>,
+    /// Each broker's flusher when the cluster writes files; its replicas
+    /// hold it weakly, so it is joined when this drops it.
+    flushers: Vec<Arc<DiskFlusher>>,
     pub coordinator_svc: Arc<KafkaCoordinator>,
     pub broker_svcs: Vec<Arc<KafkaBrokerService>>,
     pub stores: Vec<Arc<TopicStore>>,
@@ -37,30 +41,20 @@ impl KafkaCluster {
         let mut stores = Vec::with_capacity(b as usize);
         let mut broker_svcs = Vec::with_capacity(b as usize);
         let mut fetchers = Vec::with_capacity(b as usize);
+        let mut flushers = Vec::new();
 
         for i in 0..b {
+            let dir = fabric.write_dir(broker_node(i));
+            let mut flusher = None;
             let (broker_svc, client) = fabric.boot(broker_node(i), config.worker_threads, |obs| {
-                Ok(KafkaBrokerService::new(TopicStore::new_with_obs(broker_node(i), tuning, obs)))
+                let metrics = || FlushMetrics::registered(obs.registry());
+                flusher = dir.map(|dir| DiskFlusher::start(dir, metrics()).map(Arc::new)).transpose()?;
+                let weak = flusher.as_ref().map_or_else(Weak::new, Arc::downgrade);
+                Ok(KafkaBrokerService::new(TopicStore::new_with_obs(broker_node(i), tuning, weak, obs)))
             })?;
-            let obs = Arc::clone(client.obs());
-            let fetcher = FetcherRunner::new(
-                broker_node(i),
-                client,
-                Arc::clone(&broker_svc),
-                config.flush_dir.as_ref().map(|d| d.join(format!("broker-{i}"))),
-                obs.registry(),
-            );
-            {
-                // Weak: the callback must not create a reference cycle
-                // (service -> callback -> fetcher -> service) that would
-                // pin every partition log forever.
-                let f = Arc::downgrade(&fetcher);
-                broker_svc.set_on_host(Box::new(move || {
-                    if let Some(f) = f.upgrade() {
-                        f.refresh();
-                    }
-                }));
-            }
+            flushers.extend(flusher);
+            let fetcher = FetcherRunner::new(broker_node(i), client);
+            broker_svc.attach_fetcher(Arc::clone(&fetcher));
 
             stores.push(Arc::clone(broker_svc.store()));
             broker_svcs.push(broker_svc);
@@ -72,7 +66,7 @@ impl KafkaCluster {
             fabric.boot(COORDINATOR, 2, |_| Ok(KafkaCoordinator::new(COORDINATOR, broker_ids)))?;
         coordinator_svc.attach_client(client);
 
-        Ok(KafkaCluster { fabric, fetchers, coordinator_svc, broker_svcs, stores })
+        Ok(KafkaCluster { fabric, fetchers, flushers, coordinator_svc, broker_svcs, stores })
     }
 
     /// Orderly shutdown of every node (what dropping the cluster does).
@@ -102,6 +96,8 @@ impl Drop for KafkaCluster {
         for f in &self.fetchers {
             f.shutdown();
         }
+        // Every appender has stopped: drain the files that rolled.
+        self.flushers.clear();
     }
 }
 

@@ -6,13 +6,16 @@
 //! KerA. The leader tracks each follower's log-end offset (learned from
 //! its fetch requests) and advances the high watermark to the minimum;
 //! a produce using acks=all is answered once the high watermark covers
-//! its batch (see the broker's purgatory).
+//! its batch (see the broker's purgatory). With a file, a replica writes
+//! every append to it, leader and follower alike, as Kafka's `Log.append`
+//! does.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use kera_common::ids::{NodeId, SegmentId, StreamId, StreamletId};
 use kera_common::{KeraError, Result};
+use kera_storage::flush::PartitionFile;
 use kera_wire::chunk::{self, ChunkIter, CHUNK_HEADER};
 use parking_lot::Mutex;
 
@@ -31,6 +34,8 @@ struct LogInner {
     follower_leo: HashMap<NodeId, u64>,
     /// Per-chunk offset index: (base record offset, byte offset).
     index: Vec<(u64, u64)>,
+    /// The log on disk, appended under this lock, so in log order.
+    file: Option<PartitionFile>,
 }
 
 /// One replica (leader or follower copy) of a partition log.
@@ -48,7 +53,13 @@ pub struct PartitionLog {
 }
 
 impl PartitionLog {
-    pub fn new(stream: StreamId, partition: StreamletId, role: Role, factor: u32) -> Self {
+    pub fn new(
+        stream: StreamId,
+        partition: StreamletId,
+        role: Role,
+        factor: u32,
+        file: Option<PartitionFile>,
+    ) -> Self {
         Self {
             stream,
             partition,
@@ -59,6 +70,7 @@ impl PartitionLog {
                 next_record_offset: 0,
                 follower_leo: HashMap::new(),
                 index: Vec::new(),
+                file,
             }),
             leo: AtomicU64::new(0),
             hw: AtomicU64::new(0),
@@ -112,6 +124,10 @@ impl PartitionLog {
             SegmentId(0),
             base,
         );
+        let LogInner { data, file, .. } = &mut *inner;
+        if let Some(file) = file {
+            file.append(&data[start..]);
+        }
         let end = inner.data.len() as u64;
         // Published before the lock goes: two appenders storing their ends
         // after it could leave the lower one last, and a produce whose end
@@ -135,6 +151,9 @@ impl PartitionLog {
         }
         let mut inner = self.inner.lock();
         inner.data.extend_from_slice(bytes);
+        if let Some(file) = inner.file.as_mut().filter(|_| !bytes.is_empty()) {
+            file.append(bytes);
+        }
         let end = inner.data.len() as u64;
         self.leo.store(end, Ordering::Release);
         drop(inner);
@@ -237,7 +256,7 @@ mod tests {
     }
 
     fn leader(factor: u32) -> PartitionLog {
-        PartitionLog::new(StreamId(1), StreamletId(0), Role::Leader, factor)
+        PartitionLog::new(StreamId(1), StreamletId(0), Role::Leader, factor, None)
     }
 
     #[test]
@@ -300,7 +319,8 @@ mod tests {
     #[test]
     fn follower_append_replicates_bytes_and_adopts_hw() {
         let l = leader(2);
-        let f = PartitionLog::new(StreamId(1), StreamletId(0), Role::Follower { leader: NodeId(1) }, 2);
+        let role = Role::Follower { leader: NodeId(1) };
+        let f = PartitionLog::new(StreamId(1), StreamletId(0), role, 2, None);
         let c = chunk(2);
         let (_, end) = l.append_leader(&c, 2).unwrap();
         let bytes = l.read_chunks(0, usize::MAX, l.leo());

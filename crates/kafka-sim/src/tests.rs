@@ -254,13 +254,14 @@ fn acks_all_produces_never_wait_out_a_fetch_that_missed_their_append() {
 #[test]
 fn roles_are_reported() {
     use crate::partition::{PartitionLog, Role};
-    let l = PartitionLog::new(StreamId(1), StreamletId(0), Role::Leader, 2);
+    let l = PartitionLog::new(StreamId(1), StreamletId(0), Role::Leader, 2, None);
     assert!(matches!(l.role(), Role::Leader));
     let f = PartitionLog::new(
         StreamId(1),
         StreamletId(0),
         Role::Follower { leader: NodeId(3) },
         2,
+        None,
     );
     match f.role() {
         Role::Follower { leader } => assert_eq!(leader, NodeId(3)),
@@ -281,7 +282,7 @@ fn roles_are_reported() {
 #[test]
 fn seek_finds_chunk_boundaries() {
     use crate::partition::{PartitionLog, Role};
-    let log = PartitionLog::new(StreamId(1), StreamletId(0), Role::Leader, 1);
+    let log = PartitionLog::new(StreamId(1), StreamletId(0), Role::Leader, 1, None);
     let mut offsets = Vec::new();
     for i in 0..5u64 {
         let mut b = kera_wire::chunk::ChunkBuilder::new(
@@ -304,7 +305,7 @@ fn seek_finds_chunk_boundaries() {
     assert_eq!(log.seek(25), Some(offsets[2]));
     assert_eq!(log.seek(49), Some(offsets[4]));
     assert_eq!(log.seek(1000), Some(offsets[4]), "clamps to last chunk");
-    let empty = PartitionLog::new(StreamId(1), StreamletId(1), Role::Leader, 1);
+    let empty = PartitionLog::new(StreamId(1), StreamletId(1), Role::Leader, 1, None);
     assert_eq!(empty.seek(0), None);
 }
 
@@ -328,7 +329,7 @@ fn an_empty_follower_fetch_is_answered_empty_at_fetch_wait() {
     let net = InMemNetwork::new();
     let fetch_wait = Duration::from_millis(100);
     let store = TopicStore::new(broker_node(0), KafkaTuning { fetch_wait, ..KafkaTuning::default() });
-    store.host_replica(StreamId(1), StreamletId(0), Role::Leader, 2);
+    store.host_replica(StreamId(1), StreamletId(0), Role::Leader, 2, 1 << 20);
     let _broker = NodeRuntime::start(
         Arc::new(net.register(broker_node(0))),
         KafkaBrokerService::new(Arc::clone(&store)),

@@ -12,7 +12,7 @@
 //! backup co-located with broker `i` is `1001 + i`, client `i` is
 //! `2001 + i`, and coordinator replica `i > 0` is `3000 + i`.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -158,6 +158,12 @@ impl Fabric {
     pub fn coordinators(&self) -> Vec<NodeId> {
         let booted = self.node_obs.iter().map(|obs| NodeId(obs.node()));
         booted.filter(|&id| is_coordinator(id)).collect()
+    }
+
+    /// Where node `id` writes its data files, `<flush_dir>/node-<id>`;
+    /// `None` when the cluster writes none.
+    pub fn write_dir(&self, id: NodeId) -> Option<PathBuf> {
+        self.config.flush_dir.as_ref().map(|dir| dir.join(format!("node-{}", id.raw())))
     }
 
     pub fn brokers(&self) -> Vec<NodeId> {

@@ -85,14 +85,33 @@ if find crates/*/src src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{nextfile}
   exit 1
 fi
 
-# No spun cost model: a backup pays for the files its flusher writes and a
-# Kafka follower for the appends to its partition files, not for a
-# busy-wait, and the in-memory fabric adds no modelled latency or
-# bandwidth (non-test lines, as above).
+# No spun cost model: a KerA backup pays for the segment files its flusher
+# writes and syncs, a Kafka replica, leader or follower, for the appends
+# to its partition files and their syncs at roll, not for a busy-wait, and
+# the in-memory fabric adds no modelled latency or bandwidth (non-test
+# lines, as above).
 if find crates/*/src src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{nextfile}
         /spin_for_ns|NetworkModel|KERA_IO_COST_NS|IO_COST_NS|kera_common::timing/{print FILENAME":"FNR": "$0}' {} + \
         | grep .; then
   echo "no spun cost model: no spin_for_ns, NetworkModel, KERA_IO_COST_NS or kera_common::timing" >&2
+  exit 1
+fi
+
+# One writer: kera-storage opens every data file either system writes
+# (DESIGN §1, the storage contract). A Kafka replica appends through its
+# PartitionFile and a KerA backup hands closed segments to its
+# DiskFlusher, so neither kafka-sim nor the broker crate touches the file
+# system, and no second counter family counts writes (non-test lines, as
+# above; tests.rs is a test module).
+if find crates/kafka-sim/src crates/broker/src -name '*.rs' ! -name tests.rs \
+        -exec awk '/^#\[cfg\(test\)\]/{nextfile}
+        /std::fs|File::|OpenOptions/{print FILENAME":"FNR": "$0}' {} + \
+        | grep . \
+    || find crates/*/src src examples -name '*.rs' ! -name tests.rs \
+        -exec awk '/^#\[cfg\(test\)\]/{nextfile}
+        /kera\.kafka\.follower_write/{print FILENAME":"FNR": "$0}' {} + \
+        | grep .; then
+  echo "one writer: no std::fs, File:: or OpenOptions in kafka-sim or broker; no kera.kafka.follower_write* counters" >&2
   exit 1
 fi
 

@@ -308,7 +308,7 @@ fn crash_recovery_survives_lossy_network() {
     assert_eq!(seen.len() as u64, N);
 
     consumer.close();
-    let flush_errors = cluster.metrics_snapshot().counter_sum("kera.storage.flush_errors", &[]);
+    let flush_errors = cluster.metrics_snapshot().counter_sum("kera.storage.errors", &[]);
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(flush_errors, 0);

@@ -208,7 +208,7 @@ fn corrupt_chunk_is_refused_by_backups_leaders_and_followers() {
 
     let net = InMemNetwork::new();
     let store = TopicStore::new(NodeId(1), KafkaTuning::default());
-    let leader = store.host_replica(StreamId(1), StreamletId(0), Role::Leader, 1);
+    let leader = store.host_replica(StreamId(1), StreamletId(0), Role::Leader, 1, 1 << 20);
     let broker = KafkaBrokerService::new(store);
     let _broker = NodeRuntime::start(Arc::new(net.register(NodeId(1))), broker, 1);
     let client = Arc::new(net.register(NodeId(2001)));
@@ -223,7 +223,7 @@ fn corrupt_chunk_is_refused_by_backups_leaders_and_followers() {
     assert_eq!(leader.leo(), intact.len() as u64);
 
     let role = Role::Follower { leader: NodeId(1) };
-    let follower = PartitionLog::new(StreamId(1), StreamletId(0), role, 2);
+    let follower = PartitionLog::new(StreamId(1), StreamletId(0), role, 2, None);
     refused("kafka-sim follower", follower.append_follower(&corrupt, u64::MAX));
     assert_eq!((follower.leo(), follower.high_watermark()), (0, 0));
     follower.append_follower(&intact, u64::MAX).unwrap();

@@ -1,8 +1,8 @@
 //! The bytes on disk are the bytes replicated: with `flush_dir` set, a
 //! KerA backup writes each closed virtual segment to its own file and a
-//! Kafka follower appends every fetched batch to its partition's file.
-//! Both are read back after the cluster has shut down (every writer
-//! joined) and held to what the nodes replicated in memory.
+//! Kafka replica, leader or follower, appends every batch to its
+//! partition's files. Both are read back after the cluster has shut down
+//! (every writer joined) and held to what the nodes replicated in memory.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -92,7 +92,7 @@ fn kera_backup_files_are_what_recovery_reads() {
     produce(&meta, 20_000);
 
     // What each backup replicated, read back over RPC while it is up:
-    // `backup-<i>/broker<b>/vlog<v>/vseg<s>.seg` → that segment's bytes.
+    // `node-<backup>/broker<b>/vlog<v>/vseg<s>.seg` → that segment's bytes.
     let client = rt.client();
     let mut expected = Vec::new();
     for i in 0..3 {
@@ -106,7 +106,8 @@ fn kera_backup_files_are_what_recovery_reads() {
                 let req = RecoveryReadRequest { crashed_broker: source, vlog, vseg };
                 let bytes = client.call(backup_node(i), OpCode::RecoveryRead, req.encode(), T);
                 let name = format!(
-                    "backup-{i}/broker{}/vlog{}/vseg{}.seg",
+                    "node-{}/broker{}/vlog{}/vseg{}.seg",
+                    backup_node(i).raw(),
                     source.raw(),
                     seg.vlog.raw(),
                     seg.vseg.raw()
@@ -130,7 +131,7 @@ fn kera_backup_files_are_what_recovery_reads() {
 }
 
 #[test]
-fn kafka_follower_files_are_their_logs() {
+fn kafka_replica_files_are_their_logs() {
     let dir = scratch("kafka");
     let config = ClusterConfig {
         brokers: 3,
@@ -141,29 +142,38 @@ fn kafka_follower_files_are_their_logs() {
     let cluster = KafkaCluster::start(config, KafkaTuning::default()).unwrap();
     let rt = cluster.client(0);
     let meta = MetadataClient::new(rt.client(), cluster.coordinator());
+    // 64-KB segments: ~0.7 MB per partition rolls each replica's file.
     meta.create_stream(r3(3)).unwrap();
     produce(&meta, 20_000);
-    let stores = cluster.stores.clone();
+    let (stores, nodes) = (cluster.stores.clone(), cluster.node_obs().to_vec());
     drop(rt);
     cluster.shutdown();
 
-    let mut followers = 0;
+    // `node-<broker>/1-<p>/<first byte's offset>.log`, in name order, is
+    // the replica's log, leaders included.
+    let (mut replicas, mut rolled, mut most) = (0, 0, 0);
     for (i, store) in stores.iter().enumerate() {
         for p in 0..3 {
             let log = store.replica(StreamId(1), StreamletId(p)).unwrap();
-            let path = dir.join(format!("broker-{i}/1-{p}.log"));
-            if log.role() == kera::kafka_sim::partition::Role::Leader {
-                assert!(!path.exists(), "a leader wrote {}", path.display());
-                continue;
-            }
-            followers += 1;
+            let part = dir.join(format!("node-{}/1-{p}", broker_node(i as u32).raw()));
+            let names = files(&part);
+            let on_disk: Vec<u8> =
+                names.iter().flat_map(|n| std::fs::read(part.join(n)).unwrap()).collect();
             let in_memory = log.read_chunks(0, usize::MAX, log.leo());
-            assert!(!in_memory.is_empty(), "follower {i} of partition {p} holds nothing");
-            let on_disk = std::fs::read(&path).unwrap();
-            assert!(on_disk == in_memory, "{} differs from its log", path.display());
+            assert!(!in_memory.is_empty(), "replica {i} of partition {p} holds nothing");
+            assert!(on_disk == in_memory, "{} differs from its log", part.display());
+            replicas += 1;
+            rolled += names.len() - 1;
+            most = most.max(names.len());
         }
     }
-    assert_eq!(followers, 6, "R3 on 3 partitions: two followers each");
+    assert_eq!(replicas, 9, "R3 on 3 partitions: a leader and two followers each");
+    assert!(most > 1, "no partition rolled its file");
+    let count = |name| -> u64 {
+        nodes.iter().map(|obs| obs.registry().snapshot().counter_sum(name, &[])).sum()
+    };
+    assert_eq!(count("kera.storage.syncs"), rolled as u64, "one sync per rolled file");
+    assert_eq!(count("kera.storage.errors"), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

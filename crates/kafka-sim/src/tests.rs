@@ -5,7 +5,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use kera_common::config::{ClusterConfig, ReplicationConfig, StreamConfig, VirtualLogPolicy};
+use kera_common::config::{
+    ClusterConfig, FaultProfile, ReplicationConfig, StreamConfig, TransportChoice,
+    VirtualLogPolicy,
+};
 use kera_common::ids::{NodeId, ProducerId, StreamId, StreamletId};
 use kera_rpc::{InMemNetwork, NodeRuntime, NullService};
 use kera_wire::frames::OpCode;
@@ -357,4 +360,90 @@ fn an_empty_follower_fetch_is_answered_empty_at_fetch_wait() {
     assert_eq!(resp.results.len(), 1);
     assert!(resp.results[0].data.is_empty(), "an empty log answered with data");
     assert_eq!((store.fetch_expired.get(), store.follower_fetches.get()), (1, 1));
+}
+
+/// Two brokers over TCP, each leading half the partitions and following
+/// the other half, answer each other's follower fetches with 12 MiB at the
+/// same moment: each reply is written by the reader the other reply has
+/// to be read by, and neither may wait for the other. The fault plane
+/// lines the fetches up: the brokers are cut off from each other while
+/// the data lands, then held, so the fetches they send are kept and go
+/// out together when the hold ends.
+#[test]
+fn brokers_answering_each_others_multi_mib_fetches_over_tcp_keep_replicating() {
+    let cluster = KafkaCluster::start(
+        ClusterConfig {
+            brokers: 2,
+            worker_threads: 2,
+            transport: TransportChoice::Tcp,
+            faults: Some(FaultProfile::default()),
+            ..ClusterConfig::default()
+        },
+        // No parked fetch is answered empty while the data lands.
+        KafkaTuning { fetch_wait: Duration::from_secs(30), ..KafkaTuning::default() },
+    )
+    .unwrap();
+    let plan = cluster.fault_plan().unwrap().clone();
+    let (a, b) = (broker_node(0), broker_node(1));
+    let rt = cluster.client(0);
+    let client = rt.client();
+    let created = client
+        .call(
+            COORDINATOR,
+            OpCode::CreateStream,
+            CreateStreamRequest { config: topic(1, 8, 2) }.encode(),
+            Duration::from_secs(5),
+        )
+        .unwrap();
+    let md = StreamMetadata::decode(&created).unwrap();
+    plan.partition(a, b);
+    // One produce per leader (acks=all), one 3 MiB chunk for each of its
+    // 4 partitions: a fetch of them is one 12 MiB reply, more than the
+    // sockets between the two brokers hold.
+    let record = vec![0x6b; 64 << 10];
+    let produces = [a, b]
+        .map(|leader| {
+            let mine = (0..8u32).filter(|&p| md.placements[p as usize].broker == leader);
+            let chunks: Vec<u8> = mine
+                .flat_map(|p| {
+                    let (id, slot) = (ProducerId(p), StreamletId(p));
+                    let mut c = kera_wire::chunk::ChunkBuilder::new(3 << 20, id, StreamId(1), slot);
+                    while c.append(&kera_wire::record::Record::value_only(&record)) {}
+                    c.seal().to_vec()
+                })
+                .collect();
+            let req = kera_wire::messages::ProduceRequest {
+                producer: ProducerId(0),
+                recovery: false,
+                chunk_count: 4,
+                chunks: chunks.into(),
+            };
+            client.call_async(leader, OpCode::Produce, req.encode(), Duration::from_secs(30))
+        });
+    let logs: Vec<_> = (0..8)
+        .map(|p| [0, 1].map(|s| cluster.stores[s].replica(StreamId(1), StreamletId(p)).unwrap()))
+        .collect();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while logs.iter().any(|[x, y]| x.leo().max(y.leo()) < 1 << 20) {
+        assert!(std::time::Instant::now() < deadline, "the produces did not land");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    plan.hold(a);
+    plan.hold(b);
+    plan.heal(a, b);
+    // Each fetcher's next fetch (a retransmit, or the one after it timed
+    // out) is kept.
+    while plan.held() < 2 {
+        assert!(std::time::Instant::now() < deadline + Duration::from_secs(10), "no fetch kept");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    plan.release(a);
+    plan.release(b);
+    for produce in produces {
+        produce.wait(Duration::from_secs(30)).expect("a produce waited out its budget");
+    }
+    for (p, [x, y]) in logs.iter().enumerate() {
+        assert_eq!(x.leo(), y.leo(), "partition {p}'s follower lags");
+    }
+    cluster.shutdown();
 }

@@ -50,6 +50,11 @@ fn a_kafka_broker_is_one_node() {
     // a second runtime of two workers as `worker-300<i>-*`, this cluster
     // ran 4 x (3 + 2) broker workers, 23 in all.)
     let workers = 4 * 3 + 2 + 1;
+    // A fetcher is spawned by a broker worker and carries that worker's
+    // name until it names itself, so the workers are counted only once
+    // every fetcher has.
+    let fetchers = 4 * 2;
+    await_named("replica-fetch", fetchers);
     await_named("worker-", workers);
     assert_eq!(thread_count_named("worker-"), workers);
     assert_eq!(thread_count_named("worker-300"), 0, "a replica service is back");
@@ -57,8 +62,6 @@ fn a_kafka_broker_is_one_node() {
     // own timers. (With an expiry line per broker, a `purgatory-<node>`
     // thread each, this cluster ran 4 more threads.)
     assert_eq!(thread_count_named("purgatory-"), 0, "a purgatory line is back");
-    let fetchers = 4 * 2;
-    await_named("replica-fetch", fetchers);
     assert_eq!(thread_count_named("replica-fetch"), fetchers);
     assert_eq!(thread_count_named("") - before, workers + fetchers, "an uncounted thread class");
 

@@ -5,7 +5,9 @@
 //! crate keeps those and drops RAMCloud's polling dispatch thread, which
 //! exists to poll a NIC: frames are **delivered on arrival**, handed to
 //! the node on the thread that already has them. The one rule: delivery
-//! never runs a handler, never blocks, and holds no lock across a send.
+//! never blocks and holds no lock across a send, and it runs a handler
+//! only on a thread that exists to receive (a TCP connection's reader),
+//! which is safe because no handler blocks.
 //!
 //! - [`transport`] — the [`transport::Transport`] trait: node-addressed
 //!   `send` of [`kera_wire::frames::Envelope`]s, and `bind` of the
@@ -14,13 +16,16 @@
 //!   the sender's own thread delivers; fault injection crashes a node;
 //! - [`tcp`] — a real TCP transport (length-prefixed frames over loopback
 //!   or a LAN) with the same interface; a reader thread per connection
-//!   delivers;
+//!   takes a burst of frames in one read, serves them, and sends what that
+//!   sent in one vectored write per peer; a write whose peer takes nothing
+//!   retires its connection rather than wait;
 //! - [`faults`] — a transport wrapper injecting drops, duplicates, delays,
 //!   partitions and held nodes below the RPC layer, for chaos testing (a
 //!   delayed frame waits on its sender's timers);
 //! - [`node`] — the node runtime: delivery completes pending calls and
-//!   queues admitted requests for a worker pool, whose handlers answer by
-//!   returning or through a [`node::Reply`] sent later;
+//!   serves an admitted request on a TCP reader or queues it for a worker
+//!   pool; handlers answer by returning or through a [`node::Reply`] sent
+//!   later;
 //!   [`node::RpcClient`] issues calls, each with its budget, that the
 //!   node's workers retransmit between requests under a bounded retry
 //!   policy (at-most-once via a server-side response cache) and end at

@@ -1,18 +1,20 @@
 //! The node runtime: delivery on arrival + worker pool (RAMCloud's worker
 //! half, which KerA borrows — paper §IV, §V-E — without its NIC poller).
 //!
-//! A node has no receiving thread: its transport hands every arriving
-//! frame to [`Deliver::deliver`] on the thread that already holds it.
-//! **Requests** are admitted against the at-most-once state and queued for
-//! a pool of *worker* threads that invoke the node's [`Service`];
-//! **responses** go into their call's pending slot right there, and the
-//! slot's waiter is unparked — a wake-up says "look again", the slot holds
-//! the data, so a thread parks in one place for all its calls. The one
-//! rule: delivery never runs a handler, never blocks, and holds no lock
-//! across a send or an unpark — so a worker blocked inside a handler can
-//! always be completed. A service need not block at all: it may keep a
-//! request's [`Reply`] and send it from whichever thread completes the
-//! request, freeing the worker.
+//! A node has no receiving thread of its own: its transport hands every
+//! arriving frame to [`Deliver::deliver`] on the thread that already holds
+//! it, or to [`Deliver::receive`] on one that exists to receive (a TCP
+//! reader). **Requests** are admitted against the at-most-once state and
+//! served by the node's [`Service`] right there in `receive`; `deliver`
+//! queues them for a pool of *worker* threads. **Responses** go into
+//! their call's pending slot, and the slot's waiter is unparked — a
+//! wake-up says "look again", the slot holds the data, so a thread parks
+//! in one place for all its calls. The one rule: delivery never blocks
+//! and holds no lock across a send or an unpark, and runs a handler only
+//! on a thread that exists to receive. It holds because no handler
+//! blocks: one that waits keeps its request's [`Reply`], sent by whoever
+//! completes the request (a call waited on in `receive` is a debug
+//! assertion failure).
 //!
 //! Every call is issued with its budget and driven by its node's timers:
 //! its slot in `rpc.pending` holds its transmissions, its `(due, id)`
@@ -67,7 +69,7 @@ pub struct RequestContext {
     /// envelope's deadline field); `None` if the caller sent none.
     pub deadline: Option<Instant>,
     /// The server-side span of this request ([`TraceContext::NONE`] when
-    /// untraced). Also installed as the worker thread's current context
+    /// untraced). Also installed as the serving thread's current context
     /// for the duration of the handler, so nested RPCs inherit it.
     pub trace: TraceContext,
 }
@@ -81,9 +83,9 @@ impl RequestContext {
     }
 }
 
-/// The application living on a node. Handlers run on worker threads; one
-/// that waits on an event keeps its [`Reply`] ([`Service::serve`]) instead
-/// of blocking the worker.
+/// The application living on a node. Handlers run on a TCP reader or a
+/// worker and must never block either: one that waits on an event keeps
+/// its [`Reply`] ([`Service::serve`]).
 pub trait Service: Send + Sync + 'static {
     fn handle(&self, ctx: &RequestContext, payload: Bytes) -> Result<Bytes>;
 
@@ -343,10 +345,18 @@ thread_local! {
     /// The node whose worker this thread is (its `NodeInner`'s address):
     /// such a thread looks at the node's timers before it next blocks.
     static WORKER_OF: Cell<usize> = const { Cell::new(0) };
+    /// Set while this thread runs [`Deliver::receive`]: a request it
+    /// admits is served right here, and a call waited on here is a debug
+    /// assertion failure.
+    static RECEIVING: Cell<bool> = const { Cell::new(false) };
 }
 
 struct NodeInner {
     id: NodeId,
+    /// This node, for the [`Reply`]s of requests served on delivery.
+    me: Weak<NodeInner>,
+    /// What a TCP reader serves a request with; the workers hold it.
+    service: Weak<dyn Service>,
     transport: Arc<dyn Transport>,
     pending: Mutex<Pending>,
     work_tx: Sender<Work>,
@@ -419,10 +429,11 @@ impl NodeRuntime {
         // lint: allow(no-panic) — construction-time config validation;
         // a malformed retry policy must fail fast at node startup.
         retry.validate().expect("invalid retry policy");
-        let reg = obs.registry();
         let (work_tx, work_rx) = channel::unbounded();
-        let inner = Arc::new(NodeInner {
+        let inner = Arc::new_cyclic(|me| NodeInner {
             id: transport.local(),
+            me: Weak::clone(me),
+            service: Arc::downgrade(&service),
             transport,
             pending: Mutex::named("rpc.pending", Pending::default()),
             work_tx,
@@ -430,11 +441,11 @@ impl NodeRuntime {
             shutdown: AtomicBool::new(false),
             retry,
             dedup: DedupCache::new(),
-            served: served_counters(reg),
-            calls_issued: reg.counter("kera.rpc.calls_issued", &[]),
-            retries_sent: reg.counter("kera.rpc.retries_sent", &[]),
-            requests_deduped: reg.counter("kera.rpc.requests_deduped", &[]),
-            requests_expired: reg.counter("kera.rpc.requests_expired", &[]),
+            served: served_counters(obs.registry()),
+            calls_issued: obs.registry().counter("kera.rpc.calls_issued", &[]),
+            retries_sent: obs.registry().counter("kera.rpc.retries_sent", &[]),
+            requests_deduped: obs.registry().counter("kera.rpc.requests_deduped", &[]),
+            requests_expired: obs.registry().counter("kera.rpc.requests_expired", &[]),
             obs,
         });
 
@@ -619,6 +630,11 @@ impl Deliver for NodeInner {
                 Admit::New => {
                     let expires = (env.deadline_micros > 0)
                         .then(|| Instant::now() + Duration::from_micros(env.deadline_micros));
+                    // Served here on a thread that exists to receive;
+                    // queued from a sender's stack, a release, a timer.
+                    if let Some(service) = RECEIVING.get().then(|| self.service.upgrade()).flatten() {
+                        return serve(self, &*service, WorkItem { env, expires });
+                    }
                     let _ = self.work_tx.send(Work::Request(WorkItem { env, expires }));
                 }
                 duplicate => {
@@ -645,6 +661,12 @@ impl Deliver for NodeInner {
                 self.end(self.pending.lock(), id, result);
             }
         }
+    }
+
+    fn receive(&self, env: Envelope) {
+        RECEIVING.set(true);
+        self.deliver(env);
+        RECEIVING.set(false);
     }
 
     /// Shutdown and crash end here: later deliveries are dropped, the
@@ -702,7 +724,7 @@ fn worker_loop(inner: Arc<NodeInner>, service: Arc<dyn Service>, work_rx: Receiv
     let _ = inner.work_tx.send(Work::Stop);
 }
 
-fn serve(inner: &Arc<NodeInner>, service: &dyn Service, item: WorkItem) {
+fn serve(inner: &NodeInner, service: &dyn Service, item: WorkItem) {
     let env = item.env;
     let key = (env.from, env.request_id);
     let sender_ctx = TraceContext { trace_id: env.trace_id, span_id: env.span_id };
@@ -728,7 +750,7 @@ fn serve(inner: &Arc<NodeInner>, service: &dyn Service, item: WorkItem) {
         trace: span.context(),
     };
     inner.obs.inflight_enter();
-    let reply = Reply { node: Arc::downgrade(inner), key, opcode: env.opcode, span: Some(span) };
+    let reply = Reply { node: Weak::clone(&inner.me), key, opcode: env.opcode, span: Some(span) };
     let _in_trace = kera_obs::enter(ctx.trace);
     service.serve(&ctx, env.payload, reply);
 }
@@ -1065,6 +1087,7 @@ impl PendingCall {
     /// A worker of the call's node fires the node's due timers while it
     /// waits, so a node whose workers all wait still retransmits.
     pub fn poll_wait(&mut self, timeout: Duration) -> Option<Result<Bytes>> {
+        debug_assert!(!RECEIVING.get(), "a handler or a completion waited on a receiving thread");
         let deadline = Instant::now() + timeout;
         loop {
             let due = if self.inner.on_worker() { self.inner.fire_due() } else { None };

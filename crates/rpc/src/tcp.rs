@@ -9,27 +9,39 @@
 //! A [`TcpNetwork`] is a directory mapping [`NodeId`]s to socket
 //! addresses. Each registered node binds an ephemeral listener; outbound
 //! connections are created lazily, one per (source, destination) pair, and
-//! writes are serialized per destination. A frame goes out in one vectored
-//! write (`writev`): the prefix and the envelope header from a small stack
-//! buffer, the payload straight from its shared allocation, never copied
-//! into a frame buffer. Accepting starts when the node
+//! writes are serialized per destination. Accepting starts when the node
 //! binds its [`Deliver`] target (earlier connections wait in the listen
 //! backlog); each inbound connection's reader thread delivers to it.
+//!
+//! A reader takes a burst in one `read`, hands every whole frame in it to
+//! [`Deliver::receive`] (which may serve a request right there, see
+//! [`crate::node`]) and corks what that sends, per connection, until it
+//! flushes before its next read. A flush, or a send from any other thread,
+//! is one vectored write (`writev`): each frame's prefix and header inline,
+//! its payload from its shared allocation, never copied.
+//!
+//! No writer waits long on a peer that takes nothing, and so no reader
+//! does: two readers writing to each other would wait for ever. A write
+//! the peer takes nothing of for `STALL` (20 ms) retires its connection
+//! and is finished outside the connection's lock (a reader's on its
+//! node's workers); the next send dials afresh, and may overtake that
+//! rest.
 //!
 //! The length prefix is untrusted input: frames larger than the network's
 //! `max_frame_bytes` cause the receiver to drop the connection *before*
 //! allocating a buffer, so a corrupt or hostile prefix cannot trigger a
 //! multi-gigabyte allocation.
 
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
+use bytes::Bytes;
 use crossbeam::channel::{self, Sender};
 use kera_common::config::DEFAULT_MAX_FRAME_BYTES;
 use kera_common::ids::NodeId;
@@ -42,6 +54,59 @@ use crate::transport::{Deliver, Transport};
 /// Clones of the live inbound streams, kept so close() can shut them down
 /// and unblock their readers; each reader removes its own when it exits.
 type Accepted = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
+/// One outbound connection; writes on it are serialized by its lock.
+/// `None` once a stalled write retired it (see [`put`]).
+type Conn = Arc<Mutex<Option<TcpStream>>>;
+
+/// A transport's outbound connections, one per destination.
+type Conns = Arc<Mutex<HashMap<NodeId, Conn>>>;
+
+/// What a reader reads a burst into. It bounds one read, not a frame: a
+/// larger frame is read into its own allocation.
+const READ_BUF: usize = 64 << 10;
+
+/// How long a write waits on a peer that takes none of it before the
+/// connection is retired: well past a descheduled reader's pause, short
+/// beside a call's retransmit.
+const STALL: Duration = Duration::from_millis(20);
+
+/// One frame to send: prefix and envelope header inline, the payload shared.
+type Frame = ([u8; 4 + Envelope::HEADER_LEN], Bytes);
+
+fn frame(prefix: u32, env: Envelope) -> Frame {
+    let mut head = [0u8; 4 + Envelope::HEADER_LEN];
+    head[..4].copy_from_slice(&prefix.to_le_bytes());
+    head[4..].copy_from_slice(&env.encode_header());
+    (head, env.payload)
+}
+
+/// What a reader sent on one connection this burst, in send order, and
+/// the map a failed flush forgets the connection in.
+struct Corked {
+    to: NodeId,
+    conn: Conn,
+    conns: Conns,
+    frames: Vec<Frame>,
+}
+
+thread_local! {
+    /// `Some` on a reader thread: what it sends waits here for [`flush`].
+    static CORK: RefCell<Option<Vec<Corked>>> = const { RefCell::new(None) };
+}
+
+/// Sends what this reader corked, one vectored write per connection. A
+/// connection whose write fails is forgotten as a failed send's is; the
+/// calls whose frames it carried are retransmitted by their timers. A
+/// stalled write is finished on a worker of `node`, the reader's own.
+fn flush(node: &Weak<dyn Deliver>) {
+    let corked = CORK.with_borrow_mut(|cork| cork.as_mut().map(std::mem::take)).unwrap_or_default();
+    for Corked { to, conn, conns, frames } in corked {
+        if let (Ok(Some((stream, done))), Some(node)) = (put(&conns, to, &conn, &frames), node.upgrade()) {
+            node.timer(Instant::now(), Box::new(move || finish(stream, &frames, done)));
+        }
+    }
+}
 
 struct Directory {
     addrs: RwLock<HashMap<NodeId, SocketAddr>>,
@@ -118,7 +183,7 @@ impl TcpNetwork {
             id,
             dir: Arc::clone(&self.dir),
             bound_tx,
-            conns: Mutex::named("transport.conns", HashMap::new()),
+            conns: Arc::new(Mutex::named("transport.conns", HashMap::new())),
             addr,
             closed,
             accepted,
@@ -195,29 +260,52 @@ fn reader_loop(
     accepted: Accepted,
     max_frame: usize,
 ) {
-    let mut len_buf = [0u8; 4];
-    loop {
-        if stream.read_exact(&mut len_buf).is_err() {
-            break; // peer closed (or close() shut us down)
+    CORK.set(Some(Vec::new()));
+    let mut buf = vec![0u8; READ_BUF];
+    // What was read and not yet delivered: `buf[start..end]`.
+    let (mut start, mut end) = (0, 0);
+    'conn: loop {
+        while let Some(prefix) = buf[start..end].first_chunk::<4>() {
+            let len = u32::from_le_bytes(*prefix) as usize;
+            if len > max_frame {
+                break 'conn; // untrusted prefix: drop the connection without allocating
+            }
+            let frame_end = start + 4 + len;
+            // A frame is copied out: its envelope pins nothing of `buf`.
+            let body = if frame_end <= end {
+                start = frame_end;
+                Bytes::copy_from_slice(&buf[frame_end - len..frame_end])
+            } else if 4 + len <= READ_BUF {
+                break; // cut: the next read brings the rest
+            } else {
+                flush(&target); // larger than `buf`: read into its own allocation
+                let mut body = Vec::with_capacity(len);
+                body.extend_from_slice(&buf[start + 4..end]);
+                (start, end) = (0, 0);
+                let rest = (len - body.len()) as u64;
+                if (&mut stream).take(rest).read_to_end(&mut body).is_err() || body.len() < len {
+                    break 'conn;
+                }
+                Bytes::from(body)
+            };
+            // A corrupt stream drops the connection; so does a node that
+            // is gone (one shutting down drops the frame itself).
+            match (Envelope::decode_bytes(&body), target.upgrade()) {
+                (Ok(env), Some(node)) => node.receive(env),
+                _ => break 'conn,
+            }
         }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if len > max_frame {
-            break; // untrusted prefix: drop the connection without allocating
-        }
-        // Each frame is read into its own allocation, which the decoded
-        // envelope then slices: the payload is never copied again.
-        let mut body = BytesMut::with_capacity(len);
-        body.resize(len, 0);
-        if stream.read_exact(&mut body).is_err() {
-            break;
-        }
-        // A corrupt stream drops the connection; so does a node that is
-        // gone (one shutting down drops the frame itself).
-        match (Envelope::decode_bytes(&body.freeze()), target.upgrade()) {
-            (Ok(env), Some(node)) => node.deliver(env),
-            _ => break,
+        flush(&target);
+        // Moved to the front, a cut frame leaves the read room.
+        buf.copy_within(start..end, 0);
+        (start, end) = (0, end - start);
+        match stream.read(&mut buf[end..]) {
+            Ok(n) if n > 0 => end += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            _ => break, // peer closed (or close() shut us down)
         }
     }
+    flush(&target);
     let _ = stream.shutdown(Shutdown::Both);
     accepted.lock().remove(&key);
 }
@@ -230,7 +318,7 @@ pub struct TcpTransport {
     bound_tx: Sender<Weak<dyn Deliver>>,
     /// One outbound connection per destination; writes serialized per
     /// destination so frames never interleave.
-    conns: Mutex<HashMap<NodeId, Arc<Mutex<TcpStream>>>>,
+    conns: Conns,
     addr: SocketAddr,
     closed: Arc<AtomicBool>,
     accepted: Accepted,
@@ -238,7 +326,7 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    fn connection(&self, to: NodeId) -> Result<Arc<Mutex<TcpStream>>> {
+    fn connection(&self, to: NodeId) -> Result<Conn> {
         if let Some(c) = self.conns.lock().get(&to) {
             return Ok(Arc::clone(c));
         }
@@ -256,14 +344,33 @@ impl TcpTransport {
         // interleave frames.
         let stream = TcpStream::connect(addr).map_err(|_| KeraError::Disconnected(to))?;
         stream.set_nodelay(true).ok();
+        stream.set_write_timeout(Some(STALL)).ok();
         match self.conns.lock().entry(to) {
             Entry::Occupied(e) => Ok(Arc::clone(e.get())), // lost the race; ours drops
             Entry::Vacant(v) => {
-                let conn = Arc::new(Mutex::named("transport.conn", stream));
+                let conn = Arc::new(Mutex::named("transport.conn", Some(stream)));
                 v.insert(Arc::clone(&conn));
                 Ok(conn)
             }
         }
+    }
+
+    /// On a reader, queues `frame` behind what this thread already sent
+    /// on `conn`; anywhere else hands it back, to be written at once.
+    fn cork(&self, to: NodeId, conn: &Conn, frame: Frame) -> Option<Frame> {
+        CORK.with_borrow_mut(|cork| {
+            let Some(cork) = cork else { return Some(frame) };
+            match cork.iter_mut().find(|c| Arc::ptr_eq(&c.conn, conn)) {
+                Some(corked) => corked.frames.push(frame),
+                None => cork.push(Corked {
+                    to,
+                    conn: Arc::clone(conn),
+                    conns: Arc::clone(&self.conns),
+                    frames: vec![frame],
+                }),
+            }
+            None
+        })
     }
 }
 
@@ -277,20 +384,62 @@ fn forget<T>(conns: &mut HashMap<NodeId, Arc<T>>, to: NodeId, failed: &Arc<T>) {
     }
 }
 
-/// Writes one frame — `prefix ‖ header ‖ payload` — in one vectored write
-/// (more only if the kernel takes part of it). Prefix and header share one
-/// small stack buffer; the payload goes straight from its shared
-/// allocation.
-fn write_frame(out: &mut impl Write, prefix: u32, env: &Envelope) -> io::Result<()> {
-    let mut head = [0u8; 4 + Envelope::HEADER_LEN];
-    head[..4].copy_from_slice(&prefix.to_le_bytes());
-    head[4..].copy_from_slice(&env.encode_header());
-    let mut bufs = [IoSlice::new(&head), IoSlice::new(&env.payload)];
-    let mut bufs = &mut bufs[..];
+/// Writes `frames` on `to`'s connection `conn`. A write the peer took
+/// nothing of for [`STALL`] retires the connection: its stream leaves
+/// `conn`, so no frame can follow the cut one on it, and comes back with
+/// how many bytes of `frames` it took, for the caller to finish outside
+/// the lock. A failed write, or a connection already retired, is an
+/// error. Either way `conn` is forgotten, and the next send redials.
+fn put(conns: &Conns, to: NodeId, conn: &Conn, frames: &[Frame]) -> io::Result<Option<(TcpStream, usize)>> {
+    let mut out = conn.lock();
+    let mut done = 0;
+    let Err(e) = out.as_mut().map_or(Err(io::ErrorKind::NotConnected.into()), |stream| {
+        write_frames(stream, frames, &mut done)
+    }) else {
+        return Ok(None);
+    };
+    let retired = stalled(&e).then(|| out.take()).flatten();
+    drop(out);
+    forget(&mut conns.lock(), to, conn);
+    retired.map(|stream| Some((stream, done))).ok_or(e)
+}
+
+/// A write timed out: the peer took nothing for [`STALL`].
+fn stalled(e: &io::Error) -> bool {
+    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+}
+
+/// Writes the rest of `frames`, from byte `done` on, on a retired stream,
+/// waiting as long as its peer's reader takes (which itself never waits
+/// long); the stream closes after.
+fn finish(mut stream: TcpStream, frames: &[Frame], mut done: usize) {
+    while write_frames(&mut stream, frames, &mut done).is_err_and(|e| stalled(&e)) {}
+}
+
+/// Writes `frames` — each `prefix ‖ header ‖ payload` — from byte `done`
+/// on, counting what it wrote there, in one vectored write (more only if
+/// the kernel takes part of it), one slice pair per frame: prefix and
+/// header from the frame's inline head, the payload straight from its
+/// shared allocation. One frame's slices are built on the stack.
+fn write_frames(out: &mut impl Write, frames: &[Frame], done: &mut usize) -> io::Result<()> {
+    fn slices((head, payload): &Frame) -> [IoSlice<'_>; 2] {
+        [IoSlice::new(head), IoSlice::new(payload)]
+    }
+    match frames {
+        [one] => write_slices(out, &mut slices(one), done),
+        _ => write_slices(out, &mut frames.iter().flat_map(slices).collect::<Vec<_>>(), done),
+    }
+}
+
+fn write_slices(out: &mut impl Write, mut bufs: &mut [IoSlice<'_>], done: &mut usize) -> io::Result<()> {
+    IoSlice::advance_slices(&mut bufs, *done);
     while !bufs.is_empty() {
         match out.write_vectored(bufs) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Ok(n) => {
+                IoSlice::advance_slices(&mut bufs, n);
+                *done += n;
+            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
@@ -313,13 +462,14 @@ impl Transport for TcpTransport {
             )));
         }
         let prefix = kera_wire::checked_len("tcp frame", frame_len)?;
+        // Dialled here even on a reader: an unknown or unreachable peer
+        // fails the send at once.
         let conn = self.connection(to)?;
-        let mut guard = conn.lock();
-        if write_frame(&mut *guard, prefix, &env).is_err() {
-            // Connection broke: forget it so the next send redials.
-            drop(guard);
-            forget(&mut self.conns.lock(), to, &conn);
-            return Err(KeraError::Disconnected(to));
+        let Some(frame) = self.cork(to, &conn, frame(prefix, env)) else { return Ok(()) };
+        match put(&self.conns, to, &conn, std::slice::from_ref(&frame)) {
+            Ok(None) => {}
+            Ok(Some((stream, done))) => finish(stream, &[frame], done),
+            Err(_) => return Err(KeraError::Disconnected(to)),
         }
         Ok(())
     }
@@ -333,13 +483,15 @@ impl Transport for TcpTransport {
         self.dir.addrs.write().remove(&self.id);
         // Wake the accept loop so it observes the flag and exits.
         let _ = TcpStream::connect(self.addr);
-        // Unblock reader threads stuck in read_exact on inbound streams.
+        // Unblock reader threads stuck in a read on inbound streams.
         for (_, stream) in self.accepted.lock().drain() {
             let _ = stream.shutdown(Shutdown::Both);
         }
         // Shut outbound connections so the peers' readers see EOF too.
         for (_, conn) in self.conns.lock().drain() {
-            let _ = conn.lock().shutdown(Shutdown::Both);
+            if let Some(stream) = &*conn.lock() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
         }
     }
 }
@@ -350,7 +502,6 @@ mod tests {
     use crate::node::{NodeRuntime, NullService, RequestContext, Service};
     use crate::testkit::endpoint;
     use crate::thread_count_named;
-    use bytes::Bytes;
     use kera_wire::frames::OpCode;
 
 
@@ -414,7 +565,7 @@ mod tests {
             let env = Envelope::request(OpCode::Produce, 42, NodeId(3), payload);
             let mut out = Trickle::default();
             let prefix = (Envelope::HEADER_LEN + payload_len) as u32;
-            write_frame(&mut out, prefix, &env).unwrap();
+            write_frames(&mut out, &[frame(prefix, env.clone())], &mut 0).unwrap();
             assert_eq!(out.out, wire_bytes(&env), "payload of {payload_len} bytes");
         }
     }
@@ -434,7 +585,8 @@ mod tests {
             }
         }
         let env = Envelope::request(OpCode::Ping, 1, NodeId(1), Bytes::from_static(b"x"));
-        let err = write_frame(&mut Full(0), Envelope::HEADER_LEN as u32 + 1, &env).unwrap_err();
+        let frame = frame(Envelope::HEADER_LEN as u32 + 1, env);
+        let err = write_frames(&mut Full(0), &[frame], &mut 0).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
@@ -737,5 +889,299 @@ mod tests {
             }
             std::thread::sleep(Duration::from_millis(10));
         }
+    }
+
+    /// Where a test's own flush would finish a stalled write: nowhere.
+    fn no_node() -> Weak<dyn Deliver> {
+        Weak::<crate::testkit::Collector>::new()
+    }
+
+    /// A raw peer of `net`'s node 2: a stream that writes bytes by hand.
+    fn raw_peer(net: &TcpNetwork) -> TcpStream {
+        let stream = TcpStream::connect(net.addr_of(NodeId(2)).unwrap()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+    }
+
+    fn ping(id: u64, payload: &[u8]) -> Envelope {
+        Envelope::request(OpCode::Ping, id, NodeId(9), Bytes::copy_from_slice(payload))
+    }
+
+    #[test]
+    fn many_frames_in_one_write_arrive_whole_and_in_order() {
+        let net = TcpNetwork::new();
+        let (_b, b_in) = endpoint(net.register(NodeId(2)).unwrap());
+        // 300 frames of 0..299 bytes: ~45 KB, several bursts' worth of
+        // frames cut anywhere by the reads.
+        let envs: Vec<_> = (0..300u64).map(|i| ping(i, &vec![i as u8; i as usize])).collect();
+        let burst: Vec<u8> = envs.iter().flat_map(wire_bytes).collect();
+        raw_peer(&net).write_all(&burst).unwrap();
+        for env in &envs {
+            let got = b_in.recv(Duration::from_secs(2)).unwrap().expect("frame lost");
+            assert_eq!((got.request_id, &got.payload), (env.request_id, &env.payload));
+        }
+        assert!(b_in.recv(Duration::from_millis(50)).unwrap().is_none(), "extra frame");
+    }
+
+    #[test]
+    fn a_frame_split_at_any_byte_arrives_whole() {
+        let net = TcpNetwork::new();
+        let (_b, b_in) = endpoint(net.register(NodeId(2)).unwrap());
+        let mut peer = raw_peer(&net);
+        let wire = wire_bytes(&ping(0, b"split me"));
+        // Every cut: inside the prefix, the header and the payload. One
+        // connection throughout, so a cut frame also lands at every offset
+        // of the reader's buffer.
+        for cut in 1..wire.len() {
+            let env = ping(cut as u64, b"split me");
+            let wire = wire_bytes(&env);
+            peer.write_all(&wire[..cut]).unwrap();
+            std::thread::sleep(Duration::from_millis(1));
+            peer.write_all(&wire[cut..]).unwrap();
+            let got = b_in.recv(Duration::from_secs(2)).unwrap().expect("frame lost");
+            assert_eq!((got.request_id, &got.payload[..]), (cut as u64, &b"split me"[..]));
+        }
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_buffer_arrives_between_its_neighbours() {
+        let net = TcpNetwork::new();
+        let (_b, b_in) = endpoint(net.register(NodeId(2)).unwrap());
+        let big = vec![0xb1u8; 3 * READ_BUF + 17];
+        let envs = [ping(1, b"before"), ping(2, &big), ping(3, b"after")];
+        let burst: Vec<u8> = envs.iter().flat_map(wire_bytes).collect();
+        raw_peer(&net).write_all(&burst).unwrap();
+        for env in &envs {
+            let got = b_in.recv(Duration::from_secs(2)).unwrap().expect("frame lost");
+            assert_eq!(got.request_id, env.request_id);
+            assert!(got.payload == env.payload, "frame {} torn", env.request_id);
+        }
+    }
+
+    /// Records the name of the thread each request is served on.
+    #[derive(Default)]
+    struct ServedOn(Mutex<Vec<String>>);
+
+    impl Service for ServedOn {
+        fn handle(&self, _ctx: &RequestContext, payload: Bytes) -> kera_common::Result<Bytes> {
+            let name = std::thread::current().name().unwrap_or_default().to_string();
+            self.0.lock().push(name);
+            Ok(payload)
+        }
+    }
+
+    #[test]
+    fn a_request_over_tcp_is_served_on_its_reader_and_in_memory_on_a_worker() {
+        let served_on = |net: crate::AnyNetwork| {
+            let svc = Arc::new(ServedOn::default());
+            let _server = NodeRuntime::start(net.register(NodeId(1)).unwrap(), svc.clone(), 2);
+            let client =
+                NodeRuntime::start(net.register(NodeId(2)).unwrap(), Arc::new(NullService), 1);
+            for i in 0..20u8 {
+                let got = client.client().call(
+                    NodeId(1),
+                    OpCode::Ping,
+                    Bytes::from(vec![i]),
+                    Duration::from_secs(2),
+                );
+                assert_eq!(&got.unwrap()[..], &[i]);
+            }
+            let names = std::mem::take(&mut *svc.0.lock());
+            names
+        };
+        let tcp = served_on(crate::AnyNetwork::new(crate::TransportKind::Tcp, None));
+        assert_eq!(tcp.len(), 20);
+        assert!(tcp.iter().all(|name| name == "tcp-reader"), "a worker served over TCP: {tcp:?}");
+        let inmem = served_on(crate::AnyNetwork::new(crate::TransportKind::InMemory, None));
+        assert!(inmem.iter().all(|name| name.starts_with("worker-1-")), "{inmem:?}");
+    }
+
+    /// Takes everything it is given, counting the calls.
+    #[derive(Default)]
+    struct Counting {
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let before = self.out.len();
+            bufs.iter().for_each(|b| self.out.extend_from_slice(b));
+            Ok(self.out.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn frames_a_reader_sends_wait_for_its_flush_and_go_in_send_order_in_one_write() {
+        let envs: Vec<_> = (0..40u64).map(|i| ping(i, &vec![i as u8; 3 * i as usize])).collect();
+        let expected: Vec<u8> = envs.iter().flat_map(wire_bytes).collect();
+        let framed: Vec<_> = envs
+            .iter()
+            .map(|env| frame((Envelope::HEADER_LEN + env.payload.len()) as u32, env.clone()))
+            .collect();
+        let mut out = Counting::default();
+        write_frames(&mut out, &framed, &mut 0).unwrap();
+        assert_eq!((out.calls, out.out == expected), (1, true), "not one write, or out of order");
+
+        // Over a socket: nothing leaves before the flush, then all of it.
+        let net = TcpNetwork::new();
+        let a = net.register(NodeId(1)).unwrap();
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        net.add_peer(NodeId(9), listener.local_addr().unwrap()).unwrap();
+        CORK.set(Some(Vec::new()));
+        for env in &envs {
+            a.send(NodeId(9), env.clone()).unwrap();
+        }
+        let (mut peer, _) = listener.accept().unwrap();
+        peer.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+        let mut probe = [0u8; 1];
+        let early = peer.read(&mut probe);
+        assert!(early.is_err(), "a corked frame left before the flush: {early:?}");
+        flush(&no_node());
+        peer.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut got = vec![0u8; expected.len()];
+        peer.read_exact(&mut got).unwrap();
+        assert!(got == expected, "the flushed stream differs from the frames in send order");
+    }
+
+    #[test]
+    fn a_failed_flush_forgets_only_its_own_connection() {
+        let net = TcpNetwork::new();
+        let a = net.register(NodeId(1)).unwrap();
+        let (_b, b_in) = endpoint(net.register(NodeId(2)).unwrap());
+        let (_c, c_in) = endpoint(net.register(NodeId(3)).unwrap());
+        CORK.set(Some(Vec::new()));
+        a.send(NodeId(2), ping(1, b"to b")).unwrap();
+        a.send(NodeId(3), ping(2, b"to c")).unwrap();
+        // b's connection breaks under the corked frame.
+        let broken = Arc::clone(&a.conns.lock()[&NodeId(2)]);
+        broken.lock().as_ref().unwrap().shutdown(Shutdown::Write).unwrap();
+        flush(&no_node());
+        let kept = a.conns.lock().get(&NodeId(3)).cloned();
+        assert!(!a.conns.lock().contains_key(&NodeId(2)), "the broken connection is kept");
+        assert!(kept.is_some(), "a healthy connection was forgotten");
+        assert_eq!(
+            &c_in.recv(Duration::from_secs(2)).unwrap().expect("c's frame").payload[..],
+            b"to c"
+        );
+        // The next send to b, from a thread that is no reader, redials.
+        CORK.set(None);
+        a.send(NodeId(2), ping(3, b"again")).unwrap();
+        let got = b_in.recv(Duration::from_secs(2)).unwrap().expect("b's frame after redial");
+        assert_eq!(got.request_id, 3);
+    }
+
+    #[test]
+    fn a_stalled_send_retires_its_connection_and_still_finishes() {
+        let net = TcpNetwork::new();
+        let a = Arc::new(net.register(NodeId(1)).unwrap());
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        net.add_peer(NodeId(9), listener.local_addr().unwrap()).unwrap();
+        // More than the sockets hold, to a peer that reads none of it yet.
+        let big = ping(1, &vec![0x5a; 16 << 20]);
+        let sender = {
+            let (a, big) = (Arc::clone(&a), big.clone());
+            std::thread::spawn(move || a.send(NodeId(9), big))
+        };
+        let (mut stalled, _) = listener.accept().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        std::thread::sleep(10 * STALL);
+        while a.conns.lock().contains_key(&NodeId(9)) {
+            assert!(Instant::now() < deadline, "a stalled connection is still mapped");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // The next send dials afresh and is not held up behind the stall.
+        a.send(NodeId(9), ping(2, b"fresh")).unwrap();
+        let (mut fresh, _) = listener.accept().unwrap();
+        let mut got = vec![0u8; wire_bytes(&ping(2, b"fresh")).len()];
+        fresh.read_exact(&mut got).unwrap();
+        assert_eq!(got, wire_bytes(&ping(2, b"fresh")));
+        // The stalled frame still arrives whole; then its stream closes.
+        let mut rest = Vec::new();
+        stalled.read_to_end(&mut rest).unwrap();
+        assert!(rest == wire_bytes(&big), "the stalled frame arrived torn");
+        sender.join().unwrap().unwrap();
+    }
+
+    /// Answers every request with `.0` bytes.
+    struct Answers(usize);
+
+    impl Service for Answers {
+        fn handle(&self, _ctx: &RequestContext, _payload: Bytes) -> kera_common::Result<Bytes> {
+            Ok(Bytes::from(vec![0x42; self.0]))
+        }
+    }
+
+    #[test]
+    fn two_readers_answering_each_other_past_what_the_sockets_hold_never_wedge() {
+        const LEN: usize = 16 << 20;
+        let net = TcpNetwork::new();
+        let node = |id| {
+            NodeRuntime::start(Arc::new(net.register(NodeId(id)).unwrap()), Arc::new(Answers(LEN)), 1)
+        };
+        let (a, b) = (node(1), node(2));
+        // A's call to B is served on B's reader of A->B, which answers on
+        // B->A; B's call to A on A's reader of B->A, which answers on A->B.
+        // Started together, each reader writes more than the sockets hold
+        // to the one reader that could drain it.
+        for round in 0..8 {
+            let (to_b, to_a) = (a.client(), b.client());
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let other = {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    to_a.call(NodeId(1), OpCode::Fetch, Bytes::new(), Duration::from_secs(10))
+                })
+            };
+            start.wait();
+            let mine = to_b.call(NodeId(2), OpCode::Fetch, Bytes::new(), Duration::from_secs(10));
+            for got in [mine, other.join().unwrap()] {
+                assert_eq!(got.expect("a call wedged").len(), LEN, "round {round}");
+            }
+        }
+    }
+
+    /// Calls node 1 from inside its `Ping` handler and waits, catching
+    /// what that wait does; answers `Fetch` at once.
+    struct WaitsInHandler(std::sync::OnceLock<crate::RpcClient>);
+
+    impl Service for WaitsInHandler {
+        fn handle(&self, ctx: &RequestContext, payload: Bytes) -> kera_common::Result<Bytes> {
+            if ctx.opcode != OpCode::Ping {
+                return Ok(payload);
+            }
+            let client = self.0.get().unwrap();
+            let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                client.call(NodeId(1), OpCode::Fetch, Bytes::new(), Duration::from_millis(100))
+            }));
+            Ok(Bytes::from_static(if waited.is_err() { b"tripped" } else { b"waited" }))
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_call_waited_on_in_a_handler_on_a_reader_trips_the_debug_assertion() {
+        let net = TcpNetwork::new();
+        let svc = Arc::new(WaitsInHandler(std::sync::OnceLock::new()));
+        let server = NodeRuntime::start(Arc::new(net.register(NodeId(1)).unwrap()), svc.clone(), 1);
+        svc.0.set(server.client()).ok().unwrap();
+        let client = NodeRuntime::start(
+            Arc::new(net.register(NodeId(2)).unwrap()),
+            Arc::new(NullService),
+            1,
+        );
+        let got =
+            client.client().call(NodeId(1), OpCode::Ping, Bytes::new(), Duration::from_secs(2));
+        assert_eq!(&got.unwrap()[..], b"tripped");
     }
 }

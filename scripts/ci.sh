@@ -27,7 +27,9 @@ if grep -rnE 'env::var(_os)?\("KERA_|env::vars(_os)?\(' crates --include='*.rs' 
 fi
 
 # Frames are delivered on arrival: no transport grows a receive call
-# back, and no thread is named for moving frames between queues.
+# back, and no thread is named for moving frames between queues. A TCP
+# reader serves the requests it reads and answers them itself; in memory
+# the sender's own stack delivers, and the workers serve.
 if grep -rnE '^ *fn recv\(|"dispatch-' crates/rpc/src; then
   echo "kera-rpc: Transport has no recv and nodes have no dispatch thread" >&2
   exit 1
@@ -39,6 +41,23 @@ fi
 if awk '/^#\[cfg\(test\)\]/{exit} /write_all\(/{print FILENAME":"FNR": "$0}' \
         crates/rpc/src/tcp.rs | grep .; then
   echo "kera-rpc: a TCP frame goes out in one vectored write, not in write_all calls" >&2
+  exit 1
+fi
+
+# A TCP reader takes a burst in one read: whatever the socket holds goes
+# into the connection's buffer, and every whole frame in it is delivered.
+# Nothing reads a length prefix, or a body, on its own.
+if awk '/^#\[cfg\(test\)\]/{exit} /read_exact\(/{print FILENAME":"FNR": "$0}' \
+        crates/rpc/src/tcp.rs | grep .; then
+  echo "kera-rpc: a TCP reader reads a burst at once, not a frame's parts in read_exact calls" >&2
+  exit 1
+fi
+
+# No TCP write waits for ever: two readers writing to each other while
+# neither reads would wedge both. Every outbound connection is dialled
+# with a write timeout, and a write that times out retires it.
+if ! grep -q 'set_write_timeout(Some(STALL))' crates/rpc/src/tcp.rs; then
+  echo "kera-rpc: every TCP connection bounds how long a write waits (set_write_timeout)" >&2
   exit 1
 fi
 

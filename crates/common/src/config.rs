@@ -395,7 +395,7 @@ impl ClusterConfig {
         if self.io_cost_ns != 0 {
             return Err(KeraError::InvalidConfig(
                 "io_cost_ns is retired: storage writes are real files under flush_dir \
-                 (ROADMAP item 13); set it to 0"
+                 (ROADMAP item 12(b)); set it to 0"
                     .into(),
             ));
         }

@@ -1,10 +1,11 @@
 //! Grades a figure's declared [`Claim`] against its measured TSV.
 //!
-//! A point is the median of its repeats with their min–max spread; a
-//! claim reduces to a few named effects (a ratio, a drop, a growth), each
-//! an interval widened to every pairing of the spreads it was computed
-//! from. An effect whose interval straddles a threshold is `Unresolved`:
-//! the gap asked about is inside the run-to-run spread.
+//! One rule: **every effect is computed inside one repeat**. A claim
+//! reduces to a few named effects, each a ratio of two cells of one repeat
+//! (two series at an x, one series at two xs) or a trend (last-x ratio over
+//! first-x ratio). Its interval is the min–max of its per-repeat values, its
+//! midpoint their median, so drift both cells share cancels. An interval
+//! straddling a threshold is `Unresolved`: the gap is inside the spread.
 
 use std::fmt;
 use std::path::Path;
@@ -41,8 +42,7 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// Median and min–max of a point's repeats, or of a value derived from
-/// such points.
+/// Median and min–max of per-repeat values: a point's, or an effect's.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Spread {
     pub lo: f64,
@@ -51,16 +51,11 @@ pub struct Spread {
 }
 
 impl Spread {
-    pub fn of(mut v: Vec<f64>) -> Spread {
+    pub fn of(v: &[f64]) -> Spread {
+        let mut v = v.to_vec();
         v.sort_by(f64::total_cmp);
         let n = v.len();
         Spread { lo: v[0], mid: (v[(n - 1) / 2] + v[n / 2]) / 2.0, hi: v[n - 1] }
-    }
-
-    /// `self / den`, from den's best repeat against self's worst to the
-    /// reverse.
-    fn over(self, den: Spread) -> Spread {
-        Spread { lo: self.lo / den.hi, mid: self.mid / den.mid, hi: self.hi / den.lo }
     }
 }
 
@@ -70,45 +65,39 @@ impl fmt::Display for Spread {
     }
 }
 
-type Points = Vec<(String, Spread)>;
+type Points = Vec<(String, Vec<f64>)>;
 
-/// A figure's measured points in Mrec/s: per series, per x, both in
-/// sweep order (so "first x" is the smallest and "last x" the largest).
+/// A figure's measured points in Mrec/s: per series, per x (both in sweep
+/// order, so "first x" is the smallest), the value at each repeat index.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Series(pub Vec<(String, Points)>);
 
-impl Series {
-    fn get(&self, name: &str) -> Option<&Points> {
-        self.0.iter().find(|(n, _)| n == name).map(|(_, p)| p)
-    }
+/// The entry named `key`: a series by name, or a point by x.
+fn find<'a, T>(entries: &'a [(String, T)], key: &str) -> Option<&'a T> {
+    entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-fn at(points: &Points, x: &str) -> Option<Spread> {
-    points.iter().find(|(px, _)| px == x).map(|(_, s)| *s)
-}
-
-/// `num / den` at every x of `num`.
-fn ratios(s: &Series, num: &str, den: &str) -> Option<Points> {
-    let den = s.get(den)?;
-    s.get(num)?.iter().map(|(x, a)| Some((x.clone(), a.over(at(den, x)?)))).collect()
+/// `num[k] / den[k]` at every repeat `k`.
+fn per_repeat(num: &[f64], den: &[f64]) -> Vec<f64> {
+    num.iter().zip(den).map(|(n, d)| n / d).collect()
 }
 
 /// The point with the highest median.
-fn best(points: &Points) -> Option<&(String, Spread)> {
-    points.iter().max_by(|a, b| a.1.mid.total_cmp(&b.1.mid))
+fn best(points: &Points) -> Option<&(String, Vec<f64>)> {
+    points.iter().max_by(|a, b| Spread::of(&a.1).mid.total_cmp(&Spread::of(&b.1).mid))
 }
 
-/// One graded quantity of a claim, a ratio: the claim holds from `holds`
-/// up, and 1 (or `holds`, if that is lower) is no effect at all.
+/// One graded quantity of a claim, a ratio per repeat: the claim holds
+/// from `holds` up, and 1 (or `holds`, if lower) is no effect at all.
 struct Effect {
     label: String,
-    value: Spread,
+    values: Vec<f64>,
     holds: f64,
 }
 
 impl Effect {
     fn grade(&self) -> Verdict {
-        let (Spread { lo, hi, .. }, null) = (self.value, self.holds.min(1.0));
+        let (Spread { lo, hi, .. }, null) = (Spread::of(&self.values), self.holds.min(1.0));
         if lo >= self.holds {
             Verdict::Holds
         } else if hi <= null {
@@ -121,12 +110,14 @@ impl Effect {
     }
 }
 
-/// `a / b` at every x as one effect each.
+/// `a / b` at every x of `a` as one effect each.
 fn per_x(s: &Series, a: &str, b: &str, holds: f64) -> Option<Vec<Effect>> {
-    let at_x = |(x, value): (String, Spread)| {
-        Effect { label: format!("{a} / {b} @{x}"), value, holds }
+    let den = find(&s.0, b)?;
+    let at_x = |(x, num): &(String, Vec<f64>)| {
+        let values = per_repeat(num, find(den, x)?);
+        Some(Effect { label: format!("{a} / {b} @{x}"), values, holds })
     };
-    Some(ratios(s, a, b)?.into_iter().map(at_x).collect())
+    find(&s.0, a)?.iter().map(at_x).collect()
 }
 
 /// The effects `claim` asks about; `None` if it names a series or x that
@@ -137,8 +128,8 @@ fn effects(claim: &Claim, s: &Series) -> Option<Vec<Effect>> {
             let mut out = per_x(s, num, den, floor)?;
             if let (Some(holds), [first, .., last]) = (grows, &out[..]) {
                 let label = format!("{} over {}", last.label, first.label);
-                let trend = Effect { label, value: last.value.over(first.value), holds };
-                out.push(trend);
+                let values = per_repeat(&last.values, &first.values);
+                out.push(Effect { label, values, holds });
             }
             out
         }
@@ -147,27 +138,26 @@ fn effects(claim: &Claim, s: &Series) -> Option<Vec<Effect>> {
             pairs.collect::<Option<Vec<_>>>()?.into_iter().flatten().collect()
         }
         Claim::Gain { of, over, min } => {
-            let (x, value) = best(&ratios(s, of, over)?)?.clone();
-            vec![Effect { label: format!("{of} / {over} @{x} (its best x)"), value, holds: min }]
+            let mid = |e: &Effect| Spread::of(&e.values).mid;
+            let by_x = per_x(s, of, over, min)?.into_iter();
+            let mut top = by_x.max_by(|a, b| mid(a).total_cmp(&mid(b)))?;
+            top.label += " (its best x)";
+            vec![top]
         }
         Claim::Drop { series, min } | Claim::Growth { series, min } => {
-            let points = s.get(series)?;
-            let (top, end) = match claim {
-                Claim::Drop { .. } => (best(points)?, points.last()?),
-                _ => (best(points)?, points.first()?),
-            };
-            // A point over itself is exactly 1, whatever its spread.
-            let value = if top.0 == end.0 { Spread::of(vec![1.0]) } else { top.1.over(end.1) };
+            let points = find(&s.0, series)?;
+            let drop = matches!(claim, Claim::Drop { .. });
+            let (top, end) = (best(points)?, if drop { points.last() } else { points.first() }?);
             let label = format!("{series} @{} (its best x) / @{}", top.0, end.0);
-            vec![Effect { label, value, holds: min }]
+            vec![Effect { label, values: per_repeat(&top.1, &end.1), holds: min }]
         }
-        Claim::Plateau { mid, floor } => {
+        Claim::Plateau { mid, floor: holds } => {
             let mut out = Vec::new();
             for (name, points) in &s.0 {
                 let (lx, last) = points.last()?;
                 for &m in mid {
-                    let value = at(points, m)?.over(*last);
-                    out.push(Effect { label: format!("{name} @{m} / @{lx}"), value, holds: floor });
+                    let values = per_repeat(find(points, m)?, last);
+                    out.push(Effect { label: format!("{name} @{m} / @{lx}"), values, holds });
                 }
             }
             out
@@ -190,10 +180,10 @@ pub fn tsv_path(fig: &Figure, dir: &Path) -> std::path::PathBuf {
     dir.join(format!("{}.tsv", fig.id))
 }
 
-/// Reads `<dir>/<fig.id>.tsv` and folds the repeats of every declared
-/// point into its spread. `Err` says why the file is not a measurement
-/// of `fig`: unreadable, a row with failed requests, a declared point
-/// with fewer than [`REPEATS`] rows.
+/// Reads `<dir>/<fig.id>.tsv` into every declared point's value at each
+/// repeat index. `Err` says why the file is not a measurement of `fig`:
+/// unreadable, a row with failed requests, a declared point lacking a
+/// repeat another has or with fewer than [`REPEATS`].
 pub fn load(fig: &Figure, dir: &Path) -> Result<Series, String> {
     load_column(fig, dir, "mrecords_per_sec")
 }
@@ -208,33 +198,33 @@ pub fn load_column(fig: &Figure, dir: &Path, column: &str) -> Result<Series, Str
         let missing = || format!("{}: no {name} column", path.display());
         header.iter().position(|h| *h == name).ok_or_else(missing)
     };
-    let (series, x, rate, failed) =
-        (col("series")?, col("x")?, col(column)?, col("failed_requests")?);
+    let [series, x, repeat, value, failed] =
+        [col("series")?, col("x")?, col("repeat")?, col(column)?, col("failed_requests")?];
     let mut samples = Vec::new();
     for line in lines {
         let f: Vec<&str> = line.split('\t').collect();
         let bad = || format!("{}: malformed row {line:?}", path.display());
-        let last = series.max(x).max(rate).max(failed);
-        if f.len() <= last {
+        if f.len() <= series.max(x).max(repeat).max(value).max(failed) {
             return Err(bad());
         }
         if f[failed] != "0" {
             return Err(format!("{} @{}: {} failed produce requests", f[series], f[x], f[failed]));
         }
-        samples.push((f[series], f[x], f[rate].parse::<f64>().map_err(|_| bad())?));
+        let k = f[repeat].parse::<usize>().map_err(|_| bad())?;
+        samples.push((f[series], f[x], k, f[value].parse::<f64>().map_err(|_| bad())?));
     }
+    let repeats = samples.iter().map(|s| s.2 + 1).max().unwrap_or(0).max(REPEATS);
     let mut out: Vec<(String, Points)> = Vec::new();
     for p in &fig.points {
-        let v: Vec<f64> =
-            samples.iter().filter(|s| s.0 == p.series && s.1 == p.x).map(|s| s.2).collect();
-        if v.len() < REPEATS {
-            return Err(format!("{} @{}: {} of {REPEATS} repeats", p.series, p.x, v.len()));
+        let cell = |k| samples.iter().find(|s| (s.0, s.1, s.2) == (&*p.series, &*p.x, k));
+        let v: Vec<f64> = (0..repeats).filter_map(|k| Some(cell(k)?.3)).collect();
+        if v.len() < repeats {
+            return Err(format!("{} @{}: {} of {repeats} repeats", p.series, p.x, v.len()));
         }
-        let i = out.iter().position(|(n, _)| *n == p.series).unwrap_or_else(|| {
-            out.push((p.series.clone(), Vec::new()));
-            out.len() - 1
-        });
-        out[i].1.push((p.x.clone(), Spread::of(v)));
+        match out.iter_mut().find(|(n, _)| *n == p.series) {
+            Some((_, points)) => points.push((p.x.clone(), v)),
+            None => out.push((p.series.clone(), vec![(p.x.clone(), v)])),
+        }
     }
     Ok(Series(out))
 }
@@ -249,7 +239,7 @@ pub fn grade(fig: &Figure, loaded: &Result<Series, String>) -> (Verdict, String)
     };
     match effects {
         Ok(e) => {
-            let part = |e: &Effect| format!("{} = {}", e.label, e.value);
+            let part = |e: &Effect| format!("{} = {}", e.label, Spread::of(&e.values));
             (worst(&e), e.iter().map(part).collect::<Vec<_>>().join("; "))
         }
         Err(why) => (Verdict::Invalid, why.to_string()),
@@ -266,92 +256,105 @@ mod tests {
     use super::*;
     use Verdict::*;
 
-    /// A series measured at x = "1", "2", …, each median with a relative
-    /// min–max of ±`spread`.
-    fn line(name: &str, mids: &[f64], spread: f64) -> (String, Points) {
-        let point = |(i, &m): (usize, &f64)| {
-            ((i + 1).to_string(), Spread { lo: m * (1.0 - spread), mid: m, hi: m * (1.0 + spread) })
-        };
-        (name.to_string(), mids.iter().enumerate().map(point).collect())
+    /// A series measured at x = "1", "2", …, each x given its value at
+    /// every repeat.
+    fn line(name: &str, points: &[[f64; 3]]) -> (String, Points) {
+        let point = |(i, v): (usize, &[f64; 3])| ((i + 1).to_string(), v.to_vec());
+        (name.to_string(), points.iter().enumerate().map(point).collect())
     }
 
-    /// The verdict of `claim` on series "a" (and "b", if given) with `spread`.
-    fn on(claim: Claim, a: &[f64], b: &[f64], spread: f64) -> Verdict {
-        verdict(&claim, &Series(vec![line("a", a, spread), line("b", b, spread)]))
+    /// The verdict of `claim` on series "a" and "b" given per repeat.
+    fn on_repeats(claim: Claim, a: &[[f64; 3]], b: &[[f64; 3]]) -> Verdict {
+        verdict(&claim, &Series(vec![line("a", a), line("b", b)]))
+    }
+
+    /// The verdict of `claim` on series "a" (and "b", if given) whose
+    /// every point reads the same value in each of the three repeats.
+    fn on(claim: Claim, a: &[f64], b: &[f64]) -> Verdict {
+        let steady = |v: &[f64]| -> Vec<[f64; 3]> { v.iter().map(|&m| [m; 3]).collect() };
+        on_repeats(claim, &steady(a), &steady(b))
     }
 
     #[test]
     fn median_and_spread_of_repeats() {
-        assert_eq!(Spread::of(vec![3.0, 1.0, 2.0]), Spread { lo: 1.0, mid: 2.0, hi: 3.0 });
-        assert_eq!(Spread::of(vec![4.0, 1.0]), Spread { lo: 1.0, mid: 2.5, hi: 4.0 });
+        assert_eq!(Spread::of(&[3.0, 1.0, 2.0]), Spread { lo: 1.0, mid: 2.0, hi: 3.0 });
+        assert_eq!(Spread::of(&[4.0, 1.0]), Spread { lo: 1.0, mid: 2.5, hi: 4.0 });
     }
 
     #[test]
     fn ratio_claim() {
         let floor = Claim::Ratio { num: "a", den: "b", floor: 1.5, grows: None };
-        assert_eq!(on(floor, &[2.0, 3.0], &[1.0, 1.0], 0.02), Holds);
-        assert_eq!(on(floor, &[1.2, 1.3], &[1.0, 1.0], 0.02), Attenuated);
-        assert_eq!(on(floor, &[2.0, 0.5], &[1.0, 1.0], 0.02), NotReproduced);
-        assert_eq!(on(floor, &[2.0, 1.5], &[1.0, 1.0], 0.1), Unresolved);
+        assert_eq!(on(floor, &[2.0, 3.0], &[1.0, 1.0]), Holds);
+        assert_eq!(on(floor, &[1.2, 1.3], &[1.0, 1.0]), Attenuated);
+        assert_eq!(on(floor, &[2.0, 0.5], &[1.0, 1.0]), NotReproduced);
+        let straddles = [[2.0; 3], [1.4, 1.5, 1.6]];
+        assert_eq!(on_repeats(floor, &straddles, &[[1.0; 3]; 2]), Unresolved);
         let grows = Claim::Ratio { num: "a", den: "b", floor: 1.0, grows: Some(1.2) };
-        assert_eq!(on(grows, &[2.0, 3.0], &[1.0, 1.0], 0.02), Holds);
-        assert_eq!(on(grows, &[2.0, 2.2], &[1.0, 1.0], 0.01), Attenuated);
-        assert_eq!(on(grows, &[3.0, 2.0], &[1.0, 1.0], 0.02), NotReproduced);
-        assert_eq!(on(grows, &[2.0, 2.4], &[1.0, 1.0], 0.1), Unresolved);
+        assert_eq!(on(grows, &[2.0, 3.0], &[1.0, 1.0]), Holds);
+        assert_eq!(on(grows, &[2.0, 2.2], &[1.0, 1.0]), Attenuated);
+        assert_eq!(on(grows, &[3.0, 2.0], &[1.0, 1.0]), NotReproduced);
+        let straddles = [[2.0; 3], [2.4, 2.2, 2.6]];
+        assert_eq!(on_repeats(grows, &straddles, &[[1.0; 3]; 2]), Unresolved);
     }
 
     #[test]
     fn ordering_claim() {
         let claim = Claim::Ordering { series: &["a", "b"] };
-        assert_eq!(on(claim, &[3.0, 2.0], &[2.0, 1.0], 0.02), Holds);
-        assert_eq!(on(claim, &[3.0, 1.0], &[2.0, 2.0], 0.02), NotReproduced);
-        assert_eq!(on(claim, &[3.0, 1.05], &[2.0, 1.0], 0.1), Unresolved);
+        assert_eq!(on(claim, &[3.0, 2.0], &[2.0, 1.0]), Holds);
+        assert_eq!(on(claim, &[3.0, 1.0], &[2.0, 2.0]), NotReproduced);
+        let straddles = [[3.0; 3], [1.05, 0.95, 1.15]];
+        assert_eq!(on_repeats(claim, &straddles, &[[2.0; 3], [1.0; 3]]), Unresolved);
     }
 
     #[test]
     fn gain_claim() {
         let claim = Claim::Gain { of: "a", over: "b", min: 1.15 };
-        assert_eq!(on(claim, &[1.0, 1.3], &[1.0, 1.0], 0.02), Holds);
-        assert_eq!(on(claim, &[1.05, 1.08], &[1.0, 1.0], 0.01), Attenuated);
-        assert_eq!(on(claim, &[0.9, 0.8], &[1.0, 1.0], 0.02), NotReproduced);
-        assert_eq!(on(claim, &[1.1, 1.15], &[1.0, 1.0], 0.1), Unresolved);
+        assert_eq!(on(claim, &[1.0, 1.3], &[1.0, 1.0]), Holds);
+        assert_eq!(on(claim, &[1.05, 1.08], &[1.0, 1.0]), Attenuated);
+        assert_eq!(on(claim, &[0.9, 0.8], &[1.0, 1.0]), NotReproduced);
+        let straddles = [[1.1; 3], [1.15, 1.05, 1.25]];
+        assert_eq!(on_repeats(claim, &straddles, &[[1.0; 3]; 2]), Unresolved);
     }
 
     #[test]
     fn drop_claim() {
         let claim = Claim::Drop { series: "a", min: 1.33 };
-        assert_eq!(on(claim, &[1.0, 1.1, 0.6], &[], 0.02), Holds);
-        assert_eq!(on(claim, &[1.0, 1.1, 0.95], &[], 0.01), Attenuated);
+        assert_eq!(on(claim, &[1.0, 1.1, 0.6], &[]), Holds);
+        assert_eq!(on(claim, &[1.0, 1.1, 0.95], &[]), Attenuated);
         // Best at its last x: no drop, however wide the spread.
-        assert_eq!(on(claim, &[0.8, 0.9, 1.0], &[], 0.2), NotReproduced);
-        assert_eq!(on(claim, &[1.0, 1.02, 1.0], &[], 0.05), Unresolved);
+        let best_last = [[0.6, 0.8, 1.0], [0.7, 0.9, 1.1], [0.8, 1.0, 1.2]];
+        assert_eq!(on_repeats(claim, &best_last, &[]), NotReproduced);
+        let straddles = [[1.0; 3], [1.02, 0.97, 1.07], [1.0; 3]];
+        assert_eq!(on_repeats(claim, &straddles, &[]), Unresolved);
     }
 
     #[test]
     fn growth_claim() {
         let claim = Claim::Growth { series: "a", min: 1.3 };
-        assert_eq!(on(claim, &[0.5, 0.8, 1.0], &[], 0.02), Holds);
-        assert_eq!(on(claim, &[1.0, 1.1, 1.15], &[], 0.01), Attenuated);
-        assert_eq!(on(claim, &[1.0, 0.9, 0.8], &[], 0.2), NotReproduced);
-        assert_eq!(on(claim, &[1.0, 1.2, 1.3], &[], 0.1), Unresolved);
+        assert_eq!(on(claim, &[0.5, 0.8, 1.0], &[]), Holds);
+        assert_eq!(on(claim, &[1.0, 1.1, 1.15], &[]), Attenuated);
+        assert_eq!(on(claim, &[1.0, 0.9, 0.8], &[]), NotReproduced);
+        let straddles = [[1.0; 3], [1.2; 3], [1.3, 1.2, 1.4]];
+        assert_eq!(on_repeats(claim, &straddles, &[]), Unresolved);
     }
 
     #[test]
     fn plateau_claim() {
         let claim = Claim::Plateau { mid: &["2", "3"], floor: 0.9 };
         let flat = [1.0, 1.0, 1.0, 1.0];
-        assert_eq!(on(claim, &[1.0, 1.1, 1.05, 1.0], &flat, 0.02), Holds);
-        assert_eq!(on(claim, &[1.0, 0.5, 1.05, 1.0], &flat, 0.02), NotReproduced);
-        assert_eq!(on(claim, &[1.0, 0.92, 0.95, 1.0], &flat, 0.05), Unresolved);
+        assert_eq!(on(claim, &[1.0, 1.1, 1.05, 1.0], &flat), Holds);
+        assert_eq!(on(claim, &[1.0, 0.5, 1.05, 1.0], &flat), NotReproduced);
+        let straddles = [[1.0; 3], [0.92, 0.87, 0.97], [0.95; 3], [1.0; 3]];
+        assert_eq!(on_repeats(claim, &straddles, &[[1.0; 3]; 4]), Unresolved);
     }
 
     #[test]
     fn a_claim_about_an_unmeasured_series_or_x_is_invalid() {
         let ratio = Claim::Ratio { num: "a", den: "c", floor: 1.0, grows: None };
-        assert_eq!(on(ratio, &[1.0], &[1.0], 0.0), Invalid);
+        assert_eq!(on(ratio, &[1.0], &[1.0]), Invalid);
         let ratio = Claim::Ratio { num: "a", den: "b", floor: 1.0, grows: None };
-        assert_eq!(on(ratio, &[1.0, 1.0], &[1.0], 0.0), Invalid, "b has no x = 2");
-        assert_eq!(on(Claim::Plateau { mid: &["9"], floor: 0.9 }, &[1.0], &[1.0], 0.0), Invalid);
+        assert_eq!(on(ratio, &[1.0, 1.0], &[1.0]), Invalid, "b has no x = 2");
+        assert_eq!(on(Claim::Plateau { mid: &["9"], floor: 0.9 }, &[1.0], &[1.0]), Invalid);
     }
 
     /// The check the deleted Python never made: it printed fig08's verdict

@@ -11,8 +11,8 @@
 //! - [`figures`] — each figure declared once: its sweep of §V-B/C/D as
 //!   [`experiment::ExperimentConfig`]s, the paper's sentence, the claim
 //!   checked with its tolerance, the verdict the committed results earn;
-//! - [`check`] — grades a claim against a measured TSV (medians over the
-//!   repeats, min–max spread, `Unresolved` inside it);
+//! - [`check`] — grades a claim against a measured TSV (every effect a
+//!   ratio inside one repeat, min–max over them, `Unresolved` inside it);
 //! - [`report`] — the `figure` binary's verbs: run into a TSV, check,
 //!   render `EXPERIMENTS.md`, list.
 //!

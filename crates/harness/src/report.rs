@@ -160,7 +160,8 @@ pub fn render(dir: &Path) -> String {
         tables += &format!("\n### {}\n\n| series | {} |\n|---|", fig.id, xs.join(" | "));
         tables += &"---|".repeat(xs.len());
         for (name, points) in &series {
-            let cells: Vec<String> = points.iter().map(|(_, s)| format!("{:.3}", s.mid)).collect();
+            let cell = |(_, v): &(String, Vec<f64>)| format!("{:.3}", check::Spread::of(v).mid);
+            let cells: Vec<String> = points.iter().map(cell).collect();
             tables += &format!("\n| {name} | {} |", cells.join(" | "));
         }
         tables += &writes_rows(&fig, dir).unwrap_or_default();
@@ -178,10 +179,11 @@ fn writes_rows(fig: &Figure, dir: &Path) -> Option<String> {
     let check::Series(bytes) = check::load_column(fig, dir, "storage_bytes").ok()?;
     let mut out = String::new();
     for ((name, writes), (_, bytes)) in writes.iter().zip(&bytes) {
-        let cell = |((_, w), (_, b)): (&(String, check::Spread), &(String, check::Spread))| {
-            format!("{:.0} × {:.1} KB", w.mid, b.mid / w.mid.max(1.0) / 1e3)
-        };
-        let cells: Vec<String> = writes.iter().zip(bytes).map(cell).collect();
+        let cells = writes.iter().zip(bytes).map(|((_, w), (_, b))| {
+            let (w, b) = (check::Spread::of(w).mid, check::Spread::of(b).mid);
+            format!("{w:.0} × {:.1} KB", b / w.max(1.0) / 1e3)
+        });
+        let cells: Vec<String> = cells.collect();
         out += &format!("\n| {name} writes | {} |", cells.join(" | "));
     }
     Some(out)
@@ -339,8 +341,7 @@ mod tests {
         let check::Series(series) = check::load(&fig, &dir).unwrap();
         assert_eq!(series[0].0, "Kafka R3");
         assert_eq!(series[1].0, "KerA R3");
-        let spread = check::Spread { lo: 1.5, mid: 1.6, hi: 1.7 };
-        assert_eq!(series[1].1, [("128".to_string(), spread)]);
+        assert_eq!(series[1].1, [("128".to_string(), vec![1.5, 1.6, 1.7])]);
         assert_eq!(check::check(&fig, &dir).0, Verdict::Holds);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -364,6 +365,49 @@ mod tests {
         other.points[0].series = "Kafka R2".into();
         write_tsv(&dir, &fig, &rows).unwrap();
         assert_eq!(check::check(&other, &dir).0, Verdict::Invalid, "a declared series is missing");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `n` repeats of [`two_series`]'s figure, KerA at `kera` × Kafka's
+    /// rate, both scaled by `drift(k)` in repeat `k`.
+    fn drifting(n: usize, kera: f64, drift: impl Fn(usize) -> f64) -> Vec<Row> {
+        let rate = |k| 1e6 * drift(k);
+        let both = |k| [row("Kafka R3", k, rate(k)), row("KerA R3", k, kera * rate(k))];
+        (0..n).flat_map(both).collect()
+    }
+
+    /// KerA at exactly twice Kafka in every repeat, against a floor of 1.5,
+    /// while the host runs 0.8, 1.0 and 1.2 times as fast in the three
+    /// repeats: drift both series share is no spread in their ratio.
+    /// Dividing one series' slowest repeat by the other's fastest would
+    /// read 1.33–3.00 and `UNRESOLVED`.
+    #[test]
+    fn drift_both_series_share_cancels_in_their_ratio() {
+        let dir = scratch("drift");
+        let (mut fig, _) = two_series();
+        fig.claim = Claim::Ratio { num: "KerA R3", den: "Kafka R3", floor: 1.5, grows: None };
+        write_tsv(&dir, &fig, &drifting(3, 2.0, |k| [0.8, 1.0, 1.2][k])).unwrap();
+        let (verdict, measured) = check::grade(&fig, &check::load(&fig, &dir));
+        assert_eq!(verdict, Verdict::Holds, "{measured}");
+        assert_eq!(measured, "KerA R3 / Kafka R3 @128 = 2.00 (2.00–2.00)");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_repeat_of_a_tsv_is_loaded_and_each_point_needs_all_of_them() {
+        let dir = scratch("repeats");
+        let (fig, _) = two_series();
+        let rows = drifting(5, 1.5, |k| 1.0 + k as f64 / 10.0);
+        write_tsv(&dir, &fig, &rows).unwrap();
+        let check::Series(series) = check::load(&fig, &dir).unwrap();
+        assert_eq!(series[0].1, [("128".to_string(), vec![1.0, 1.1, 1.2, 1.3, 1.4])]);
+        // KerA R3 lacks repeat 3, which Kafka R3 has.
+        let gap: Vec<Row> =
+            rows.into_iter().filter(|r| r.series == "Kafka R3" || r.repeat != 3).collect();
+        write_tsv(&dir, &fig, &gap).unwrap();
+        let (verdict, why) = check::check(&fig, &dir);
+        assert_eq!(verdict, Verdict::Invalid);
+        assert!(why.contains("KerA R3 @128: 4 of 5 repeats"), "{why}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -236,6 +236,14 @@ rm -f results/tmp/fig*.tsv
 KERA_WARMUP_MS=100 KERA_MEASURE_MS=300 \
   cargo run -q --release -p kera-harness --bin figure -- fig13 >/dev/null
 cargo run -q --release -p kera-harness --bin figure -- check results/tmp
+# One pairing rule: every effect is computed inside one repeat. Dividing
+# one cell's lowest repeat by another's highest (a `lo` over a `hi`, a
+# `Spread::over`) is the rule it replaced (non-test lines, as above).
+if awk '/^#\[cfg\(test\)\]/{exit} /lo *\/ *[A-Za-z_.]*hi([^A-Za-z_]|$)|fn over[ (<]/{print FILENAME":"FNR": "$0}' \
+    crates/harness/src/check.rs | grep .; then
+  echo "check.rs computes every effect inside one repeat: no lo / hi across repeats, no fn over" >&2
+  exit 1
+fi
 if ls scripts/*.py 2>/dev/null \
     || grep -rnE 'summarize_result[s]|fill_experiment[s]' README.md DESIGN.md EXPERIMENTS.md \
         ROADMAP.md .claude scripts crates src tests examples lint; then

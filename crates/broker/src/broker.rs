@@ -14,14 +14,18 @@
 //! broker append path stays copy-and-patch only, preserving the paper's
 //! zero-copy claim.
 //!
-//! Fetch path: consumers read whole chunks below the durable head only.
+//! Fetch path: consumers read whole chunks below the durable head only. A
+//! fetch that finds none is parked, answered by the thread that answers a
+//! produce made durable in one of its slots (the one that landed its last
+//! round; at R1 its own) or at `FETCH_MAX_WAIT` by one re-armed timer.
 
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use kera_common::config::StreamConfig;
-use kera_common::ids::{NodeId, StreamId};
+use kera_common::ids::{NodeId, StreamId, StreamletId};
 use kera_common::metrics::Counter;
 use kera_common::{KeraError, Result};
 use kera_obs::{Gauge, NodeObs, Stage, TraceContext};
@@ -34,10 +38,11 @@ use kera_vlog::{VirtualLog, VirtualLogSet};
 use kera_wire::chunk::ChunkIter;
 use kera_wire::frames::OpCode;
 use kera_wire::messages::{
-    BackupFreeRequest, DeleteStreamRequest, FetchRequest, FetchResponse, FetchResult,
+    BackupFreeRequest, DeleteStreamRequest, FetchEntry, FetchRequest, FetchResponse, FetchResult,
     HostStreamRequest, NodeRole, ProduceRequest, ProduceResponse, ReplicaRole, SeekRequest,
-    SeekResponse,
+    SeekResponse, FETCH_MAX_WAIT,
 };
+use parking_lot::Mutex;
 
 use crate::channel::RpcBackupChannel;
 use crate::introspect::{self, HealthFields};
@@ -45,11 +50,24 @@ use crate::introspect::{self, HealthFields};
 /// Budget of one backup write (its retransmits included).
 const REPLICATION_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// A produce appended: its acks and the logs it touched.
-type Appended = (ProduceResponse, Vec<(Arc<VirtualLog>, u64)>);
+/// A produce appended: its acks, the logs it touched and its slots.
+type Appended = (ProduceResponse, Vec<(Arc<VirtualLog>, u64)>, Vec<Slot>);
+
+/// A slot of a streamlet, as a fetch entry names it.
+type Slot = (StreamId, StreamletId, u32);
+
+/// Fetches with no durable data and their deadlines, parked and taken
+/// under `broker.parked`, and whether the expiry timer is armed.
+#[derive(Default)]
+struct Parked {
+    fetches: Vec<(Instant, FetchRequest, Reply)>,
+    armed: bool,
+}
 
 /// The broker service of one node.
 pub struct BrokerService {
+    /// Itself, for the closures a produce's answer and the expiry timer run.
+    me: Weak<BrokerService>,
     node: NodeId,
     store: StreamStore,
     vlogs: VirtualLogSet,
@@ -67,6 +85,13 @@ pub struct BrokerService {
     pub bytes_in: Arc<Counter>,
     /// Fetch requests served (`kera.broker.fetches`).
     pub fetches: Arc<Counter>,
+    parked: Mutex<Parked>,
+    /// Produces answered durable: a fetch parks only if none was since its read.
+    landed: AtomicU64,
+    /// Fetches that found no data and waited (`kera.broker.fetches_parked`).
+    pub fetches_parked: Arc<Counter>,
+    /// Parked fetches answered at their deadline (`kera.broker.fetches_expired`).
+    pub fetches_expired: Arc<Counter>,
     /// Retried chunks answered from the per-slot replay cache instead of
     /// being appended a second time (`kera.broker.chunks_replayed`).
     pub chunks_replayed: Arc<Counter>,
@@ -99,27 +124,34 @@ impl BrokerService {
         cluster_backups: Vec<NodeId>,
         obs: Arc<NodeObs>,
     ) -> Arc<Self> {
-        let reg = obs.registry();
-        Arc::new(Self {
-            node,
-            store: StreamStore::new(),
-            vlogs: VirtualLogSet::new_with_obs(
+        Arc::new_cyclic(|me| {
+            let reg = obs.registry();
+            Self {
+                me: Weak::clone(me),
                 node,
-                colocated_backup,
-                cluster_backups,
-                SelectionPolicy::RoundRobin,
-                Arc::clone(&obs),
-            ),
-            channel: OnceLock::new(),
-            chunks_in: reg.counter("kera.broker.chunks_in", &[]),
-            records_in: reg.counter("kera.broker.records_in", &[]),
-            bytes_in: reg.counter("kera.broker.bytes_in", &[]),
-            fetches: reg.counter("kera.broker.fetches", &[]),
-            chunks_replayed: reg.counter("kera.broker.chunks_replayed", &[]),
-            bytes_fetched: reg.counter("kera.broker.bytes_fetched", &[]),
-            consumer_lag_gauge: reg.gauge("kera.broker.consumer_lag_bytes", &[]),
-            replication_lag_gauge: reg.gauge("kera.broker.replication_lag_bytes", &[]),
-            obs,
+                store: StreamStore::new(),
+                vlogs: VirtualLogSet::new_with_obs(
+                    node,
+                    colocated_backup,
+                    cluster_backups,
+                    SelectionPolicy::RoundRobin,
+                    Arc::clone(&obs),
+                ),
+                channel: OnceLock::new(),
+                chunks_in: reg.counter("kera.broker.chunks_in", &[]),
+                records_in: reg.counter("kera.broker.records_in", &[]),
+                bytes_in: reg.counter("kera.broker.bytes_in", &[]),
+                fetches: reg.counter("kera.broker.fetches", &[]),
+                parked: Mutex::named("broker.parked", Parked::default()),
+                landed: AtomicU64::new(0),
+                fetches_parked: reg.counter("kera.broker.fetches_parked", &[]),
+                fetches_expired: reg.counter("kera.broker.fetches_expired", &[]),
+                chunks_replayed: reg.counter("kera.broker.chunks_replayed", &[]),
+                bytes_fetched: reg.counter("kera.broker.bytes_fetched", &[]),
+                consumer_lag_gauge: reg.gauge("kera.broker.consumer_lag_bytes", &[]),
+                replication_lag_gauge: reg.gauge("kera.broker.replication_lag_bytes", &[]),
+                obs,
+            }
         })
     }
 
@@ -163,7 +195,8 @@ impl BrokerService {
     }
 
     /// Appends a produce, physically and (R > 1) to its slots' virtual
-    /// logs: the acks and the logs touched with the highest ticket each.
+    /// logs: the acks, the logs touched with the highest ticket each, and
+    /// the slots appended to.
     fn append_produce(&self, payload: &Bytes) -> Result<Appended> {
         // Slice the chunk train straight out of the receive buffer: the
         // broker never re-owns the payload.
@@ -171,6 +204,7 @@ impl BrokerService {
         let mut acks = Vec::with_capacity(req.chunk_count as usize);
         // Touched virtual logs, deduped, with the highest ticket each.
         let mut pending: Vec<(Arc<VirtualLog>, u64)> = Vec::new();
+        let mut slots: Vec<Slot> = Vec::new();
 
         // The append stage, parented to the serving RPC's span (the
         // worker thread's current context).
@@ -189,10 +223,14 @@ impl BrokerService {
                 .streamlet(h.streamlet)
                 .ok_or(KeraError::UnknownStreamlet(h.stream, h.streamlet))?;
 
+            let slot = streamlet.slot_of(h.producer);
+            if !slots.contains(&(h.stream, h.streamlet, slot)) {
+                slots.push((h.stream, h.streamlet, slot));
+            }
             // R > 1: the chunk's reference joins its slot's virtual log and
             // the ticket gates the response; R = 1: durable as appended.
             let vlog = if config.replication.factor > 1 {
-                Some(self.vlogs.log_for(&config, h.streamlet, streamlet.slot_of(h.producer))?)
+                Some(self.vlogs.log_for(&config, h.streamlet, slot)?)
             } else {
                 None
             };
@@ -242,7 +280,7 @@ impl BrokerService {
         }
 
         append_span.finish();
-        Ok((ProduceResponse { acks }, pending))
+        Ok((ProduceResponse { acks }, pending, slots))
     }
 
     /// Unhosts a deleted stream: groups close, dedicated virtual logs are
@@ -272,7 +310,8 @@ impl BrokerService {
         Ok(())
     }
 
-    fn handle_fetch(&self, req: FetchRequest) -> Result<FetchResponse> {
+    /// Reads every entry of a fetch, up to its durable head.
+    fn read(&self, req: &FetchRequest) -> Result<FetchResponse> {
         let mut results = Vec::with_capacity(req.entries.len());
         for e in &req.entries {
             let (data, cursor) = self.store.read_slot(
@@ -291,9 +330,71 @@ impl BrokerService {
                 data: Bytes::from(data),
             });
         }
+        Ok(FetchResponse { results })
+    }
+
+    /// Counts a fetch answered and encodes its response.
+    fn served(&self, read: Result<FetchResponse>) -> Result<Bytes> {
+        let resp = read?;
         self.fetches.inc();
         self.obs.bump_progress();
-        Ok(FetchResponse { results })
+        resp.encode()
+    }
+
+    /// Answers a fetch at once if any entry has durable data, else parks
+    /// it for `wake` or `expire`.
+    fn fetch(&self, req: FetchRequest, reply: Reply) {
+        loop {
+            let seen = self.landed.load(Ordering::SeqCst);
+            match self.read(&req) {
+                Ok(resp) if resp.results.iter().all(|r| r.data.is_empty()) => {}
+                read => return reply.send(self.served(read)),
+            }
+            // Under the lock `wake` takes: a produce answered since the
+            // read may have landed what it missed; a later one finds it.
+            let due = Instant::now() + FETCH_MAX_WAIT;
+            let mut parked = self.parked.lock();
+            if self.landed.load(Ordering::SeqCst) != seen {
+                continue;
+            }
+            parked.armed = parked.armed || self.arm(&reply, due);
+            parked.fetches.push((due, req, reply));
+            return self.fetches_parked.inc();
+        }
+    }
+
+    /// Arms the broker's one expiry timer, on the node `reply` came to.
+    fn arm(&self, reply: &Reply, due: Instant) -> bool {
+        let me = Weak::clone(&self.me);
+        reply.timer(due, move || me.upgrade().into_iter().for_each(|broker| broker.expire()))
+    }
+
+    /// Once a produce is durable: answers the fetches parked on its slots.
+    fn wake(&self, slots: &[Slot]) {
+        self.landed.fetch_add(1, Ordering::SeqCst);
+        let reads = |e: &FetchEntry| slots.contains(&(e.stream, e.streamlet, e.slot));
+        let ready: Vec<_> =
+            self.parked.lock().fetches.extract_if(.., |p| p.1.entries.iter().any(reads)).collect();
+        for (_, req, reply) in ready {
+            reply.send(self.served(self.read(&req)));
+        }
+    }
+
+    /// The expiry timer: answers the fetches due and re-arms for the next.
+    fn expire(&self) {
+        let now = Instant::now();
+        let due: Vec<_> = {
+            let mut parked = self.parked.lock();
+            let due = parked.fetches.extract_if(.., |(due, ..)| *due <= now).collect();
+            let next = parked.fetches.iter().min_by_key(|(due, ..)| *due);
+            let armed = next.is_some_and(|(next, _, reply)| self.arm(reply, *next));
+            parked.armed = armed;
+            due
+        };
+        for (_, req, reply) in due {
+            self.fetches_expired.inc();
+            reply.send(self.served(self.read(&req)));
+        }
     }
 
     /// Serves the Introspect RPC: health from the broker's own stores,
@@ -337,13 +438,14 @@ impl Service for BrokerService {
             // Answered here only when its chunks are durable as appended
             // (R1): a replicated one waits for its rounds (`serve`).
             OpCode::Produce | OpCode::RecoveryIngest => match self.append_produce(&payload)? {
-                (resp, touched) if touched.is_empty() => {
+                (resp, touched, slots) if touched.is_empty() => {
+                    self.wake(&slots);
                     self.obs.bump_progress();
                     Ok(resp.encode())
                 }
                 _ => Err(KeraError::Protocol("replicated produce needs `serve`".into())),
             },
-            OpCode::Fetch => self.handle_fetch(FetchRequest::decode(&payload)?)?.encode(),
+            OpCode::Fetch => self.served(self.read(&FetchRequest::decode(&payload)?)),
             OpCode::Introspect => self.handle_introspect(&payload),
             OpCode::Seek => {
                 let req = SeekRequest::decode(&payload)?;
@@ -367,13 +469,20 @@ impl Service for BrokerService {
 
     /// A produce — recovery re-ingestion is "handled as a normal producer
     /// request" (paper §IV-B) — frees its worker once its chunks are
-    /// appended; the thread that lands the last of its rounds answers it.
+    /// appended; the thread that lands the last of its rounds answers it,
+    /// and the fetches parked on its slots. A fetch may park (`fetch`).
     fn serve(&self, ctx: &RequestContext, payload: Bytes, reply: Reply) {
+        if ctx.opcode == OpCode::Fetch {
+            return match FetchRequest::decode(&payload) {
+                Ok(req) => self.fetch(req, reply),
+                Err(e) => reply.send(Err(e)),
+            };
+        }
         let produce = matches!(ctx.opcode, OpCode::Produce | OpCode::RecoveryIngest);
         let Some(channel) = self.channel.get().filter(|_| produce) else {
             return reply.send(self.handle(ctx, payload));
         };
-        let (resp, touched) = match self.append_produce(&payload) {
+        let (resp, touched, slots) = match self.append_produce(&payload) {
             Ok(appended) => appended,
             Err(e) => return reply.send(Err(e)),
         };
@@ -382,9 +491,12 @@ impl Service for BrokerService {
         let parent = if touched.is_empty() { TraceContext::NONE } else { kera_obs::current() };
         let mut span = self.obs.span(Stage::Replicate, parent);
         span.set_aux(touched.len() as u64);
-        let (trace, obs) = (span.context(), Arc::clone(&self.obs));
+        let (trace, obs, me) = (span.context(), Arc::clone(&self.obs), Weak::clone(&self.me));
         let answer = move |durable: Result<()>| {
             drop(span);
+            if let (Ok(()), Some(broker)) = (&durable, me.upgrade()) {
+                broker.wake(&slots);
+            }
             reply.send(durable.map(|()| {
                 obs.bump_progress();
                 resp.encode()

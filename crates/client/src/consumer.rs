@@ -15,9 +15,13 @@
 //! - **Order.** A slot belongs to one lane and a lane has one fetch in
 //!   flight, so a slot's batches enter the cache in cursor order.
 //! - **Isolation.** A lane asks again as soon as *its* reply is applied,
-//!   and "nothing new" and an error pause that lane alone: a broker that
-//!   answers late, refuses or is gone holds back its own slots and
-//!   nobody else's.
+//!   and an error pauses that lane alone: a broker that answers late,
+//!   refuses or is gone holds back its own slots and nobody else's.
+//! - **No idle pause.** A broker keeps a fetch that finds nothing durable
+//!   until a produce lands data in one of its slots, or for
+//!   [`FETCH_MAX_WAIT`](kera_wire::messages::FETCH_MAX_WAIT); so a reply
+//!   without data means the broker has already waited, and the lane asks
+//!   again at once.
 //!
 //! The thread blocks in two places: the park that ends its loop — a
 //! call's end unparks it (it issues every fetch, so it is each call's
@@ -55,9 +59,6 @@ pub struct ConsumerConfig {
     /// Bound of the chunk cache between the two threads.
     pub cache_capacity: usize,
 }
-
-/// A lane's pause after a reply without data (caught up at that broker).
-const IDLE_BACKOFF: Duration = Duration::from_micros(200);
 
 /// A lane's pause after a fetch that failed, or whose reply was refused.
 const ERROR_BACKOFF: Duration = Duration::from_millis(10);
@@ -386,14 +387,12 @@ impl Lane {
                 positions[i].cursor = r.cursor;
             }
         }
-        let mut pause = IDLE_BACKOFF;
         for r in resp.results.into_iter().filter(|r| !r.data.is_empty()) {
-            pause = Duration::ZERO;
             let batch =
                 FetchedBatch { stream: r.stream, streamlet: r.streamlet, slot: r.slot, data: r.data };
             // Blocking push: a full cache pauses fetching.
             cache_tx.send(batch).ok()?;
         }
-        Some(pause)
+        Some(Duration::ZERO)
     }
 }

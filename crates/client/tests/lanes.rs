@@ -1,10 +1,12 @@
 //! The producer and the consumer against a scripted broker: a `Service`
 //! that applies produce requests like a broker would (dedup by chunk
-//! sequence tag) and serves fetches from prepared batches, logs what
-//! arrived in what order and when, and can be told per broker to delay,
-//! fail retriably, hold every answer back or answer with something it
-//! was not asked. Each test pins one invariant of the
-//! clients' per-broker lanes (see `producer.rs`, `consumer.rs`).
+//! sequence tag) and serves fetches from prepared batches (one that finds
+//! nothing is held until a batch is offered or `FETCH_MAX_WAIT` has
+//! passed, as a broker holds it), logs what arrived in what order and
+//! when, and can be told per broker to delay, fail retriably, hold every
+//! answer back or answer with something it was not asked. Each test pins
+//! one invariant of the clients' per-broker lanes (see `producer.rs`,
+//! `consumer.rs`).
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,7 +27,7 @@ use kera_wire::cursor::SlotCursor;
 use kera_wire::frames::OpCode;
 use kera_wire::messages::{
     ChunkAck, FetchRequest, FetchResponse, FetchResult, GetMetadataRequest, ProduceRequest,
-    ProduceResponse, StreamMetadata, StreamletPlacement,
+    ProduceResponse, StreamMetadata, StreamletPlacement, FETCH_MAX_WAIT,
 };
 use parking_lot::Mutex;
 
@@ -223,7 +225,13 @@ impl Service for Scripted {
                 let step = self.script.plan.lock().get_mut(&self.id).and_then(VecDeque::pop_front);
                 let mut resp = self.script.serve(self.id, &req);
                 match step {
-                    None => {}
+                    None => {
+                        let until = Instant::now() + FETCH_MAX_WAIT;
+                        while resp.results.iter().all(|r| r.data.is_empty()) && Instant::now() < until {
+                            std::thread::sleep(Duration::from_millis(1));
+                            resp = self.script.serve(self.id, &req);
+                        }
+                    }
                     Some(Step::Delay(pause)) => std::thread::sleep(pause),
                     Some(Step::Fail | Step::ShortAck) => return Err(KeraError::ShuttingDown),
                     Some(malformed @ (Step::Short | Step::Reordered)) => {

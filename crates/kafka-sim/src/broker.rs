@@ -2,14 +2,14 @@
 //! consumer fetch, and the leader side of follower fetch.
 //!
 //! One service per node, [`KafkaBrokerService`], serves clients and
-//! followers alike, and none of its handlers parks a worker. A follower
-//! fetch that finds no data and an acks=all produce waiting for its high
-//! watermarks are delayed operations in the store's purgatory (Kafka's
-//! name for it), answered through their [`Reply`] by the request that
-//! completes them — the produce whose append gives the fetch data, the
-//! follower fetch whose position moves the produce's last high watermark
-//! — or at their timeout by a timer on the broker's node, armed through
-//! the parked request's own `Reply`.
+//! followers alike, and none of its handlers parks a worker. A fetch
+//! (follower or consumer) that finds no data and an acks=all produce
+//! waiting for its high watermarks are delayed operations in the store's
+//! purgatory (Kafka's name for it), answered through their [`Reply`] by
+//! the request that completes them — the append that gives a fetch data,
+//! the one that moves a high watermark past a consumer's offset or to a
+//! produce's last end — or at their timeout by a timer on the broker's
+//! node, armed through the parked request's own `Reply`.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, Weak};
@@ -28,7 +28,7 @@ use kera_wire::frames::OpCode;
 use kera_wire::messages::{
     ChunkAck, FetchRequest, FetchResponse, FetchResult, FollowerFetchRequest,
     FollowerFetchResponse, FollowerFetchResult, HostStreamRequest, ProduceRequest,
-    ProduceResponse, ReplicaRole, SeekRequest, SeekResponse,
+    ProduceResponse, ReplicaRole, SeekRequest, SeekResponse, FETCH_MAX_WAIT,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -57,6 +57,8 @@ impl Default for KafkaTuning {
 enum Delayed {
     /// A follower fetch that found no data, with the log of each entry.
     Fetch(FollowerFetchRequest, Vec<Arc<PartitionLog>>),
+    /// A consumer fetch, with the log of each entry.
+    Consume(FetchRequest, Vec<Arc<PartitionLog>>),
     /// An acks=all produce: its response, and the end offset each log's
     /// high watermark must reach first.
     Produce(ProduceResponse, Vec<(Arc<PartitionLog>, u64)>),
@@ -69,6 +71,9 @@ impl Delayed {
             Delayed::Fetch(req, logs) => {
                 req.entries.iter().zip(logs).any(|(e, log)| log.leo() > e.fetch_offset)
             }
+            Delayed::Consume(req, logs) => req.entries.iter().zip(logs).any(|(e, log)| {
+                log.high_watermark() > u64::from(e.cursor.offset)
+            }),
             Delayed::Produce(_, waits) => waits.iter().all(|(log, end)| log.high_watermark() >= *end),
         }
     }
@@ -104,6 +109,10 @@ pub struct TopicStore {
     /// Follower fetches answered at `fetch_wait` with no data
     /// (`kera.kafka.fetch_expired`).
     pub fetch_expired: Arc<Counter>,
+    /// Consumer fetches that waited (`kera.kafka.consumer_fetches_parked`).
+    pub consumer_fetches_parked: Arc<Counter>,
+    /// Those answered empty (`kera.kafka.consumer_fetches_expired`).
+    pub consumer_fetches_expired: Arc<Counter>,
 }
 
 impl TopicStore {
@@ -132,6 +141,8 @@ impl TopicStore {
             bytes_in: reg.counter("kera.kafka.bytes_in", &[]),
             follower_fetches: reg.counter("kera.kafka.follower_fetches", &[]),
             fetch_expired: reg.counter("kera.kafka.fetch_expired", &[]),
+            consumer_fetches_parked: reg.counter("kera.kafka.consumer_fetches_parked", &[]),
+            consumer_fetches_expired: reg.counter("kera.kafka.consumer_fetches_expired", &[]),
         })
     }
 
@@ -171,6 +182,7 @@ impl TopicStore {
     fn settle(self: &Arc<Self>, op: Delayed, reply: Reply) {
         let timeout = match op {
             Delayed::Fetch(..) => self.tuning.fetch_wait,
+            Delayed::Consume(..) => FETCH_MAX_WAIT,
             Delayed::Produce(..) => self.tuning.ack_timeout,
         };
         let due = Instant::now() + timeout;
@@ -182,6 +194,7 @@ impl TopicStore {
             if op.ready() {
                 done.push(Parked { due, op, reply });
             } else {
+                self.consumer_fetches_parked.add(u64::from(matches!(op, Delayed::Consume(..))));
                 // Its expiry, on the node it came to; armed under the lock,
                 // so a worker that runs it finds it parked.
                 let store = Arc::downgrade(self);
@@ -210,8 +223,9 @@ impl TopicStore {
         }
     }
 
-    /// A fetch gets the whole chunks past each of its offsets up to the
-    /// log end now; a produce its acks, or `Timeout` if it `timed_out`.
+    /// A follower fetch gets the whole chunks past each of its offsets up
+    /// to the log end now, a consumer fetch up to the high watermark; a
+    /// produce its acks, or `Timeout` if it `timed_out`.
     fn answer(&self, p: Parked, timed_out: bool) {
         match p.op {
             Delayed::Fetch(req, logs) => {
@@ -227,6 +241,10 @@ impl TopicStore {
                     high_watermark: log.high_watermark(),
                 });
                 p.reply.send(FollowerFetchResponse { results: results.collect() }.encode());
+            }
+            Delayed::Consume(req, logs) => {
+                self.consumer_fetches_expired.add(u64::from(timed_out));
+                p.reply.send(consume(&req, &logs).encode());
             }
             Delayed::Produce(..) if timed_out => {
                 p.reply.send(Err(KeraError::Timeout { op: "acks=all high-watermark wait" }))
@@ -322,42 +340,33 @@ impl KafkaBrokerService {
         Ok(Delayed::Fetch(req, logs))
     }
 
-    fn handle_fetch(&self, req: FetchRequest) -> Result<FetchResponse> {
-        let mut results = Vec::with_capacity(req.entries.len());
-        for e in &req.entries {
-            let log = self.store.replica(e.stream, e.streamlet)?;
-            let data =
-                log.read_chunks(u64::from(e.cursor.offset), e.max_bytes as usize, log.high_watermark());
-            let cursor = SlotCursor {
-                chain: 0,
-                segment: 0,
-                offset: e.cursor.offset + data.len() as u32,
-            };
-            results.push(FetchResult {
-                stream: e.stream,
-                streamlet: e.streamlet,
-                slot: e.slot,
-                cursor,
-                data: Bytes::from(data),
-            });
-        }
-        Ok(FetchResponse { results })
+    /// The log of each entry of a consumer fetch.
+    fn consumer_logs(&self, req: &FetchRequest) -> Result<Vec<Arc<PartitionLog>>> {
+        req.entries.iter().map(|e| self.store.replica(e.stream, e.streamlet)).collect()
     }
 }
 
+/// A consumer fetch's answer: the whole chunks past each entry's offset
+/// up to its log's high watermark.
+fn consume(req: &FetchRequest, logs: &[Arc<PartitionLog>]) -> FetchResponse {
+    let results = req.entries.iter().zip(logs).map(|(e, log)| {
+        let data = log.read_chunks(e.cursor.offset.into(), e.max_bytes as usize, log.high_watermark());
+        let cursor = SlotCursor { offset: e.cursor.offset + data.len() as u32, ..SlotCursor::START };
+        let (stream, streamlet, slot) = (e.stream, e.streamlet, e.slot);
+        FetchResult { stream, streamlet, slot, cursor, data: data.into() }
+    });
+    FetchResponse { results: results.collect() }
+}
+
 impl Service for KafkaBrokerService {
-    /// The requests answered at once; produce and follower fetch go
-    /// through [`KafkaBrokerService::serve`].
+    /// Ping, host and seek, answered at once; produce and both fetches
+    /// come only through [`KafkaBrokerService::serve`].
     fn handle(&self, ctx: &RequestContext, payload: Bytes) -> Result<Bytes> {
         match ctx.opcode {
             OpCode::Ping => Ok(Bytes::new()),
             OpCode::HostStream => {
                 self.handle_host(HostStreamRequest::decode(&payload)?);
                 Ok(Bytes::new())
-            }
-            OpCode::Fetch => {
-                let req = FetchRequest::decode(&payload)?;
-                self.handle_fetch(req)?.encode()
             }
             OpCode::Seek => {
                 let req = SeekRequest::decode(&payload)?;
@@ -375,7 +384,7 @@ impl Service for KafkaBrokerService {
         }
     }
 
-    /// A produce and a follower fetch may wait in the purgatory; whatever
+    /// A produce and both fetches may wait in the purgatory; whatever
     /// completes them sends their reply.
     fn serve(&self, ctx: &RequestContext, payload: Bytes, reply: Reply) {
         let op = match ctx.opcode {
@@ -383,6 +392,8 @@ impl Service for KafkaBrokerService {
             OpCode::FollowerFetch => {
                 FollowerFetchRequest::decode(&payload).and_then(|r| self.record_positions(r))
             }
+            OpCode::Fetch => FetchRequest::decode(&payload)
+                .and_then(|r| self.consumer_logs(&r).map(|logs| Delayed::Consume(r, logs))),
             _ => return reply.send(self.handle(ctx, payload)),
         };
         match op {

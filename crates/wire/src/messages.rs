@@ -281,6 +281,10 @@ wire_struct! {
     encode -> Bytes; decode(&[u8]);
 }
 
+/// How long a broker keeps a [`FetchRequest`] that found no data before it
+/// answers it empty; below `RetryPolicy::attempt_timeout`'s default.
+pub const FETCH_MAX_WAIT: std::time::Duration = std::time::Duration::from_millis(100);
+
 wire_struct! {
     /// Data (possibly empty) returned for one fetch entry; `cursor` is the
     /// position to use on the next fetch.

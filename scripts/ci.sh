@@ -94,6 +94,17 @@ if grep -nE 'thread::sleep|fn idle' crates/client/src/producer.rs crates/client/
   exit 1
 fi
 
+# The long poll: a broker keeps a fetch that finds nothing durable until
+# a produce makes data durable in one of its slots or FETCH_MAX_WAIT has
+# passed, so an empty reply means the broker already waited, and a
+# consumer's lane asks again at once: no idle pause in a client (non-test
+# lines, as above).
+if find crates/client/src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{nextfile}
+        /IDLE_BACKOFF/{print FILENAME":"FNR": "$0}' {} + | grep .; then
+  echo "kera-client: no idle pause after an empty fetch; the broker waits (FETCH_MAX_WAIT)" >&2
+  exit 1
+fi
+
 # No admission plane: a broker answers every request it can decode, and
 # a client re-sends only after an error, at once (non-test lines, as
 # above).
@@ -264,14 +275,15 @@ scripts/loc.sh
 # chaos + invariants suites, the replication-round tests (kera-vlog's
 # unit tests, the broker's produce-failure drill), kera-rpc's unit tests
 # (a detached call's completion takes rpc.pending itself, so it must run
-# under none) and the producer's scripted-broker tests with every lock
-# acquisition instrumented.
+# under none), the producer's scripted-broker tests and the long-poll
+# tests (a parked fetch arms its timer under broker.parked) with every
+# lock acquisition instrumented.
 # The chaos run arms the flight recorder: a panic or chaos failure dumps
 # each node's recent-event ring under results/tmp/flightrec/<run>/.
 (cd crates/shims/parking_lot && cargo test -q --features deadlock-detect)
 if ! KERA_FLIGHTREC=1 cargo test -q -p kera -p kera-rpc -p kera-vlog -p kera-broker -p kera-client \
     --features kera/deadlock-detect --test chaos --test invariants --test produce_failure \
-    --test lanes --lib; then
+    --test lanes --test long_poll --lib; then
   echo "chaos/invariants failed — flight recorder dumps:" >&2
   ls results/tmp/flightrec/*/flightrec-*.json >&2 2>/dev/null || echo "  (none recorded)" >&2
   exit 1

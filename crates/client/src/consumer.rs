@@ -36,7 +36,6 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::{self, Receiver, Sender};
 use kera_common::ids::{ConsumerId, NodeId, StreamId, StreamletId};
-use kera_common::metrics::ThroughputMeter;
 use kera_common::{KeraError, Result};
 use kera_rpc::node::PendingCall;
 use kera_rpc::RpcClient;
@@ -185,8 +184,6 @@ pub struct Consumer {
     cache_rx: Option<Receiver<FetchedBatch>>,
     shared: Arc<Shared>,
     requests_thread: Option<std::thread::JoinHandle<()>>,
-    /// Records consumed (counted by [`Consumer::poll_count`]).
-    consumed: ThroughputMeter,
 }
 
 struct Shared {
@@ -261,7 +258,6 @@ impl Consumer {
             cache_rx: Some(cache_rx),
             shared,
             requests_thread: Some(requests_thread),
-            consumed: ThroughputMeter::new(),
         })
     }
 
@@ -270,26 +266,10 @@ impl Consumer {
         self.cache_rx.as_ref()?.recv_timeout(timeout).ok()
     }
 
-    /// Pops a batch, iterates its records (creating record views exactly
-    /// like the paper's source thread does), counts them into the
-    /// consumer meter and returns the count. `Ok(0)` means caught up.
-    pub fn poll_count(&self, timeout: Duration) -> Result<u64> {
-        let Some(batch) = self.next_batch(timeout) else { return Ok(0) };
-        let mut records = 0u64;
-        batch.for_each_record(|_, _| records += 1)?;
-        self.consumed.record(records, batch.data.len() as u64);
-        Ok(records)
-    }
-
-    /// Records consumed per second (windowed; the harness reads this).
-    pub fn metrics(&self) -> &ThroughputMeter {
-        &self.consumed
-    }
-
     /// Snapshot of the *fetch* positions. Note: positions reflect what
-    /// has been fetched into the cache, not what [`Consumer::poll_count`]
-    /// has consumed — drain the cache before saving positions for an
-    /// exactly-once resume.
+    /// has been fetched into the cache, not what has been taken out of it
+    /// — drain the cache before saving positions for an exactly-once
+    /// resume.
     pub fn positions(&self) -> Vec<CursorPosition> {
         self.shared.positions.lock().clone()
     }

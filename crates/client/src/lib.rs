@@ -10,6 +10,10 @@
 //!   slot per broker request into a bounded chunk cache, while the caller
 //!   (the *Source* thread) iterates records out of cached chunks.
 //!
+//! What a consumer delivered is checked against what producers sent by
+//! one [`oracle`], which every test and figure point that reads data back
+//! goes through.
+//!
 //! The same clients drive both the KerA cluster and the Kafka-style
 //! baseline — they speak the shared wire protocol and only see streams,
 //! partitions and chunks.
@@ -23,11 +27,13 @@ use std::time::Duration;
 
 pub mod consumer;
 pub mod metadata;
+pub mod oracle;
 pub mod partitioner;
 pub mod producer;
 
 pub use consumer::{Consumer, ConsumerConfig};
 pub use metadata::MetadataClient;
+pub use oracle::Oracle;
 pub use partitioner::Partitioner;
 pub use producer::{Producer, ProducerConfig};
 

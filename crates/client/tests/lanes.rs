@@ -14,9 +14,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use kera_client::consumer::{Consumer, ConsumerConfig, Subscription};
+use kera_client::consumer::{Consumer, ConsumerConfig, FetchedBatch, Subscription};
 use kera_client::producer::{Producer, ProducerConfig};
-use kera_client::MetadataClient;
+use kera_client::{MetadataClient, Oracle};
 use kera_common::config::StreamConfig;
 use kera_common::ids::{NodeId, ProducerId, StreamId, StreamletId};
 use kera_common::{KeraError, Result};
@@ -57,8 +57,9 @@ enum Step {
 struct Log {
     /// Every produce body as received, per broker, in arrival order.
     requests: Vec<(NodeId, Bytes)>,
-    /// Record numbers applied per slot, in the order they were applied.
-    applied: HashMap<StreamletId, Vec<u64>>,
+    /// Chunks applied, in the order they were, each as the batch a
+    /// consumer would fetch of its slot.
+    applied: Vec<FetchedBatch>,
     /// When each record number was applied.
     applied_at: HashMap<u64, Instant>,
     seen_tags: HashSet<(StreamletId, u64)>,
@@ -144,9 +145,10 @@ impl Script {
             if log.seen_tags.insert((h.streamlet, tag)) {
                 for rec in chunk.records() {
                     let n = u64::from_le_bytes(rec?.value()[..8].try_into().unwrap());
-                    log.applied.entry(h.streamlet).or_default().push(n);
                     log.applied_at.insert(n, Instant::now());
                 }
+                let data = Bytes::copy_from_slice(chunk.bytes());
+                log.applied.push(FetchedBatch { stream: h.stream, streamlet: h.streamlet, slot: 0, data });
             } else {
                 log.replays += 1;
             }
@@ -330,17 +332,12 @@ fn flush_within(producer: &Arc<Producer>, limit: Duration) {
 /// Every record 0..n applied exactly once, and in send order per slot
 /// (round-robin partitioning: a slot's record numbers only grow).
 fn assert_applied_once_in_order(script: &Script, n: u64) {
-    let log = script.log.lock();
-    let mut all: Vec<u64> = Vec::new();
-    for (slot, records) in &log.applied {
-        assert!(
-            records.windows(2).all(|w| w[0] < w[1]),
-            "slot {slot:?} applied out of order: {records:?}"
-        );
-        all.extend(records);
+    let mut oracle = Oracle::default();
+    oracle.expect(STREAM, ProducerId(7), n);
+    for chunk in &script.log.lock().applied {
+        oracle.observe(chunk).unwrap();
     }
-    all.sort_unstable();
-    assert_eq!(all, (0..n).collect::<Vec<_>>(), "records lost or applied twice");
+    oracle.settle().unwrap();
 }
 
 /// (a) The PR 4 and PR 7 bugs as cases: broker A answers slowly, so its

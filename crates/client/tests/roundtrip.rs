@@ -1,15 +1,15 @@
 //! End-to-end client tests: the same producer/consumer stack driving the
 //! KerA cluster and the Kafka-style baseline.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use kera_broker::KeraCluster;
 use kera_client::consumer::{Consumer, ConsumerConfig, Subscription};
 use kera_client::producer::{Producer, ProducerConfig};
-use kera_client::MetadataClient;
+use kera_client::oracle::stamp;
+use kera_client::{MetadataClient, Oracle};
 use kera_common::config::{ClusterConfig, ReplicationConfig, StreamConfig, VirtualLogPolicy};
-use kera_common::ids::{ConsumerId, ProducerId, StreamId, StreamletId};
+use kera_common::ids::{ConsumerId, ProducerId, StreamId};
 use kera_kafka_sim::broker::KafkaTuning;
 use kera_kafka_sim::KafkaCluster;
 
@@ -41,14 +41,21 @@ fn consumer_config(id: u32) -> ConsumerConfig {
     ConsumerConfig { id: ConsumerId(id), fetch_max_bytes: 4096, ..ConsumerConfig::default() }
 }
 
-/// Drains the consumer until `expected` records arrive or a deadline.
-fn consume_all(consumer: &Consumer, expected: u64) -> u64 {
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    let mut total = 0;
-    while total < expected && std::time::Instant::now() < deadline {
-        total += consumer.poll_count(Duration::from_millis(100)).unwrap();
+/// Every record `0..sent[p]` producer `p` stamped for `stream`, exactly
+/// once and in per-slot order, from `consumer`.
+fn consume_all(consumer: &Consumer, stream: StreamId, sent: &[u64]) {
+    let mut oracle = Oracle::default();
+    for (p, &n) in sent.iter().enumerate() {
+        oracle.expect(stream, ProducerId(p as u32), n);
     }
-    total
+    oracle.drain(&[consumer], Duration::from_secs(20)).unwrap();
+}
+
+/// A 100-byte value stamped `seq`.
+fn value(seq: u64) -> [u8; 100] {
+    let mut v = [0x5au8; 100];
+    stamp(&mut v, seq);
+    v
 }
 
 #[test]
@@ -76,16 +83,14 @@ fn kera_roundtrip_many_records() {
     .unwrap();
 
     let n = 10_000u64;
-    let payload = [0x5au8; 100];
-    for _ in 0..n {
-        producer.send(StreamId(1), &payload).unwrap();
+    for i in 0..n {
+        producer.send(StreamId(1), &value(i)).unwrap();
     }
     producer.flush().unwrap();
     assert_eq!(producer.metrics().items(), n, "all records acked");
     assert_eq!(producer.failed_requests(), 0);
 
-    let consumed = consume_all(&consumer, n);
-    assert_eq!(consumed, n, "all records consumed exactly once");
+    consume_all(&consumer, StreamId(1), &[n]);
     producer.close().unwrap();
     consumer.close();
     cluster.shutdown();
@@ -103,7 +108,7 @@ fn kera_per_slot_order_is_preserved() {
     let meta = MetadataClient::new(rt.client(), cluster.coordinator());
     meta.create_stream(stream_config(1, 2, 1, 2)).unwrap();
 
-    let producer = Producer::new(&meta, &[StreamId(1)], producer_config(3)).unwrap();
+    let producer = Producer::new(&meta, &[StreamId(1)], producer_config(0)).unwrap();
     let n = 3_000u64;
     for i in 0..n {
         producer.send(StreamId(1), &i.to_le_bytes()).unwrap();
@@ -116,26 +121,7 @@ fn kera_per_slot_order_is_preserved() {
         consumer_config(0),
     )
     .unwrap();
-    // Per (streamlet, slot): base offsets strictly increase and record
-    // values (round-robin: value i goes to streamlet i % 2) are ordered.
-    let mut last_value: HashMap<(StreamletId, u32), u64> = HashMap::new();
-    let mut seen = 0u64;
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    while seen < n && std::time::Instant::now() < deadline {
-        let Some(batch) = consumer.next_batch(Duration::from_millis(100)) else { continue };
-        let key = (batch.streamlet, batch.slot);
-        batch
-            .for_each_record(|_chunk, rec| {
-                let v = u64::from_le_bytes(rec.value().try_into().unwrap());
-                if let Some(&prev) = last_value.get(&key) {
-                    assert!(v > prev, "order violated in {key:?}: {prev} then {v}");
-                }
-                last_value.insert(key, v);
-                seen += 1;
-            })
-            .unwrap();
-    }
-    assert_eq!(seen, n);
+    consume_all(&consumer, StreamId(1), &[n]);
     producer.close().unwrap();
     consumer.close();
     cluster.shutdown();
@@ -161,12 +147,11 @@ fn kera_linger_pushes_partial_chunks() {
     )
     .unwrap();
     // 3 records (~336 bytes) nowhere near the 1 KB chunk size; no flush.
-    for _ in 0..3 {
-        producer.send(StreamId(1), &[1u8; 100]).unwrap();
+    for i in 0..3 {
+        producer.send(StreamId(1), &value(i)).unwrap();
     }
     // The linger (1 ms) must push them without an explicit flush.
-    let consumed = consume_all(&consumer, 3);
-    assert_eq!(consumed, 3);
+    consume_all(&consumer, StreamId(1), &[3]);
     producer.close().unwrap();
     consumer.close();
     cluster.shutdown();
@@ -282,8 +267,7 @@ fn kafka_roundtrip_same_client_stack() {
     assert_eq!(producer.metrics().items(), n);
     assert_eq!(producer.failed_requests(), 0);
 
-    let consumed = consume_all(&consumer, n);
-    assert_eq!(consumed, n);
+    consume_all(&consumer, StreamId(1), &[n]);
     producer.close().unwrap();
     consumer.close();
     cluster.shutdown();
@@ -331,8 +315,7 @@ fn kafka_acked_equals_consumed_under_concurrency() {
     });
     let total: u64 = producers.iter().map(|p| p.metrics().items()).sum();
     assert_eq!(total, 2 * per_producer);
-    let consumed = consume_all(&consumer, total);
-    assert_eq!(consumed, total);
+    consume_all(&consumer, StreamId(7), &[per_producer; 2]);
     for p in producers {
         p.close().unwrap();
     }

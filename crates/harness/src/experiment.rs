@@ -4,18 +4,20 @@
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use kera_broker::KeraCluster;
 use kera_client::consumer::{Consumer, ConsumerConfig, Subscription};
 use kera_client::producer::{Producer, ProducerConfig};
-use kera_client::{MetadataClient, Partitioner};
+use kera_client::oracle::{stamp, Violation};
+use kera_client::{MetadataClient, Oracle, Partitioner};
 use kera_common::config::{
     ClusterConfig, CoordinatorConfig, ReplicationConfig, StreamConfig, VirtualLogPolicy,
 };
 use kera_common::ids::{ConsumerId, ProducerId, StreamId, StreamletId};
 use kera_common::knobs;
-use kera_common::Result;
+use kera_common::metrics::ThroughputMeter;
+use kera_common::{KeraError, Result};
 use kera_kafka_sim::broker::KafkaTuning;
 use kera_kafka_sim::KafkaCluster;
 use kera_rpc::Fabric;
@@ -240,6 +242,43 @@ fn written(nodes: &[Arc<kera_obs::NodeObs>]) -> Result<(u64, u64)> {
     Ok((writes, bytes))
 }
 
+/// How long the producers may take to drain once the sources stop, and
+/// the readers to read what they drained.
+const DRAIN: Duration = Duration::from_secs(30);
+
+/// What the readers of a point have read together, and the target they
+/// read to: set once the producers drained (0 if they did not).
+struct ReadBack {
+    records: AtomicU64,
+    target: AtomicU64,
+}
+
+impl ReadBack {
+    /// Checks every batch `consumer` delivers with an oracle of its own
+    /// and counts it into `consumed`, until the readers have the target
+    /// or `DRAIN` has passed since it was set.
+    fn sink(
+        &self,
+        consumer: &Consumer,
+        consumed: &ThroughputMeter,
+    ) -> std::result::Result<Oracle, Violation> {
+        let (mut oracle, mut deadline) = (Oracle::default(), None);
+        loop {
+            let target = self.target.load(Ordering::SeqCst);
+            if target != u64::MAX {
+                let by = *deadline.get_or_insert_with(|| Instant::now() + DRAIN);
+                if self.records.load(Ordering::SeqCst) >= target || Instant::now() >= by {
+                    return Ok(oracle);
+                }
+            }
+            let Some(batch) = consumer.next_batch(Duration::from_millis(20)) else { continue };
+            let records = oracle.observe(&batch)?;
+            consumed.record(records, batch.data.len() as u64);
+            self.records.fetch_add(records, Ordering::SeqCst);
+        }
+    }
+}
+
 /// Runs one experiment point and returns its measurement.
 pub fn run_experiment(cfg: &ExperimentConfig) -> Result<Measurement> {
     Ok(measure(cfg)?.0)
@@ -331,6 +370,9 @@ fn measure_on<C: Deref<Target = Fabric>>(
         producers.push(producer);
         producer_rts.push(rt);
     }
+    // Once stopped, a source flushes its producer and reports, per
+    // stream, how many records it stamped.
+    let (drained_tx, drained) = std::sync::mpsc::channel();
     let source_threads: Vec<_> = producers
         .iter()
         .enumerate()
@@ -338,18 +380,24 @@ fn measure_on<C: Deref<Target = Fabric>>(
             let producer = Arc::clone(producer);
             let stop = Arc::clone(&stop);
             let streams = stream_ids.clone();
+            let drained_tx = drained_tx.clone();
             std::thread::Builder::new()
                 .name(format!("source-{p}"))
                 .spawn(move || {
                     let mut pool = RecordPool::new(64, RECORD_SIZE, 0x5eed + p as u64);
+                    let mut sent = vec![0u64; streams.len()];
                     let mut i = 0usize;
                     while !stop.load(Ordering::Relaxed) {
-                        let stream = streams[i % streams.len()];
+                        let k = i % streams.len();
                         i += 1;
-                        if producer.send(stream, pool.next()).is_err() {
+                        let value = pool.next();
+                        stamp(value, sent[k]);
+                        if producer.send(streams[k], value).is_err() {
                             break;
                         }
+                        sent[k] += 1;
                     }
+                    let _ = drained_tx.send((ProducerId(p as u32), sent, producer.flush()));
                 })
                 .expect("spawn source")
         })
@@ -382,7 +430,7 @@ fn measure_on<C: Deref<Target = Fabric>>(
             if subs.is_empty() {
                 continue;
             }
-            let consumer = Arc::new(Consumer::new(
+            let consumer = Consumer::new(
                 &meta,
                 &subs,
                 ConsumerConfig {
@@ -390,24 +438,23 @@ fn measure_on<C: Deref<Target = Fabric>>(
                     fetch_max_bytes: cfg.chunk_size as u32,
                     cache_capacity: 1000,
                 },
-            )?);
-            consumers.push(consumer);
+            )?;
+            // Each consumer with the meter its sink counts into.
+            consumers.push(Arc::new((consumer, ThroughputMeter::new())));
             consumer_rts.push(rt);
         }
     }
+    let read = ReadBack { records: AtomicU64::new(0), target: AtomicU64::new(u64::MAX) };
+    let read = Arc::new(read);
     let sink_threads: Vec<_> = consumers
         .iter()
         .enumerate()
         .map(|(c, consumer)| {
             let consumer = Arc::clone(consumer);
-            let stop = Arc::clone(&stop);
+            let read = Arc::clone(&read);
             std::thread::Builder::new()
                 .name(format!("sink-{c}"))
-                .spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        let _ = consumer.poll_count(Duration::from_millis(20));
-                    }
-                })
+                .spawn(move || read.sink(&consumer.0, &consumer.1))
                 .expect("spawn sink")
         })
         .collect();
@@ -419,7 +466,7 @@ fn measure_on<C: Deref<Target = Fabric>>(
         p.metrics().start_window();
     }
     for c in &consumers {
-        c.metrics().start_window();
+        c.1.start_window();
     }
     std::thread::sleep(cfg.measure);
 
@@ -439,7 +486,7 @@ fn measure_on<C: Deref<Target = Fabric>>(
     let mean_request_latency_us = latency_sum / cfg.producers.max(1) as f64;
     let mut consume_rate = 0.0;
     for c in &consumers {
-        if let Some((r, _)) = c.metrics().rates() {
+        if let Some((r, _)) = c.1.rates() {
             consume_rate += r;
         }
     }
@@ -451,18 +498,43 @@ fn measure_on<C: Deref<Target = Fabric>>(
     let replication_batches = snapshot.counter_sum("kera.vlog.batches_sent", &[]);
     let replication_chunks = snapshot.counter_sum("kera.vlog.chunks_replicated", &[]);
 
-    // Tear down.
+    // Check delivery: the producers drain what their sources stamped
+    // within `DRAIN`, the sinks (or one read-back consumer) read all of
+    // it, and the oracle settles; a point that does not is an error.
     stop.store(true, Ordering::SeqCst);
-    for t in source_threads {
-        let _ = t.join();
+    let (mut oracle, by) = (Oracle::default(), Instant::now() + DRAIN);
+    let expected: Result<u64> = (0..cfg.producers).try_fold(0, |total, _| {
+        let within = by.saturating_duration_since(Instant::now());
+        let timeout = |_| KeraError::Timeout { op: "producer drain" };
+        let (producer, sent, flushed) = drained.recv_timeout(within).map_err(timeout)?;
+        flushed?;
+        if let failed @ 1.. = producers[producer.raw() as usize].failed_requests() {
+            return Err(KeraError::Protocol(format!("{producer}: {failed} requests failed")));
+        }
+        for (&stream, &n) in stream_ids.iter().zip(&sent) {
+            oracle.expect(stream, producer, n);
+        }
+        Ok(total + sent.iter().sum::<u64>())
+    });
+    read.target.store(*expected.as_ref().unwrap_or(&0), Ordering::SeqCst);
+    let sunk: Vec<_> = sink_threads.into_iter().map(|t| t.join().expect("sink")).collect();
+    expected?;
+    for sink in sunk {
+        oracle.merge(sink?)?;
     }
-    for t in sink_threads {
+    if consumers.is_empty() {
+        let whole: Vec<_> = stream_ids.iter().map(|&s| Subscription::whole_stream(s)).collect();
+        let reader = Consumer::new(&admin, &whole, ConsumerConfig::default())?;
+        oracle.merge(read.sink(&reader, &ThroughputMeter::new())?)?;
+    }
+    oracle.settle()?;
+    for t in source_threads {
         let _ = t.join();
     }
     drop(consumers);
     for p in producers {
         if let Ok(p) = Arc::try_unwrap(p) {
-            p.abort(); // fast teardown: unsent chunks are dropped
+            p.abort(); // drained: nothing is left to drop
         }
     }
     let nodes = cluster.node_obs().to_vec();

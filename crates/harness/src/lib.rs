@@ -6,7 +6,9 @@
 //!   consumers running the paper's workload (§V-A: non-keyed 100-byte
 //!   records, `linger.ms = 1`, proxy producers sharing all streams, one
 //!   request per broker in parallel), measured over a steady-state window
-//!   that skips warm-up;
+//!   that skips warm-up, then checked for delivery: the producers drain,
+//!   every record is read back through `kera_client::oracle`, and a
+//!   violation ends the figure run;
 //! - [`workload`] — synthetic record generation;
 //! - [`figures`] — each figure declared once: its sweep of §V-B/C/D as
 //!   [`experiment::ExperimentConfig`]s, the paper's sentence, the claim

@@ -28,14 +28,15 @@ impl RecordPool {
         Self { payloads, next: 0 }
     }
 
-    /// Next payload (round-robin over the pool). Not an `Iterator`:
-    /// returns a borrow of the pool, never exhausts.
+    /// Next payload (round-robin over the pool), for the caller to stamp
+    /// in place. Not an `Iterator`: returns a borrow of the pool, never
+    /// exhausts.
     #[inline]
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> &[u8] {
-        let p = &self.payloads[self.next];
-        self.next = (self.next + 1) % self.payloads.len();
-        p
+    pub fn next(&mut self) -> &mut [u8] {
+        let i = self.next;
+        self.next = (i + 1) % self.payloads.len();
+        &mut self.payloads[i]
     }
 
     pub fn record_size(&self) -> usize {

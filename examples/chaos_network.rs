@@ -12,7 +12,7 @@ use std::time::Duration;
 use kera::broker::cluster::{backup_node, broker_node, KeraCluster};
 use kera::client::consumer::{Consumer, ConsumerConfig, Subscription};
 use kera::client::producer::{Producer, ProducerConfig};
-use kera::client::MetadataClient;
+use kera::client::{MetadataClient, Oracle};
 use kera::common::config::{
     ClusterConfig, FaultProfile, ReplicationConfig, RetryPolicy, StreamConfig, VirtualLogPolicy,
 };
@@ -110,14 +110,9 @@ fn main() -> kera::common::Result<()> {
         &[Subscription::whole_stream(StreamId(1))],
         ConsumerConfig { id: ConsumerId(0), ..ConsumerConfig::default() },
     )?;
-    let mut seen = Vec::with_capacity(n as usize);
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while (seen.len() as u64) < n && std::time::Instant::now() < deadline {
-        let Some(batch) = consumer.next_batch(Duration::from_millis(100)) else { continue };
-        batch.for_each_record(|_, rec| {
-            seen.push(u64::from_le_bytes(rec.value()[..8].try_into().unwrap()));
-        })?;
-    }
+    let mut oracle = Oracle::default();
+    oracle.expect(StreamId(1), ProducerId(0), n);
+    let delivered = oracle.drain(&[&consumer], Duration::from_secs(30));
     consumer.close();
 
     let plan = cluster.fault_plan().unwrap();
@@ -128,14 +123,8 @@ fn main() -> kera::common::Result<()> {
         plan.delayed(),
         plan.blocked(),
     );
-    seen.sort_unstable();
-    seen.dedup();
-    println!(
-        "consumed {} distinct records of {n} produced ({} producer requests failed)",
-        seen.len(),
-        failed,
-    );
-    assert_eq!(seen.len() as u64, n, "lost or duplicated records");
+    println!("{n} records produced ({failed} producer requests failed)");
+    delivered?;
     assert_eq!(failed, 0, "producer exhausted retries");
     println!("no loss, no duplication — retries + at-most-once dedup held");
     cluster.shutdown();

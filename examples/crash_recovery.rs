@@ -13,7 +13,7 @@ use kera::broker::cluster::broker_node;
 use kera::broker::KeraCluster;
 use kera::client::consumer::{Consumer, ConsumerConfig, Subscription};
 use kera::client::producer::{Producer, ProducerConfig};
-use kera::client::MetadataClient;
+use kera::client::{MetadataClient, Oracle};
 use kera::common::config::{ClusterConfig, ReplicationConfig, StreamConfig, VirtualLogPolicy};
 use kera::common::ids::{ProducerId, StreamId};
 use kera::recovery::{RecoveryConfig, RecoveryManager};
@@ -86,19 +86,9 @@ fn main() -> kera::common::Result<()> {
         &[Subscription::whole_stream(StreamId(1))],
         ConsumerConfig::default(),
     )?;
-    let mut seen = vec![false; n as usize];
-    let mut count = 0u64;
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while count < n && std::time::Instant::now() < deadline {
-        let Some(batch) = consumer.next_batch(Duration::from_millis(100)) else { continue };
-        batch.for_each_record(|_, rec| {
-            let v = u64::from_le_bytes(rec.value().try_into().unwrap()) as usize;
-            assert!(!seen[v], "duplicate record {v}");
-            seen[v] = true;
-            count += 1;
-        })?;
-    }
-    assert_eq!(count, n, "lost {} records", n - count);
+    let mut oracle = Oracle::default();
+    oracle.expect(StreamId(1), ProducerId(0), n);
+    oracle.drain(&[&consumer], Duration::from_secs(30))?;
     println!("verified: all {n} acknowledged records survived the crash, no duplicates");
     consumer.close();
     cluster.shutdown();

@@ -80,7 +80,10 @@ fn main() -> kera::common::Result<()> {
         &[Subscription::resume(StreamId(1), positions)],
         ConsumerConfig::default(),
     )?;
-    let more = resumed.poll_count(Duration::from_millis(300))?;
+    let more = match resumed.next_batch(Duration::from_millis(300)) {
+        Some(batch) => batch.record_count()?,
+        None => 0,
+    };
     println!("resumed consumer saw {more} further records (0 = it was fully caught up)");
     resumed.close();
     cluster.shutdown();

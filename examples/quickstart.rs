@@ -10,7 +10,8 @@ use std::time::Duration;
 use kera::broker::KeraCluster;
 use kera::client::consumer::{Consumer, ConsumerConfig, Subscription};
 use kera::client::producer::{Producer, ProducerConfig};
-use kera::client::MetadataClient;
+use kera::client::oracle::stamp;
+use kera::client::{MetadataClient, Oracle};
 use kera::common::config::{ClusterConfig, ReplicationConfig, StreamConfig, VirtualLogPolicy};
 use kera::common::ids::{ProducerId, StreamId};
 
@@ -50,9 +51,10 @@ fn main() -> kera::common::Result<()> {
         ProducerConfig { id: ProducerId(0), chunk_size: 16 * 1024, ..ProducerConfig::default() },
     )?;
     let n = 100_000u64;
-    let payload = [42u8; 100];
+    let mut payload = [42u8; 100];
     let started = std::time::Instant::now();
-    for _ in 0..n {
+    for i in 0..n {
+        stamp(&mut payload, i);
         producer.send(StreamId(1), &payload)?;
     }
     producer.flush()?;
@@ -62,7 +64,8 @@ fn main() -> kera::common::Result<()> {
         n as f64 / elapsed.as_secs_f64() / 1e6
     );
 
-    // 4. Consume them back (only durably replicated data is visible).
+    // 4. Consume them back (only durably replicated data is visible),
+    //    each exactly once and in per-slot order.
     let cons_rt = cluster.client(2);
     let meta_c = MetadataClient::new(cons_rt.client(), cluster.coordinator());
     let consumer = Consumer::new(
@@ -70,11 +73,10 @@ fn main() -> kera::common::Result<()> {
         &[Subscription::whole_stream(StreamId(1))],
         ConsumerConfig::default(),
     )?;
-    let mut consumed = 0u64;
-    while consumed < n {
-        consumed += consumer.poll_count(Duration::from_millis(100))?;
-    }
-    println!("consumed {consumed} records — done");
+    let mut oracle = Oracle::default();
+    oracle.expect(StreamId(1), ProducerId(0), n);
+    oracle.drain(&[&consumer], Duration::from_secs(30))?;
+    println!("consumed all {n} records, each once — done");
 
     producer.close()?;
     consumer.close();

@@ -167,6 +167,15 @@ if find crates/storage/src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{nextfile}
   exit 1
 fi
 
+# One delivery check: whatever reads records back holds them to
+# kera_client::oracle (checksums, per-slot order, each record once), so
+# no test or example keeps a hand-rolled copy of it — a `.dedup()` of a
+# seen list, a `last_per_slot` map, a `vec![false; n]` seen table.
+if grep -rnE '\.dedup\(\)|last_per_slot|vec!\[false;' tests crates/*/tests examples; then
+  echo "delivery is checked by kera_client::oracle, not by a hand-rolled copy in a test or example" >&2
+  exit 1
+fi
+
 # A node is held at the fabric (FaultPlan::hold), not in its handlers: no
 # service carries a drill flag. And time passes on one queue per node: a
 # parked Kafka request's expiry, a frame the fault plan delays and the

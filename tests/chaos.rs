@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use kera::broker::cluster::{backup_node, broker_node, client_node, coordinator_node, KeraCluster};
 use kera::client::consumer::{Consumer, ConsumerConfig, Subscription};
 use kera::client::producer::{Producer, ProducerConfig};
-use kera::client::MetadataClient;
+use kera::client::{MetadataClient, Oracle};
 use kera::common::config::{
     ClusterConfig, CoordinatorConfig, FaultProfile, ReplicationConfig, RetryPolicy, StreamConfig,
     VirtualLogPolicy,
@@ -88,27 +88,24 @@ fn payload(i: u64) -> [u8; 64] {
     v
 }
 
-/// Drains the consumer until `n` records arrive (or a deadline), checking
-/// per-(streamlet, slot) order as it goes; returns the observed values.
-fn drain(consumer: &Consumer, n: u64) -> Vec<u64> {
-    let mut seen: Vec<u64> = Vec::new();
-    let mut last_per_slot: HashMap<(StreamletId, u32), u64> = HashMap::new();
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while (seen.len() as u64) < n && Instant::now() < deadline {
-        let Some(batch) = consumer.next_batch(Duration::from_millis(100)) else { continue };
-        let key = (batch.streamlet, batch.slot);
-        batch
-            .for_each_record(|_, rec| {
-                let v = u64::from_le_bytes(rec.value()[..8].try_into().unwrap());
-                if let Some(&prev) = last_per_slot.get(&key) {
-                    assert!(v > prev, "per-slot order violated under faults: {v} after {prev}");
-                }
-                last_per_slot.insert(key, v);
-                seen.push(v);
-            })
-            .unwrap();
-    }
-    seen
+/// Producer 0 of stream 1, on 512-byte chunks.
+fn producer(meta: &MetadataClient) -> Producer {
+    let config = ProducerConfig { chunk_size: 512, ..ProducerConfig::default() };
+    Producer::new(meta, &[StreamId(1)], config).unwrap()
+}
+
+/// Every record `0..n` producer 0 sent to stream 1, exactly once and in
+/// per-slot order, read by a fresh consumer on client node `client`.
+fn assert_delivered(cluster: &KeraCluster, client: u32, n: u64) {
+    let rt = cluster.client(client);
+    let meta = MetadataClient::with_replicas(rt.client(), cluster.coordinators());
+    let whole = [Subscription::whole_stream(StreamId(1))];
+    let config = ConsumerConfig { fetch_max_bytes: 4096, ..ConsumerConfig::default() };
+    let consumer = Consumer::new(&meta, &whole, config).unwrap();
+    let mut oracle = Oracle::default();
+    oracle.expect(StreamId(1), ProducerId(0), n);
+    oracle.drain(&[&consumer], Duration::from_secs(60)).unwrap();
+    consumer.close();
 }
 
 /// Lossy, duplicating, delaying network plus one transient partition that
@@ -132,17 +129,7 @@ fn lossy_cluster_with_transient_partition_loses_nothing() {
     let meta_p = MetadataClient::new(prod_rt.client(), cluster.coordinator());
     meta_p.create_stream(stream_config(2)).unwrap();
 
-    let producer = Producer::new(
-        &meta_p,
-        &[StreamId(1)],
-        ProducerConfig {
-            id: ProducerId(0),
-            chunk_size: 512,
-            linger: Duration::from_millis(1),
-            ..ProducerConfig::default()
-        },
-    )
-    .unwrap();
+    let producer = producer(&meta_p);
 
     const PHASE1: u64 = 800;
     const PHASE2: u64 = 800;
@@ -212,23 +199,7 @@ fn lossy_cluster_with_transient_partition_loses_nothing() {
     assert!(plan.blocked() > 0, "partition window black-holed no messages");
 
     // Every record exactly once, in per-slot order, from a fresh client.
-    let cons_rt = cluster.client(1);
-    let meta_c = MetadataClient::new(cons_rt.client(), cluster.coordinator());
-    let consumer = Consumer::new(
-        &meta_c,
-        &[Subscription::whole_stream(StreamId(1))],
-        ConsumerConfig { id: ConsumerId(0), fetch_max_bytes: 4096, ..ConsumerConfig::default() },
-    )
-    .unwrap();
-    let mut seen = drain(&consumer, TOTAL);
-    assert_eq!(seen.len() as u64, TOTAL, "record count under faults");
-    seen.sort_unstable();
-    seen.dedup();
-    assert_eq!(seen.len() as u64, TOTAL, "no duplicates slipped through");
-    assert_eq!(*seen.first().unwrap(), 0);
-    assert_eq!(*seen.last().unwrap(), TOTAL - 1);
-
-    consumer.close();
+    assert_delivered(&cluster, 1, TOTAL);
     cluster.shutdown();
 }
 
@@ -253,17 +224,7 @@ fn crash_recovery_survives_lossy_network() {
     let meta_p = MetadataClient::new(prod_rt.client(), cluster.coordinator());
     meta_p.create_stream(stream_config(3)).unwrap();
 
-    let producer = Producer::new(
-        &meta_p,
-        &[StreamId(1)],
-        ProducerConfig {
-            id: ProducerId(0),
-            chunk_size: 512,
-            linger: Duration::from_millis(1),
-            ..ProducerConfig::default()
-        },
-    )
-    .unwrap();
+    let producer = producer(&meta_p);
     const N: u64 = 800;
     for i in 0..N {
         producer.send(StreamId(1), &i.to_le_bytes()).unwrap();
@@ -293,21 +254,7 @@ fn crash_recovery_survives_lossy_network() {
     let plan = cluster.fault_plan().unwrap();
     assert!(plan.dropped() > 0, "recovery traffic saw no drops");
 
-    let cons_rt = cluster.client(2);
-    let meta_c = MetadataClient::new(cons_rt.client(), cluster.coordinator());
-    let consumer = Consumer::new(
-        &meta_c,
-        &[Subscription::whole_stream(StreamId(1))],
-        ConsumerConfig { id: ConsumerId(0), fetch_max_bytes: 4096, ..ConsumerConfig::default() },
-    )
-    .unwrap();
-    let mut seen = drain(&consumer, N);
-    assert_eq!(seen.len() as u64, N, "record count after faulty recovery");
-    seen.sort_unstable();
-    seen.dedup();
-    assert_eq!(seen.len() as u64, N);
-
-    consumer.close();
+    assert_delivered(&cluster, 2, N);
     let flush_errors = cluster.metrics_snapshot().counter_sum("kera.storage.errors", &[]);
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -414,17 +361,7 @@ fn coordinator_leader_kill_fails_over_without_metadata_loss() {
     let meta_p = MetadataClient::with_replicas(prod_rt.client(), cluster.coordinators());
     meta_p.create_stream(stream_config(2)).unwrap();
 
-    let producer = Producer::new(
-        &meta_p,
-        &[StreamId(1)],
-        ProducerConfig {
-            id: ProducerId(0),
-            chunk_size: 512,
-            linger: Duration::from_millis(1),
-            ..ProducerConfig::default()
-        },
-    )
-    .unwrap();
+    let producer = producer(&meta_p);
 
     const PHASE1: u64 = 400;
     const PHASE2: u64 = 400;
@@ -465,20 +402,7 @@ fn coordinator_leader_kill_fails_over_without_metadata_loss() {
     assert_eq!(md1.placements.len(), 4, "placements lost in failover");
 
     // Every acknowledged record is still consumable, exactly once.
-    let cons_rt = cluster.client(2);
-    let meta_c = MetadataClient::with_replicas(cons_rt.client(), cluster.coordinators());
-    let consumer = Consumer::new(
-        &meta_c,
-        &[Subscription::whole_stream(StreamId(1))],
-        ConsumerConfig { id: ConsumerId(0), fetch_max_bytes: 4096, ..ConsumerConfig::default() },
-    )
-    .unwrap();
-    let mut seen = drain(&consumer, TOTAL);
-    assert_eq!(seen.len() as u64, TOTAL, "records lost across coordinator failover");
-    seen.sort_unstable();
-    seen.dedup();
-    assert_eq!(seen.len() as u64, TOTAL);
-    consumer.close();
+    assert_delivered(&cluster, 2, TOTAL);
 
     assert_no_split_brain(&cluster);
     let snap = cluster.metrics_snapshot();
@@ -777,22 +701,7 @@ fn raw_rpc_storm_does_not_starve_a_polite_producer() {
     );
 
     // Every acked polite record arrives exactly once, in per-slot order.
-    let cons_rt = cluster.client(12);
-    let meta_c = MetadataClient::new(cons_rt.client(), cluster.coordinator());
-    let consumer = Consumer::new(
-        &meta_c,
-        &[Subscription::whole_stream(StreamId(1))],
-        ConsumerConfig { id: ConsumerId(0), fetch_max_bytes: 4096, ..ConsumerConfig::default() },
-    )
-    .unwrap();
-    let mut seen = drain(&consumer, POLITE_RECORDS);
-    assert_eq!(seen.len() as u64, POLITE_RECORDS, "polite record count");
-    seen.sort_unstable();
-    seen.dedup();
-    assert_eq!(seen.len() as u64, POLITE_RECORDS, "duplicate polite records");
-    assert_eq!(*seen.first().unwrap(), 0);
-    assert_eq!(*seen.last().unwrap(), POLITE_RECORDS - 1);
-    consumer.close();
+    assert_delivered(&cluster, 12, POLITE_RECORDS);
 
     cluster.shutdown();
 }
@@ -813,12 +722,7 @@ fn slow_consumer_pileup_keeps_broker_bounded() {
     let prod_rt = cluster.client(0);
     let meta_p = MetadataClient::new(prod_rt.client(), cluster.coordinator());
     meta_p.create_stream(stream_config(1)).unwrap();
-    let producer = Producer::new(
-        &meta_p,
-        &[StreamId(1)],
-        ProducerConfig { id: ProducerId(0), chunk_size: 512, ..ProducerConfig::default() },
-    )
-    .unwrap();
+    let producer = producer(&meta_p);
     const TOTAL: u64 = 1500;
     for i in 0..TOTAL {
         producer.send(StreamId(1), &payload(i)).unwrap();
@@ -831,28 +735,8 @@ fn slow_consumer_pileup_keeps_broker_bounded() {
     // stalls 2 ms at the transport.
     plan.set_slow(client_node(2), Duration::from_millis(2));
 
-    let drain_all = |client_idx: u32, consumer_id: u32| {
-        let rt = cluster.client(client_idx);
-        let meta = MetadataClient::new(rt.client(), cluster.coordinator());
-        let consumer = Consumer::new(
-            &meta,
-            &[Subscription::whole_stream(StreamId(1))],
-            ConsumerConfig {
-                id: ConsumerId(consumer_id),
-                fetch_max_bytes: 4096,
-                ..ConsumerConfig::default()
-            },
-        )
-        .unwrap();
-        let mut seen = drain(&consumer, TOTAL);
-        consumer.close();
-        assert_eq!(seen.len() as u64, TOTAL, "consumer {consumer_id} record count");
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len() as u64, TOTAL, "consumer {consumer_id} saw duplicates");
-    };
-    drain_all(1, 0); // full speed
-    drain_all(2, 1); // glacial uplink
+    assert_delivered(&cluster, 1, TOTAL); // full speed
+    assert_delivered(&cluster, 2, TOTAL); // glacial uplink
 
     assert!(plan.stalled() > 0, "slow-client mode never stalled a send");
 

@@ -2,15 +2,14 @@
 //! driven by the same clients deliver identical data, and the system
 //! invariants hold end-to-end.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use kera::broker::KeraCluster;
 use kera::client::consumer::{Consumer, ConsumerConfig, Subscription};
 use kera::client::producer::{Producer, ProducerConfig};
-use kera::client::MetadataClient;
+use kera::client::{MetadataClient, Oracle};
 use kera::common::config::{ClusterConfig, ReplicationConfig, StreamConfig, VirtualLogPolicy};
-use kera::common::ids::{ConsumerId, ProducerId, StreamId, StreamletId};
+use kera::common::ids::{ConsumerId, ProducerId, StreamId};
 use kera::kafka_sim::broker::KafkaTuning;
 use kera::kafka_sim::KafkaCluster;
 
@@ -29,13 +28,10 @@ fn stream_config(streamlets: u32, factor: u32) -> StreamConfig {
     }
 }
 
-/// Produces `n` sequence-tagged records and returns, per streamlet, the
-/// ordered list of record values the consumer observed.
-fn produce_consume(
-    meta_p: &MetadataClient,
-    meta_c: &MetadataClient,
-    n: u64,
-) -> HashMap<StreamletId, Vec<u64>> {
+/// Produces `n` sequence-tagged records round-robin over the stream's 4
+/// streamlets; each arrives exactly once, in per-slot order, and in
+/// streamlet `seq mod 4` — so each streamlet holds `s, s + 4, s + 8, …`.
+fn produce_consume(meta_p: &MetadataClient, meta_c: &MetadataClient, n: u64) {
     let producer = Producer::new(
         meta_p,
         &[StreamId(1)],
@@ -60,27 +56,23 @@ fn produce_consume(
         ConsumerConfig { id: ConsumerId(0), fetch_max_bytes: 8192, ..ConsumerConfig::default() },
     )
     .unwrap();
-    let mut out: HashMap<StreamletId, Vec<u64>> = HashMap::new();
-    let mut count = 0u64;
+    let mut oracle = Oracle::default();
+    oracle.expect(StreamId(1), ProducerId(0), n);
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    while count < n && std::time::Instant::now() < deadline {
+    while !oracle.complete() && std::time::Instant::now() < deadline {
         let Some(batch) = consumer.next_batch(Duration::from_millis(100)) else { continue };
-        batch
-            .for_each_record(|_, rec| {
-                out.entry(batch.streamlet)
-                    .or_default()
-                    .push(u64::from_le_bytes(rec.value().try_into().unwrap()));
-                count += 1;
-            })
-            .unwrap();
+        oracle.observe(&batch).unwrap();
+        let streamlet = u64::from(batch.streamlet.raw());
+        let seq_mod_4 = |value: &[u8]| u64::from_le_bytes(value.try_into().unwrap()) % 4;
+        batch.for_each_record(|_, rec| assert_eq!(seq_mod_4(rec.value()), streamlet)).unwrap();
     }
-    assert_eq!(count, n, "incomplete consumption");
+    oracle.settle().unwrap();
     consumer.close();
-    out
 }
 
-/// KerA and the Kafka baseline must deliver byte-identical per-partition
-/// record sequences for the same input (round-robin over 4 partitions).
+/// KerA and the Kafka baseline must deliver identical per-partition
+/// record sequences for the same input (round-robin over 4 partitions):
+/// each delivers exactly the one `produce_consume` checks.
 #[test]
 fn kera_and_kafka_deliver_identical_data() {
     let n = 4_000u64;
@@ -94,7 +86,7 @@ fn kera_and_kafka_deliver_identical_data() {
     let rt1 = kera.client(0);
     let meta1 = MetadataClient::new(rt1.client(), kera.coordinator());
     meta1.create_stream(stream_config(4, 3)).unwrap();
-    let from_kera = produce_consume(&meta1, &meta1, n);
+    produce_consume(&meta1, &meta1, n);
     kera.shutdown();
 
     let kafka = KafkaCluster::start(
@@ -105,18 +97,8 @@ fn kera_and_kafka_deliver_identical_data() {
     let rt2 = kafka.client(0);
     let meta2 = MetadataClient::new(rt2.client(), kafka.coordinator());
     meta2.create_stream(stream_config(4, 3)).unwrap();
-    let from_kafka = produce_consume(&meta2, &meta2, n);
+    produce_consume(&meta2, &meta2, n);
     kafka.shutdown();
-
-    assert_eq!(from_kera.len(), 4);
-    assert_eq!(from_kera, from_kafka, "the two systems must agree on delivered data");
-    // Round-robin: streamlet s holds values ≡ s (mod 4), in order.
-    for (sl, values) in &from_kera {
-        for (i, v) in values.iter().enumerate() {
-            assert_eq!(v % 4, u64::from(sl.raw()));
-            assert_eq!(*v, sl.raw() as u64 + (i as u64) * 4);
-        }
-    }
 }
 
 /// Both coordinators place leaders with one function: a 4-streamlet
@@ -188,9 +170,10 @@ fn multi_stream_multi_client_accounting() {
         for p in &producers {
             let streams = &streams;
             s.spawn(move || {
+                // Each stream's records stamped 0.. in send order.
+                let n = streams.len() as u64;
                 for i in 0..per_producer {
-                    let stream = streams[(i % streams.len() as u64) as usize];
-                    p.send(stream, &i.to_le_bytes()).unwrap();
+                    p.send(streams[(i % n) as usize], &(i / n).to_le_bytes()).unwrap();
                 }
                 p.flush().unwrap();
             });
@@ -200,7 +183,6 @@ fn multi_stream_multi_client_accounting() {
     assert_eq!(produced, 3 * per_producer);
 
     // Two consumers split the streams.
-    let mut consumed = 0u64;
     let mut consumers = Vec::new();
     let mut crts = Vec::new();
     for c in 0..2u32 {
@@ -218,13 +200,13 @@ fn multi_stream_multi_client_accounting() {
         );
         crts.push(rt);
     }
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while consumed < produced && std::time::Instant::now() < deadline {
-        for c in &consumers {
-            consumed += c.poll_count(Duration::from_millis(50)).unwrap();
+    let mut oracle = Oracle::default();
+    for p in 0..3 {
+        for &s in &streams {
+            oracle.expect(s, ProducerId(p), per_producer / streams.len() as u64);
         }
     }
-    assert_eq!(consumed, produced);
+    oracle.drain(&consumers.iter().collect::<Vec<_>>(), Duration::from_secs(30)).unwrap();
 
     for p in producers {
         p.close().unwrap();
@@ -311,12 +293,9 @@ fn slow_consumer_is_backpressured_not_overrun() {
     .unwrap();
     std::thread::sleep(Duration::from_millis(300));
     // Now drain; everything must still arrive exactly once.
-    let mut total = 0u64;
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while total < 20_000 && std::time::Instant::now() < deadline {
-        total += consumer.poll_count(Duration::from_millis(50)).unwrap();
-    }
-    assert_eq!(total, 20_000);
+    let mut oracle = Oracle::default();
+    oracle.expect(StreamId(1), ProducerId(0), 20_000);
+    oracle.drain(&[&consumer], Duration::from_secs(30)).unwrap();
     consumer.close();
     cluster.shutdown();
 }

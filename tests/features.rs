@@ -7,7 +7,7 @@ use kera::broker::cluster::{backup_node, broker_node};
 use kera::broker::KeraCluster;
 use kera::client::consumer::{Consumer, ConsumerConfig, Subscription};
 use kera::client::producer::{Producer, ProducerConfig};
-use kera::client::MetadataClient;
+use kera::client::{MetadataClient, Oracle};
 use kera::common::config::{
     ClusterConfig, FaultProfile, ReplicationConfig, StreamConfig, VirtualLogPolicy,
 };
@@ -171,50 +171,33 @@ fn consumer_resumes_from_saved_positions_exactly_once() {
         ConsumerConfig { id: ConsumerId(0), cache_capacity: 4, ..ConsumerConfig::default() },
     )
     .unwrap();
-    let mut seen = Vec::new();
+    let mut oracle = Oracle::default();
+    oracle.expect(StreamId(1), ProducerId(0), n);
+    let mut consumed = 0;
     let first_deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while (seen.len() as u64) < n / 2 {
+    while consumed < n / 2 {
         assert!(std::time::Instant::now() < first_deadline, "first half never arrived");
         let Some(batch) = c1.next_batch(Duration::from_millis(200)) else { continue };
-        batch
-            .for_each_record(|_, rec| {
-                seen.push(u64::from_le_bytes(rec.value().try_into().unwrap()));
-            })
-            .unwrap();
+        consumed += oracle.observe(&batch).unwrap();
     }
     // Drain what is already cached so the snapshot matches consumption
     // (positions reflect *fetched* data; see Consumer::positions docs).
     while let Some(batch) = c1.next_batch(Duration::from_millis(50)) {
-        batch
-            .for_each_record(|_, rec| {
-                seen.push(u64::from_le_bytes(rec.value().try_into().unwrap()));
-            })
-            .unwrap();
+        oracle.observe(&batch).unwrap();
     }
     let positions = c1.positions();
     c1.close();
 
-    // Second consumer resumes exactly where the first stopped.
+    // Second consumer resumes exactly where the first stopped: no
+    // duplicate, no gap, each slot's order continued.
     let c2 = Consumer::new(
         &meta,
         &[Subscription::resume(StreamId(1), positions)],
         ConsumerConfig { id: ConsumerId(1), ..ConsumerConfig::default() },
     )
     .unwrap();
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    while (seen.len() as u64) < n && std::time::Instant::now() < deadline {
-        let Some(batch) = c2.next_batch(Duration::from_millis(100)) else { continue };
-        batch
-            .for_each_record(|_, rec| {
-                seen.push(u64::from_le_bytes(rec.value().try_into().unwrap()));
-            })
-            .unwrap();
-    }
+    oracle.drain(&[&c2], Duration::from_secs(20)).unwrap();
     c2.close();
-    assert_eq!(seen.len() as u64, n);
-    seen.sort_unstable();
-    seen.dedup();
-    assert_eq!(seen.len() as u64, n, "resume must be exactly-once (no dups, no gaps)");
     cluster.shutdown();
 }
 
@@ -253,7 +236,8 @@ fn pipelined_producer_delivers_everything() {
     let mut total = 0u64;
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
     while total < n && std::time::Instant::now() < deadline {
-        total += consumer.poll_count(Duration::from_millis(100)).unwrap();
+        let Some(batch) = consumer.next_batch(Duration::from_millis(100)) else { continue };
+        total += batch.record_count().unwrap();
     }
     assert_eq!(total, n);
     consumer.close();

@@ -8,7 +8,7 @@ use std::time::Duration;
 use kera::broker::KeraCluster;
 use kera::client::consumer::{Consumer, ConsumerConfig, Subscription};
 use kera::client::producer::{Producer, ProducerConfig};
-use kera::client::MetadataClient;
+use kera::client::{MetadataClient, Oracle};
 use kera::common::config::{
     ClusterConfig, ReplicationConfig, StreamConfig, TransportChoice, VirtualLogPolicy,
 };
@@ -67,12 +67,10 @@ fn roundtrip(cluster: &Fabric) {
         ConsumerConfig::default(),
     )
     .unwrap();
-    let mut consumed = 0u64;
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while consumed < n && std::time::Instant::now() < deadline {
-        consumed += consumer.poll_count(Duration::from_millis(100)).unwrap();
-    }
-    assert_eq!(consumed, n, "all replicated records readable over TCP");
+    // All replicated records readable over TCP, once each, in order.
+    let mut oracle = Oracle::default();
+    oracle.expect(StreamId(1), ProducerId(0), n);
+    oracle.drain(&[&consumer], Duration::from_secs(30)).unwrap();
     consumer.close();
 }
 

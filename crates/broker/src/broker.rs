@@ -14,10 +14,13 @@
 //! broker append path stays copy-and-patch only, preserving the paper's
 //! zero-copy claim.
 //!
-//! Fetch path: consumers read whole chunks below the durable head only. A
-//! fetch that finds none is parked, answered by the thread that answers a
-//! produce made durable in one of its slots (the one that landed its last
-//! round; at R1 its own) or at `FETCH_MAX_WAIT` by one re-armed timer.
+//! Fetch path: consumers read whole chunks below the durable head only.
+//! A fetch walks its entries' segments, copying nothing, and packs the
+//! chunks it found straight from them into the reply body: one copy per
+//! byte. A fetch that finds none packs nothing and is parked, answered by
+//! the thread that answers a produce made durable in one of its slots (the
+//! one that landed its last round; at R1 its own) or at `FETCH_MAX_WAIT`
+//! by one re-armed timer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -31,14 +34,15 @@ use kera_common::{KeraError, Result};
 use kera_obs::{Gauge, NodeObs, Stage, TraceContext};
 use kera_rpc::{Reply, RequestContext, RpcClient, Service};
 use kera_storage::store::StreamStore;
-use kera_storage::streamlet::SlotAppend;
+use kera_storage::streamlet::{ChunkRun, SlotAppend};
 use kera_vlog::selector::SelectionPolicy;
 use kera_vlog::vseg::ChunkRef;
 use kera_vlog::{VirtualLog, VirtualLogSet};
 use kera_wire::chunk::ChunkIter;
+use kera_wire::cursor::SlotCursor;
 use kera_wire::frames::OpCode;
 use kera_wire::messages::{
-    BackupFreeRequest, DeleteStreamRequest, FetchEntry, FetchRequest, FetchResponse, FetchResult,
+    BackupFreeRequest, DeleteStreamRequest, FetchEntry, FetchRequest, FetchResponse,
     HostStreamRequest, NodeRole, ProduceRequest, ProduceResponse, ReplicaRole, SeekRequest,
     SeekResponse, FETCH_MAX_WAIT,
 };
@@ -55,6 +59,14 @@ type Appended = (ProduceResponse, Vec<(Arc<VirtualLog>, u64)>, Vec<Slot>);
 
 /// A slot of a streamlet, as a fetch entry names it.
 type Slot = (StreamId, StreamletId, u32);
+
+/// A fetch walked: the runs of all its entries in entry order, each
+/// entry's next cursor, bytes and end in `runs`, and the bytes in all.
+struct Walk {
+    runs: Vec<ChunkRun>,
+    entries: Vec<(SlotCursor, usize, usize)>,
+    bytes: usize,
+}
 
 /// Fetches with no durable data and their deadlines, parked and taken
 /// under `broker.parked`, and whether the expiry timer is armed.
@@ -86,7 +98,7 @@ pub struct BrokerService {
     /// Fetch requests served (`kera.broker.fetches`).
     pub fetches: Arc<Counter>,
     parked: Mutex<Parked>,
-    /// Produces answered durable: a fetch parks only if none was since its read.
+    /// Produces answered durable: a fetch parks only if none was since its walk.
     landed: AtomicU64,
     /// Fetches that found no data and waited (`kera.broker.fetches_parked`).
     pub fetches_parked: Arc<Counter>,
@@ -310,48 +322,48 @@ impl BrokerService {
         Ok(())
     }
 
-    /// Reads every entry of a fetch, up to its durable head.
-    fn read(&self, req: &FetchRequest) -> Result<FetchResponse> {
-        let mut results = Vec::with_capacity(req.entries.len());
+    /// Walks every entry of a fetch up to its durable head, copying nothing.
+    fn walk(&self, req: &FetchRequest) -> Result<Walk> {
+        let entries = Vec::with_capacity(req.entries.len());
+        let mut walk = Walk { runs: Vec::new(), entries, bytes: 0 };
         for e in &req.entries {
-            let (data, cursor) = self.store.read_slot(
-                e.stream,
-                e.streamlet,
-                e.slot,
-                e.cursor,
-                e.max_bytes as usize,
-            )?;
-            self.bytes_fetched.add(data.len() as u64);
-            results.push(FetchResult {
-                stream: e.stream,
-                streamlet: e.streamlet,
-                slot: e.slot,
-                cursor,
-                data: Bytes::from(data),
-            });
+            let streamlet = self.store.streamlet(e.stream, e.streamlet)?;
+            let (bytes, cursor) =
+                streamlet.walk_slot(e.slot, e.cursor, e.max_bytes as usize, &mut walk.runs);
+            walk.bytes += bytes;
+            walk.entries.push((cursor, bytes, walk.runs.len()));
         }
-        Ok(FetchResponse { results })
+        Ok(walk)
     }
 
-    /// Counts a fetch answered and encodes its response.
-    fn served(&self, read: Result<FetchResponse>) -> Result<Bytes> {
-        let resp = read?;
+    /// Counts a fetch answered and packs its reply: each chunk byte is
+    /// copied once, from its segment into the body.
+    fn served(&self, req: &FetchRequest, walk: Result<Walk>) -> Result<Bytes> {
+        let walk = walk?;
         self.fetches.inc();
+        self.bytes_fetched.add(walk.bytes as u64);
         self.obs.bump_progress();
-        resp.encode()
+        let mut pack = FetchResponse::pack(req.entries.len(), walk.bytes)?;
+        let mut from = 0;
+        for (e, &(cursor, bytes, to)) in req.entries.iter().zip(&walk.entries) {
+            let runs = walk.runs[from..to].iter();
+            pack.result(e, cursor, bytes, runs.map(|(segment, at, len)| segment.read(*at, *len)))?;
+            from = to;
+        }
+        Ok(pack.finish())
     }
 
     /// Answers a fetch at once if any entry has durable data, else parks
-    /// it for `wake` or `expire`.
+    /// it for `wake` or `expire`: an empty walk packs nothing.
     fn fetch(&self, req: FetchRequest, reply: Reply) {
         loop {
             let seen = self.landed.load(Ordering::SeqCst);
-            match self.read(&req) {
-                Ok(resp) if resp.results.iter().all(|r| r.data.is_empty()) => {}
-                read => return reply.send(self.served(read)),
+            match self.walk(&req) {
+                Ok(walk) if walk.bytes == 0 => {}
+                walk => return reply.send(self.served(&req, walk)),
             }
             // Under the lock `wake` takes: a produce answered since the
-            // read may have landed what it missed; a later one finds it.
+            // walk may have landed what it missed; a later one finds it.
             let due = Instant::now() + FETCH_MAX_WAIT;
             let mut parked = self.parked.lock();
             if self.landed.load(Ordering::SeqCst) != seen {
@@ -376,7 +388,7 @@ impl BrokerService {
         let ready: Vec<_> =
             self.parked.lock().fetches.extract_if(.., |p| p.1.entries.iter().any(reads)).collect();
         for (_, req, reply) in ready {
-            reply.send(self.served(self.read(&req)));
+            reply.send(self.served(&req, self.walk(&req)));
         }
     }
 
@@ -393,7 +405,7 @@ impl BrokerService {
         };
         for (_, req, reply) in due {
             self.fetches_expired.inc();
-            reply.send(self.served(self.read(&req)));
+            reply.send(self.served(&req, self.walk(&req)));
         }
     }
 
@@ -445,17 +457,17 @@ impl Service for BrokerService {
                 }
                 _ => Err(KeraError::Protocol("replicated produce needs `serve`".into())),
             },
-            OpCode::Fetch => self.served(self.read(&FetchRequest::decode(&payload)?)),
+            OpCode::Fetch => {
+                let req = FetchRequest::decode(&payload)?;
+                self.served(&req, self.walk(&req))
+            }
             OpCode::Introspect => self.handle_introspect(&payload),
             OpCode::Seek => {
                 let req = SeekRequest::decode(&payload)?;
                 let streamlet = self.store.streamlet(req.stream, req.streamlet)?;
                 let resp = match streamlet.seek(req.slot, req.record_offset) {
                     Some(cursor) => SeekResponse { found: true, cursor },
-                    None => SeekResponse {
-                        found: false,
-                        cursor: kera_wire::cursor::SlotCursor::START,
-                    },
+                    None => SeekResponse { found: false, cursor: SlotCursor::START },
                 };
                 Ok(resp.encode())
             }

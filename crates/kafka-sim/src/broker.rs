@@ -10,6 +10,8 @@
 //! the one that moves a high watermark past a consumer's offset or to a
 //! produce's last end — or at their timeout by a timer on the broker's
 //! node, armed through the parked request's own `Reply`.
+//! Both fetch replies are packed in one pass: each entry's chunks are
+//! copied from its log straight into the body, under its partition lock.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, Weak};
@@ -26,9 +28,9 @@ use kera_wire::chunk::ChunkIter;
 use kera_wire::cursor::SlotCursor;
 use kera_wire::frames::OpCode;
 use kera_wire::messages::{
-    ChunkAck, FetchRequest, FetchResponse, FetchResult, FollowerFetchRequest,
-    FollowerFetchResponse, FollowerFetchResult, HostStreamRequest, ProduceRequest,
-    ProduceResponse, ReplicaRole, SeekRequest, SeekResponse, FETCH_MAX_WAIT,
+    ChunkAck, FetchEntry, FetchRequest, FetchResponse, FollowerFetchRequest, FollowerFetchResponse,
+    HostStreamRequest, ProduceRequest, ProduceResponse, ReplicaRole, SeekRequest, SeekResponse,
+    FETCH_MAX_WAIT,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -233,18 +235,11 @@ impl TopicStore {
                 if timed_out {
                     self.fetch_expired.inc();
                 }
-                let max = req.max_bytes_per_partition as usize;
-                let results = req.entries.iter().zip(&logs).map(|(e, log)| FollowerFetchResult {
-                    stream: e.stream,
-                    partition: e.partition,
-                    data: Bytes::from(log.read_chunks(e.fetch_offset, max, log.leo())),
-                    high_watermark: log.high_watermark(),
-                });
-                p.reply.send(FollowerFetchResponse { results: results.collect() }.encode());
+                p.reply.send(follow(&req, &logs));
             }
             Delayed::Consume(req, logs) => {
                 self.consumer_fetches_expired.add(u64::from(timed_out));
-                p.reply.send(consume(&req, &logs).encode());
+                p.reply.send(consume(&req, &logs));
             }
             Delayed::Produce(..) if timed_out => {
                 p.reply.send(Err(KeraError::Timeout { op: "acks=all high-watermark wait" }))
@@ -346,16 +341,38 @@ impl KafkaBrokerService {
     }
 }
 
+/// A follower fetch's answer: the whole chunks past each entry's offset
+/// up to its log's end. Every end is read before any entry is copied, so
+/// the body is sized once (a first chunk above `max` alone regrows it).
+fn follow(req: &FollowerFetchRequest, logs: &[Arc<PartitionLog>]) -> Result<Bytes> {
+    let max = req.max_bytes_per_partition as usize;
+    let ends: Vec<u64> = logs.iter().map(|log| log.leo()).collect();
+    let bytes = req.entries.iter().zip(&ends);
+    let bytes = bytes.map(|(e, end)| (end.saturating_sub(e.fetch_offset) as usize).min(max));
+    let mut pack = FollowerFetchResponse::pack(req.entries.len(), bytes.sum())?;
+    for ((e, log), &end) in req.entries.iter().zip(logs).zip(&ends) {
+        log.read_chunks(e.fetch_offset, max, end, |data| {
+            pack.result(e, log.high_watermark(), data)
+        })?;
+    }
+    Ok(pack.finish())
+}
+
 /// A consumer fetch's answer: the whole chunks past each entry's offset
-/// up to its log's high watermark.
-fn consume(req: &FetchRequest, logs: &[Arc<PartitionLog>]) -> FetchResponse {
-    let results = req.entries.iter().zip(logs).map(|(e, log)| {
-        let data = log.read_chunks(e.cursor.offset.into(), e.max_bytes as usize, log.high_watermark());
-        let cursor = SlotCursor { offset: e.cursor.offset + data.len() as u32, ..SlotCursor::START };
-        let (stream, streamlet, slot) = (e.stream, e.streamlet, e.slot);
-        FetchResult { stream, streamlet, slot, cursor, data: data.into() }
-    });
-    FetchResponse { results: results.collect() }
+/// up to its log's high watermark, read as [`follow`] reads.
+fn consume(req: &FetchRequest, logs: &[Arc<PartitionLog>]) -> Result<Bytes> {
+    let hws: Vec<u64> = logs.iter().map(|log| log.high_watermark()).collect();
+    let at = |e: &FetchEntry| u64::from(e.cursor.offset);
+    let bytes = req.entries.iter().zip(&hws);
+    let bytes = bytes.map(|(e, hw)| (hw.saturating_sub(at(e)) as usize).min(e.max_bytes as usize));
+    let mut pack = FetchResponse::pack(req.entries.len(), bytes.sum())?;
+    for ((e, log), &hw) in req.entries.iter().zip(logs).zip(&hws) {
+        log.read_chunks(at(e), e.max_bytes as usize, hw, |data| {
+            let cursor = SlotCursor { offset: e.cursor.offset + data.len() as u32, ..SlotCursor::START };
+            pack.result(e, cursor, data.len(), [data])
+        })?;
+    }
+    Ok(pack.finish())
 }
 
 impl Service for KafkaBrokerService {

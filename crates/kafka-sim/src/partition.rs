@@ -8,7 +8,9 @@
 //! a produce using acks=all is answered once the high watermark covers
 //! its batch (see the broker's purgatory). With a file, a replica writes
 //! every append to it, leader and follower alike, as Kafka's `Log.append`
-//! does.
+//! does. A read hands the chunks it finds to its caller under the
+//! partition lock, which copies them into a fetch reply there: the log's
+//! bytes are never copied out into a buffer of their own.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -194,37 +196,23 @@ impl PartitionLog {
         Some(inner.index[idx.max(1) - 1].1)
     }
 
-    /// Reads whole chunks in `[offset, min(limit_to, leo))`, up to
-    /// `max_bytes` (at least one chunk if available). Used both by
+    /// Walks whole chunks in `[offset, min(limit_to, leo))`, up to
+    /// `max_bytes` (at least one chunk if available), and hands them to
+    /// `copy` under the partition lock: the next append may move the log's
+    /// bytes, so they are copied out before the lock goes. Used both by
     /// consumer fetch (`limit_to = hw`) and follower fetch
     /// (`limit_to = leo`).
-    pub fn read_chunks(&self, offset: u64, max_bytes: usize, limit_to: u64) -> Vec<u8> {
+    pub fn read_chunks<R>(
+        &self,
+        offset: u64,
+        max_bytes: usize,
+        limit_to: u64,
+        copy: impl FnOnce(&[u8]) -> R,
+    ) -> R {
         let inner = self.inner.lock();
         let end = (limit_to as usize).min(inner.data.len());
-        let start = offset as usize;
-        if start >= end {
-            return Vec::new();
-        }
-        let window = &inner.data[start..end];
-        let mut take = 0usize;
-        while take + CHUNK_HEADER <= window.len() {
-            let chunk_len = u32::from_le_bytes(
-                window[take + chunk::field::CHUNK_LEN..take + chunk::field::CHUNK_LEN + 4]
-                    .try_into()
-                    .unwrap(),
-            ) as usize;
-            if take + chunk_len > window.len() {
-                break;
-            }
-            if take > 0 && take + chunk_len > max_bytes {
-                break;
-            }
-            take += chunk_len;
-            if take >= max_bytes {
-                break;
-            }
-        }
-        window[..take].to_vec()
+        let window = inner.data.get(offset as usize..end).unwrap_or_default();
+        copy(&window[..chunk::whole_chunks(window, max_bytes)])
     }
 }
 
@@ -293,13 +281,13 @@ mod tests {
         log.append_leader(&c, 3).unwrap();
         log.append_leader(&c, 3).unwrap();
         // Nothing below HW yet.
-        assert!(log.read_chunks(0, 1 << 20, log.high_watermark()).is_empty());
+        assert!(log.read_chunks(0, 1 << 20, log.high_watermark(), <[u8]>::to_vec).is_empty());
         // Follower acks first chunk only.
         log.record_follower_fetch(NodeId(2), c.len() as u64);
-        let visible = log.read_chunks(0, 1 << 20, log.high_watermark());
+        let visible = log.read_chunks(0, 1 << 20, log.high_watermark(), <[u8]>::to_vec);
         assert_eq!(visible.len(), c.len());
         // Follower fetch itself may read to LEO.
-        let for_follower = log.read_chunks(0, 1 << 20, log.leo());
+        let for_follower = log.read_chunks(0, 1 << 20, log.leo(), <[u8]>::to_vec);
         assert_eq!(for_follower.len(), 2 * c.len());
     }
 
@@ -309,7 +297,7 @@ mod tests {
         let c = chunk(5);
         log.append_leader(&c, 5).unwrap();
         log.append_leader(&c, 5).unwrap();
-        let data = log.read_chunks(0, usize::MAX, log.leo());
+        let data = log.read_chunks(0, usize::MAX, log.leo(), <[u8]>::to_vec);
         let offsets: Vec<u64> = ChunkIter::new(&data)
             .map(|c| c.unwrap().header().base_offset)
             .collect();
@@ -323,7 +311,7 @@ mod tests {
         let f = PartitionLog::new(StreamId(1), StreamletId(0), role, 2, None);
         let c = chunk(2);
         let (_, end) = l.append_leader(&c, 2).unwrap();
-        let bytes = l.read_chunks(0, usize::MAX, l.leo());
+        let bytes = l.read_chunks(0, usize::MAX, l.leo(), <[u8]>::to_vec);
         // Leader's HW not yet advanced; follower adopts min(hw, own leo).
         f.append_follower(&bytes, l.high_watermark()).unwrap();
         assert_eq!(f.leo(), end);
@@ -332,7 +320,7 @@ mod tests {
         f.append_follower(&[], l.high_watermark()).unwrap();
         assert_eq!(f.high_watermark(), end);
         // The replicated chunk parses and verifies on the follower.
-        let copy = f.read_chunks(0, usize::MAX, f.high_watermark());
+        let copy = f.read_chunks(0, usize::MAX, f.high_watermark(), <[u8]>::to_vec);
         let view = ChunkView::parse(&copy).unwrap();
         view.verify().unwrap();
     }
@@ -344,9 +332,9 @@ mod tests {
         for _ in 0..5 {
             log.append_leader(&c, 1).unwrap();
         }
-        let one = log.read_chunks(0, 1, log.high_watermark());
+        let one = log.read_chunks(0, 1, log.high_watermark(), <[u8]>::to_vec);
         assert_eq!(one.len(), c.len());
-        let two = log.read_chunks(0, c.len() * 2, log.high_watermark());
+        let two = log.read_chunks(0, c.len() * 2, log.high_watermark(), <[u8]>::to_vec);
         assert_eq!(two.len(), c.len() * 2);
     }
 }

@@ -153,27 +153,7 @@ impl Segment {
             return &[];
         }
         let window = self.buf.read(offset, durable - offset);
-        let mut end = 0usize;
-        while end + CHUNK_HEADER <= window.len() {
-            // In bounds: the loop condition keeps end + CHUNK_HEADER
-            // within the window and CHUNK_LEN + 4 <= CHUNK_HEADER.
-            let p = end + chunk::field::CHUNK_LEN;
-            let chunk_len =
-                u32::from_le_bytes([window[p], window[p + 1], window[p + 2], window[p + 3]])
-                    as usize;
-            debug_assert!(chunk_len >= CHUNK_HEADER, "corrupt chunk length in segment");
-            if end + chunk_len > window.len() {
-                break; // partially durable chunk cannot happen, but be safe
-            }
-            if end > 0 && end + chunk_len > max_bytes {
-                break;
-            }
-            end += chunk_len;
-            if end >= max_bytes {
-                break;
-            }
-        }
-        &window[..end]
+        &window[..chunk::whole_chunks(window, max_bytes)]
     }
 }
 

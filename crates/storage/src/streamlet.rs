@@ -355,17 +355,19 @@ impl Streamlet {
         self.groups.read().len()
     }
 
-    /// Reads durable chunks for a consumer positioned at `cursor` in
-    /// `slot`, advancing the cursor across sealed segments and closed
-    /// groups. Returns `(data, new_cursor)`; `data` is empty when the
-    /// consumer is caught up.
-    pub fn read_slot(
+    /// Walks the durable chunks of `slot` from `cursor`, across sealed
+    /// segments and closed groups, up to `max_bytes` (at least one whole
+    /// chunk when one is durable there), copying nothing: each segment's
+    /// run is pushed onto `runs`. Returns the bytes walked, 0 when the
+    /// consumer is caught up, and the cursor after them.
+    pub fn walk_slot(
         &self,
         slot: u32,
         mut cursor: SlotCursor,
         max_bytes: usize,
-    ) -> (Vec<u8>, SlotCursor) {
-        let mut out = Vec::new();
+        runs: &mut Vec<ChunkRun>,
+    ) -> (usize, SlotCursor) {
+        let mut walked = 0;
         // Bound the walk: a fetch crosses at most a handful of boundaries.
         for _ in 0..64 {
             let gid = cursor.group_id(slot, self.q);
@@ -374,14 +376,13 @@ impl Streamlet {
                 // Segment not created yet: caught up.
                 break;
             };
-            let data = segment.read_durable_chunks(
-                cursor.offset as usize,
-                max_bytes.saturating_sub(out.len()),
-            );
-            if !data.is_empty() {
-                out.extend_from_slice(data);
-                cursor.offset += data.len() as u32;
-                if out.len() >= max_bytes {
+            let offset = cursor.offset as usize;
+            let len = segment.read_durable_chunks(offset, max_bytes.saturating_sub(walked)).len();
+            if len > 0 {
+                runs.push((Arc::clone(&segment), offset, len));
+                walked += len;
+                cursor.offset += len as u32;
+                if walked >= max_bytes {
                     break;
                 }
             }
@@ -399,13 +400,27 @@ impl Streamlet {
                     continue;
                 }
             }
-            if data.is_empty() {
+            if len == 0 {
                 break; // caught up (or waiting on durability)
             }
         }
+        (walked, cursor)
+    }
+
+    /// [`Streamlet::walk_slot`] copied out: `(data, new_cursor)`, `data`
+    /// empty when the consumer is caught up.
+    pub fn read_slot(&self, slot: u32, cursor: SlotCursor, max_bytes: usize) -> (Vec<u8>, SlotCursor) {
+        let mut runs = Vec::new();
+        let (len, cursor) = self.walk_slot(slot, cursor, max_bytes, &mut runs);
+        let mut out = Vec::with_capacity(len);
+        runs.iter().for_each(|(segment, at, len)| out.extend_from_slice(segment.read(*at, *len)));
         (out, cursor)
     }
 }
+
+/// Whole durable chunks in one segment, as [`Streamlet::walk_slot`] found
+/// them: the segment, an offset in it and a length. Nothing is copied yet.
+pub type ChunkRun = (Arc<Segment>, usize, usize);
 
 impl std::fmt::Debug for Streamlet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -745,6 +760,19 @@ mod tests {
         assert_eq!(kept, marks);
     }
 
+    /// Reads `slot` 0 of `s` at `cursor` both ways: the runs `walk_slot`
+    /// finds hold the bytes `read_slot` copies out, and both end at the
+    /// same cursor.
+    fn walk_reads_as_read_slot(s: &Streamlet, cursor: SlotCursor, max: usize) -> (Vec<u8>, SlotCursor) {
+        let mut runs = Vec::new();
+        let (len, walked) = s.walk_slot(0, cursor, max, &mut runs);
+        let (data, read) = s.read_slot(0, cursor, max);
+        assert_eq!((len, walked), (data.len(), read), "from {cursor} up to {max} bytes");
+        let gathered: Vec<u8> = runs.iter().flat_map(|(s, at, len)| s.read(*at, *len)).copied().collect();
+        assert_eq!(gathered, data);
+        (data, read)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -756,13 +784,20 @@ mod tests {
         /// producers sending changes (4, 1, 3, 1), so producers leave the
         /// window whole and a lone producer's restarts age its mark out.
         /// Every lookup agrees with the map, and the two hold the same
-        /// entries throughout.
+        /// entries throughout. Each insert also appends a chunk to a slot
+        /// that rolls a segment every three chunks and closes a group
+        /// every two segments, made durable in batches; a reader follows
+        /// it, walking and reading from the same cursor alike, and reads
+        /// every chunk once, in order.
         #[test]
         fn window_answers_as_the_map_does(
             ops in proptest::collection::vec((0u32..1000, 0u32..4, 0u64..1 << 20), 4500..8000),
         ) {
             let (mut window, mut map) = (ReplayWindow::default(), MapWindow::default());
             let (mut next, mut inserts) = ([1u64 << 32; 4], 0);
+            let c = chunk(1);
+            let log = Streamlet::new(StreamId(1), StreamletId(0), &config(1, 3 * c.len(), 2));
+            let (mut pending, mut cursor, mut seen) = (Vec::new(), SlotCursor::START, Vec::new());
             for (i, &(kind, p, x)) in ops.iter().enumerate() {
                 let p = p % [4, 1, 3, 1][i / 1400 % 4];
                 let n = &mut next[p as usize];
@@ -797,12 +832,30 @@ mod tests {
                     window.insert(producer, seq, ack, token);
                     map.insert(producer, seq, ack, token);
                     inserts += 1;
+                    pending.push(log.append_chunk(producer, &c, 1).unwrap().segment);
                 }
                 if i % 64 == 0 {
                     assert_same(&window, &map);
+                    if x % 4 != 0 {
+                        pending.drain(..).for_each(|s| s.make_all_durable());
+                    }
+                    let (data, next) = walk_reads_as_read_slot(&log, cursor, 1 + x as usize % (4 * c.len()));
+                    seen.extend_from_slice(&data);
+                    cursor = next;
                 }
             }
             assert_same(&window, &map);
+            pending.drain(..).for_each(|s| s.make_all_durable());
+            loop {
+                let (data, next) = walk_reads_as_read_slot(&log, cursor, usize::MAX);
+                if data.is_empty() && next == cursor {
+                    break;
+                }
+                seen.extend_from_slice(&data);
+                cursor = next;
+            }
+            let offsets: Vec<u64> = ChunkIter::new(&seen).map(|c| c.unwrap().header().base_offset).collect();
+            prop_assert_eq!(offsets, (0..inserts as u64).collect::<Vec<_>>());
             prop_assert!(inserts > 3 * ReplayWindow::MAX_ENTRIES, "{} inserts", inserts);
         }
     }

@@ -491,6 +491,27 @@ impl<'a> ChunkView<'a> {
     }
 }
 
+/// Bytes of the whole chunks at the front of `window` that fit in
+/// `max_bytes`, but at least its first whole chunk however large — what a
+/// fetch reads of a KerA segment or of a Kafka partition log.
+pub fn whole_chunks(window: &[u8], max_bytes: usize) -> usize {
+    let mut end = 0;
+    while end + CHUNK_HEADER <= window.len() {
+        // In bounds: the loop condition keeps end + CHUNK_HEADER within
+        // the window, and CHUNK_LEN + 4 <= CHUNK_HEADER.
+        let p = end + field::CHUNK_LEN;
+        let len = u32::from_le_bytes([window[p], window[p + 1], window[p + 2], window[p + 3]]) as usize;
+        if len < CHUNK_HEADER || end + len > window.len() || (end > 0 && end + len > max_bytes) {
+            break;
+        }
+        end += len;
+        if end >= max_bytes {
+            break;
+        }
+    }
+    end
+}
+
 /// Patches the broker-assigned fields of a serialized chunk in place.
 ///
 /// `buf` must point at the start of the chunk (inside a segment buffer or a
@@ -557,6 +578,21 @@ mod tests {
             assert!(b.append(&Record::value_only(&v)));
         }
         b.seal()
+    }
+
+    /// Whole chunks only, within `max_bytes` past the first; a length
+    /// shorter than a header (a zeroed tail) ends the scan.
+    #[test]
+    fn whole_chunks_stop_at_a_bound_a_torn_chunk_or_a_bad_length() {
+        let c = sample_chunk(3);
+        let mut window = [&c[..], &c[..], &c[..10]].concat();
+        assert_eq!(whole_chunks(&window, usize::MAX), 2 * c.len());
+        assert_eq!(whole_chunks(&window, 1), c.len());
+        assert_eq!(whole_chunks(&window, 2 * c.len() - 1), c.len());
+        window.truncate(2 * c.len());
+        window.extend_from_slice(&[0; CHUNK_HEADER]);
+        assert_eq!(whole_chunks(&window, usize::MAX), 2 * c.len());
+        assert_eq!(whole_chunks(&window[..CHUNK_HEADER - 1], usize::MAX), 0);
     }
 
     #[test]

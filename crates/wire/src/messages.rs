@@ -12,10 +12,13 @@
 //! (see [`crate::chunk`]) so the same buffer travels producer → broker →
 //! backup → disk without re-serialization.
 //!
-//! Hand-written on purpose: the two single-pack hot paths
-//! ([`ProduceRequest::encode_chunks`], [`EncodedBackupWrite::pack`] — one
-//! copy per chunk, DESIGN.md §12), the [`ChunkCount`] bound, and the
-//! layout of `kera_common`'s `StreamConfig` with its tagged policy.
+//! Hand-written on purpose: the three single-pack hot paths
+//! ([`ProduceRequest::encode_chunks`], [`EncodedBackupWrite::pack`] and
+//! the fetch replies' [`ReplyPack`] — one copy per chunk, DESIGN.md §12),
+//! the [`ChunkCount`] bound, and the layout of `kera_common`'s
+//! `StreamConfig` with its tagged policy.
+
+use std::marker::PhantomData;
 
 use bytes::Bytes;
 use kera_common::config::{ReplicationConfig, StreamConfig, VirtualLogPolicy};
@@ -25,7 +28,7 @@ use kera_common::ids::{
 use kera_common::{KeraError, Result};
 
 use crate::chunk::CHUNK_HEADER;
-use crate::codec::{wire_enum, wire_struct, Reader, Rest, Wire, Writer};
+use crate::codec::{checked_len, wire_enum, wire_struct, Reader, Rest, Wire, Writer};
 use crate::cursor::SlotCursor;
 
 // ---------------------------------------------------------------------------
@@ -309,6 +312,55 @@ wire_struct! {
     encode -> Result<Bytes>; decode_bytes(&Bytes);
 }
 
+/// A [`FetchResponse`] or [`FollowerFetchResponse`] packed in one pass into
+/// one allocation sized up front: each result's header, then its chunk
+/// bytes straight from the log. Byte-identical to the struct encoder's.
+pub struct ReplyPack<M>(Writer, PhantomData<M>);
+
+impl<M> ReplyPack<M> {
+    fn new(results: usize, result_header: usize, data_bytes: usize) -> Result<Self> {
+        let mut w = Writer::with_capacity(4 + results * result_header + data_bytes);
+        w.u32(checked_len("element count", results)?);
+        Ok(Self(w, PhantomData))
+    }
+
+    /// Ends a result: its data length, then that many bytes of chunks.
+    fn data<'a>(&mut self, len: usize, chunks: impl IntoIterator<Item = &'a [u8]>) -> Result<()> {
+        self.0.u32(checked_len("length-prefixed field", len)?);
+        for c in chunks {
+            self.0.bytes(c);
+        }
+        Ok(())
+    }
+
+    pub fn finish(self) -> Bytes {
+        self.0.finish()
+    }
+}
+
+impl FetchResponse {
+    /// Starts a reply of `results` results and `data_bytes` chunk bytes.
+    pub fn pack(results: usize, data_bytes: usize) -> Result<ReplyPack<Self>> {
+        ReplyPack::new(results, FetchResult::MIN_LEN, data_bytes)
+    }
+}
+
+impl ReplyPack<FetchResponse> {
+    /// The next result: `entry`'s slot, its next cursor, `len` chunk bytes.
+    pub fn result<'a>(
+        &mut self,
+        entry: &FetchEntry,
+        cursor: SlotCursor,
+        len: usize,
+        chunks: impl IntoIterator<Item = &'a [u8]>,
+    ) -> Result<()> {
+        self.0.put(&entry.stream)?;
+        self.0.put(&entry.streamlet)?;
+        self.0.u32(entry.slot).put(&cursor)?;
+        self.data(len, chunks)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // BackupWrite / BackupFree (virtual log replication)
 // ---------------------------------------------------------------------------
@@ -475,6 +527,24 @@ wire_struct! {
         pub results: Vec<FollowerFetchResult>,
     }
     encode -> Result<Bytes>; decode_bytes(&Bytes);
+}
+
+impl FollowerFetchResponse {
+    /// Starts a reply of `results` results and `data_bytes` log bytes.
+    pub fn pack(results: usize, data_bytes: usize) -> Result<ReplyPack<Self>> {
+        ReplyPack::new(results, FollowerFetchResult::MIN_LEN, data_bytes)
+    }
+}
+
+impl ReplyPack<FollowerFetchResponse> {
+    /// The next result: `entry`'s partition, the leader's high watermark
+    /// and the log bytes `data`.
+    pub fn result(&mut self, entry: &FollowerFetchEntry, high_watermark: u64, data: &[u8]) -> Result<()> {
+        self.0.put(&entry.stream)?;
+        self.0.put(&entry.partition)?;
+        self.0.u64(high_watermark);
+        self.data(data.len(), [data])
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -730,6 +800,78 @@ mod tests {
         let base = payload.as_ref().as_ptr() as usize;
         let ptr = req.chunks.as_ref().as_ptr() as usize;
         assert_eq!(ptr, base + ProduceRequest::HEADER_LEN);
+    }
+
+    /// Results with no data, with one range and with several ranges,
+    /// packed in one pass, are the bytes the struct encoder writes.
+    #[test]
+    fn fetch_single_pack_matches_struct_encode() {
+        let a: &[u8] = &[b'a'; CHUNK_HEADER];
+        let b: &[u8] = &[b'b'; CHUNK_HEADER + 3];
+        let ranges: [&[&[u8]]; 3] = [&[], &[a], &[b, a, b]];
+        let entries: Vec<FetchEntry> = (0..3)
+            .map(|i| FetchEntry {
+                stream: StreamId(4 + i),
+                streamlet: StreamletId(i),
+                slot: 2 * i,
+                cursor: SlotCursor::START,
+                max_bytes: 1 << 20,
+            })
+            .collect();
+        let cursor = |i: u32| SlotCursor { chain: i, segment: i + 1, offset: 100 * i };
+        let total = ranges.iter().flat_map(|r| r.iter()).map(|c| c.len()).sum();
+        let mut pack = FetchResponse::pack(entries.len(), total).unwrap();
+        for ((e, r), i) in entries.iter().zip(ranges).zip(0..) {
+            let len = r.iter().map(|c| c.len()).sum();
+            pack.result(e, cursor(i), len, r.iter().copied()).unwrap();
+        }
+        let packed = pack.finish();
+        let results = entries
+            .iter()
+            .zip(ranges)
+            .zip(0..)
+            .map(|((e, r), i)| FetchResult {
+                stream: e.stream,
+                streamlet: e.streamlet,
+                slot: e.slot,
+                cursor: cursor(i),
+                data: Bytes::from(r.concat()),
+            })
+            .collect();
+        let via_struct = FetchResponse { results }.encode().unwrap();
+        assert_eq!(packed, via_struct, "single-pack must be byte-identical on the wire");
+        assert_eq!(packed.len(), 4 + 3 * FetchResult::MIN_LEN + total);
+    }
+
+    #[test]
+    fn follower_fetch_single_pack_matches_struct_encode() {
+        let runs: [&[u8]; 3] = [&[], &[b'a'; CHUNK_HEADER], &[b'b'; 3 * CHUNK_HEADER + 1]];
+        let entries: Vec<FollowerFetchEntry> = (0..3)
+            .map(|i| FollowerFetchEntry {
+                stream: StreamId(7),
+                partition: StreamletId(i),
+                fetch_offset: u64::from(i) << 33,
+            })
+            .collect();
+        let total = runs.iter().map(|r| r.len()).sum();
+        let mut pack = FollowerFetchResponse::pack(entries.len(), total).unwrap();
+        for (e, data) in entries.iter().zip(runs) {
+            pack.result(e, e.fetch_offset + 9, data).unwrap();
+        }
+        let packed = pack.finish();
+        let results = entries
+            .iter()
+            .zip(runs)
+            .map(|(e, data)| FollowerFetchResult {
+                stream: e.stream,
+                partition: e.partition,
+                high_watermark: e.fetch_offset + 9,
+                data: Bytes::copy_from_slice(data),
+            })
+            .collect();
+        let via_struct = FollowerFetchResponse { results }.encode().unwrap();
+        assert_eq!(packed, via_struct, "single-pack must be byte-identical on the wire");
+        assert_eq!(packed.len(), 4 + 3 * FollowerFetchResult::MIN_LEN + total);
     }
 
     /// The whole receive chain — frame bytes → envelope → produce request

@@ -176,6 +176,18 @@ if grep -rnE '\.dedup\(\)|last_per_slot|vec!\[false;' tests crates/*/tests examp
   exit 1
 fi
 
+# One copy per fetch: a fetch reply is packed straight from the log's
+# memory (DESIGN §12), so no fetch path reads through a copying buffer —
+# no `read_slot(` in KerA's broker, no `to_vec()` in kafka-sim's partition
+# log (non-test lines, as above).
+if awk '/^#\[cfg\(test\)\]/{exit} /read_slot\(/{print FILENAME":"FNR": "$0}' \
+        crates/broker/src/broker.rs | grep . \
+    || awk '/^#\[cfg\(test\)\]/{exit} /to_vec\(\)/{print FILENAME":"FNR": "$0}' \
+        crates/kafka-sim/src/partition.rs | grep .; then
+  echo "one copy per fetch: no read_slot( in broker/src/broker.rs, no to_vec() in kafka-sim/src/partition.rs" >&2
+  exit 1
+fi
+
 # A node is held at the fabric (FaultPlan::hold), not in its handlers: no
 # service carries a drill flag. And time passes on one queue per node: a
 # parked Kafka request's expiry, a frame the fault plan delays and the

@@ -159,7 +159,7 @@ fn kafka_replica_files_are_their_logs() {
             let names = files(&part);
             let on_disk: Vec<u8> =
                 names.iter().flat_map(|n| std::fs::read(part.join(n)).unwrap()).collect();
-            let in_memory = log.read_chunks(0, usize::MAX, log.leo());
+            let in_memory = log.read_chunks(0, usize::MAX, log.leo(), <[u8]>::to_vec);
             assert!(!in_memory.is_empty(), "replica {i} of partition {p} holds nothing");
             assert!(on_disk == in_memory, "{} differs from its log", part.display());
             replicas += 1;

@@ -17,24 +17,24 @@
 //! Fetch path: consumers read whole chunks below the durable head only.
 //! A fetch walks its entries' segments, copying nothing, and packs the
 //! chunks it found straight from them into the reply body: one copy per
-//! byte. A fetch that finds none packs nothing and is parked, answered by
-//! the thread that answers a produce made durable in one of its slots (the
-//! one that landed its last round; at R1 its own) or at `FETCH_MAX_WAIT`
-//! by one re-armed timer.
+//! byte. A fetch that finds none packs nothing and waits in the broker's
+//! purgatory until one of its slots' epochs moves — the thread that answers
+//! a produce made durable there moves it (the one that lands its last
+//! round; at R1 its own) — or `FETCH_MAX_WAIT` passes.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use kera_common::config::StreamConfig;
-use kera_common::ids::{NodeId, StreamId, StreamletId};
+use kera_common::ids::{NodeId, StreamId};
 use kera_common::metrics::Counter;
 use kera_common::{KeraError, Result};
 use kera_obs::{Gauge, NodeObs, Stage, TraceContext};
+use kera_rpc::purgatory::{Delayed, Purgatory};
 use kera_rpc::{Reply, RequestContext, RpcClient, Service};
 use kera_storage::store::StreamStore;
-use kera_storage::streamlet::{ChunkRun, SlotAppend};
+use kera_storage::streamlet::{ChunkRun, SlotAppend, Streamlet};
 use kera_vlog::selector::SelectionPolicy;
 use kera_vlog::vseg::ChunkRef;
 use kera_vlog::{VirtualLog, VirtualLogSet};
@@ -42,11 +42,10 @@ use kera_wire::chunk::ChunkIter;
 use kera_wire::cursor::SlotCursor;
 use kera_wire::frames::OpCode;
 use kera_wire::messages::{
-    BackupFreeRequest, DeleteStreamRequest, FetchEntry, FetchRequest, FetchResponse,
+    BackupFreeRequest, DeleteStreamRequest, FetchRequest, FetchResponse,
     HostStreamRequest, NodeRole, ProduceRequest, ProduceResponse, ReplicaRole, SeekRequest,
     SeekResponse, FETCH_MAX_WAIT,
 };
-use parking_lot::Mutex;
 
 use crate::channel::RpcBackupChannel;
 use crate::introspect::{self, HealthFields};
@@ -57,8 +56,8 @@ const REPLICATION_TIMEOUT: Duration = Duration::from_secs(5);
 /// A produce appended: its acks, the logs it touched and its slots.
 type Appended = (ProduceResponse, Vec<(Arc<VirtualLog>, u64)>, Vec<Slot>);
 
-/// A slot of a streamlet, as a fetch entry names it.
-type Slot = (StreamId, StreamletId, u32);
+/// A slot of a streamlet.
+type Slot = (Arc<Streamlet>, u32);
 
 /// A fetch walked: the runs of all its entries in entry order, each
 /// entry's next cursor, bytes and end in `runs`, and the bytes in all.
@@ -68,17 +67,29 @@ struct Walk {
     bytes: usize,
 }
 
-/// Fetches with no durable data and their deadlines, parked and taken
-/// under `broker.parked`, and whether the expiry timer is armed.
-#[derive(Default)]
-struct Parked {
-    fetches: Vec<(Instant, FetchRequest, Reply)>,
-    armed: bool,
+/// A fetch, with each entry's slot and the epoch it read there before
+/// its walk: parked, it is ready once one of those epochs has moved.
+struct Fetch {
+    req: FetchRequest,
+    slots: Vec<(Arc<Streamlet>, u32, u64)>,
+}
+
+impl Delayed for Fetch {
+    type Owner = BrokerService;
+
+    fn ready(&self) -> bool {
+        self.slots.iter().any(|(streamlet, slot, epoch)| streamlet.epoch(*slot) != *epoch)
+    }
+
+    fn answer(self, broker: &BrokerService, reply: Reply, timed_out: bool) {
+        broker.fetches_expired.add(u64::from(timed_out));
+        reply.send(broker.served(&self.req, broker.walk(&self)));
+    }
 }
 
 /// The broker service of one node.
 pub struct BrokerService {
-    /// Itself, for the closures a produce's answer and the expiry timer run.
+    /// Itself, for the closure a produce's answer runs.
     me: Weak<BrokerService>,
     node: NodeId,
     store: StreamStore,
@@ -97,9 +108,8 @@ pub struct BrokerService {
     pub bytes_in: Arc<Counter>,
     /// Fetch requests served (`kera.broker.fetches`).
     pub fetches: Arc<Counter>,
-    parked: Mutex<Parked>,
-    /// Produces answered durable: a fetch parks only if none was since its walk.
-    landed: AtomicU64,
+    /// Fetches that found no durable data.
+    parked: Arc<Purgatory<Fetch>>,
     /// Fetches that found no data and waited (`kera.broker.fetches_parked`).
     pub fetches_parked: Arc<Counter>,
     /// Parked fetches answered at their deadline (`kera.broker.fetches_expired`).
@@ -154,8 +164,7 @@ impl BrokerService {
                 records_in: reg.counter("kera.broker.records_in", &[]),
                 bytes_in: reg.counter("kera.broker.bytes_in", &[]),
                 fetches: reg.counter("kera.broker.fetches", &[]),
-                parked: Mutex::named("broker.parked", Parked::default()),
-                landed: AtomicU64::new(0),
+                parked: Purgatory::new(Weak::clone(me)),
                 fetches_parked: reg.counter("kera.broker.fetches_parked", &[]),
                 fetches_expired: reg.counter("kera.broker.fetches_expired", &[]),
                 chunks_replayed: reg.counter("kera.broker.chunks_replayed", &[]),
@@ -236,8 +245,8 @@ impl BrokerService {
                 .ok_or(KeraError::UnknownStreamlet(h.stream, h.streamlet))?;
 
             let slot = streamlet.slot_of(h.producer);
-            if !slots.contains(&(h.stream, h.streamlet, slot)) {
-                slots.push((h.stream, h.streamlet, slot));
+            if !slots.iter().any(|(s, i)| Arc::ptr_eq(s, &streamlet) && *i == slot) {
+                slots.push((Arc::clone(&streamlet), slot));
             }
             // R > 1: the chunk's reference joins its slot's virtual log and
             // the ticket gates the response; R = 1: durable as appended.
@@ -322,24 +331,32 @@ impl BrokerService {
         Ok(())
     }
 
-    /// Walks every entry of a fetch up to its durable head, copying nothing.
-    fn walk(&self, req: &FetchRequest) -> Result<Walk> {
-        let entries = Vec::with_capacity(req.entries.len());
-        let mut walk = Walk { runs: Vec::new(), entries, bytes: 0 };
-        for e in &req.entries {
+    /// A fetch's slots, each with its epoch, read before any walk.
+    fn slots(&self, req: FetchRequest) -> Result<Fetch> {
+        let slots = req.entries.iter().map(|e| {
             let streamlet = self.store.streamlet(e.stream, e.streamlet)?;
+            let epoch = streamlet.epoch(e.slot);
+            Ok((streamlet, e.slot, epoch))
+        });
+        Ok(Fetch { slots: slots.collect::<Result<_>>()?, req })
+    }
+
+    /// Walks every entry of a fetch up to its durable head, copying nothing.
+    fn walk(&self, fetch: &Fetch) -> Walk {
+        let entries = Vec::with_capacity(fetch.req.entries.len());
+        let mut walk = Walk { runs: Vec::new(), entries, bytes: 0 };
+        for (e, (streamlet, ..)) in fetch.req.entries.iter().zip(&fetch.slots) {
             let (bytes, cursor) =
                 streamlet.walk_slot(e.slot, e.cursor, e.max_bytes as usize, &mut walk.runs);
             walk.bytes += bytes;
             walk.entries.push((cursor, bytes, walk.runs.len()));
         }
-        Ok(walk)
+        walk
     }
 
     /// Counts a fetch answered and packs its reply: each chunk byte is
     /// copied once, from its segment into the body.
-    fn served(&self, req: &FetchRequest, walk: Result<Walk>) -> Result<Bytes> {
-        let walk = walk?;
+    fn served(&self, req: &FetchRequest, walk: Walk) -> Result<Bytes> {
         self.fetches.inc();
         self.bytes_fetched.add(walk.bytes as u64);
         self.obs.bump_progress();
@@ -354,59 +371,22 @@ impl BrokerService {
     }
 
     /// Answers a fetch at once if any entry has durable data, else parks
-    /// it for `wake` or `expire`: an empty walk packs nothing.
-    fn fetch(&self, req: FetchRequest, reply: Reply) {
-        loop {
-            let seen = self.landed.load(Ordering::SeqCst);
-            match self.walk(&req) {
-                Ok(walk) if walk.bytes == 0 => {}
-                walk => return reply.send(self.served(&req, walk)),
-            }
-            // Under the lock `wake` takes: a produce answered since the
-            // walk may have landed what it missed; a later one finds it.
-            let due = Instant::now() + FETCH_MAX_WAIT;
-            let mut parked = self.parked.lock();
-            if self.landed.load(Ordering::SeqCst) != seen {
-                continue;
-            }
-            parked.armed = parked.armed || self.arm(&reply, due);
-            parked.fetches.push((due, req, reply));
-            return self.fetches_parked.inc();
+    /// it until one of its slots' epochs moves or `FETCH_MAX_WAIT` passes:
+    /// an empty walk packs nothing.
+    fn fetch(&self, fetch: Fetch, reply: Reply) {
+        let walk = self.walk(&fetch);
+        if walk.bytes > 0 {
+            return reply.send(self.served(&fetch.req, walk));
         }
+        let parked = self.parked.park(Instant::now() + FETCH_MAX_WAIT, fetch, reply);
+        self.fetches_parked.add(u64::from(parked));
     }
 
-    /// Arms the broker's one expiry timer, on the node `reply` came to.
-    fn arm(&self, reply: &Reply, due: Instant) -> bool {
-        let me = Weak::clone(&self.me);
-        reply.timer(due, move || me.upgrade().into_iter().for_each(|broker| broker.expire()))
-    }
-
-    /// Once a produce is durable: answers the fetches parked on its slots.
+    /// Once a produce is durable: moves its slots' epochs and answers the
+    /// fetches parked on them.
     fn wake(&self, slots: &[Slot]) {
-        self.landed.fetch_add(1, Ordering::SeqCst);
-        let reads = |e: &FetchEntry| slots.contains(&(e.stream, e.streamlet, e.slot));
-        let ready: Vec<_> =
-            self.parked.lock().fetches.extract_if(.., |p| p.1.entries.iter().any(reads)).collect();
-        for (_, req, reply) in ready {
-            reply.send(self.served(&req, self.walk(&req)));
-        }
-    }
-
-    /// The expiry timer: answers the fetches due and re-arms for the next.
-    fn expire(&self) {
-        let now = Instant::now();
-        let due: Vec<_> = {
-            let mut parked = self.parked.lock();
-            let due = parked.fetches.extract_if(.., |(due, ..)| *due <= now).collect();
-            let next = parked.fetches.iter().min_by_key(|(due, ..)| *due);
-            let armed = next.is_some_and(|(next, _, reply)| self.arm(reply, *next));
-            parked.armed = armed;
-            due
-        };
-        for (_, req, reply) in due {
-            self.fetches_expired.inc();
-            reply.send(self.served(&req, self.walk(&req)));
-        }
+        slots.iter().for_each(|(streamlet, slot)| streamlet.advance(*slot));
+        self.parked.settle();
     }
 
     /// Serves the Introspect RPC: health from the broker's own stores,
@@ -458,8 +438,8 @@ impl Service for BrokerService {
                 _ => Err(KeraError::Protocol("replicated produce needs `serve`".into())),
             },
             OpCode::Fetch => {
-                let req = FetchRequest::decode(&payload)?;
-                self.served(&req, self.walk(&req))
+                let fetch = self.slots(FetchRequest::decode(&payload)?)?;
+                self.served(&fetch.req, self.walk(&fetch))
             }
             OpCode::Introspect => self.handle_introspect(&payload),
             OpCode::Seek => {
@@ -485,8 +465,8 @@ impl Service for BrokerService {
     /// and the fetches parked on its slots. A fetch may park (`fetch`).
     fn serve(&self, ctx: &RequestContext, payload: Bytes, reply: Reply) {
         if ctx.opcode == OpCode::Fetch {
-            return match FetchRequest::decode(&payload) {
-                Ok(req) => self.fetch(req, reply),
+            return match FetchRequest::decode(&payload).and_then(|req| self.slots(req)) {
+                Ok(fetch) => self.fetch(fetch, reply),
                 Err(e) => reply.send(Err(e)),
             };
         }
@@ -515,5 +495,86 @@ impl Service for BrokerService {
             }));
         };
         kera_vlog::wait_all(touched, channel, trace, Box::new(answer));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use kera_common::config::ReplicationConfig;
+    use kera_common::ids::{ConsumerId, ProducerId, StreamletId};
+    use kera_rpc::{InMemNetwork, NodeRuntime, NullService, PendingCall};
+    use kera_wire::chunk::ChunkBuilder;
+    use kera_wire::messages::{FetchEntry, HostAssignment, StreamMetadata, StreamletPlacement};
+    use kera_wire::record::Record;
+
+    use super::*;
+
+    const STREAM: StreamId = StreamId(1);
+    const T: Duration = Duration::from_secs(5);
+
+    /// A fetch parked on slot 0 of a two-slot R1 streamlet is answered by
+    /// a produce that makes data durable there, and neither answered nor
+    /// walked again by one on slot 1.
+    #[test]
+    fn a_parked_fetch_waits_only_on_its_own_slots() {
+        let net = InMemNetwork::new();
+        let broker = BrokerService::new(NodeId(1), NodeId(1001), vec![NodeId(1001)]);
+        let service = Arc::clone(&broker) as Arc<dyn Service>;
+        let broker_rt = NodeRuntime::start(Arc::new(net.register(NodeId(1))), service, 2);
+        broker.attach_client(broker_rt.client());
+        let client_rt =
+            NodeRuntime::start(Arc::new(net.register(NodeId(9))), Arc::new(NullService), 1);
+        let client = client_rt.client();
+        let config = StreamConfig {
+            active_groups: 2,
+            segment_size: 1 << 16,
+            replication: ReplicationConfig { factor: 1, ..ReplicationConfig::default() },
+            ..StreamConfig::kafka_like(STREAM, 1)
+        };
+        let host = HostStreamRequest {
+            metadata: StreamMetadata {
+                config,
+                placements: vec![StreamletPlacement {
+                    streamlet: StreamletId(0),
+                    broker: NodeId(1),
+                }],
+            },
+            assignments: vec![HostAssignment {
+                streamlet: StreamletId(0),
+                role: ReplicaRole::Leader,
+                leader: NodeId(1),
+            }],
+        };
+        client.call(NodeId(1), OpCode::HostStream, host.encode(), T).unwrap();
+        let produce = |producer: u32| {
+            let mut chunk = ChunkBuilder::new(1024, ProducerId(producer), STREAM, StreamletId(0));
+            assert!(chunk.append(&Record::value_only(&[7; 100])));
+            let req = ProduceRequest::encode_chunks(ProducerId(producer), false, &[chunk.seal()]);
+            client.call(NodeId(1), OpCode::Produce, req, T).unwrap();
+        };
+        let entry = FetchEntry {
+            stream: STREAM,
+            streamlet: StreamletId(0),
+            slot: 0,
+            cursor: SlotCursor::START,
+            max_bytes: 1 << 20,
+        };
+        let req = FetchRequest { consumer: ConsumerId(1), entries: vec![entry] };
+        let mut parked: PendingCall = client.call_async(NodeId(1), OpCode::Fetch, req.encode(), T);
+        let deadline = Instant::now() + T;
+        while broker.fetches_parked.get() < 1 {
+            assert!(Instant::now() < deadline, "the fetch never parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // In memory, a reply is delivered on the thread that sends it: a
+        // fetch the produce answered would be in before the produce's own.
+        produce(1);
+        assert!(parked.poll().is_none(), "a produce on slot 1 answered a fetch of slot 0");
+        assert_eq!(broker.fetches.get(), 0);
+        produce(2);
+        let resp = FetchResponse::decode_bytes(&parked.wait(T).unwrap()).unwrap();
+        assert_eq!(ChunkIter::new(&resp.results[0].data).count(), 1);
+        assert_eq!((broker.fetches.get(), broker.fetches_expired.get()), (1, 0));
     }
 }

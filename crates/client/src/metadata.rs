@@ -98,9 +98,4 @@ impl MetadataClient {
         self.cache.write().remove(&stream);
         Ok(())
     }
-
-    /// Drops a cache entry (e.g. after a broker error).
-    pub fn invalidate(&self, stream: StreamId) {
-        self.cache.write().remove(&stream);
-    }
 }

@@ -5,11 +5,10 @@
 //! followers alike, and none of its handlers parks a worker. A fetch
 //! (follower or consumer) that finds no data and an acks=all produce
 //! waiting for its high watermarks are delayed operations in the store's
-//! purgatory (Kafka's name for it), answered through their [`Reply`] by
-//! the request that completes them — the append that gives a fetch data,
-//! the one that moves a high watermark past a consumer's offset or to a
-//! produce's last end — or at their timeout by a timer on the broker's
-//! node, armed through the parked request's own `Reply`.
+//! [`Purgatory`], answered through their [`Reply`] by the request that
+//! completes them — the append that gives a fetch data, the one that moves
+//! a high watermark past a consumer's offset or to a produce's last end —
+//! or at their timeout by the purgatory's one expiry timer.
 //! Both fetch replies are packed in one pass: each entry's chunks are
 //! copied from its log straight into the body, under its partition lock.
 
@@ -22,6 +21,7 @@ use kera_common::ids::{NodeId, StreamId, StreamletId};
 use kera_common::metrics::Counter;
 use kera_common::{KeraError, Result};
 use kera_obs::NodeObs;
+use kera_rpc::purgatory::{self, Purgatory};
 use kera_rpc::{Reply, RequestContext, Service};
 use kera_storage::flush::DiskFlusher;
 use kera_wire::chunk::ChunkIter;
@@ -32,7 +32,7 @@ use kera_wire::messages::{
     HostStreamRequest, ProduceRequest, ProduceResponse, ReplicaRole, SeekRequest, SeekResponse,
     FETCH_MAX_WAIT,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::fetcher::FetcherRunner;
 use crate::partition::{PartitionLog, Role};
@@ -66,7 +66,9 @@ enum Delayed {
     Produce(ProduceResponse, Vec<(Arc<PartitionLog>, u64)>),
 }
 
-impl Delayed {
+impl purgatory::Delayed for Delayed {
+    type Owner = TopicStore;
+
     /// Whether what it waits for has happened.
     fn ready(&self) -> bool {
         match self {
@@ -79,17 +81,27 @@ impl Delayed {
             Delayed::Produce(_, waits) => waits.iter().all(|(log, end)| log.high_watermark() >= *end),
         }
     }
-}
 
-/// Kafka's purgatory holds these: requests of one store that wait for
-/// data or for a high watermark. A request is parked and completed under
-/// the purgatory's one lock, `ksim.purgatory`, and replies are sent only
-/// after that lock is released.
-struct Parked {
-    /// When it times out.
-    due: Instant,
-    op: Delayed,
-    reply: Reply,
+    /// A follower fetch gets the whole chunks past each of its offsets up
+    /// to the log end now, a consumer fetch up to the high watermark; a
+    /// produce its acks, or `Timeout` if it `timed_out`.
+    fn answer(self, store: &TopicStore, reply: Reply, timed_out: bool) {
+        match self {
+            Delayed::Fetch(req, logs) => {
+                store.follower_fetches.inc();
+                store.fetch_expired.add(u64::from(timed_out));
+                reply.send(follow(&req, &logs));
+            }
+            Delayed::Consume(req, logs) => {
+                store.consumer_fetches_expired.add(u64::from(timed_out));
+                reply.send(consume(&req, &logs));
+            }
+            Delayed::Produce(..) if timed_out => {
+                reply.send(Err(KeraError::Timeout { op: "acks=all high-watermark wait" }))
+            }
+            Delayed::Produce(resp, _) => reply.send(Ok(resp.encode())),
+        }
+    }
 }
 
 /// All partition replicas hosted on one node.
@@ -98,7 +110,7 @@ pub struct TopicStore {
     replicas: RwLock<HashMap<(StreamId, StreamletId), Arc<PartitionLog>>>,
     /// The node's flusher, owned by its cluster; dangling when it writes no files.
     flusher: Weak<DiskFlusher>,
-    purgatory: Mutex<Vec<Parked>>,
+    purgatory: Arc<Purgatory<Delayed>>,
     tuning: KafkaTuning,
     /// Chunks ingested (leader appends; `kera.kafka.chunks_in`).
     pub chunks_in: Arc<Counter>,
@@ -132,11 +144,11 @@ impl TopicStore {
         obs: Arc<NodeObs>,
     ) -> Arc<Self> {
         let reg = obs.registry();
-        Arc::new(Self {
+        Arc::new_cyclic(|me| Self {
             node,
             replicas: RwLock::new(HashMap::new()),
             flusher,
-            purgatory: Mutex::named("ksim.purgatory", Vec::new()),
+            purgatory: Purgatory::new(Weak::clone(me)),
             tuning,
             chunks_in: reg.counter("kera.kafka.chunks_in", &[]),
             records_in: reg.counter("kera.kafka.records_in", &[]),
@@ -181,71 +193,14 @@ impl TopicStore {
     /// Called after every append and every recorded fetch position:
     /// answers each parked request that is now ready, then `op` — at once
     /// if it is ready too, else once it is or when it times out.
-    fn settle(self: &Arc<Self>, op: Delayed, reply: Reply) {
-        let timeout = match op {
-            Delayed::Fetch(..) => self.tuning.fetch_wait,
-            Delayed::Consume(..) => FETCH_MAX_WAIT,
-            Delayed::Produce(..) => self.tuning.ack_timeout,
+    fn settle(&self, op: Delayed, reply: Reply) {
+        let (timeout, consume) = match op {
+            Delayed::Fetch(..) => (self.tuning.fetch_wait, false),
+            Delayed::Consume(..) => (FETCH_MAX_WAIT, true),
+            Delayed::Produce(..) => (self.tuning.ack_timeout, false),
         };
-        let due = Instant::now() + timeout;
-        let done = {
-            let mut purgatory = self.purgatory.lock();
-            let mut done: Vec<Parked> = purgatory.extract_if(.., |p| p.op.ready()).collect();
-            // Looked at under the lock the next append or fetch position
-            // settles under: none can land between this look and parking.
-            if op.ready() {
-                done.push(Parked { due, op, reply });
-            } else {
-                self.consumer_fetches_parked.add(u64::from(matches!(op, Delayed::Consume(..))));
-                // Its expiry, on the node it came to; armed under the lock,
-                // so a worker that runs it finds it parked.
-                let store = Arc::downgrade(self);
-                reply.timer(due, move || {
-                    if let Some(store) = store.upgrade() {
-                        store.expire();
-                    }
-                });
-                purgatory.push(Parked { due, op, reply });
-            }
-            done
-        };
-        for p in done {
-            self.answer(p, false);
-        }
-    }
-
-    /// What a parked request's expiry timer runs: answers every parked
-    /// request that is due.
-    fn expire(&self) {
-        let now = Instant::now();
-        let due: Vec<Parked> = self.purgatory.lock().extract_if(.., |p| p.due <= now).collect();
-        for p in due {
-            let timed_out = !p.op.ready();
-            self.answer(p, timed_out);
-        }
-    }
-
-    /// A follower fetch gets the whole chunks past each of its offsets up
-    /// to the log end now, a consumer fetch up to the high watermark; a
-    /// produce its acks, or `Timeout` if it `timed_out`.
-    fn answer(&self, p: Parked, timed_out: bool) {
-        match p.op {
-            Delayed::Fetch(req, logs) => {
-                self.follower_fetches.inc();
-                if timed_out {
-                    self.fetch_expired.inc();
-                }
-                p.reply.send(follow(&req, &logs));
-            }
-            Delayed::Consume(req, logs) => {
-                self.consumer_fetches_expired.add(u64::from(timed_out));
-                p.reply.send(consume(&req, &logs));
-            }
-            Delayed::Produce(..) if timed_out => {
-                p.reply.send(Err(KeraError::Timeout { op: "acks=all high-watermark wait" }))
-            }
-            Delayed::Produce(resp, _) => p.reply.send(Ok(resp.encode())),
-        }
+        let parked = self.purgatory.park(Instant::now() + timeout, op, reply);
+        self.consumer_fetches_parked.add(u64::from(consume && parked));
     }
 }
 

@@ -362,6 +362,67 @@ fn an_empty_follower_fetch_is_answered_empty_at_fetch_wait() {
     assert_eq!((store.fetch_expired.get(), store.follower_fetches.get()), (1, 1));
 }
 
+/// The purgatory's one expiry timer answers each request at its own due:
+/// a consumer fetch parked after an empty follower fetch (one worker
+/// serves them in order) is answered empty at `FETCH_MAX_WAIT`, before the
+/// follower fetch's `fetch_wait`, and the follower fetch still at its own.
+#[test]
+fn a_consumer_fetch_parked_after_a_follower_fetch_is_answered_at_its_own_due() {
+    use crate::broker::{KafkaBrokerService, TopicStore};
+    use crate::partition::Role;
+    use kera_common::ids::ConsumerId;
+    use kera_wire::cursor::SlotCursor;
+    use kera_wire::messages::{
+        FetchEntry, FetchRequest, FetchResponse, FollowerFetchEntry, FollowerFetchRequest,
+        FollowerFetchResponse, FETCH_MAX_WAIT,
+    };
+
+    let net = InMemNetwork::new();
+    let fetch_wait = 4 * FETCH_MAX_WAIT;
+    let store = TopicStore::new(broker_node(0), KafkaTuning { fetch_wait, ..KafkaTuning::default() });
+    store.host_replica(StreamId(1), StreamletId(0), Role::Leader, 2, 1 << 20);
+    let _broker = NodeRuntime::start(
+        Arc::new(net.register(broker_node(0))),
+        KafkaBrokerService::new(Arc::clone(&store)),
+        1,
+    );
+    let follower =
+        NodeRuntime::start(Arc::new(net.register(broker_node(1))), Arc::new(NullService), 1);
+    let follow = FollowerFetchRequest {
+        follower: broker_node(1),
+        max_bytes_per_partition: 1 << 20,
+        entries: vec![FollowerFetchEntry {
+            stream: StreamId(1),
+            partition: StreamletId(0),
+            fetch_offset: 0,
+        }],
+    };
+    let entry = FetchEntry {
+        stream: StreamId(1),
+        streamlet: StreamletId(0),
+        slot: 0,
+        cursor: SlotCursor::START,
+        max_bytes: 1 << 20,
+    };
+    let consume = FetchRequest { consumer: ConsumerId(1), entries: vec![entry] };
+    let (client, t) = (follower.client(), Duration::from_secs(5));
+    let started = std::time::Instant::now();
+    let follow = client.call_async(broker_node(0), OpCode::FollowerFetch, follow.encode(), t);
+    let consume = client.call_async(broker_node(0), OpCode::Fetch, consume.encode(), t);
+
+    let resp = FetchResponse::decode_bytes(&consume.wait(t).unwrap()).unwrap();
+    let took = started.elapsed();
+    assert!(took >= FETCH_MAX_WAIT && took < fetch_wait, "consumer fetch answered after {took:?}");
+    assert!(resp.results[0].data.is_empty(), "an empty log answered with data");
+    assert_eq!((store.consumer_fetches_expired.get(), store.fetch_expired.get()), (1, 0));
+
+    let resp = FollowerFetchResponse::decode_bytes(&follow.wait(t).unwrap()).unwrap();
+    let took = started.elapsed();
+    assert!(took >= fetch_wait, "follower fetch answered after {took:?}");
+    assert!(resp.results[0].data.is_empty(), "an empty log answered with data");
+    assert_eq!(store.fetch_expired.get(), 1);
+}
+
 /// Two brokers over TCP, each leading half the partitions and following
 /// the other half, answer each other's follower fetches with 12 MiB at the
 /// same moment: each reply is written by the reader the other reply has

@@ -1,6 +1,5 @@
 //! The per-node metrics registry: named counters, gauges and histograms
-//! with labels, snapshot/delta semantics and JSON + Prometheus-text
-//! export.
+//! with labels, snapshot/delta semantics and JSON export.
 //!
 //! Registration (`counter()`/`gauge()`/`histogram()`) is get-or-create
 //! under a mutex and meant for startup: callers cache the returned `Arc`
@@ -8,7 +7,6 @@
 //! `kera.<subsystem>.<name>` (DESIGN.md §9).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
@@ -67,16 +65,9 @@ impl MetricKey {
         if self.labels.is_empty() {
             return self.name.clone();
         }
-        let mut s = self.name.clone();
-        s.push('{');
-        for (i, (k, v)) in self.labels.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{k}=\"{}\"", escape(v));
-        }
-        s.push('}');
-        s
+        let labels: Vec<_> =
+            self.labels.iter().map(|(k, v)| format!("{k}=\"{}\"", escape(v))).collect();
+        format!("{}{{{}}}", self.name, labels.join(","))
     }
 
     /// True if every pair of `filter` appears in this key's labels.
@@ -93,7 +84,7 @@ fn escape(v: &str) -> String {
 }
 
 /// One node's metrics. Every metric automatically carries the registry's
-/// base labels (at least `node`).
+/// base label, `node`.
 pub struct MetricsRegistry {
     base_labels: Vec<(String, String)>,
     counters: Mutex<BTreeMap<MetricKey, Arc<Counter>>>,
@@ -103,12 +94,8 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     pub fn new(node: u32) -> MetricsRegistry {
-        Self::with_base_labels(&[("node", &node.to_string())])
-    }
-
-    pub fn with_base_labels(base: &[(&str, &str)]) -> MetricsRegistry {
         MetricsRegistry {
-            base_labels: base.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+            base_labels: vec![("node".to_string(), node.to_string())],
             counters: Mutex::named("obs.registry", BTreeMap::new()),
             gauges: Mutex::named("obs.registry", BTreeMap::new()),
             histograms: Mutex::named("obs.registry", BTreeMap::new()),
@@ -126,30 +113,15 @@ impl MetricsRegistry {
 
     /// Get-or-create; cache the `Arc`, don't call this on the hot path.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        Arc::clone(
-            self.counters
-                .lock()
-                .entry(self.key(name, labels))
-                .or_insert_with(|| Arc::new(Counter::new())),
-        )
+        Arc::clone(self.counters.lock().entry(self.key(name, labels)).or_default())
     }
 
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        Arc::clone(
-            self.gauges
-                .lock()
-                .entry(self.key(name, labels))
-                .or_insert_with(|| Arc::new(Gauge::new())),
-        )
+        Arc::clone(self.gauges.lock().entry(self.key(name, labels)).or_default())
     }
 
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<LatencyHistogram> {
-        Arc::clone(
-            self.histograms
-                .lock()
-                .entry(self.key(name, labels))
-                .or_insert_with(|| Arc::new(LatencyHistogram::new())),
-        )
+        Arc::clone(self.histograms.lock().entry(self.key(name, labels)).or_default())
     }
 
     /// Point-in-time copy of every registered metric.
@@ -238,126 +210,31 @@ impl RegistrySnapshot {
 
     /// Renders the snapshot as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{}", escape(&k.render()), v);
+        fn object<V>(map: &BTreeMap<MetricKey, V>, value: impl Fn(&V) -> String) -> String {
+            let field = |(k, v): (&MetricKey, &V)| {
+                format!("\"{}\":{}", escape(&k.render()), value(v))
+            };
+            map.iter().map(field).collect::<Vec<_>>().join(",")
         }
-        s.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{}", escape(&k.render()), v);
-        }
-        s.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\"{}\":{{\"count\":{},\"sum_ns\":{},\"max_ns\":{},\"p50_ns\":{},\
+        let histogram = |h: &HistogramSnapshot| {
+            format!(
+                "{{\"count\":{},\"sum_ns\":{},\"max_ns\":{},\"p50_ns\":{},\
                  \"p99_ns\":{},\"mean_ns\":{:.1}}}",
-                escape(&k.render()),
                 h.count,
                 h.sum_ns,
                 h.max_ns,
                 h.quantile_ns(0.50),
                 h.quantile_ns(0.99),
                 h.mean_ns(),
-            );
-        }
-        s.push_str("}}");
-        s
+            )
+        };
+        format!(
+            "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
+            object(&self.counters, u64::to_string),
+            object(&self.gauges, i64::to_string),
+            object(&self.histograms, histogram),
+        )
     }
-
-    /// Renders the snapshot in the Prometheus text exposition format.
-    /// Dots in metric names become underscores; histograms emit
-    /// cumulative `_bucket{le=...}` lines plus `_sum` and `_count`.
-    pub fn to_prometheus(&self) -> String {
-        let mut s = String::new();
-        let mut last_name = String::new();
-        for (k, v) in &self.counters {
-            let name = prom_name(&k.name);
-            if name != last_name {
-                let _ = writeln!(s, "# TYPE {name} counter");
-                last_name = name.clone();
-            }
-            let _ = writeln!(s, "{}{} {}", name, prom_labels(&k.labels, None), v);
-        }
-        last_name.clear();
-        for (k, v) in &self.gauges {
-            let name = prom_name(&k.name);
-            if name != last_name {
-                let _ = writeln!(s, "# TYPE {name} gauge");
-                last_name = name.clone();
-            }
-            let _ = writeln!(s, "{}{} {}", name, prom_labels(&k.labels, None), v);
-        }
-        last_name.clear();
-        for (k, h) in &self.histograms {
-            let name = prom_name(&k.name);
-            if name != last_name {
-                let _ = writeln!(s, "# TYPE {name} histogram");
-                last_name = name.clone();
-            }
-            let mut cum = 0u64;
-            for (i, &b) in h.buckets.iter().enumerate() {
-                if b == 0 {
-                    continue;
-                }
-                cum += b;
-                let le = if i >= 63 { u64::MAX } else { (2u64 << i) - 1 };
-                let _ = writeln!(
-                    s,
-                    "{}_bucket{} {}",
-                    name,
-                    prom_labels(&k.labels, Some(&le.to_string())),
-                    cum
-                );
-            }
-            let _ = writeln!(
-                s,
-                "{}_bucket{} {}",
-                name,
-                prom_labels(&k.labels, Some("+Inf")),
-                h.count
-            );
-            let _ = writeln!(s, "{}_sum{} {}", name, prom_labels(&k.labels, None), h.sum_ns);
-            let _ = writeln!(s, "{}_count{} {}", name, prom_labels(&k.labels, None), h.count);
-        }
-        s
-    }
-}
-
-fn prom_name(name: &str) -> String {
-    name.replace(['.', '-'], "_")
-}
-
-fn prom_labels(labels: &[(String, String)], le: Option<&str>) -> String {
-    if labels.is_empty() && le.is_none() {
-        return String::new();
-    }
-    let mut s = String::from("{");
-    let mut first = true;
-    for (k, v) in labels {
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        let _ = write!(s, "{k}=\"{}\"", escape(v));
-    }
-    if let Some(le) = le {
-        if !first {
-            s.push(',');
-        }
-        let _ = write!(s, "le=\"{le}\"");
-    }
-    s.push('}');
-    s
 }
 
 #[cfg(test)]
@@ -435,19 +312,5 @@ mod tests {
         assert!(json.contains("node=\\\"3\\\""));
         assert!(json.contains("\"count\":1"));
         assert!(json.starts_with('{') && json.ends_with('}'));
-    }
-
-    #[test]
-    fn prometheus_export_format() {
-        let reg = MetricsRegistry::new(4);
-        reg.counter("kera.rpc.calls", &[]).add(2);
-        reg.histogram("kera.trace.stage", &[("stage", "append")]).record_ns(100);
-        let text = reg.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE kera_rpc_calls counter"));
-        assert!(text.contains("kera_rpc_calls{node=\"4\"} 2"));
-        assert!(text.contains("# TYPE kera_trace_stage histogram"));
-        assert!(text.contains("le=\"127\"")); // 100ns lands in bucket 6
-        assert!(text.contains("kera_trace_stage_count"));
-        assert!(text.contains("le=\"+Inf\""));
     }
 }

@@ -35,6 +35,9 @@
 //!   a fan-out whose last call to end answers a `Reply`); the same
 //!   timers run the node's one-shot timers ([`node::Reply::timer`],
 //!   [`node::RpcClient::timer`]);
+//! - [`purgatory`] — requests that wait for an event or a deadline, kept
+//!   with their `Reply` by both brokers: one lock, an atomics-only
+//!   `ready`, one expiry timer re-armed for the earliest due;
 //! - [`fabric`] — the cluster skeleton both systems boot on: network,
 //!   fault plan, node ids, and every node's runtime and observability.
 //!
@@ -46,6 +49,7 @@ pub mod faults;
 pub mod inmem;
 pub mod network;
 pub mod node;
+pub mod purgatory;
 pub mod tcp;
 pub mod transport;
 

@@ -33,7 +33,7 @@
 //! drop queued work whose caller has already given up.
 //!
 //! The same timers are the node's one clock for anything else: a
-//! one-shot [`Deliver::timer`] — a parked request's expiry
+//! one-shot [`Deliver::timer`] — a purgatory's expiry
 //! ([`Reply::timer`]), a service's own clock ([`RpcClient::timer`]), a
 //! frame the fault plan delays — sits on them too
 //! and runs on one of the node's workers, under no lock; a node that

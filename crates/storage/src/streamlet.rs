@@ -10,6 +10,7 @@
 //! directory (see [`kera_wire::cursor`]).
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use kera_common::config::StreamConfig;
@@ -176,6 +177,9 @@ pub struct Streamlet {
     segment_size: usize,
     segments_per_group: u32,
     slots: Vec<Mutex<Slot>>,
+    /// Per slot, how often data appended there was made durable: what a
+    /// waiting fetch compares with the value it read before its walk.
+    epochs: Box<[AtomicU64]>,
     /// Every group ever created (open and closed), for the read path.
     groups: RwLock<HashMap<GroupId, Arc<Group>>>,
 }
@@ -210,6 +214,7 @@ impl Streamlet {
             segment_size: config.segment_size,
             segments_per_group: config.segments_per_group,
             slots,
+            epochs: (0..q).map(|_| AtomicU64::new(0)).collect(),
             groups: RwLock::named("streamlet.groups", groups),
         }
     }
@@ -234,6 +239,19 @@ impl Streamlet {
     #[inline]
     pub fn slot_of(&self, producer: ProducerId) -> u32 {
         producer.raw() % self.q
+    }
+
+    /// `slot`'s epoch (0 for a slot it has not): it moves each time
+    /// [`Streamlet::advance`] says data was made durable there.
+    pub fn epoch(&self, slot: u32) -> u64 {
+        self.epochs.get(slot as usize).map_or(0, |e| e.load(Ordering::SeqCst))
+    }
+
+    /// Moves `slot`'s epoch, once what was appended there is durable.
+    pub fn advance(&self, slot: u32) {
+        if let Some(epoch) = self.epochs.get(slot as usize) {
+            epoch.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     /// Appends a serialized chunk on behalf of `producer`. Rolls segments

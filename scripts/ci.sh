@@ -98,10 +98,15 @@ fi
 # a produce makes data durable in one of its slots or FETCH_MAX_WAIT has
 # passed, so an empty reply means the broker already waited, and a
 # consumer's lane asks again at once: no idle pause in a client (non-test
-# lines, as above).
+# lines, as above). Both brokers park in the one kera-rpc purgatory: no
+# broker-wide `landed` count (a fetch waits on its own slots' epochs) and
+# no `struct Parked` outside crates/rpc/src/purgatory.rs.
 if find crates/client/src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{nextfile}
-        /IDLE_BACKOFF/{print FILENAME":"FNR": "$0}' {} + | grep .; then
-  echo "kera-client: no idle pause after an empty fetch; the broker waits (FETCH_MAX_WAIT)" >&2
+        /IDLE_BACKOFF/{print FILENAME":"FNR": "$0}' {} + | grep . \
+    || grep -n 'landed' crates/broker/src/broker.rs crates/kafka-sim/src/broker.rs \
+    || grep -rn --include='*.rs' 'struct Parked' crates src tests examples \
+        | grep -v '^crates/rpc/src/purgatory.rs:'; then
+  echo "the long poll: no idle pause after an empty fetch in a client; no landed in a broker.rs; no struct Parked outside crates/rpc/src/purgatory.rs" >&2
   exit 1
 fi
 
@@ -296,15 +301,16 @@ scripts/loc.sh
 # chaos + invariants suites, the replication-round tests (kera-vlog's
 # unit tests, the broker's produce-failure drill), kera-rpc's unit tests
 # (a detached call's completion takes rpc.pending itself, so it must run
-# under none), the producer's scripted-broker tests and the long-poll
-# tests (a parked fetch arms its timer under broker.parked) with every
-# lock acquisition instrumented.
+# under none), kafka-sim's unit tests, the producer's scripted-broker
+# tests and the long-poll tests (a parked request, KerA's or kafka-sim's,
+# arms its purgatory's timer under rpc.purgatory) with every lock
+# acquisition instrumented.
 # The chaos run arms the flight recorder: a panic or chaos failure dumps
 # each node's recent-event ring under results/tmp/flightrec/<run>/.
 (cd crates/shims/parking_lot && cargo test -q --features deadlock-detect)
 if ! KERA_FLIGHTREC=1 cargo test -q -p kera -p kera-rpc -p kera-vlog -p kera-broker -p kera-client \
-    --features kera/deadlock-detect --test chaos --test invariants --test produce_failure \
-    --test lanes --test long_poll --lib; then
+    -p kera-kafka-sim --features kera/deadlock-detect --test chaos --test invariants \
+    --test produce_failure --test lanes --test long_poll --lib; then
   echo "chaos/invariants failed — flight recorder dumps:" >&2
   ls results/tmp/flightrec/*/flightrec-*.json >&2 2>/dev/null || echo "  (none recorded)" >&2
   exit 1

@@ -9,8 +9,10 @@
 //!
 //! Between sealing and acknowledgement a chunk is in exactly one place:
 //! its broker's lane in the queue — a FIFO, fixed when the producer is
-//! built — then a request. The invariants follow from that shape rather
-//! than from bookkeeping:
+//! built — then a request. Its buffer comes from the allocator when its
+//! slot's builder rearms after the previous seal, and is freed once the
+//! chunk has been copied into its request body. The invariants follow
+//! from that shape rather than from bookkeeping:
 //!
 //! - **FIFO per broker.** A chunk is sealed and pushed under its slot's
 //!   lock (slot, then queue, is the lock order), so it enters its lane in
@@ -43,7 +45,7 @@ use kera_common::metrics::{Counter, LatencyHistogram, ThroughputMeter};
 use kera_common::{KeraError, Result};
 use kera_rpc::node::PendingCall;
 use kera_rpc::RpcClient;
-use kera_wire::chunk::{BufferPool, ChunkBuilder};
+use kera_wire::chunk::ChunkBuilder;
 use kera_wire::frames::OpCode;
 use kera_wire::messages::{ProduceRequest, ProduceResponse};
 use kera_wire::record::Record;
@@ -164,17 +166,6 @@ struct Shared {
     /// Requests that exhausted retries
     /// (`kera.client.failed_requests{producer=<id>}`).
     pub failed_requests: Arc<Counter>,
-    /// Chunk buffers cycle through here: builders draw fresh buffers,
-    /// the requests thread returns them once a chunk has been packed
-    /// into a request body.
-    pool: Arc<BufferPool>,
-    /// Pool health exported to the node registry
-    /// (`kera.client.pool_{hits,misses,outstanding}{producer=<id>}`);
-    /// refreshed by the requests thread, so a registry snapshot taken at
-    /// any moment sees near-current values.
-    pool_hits: Arc<kera_obs::Gauge>,
-    pool_misses: Arc<kera_obs::Gauge>,
-    pool_outstanding: Arc<kera_obs::Gauge>,
 }
 
 impl Shared {
@@ -195,17 +186,6 @@ impl Shared {
             self.drained.notify_all();
         }
     }
-
-    /// Publishes the buffer pool's counters as gauges. A miss means a
-    /// chunk allocation fell through the free-list (pool exhausted or
-    /// mismatched capacity) — a rising miss rate is the first sign the
-    /// producer's pool is undersized for its queue depth.
-    fn export_pool_stats(&self) {
-        let s = self.pool.stats();
-        self.pool_hits.set(s.hits.min(i64::MAX as u64) as i64);
-        self.pool_misses.set(s.misses.min(i64::MAX as u64) as i64);
-        self.pool_outstanding.set(s.outstanding);
-    }
 }
 
 /// A producer client.
@@ -222,10 +202,6 @@ impl Producer {
         streams: &[StreamId],
         cfg: ProducerConfig,
     ) -> Result<Producer> {
-        // Enough pooled buffers to cover every pending slot plus a
-        // queue's worth of sealed chunks, bounded so an oversized
-        // queue_capacity cannot pin unbounded memory.
-        let pool = BufferPool::new(cfg.chunk_size, cfg.queue_capacity.clamp(8, 256));
         // A lane must be able to hold a chunk, or nothing is ever sent.
         let cfg = ProducerConfig { queue_capacity: cfg.queue_capacity.max(1), ..cfg };
         let mut brokers: Vec<NodeId> = Vec::new();
@@ -238,7 +214,7 @@ impl Producer {
                     brokers.push(broker);
                     brokers.len() - 1
                 });
-                let builder = ChunkBuilder::with_pool(Arc::clone(&pool), cfg.id, stream, sl);
+                let builder = ChunkBuilder::new(cfg.chunk_size, cfg.id, stream, sl);
                 let chunk = Mutex::named("client.slot", PendingChunk { builder, since: None });
                 Ok(Slot { lane, chunk })
             });
@@ -259,12 +235,6 @@ impl Producer {
             rpc.obs().registry().histogram("kera.client.request_latency", &[("producer", &pid)]);
         let failed_requests =
             rpc.obs().registry().counter("kera.client.failed_requests", &[("producer", &pid)]);
-        let pool_hits =
-            rpc.obs().registry().gauge("kera.client.pool_hits", &[("producer", &pid)]);
-        let pool_misses =
-            rpc.obs().registry().gauge("kera.client.pool_misses", &[("producer", &pid)]);
-        let pool_outstanding =
-            rpc.obs().registry().gauge("kera.client.pool_outstanding", &[("producer", &pid)]);
         let shared = Arc::new(Shared {
             cfg,
             rpc,
@@ -283,10 +253,6 @@ impl Producer {
             acked: ThroughputMeter::new(),
             request_latency,
             failed_requests,
-            pool,
-            pool_hits,
-            pool_misses,
-            pool_outstanding,
         });
         let requests_thread = {
             let shared = Arc::clone(&shared);
@@ -365,7 +331,9 @@ impl Producer {
     }
 
     /// Seals all non-empty chunks and blocks until everything queued has
-    /// been acknowledged (or failed terminally).
+    /// been acknowledged or has failed for good. `Ok` does not mean
+    /// acknowledged: a request that exhausted its retries is settled
+    /// too, and [`Producer::failed_requests`] is how a caller learns of it.
     pub fn flush(&self) -> Result<()> {
         for slot in self.shared.routes.values().flat_map(|route| &route.slots) {
             let mut p = slot.chunk.lock();
@@ -493,7 +461,6 @@ fn requests_loop(shared: Arc<Shared>, brokers: Vec<NodeId>) {
         for lane in &mut t.lanes {
             lane.reap(&t.shared);
         }
-        t.shared.export_pool_stats();
         let stopping = t.shared.shutdown.load(Ordering::SeqCst);
         if stopping && t.shared.discard.load(Ordering::SeqCst) {
             t.discard_unsent();
@@ -673,17 +640,12 @@ impl Batch {
     }
 
     /// The single copy of the chunks into a contiguous request body; the
-    /// buffers then return to the pool for the builders to reuse.
+    /// chunks' allocations are freed when `self` drops here.
     fn encode(self, shared: &Shared, now: Instant) -> Request {
-        let payload = ProduceRequest::encode_chunks(shared.cfg.id, false, &self.chunks);
-        let chunks = self.chunks.len() as u32;
-        for c in self.chunks {
-            shared.pool.release(c);
-        }
         Request {
-            payload,
+            payload: ProduceRequest::encode_chunks(shared.cfg.id, false, &self.chunks),
             chunk_bytes: self.bytes as u64,
-            chunks,
+            chunks: self.chunks.len() as u32,
             records: self.records,
             started: now,
             retries: 0,

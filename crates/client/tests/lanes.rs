@@ -3,10 +3,10 @@
 //! sequence tag) and serves fetches from prepared batches (one that finds
 //! nothing is held until a batch is offered or `FETCH_MAX_WAIT` has
 //! passed, as a broker holds it), logs what arrived in what order and
-//! when, and can be told per broker to delay, fail retriably, hold every
-//! answer back or answer with something it was not asked. Each test pins
-//! one invariant of the clients' per-broker lanes (see `producer.rs`,
-//! `consumer.rs`).
+//! when, and can be told per broker to delay, fail retriably (with or
+//! without applying), hold every answer back or answer with something it
+//! was not asked. Each test pins one invariant of the clients' per-broker
+//! lanes (see `producer.rs`, `consumer.rs`).
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,6 +44,8 @@ enum Step {
     Delay(Duration),
     /// Apply, then lose the answer: the client sees a retriable error.
     Fail,
+    /// Produce only: apply nothing and answer with an error.
+    Refuse,
     /// Produce only: apply, then answer with the last chunk's ack left out.
     ShortAck,
     /// Fetch only: answer every slot with a moved cursor and a record
@@ -207,6 +209,7 @@ impl Service for Scripted {
                         self.script.apply(&req)?;
                         Err(KeraError::ShuttingDown)
                     }
+                    Some(Step::Refuse) => Err(KeraError::ShuttingDown),
                     Some(Step::ShortAck) => {
                         let mut resp = ProduceResponse::decode(&self.script.apply(&req)?)?;
                         resp.acks.pop();
@@ -235,7 +238,9 @@ impl Service for Scripted {
                         }
                     }
                     Some(Step::Delay(pause)) => std::thread::sleep(pause),
-                    Some(Step::Fail | Step::ShortAck) => return Err(KeraError::ShuttingDown),
+                    Some(Step::Fail | Step::Refuse | Step::ShortAck) => {
+                        return Err(KeraError::ShuttingDown)
+                    }
                     Some(malformed @ (Step::Short | Step::Reordered)) => {
                         for r in &mut resp.results {
                             r.cursor.offset += 100;
@@ -438,6 +443,24 @@ fn a_failed_request_is_resent_verbatim_and_acked_once() {
     assert_eq!(rig.script.log.lock().replays, 1, "the broker saw the chunk twice and applied it once");
     assert_applied_once_in_order(&rig.script, 10);
     assert_eq!((producer.metrics().items(), producer.failed_requests()), (10, 0));
+}
+
+/// A request refused on its first send and on every re-send fails for
+/// good: `flush` still returns, and only `failed_requests` tells.
+#[test]
+fn a_request_refused_past_its_retries_fails_for_good() {
+    const SENDS: usize = 4; // the first send and the producer's MAX_RETRIES (3) re-sends
+    let rig = rig(&[BROKER_A]);
+    rig.script.plan(BROKER_A, (0..SENDS).map(|_| Step::Refuse));
+    let producer = Arc::new(producer(&rig, ProducerConfig { chunk_size: 1024, ..ProducerConfig::default() }));
+    for n in 0..10 {
+        producer.send(STREAM, &record(n)).unwrap();
+    }
+    flush_within(&producer, Duration::from_secs(5));
+    assert_eq!(rig.script.requests_at(BROKER_A).len(), SENDS, "one send, then every re-send");
+    assert_eq!(producer.failed_requests(), 1);
+    assert_eq!(producer.metrics().items(), 0, "records counted that no reply acknowledged");
+    assert!(rig.script.log.lock().applied.is_empty(), "the broker applied a refused request");
 }
 
 /// A reply is input from a peer. One that acknowledges fewer chunks than

@@ -81,21 +81,6 @@ impl Bytes {
         );
         Bytes { data: Arc::clone(&self.data), off: self.off + start, len: end - start }
     }
-
-    /// Reclaims the allocation for reuse when this is the only handle
-    /// to it and the view covers the whole allocation; otherwise hands
-    /// `self` back. This is the buffer-pool recycling hook: a producer
-    /// that has seen the last ack for a chunk can turn it back into a
-    /// `BytesMut` without allocating.
-    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
-        if self.off != 0 || self.len != self.data.len() {
-            return Err(self);
-        }
-        match Arc::try_unwrap(self.data) {
-            Ok(vec) => Ok(BytesMut { data: vec }),
-            Err(data) => Err(Bytes { off: self.off, len: self.len, data }),
-        }
-    }
 }
 
 impl From<Vec<u8>> for Bytes {
@@ -367,25 +352,6 @@ mod tests {
         m.reserve(8);
         m.extend_from_slice(b"next");
         assert_eq!(&m[..], b"next");
-    }
-
-    #[test]
-    fn try_into_mut_reclaims_sole_owner() {
-        let b = Bytes::from(vec![1, 2, 3]);
-        let ptr = b.as_ref().as_ptr();
-        let m = b.try_into_mut().unwrap();
-        assert_eq!(m.as_ref().as_ptr(), ptr);
-        assert_eq!(&m[..], &[1, 2, 3]);
-
-        // A second handle blocks reclaim.
-        let b = Bytes::from(vec![4, 5]);
-        let held = b.clone();
-        assert!(b.try_into_mut().is_err());
-        drop(held);
-
-        // A window that does not cover the allocation blocks reclaim.
-        let b = Bytes::from(vec![6, 7, 8]);
-        assert!(b.slice(1..).try_into_mut().is_err());
     }
 
     #[test]

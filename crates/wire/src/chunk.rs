@@ -30,14 +30,10 @@
 //! without touching record bytes, so the payload checksum stays valid all
 //! the way from the producer to the backups and the disk.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
-
 use bytes::{Bytes, BytesMut};
 use kera_common::checksum::crc32c;
 use kera_common::ids::{GroupId, ProducerId, SegmentId, StreamId, StreamletId};
 use kera_common::{KeraError, Result};
-use parking_lot::Mutex;
 
 use crate::record::{Record, RecordIter};
 
@@ -138,124 +134,13 @@ impl ChunkHeader {
     }
 }
 
-/// A free list of chunk-sized buffers shared by the builders of one
-/// producer (or one bench rig).
-///
-/// The zero-copy seal hands the builder's allocation to the sealed
-/// [`Bytes`] outright, so without recycling every chunk costs one fresh
-/// allocation. The pool closes the loop: once the last reference to a
-/// sealed chunk drops back to the producer (the broker acked, the
-/// request buffer is gone), [`BufferPool::release`] reclaims the
-/// allocation via [`Bytes::try_into_mut`] and the next
-/// [`BufferPool::acquire`] reuses it. Releasing a chunk that is still
-/// referenced elsewhere simply drops our handle — correctness never
-/// depends on the pool, it only saves allocator traffic.
-#[derive(Debug)]
-pub struct BufferPool {
-    bufs: Mutex<Vec<BytesMut>>,
-    capacity: usize,
-    max_pooled: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    outstanding: AtomicI64,
-}
-
-/// Point-in-time [`BufferPool`] accounting, scraped by the
-/// introspection plane. `wire` doesn't depend on `kera-obs`, so these
-/// are plain atomics the pool's owner exports into its registry.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Acquires served from the free list.
-    pub hits: u64,
-    /// Acquires that fell through to a fresh allocation.
-    pub misses: u64,
-    /// Buffers acquired and not yet released back (may briefly read
-    /// negative under concurrent acquire/release races; clamped to 0).
-    pub outstanding: i64,
-    /// Free buffers currently pooled.
-    pub pooled: usize,
-}
-
-impl BufferPool {
-    /// `capacity` is the chunk size each buffer is sized for;
-    /// `max_pooled` bounds how many free buffers the pool retains
-    /// (excess releases just drop their allocation).
-    pub fn new(capacity: usize, max_pooled: usize) -> Arc<BufferPool> {
-        Arc::new(BufferPool {
-            bufs: Mutex::named("wire.pool", Vec::new()),
-            capacity,
-            max_pooled,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            outstanding: AtomicI64::new(0),
-        })
-    }
-
-    /// Hit/miss/outstanding accounting since the pool was created.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            outstanding: self.outstanding.load(Ordering::Relaxed).max(0),
-            pooled: self.pooled(),
-        }
-    }
-
-    /// The chunk capacity buffers from this pool are sized for.
-    #[inline]
-    pub fn chunk_capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of free buffers currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.bufs.lock().len()
-    }
-
-    /// A cleared buffer with at least `chunk_capacity` bytes of room —
-    /// recycled if available, freshly allocated otherwise.
-    pub fn acquire(&self) -> BytesMut {
-        self.outstanding.fetch_add(1, Ordering::Relaxed);
-        if let Some(mut b) = self.bufs.lock().pop() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            b.clear();
-            return b;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        BytesMut::with_capacity(self.capacity)
-    }
-
-    /// Attempts to reclaim a sealed chunk's allocation for reuse.
-    /// Succeeds (returns `true`) only when `sealed` is the last handle;
-    /// otherwise the handle is dropped and the allocation stays with the
-    /// remaining references.
-    pub fn release(&self, sealed: Bytes) -> bool {
-        self.outstanding.fetch_sub(1, Ordering::Relaxed);
-        let Ok(mut buf) = sealed.try_into_mut() else { return false };
-        if buf.capacity() < self.capacity {
-            return false; // undersized stray; not worth pooling
-        }
-        buf.clear();
-        let mut bufs = self.bufs.lock();
-        if bufs.len() >= self.max_pooled {
-            return false;
-        }
-        bufs.push(buf);
-        true
-    }
-}
-
-/// Builds a chunk in a fixed-capacity reusable buffer.
-///
-/// Producers keep a pool of these (one set per streamlet, recycled between
-/// requests — paper Fig. 6); `reset` rearms the builder without
-/// reallocating.
+/// Builds one streamlet's chunks, one after another (paper Fig. 6: a
+/// producer keeps one per streamlet).
 ///
 /// The builder accumulates into a [`BytesMut`]; [`ChunkBuilder::seal`]
 /// patches the header and *hands the allocation over* as an immutable
-/// [`Bytes`] — the sealed chunk is never copied out. A builder created
-/// via [`ChunkBuilder::with_pool`] refills from (and its sealed chunks
-/// can be returned to) a shared [`BufferPool`].
+/// [`Bytes`] — the sealed chunk is never copied out — and rearms on a
+/// fresh allocation; the sealed chunk's is freed with its last handle.
 #[derive(Debug)]
 pub struct ChunkBuilder {
     buf: BytesMut,
@@ -264,33 +149,11 @@ pub struct ChunkBuilder {
     producer: ProducerId,
     stream: StreamId,
     streamlet: StreamletId,
-    pool: Option<Arc<BufferPool>>,
 }
 
 impl ChunkBuilder {
     /// `capacity` is the configured chunk size (header included), e.g. 16 KB.
     pub fn new(capacity: usize, producer: ProducerId, stream: StreamId, streamlet: StreamletId) -> Self {
-        Self::build(capacity, None, producer, stream, streamlet)
-    }
-
-    /// A builder drawing its buffers from `pool` (chunk capacity comes
-    /// from the pool).
-    pub fn with_pool(
-        pool: Arc<BufferPool>,
-        producer: ProducerId,
-        stream: StreamId,
-        streamlet: StreamletId,
-    ) -> Self {
-        Self::build(pool.chunk_capacity(), Some(pool), producer, stream, streamlet)
-    }
-
-    fn build(
-        capacity: usize,
-        pool: Option<Arc<BufferPool>>,
-        producer: ProducerId,
-        stream: StreamId,
-        streamlet: StreamletId,
-    ) -> Self {
         assert!(capacity > CHUNK_HEADER, "chunk capacity must exceed the header");
         assert!(capacity <= u32::MAX as usize, "chunk capacity must fit the u32 length field");
         let mut b = Self {
@@ -300,23 +163,15 @@ impl ChunkBuilder {
             producer,
             stream,
             streamlet,
-            pool,
         };
         b.reset_header();
         b
     }
 
     fn reset_header(&mut self) {
-        self.buf.clear();
         // After a zero-copy seal the allocation has moved out with the
-        // sealed chunk: refill from the pool (recycled ack'd chunk) or
-        // reserve a fresh one.
-        if self.buf.capacity() < self.capacity {
-            match &self.pool {
-                Some(pool) => self.buf = pool.acquire(),
-                None => self.buf.reserve(self.capacity),
-            }
-        }
+        // sealed chunk: reserve a fresh one.
+        self.buf.reserve(self.capacity);
         self.buf.extend_from_slice(&CHUNK_MAGIC.to_le_bytes());
         self.buf.extend_from_slice(&0u16.to_le_bytes()); // flags
         self.buf.extend_from_slice(&0u32.to_le_bytes()); // chunk_len (patched)
@@ -331,15 +186,6 @@ impl ChunkBuilder {
         self.buf.extend_from_slice(&0u32.to_le_bytes()); // reserved
         debug_assert_eq!(self.buf.len(), CHUNK_HEADER);
         self.record_count = 0;
-    }
-
-    /// Retargets the builder (builders are pooled and reused across
-    /// streamlets) and clears any accumulated records.
-    pub fn reset(&mut self, producer: ProducerId, stream: StreamId, streamlet: StreamletId) {
-        self.producer = producer;
-        self.stream = stream;
-        self.streamlet = streamlet;
-        self.reset_header();
     }
 
     #[inline]
@@ -367,12 +213,6 @@ impl ChunkBuilder {
         self.buf.len()
     }
 
-    /// Remaining payload capacity in bytes.
-    #[inline]
-    pub fn remaining(&self) -> usize {
-        self.capacity - self.buf.len()
-    }
-
     /// True if a record of `encoded_len` bytes would fit.
     #[inline]
     pub fn fits(&self, encoded_len: usize) -> bool {
@@ -393,8 +233,7 @@ impl ChunkBuilder {
 
     /// Seals the chunk: patches length, record count and payload checksum,
     /// and returns the serialized bytes. The builder rearms itself (same
-    /// producer/stream/streamlet) on a recycled or fresh buffer; call
-    /// [`ChunkBuilder::reset`] only to retarget it.
+    /// producer/stream/streamlet) on a fresh buffer.
     ///
     /// The sealed [`Bytes`] *is* the builder's accumulation buffer —
     /// the records were serialized directly into it by `append`, and
@@ -625,22 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_reuses_builder() {
-        let mut b = ChunkBuilder::new(1024, ProducerId(1), StreamId(1), StreamletId(1));
-        b.append(&Record::value_only(b"abc"));
-        let first = b.seal();
-        b.reset(ProducerId(2), StreamId(3), StreamletId(4));
-        assert!(b.is_empty());
-        b.append(&Record::value_only(b"xyz"));
-        let second = b.seal();
-        let h2 = *ChunkView::parse(&second).unwrap().header();
-        assert_eq!(h2.producer, ProducerId(2));
-        assert_eq!(h2.stream, StreamId(3));
-        assert_eq!(h2.streamlet, StreamletId(4));
-        assert_ne!(first, second);
-    }
-
-    #[test]
     fn assignment_patch_preserves_checksum() {
         let bytes = sample_chunk(3);
         let mut owned = bytes.to_vec();
@@ -743,62 +566,6 @@ mod tests {
         b.append(&Record::value_only(b"next"));
         let second = b.seal();
         ChunkView::parse(&second).unwrap().verify().unwrap();
-    }
-
-    #[test]
-    fn pool_recycles_released_chunks() {
-        let pool = BufferPool::new(4096, 4);
-        let mut b = ChunkBuilder::with_pool(Arc::clone(&pool), ProducerId(1), StreamId(1), StreamletId(1));
-        b.append(&Record::value_only(b"pooled"));
-        let sealed = b.seal();
-        let ptr = sealed.as_ref().as_ptr();
-
-        // While the sealed chunk is shared, release refuses to reclaim.
-        let shared = sealed.clone();
-        assert!(!pool.release(shared));
-        assert_eq!(pool.pooled(), 0);
-
-        // Last handle: the allocation goes back to the pool...
-        assert!(pool.release(sealed));
-        assert_eq!(pool.pooled(), 1);
-
-        // ...and the next rearm reuses it without allocating.
-        b.append(&Record::value_only(b"again"));
-        let _second = b.seal(); // consumes the builder's current buffer
-        b.append(&Record::value_only(b"third"));
-        assert_eq!(b.buf.as_ref().as_ptr(), ptr, "rearm should reuse the pooled allocation");
-        assert_eq!(pool.pooled(), 0);
-    }
-
-    #[test]
-    fn pool_bounds_retained_buffers() {
-        let pool = BufferPool::new(256, 1);
-        let a = BytesMut::with_capacity(256).freeze();
-        let b = BytesMut::with_capacity(256).freeze();
-        assert!(pool.release(a));
-        assert!(!pool.release(b), "pool at max_pooled drops the extra buffer");
-        assert_eq!(pool.pooled(), 1);
-        // Undersized buffers are not pooled.
-        assert!(!pool.release(Bytes::from(vec![0u8; 8])));
-    }
-
-    #[test]
-    fn pool_stats_track_hits_misses_outstanding() {
-        let pool = BufferPool::new(256, 4);
-        let a = pool.acquire(); // empty pool -> miss
-        let b = pool.acquire(); // miss
-        let s = pool.stats();
-        assert_eq!((s.hits, s.misses, s.outstanding), (0, 2, 2));
-
-        assert!(pool.release(a.freeze()));
-        let s = pool.stats();
-        assert_eq!((s.outstanding, s.pooled), (1, 1));
-
-        let c = pool.acquire(); // served from the free list -> hit
-        let s = pool.stats();
-        assert_eq!((s.hits, s.misses, s.outstanding, s.pooled), (1, 2, 2, 0));
-        drop(b);
-        drop(c);
     }
 
     #[test]

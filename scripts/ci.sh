@@ -193,6 +193,17 @@ if awk '/^#\[cfg\(test\)\]/{exit} /read_slot\(/{print FILENAME":"FNR": "$0}' \
   exit 1
 fi
 
+# One chunk allocation path: a builder rearms on a fresh allocation and a
+# packed chunk's allocation is freed with its last handle — no buffer
+# pool, no reclaim hook in the bytes shim, no pool gauges or lock class
+# (non-test lines, as above, vendored shims included).
+if find crates/*/src crates/shims/*/src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/{nextfile}
+        /BufferPool|PoolStats|with_pool|try_into_mut|kera\.client\.pool_|"wire\.pool"/{print FILENAME":"FNR": "$0}' {} + \
+        | grep .; then
+  echo "one chunk allocation path: no BufferPool, PoolStats, with_pool, try_into_mut, kera.client.pool_* gauge or wire.pool lock" >&2
+  exit 1
+fi
+
 # A node is held at the fabric (FaultPlan::hold), not in its handlers: no
 # service carries a drill flag. And time passes on one queue per node: a
 # parked Kafka request's expiry, a frame the fault plan delays and the

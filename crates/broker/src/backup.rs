@@ -162,9 +162,10 @@ impl BackupService {
         }
 
         // Verify every new chunk *before* mutating any state, so a
-        // corrupt batch leaves the replicated segment untouched.
-        let mut checksums = Vec::new();
-        let (mut end, mut count) = (0usize, 0u32);
+        // corrupt batch leaves the replicated segment untouched: the
+        // running checksum is folded in a copy, stored once all verified.
+        let mut checksum = seg.checksum;
+        let (mut end, mut count, mut fresh_chunks) = (0usize, 0u32, 0u64);
         for chunk in ChunkIter::new(&req.chunks) {
             let chunk = chunk?;
             count += 1;
@@ -176,7 +177,8 @@ impl BackupService {
                 return Err(KeraError::Protocol("re-sent backup write splits a held chunk".into()));
             }
             chunk.verify()?; // payload integrity on the wire
-            checksums.push(chunk.header().checksum);
+            checksum.update_u32(chunk.header().checksum);
+            fresh_chunks += 1;
         }
         if count != req.chunk_count {
             return Err(KeraError::Protocol(format!(
@@ -185,11 +187,9 @@ impl BackupService {
             )));
         }
         self.writes.inc();
-        self.chunks_received.add(checksums.len() as u64);
+        self.chunks_received.add(fresh_chunks);
         self.bytes_received.add(fresh.len() as u64);
-        for k in checksums {
-            seg.checksum.update_u32(k);
-        }
+        seg.checksum = checksum;
         if !fresh.is_empty() {
             // The retained batch is a slice of the receive buffer.
             seg.len += fresh.len();
@@ -442,6 +442,32 @@ mod tests {
         assert!(matches!(err, KeraError::Corruption { .. }));
         // Nothing was stored.
         assert_eq!(b.bytes_held(), 0);
+    }
+
+    /// A batch whose second chunk is corrupt is refused whole: its good
+    /// first chunk does not advance the running checksum, so a later write
+    /// of the good chunks still closes against theirs.
+    #[test]
+    fn a_corrupt_chunk_refuses_its_whole_batch() {
+        let b = BackupService::new(NodeId(100), None);
+        let (c1, k1) = chunk_bytes(1);
+        let (c2, k2) = chunk_bytes(2);
+        let mut bad = c2.to_vec();
+        let last = bad.len() - 1;
+        bad[last] ^= 0xff;
+        let err = b
+            .handle_write(write_req(0, backup_flags::OPEN, 0, &[c1.clone(), Bytes::from(bad)]))
+            .unwrap_err();
+        assert!(matches!(err, KeraError::Corruption { .. }), "got {err}");
+        assert_eq!(b.bytes_held(), 0);
+
+        let mut crc = Crc32c::new();
+        crc.update_u32(k1);
+        crc.update_u32(k2);
+        let both = [c1, c2];
+        b.handle_write(write_req(0, backup_flags::OPEN | backup_flags::CLOSE, crc.finish(), &both))
+            .unwrap();
+        assert_eq!(b.bytes_held(), both[0].len() + both[1].len());
     }
 
     #[test]

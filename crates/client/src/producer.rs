@@ -32,7 +32,10 @@
 //! pop and to settle and never waits on it. A call's end — a reply, or
 //! its node giving up on it — unparks it (it issues every produce call,
 //! so it is each call's waiter), as do `close`/`abort` and — while some
-//! lane is below its in-flight bound — a sealed chunk.
+//! lane is below its in-flight bound — a sealed chunk. Its one timeout,
+//! in that state, is the linger deadline of the oldest open chunk, which
+//! it seals then; with no chunk open it has none, and the source that
+//! opens the next chunk unparks it. The thread keeps no tick of its own.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,7 +65,8 @@ pub struct ProducerConfig {
     pub chunk_size: usize,
     /// Maximum bytes of chunks per broker request.
     pub request_max_bytes: usize,
-    /// `linger.ms`: how long a non-full chunk may wait before being sent.
+    /// `linger.ms`: how long a non-full chunk waits after its first record
+    /// before it is sealed and sent (while the lanes have room for it).
     pub linger: Duration,
     pub partitioner: Partitioner,
     /// Sealed chunks that may wait in the lanes, all brokers together
@@ -129,6 +133,12 @@ struct Queue {
     /// thread. Set where that thread pops (`ship`), under the one lock,
     /// so no chunk falls between its look at the lanes and its park.
     chunk_wanted: bool,
+    /// Up while the requests thread may sleep with no linger deadline: it
+    /// saw no open chunk and some lane is idle, so the source that opens
+    /// the next chunk unparks it (and lowers this). Raised before that
+    /// thread looks at the slots, so a chunk opened behind its look is not
+    /// missed; lowered where it pops (`ship`) once a deadline is known.
+    open_wanted: bool,
 }
 
 impl Queue {
@@ -138,6 +148,12 @@ impl Queue {
         self.queued += 1;
         self.unsettled += 1;
         self.chunk_wanted
+    }
+
+    /// A source opened a chunk: returns whether the requests thread is to
+    /// be unparked.
+    fn opened(&mut self) -> bool {
+        std::mem::take(&mut self.open_wanted)
     }
 }
 
@@ -226,6 +242,7 @@ impl Producer {
             queued: 0,
             unsettled: 0,
             chunk_wanted: false,
+            open_wanted: false,
         };
         let rpc = meta.rpc().clone();
         // Client metrics live in the node's registry, labelled by
@@ -291,11 +308,14 @@ impl Producer {
         let slot = &route.slots[streamlet.raw() as usize];
 
         let mut p = slot.chunk.lock();
+        let mut sealed_full = false;
         if !p.builder.append(record) {
             // Full: the chunk goes into its lane and the record opens the
-            // next one. What an empty chunk cannot take is refused.
+            // next one, which the seal's critical section announces. What
+            // an empty chunk cannot take is refused.
             if !p.builder.is_empty() {
-                self.seal_into_lane(slot, &mut p);
+                self.seal_into_lane(slot, &mut p, true);
+                sealed_full = true;
             }
             if !p.builder.append(record) {
                 return Err(KeraError::ChunkTooLarge {
@@ -306,6 +326,9 @@ impl Producer {
         }
         if p.since.is_none() {
             p.since = Some(Instant::now());
+            if !sealed_full && self.shared.queue.lock().opened() {
+                self.unpark_requests();
+            }
         }
         Ok(())
     }
@@ -314,18 +337,26 @@ impl Producer {
     /// slot lock the caller holds: lane order must equal per-slot seal
     /// order, or a linger-sealed successor can overtake this chunk and
     /// invert the slot's record order on the broker. Waiting for `room`
-    /// here is the backpressure path; the linger scan uses try_lock, so
+    /// here is the backpressure path; the linger pass uses try_lock, so
     /// the requests thread can never deadlock against a sender that
-    /// waits for it to make room.
-    fn seal_into_lane(&self, slot: &Slot, p: &mut PendingChunk) {
+    /// waits for it to make room. `opening`: the caller opens the slot's
+    /// next chunk before it lets go of the slot.
+    fn seal_into_lane(&self, slot: &Slot, p: &mut PendingChunk, opening: bool) {
         let sealed = self.shared.seal(p);
         let mut q = self.shared.queue.lock();
         while q.queued >= self.shared.cfg.queue_capacity {
             self.shared.room.wait(&mut q);
         }
-        let wake = q.push(slot.lane, sealed);
+        let mut wake = q.push(slot.lane, sealed);
+        wake |= opening && q.opened();
         drop(q);
-        if let (true, Some(t)) = (wake, &self.requests_thread) {
+        if wake {
+            self.unpark_requests();
+        }
+    }
+
+    fn unpark_requests(&self) {
+        if let Some(t) = &self.requests_thread {
             t.thread().unpark();
         }
     }
@@ -338,7 +369,7 @@ impl Producer {
         for slot in self.shared.routes.values().flat_map(|route| &route.slots) {
             let mut p = slot.chunk.lock();
             if !p.builder.is_empty() {
-                self.seal_into_lane(slot, &mut p);
+                self.seal_into_lane(slot, &mut p, false);
             }
         }
         let mut q = self.shared.queue.lock();
@@ -387,8 +418,8 @@ impl Producer {
     fn stop(&mut self, discard: bool) {
         self.shared.discard.store(discard, Ordering::SeqCst);
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.unpark_requests();
         if let Some(t) = self.requests_thread.take() {
-            t.thread().unpark();
             let _ = t.join();
         }
     }
@@ -444,19 +475,19 @@ struct RequestsThread {
     lanes: Vec<Lane>,
 }
 
-/// The Requests thread. Each round settles what resolved, enforces
-/// linger, ships one request per lane that may send, and parks until
-/// something can have changed (`park`).
+/// The Requests thread. Each round settles what resolved, seals the
+/// chunks whose linger ran out (when the earliest deadline has come),
+/// ships one request per lane that may send, and parks until something
+/// can have changed (`park`).
 fn requests_loop(shared: Arc<Shared>, brokers: Vec<NodeId>) {
-    // Linger-scan cadence (the scan walks every slot of every stream).
-    let tick = shared.cfg.linger.max(Duration::from_micros(200)) / 2;
     let lanes = brokers.into_iter().map(|broker| Lane {
         broker,
         resend: None,
         inflight: VecDeque::new(),
     });
     let mut t = RequestsThread { shared, lanes: lanes.collect() };
-    let mut next_linger_scan = Instant::now() + tick;
+    // When the next linger pass is due; `None`: at the next turn.
+    let mut due: Option<Instant> = None;
     loop {
         for lane in &mut t.lanes {
             lane.reap(&t.shared);
@@ -468,31 +499,47 @@ fn requests_loop(shared: Arc<Shared>, brokers: Vec<NodeId>) {
         if stopping && t.shared.queue.lock().unsettled == 0 {
             return;
         }
-        if Instant::now() >= next_linger_scan {
+        if stopping {
             // A stopped producer has no partial chunk worth sealing:
             // `close` flushed them, `abort` gives them up.
-            if !stopping {
-                t.scan_linger();
-            }
-            next_linger_scan = Instant::now() + tick;
+            due = None;
+        } else if due.is_none_or(|d| d <= Instant::now()) {
+            due = t.seal_expired();
         }
-        let idle_lane = t.ship();
-        t.park(idle_lane, next_linger_scan);
+        let idle_lane = t.ship(due.is_none());
+        t.park(idle_lane, due);
     }
 }
 
 impl RequestsThread {
-    /// Seals chunks whose linger expired, straight into their lanes.
-    fn scan_linger(&self) {
+    /// The linger pass: seals the chunks whose linger ran out, straight
+    /// into their lanes, and returns when the next pass is due — the
+    /// earliest deadline of a chunk left open, or `linger / 8` from now
+    /// if a source held a slot's lock. `None`: no deadline, only a wake-up
+    /// can make a pass worth it — no chunk is open (the source that opens
+    /// one unparks this thread, see `open_wanted`), or the lanes are full
+    /// (the reply that makes room does).
+    fn seal_expired(&self) -> Option<Instant> {
         let shared = &self.shared;
+        let linger = shared.cfg.linger;
+        // Up before the first look at a slot: a chunk opened behind the
+        // look announces itself.
+        shared.queue.lock().open_wanted = true;
+        let now = Instant::now();
+        let mut due: Option<Instant> = None;
+        let mut earliest = |at: Instant| due = Some(due.map_or(at, |d| d.min(at)));
         for slot in shared.routes.values().flat_map(|route| &route.slots) {
             // try_lock: a held lock is a source thread inside its
             // seal+push critical section (possibly waiting for room that
-            // only this thread makes) — skip the slot and catch it on the
-            // next scan instead of deadlocking.
-            let Some(mut p) = slot.chunk.try_lock() else { continue };
-            let expired = p.since.is_some_and(|s| s.elapsed() >= shared.cfg.linger);
-            if !expired || p.builder.is_empty() {
+            // only this thread makes) — look again shortly instead of
+            // deadlocking, and not a whole linger later.
+            let Some(mut p) = slot.chunk.try_lock() else {
+                earliest(now + linger / 8);
+                continue;
+            };
+            let Some(since) = p.since else { continue };
+            if since + linger > now {
+                earliest(since + linger);
                 continue;
             }
             // This thread must not wait for room: with the lanes full the
@@ -500,19 +547,22 @@ impl RequestsThread {
             // that the bound holds exactly; a lingering chunk is a short one.
             let mut q = shared.queue.lock();
             if q.queued >= shared.cfg.queue_capacity {
-                return;
+                return None;
             }
             let sealed = shared.seal(&mut p);
             q.push(slot.lane, sealed);
         }
+        due
     }
 
     /// Puts on the wire what each lane may send now: its `resend`, else
     /// a new request if fewer than `pipeline` are in flight. The lanes'
     /// prefixes are popped in one critical section, which also tells the
     /// sources whether some lane is left below its in-flight bound (the
-    /// return value); encoding and sending hold no lock.
-    fn ship(&mut self) -> bool {
+    /// return value) and whether this thread waits for a chunk to open
+    /// (`no_deadline`: the linger pass left none); encoding and sending
+    /// hold no lock.
+    fn ship(&mut self, no_deadline: bool) -> bool {
         let Self { shared, lanes } = self;
         let now = Instant::now();
         let bound = shared.cfg.pipeline.max(1);
@@ -537,6 +587,8 @@ impl RequestsThread {
             idle_lane |= on_wire < bound;
         }
         q.chunk_wanted = idle_lane;
+        // Only lowered here: a source may have taken it since the pass.
+        q.open_wanted &= idle_lane && no_deadline;
         drop(q);
         if was_full && !batches.is_empty() {
             shared.room.notify_all();
@@ -549,15 +601,15 @@ impl RequestsThread {
 
     /// The thread's one blocking point. While some lane is below its
     /// in-flight bound, a sealed chunk is worth an unpark (`ship` said
-    /// so in `chunk_wanted`) and the next linger scan a wake-up. With
-    /// every lane on the wire neither is — a chunk sealed now would only
-    /// wait in its lane, smaller — so a saturated producer sleeps from
-    /// reply to reply however fast its source seals.
-    fn park(&self, idle_lane: bool, linger_scan: Instant) {
-        if idle_lane {
-            std::thread::park_timeout(linger_scan.saturating_duration_since(Instant::now()));
-        } else {
-            std::thread::park();
+    /// so in `chunk_wanted`), and so is the next linger deadline — or,
+    /// with none, an opened chunk (`open_wanted`). With every lane on the
+    /// wire none of them is — a chunk sealed now would only wait in its
+    /// lane, smaller — so a saturated producer sleeps from reply to reply
+    /// however fast its source seals.
+    fn park(&self, idle_lane: bool, due: Option<Instant>) {
+        match due.filter(|_| idle_lane) {
+            Some(due) => std::thread::park_timeout(due.saturating_duration_since(Instant::now())),
+            None => std::thread::park(),
         }
     }
 

@@ -533,11 +533,11 @@ fn a_late_broker_does_not_delay_the_others_next_request() {
 }
 
 /// Broker A has the producer's one request and does not answer it; B has
-/// never been sent anything. A partial chunk for B is sealed and sent at
-/// the linger cadence: B's lane exists from the start and is idle, so the
+/// never been sent anything. A partial chunk for B is sealed and sent when
+/// its linger runs out: B's lane exists from the start and is idle, so the
 /// thread does not sleep as if every broker were busy.
 #[test]
-fn a_partial_chunk_for_an_idle_broker_keeps_the_linger_cadence() {
+fn a_partial_chunk_for_an_idle_broker_leaves_at_its_linger() {
     let rig = rig(&[BROKER_A, BROKER_B]);
     rig.script.hold(BROKER_A);
     let producer = producer(&rig, ProducerConfig { chunk_size: 1024, ..ProducerConfig::default() });
@@ -569,7 +569,8 @@ fn times_blocked(name: &str) -> Option<u64> {
 
 /// `flush` sleeps until the requests thread settles the last chunk, and
 /// that thread sleeps until the reply unparks it: with the one request
-/// 50 ms at the broker, neither of them polls its way there.
+/// 50 ms at the broker, neither of them polls its way there, and the
+/// thread sleeps on, idle, once the reply is settled.
 #[test]
 #[cfg(target_os = "linux")]
 fn flush_wakes_on_the_last_ack() {
@@ -585,13 +586,68 @@ fn flush_wakes_on_the_last_ack() {
         before.is_some()
     });
     producer.flush().unwrap();
-    let (flushed, sleeps) = (Instant::now(), times_blocked("producer-req-70").unwrap() - before.unwrap());
+    let flushed = Instant::now();
     let acked = rig.script.log.lock().applied_at[&0];
     assert!(flushed - acked < Duration::from_millis(10), "flush returned {:?} after the ack", flushed - acked);
-    // Idle until the flush (a linger scan or two), then asleep until the
-    // reply, a timer check at most; at the linger-scan cadence it is 100.
-    assert!(sleeps <= 10, "the requests thread slept {sleeps} times over one request");
+    std::thread::sleep(Duration::from_millis(20));
+    let sleeps = times_blocked("producer-req-70").unwrap() - before.unwrap();
+    // Asleep until the record's linger or the flush, then until the
+    // reply, then until the next chunk opens: the thread keeps no timer
+    // of its own, so nothing else wakes it. A scan every half linger
+    // would add 40 over the idle 20 ms.
+    assert!(sleeps <= 3, "the requests thread slept {sleeps} times over one request");
     assert_eq!((rig.script.requests_at(BROKER_A).len(), producer.metrics().items()), (1, 1));
+}
+
+/// A non-full chunk leaves when its linger runs out, not at the next
+/// pass of a fixed tick: one record to each of eight slots, on both
+/// brokers, at staggered times, and each is applied between 100 and 125 ms
+/// after its send. (A scan every half linger lets a record wait up to 150.)
+#[test]
+fn a_partial_chunk_leaves_at_its_linger() {
+    const LINGER: Duration = Duration::from_millis(100);
+    let rig = rig(&[BROKER_A, BROKER_B, BROKER_A, BROKER_B, BROKER_A, BROKER_B, BROKER_A, BROKER_B]);
+    let producer = producer(&rig, ProducerConfig { linger: LINGER, ..ProducerConfig::default() });
+    let mut sent = Vec::new();
+    for n in 0..8 {
+        sent.push(Instant::now());
+        producer.send(STREAM, &record(n)).unwrap();
+        std::thread::sleep(Duration::from_millis(13));
+    }
+    wait_for("every record", Duration::from_secs(5), || rig.script.log.lock().applied_at.len() == 8);
+    let applied_at = rig.script.log.lock().applied_at.clone();
+    for (n, sent) in sent.iter().enumerate() {
+        let waited = applied_at[&(n as u64)] - *sent;
+        assert!(
+            (LINGER..LINGER + Duration::from_millis(25)).contains(&waited),
+            "record {n} was applied {waited:?} after its send, linger {LINGER:?}"
+        );
+    }
+    assert_applied_once_in_order(&rig.script, 8);
+}
+
+/// A producer with nothing to send sleeps: with no chunk open its requests
+/// thread has no deadline, and it blocks once until a source opens one,
+/// where a scan every half linger would block about 400 times in 200 ms.
+#[test]
+#[cfg(target_os = "linux")]
+fn an_idle_producer_does_not_poll() {
+    let rig = rig(&[BROKER_A, BROKER_B]);
+    // An id of its own: the requests thread is found by its name.
+    let cfg = ProducerConfig { id: ProducerId(71), ..ProducerConfig::default() };
+    let producer = Producer::new(&rig.meta, &[STREAM], cfg).unwrap();
+    let mut before = None;
+    wait_for("the requests thread", Duration::from_secs(5), || {
+        before = times_blocked("producer-req-71");
+        before.is_some()
+    });
+    std::thread::sleep(Duration::from_millis(200));
+    let sleeps = times_blocked("producer-req-71").unwrap() - before.unwrap();
+    assert!(sleeps <= 2, "an idle requests thread blocked {sleeps} times in 200 ms");
+
+    // Asleep is not deaf: the source that opens a chunk wakes it.
+    producer.send(STREAM, &record(0)).unwrap();
+    wait_for("the record", Duration::from_secs(5), || rig.script.log.lock().applied_at.contains_key(&0));
 }
 
 fn consumer(rig: &Rig) -> Consumer {

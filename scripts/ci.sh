@@ -78,8 +78,12 @@ fi
 # backup's write handler, not a replication round (non-test lines: a
 # file counts up to its first `#[cfg(test)]`, as in scripts/loc.sh).
 # One retransmit engine: the node's timers drive every call, so a client
-# keeps no clock for its calls and a `PendingCall` never sends.
+# keeps no clock for its calls and a `PendingCall` never sends. The
+# producer's requests thread keeps no tick either: it sleeps until the
+# earliest linger deadline of an open chunk, or until woken.
 if grep -nE 'thread::sleep|fn idle' crates/client/src/producer.rs crates/client/src/consumer.rs \
+    || awk '/^#\[cfg\(test\)\]/{exit} /let tick|linger\.max\(/{print FILENAME":"FNR": "$0}' \
+        crates/client/src/producer.rs | grep . \
     || find crates/broker/src/broker.rs crates/broker/src/backup.rs crates/vlog/src -name '*.rs' \
         -exec awk '/^#\[cfg\(test\)\]/{nextfile} /thread::sleep/{print FILENAME":"FNR": "$0}' {} + \
         | grep . \
@@ -90,7 +94,7 @@ if grep -nE 'thread::sleep|fn idle' crates/client/src/producer.rs crates/client/
         /TIMER_CHECK|fn resolve|poll_wait/{print FILENAME":"FNR": "$0}' {} + | grep . \
     || awk '/^#\[cfg\(test\)\]/{exit} /Slot::Waited|fn transmit/{print FILENAME":"FNR": "$0}' \
         crates/rpc/src/node.rs | grep .; then
-  echo "no per-call channel in kera-rpc; no nap, no second wait and no second queue in a client; no nap in broker.rs, backup.rs or kera-vlog; no fetch_pos; no call timer in a client and no second retransmit engine in kera-rpc" >&2
+  echo "no per-call channel in kera-rpc; no nap, no tick, no second wait and no second queue in a client; no nap in broker.rs, backup.rs or kera-vlog; no fetch_pos; no call timer in a client and no second retransmit engine in kera-rpc" >&2
   exit 1
 fi
 

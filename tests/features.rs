@@ -250,10 +250,18 @@ fn consumer_starts_at_arbitrary_record_offset() {
     let rt = cluster.client(0);
     let meta = MetadataClient::new(rt.client(), cluster.coordinator());
     meta.create_stream(stream_config(1, 1, VirtualLogPolicy::SharedPerBroker(2))).unwrap();
+    // Every chunk full (23 records) but the last, whatever the scheduler
+    // does: a source paused past a 1-ms linger would seal a short chunk
+    // and shift every boundary after it.
     let producer = Producer::new(
         &meta,
         &[StreamId(1)],
-        ProducerConfig { id: ProducerId(0), chunk_size: 512, ..ProducerConfig::default() },
+        ProducerConfig {
+            id: ProducerId(0),
+            chunk_size: 512,
+            linger: Duration::from_secs(60),
+            ..ProducerConfig::default()
+        },
     )
     .unwrap();
     let n = 3_000u64;
@@ -287,8 +295,8 @@ fn consumer_starts_at_arbitrary_record_offset() {
     }
     consumer.close();
     let first = *values.first().expect("seeked consumer saw nothing");
-    // Chunk-aligned: the first value is within one chunk (512 B / 112 B
-    // per record ≈ 4 records) below the target, never above it.
+    // Chunk-aligned: the first value is the first of the chunk that holds
+    // the target (records 989..=1011), never above it.
     assert!(first <= target, "seek overshot: first={first} target={target}");
     assert!(target - first < 16, "seek undershot too far: first={first}");
     // Everything from `first` to the end arrives in order, exactly once.

@@ -7,12 +7,17 @@
 //! Two kernels compute the same function. [`Crc32c::update`] asks the CPU,
 //! on every call, whether it has SSE4.2 (`is_x86_feature_detected!` caches
 //! the answer): if it does, the `crc32` instruction takes eight bytes at a
-//! time; on any other CPU or architecture a classic *slice-by-8* table walk
-//! runs, its tables generated at compile time by a `const fn`. The tables
-//! are also the reference the tests hold the instruction to. On the 2-core
-//! benchmark host `wire.chunk_verify_ns_per_kb` (parse + verify of one
-//! workload-sized chunk) reads 148 ns/KB on the instruction with 16 KB
-//! chunks and 190–230 with 1 KB ones, against 670–860 on the tables.
+//! time, as three independent chains over three adjacent blocks of 2048,
+//! 256 and then 64 bytes, each block's result moved past the next by a
+//! `crc·x^(8B) mod P` table (Gopal et al., "Fast CRC Computation for iSCSI
+//! Polynomial Using CRC32 Instruction", Intel, 2011); the last bytes (fewer
+//! than 192, a whole record entry) run one chain. On any other CPU or
+//! architecture a classic *slice-by-8* table walk runs. Every table is
+//! generated at compile time by a `const fn`; the slice-by-8 tables are also
+//! the reference the tests hold the instruction to. On the 2-core benchmark
+//! host `wire.chunk_verify_ns_per_kb` (parse + verify of one workload-sized
+//! chunk) reads 150–210 ns/KB with 1 KB chunks and 55–57 with 16 KB ones,
+//! against 205–220 and 140–150 on one chain and 670–860 on the tables.
 
 /// Reflected CRC32C polynomial.
 const POLY: u32 = 0x82f6_3b78;
@@ -75,19 +80,95 @@ fn tables_update(mut crc: u32, data: &[u8]) -> u32 {
 mod sse42 {
     use std::arch::x86_64::{_mm_crc32_u32, _mm_crc32_u64, _mm_crc32_u8};
 
-    /// One `crc32` per 8 bytes, then one per 4-byte word and per byte of
-    /// the tail (so `Crc32c::update_u32` is a single instruction).
+    /// Per three-chain level, longest block first, `crc·x^(8B) mod P`: a
+    /// state moved past `B` zero bytes, one 256-entry table per state byte.
+    static SHIFTS: [[[u32; 256]; 4]; 3] = [make_shift(2048), make_shift(256), make_shift(64)];
+
+    const fn make_shift(bytes: usize) -> [[u32; 256]; 4] {
+        let t0 = &super::TABLES[0];
+        let mut shift = [[0u32; 256]; 4];
+        let mut bit = 0;
+        while bit < 32 {
+            // The state with one bit set, fed `bytes` zero bytes.
+            let mut crc = 1u32 << bit;
+            let mut n = 0;
+            while n < bytes {
+                crc = (crc >> 8) ^ t0[(crc & 0xff) as usize];
+                n += 1;
+            }
+            shift[bit / 8][1 << (bit % 8)] = crc;
+            bit += 1;
+        }
+        // The shift is linear: each entry is the XOR of its bits' entries.
+        let mut k = 0;
+        while k < 4 {
+            let mut i = 1usize;
+            while i < 256 {
+                let low = i & i.wrapping_neg();
+                shift[k][i] = shift[k][i ^ low] ^ shift[k][low];
+                i += 1;
+            }
+            k += 1;
+        }
+        shift
+    }
+
+    fn shift(table: &[[u32; 256]; 4], crc: u32) -> u32 {
+        table[0][(crc & 0xff) as usize]
+            ^ table[1][((crc >> 8) & 0xff) as usize]
+            ^ table[2][((crc >> 16) & 0xff) as usize]
+            ^ table[3][(crc >> 24) as usize]
+    }
+
+    fn words(block: &[u8]) -> impl Iterator<Item = u64> + '_ {
+        block
+            .as_chunks::<8>()
+            .0
+            .iter()
+            .map(|w| u64::from_le_bytes(*w))
+    }
+
+    /// While `3·B` bytes are left, three `crc32` chains over three adjacent
+    /// blocks of `B` bytes, folded by `table` (the shift past `B` bytes).
+    #[inline]
+    #[target_feature(enable = "sse4.2")]
+    fn blocks<'a, const B: usize>(
+        mut wide: u64,
+        mut data: &'a [u8],
+        table: &[[u32; 256]; 4],
+    ) -> (u64, &'a [u8]) {
+        while data.len() >= 3 * B {
+            let (a, rest) = data.split_at(B);
+            let (b, rest) = rest.split_at(B);
+            let (c, rest) = rest.split_at(B);
+            let (mut y, mut z) = (0, 0);
+            for ((a, b), c) in words(a).zip(words(b)).zip(words(c)) {
+                wide = _mm_crc32_u64(wide, a);
+                y = _mm_crc32_u64(y, b);
+                z = _mm_crc32_u64(z, c);
+            }
+            // The instruction leaves the upper half of a 64-bit CRC zero.
+            let ab = shift(table, wide as u32) ^ y as u32;
+            wide = u64::from(shift(table, ab) ^ z as u32);
+            data = rest;
+        }
+        (wide, data)
+    }
+
+    /// Three-chain blocks of 2048, then 256, then 64 bytes; then one chain
+    /// over the last bytes (fewer than 192): one `crc32` per 8 bytes, then
+    /// one per 4-byte word and per byte (so a record's CRC is one chain,
+    /// `Crc32c::update_u32` one instruction).
     #[target_feature(enable = "sse4.2")]
     pub(super) fn update(crc: u32, data: &[u8]) -> u32 {
-        let mut words = data.chunks_exact(8);
-        let mut wide = u64::from(crc);
-        for w in &mut words {
-            let word = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
-            wide = _mm_crc32_u64(wide, word);
+        let (wide, data) = blocks::<2048>(u64::from(crc), data, &SHIFTS[0]);
+        let (wide, data) = blocks::<256>(wide, data, &SHIFTS[1]);
+        let (mut wide, data) = blocks::<64>(wide, data, &SHIFTS[2]);
+        for w in words(data) {
+            wide = _mm_crc32_u64(wide, w);
         }
-        // The instruction leaves the upper half of a 64-bit CRC zero.
         let mut crc = wide as u32;
-        let mut tail = words.remainder();
+        let mut tail = data.as_chunks::<8>().1;
         if let [a, b, c, d, rest @ ..] = tail {
             crc = _mm_crc32_u32(crc, u32::from_le_bytes([*a, *b, *c, *d]));
             tail = rest;
@@ -214,11 +295,25 @@ mod tests {
         if !hardware() {
             return;
         }
-        let buf: Vec<u8> = (0..2048 + 8u32)
+        // Every length up to 2 KB; around three blocks of each three-chain
+        // level (2048, 256, 64), where a level starts or leaves bytes to the
+        // next; a 16 KB chunk's payload; and lengths that run many blocks.
+        let mut lens: Vec<usize> = (0..=2048).collect();
+        for block in [2048, 256, 64] {
+            lens.extend([
+                3 * block - 8,
+                3 * block - 1,
+                3 * block,
+                3 * block + 1,
+                3 * block + 8,
+            ]);
+        }
+        lens.extend([16336, 20000, 65536]);
+        let buf: Vec<u8> = (0..65536 + 8u32)
             .map(|i| (i.wrapping_mul(0x9e37_79b1) >> 13) as u8)
             .collect();
         for start in 0..8 {
-            for len in 0..=2048 {
+            for &len in &lens {
                 let data = &buf[start..start + len];
                 assert_eq!(crc32c(data), tables(data), "start {start}, len {len}");
             }
@@ -252,10 +347,11 @@ mod tests {
 
     proptest! {
         /// Fed in pieces — one state throughout, or `finish` and `resume`
-        /// at every cut — either kernel ends where the one-shot tables do.
+        /// at every cut — either kernel ends where the one-shot tables do;
+        /// up to 20 KB, so cuts fall inside the three-chain blocks too.
         #[test]
         fn pieces_and_resumes_equal_the_one_shot(
-            data in proptest::collection::vec(any::<u8>(), 0..600),
+            data in proptest::collection::vec(any::<u8>(), 0..20_000),
             cuts in proptest::collection::vec(any::<usize>(), 0..6),
         ) {
             let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();

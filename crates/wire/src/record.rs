@@ -59,10 +59,10 @@ impl<'a> Record<'a> {
 
     /// Appends the serialized entry to `out`. Returns the entry length.
     ///
-    /// Generic over the sink so the producer's chunk builder (a pooled
-    /// `BytesMut` that is later frozen and shipped without copying) and
-    /// plain `Vec<u8>` buffers share one encoder — the record is
-    /// serialized exactly once, at this call.
+    /// Generic over the sink so the producer's chunk builder (a fresh
+    /// `BytesMut` allocated per chunk, later frozen and shipped without
+    /// copying) and plain `Vec<u8>` buffers share one encoder — the record
+    /// is serialized exactly once, at this call.
     pub fn encode_into<B>(&self, out: &mut B) -> usize
     where
         B: BufMut + AsRef<[u8]> + AsMut<[u8]>,

@@ -208,6 +208,15 @@ if find crates/*/src crates/shims/*/src -name '*.rs' -exec awk '/^#\[cfg\(test\)
   exit 1
 fi
 
+# One CRC32C kernel: every checksum goes through kera_common::checksum, so
+# each site runs its three-chain SSE4.2 kernel and is held to its tables —
+# no `crc32` intrinsic and no copy of the polynomial anywhere else.
+if grep -rniE '_mm_crc32_|0x82f6_?3b78' crates/*/src src benchmark/src \
+    | grep -v '^crates/common/src/checksum.rs:'; then
+  echo "one CRC32C kernel: _mm_crc32_* and the polynomial live in crates/common/src/checksum.rs only" >&2
+  exit 1
+fi
+
 # A node is held at the fabric (FaultPlan::hold), not in its handlers: no
 # service carries a drill flag. And time passes on one queue per node: a
 # parked Kafka request's expiry, a frame the fault plan delays and the
